@@ -48,12 +48,8 @@ from .games import (
 from .gf import (
     DEFAULT_REDUCTION,
     SUPPORTED_WIDTHS,
-    FieldElem,
     FieldSpec,
     default_spec,
-    gf_add,
-    gf_mul,
-    gf_poly_eval,
 )
 from .hashfam import (
     IndependenceReport,
@@ -66,7 +62,6 @@ from .hashfam import (
     restrict_to_table,
     sample_kwise,
     sample_table,
-    table_lookup,
     width_for,
 )
 from .prfcore import (
@@ -99,7 +94,7 @@ from .transform import (
 
 __all__ = [
     "ADWKey", "ADWOracle", "AdaptiveDistinguisher", "BitString", "ConfigurationError",
-    "DEFAULT_REDUCTION", "Distinguisher", "ExtensionParams", "FieldElem", "FieldSpec",
+    "DEFAULT_REDUCTION", "Distinguisher", "ExtensionParams", "FieldSpec",
     "FunctionOracle", "GameResult", "GgmKey", "GgmOracle", "IndependenceReport",
     "InstrumentedOracle", "InvolutionOracle", "KWiseHashKey", "LazyRandomOracle",
     "LevinOracle", "MultiOracleNonAdaptiveDistinguisher", "NonAdaptiveDistinguisher",
@@ -112,10 +107,10 @@ __all__ = [
     "build_pp_domain_extension", "build_prg_prf", "count_underlying_calls",
     "default_ggm_input_bits", "default_independence", "default_spec", "derive_seed",
     "eval_kwise", "exact_sd", "exhaustive_independence_check", "expected_fixed_points",
-    "gf_add", "gf_mul", "gf_poly_eval", "ggm_eval", "hybrid_wrap",
+    "ggm_eval", "hybrid_wrap",
     "involution_distinguisher", "involution_game", "involution_nonadaptive_distinguisher",
     "involution_samplers", "lazy_answer", "lazy_random_sampler", "levin_eval", "mix64",
     "pp_eval", "prg_expand", "restrict_to_table", "run_game", "run_multi_game",
     "run_nonadaptive_game_batched", "sample_involution", "sample_kwise", "sample_table",
-    "table_lookup", "truncate", "tuple_uniformity_sd", "width_for",
+    "truncate", "tuple_uniformity_sd", "width_for",
 ]

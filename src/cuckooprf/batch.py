@@ -37,7 +37,7 @@ from .games import (
 from .gf import FieldSpec, default_spec
 from .hashfam import KWiseHashKey, RandomTable, RestrictedHash, width_for
 from .prfcore import LazyRandomOracle, LevinOracle
-from .transform import PaddedPrfMap
+from .transform import PaddedPrfMap, check_widths
 
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
@@ -317,8 +317,9 @@ class PPTupleSampler:
     """
 
     def __init__(self, d: int, s: int, r: int, k: int):
-        if s < 1 or r < 1:
-            raise ConfigurationError("s and r must be positive")
+        if s < 1:
+            raise ConfigurationError("s must be positive")
+        check_widths(d=d, r=r)
         if d < s:
             raise ConfigurationError(f"extended domain d={d} below underlying s={s}")
         if k < 2:

@@ -1,9 +1,10 @@
 """Length-tagged bit strings and the 64-bit mixing primitives.
 
-Every value that crosses a module boundary is a BitString: an unsigned
-integer paired with an explicit length. Lengths are checked at each
-operation so a 4-bit value can never be silently confused with the same
-integer at 8 bits. Bit positions are MSB-first: bit(0) is the leftmost
+Every value that crosses the public Oracle.query boundary is a
+BitString: an unsigned integer paired with an explicit length. Lengths
+are checked at each operation so a 4-bit value can never be silently
+confused with the same integer at 8 bits. Inside the combiners values
+are plain ints, whose shapes the keys have already validated. Bit positions are MSB-first: bit(0) is the leftmost
 bit, matching the left-to-right order in which tree constructions
 consume input bits.
 

@@ -103,13 +103,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace):
+def _options(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> argparse action for the options of one subcommand."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.option_strings}
+
+
+def _check_config_value(key: str, val, action: argparse.Action):
+    """Hold a config value to what argparse would accept for the flag."""
+    if val is None:
+        if action.default is None:
+            return
+        raise ConfigurationError(f"config key {key!r} must not be null")
+    want = action.type or str
+    if isinstance(val, bool) or not isinstance(val, want):
+        raise ConfigurationError(f"config key {key!r} must be of type {want.__name__}, "
+                                 f"got {type(val).__name__}")
+    if action.choices is not None and val not in action.choices:
+        raise ConfigurationError(f"config key {key!r} must be one of {list(action.choices)}")
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace):
     if not args.config:
         return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config file must hold a flat JSON object")
+    options = _options(parser, args.command)
     for key, val in cfg.items():
         if key == "experiment":
             if val != args.command:
@@ -118,10 +144,9 @@ def _apply_config(args: argparse.Namespace):
                 )
             continue
         dest = "seed" if key == "master_seed" else key
-        if dest == "config" or not hasattr(args, dest):
+        if dest in ("config", "help") or dest not in options:
             raise ConfigurationError(f"unknown config key {key!r} for {args.command}")
-        if isinstance(val, bool) or not isinstance(val, (int, str, type(None))):
-            raise ConfigurationError(f"config key {key!r} must be an integer or string")
+        _check_config_value(key, val, options[dest])
         old = getattr(args, dest)
         if old != val:
             print(f"config file overrides --{dest}: {old} -> {val}", file=sys.stderr)
@@ -155,7 +180,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(parser, args)
         rows, problems = _dispatch(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

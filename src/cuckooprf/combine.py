@@ -15,9 +15,14 @@ with g = ell, which the tests pin down pointwise.
 
 Inner maps are either RandomTable (table-backed: lookups, no oracle
 calls) or Oracle instances (prf-backed: each lookup is an underlying
-call). Hash slots are duck-typed: anything callable on a BitString
-with domain_bits/range_bits attributes works, which admits plain
-k-wise keys as well as range-restricted ones.
+call). Every slot is duck-typed: anything with domain_bits/range_bits
+attributes and an eval_int(int) -> int method works, which admits
+plain k-wise keys, range-restricted ones, tables and any Oracle.
+
+Values are plain ints inside the combiners. A BitString is built only
+where a value crosses an Oracle.query boundary: the input and answer
+of pp_eval/adw_eval, and each call of an underlying oracle, which
+Oracle.eval_int routes through query.
 """
 
 from __future__ import annotations
@@ -25,24 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import BitString
-from .hashfam import RandomTable, table_lookup
-from .prfcore import InstrumentedOracle, Oracle
+from .hashfam import RandomTable
+from .prfcore import Oracle
 
 
-def _map_range_bits(m) -> int:
-    return m.entry_bits if isinstance(m, RandomTable) else m.range_bits
-
-
-def _map_domain_bits(m) -> int:
-    if isinstance(m, RandomTable):
-        return len(m.entries).bit_length() - 1
-    return m.domain_bits
-
-
-def _map_eval(m, v: BitString) -> BitString:
-    if isinstance(m, RandomTable):
-        return table_lookup(m, v.value)
-    return m.query(v)
+def _check_input(key, x: BitString):
+    if x.length != key.domain_bits:
+        raise ValueError(f"input length {x.length}, key domain is {key.domain_bits} bits")
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,10 @@ class PPKey:
 
 
 def pp_eval(key: PPKey, x: BitString) -> BitString:
-    return key.f1.query(key.h1(x)) ^ key.f2.query(key.h2(x)) ^ key.g(x)
+    _check_input(key, x)
+    v = x.value
+    y = key.f1.eval_int(key.h1.eval_int(v)) ^ key.f2.eval_int(key.h2.eval_int(v))
+    return BitString(y ^ key.g.eval_int(v), key.range_bits)
 
 
 class PPOracle(Oracle):
@@ -118,9 +115,9 @@ class ADWKey:
             u = g.range_bits
             for m, bits in ((m1, self.f1.domain_bits), (m2, self.f2.domain_bits),
                             (y, self.f1.range_bits)):
-                if _map_domain_bits(m) != u:
+                if m.domain_bits != u:
                     raise ValueError(f"inner map domain is not {u} bits")
-                if _map_range_bits(m) != bits:
+                if m.range_bits != bits:
                     raise ValueError(f"inner map range is not {bits} bits")
 
     @property
@@ -136,22 +133,25 @@ class ADWKey:
         return self.f1.range_bits
 
 
-def adw_inner_eval(h, gbar, mbar, x: BitString, gvals=None) -> BitString:
-    """h(x) ^ XOR_i m_i(g_i(x)). Pass gvals to reuse shared g evaluations."""
+def adw_inner_eval(h, gbar, mbar, x: int, gvals=None) -> int:
+    """h(x) ^ XOR_i m_i(g_i(x)) on raw values. Pass gvals to reuse shared
+    g evaluations."""
     if gvals is None:
-        gvals = [g(x) for g in gbar]
-    acc = h(x)
+        gvals = [g.eval_int(x) for g in gbar]
+    acc = h.eval_int(x)
     for m, gv in zip(mbar, gvals):
-        acc ^= _map_eval(m, gv)
+        acc ^= m.eval_int(gv)
     return acc
 
 
 def adw_eval(key: ADWKey, x: BitString) -> BitString:
-    gvals = [g(x) for g in key.gbar]  # shared between both halves and the y part
-    a = key.f1.query(adw_inner_eval(key.h1, key.gbar, key.m1bar, x, gvals))
-    b = key.f2.query(adw_inner_eval(key.h2, key.gbar, key.m2bar, x, gvals))
-    c = adw_inner_eval(key.ell, key.gbar, key.ybar, x, gvals)
-    return a ^ b ^ c
+    _check_input(key, x)
+    v = x.value
+    gvals = [g.eval_int(v) for g in key.gbar]  # shared between both halves and the y part
+    a = key.f1.eval_int(adw_inner_eval(key.h1, key.gbar, key.m1bar, v, gvals))
+    b = key.f2.eval_int(adw_inner_eval(key.h2, key.gbar, key.m2bar, v, gvals))
+    c = adw_inner_eval(key.ell, key.gbar, key.ybar, v, gvals)
+    return BitString(a ^ b ^ c, key.range_bits)
 
 
 class ADWOracle(Oracle):
@@ -163,16 +163,18 @@ class ADWOracle(Oracle):
         return adw_eval(self.key, x)
 
 
-class _CountingHash:
-    def __init__(self, h):
-        self.inner = h
-        self.calls = 0
-        self.domain_bits = h.domain_bits
-        self.range_bits = h.range_bits
+class _Counted:
+    """Forwards eval_int to a slot and counts the calls."""
 
-    def __call__(self, x: BitString) -> BitString:
+    def __init__(self, slot):
+        self.slot = slot
+        self.calls = 0
+        self.domain_bits = slot.domain_bits
+        self.range_bits = slot.range_bits
+
+    def eval_int(self, x: int) -> int:
         self.calls += 1
-        return self.inner(x)
+        return self.slot.eval_int(x)
 
 
 def count_underlying_calls(key, x: BitString) -> tuple[int, int]:
@@ -184,24 +186,17 @@ def count_underlying_calls(key, x: BitString) -> tuple[int, int]:
     evaluations; the shared g-vector is evaluated once per g_i.
     """
     if isinstance(key, PPKey):
-        h1, h2, g = _CountingHash(key.h1), _CountingHash(key.h2), _CountingHash(key.g)
-        f1, f2 = InstrumentedOracle(key.f1), InstrumentedOracle(key.f2)
-        pp_eval(PPKey(h1, h2, g, f1, f2), x)
-        return f1.calls + f2.calls, h1.calls + h2.calls + g.calls
-    if isinstance(key, ADWKey):
-        hashes = [_CountingHash(h) for h in (key.h1, key.h2, key.ell)]
-        gbar = tuple(_CountingHash(g) for g in key.gbar)
-        wrap = lambda m: m if isinstance(m, RandomTable) else InstrumentedOracle(m)
-        m1bar = tuple(wrap(m) for m in key.m1bar)
-        m2bar = tuple(wrap(m) for m in key.m2bar)
-        ybar = tuple(wrap(m) for m in key.ybar)
-        f1, f2 = InstrumentedOracle(key.f1), InstrumentedOracle(key.f2)
-        counted = ADWKey(hashes[0], hashes[1], hashes[2], gbar, m1bar, m2bar, ybar, f1, f2)
-        adw_eval(counted, x)
-        f_calls = f1.calls + f2.calls
-        for m in (*m1bar, *m2bar, *ybar):
-            if isinstance(m, InstrumentedOracle):
-                f_calls += m.calls
-        hash_calls = sum(h.calls for h in hashes) + sum(g.calls for g in gbar)
-        return f_calls, hash_calls
-    raise ValueError(f"not a combiner key: {type(key).__name__}")
+        hashes = [_Counted(h) for h in (key.h1, key.h2, key.g)]
+        fs = [_Counted(f) for f in (key.f1, key.f2)]
+        pp_eval(PPKey(*hashes, *fs), x)
+    elif isinstance(key, ADWKey):
+        hashes = [_Counted(h) for h in (key.h1, key.h2, key.ell, *key.gbar)]
+        f1, f2 = _Counted(key.f1), _Counted(key.f2)
+        maps = [tuple(m if isinstance(m, RandomTable) else _Counted(m) for m in bar)
+                for bar in (key.m1bar, key.m2bar, key.ybar)]
+        h1, h2, ell, *gbar = hashes
+        adw_eval(ADWKey(h1, h2, ell, tuple(gbar), *maps, f1, f2), x)
+        fs = [f1, f2, *(m for bar in maps for m in bar if isinstance(m, _Counted))]
+    else:
+        raise ValueError(f"not a combiner key: {type(key).__name__}")
+    return sum(f.calls for f in fs), sum(h.calls for h in hashes)

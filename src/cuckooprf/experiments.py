@@ -20,7 +20,6 @@ as violations.
 from __future__ import annotations
 
 import json
-import math
 import random
 
 from .batch import PPTupleSampler, run_nonadaptive_game_batched
@@ -40,6 +39,7 @@ from .hashfam import exhaustive_independence_check, sample_kwise
 from .prfcore import GgmKey, GgmOracle, InstrumentedOracle, LevinOracle, PrgSpec, ggm_eval
 from .transform import (
     ExtensionParams,
+    adw_table_z,
     adw_z,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
@@ -54,6 +54,8 @@ CSV_COLUMNS = ("experiment", "n", "d", "s", "r", "k", "q", "z", "trials",
 _PROBE_TAG = 0x50524F42
 _PAIR_TAG = 0x47474D50
 _CALL_TAG = 0x43414C4C
+# hardness exponent of the adw adaptive-transform target
+_ADAPTIVE_C = 1
 
 
 def _row(experiment: str, **cols) -> dict:
@@ -177,6 +179,8 @@ def ggm_kat(pairs: int, seed: int):
 
 def involution(n: int, trials: int, seed: int):
     """Adaptive vs nonadaptive distinguishers against a random involution."""
+    if n < 1:
+        raise ConfigurationError(f"involution needs n >= 1, got {n}")
     real, ideal = involution_samplers(n)
     rows = []
     for name, dist in (("involution-adaptive", involution_distinguisher(n)),
@@ -191,13 +195,12 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
     and verify that no underlying query ever leaves the first 4q strings."""
     if probes < 1:
         raise ConfigurationError("probes must be positive")
-    z_adw = 2 * (1 + 2) * math.ceil(math.log2(q))
     targets = (
-        ("adaptive-transform-pp", "pp", k, None),
-        ("adaptive-transform-adw", "adw", 2, z_adw),
+        ("adaptive-transform-pp", "pp", k),
+        ("adaptive-transform-adw", "adw", 2),
     )
     rows, problems = [], []
-    for idx, (name, flavor, kcol, zcol) in enumerate(targets):
+    for idx, (name, flavor, kcol) in enumerate(targets):
         collected: list[InstrumentedOracle] = []
 
         def f_sampler(rng, db, rb, acc=collected):
@@ -208,8 +211,11 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
         rng = random.Random(derive_seed(seed, _PROBE_TAG, idx))
         if flavor == "pp":
             handle = build_adaptive_from_nonadaptive(n, q, k, rng, f_sampler=f_sampler)
+            zcol = None
         else:
-            handle = build_adw_adaptive_from_nonadaptive(n, q, 1, rng, f_sampler=f_sampler)
+            handle = build_adw_adaptive_from_nonadaptive(n, q, _ADAPTIVE_C, rng,
+                                                         f_sampler=f_sampler)
+            zcol = adw_table_z(_ADAPTIVE_C, q)
         x = BitString(0, n)
         for i in range(probes):
             y = handle.query(x)

@@ -11,6 +11,10 @@ Range restriction to a table of size t (a power of two) keeps the low
 log2(t) bits and zero-extends to the ambient length, so outputs range
 over exactly the first t strings of the ambient domain in lexicographic
 order.
+
+Keys, restricted keys and tables evaluate on raw ints via eval_int,
+which is what the combiners call; calling a key on a BitString is the
+length-checked form of the same evaluation.
 """
 
 from __future__ import annotations
@@ -68,6 +72,11 @@ class KWiseHashKey:
         return [format(c, f"0{digits}x") for c in self.coeffs]
 
     def __call__(self, x: BitString) -> BitString:
+        if x.length != self.domain_bits:
+            raise ValueError(f"input length {x.length}, expected {self.domain_bits}")
+        return BitString(eval_kwise(self, x.value), self.range_bits)
+
+    def eval_int(self, x: int) -> int:
         return eval_kwise(self, x)
 
 
@@ -80,16 +89,9 @@ def sample_kwise(k: int, domain_bits: int, range_bits: int, rng) -> KWiseHashKey
     return KWiseHashKey(coeffs, domain_bits, range_bits, w)
 
 
-def eval_kwise(key: KWiseHashKey, x: BitString) -> BitString:
-    if x.length != key.domain_bits:
-        raise ValueError(f"input length {x.length}, expected {key.domain_bits}")
-    spec = key.spec
-    coeffs = key.coeffs
-    acc = coeffs[-1]
-    xv = x.value
-    for c in reversed(coeffs[:-1]):
-        acc = spec.mul_int(acc, xv) ^ c
-    return BitString(truncate(acc, key.range_bits), key.range_bits)
+def eval_kwise(key: KWiseHashKey, x: int) -> int:
+    """The key's polynomial at a raw domain value, truncated to range_bits."""
+    return truncate(key.spec.poly_eval(key.coeffs, x), key.range_bits)
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,10 @@ class RestrictedHash:
         return self.restriction.ambient_bits
 
     def __call__(self, x: BitString) -> BitString:
-        j = self.restriction.index_bits
-        return eval_kwise(self.key, x).truncate_low(j).zero_extend(self.restriction.ambient_bits)
+        return self.key(x).truncate_low(self.restriction.index_bits).zero_extend(self.range_bits)
+
+    def eval_int(self, x: int) -> int:
+        return truncate(eval_kwise(self.key, x), self.restriction.index_bits)
 
 
 def restrict_to_table(key: KWiseHashKey, restriction: RangeRestriction) -> RestrictedHash:
@@ -163,17 +167,22 @@ class RandomTable:
     def __len__(self):
         return len(self.entries)
 
+    @property
+    def domain_bits(self) -> int:
+        return len(self.entries).bit_length() - 1
+
+    @property
+    def range_bits(self) -> int:
+        return self.entry_bits
+
+    def eval_int(self, index: int) -> int:
+        return self.entries[index]
+
 
 def sample_table(count: int, entry_bits: int, rng) -> RandomTable:
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     return RandomTable(tuple(rng.getrandbits(entry_bits) for _ in range(count)), entry_bits)
-
-
-def table_lookup(table: RandomTable, index: int) -> BitString:
-    if not 0 <= index < len(table.entries):
-        raise ValueError(f"index {index} out of range for table of {len(table.entries)}")
-    return BitString(table.entries[index], table.entry_bits)
 
 
 @dataclass(frozen=True)

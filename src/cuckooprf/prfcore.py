@@ -44,6 +44,10 @@ class Oracle:
 
     __call__ = query
 
+    def eval_int(self, x: int) -> int:
+        """query on raw values, the form the combiners call every slot in."""
+        return self.query(BitString(x, self.domain_bits)).value
+
     def _answer(self, x: BitString) -> BitString:
         raise NotImplementedError
 
@@ -61,14 +65,9 @@ class LazyRandomOracle(Oracle):
         if range_bits > 64:
             raise ConfigurationError(f"lazy-random range capped at 64 bits, got {range_bits}")
         self.seed = seed & ((1 << 64) - 1)
-        self.memo: dict[int, int] = {}
 
     def _answer(self, x: BitString) -> BitString:
-        v = self.memo.get(x.value)
-        if v is None:
-            v = lazy_answer(self.seed, x.value, self.range_bits)
-            self.memo[x.value] = v
-        return BitString(v, self.range_bits)
+        return BitString(lazy_answer(self.seed, x.value, self.range_bits), self.range_bits)
 
 
 class FunctionOracle(Oracle):

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from .bits import BitString
 from .combine import ADWKey, ADWOracle, PPKey, PPOracle
 from .errors import ConfigurationError
+from .gf import SUPPORTED_WIDTHS
 from .hashfam import (
     RandomTable,
     RangeRestriction,
@@ -43,6 +44,8 @@ from .hashfam import (
     sample_kwise,
 )
 from .prfcore import GgmKey, GgmOracle, LazyRandomOracle, Oracle, PrgSpec
+
+MAX_WIDTH = max(SUPPORTED_WIDTHS)
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,9 @@ class ExtensionParams:
     c: int = 1
 
     def __post_init__(self):
-        if self.s < 1 or self.r < 1:
-            raise ConfigurationError("s and r must be positive")
+        if self.s < 2 or self.r < 1:
+            raise ConfigurationError("s must be at least 2 and r positive")
+        check_widths(d=self.d, r=self.r)
         if self.d < self.s:
             raise ConfigurationError(f"extended domain d={self.d} below underlying s={self.s}")
         if self.k < 2:
@@ -69,6 +73,13 @@ class ExtensionParams:
             raise ConfigurationError("query budget q must be positive")
         if self.c < 1:
             raise ConfigurationError("hardness exponent c must be at least 1")
+
+
+def check_widths(**bits: int):
+    """Reject bit lengths outside 1..MAX_WIDTH, which no field width covers."""
+    for name, value in bits.items():
+        if not 1 <= value <= MAX_WIDTH:
+            raise ConfigurationError(f"{name}={value} is outside 1..{MAX_WIDTH} bits")
 
 
 def default_independence(q: int) -> int:
@@ -112,6 +123,7 @@ def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None)
     the full query set is fixed in advance.
     """
     f_sampler = f_sampler or lazy_random_sampler
+    check_widths(n=n)
     if k < 2:
         raise ConfigurationError(f"independence k must be at least 2, got {k}")
     if q < 1 or q & (q - 1):
@@ -127,11 +139,16 @@ def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None)
     return PPOracle(PPKey(h1, h2, g, f1, f2))
 
 
+def adw_table_z(c: int, q: int) -> int:
+    """Inner-map count 2(c+2)*ceil(log2 q) of the table-backed adw."""
+    return 2 * (c + 2) * math.ceil(math.log2(q))
+
+
 def adw_z(p: ExtensionParams, variant: str) -> int:
     if variant == "prf":
         return 2 * (p.c + 2)
     if variant == "table":
-        return 2 * (p.c + 2) * math.ceil(math.log2(p.q))
+        return adw_table_z(p.c, p.q)
     raise ConfigurationError(f"unknown adw variant {variant!r}")
 
 
@@ -203,13 +220,14 @@ def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=N
     so underlying queries stay inside it.
     """
     f_sampler = f_sampler or lazy_random_sampler
+    check_widths(n=n)
     if q < 2 or q & (q - 1):
         raise ConfigurationError(f"query budget q={q} must be a power of two, at least 2")
     if 4 * q > 1 << n:
         raise ConfigurationError(f"4q={4 * q} exceeds the domain of {n} bits")
     if c < 1:
         raise ConfigurationError("hardness exponent c must be at least 1")
-    z = 2 * (c + 2) * math.ceil(math.log2(q))
+    z = adw_table_z(c, q)
     restriction = RangeRestriction(4 * q, n)
     j = restriction.index_bits
     h1 = restrict_to_table(sample_kwise(2, n, n, rng), restriction)

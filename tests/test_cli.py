@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cuckooprf import cli
 from cuckooprf.experiments import CSV_COLUMNS
 
@@ -149,3 +151,49 @@ def test_every_subcommand_runs_small(capsys):
         out = capsys.readouterr().out
         assert rc == 0, args
         assert out.split("\n")[0] == HEADER
+
+
+def _assert_configuration_error(rc, err):
+    assert rc == 2
+    assert any(line.startswith("configuration error:") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["birthday", "--s", "1"],
+    ["birthday", "--d", "70"],
+    ["uniformity", "--d", "70"],
+    ["adaptive-transform", "--n", "70"],
+    ["involution", "--n", "0"],
+])
+def test_out_of_range_parameters_exit_2(argv, capsys):
+    rc = cli.main(argv + ["--trials", "2"])
+    _assert_configuration_error(rc, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text", ["{\"q\": 16,", "\xff\xfe"])
+def test_malformed_config_exits_2(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text.encode("latin-1"))
+    rc = cli.main(["birthday", "--config", str(cfg)])
+    _assert_configuration_error(rc, capsys.readouterr().err)
+
+
+def test_missing_config_exits_2(tmp_path, capsys):
+    rc = cli.main(["birthday", "--config", str(tmp_path / "absent.json")])
+    _assert_configuration_error(rc, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("cfg", [{"q": "abc"}, {"trials": None}, {"format": "xml"}])
+def test_config_value_of_wrong_type_exits_2(cfg, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["birthday", "--config", str(path)])
+    _assert_configuration_error(rc, capsys.readouterr().err)
+
+
+def test_config_null_allowed_where_the_flag_defaults_to_null(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"k": None}))
+    assert cli.main(["kwise-verify", "--config", str(path)]) == 0
+    capsys.readouterr()

@@ -172,10 +172,14 @@ def test_adw_single_map_straight_line():
 
 def test_adw_inner_eval_accepts_precomputed_gvals():
     key = _small_adw_key(2, 408)
-    x = BitString(33, 6)
-    gvals = [g(x) for g in key.gbar]
+    x = 33
+    gvals = [g.eval_int(x) for g in key.gbar]
     direct = adw_inner_eval(key.h1, key.gbar, key.m1bar, x)
     assert adw_inner_eval(key.h1, key.gbar, key.m1bar, x, gvals) == direct
+    want = key.h1.eval_int(x)
+    for g, m in zip(key.gbar, key.m1bar):
+        want ^= m.entries[g(BitString(x, 6)).value]
+    assert direct == want
 
 
 def test_adw_oracle_wraps_eval():

@@ -5,12 +5,9 @@ import pytest
 from cuckooprf.gf import (
     DEFAULT_REDUCTION,
     SUPPORTED_WIDTHS,
-    FieldElem,
     FieldSpec,
+    _mul_raw,
     default_spec,
-    gf_add,
-    gf_mul,
-    gf_poly_eval,
 )
 
 
@@ -91,41 +88,54 @@ def test_nonzero_product_of_nonzero_elements():
             assert spec.mul_int(a, b) != 0
 
 
-def test_gf_add_is_xor():
-    a = FieldElem(0b1100, 4)
-    b = FieldElem(0b1010, 4)
-    assert gf_add(a, b) == FieldElem(0b0110, 4)
-    with pytest.raises(ValueError):
-        gf_add(a, FieldElem(3, 8))
+def test_mul_raw_is_the_schoolbook_reference():
+    rng = random.Random(205)
+    for w in SUPPORTED_WIDTHS:
+        spec = default_spec(w)
+        red = DEFAULT_REDUCTION[w]
+        for _ in range(200):
+            a = rng.getrandbits(w)
+            b = rng.getrandbits(w)
+            want = _mul_schoolbook(a, b, w, red)
+            assert _mul_raw(a, b, w, red) == want
+            assert spec.mul_int(a, b) == want
 
 
-def test_gf_mul_width_mismatch_rejected():
-    with pytest.raises(ValueError):
-        gf_mul(FieldElem(3, 4), FieldElem(3, 8))
+def test_mul_is_linear_in_each_operand():
+    # addition is XOR, and multiplication distributes over it
+    rng = random.Random(206)
+    for w in SUPPORTED_WIDTHS:
+        spec = default_spec(w)
+        for _ in range(100):
+            a, b, c = (rng.getrandbits(w) for _ in range(3))
+            assert spec.mul_int(a ^ b, c) == spec.mul_int(a, c) ^ spec.mul_int(b, c)
 
 
 def test_poly_eval_matches_power_sum():
     rng = random.Random(204)
     for w in SUPPORTED_WIDTHS:
         spec = default_spec(w)
+        red = DEFAULT_REDUCTION[w]
         for _ in range(200):
             k = rng.randrange(1, 6)
-            coeffs = [FieldElem(rng.getrandbits(w), w) for _ in range(k)]
-            x = FieldElem(rng.getrandbits(w), w)
-            # naive sum of a_i * x^i, with powers built by repeated multiply
+            coeffs = [rng.getrandbits(w) for _ in range(k)]
+            x = rng.getrandbits(w) if rng.random() < 0.9 else 0
+            # naive sum of a_i * x^i, with powers built by schoolbook multiply
             acc, xp = 0, 1
             for c in coeffs:
-                acc ^= spec.mul_int(c.value, xp)
-                xp = spec.mul_int(xp, x.value)
-            assert gf_poly_eval(coeffs, x, spec).value == acc
+                acc ^= _mul_raw(c, xp, w, red)
+                xp = _mul_raw(xp, x, w, red)
+            assert spec.poly_eval(coeffs, x) == acc
 
 
 def test_poly_eval_degenerate_cases():
-    spec = default_spec(8)
-    c0 = FieldElem(0xAB, 8)
-    assert gf_poly_eval([c0], FieldElem(0x55, 8), spec) == c0
-    zero = [FieldElem(0, 8), FieldElem(0, 8)]
-    assert gf_poly_eval(zero, FieldElem(0xFF, 8), spec).value == 0
+    for w in SUPPORTED_WIDTHS:
+        spec = default_spec(w)
+        top = (1 << w) - 1
+        assert spec.poly_eval([0xA], 0x5) == 0xA
+        assert spec.poly_eval([0, 0], top) == 0
+        assert spec.poly_eval([3, top, 0, 7], 0) == 3
+        assert spec.poly_eval([3, 1], top) == top ^ 3
 
 
 def test_fieldspec_rejects_reducible_polynomial():
@@ -144,7 +154,7 @@ def test_fieldspec_rejects_unsupported_width():
     with pytest.raises(ValueError):
         FieldSpec(5, 0x3F)
     with pytest.raises(ValueError):
-        FieldElem(0, 12)
+        FieldSpec(12)
 
 
 def test_fieldspec_equality_and_default_cache():
@@ -162,10 +172,3 @@ def test_alternate_irreducible_gives_different_field():
     assert products_alt != products_std
     for a in range(1, 16):
         assert len([b for b in range(1, 16) if alt.mul_int(a, b) == 1]) == 1
-
-
-def test_elem_value_range_checked():
-    with pytest.raises(ValueError):
-        FieldElem(16, 4)
-    with pytest.raises(ValueError):
-        FieldElem(-1, 8)

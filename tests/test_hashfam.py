@@ -15,7 +15,6 @@ from cuckooprf.hashfam import (
     restrict_to_table,
     sample_kwise,
     sample_table,
-    table_lookup,
     width_for,
 )
 
@@ -64,10 +63,10 @@ def test_sampling_is_deterministic_in_the_seed():
 def test_eval_matches_direct_call_and_checks_length():
     key = sample_kwise(3, 8, 4, random.Random(9))
     x = BitString(0xA5, 8)
-    assert eval_kwise(key, x) == key(x)
+    assert eval_kwise(key, x.value) == key.eval_int(x.value) == key(x).value
     assert key(x).length == 4
     with pytest.raises(ValueError):
-        eval_kwise(key, BitString(3, 4))
+        key(BitString(3, 4))
 
 
 def test_pairwise_counts_full_range():
@@ -174,9 +173,8 @@ def test_sample_table_shape_and_determinism():
     assert len(t) == 8
     assert all(0 <= e < 32 for e in t.entries)
     assert t == sample_table(8, 5, random.Random(21))
-    assert table_lookup(t, 3).length == 5
-    with pytest.raises(ValueError):
-        table_lookup(t, 8)
+    assert t.domain_bits == 3 and t.range_bits == 5
+    assert [t.eval_int(i) for i in range(8)] == list(t.entries)
 
 
 def test_sample_table_entries_look_uniform():

@@ -1,0 +1,144 @@
+"""Properties of the combiners over generated shapes at widths 8, 16 and 32.
+
+The scalar Oracle.query path is the reference for the numpy path, so the
+two must agree pointwise; the per-query call counts and the z = 0
+degeneration of adw to pp must hold for every drawn shape, not only at
+the pinned examples of the other test files. Runs are derandomized so
+the suite stays reproducible.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cuckooprf.batch import batch_answers
+from cuckooprf.bits import BitString
+from cuckooprf.combine import ADWKey, PPKey, adw_eval, count_underlying_calls, pp_eval
+from cuckooprf.experiments import levin_sampler
+from cuckooprf.hashfam import sample_kwise
+from cuckooprf.prfcore import LazyRandomOracle
+from cuckooprf.transform import (
+    ExtensionParams,
+    build_adaptive_from_nonadaptive,
+    build_adw_adaptive_from_nonadaptive,
+    build_adw_domain_extension,
+    build_pp_domain_extension,
+)
+
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+TRIALS = 3
+
+
+@st.composite
+def shapes(draw, min_s=2):
+    """(w, d, s, r, k) with every hash of the shape living in GF(2^w)."""
+    w = draw(st.sampled_from((8, 16, 32)))
+    d = draw(st.integers(w // 2 + 1, w))
+    s = draw(st.integers(min_s, d))
+    r = draw(st.integers(1, w))
+    k = draw(st.integers(2, 4))
+    return w, d, s, r, k
+
+
+def _rng(data) -> random.Random:
+    return random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+
+def _inputs(data, d: int) -> list[BitString]:
+    values = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=5),
+                       label="xs")
+    return [BitString(v, d) for v in values]
+
+
+def _assert_scalar_equals_batched(data, sampler, d: int):
+    rng = _rng(data)
+    oracles = [sampler(rng) for _ in range(TRIALS)]
+    xs = _inputs(data, d)
+    matrix = batch_answers(oracles, xs)
+    assert matrix is not None
+    assert matrix.tolist() == [[o.query(x).value for x in xs] for o in oracles]
+
+
+@PROPERTY
+@given(shapes(), st.data())
+def test_levin_scalar_equals_batched(shape, data):
+    _, d, s, r, k = shape
+    _assert_scalar_equals_batched(data, levin_sampler(d, s, r, k), d)
+
+
+@PROPERTY
+@given(shapes(), st.data())
+def test_pp_scalar_equals_batched(shape, data):
+    _, d, s, r, k = shape
+    p = ExtensionParams(d, s, r, k, 1)
+    _assert_scalar_equals_batched(data, lambda rng: build_pp_domain_extension(p, rng), d)
+
+
+@PROPERTY
+@given(shapes(), st.data())
+def test_range_restricted_pp_scalar_equals_batched(shape, data):
+    _, n, _, _, k = shape
+    q = 1 << data.draw(st.integers(0, min(4, n - 2)), label="log2 q")
+    _assert_scalar_equals_batched(
+        data, lambda rng: build_adaptive_from_nonadaptive(n, q, k, rng), n)
+
+
+@PROPERTY
+@given(shapes(), st.booleans(), st.data())
+def test_table_adw_scalar_equals_batched(shape, restricted, data):
+    _, d, s, r, _ = shape
+    if restricted:
+        q = 1 << data.draw(st.integers(1, min(3, d - 2)), label="log2 q")
+        sampler = lambda rng: build_adw_adaptive_from_nonadaptive(d, q, 1, rng)
+    else:
+        q = 1 << data.draw(st.integers(0, min(2, s - 2)), label="log2 q")
+        p = ExtensionParams(d, s, r, 2, q)
+        sampler = lambda rng: build_adw_domain_extension(p, "table", rng)
+    _assert_scalar_equals_batched(data, sampler, d)
+
+
+def _prf_adw_params(shape, data) -> ExtensionParams:
+    """A prf-backed adw shape: 2 <= q <= 2^(s-2) and log2 q <= s <= r."""
+    w, d, s, _, _ = shape
+    r = data.draw(st.integers(s, w), label="r")
+    q = 1 << data.draw(st.integers(1, min(3, s - 2)), label="log2 q")
+    return ExtensionParams(d, s, r, 2, q)
+
+
+@PROPERTY
+@given(shapes(min_s=3), st.data())
+def test_prf_adw_scalar_equals_batched(shape, data):
+    p = _prf_adw_params(shape, data)
+    _assert_scalar_equals_batched(
+        data, lambda rng: build_adw_domain_extension(p, "prf", rng), p.d)
+
+
+@PROPERTY
+@given(shapes(), st.data())
+def test_adw_with_no_inner_maps_equals_pp(shape, data):
+    _, d, s, r, k = shape
+    rng = _rng(data)
+    h1, h2 = sample_kwise(k, d, s, rng), sample_kwise(k, d, s, rng)
+    ell = sample_kwise(k, d, r, rng)
+    f1 = LazyRandomOracle(rng.getrandbits(64), s, r)
+    f2 = LazyRandomOracle(rng.getrandbits(64), s, r)
+    adw = ADWKey(h1, h2, ell, (), (), (), (), f1, f2)
+    pp = PPKey(h1, h2, ell, f1, f2)
+    for x in _inputs(data, d):
+        assert adw_eval(adw, x) == pp_eval(pp, x)
+
+
+@PROPERTY
+@given(shapes(min_s=3), st.data())
+def test_underlying_call_counts(shape, data):
+    _, d, s, r, k = shape
+    rng = _rng(data)
+    xs = _inputs(data, d)
+    pp = build_pp_domain_extension(ExtensionParams(d, s, r, k, 1), rng).key
+    table = build_adw_domain_extension(ExtensionParams(d, s, r, 2, 2), "table", rng).key
+    prf = build_adw_domain_extension(_prf_adw_params(shape, data), "prf", rng).key
+    for x in xs:
+        assert count_underlying_calls(pp, x) == (2, 3)
+        assert count_underlying_calls(table, x) == (2, 3 + table.z)
+        assert count_underlying_calls(prf, x) == (3 * prf.z + 2, 3 + prf.z)
