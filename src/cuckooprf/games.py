@@ -49,11 +49,23 @@ class GameResult:
     real_verdicts: tuple[bool, ...]
     ideal_verdicts: tuple[bool, ...]
 
-
-def _binomial_stderr(p_real: float, p_ideal: float, trials: int) -> float:
-    return math.sqrt(
-        p_real * (1 - p_real) / trials + p_ideal * (1 - p_ideal) / trials
-    )
+    @classmethod
+    def from_verdicts(cls, real, ideal, seed: int, violations: int = 0) -> GameResult:
+        """The result of equally many real and ideal per-trial verdicts."""
+        trials = len(real)
+        p_real = sum(real) / trials
+        p_ideal = sum(ideal) / trials
+        return cls(
+            p_real=p_real,
+            p_ideal=p_ideal,
+            advantage=abs(p_real - p_ideal),
+            stderr=math.sqrt(p_real * (1 - p_real) / trials + p_ideal * (1 - p_ideal) / trials),
+            trials=trials,
+            seed=seed,
+            violations=violations,
+            real_verdicts=tuple(real),
+            ideal_verdicts=tuple(ideal),
+        )
 
 
 class _QueryGuard:
@@ -165,19 +177,7 @@ def run_game(real_sampler, ideal_sampler, dist: Distinguisher, trials: int, seed
                 violations += 1
                 verdict = False
             verdicts[world].append(verdict)
-    p_real = sum(verdicts[REAL_WORLD]) / trials
-    p_ideal = sum(verdicts[IDEAL_WORLD]) / trials
-    return GameResult(
-        p_real=p_real,
-        p_ideal=p_ideal,
-        advantage=abs(p_real - p_ideal),
-        stderr=_binomial_stderr(p_real, p_ideal, trials),
-        trials=trials,
-        seed=seed,
-        violations=violations,
-        real_verdicts=tuple(verdicts[REAL_WORLD]),
-        ideal_verdicts=tuple(verdicts[IDEAL_WORLD]),
-    )
+    return GameResult.from_verdicts(verdicts[REAL_WORLD], verdicts[IDEAL_WORLD], seed, violations)
 
 
 # birthday attack
@@ -481,16 +481,4 @@ def run_multi_game(family_sampler, ideal_sampler,
             oracles = [sampler(rng) for _ in range(multi.s)]
             answers = [oracles[idx].query(x) for idx, x in multi.queries]
             verdicts[world].append(bool(multi.decide(answers)))
-    p_real = sum(verdicts[REAL_WORLD]) / trials
-    p_ideal = sum(verdicts[IDEAL_WORLD]) / trials
-    return GameResult(
-        p_real=p_real,
-        p_ideal=p_ideal,
-        advantage=abs(p_real - p_ideal),
-        stderr=_binomial_stderr(p_real, p_ideal, trials),
-        trials=trials,
-        seed=seed,
-        violations=0,
-        real_verdicts=tuple(verdicts[REAL_WORLD]),
-        ideal_verdicts=tuple(verdicts[IDEAL_WORLD]),
-    )
+    return GameResult.from_verdicts(verdicts[REAL_WORLD], verdicts[IDEAL_WORLD], seed)

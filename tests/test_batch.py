@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from cuckooprf import batch
 from cuckooprf.batch import (
     PPTupleSampler,
     batch_answers,
@@ -14,6 +15,7 @@ from cuckooprf.batch import (
 )
 from cuckooprf.bits import BitString, derive_seed, mix64
 from cuckooprf.errors import ConfigurationError
+from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import (
     NonAdaptiveDistinguisher,
     birthday_distinguisher,
@@ -21,7 +23,7 @@ from cuckooprf.games import (
     tuple_uniformity_sd,
 )
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
-from cuckooprf.hashfam import sample_kwise
+from cuckooprf.hashfam import KWiseHashKey, sample_kwise
 from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle, LevinOracle
 from cuckooprf.transform import (
     ExtensionParams,
@@ -63,16 +65,19 @@ def test_lazy_answers_per_row_inputs():
 
 
 def test_const_mul_matches_field_multiply():
+    # (0, v) is the polynomial v * x, so its grid at point c is v * c
+    # through the const_mul tables of c
     rng = random.Random(702)
     for w in SUPPORTED_WIDTHS:
         spec = default_spec(w)
         for _ in range(20):
             c = rng.getrandbits(w)
-            mul = const_mul(spec, c)
-            vals = np.array([rng.getrandbits(w) for _ in range(200)], dtype=np.uint64)
-            got = mul(vals)
+            vals = [rng.getrandbits(w) for _ in range(200)]
+            keys = [KWiseHashKey((0, v), w, w, w) for v in vals]
+            got = batch_eval_kwise(keys, [c])[:, 0]
+            assert len(const_mul(spec, c).tables) == max(1, w // 8)
             for v, g in zip(vals, got):
-                assert int(g) == spec.mul_int(int(v), c)
+                assert int(g) == spec.mul_int(v, c)
 
 
 def test_batch_eval_kwise_matches_scalar():
@@ -83,6 +88,7 @@ def test_batch_eval_kwise_matches_scalar():
     for t, key in enumerate(keys):
         for j, x in enumerate(xs):
             assert int(grid[t, j]) == key(BitString(x, 20)).value
+    assert batch_eval_kwise(keys, []).shape == (30, 0)
 
 
 def test_batch_eval_kwise_rejects_mixed_shapes():
@@ -169,6 +175,18 @@ def test_batch_answers_declines_unsupported_shapes():
     # mismatched query length
     lazy = [LazyRandomOracle(1, 16, 8)]
     assert batch_answers(lazy, [BitString(0, 12)]) is None
+    # same oracle type, hashes of different independence
+    k2, k3 = levin_sampler(12, 8, 8, 2), levin_sampler(12, 8, 8, 3)
+    mixed_k = [k2(rng), k3(rng)]
+    assert batch_answers(mixed_k, [BitString(v, 12) for v in range(4)]) is None
+
+
+def test_batched_game_equals_scalar_game_for_mixed_hash_shapes():
+    k2, k3 = levin_sampler(12, 8, 8, 2), levin_sampler(12, 8, 8, 3)
+    mixed = lambda rng: (k2 if rng.getrandbits(1) else k3)(rng)
+    dist = birthday_distinguisher(16, 12)
+    fast = run_nonadaptive_game_batched(mixed, _mk_lazy(12, 8), dist, 20, 924)
+    assert fast == run_game(mixed, _mk_lazy(12, 8), dist, 20, 924)
 
 
 def _sampler_grid():
@@ -276,9 +294,11 @@ def test_tuple_sampler_key_from_draw_layout():
     assert key.g.range_bits == 2
 
 
-def test_tuple_sampler_batch_matches_scalar_loop():
+def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):
     from cuckooprf.games import _SAMPLE_TAG
 
+    # blocks of 128 samples at 4 queries, so 500 samples span four
+    monkeypatch.setattr(batch, "BLOCK_ELEMS", 512)
     sampler = PPTupleSampler(8, 8, 2, 8)
     queries = [BitString(i, 8) for i in range(4)]
     samples, seed = 500, 724

@@ -101,6 +101,24 @@ def test_birthday_rows_and_determinism():
     assert again == rows
 
 
+def test_birthday_and_adw_compare_never_fall_back_to_scalar(monkeypatch):
+    from cuckooprf import batch
+
+    batched = []
+    answers = batch.batch_answers
+
+    def spy(oracles, queries):
+        matrix = answers(oracles, queries)
+        batched.append(matrix is not None)
+        return matrix
+
+    monkeypatch.setattr(batch, "batch_answers", spy)
+    birthday(16, 8, 16, 16, 4, 1, 20, 807)
+    adw_compare(16, 8, 16, 16, 4, 1, 20, 808)
+    # three constructions each, two worlds, one block of 20 trials per world
+    assert batched == [True] * 12
+
+
 def test_uniformity_row_shape():
     rows, problems = uniformity(8, 8, 1, 2, 2, 4000, 802)
     assert problems == []

@@ -1,4 +1,5 @@
-"""Properties of the combiners over generated shapes at widths 8, 16 and 32.
+"""Properties of the combiners over generated shapes at widths 8, 16 and 32,
+and of the numpy grid kernel at every supported width.
 
 The scalar Oracle.query path is the reference for the numpy path, so the
 two must agree pointwise; the per-query call counts and the z = 0
@@ -8,15 +9,20 @@ the suite stays reproducible.
 """
 
 import random
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuckooprf.batch import batch_answers
+from cuckooprf import batch
+from cuckooprf.batch import batch_answers, batch_eval_kwise, run_nonadaptive_game_batched
 from cuckooprf.bits import BitString
 from cuckooprf.combine import ADWKey, PPKey, adw_eval, count_underlying_calls, pp_eval
 from cuckooprf.experiments import levin_sampler
-from cuckooprf.hashfam import sample_kwise
+from cuckooprf.games import NonAdaptiveDistinguisher, run_game
+from cuckooprf.gf import SUPPORTED_WIDTHS
+from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise
 from cuckooprf.prfcore import LazyRandomOracle
 from cuckooprf.transform import (
     ExtensionParams,
@@ -28,6 +34,9 @@ from cuckooprf.transform import (
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 TRIALS = 3
+# A block size that a few dozen rows cross, so that the scalar reference
+# stays cheap; the block walk does not depend on the constant's value.
+SMALL_BLOCK_ELEMS = 48
 
 
 @st.composite
@@ -142,3 +151,52 @@ def test_underlying_call_counts(shape, data):
         assert count_underlying_calls(pp, x) == (2, 3)
         assert count_underlying_calls(table, x) == (2, 3 + table.z)
         assert count_underlying_calls(prf, x) == (3 * prf.z + 2, 3 + prf.z)
+
+
+@PROPERTY
+@given(st.sampled_from(SUPPORTED_WIDTHS), st.integers(1, 16), st.data())
+def test_grid_kernel_equals_eval_kwise(w, k, data):
+    points = [0] + data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=5), label="points")
+    block = SMALL_BLOCK_ELEMS // len(points)
+    rows = data.draw(st.sampled_from((1, block - 1, block, block + 1, 2 * block + 1)),
+                     label="rows")
+    r = data.draw(st.integers(1, w), label="r")
+    rng = _rng(data)
+    keys = [KWiseHashKey(tuple(rng.getrandbits(w) for _ in range(k)), w, r, w)
+            for _ in range(rows)]
+    with mock.patch.object(batch, "BLOCK_ELEMS", SMALL_BLOCK_ELEMS):
+        grid = np.concatenate([batch_eval_kwise(keys[b.start:b.stop], points)
+                               for b in batch._blocks(rows, len(points))])
+    assert grid.tolist() == [[eval_kwise(key, x) for x in points] for key in keys]
+
+
+def _parity_distinguisher(q: int, d: int) -> NonAdaptiveDistinguisher:
+    """Accepts on an odd first answer: about half the trials either way,
+    so a verdict out of place shows."""
+    return NonAdaptiveDistinguisher(
+        [BitString(v, d) for v in range(q)], lambda answers: bool(answers[0].value & 1),
+        decide_batch=lambda values: (values[:, 0] & 1).astype(bool))
+
+
+_GAME_SAMPLERS = {
+    "lazy": lambda rng: LazyRandomOracle(rng.getrandbits(64), 12, 12),
+    "levin": levin_sampler(12, 8, 12, 4),
+    "pp": lambda rng: build_pp_domain_extension(ExtensionParams(12, 8, 12, 4, 8), rng),
+    "adw-table": lambda rng: build_adw_domain_extension(
+        ExtensionParams(12, 8, 12, 2, 8), "table", rng),
+    "adw-prf": lambda rng: build_adw_domain_extension(
+        ExtensionParams(12, 8, 12, 2, 8), "prf", rng),
+}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(_GAME_SAMPLERS)), st.integers(1, 8), st.data())
+def test_batched_game_equals_run_game_across_blocks(kind, q, data):
+    block = SMALL_BLOCK_ELEMS // q
+    trials = data.draw(st.integers(2 * block + 1, 3 * block + 1), label="trials")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    sampler, ideal = _GAME_SAMPLERS[kind], _GAME_SAMPLERS["lazy"]
+    dist = _parity_distinguisher(q, 12)
+    with mock.patch.object(batch, "BLOCK_ELEMS", SMALL_BLOCK_ELEMS):
+        fast = run_nonadaptive_game_batched(sampler, ideal, dist, trials, seed)
+    assert fast == run_game(sampler, ideal, dist, trials, seed)
