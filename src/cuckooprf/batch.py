@@ -2,15 +2,22 @@
 
 The scalar oracles define the expected behavior; this module
 reproduces their arithmetic with numpy so experiments scale to
-thousands of trials and millions of key samples. Key material is
-still sampled by the scalar code (each trial rng is consumed exactly
-as the scalar runner would consume it); only evaluation is
-vectorized, and the test suite pins the batched output to the scalar
-output pointwise for every supported oracle shape.
+thousands of trials and millions of key samples, and the test suite
+pins the batched output to the scalar output pointwise for every
+supported oracle shape.
+
+Keys reach the numpy path in one of two ways. A transform.KeySampler
+is sampled by its numpy twin: its slot layout runs on ColumnDraws,
+which reads every slot straight from the word matrix of a block of key
+streams (bits.stream_words), so the coefficients, seeds and tables go
+into arrays without a per-trial key object. Any other sampler is
+called trial by trial on the trial's key stream, and batch_answers
+reads the same arrays off the oracles it returns. Either way the
+arrays are the same, and so are the answers.
 
 Every k-wise hash is evaluated as one rows x queries grid. The
 const_mul tables of the query points are stacked by query index once
-per batch_answers (or batch_tuples) call, in a dict local to that call
+per batch_answers or batch_tuples call, in a dict local to that call
 and keyed by FieldSpec, so each Horner step is one gather per byte of
 the accumulator over the whole grid.
 
@@ -27,47 +34,33 @@ never need to know which path ran.
 
 from __future__ import annotations
 
-import random
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import C1, C2, BitString, derive_seed, mix64, truncate
-from .combine import ADWOracle, PPKey, PPOracle
+from .bits import C1, BitString, KeyStreams, mix64_np, stream_words, truncate
+from .combine import ADWOracle, PPOracle
 from .errors import ConfigurationError, ProtocolViolation
 from .games import (
     IDEAL_WORLD,
     REAL_WORLD,
-    _SAMPLE_TAG,
     Distinguisher,
     GameResult,
     NonAdaptiveDistinguisher,
-    _QueryGuard,
+    QueryGuard,
+    game_streams,
     run_game,
+    sample_streams,
 )
 from .gf import FieldSpec, default_spec
 from .hashfam import KWiseHashKey, RandomTable, RestrictedHash, width_for
 from .prfcore import LazyRandomOracle, LevinOracle
-from .transform import PaddedPrfMap, check_widths
+from .transform import KeySampler, PaddedPrfMap, check_widths, pp_layout
 
 # Rows x queries of one block: large enough that numpy's per-call cost
 # is spread over many elements, small enough that a block of adw keys
 # and its uint64 grids stay a few MB.
 BLOCK_ELEMS = 1 << 15
-
-_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_MUL2 = np.uint64(0x94D049BB133111EB)
-
-
-def mix64_np(v: np.ndarray) -> np.ndarray:
-    """Vector form of bits.mix64; uint64 in, uint64 out."""
-    with np.errstate(over="ignore"):
-        v = v.astype(np.uint64, copy=True)
-        v ^= v >> np.uint64(30)
-        v *= _MUL1
-        v ^= v >> np.uint64(27)
-        v *= _MUL2
-        v ^= v >> np.uint64(31)
-    return v
 
 
 def lazy_answers(seeds: np.ndarray, xs: np.ndarray, range_bits: int) -> np.ndarray:
@@ -80,25 +73,27 @@ def lazy_answers(seeds: np.ndarray, xs: np.ndarray, range_bits: int) -> np.ndarr
 
 
 class _ConstMul:
-    """Tables for multiplying field elements by one fixed element.
+    """Tables for multiplying field elements by one fixed element c.
 
     The variable operand is split into bytes; each byte position has a
-    256-entry table of fixed * (byte << position) products (one table
-    of all 2^w products for w <= 8), and the XOR of the looked-up
-    entries is the product. Exact by linearity of carryless
-    multiplication over GF(2).
+    256-entry table of c * (byte << position) products (one table of
+    all 2^w products for w <= 8), and the XOR of the looked-up entries
+    is the product. Exact by linearity of carryless multiplication over
+    GF(2), which also builds the tables: from the w products c * 2^b,
+    each table doubles bit by bit, entry m + 2^i = entry m ^ c * 2^(8 pos + i).
     """
 
     def __init__(self, spec: FieldSpec, c: int):
         w = spec.width
-        if w <= 8:
-            self.tables = (np.array([spec.mul_int(c, v) for v in range(1 << w)],
-                                    dtype=np.uint64),)
-        else:
-            self.tables = tuple(
-                np.array([spec.mul_int(c, b << (8 * pos)) for b in range(256)], dtype=np.uint64)
-                for pos in range(w // 8)
-            )
+        bits = min(8, w)
+        powers = [spec.mul_int(c, 1 << b) for b in range(w)]
+        tables = []
+        for pos in range(0, w, bits):
+            table = np.zeros(1, dtype=np.uint64)
+            for product in powers[pos:pos + bits]:
+                table = np.concatenate((table, table ^ np.uint64(product)))
+            tables.append(table)
+        self.tables = tuple(tables)
 
 
 _CONST_MUL_CACHE: dict[tuple[FieldSpec, int], _ConstMul] = {}
@@ -156,30 +151,160 @@ class _Points:
         return acc & np.uint64(truncate(~0, range_bits))
 
 
+# Column forms of key slots, one array row per trial. A slot has
+# at(values) for its answers on a (trials, q) grid of values, or
+# grid(points) for its answers at every query point; the slots that can
+# be a whole oracle also carry its domain_bits and range_bits.
+
+class _Hashes:
+    """N k-wise hashes of one shape: coefficient rows, a0 first, and the
+    output bits kept (a range restriction keeps its index bits)."""
+
+    def __init__(self, coeffs: np.ndarray, spec: FieldSpec, domain_bits: int, out_bits: int):
+        self.coeffs = coeffs
+        self.spec = spec
+        self.domain_bits = domain_bits
+        self.out_bits = out_bits
+
+    def grid(self, points: _Points) -> np.ndarray:
+        return points.horner(self.coeffs, self.spec, self.out_bits)
+
+
+class _Lazy:
+    """N lazy-random functions, or padded views of them, cut to range_bits."""
+
+    def __init__(self, seeds: np.ndarray, domain_bits: int, range_bits: int):
+        self.seeds = seeds
+        self.domain_bits = domain_bits
+        self.range_bits = range_bits
+
+    def at(self, values: np.ndarray) -> np.ndarray:
+        return lazy_answers(self.seeds, values, self.range_bits)
+
+    def grid(self, points: _Points) -> np.ndarray:
+        return self.at(np.array(points.xs, dtype=np.uint64))
+
+
+class _Tables:
+    """N random tables of one length: entries (N, length)."""
+
+    def __init__(self, entries: np.ndarray):
+        self.entries = entries
+
+    def at(self, values: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(self.entries, values.astype(np.intp), axis=1)
+
+
+@dataclass
+class _Levin:
+    h: _Hashes
+    f: _Lazy
+
+    def __post_init__(self):
+        self.domain_bits, self.range_bits = self.h.domain_bits, self.f.range_bits
+
+    def grid(self, points: _Points) -> np.ndarray:
+        return self.f.at(self.h.grid(points))
+
+
+@dataclass
+class _PP:
+    h1: _Hashes
+    h2: _Hashes
+    g: _Hashes
+    f1: _Lazy
+    f2: _Lazy
+
+    def __post_init__(self):
+        self.domain_bits, self.range_bits = self.h1.domain_bits, self.f1.range_bits
+
+    def grid(self, points: _Points) -> np.ndarray:
+        return (self.f1.at(self.h1.grid(points)) ^ self.f2.at(self.h2.grid(points))
+                ^ self.g.grid(points))
+
+
+@dataclass
+class _ADW:
+    h1: _Hashes
+    h2: _Hashes
+    ell: _Hashes
+    gbar: tuple
+    m1bar: tuple
+    m2bar: tuple
+    ybar: tuple
+    f1: _Lazy
+    f2: _Lazy
+
+    def __post_init__(self):
+        self.domain_bits, self.range_bits = self.h1.domain_bits, self.f1.range_bits
+
+    def grid(self, points: _Points) -> np.ndarray:
+        inner1, inner2, yterm = (h.grid(points) for h in (self.h1, self.h2, self.ell))
+        # one g column at a time, so only one (trials, q) grid of g values lives
+        for g, m1, m2, y in zip(self.gbar, self.m1bar, self.m2bar, self.ybar):
+            gv = g.grid(points)
+            inner1 = inner1 ^ m1.at(gv)
+            inner2 = inner2 ^ m2.at(gv)
+            yterm = yterm ^ y.at(gv)
+        return self.f1.at(inner1) ^ self.f2.at(inner2) ^ yterm
+
+
+class ColumnDraws:
+    """transform.KeyDraws on a block of key streams, one row per stream.
+
+    A slot takes the next words of every stream, in the order the
+    layout draws them, exactly as KeyDraws takes them from one stream's
+    getrandbits; each slot's words are derived when it is drawn.
+    """
+
+    def __init__(self, heads: np.ndarray):
+        self._heads = heads
+        self._next = 0
+
+    def _words(self, count: int, bits: int) -> np.ndarray:
+        cols = range(self._next, self._next + count)
+        self._next += count
+        return stream_words(self._heads, cols) & np.uint64(truncate(~0, bits))
+
+    def kwise(self, k: int, domain_bits: int, range_bits: int) -> _Hashes:
+        w = width_for(domain_bits, range_bits)
+        return _Hashes(self._words(k, w), default_spec(w), domain_bits, range_bits)
+
+    def prf(self, domain_bits: int, range_bits: int) -> _Lazy:
+        return _Lazy(self._words(1, 64)[:, 0], domain_bits, range_bits)
+
+    def table(self, count: int, entry_bits: int) -> _Tables:
+        return _Tables(self._words(count, entry_bits))
+
+    levin = _Levin
+    pp = _PP
+    adw = _ADW
+
+
 def _one_shape(keys) -> bool:
     """Whether all keys share one (width, k, domain_bits, range_bits)."""
     return len({(key.width, key.k, key.domain_bits, key.range_bits) for key in keys}) == 1
 
 
-def _eval_kwise(keys, points: _Points) -> np.ndarray:
+def _kwise_columns(keys) -> _Hashes:
     coeffs = np.array([key.coeffs for key in keys], dtype=np.uint64)
-    return points.horner(coeffs, keys[0].spec, keys[0].range_bits)
+    return _Hashes(coeffs, keys[0].spec, keys[0].domain_bits, keys[0].range_bits)
 
 
 def batch_eval_kwise(keys, xs) -> np.ndarray:
     """hashfam.eval_kwise for N same-shape keys at each raw query value."""
     if not _one_shape(keys):
         raise ValueError("keys must share one shape")
-    return _eval_kwise(keys, _Points(xs))
+    return _kwise_columns(keys).grid(_Points(xs))
 
 
-def _batch_hash(slots, points: _Points) -> np.ndarray | None:
-    """Evaluate one hash slot across trials; None if the slot shape is unsupported."""
+def _hash_columns(slots) -> _Hashes | None:
+    """One hash slot across trials; None if the slot shape is unsupported."""
     first = slots[0]
     if isinstance(first, KWiseHashKey):
         if any(not isinstance(s, KWiseHashKey) for s in slots) or not _one_shape(slots):
             return None
-        return _eval_kwise(slots, points)
+        return _kwise_columns(slots)
     if isinstance(first, RestrictedHash):
         if any(not isinstance(s, RestrictedHash) or s.restriction != first.restriction
                for s in slots):
@@ -187,140 +312,135 @@ def _batch_hash(slots, points: _Points) -> np.ndarray | None:
         keys = [s.key for s in slots]
         if not _one_shape(keys):
             return None
-        return _eval_kwise(keys, points) & np.uint64(truncate(~0, first.restriction.index_bits))
+        hashes = _kwise_columns(keys)
+        return _Hashes(hashes.coeffs, hashes.spec, hashes.domain_bits,
+                       first.restriction.index_bits)
     return None
 
 
-def _lazy_seeds(fs) -> np.ndarray | None:
+def _lazy_columns(fs) -> _Lazy | None:
     if any(not isinstance(f, LazyRandomOracle) for f in fs):
         return None
-    return np.array([f.seed for f in fs], dtype=np.uint64)
-
-
-def _batch_pp(keys, points: _Points) -> np.ndarray | None:
-    h1 = _batch_hash([k.h1 for k in keys], points)
-    h2 = _batch_hash([k.h2 for k in keys], points)
-    g = _batch_hash([k.g for k in keys], points)
-    s1 = _lazy_seeds([k.f1 for k in keys])
-    s2 = _lazy_seeds([k.f2 for k in keys])
-    if h1 is None or h2 is None or g is None or s1 is None or s2 is None:
+    if any(f.range_bits != fs[0].range_bits for f in fs):
         return None
-    r = keys[0].range_bits
-    return lazy_answers(s1, h1, r) ^ lazy_answers(s2, h2, r) ^ g
+    return _Lazy(np.array([f.seed for f in fs], dtype=np.uint64), fs[0].domain_bits,
+                 fs[0].range_bits)
 
 
-def _batch_inner_maps(maps, gv: np.ndarray) -> np.ndarray | None:
-    """One inner-map column across trials, applied to its g values."""
+def _map_columns(maps) -> _Tables | _Lazy | None:
+    """One inner-map column across trials."""
     first = maps[0]
     if isinstance(first, RandomTable):
-        if any(not isinstance(m, RandomTable) for m in maps):
+        if any(not isinstance(m, RandomTable) or len(m) != len(first) for m in maps):
             return None
-        entries = np.array([m.entries for m in maps], dtype=np.uint64)
-        return np.take_along_axis(entries, gv.astype(np.intp), axis=1)
+        return _Tables(np.array([m.entries for m in maps], dtype=np.uint64))
     if isinstance(first, PaddedPrfMap):
-        if any(not isinstance(m, PaddedPrfMap) for m in maps):
+        if any(not isinstance(m, PaddedPrfMap) or m.range_bits != first.range_bits
+               for m in maps):
             return None
-        seeds = _lazy_seeds([m.f for m in maps])
-        if seeds is None:
-            return None
-        return lazy_answers(seeds, gv, first.range_bits)
+        lazy = _lazy_columns([m.f for m in maps])
+        return None if lazy is None else _Lazy(lazy.seeds, first.domain_bits, first.range_bits)
     return None
 
 
-def _batch_adw(keys, points: _Points) -> np.ndarray | None:
+def _adw_columns(keys) -> _ADW | None:
     z = keys[0].z
     if any(k.z != z for k in keys):
         return None
-    h1 = _batch_hash([k.h1 for k in keys], points)
-    h2 = _batch_hash([k.h2 for k in keys], points)
-    ell = _batch_hash([k.ell for k in keys], points)
-    s1 = _lazy_seeds([k.f1 for k in keys])
-    s2 = _lazy_seeds([k.f2 for k in keys])
-    if h1 is None or h2 is None or ell is None or s1 is None or s2 is None:
+    hashes = [_hash_columns([k.h1 for k in keys]), _hash_columns([k.h2 for k in keys]),
+              _hash_columns([k.ell for k in keys])]
+    bars = [tuple(column([getattr(k, name)[j] for k in keys]) for j in range(z))
+            for name, column in (("gbar", _hash_columns), ("m1bar", _map_columns),
+                                 ("m2bar", _map_columns), ("ybar", _map_columns))]
+    fs = [_lazy_columns([k.f1 for k in keys]), _lazy_columns([k.f2 for k in keys])]
+    if None in hashes or None in fs or any(None in bar for bar in bars):
         return None
-    inner1, inner2, yterm = h1, h2, ell
-    for j in range(z):
-        gv = _batch_hash([k.gbar[j] for k in keys], points)
-        if gv is None:
-            return None
-        for maps, grid in (([k.m1bar[j] for k in keys], 1),
-                           ([k.m2bar[j] for k in keys], 2),
-                           ([k.ybar[j] for k in keys], 3)):
-            contrib = _batch_inner_maps(maps, gv)
-            if contrib is None:
-                return None
-            if grid == 1:
-                inner1 = inner1 ^ contrib
-            elif grid == 2:
-                inner2 = inner2 ^ contrib
-            else:
-                yterm = yterm ^ contrib
-    r = keys[0].range_bits
-    return lazy_answers(s1, inner1, r) ^ lazy_answers(s2, inner2, r) ^ yterm
+    return _ADW(*hashes, *bars, *fs)
+
+
+def _columns(oracles):
+    """The column form of a list of oracles, or None if they have none."""
+    kind, d = type(oracles[0]), oracles[0].domain_bits
+    if any(type(o) is not kind or o.domain_bits != d for o in oracles):
+        return None
+    if kind is LazyRandomOracle:
+        return _lazy_columns(oracles)
+    if kind is LevinOracle:
+        slots = [_hash_columns([o.h for o in oracles]), _lazy_columns([o.f for o in oracles])]
+        return None if None in slots else _Levin(*slots)
+    if kind is PPOracle:
+        keys = [o.key for o in oracles]
+        slots = [_hash_columns([k.h1 for k in keys]), _hash_columns([k.h2 for k in keys]),
+                 _hash_columns([k.g for k in keys]),
+                 _lazy_columns([k.f1 for k in keys]), _lazy_columns([k.f2 for k in keys])]
+        return None if None in slots else _PP(*slots)
+    if kind is ADWOracle:
+        return _adw_columns([o.key for o in oracles])
+    return None
+
+
+# The column forms that stand for a whole block of oracles.
+_BLOCK_COLUMNS = (_Lazy, _Levin, _PP, _ADW)
 
 
 def batch_answers(oracles, queries) -> np.ndarray | None:
     """Answer matrix (trials, queries) as raw uint64 values.
 
-    Returns None when any oracle in the list is outside the supported
-    shapes, so callers can fall back to scalar evaluation.
+    oracles is a list of oracles, one per trial, or the column form of
+    a block of keys that a KeySampler's numpy twin drew. Returns None
+    when the oracles are outside the supported shapes, so callers can
+    fall back to scalar evaluation.
     """
-    if not oracles:
+    if isinstance(oracles, _BLOCK_COLUMNS):
+        columns = oracles
+    elif oracles:
+        columns = _columns(oracles)
+    else:
         return None
-    kind = type(oracles[0])
-    if any(type(o) is not kind for o in oracles):
+    if columns is None or any(x.length != columns.domain_bits for x in queries):
         return None
-    d = oracles[0].domain_bits
-    if any(o.domain_bits != d for o in oracles):
-        return None
-    if any(x.length != d for x in queries):
-        return None
-    points = _Points(x.value for x in queries)
-    if kind is LazyRandomOracle:
-        seeds = _lazy_seeds(oracles)
-        return lazy_answers(seeds, np.array(points.xs, dtype=np.uint64), oracles[0].range_bits)
-    if kind is LevinOracle:
-        grid = _batch_hash([o.h for o in oracles], points)
-        seeds = _lazy_seeds([o.f for o in oracles])
-        if grid is None or seeds is None:
-            return None
-        return lazy_answers(seeds, grid, oracles[0].range_bits)
-    if kind is PPOracle:
-        return _batch_pp([o.key for o in oracles], points)
-    if kind is ADWOracle:
-        return _batch_adw([o.key for o in oracles], points)
-    return None
+    return columns.grid(_Points(x.value for x in queries))
 
 
-def _block_verdicts(oracles, dist: NonAdaptiveDistinguisher) -> tuple[list[bool], int]:
-    """Verdicts and protocol violations of one block of trials, batched
-    when batch_answers supports the block and scalar otherwise."""
-    matrix = batch_answers(oracles, dist.queries)
-    if matrix is None:
-        verdicts, violations = [], 0
-        for oracle in oracles:
-            guard = _QueryGuard(oracle, dist.budget, dist.allow_repeats)
-            try:
-                verdicts.append(bool(dist.run(guard)))
-            except ProtocolViolation:
-                violations += 1
-                verdicts.append(False)
-        return verdicts, violations
+def _block_keys(sampler, streams: KeyStreams, block: range, domain_bits: int):
+    """The keys of a block of trials: the column form a KeySampler's
+    twin draws from the block's words, or else one oracle per trial."""
+    if isinstance(sampler, KeySampler):
+        columns = sampler.layout(ColumnDraws(streams.heads(block)))
+        if columns.domain_bits == domain_bits:
+            return columns
+    return [sampler(streams.stream(t)) for t in block]
+
+
+def _scalar_verdicts(oracles, dist: NonAdaptiveDistinguisher) -> tuple[list[bool], int]:
+    verdicts, violations = [], 0
+    for oracle in oracles:
+        guard = QueryGuard(oracle, dist.budget, dist.allow_repeats)
+        try:
+            verdicts.append(bool(dist.run(guard)))
+        except ProtocolViolation:
+            violations += 1
+            verdicts.append(False)
+    return verdicts, violations
+
+
+def _decide(matrix: np.ndarray, dist: NonAdaptiveDistinguisher, keys) -> list[bool]:
     if dist.decide_batch is not None:
-        return [bool(v) for v in dist.decide_batch(matrix)], 0
-    r = oracles[0].range_bits
-    return [bool(dist.decide([BitString(int(v), r) for v in row])) for row in matrix], 0
+        return [bool(v) for v in dist.decide_batch(matrix)]
+    r = keys.range_bits if isinstance(keys, _BLOCK_COLUMNS) else keys[0].range_bits
+    return [bool(dist.decide([BitString(int(v), r) for v in row])) for row in matrix]
 
 
 def run_nonadaptive_game_batched(real_sampler, ideal_sampler,
                                  dist: Distinguisher, trials: int, seed: int) -> GameResult:
-    """games.run_game with vectorized evaluation where possible.
+    """games.run_game with vectorized sampling and evaluation where possible.
 
-    Oracles are sampled trial by trial from the same derived rng
-    streams the scalar runner uses, one block of trials at a time, so
-    the result is identical to run_game whenever the shapes are
-    supported and memory does not grow with trials; everything else
-    falls through to run_game itself.
+    Trial t of world w reads the same key stream as in run_game, one
+    block of trials at a time: through the numpy twin for a KeySampler,
+    trial by trial otherwise. So the result is identical to run_game,
+    and memory does not grow with trials. Blocks of unsupported oracles
+    are answered by the scalar loop, and distinguishers that are not
+    plain nonadaptive ones go to run_game itself.
     """
     if trials < 1:
         raise ConfigurationError("trials must be positive")
@@ -329,30 +449,31 @@ def run_nonadaptive_game_batched(real_sampler, ideal_sampler,
             or type(dist).run is not NonAdaptiveDistinguisher.run):
         return run_game(real_sampler, ideal_sampler, dist, trials, seed)
 
+    d = dist.queries[0].length
     verdicts: dict[int, list[bool]] = {REAL_WORLD: [], IDEAL_WORLD: []}
     violations = 0
     for world, sampler in ((REAL_WORLD, real_sampler), (IDEAL_WORLD, ideal_sampler)):
+        streams = game_streams(seed, world)
         for block in _blocks(trials, len(dist.queries)):
-            vs, bad = _block_verdicts(
-                [sampler(random.Random(derive_seed(seed, world, t))) for t in block], dist)
+            keys = _block_keys(sampler, streams, block, d)
+            matrix = batch_answers(keys, dist.queries)
+            if matrix is None:  # only oracle lists are ever declined
+                vs, bad = _scalar_verdicts(keys, dist)
+                violations += bad
+            else:
+                vs = _decide(matrix, dist, keys)
             verdicts[world] += vs
-            violations += bad
     return GameResult.from_verdicts(verdicts[REAL_WORLD], verdicts[IDEAL_WORLD], seed, violations)
 
 
-class PPTupleSampler:
-    """Freshly keyed pp handles from one 64-bit draw per sample.
+class PPTupleSampler(KeySampler):
+    """Freshly keyed pp handles for the uniformity estimator.
 
-    Calling the instance with a trial rng consumes exactly one
-    getrandbits(64) and expands it into the five key slots by
-    counter-mode derivation (slot i of the coefficient stream is
-    derive_seed(draw, i)). Because the per-sample rng draw is the only
-    Mersenne Twister interaction, batch_tuples can reproduce the exact
-    keys of the scalar path and evaluate them vectorized; the two
-    routes are pointwise equal and the tests pin that down.
-
-    Slot layout: h1 coefficients 0..k-1, h2 k..2k-1, g 2k..3k-1,
-    f1 seed 3k, f2 seed 3k+1.
+    The handle of a sample reads its key slots from the sample's key
+    stream in pp_layout order: h1 coefficients are words 0..k-1, h2
+    k..2k-1, g 2k..3k-1, f1's seed word 3k and f2's 3k+1.
+    batch_tuples reads the same words through the numpy twin, so the
+    two routes are pointwise equal, and the tests pin that down.
     """
 
     def __init__(self, d: int, s: int, r: int, k: int):
@@ -363,69 +484,31 @@ class PPTupleSampler:
             raise ConfigurationError(f"extended domain d={d} below underlying s={s}")
         if k < 2:
             raise ConfigurationError(f"independence k must be at least 2, got {k}")
+        super().__init__(pp_layout(d, s, r, k))
         self.d = d
         self.s = s
         self.r = r
         self.k = k
         self.range_bits = r
-        self._wh = width_for(d, s)
-        self._wg = width_for(d, r)
-
-    def key_from_draw(self, draw: int) -> PPKey:
-        k = self.k
-
-        def coeffs(base: int, w: int) -> tuple[int, ...]:
-            return tuple(truncate(derive_seed(draw, base + i), w) for i in range(k))
-
-        h1 = KWiseHashKey(coeffs(0, self._wh), self.d, self.s, self._wh)
-        h2 = KWiseHashKey(coeffs(k, self._wh), self.d, self.s, self._wh)
-        g = KWiseHashKey(coeffs(2 * k, self._wg), self.d, self.r, self._wg)
-        f1 = LazyRandomOracle(derive_seed(draw, 3 * k), self.s, self.r)
-        f2 = LazyRandomOracle(derive_seed(draw, 3 * k + 1), self.s, self.r)
-        return PPKey(h1, h2, g, f1, f2)
-
-    def __call__(self, rng) -> PPOracle:
-        return PPOracle(self.key_from_draw(rng.getrandbits(64)))
-
-    def _derive_matrix(self, draws: np.ndarray, base: int, count: int, w: int) -> np.ndarray:
-        v0 = mix64_np(draws ^ np.uint64(C1))
-        wmask = np.uint64(truncate(~0, w))
-        cols = []
-        for i in range(count):
-            tag = np.uint64(mix64((base + i) ^ C2))
-            cols.append(mix64_np(v0 ^ tag) & wmask)
-        return np.stack(cols, axis=1)
 
     def batch_tuples(self, queries, samples: int, seed: int) -> np.ndarray:
         """Output-tuple codes for the uniformity estimator.
 
-        Replays the estimator's scalar sampling loop: sample i draws
-        its 64 bits from random.Random(derive_seed(seed, tag, i)). One
-        block of samples is drawn and evaluated vectorized at a time.
+        Sample i's handle is keyed from games.sample_streams(seed)
+        .stream(i), as in the estimator's scalar loop; one block of
+        samples is derived and evaluated vectorized at a time.
         """
         queries = tuple(queries)
         for x in queries:
             if x.length != self.d:
                 raise ValueError(f"query length {x.length}, expected {self.d}")
         points = _Points(x.value for x in queries)
-        k, r = self.k, self.r
-        spec_h = default_spec(self._wh)
-        spec_g = default_spec(self._wg)
-        tag1 = np.uint64(mix64((3 * k) ^ C2))
-        tag2 = np.uint64(mix64((3 * k + 1) ^ C2))
+        streams = sample_streams(seed)
         codes = np.empty(samples, dtype=np.int64)
         for block in _blocks(samples, len(queries)):
-            draws = np.array([random.Random(derive_seed(seed, _SAMPLE_TAG, i)).getrandbits(64)
-                              for i in block], dtype=np.uint64)
-            h1x = points.horner(self._derive_matrix(draws, 0, k, self._wh), spec_h, self.s)
-            h2x = points.horner(self._derive_matrix(draws, k, k, self._wh), spec_h, self.s)
-            gx = points.horner(self._derive_matrix(draws, 2 * k, k, self._wg), spec_g, self.r)
-            v0 = mix64_np(draws ^ np.uint64(C1))
-            f1 = lazy_answers(mix64_np(v0 ^ tag1), h1x, r)
-            f2 = lazy_answers(mix64_np(v0 ^ tag2), h2x, r)
-            outs = f1 ^ f2 ^ gx
+            outs = self.layout(ColumnDraws(streams.heads(block))).grid(points)
             block_codes = np.zeros(len(block), dtype=np.int64)
             for j in range(len(queries)):
-                block_codes = (block_codes << np.int64(r)) | outs[:, j].astype(np.int64)
+                block_codes = (block_codes << np.int64(self.r)) | outs[:, j].astype(np.int64)
             codes[block.start:block.stop] = block_codes
         return codes

@@ -20,10 +20,9 @@ as violations.
 from __future__ import annotations
 
 import json
-import random
 
 from .batch import PPTupleSampler, run_nonadaptive_game_batched
-from .bits import BitString, derive_seed, mix64, truncate
+from .bits import BitString, derive_seed, key_stream, mix64, truncate
 from .combine import count_underlying_calls
 from .errors import ConfigurationError
 from .games import (
@@ -35,17 +34,20 @@ from .games import (
     run_game,
     tuple_uniformity_sd,
 )
-from .hashfam import exhaustive_independence_check, sample_kwise
-from .prfcore import GgmKey, GgmOracle, InstrumentedOracle, LevinOracle, PrgSpec, ggm_eval
+from .hashfam import exhaustive_independence_check
+from .prfcore import GgmKey, GgmOracle, InstrumentedOracle, PrgSpec, ggm_eval
 from .transform import (
     ExtensionParams,
+    KeySampler,
+    adw_layout,
     adw_table_z,
     adw_z,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
     build_adw_domain_extension,
-    build_pp_domain_extension,
     lazy_random_sampler,
+    lazy_sampler,
+    pp_sampler,
 )
 
 CSV_COLUMNS = ("experiment", "n", "d", "s", "r", "k", "q", "z", "trials",
@@ -74,14 +76,14 @@ def _game_row(experiment: str, res: GameResult, **dims) -> dict:
                 violations=res.violations, **dims)
 
 
-def levin_sampler(d: int, s: int, r: int, k: int):
+def levin_sampler(d: int, s: int, r: int, k: int) -> KeySampler:
     """Hash-then-query sampler: fresh k-wise h and lazy-random f per trial."""
 
-    def sample(rng):
-        h = sample_kwise(k, d, s, rng)
-        return LevinOracle(h, lazy_random_sampler(rng, s, r))
+    def sample(draws):
+        h = draws.kwise(k, d, s)
+        return draws.levin(h, draws.prf(s, r))
 
-    return sample
+    return KeySampler(sample)
 
 
 def kwise_verify(width: int, ks, seed: int):
@@ -102,12 +104,11 @@ def birthday(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, seed: 
     """Collision attack against the three domain extensions, one row each."""
     params = ExtensionParams(d=d, s=s, r=r, k=k, q=q, c=c)
     dist = birthday_distinguisher(q, d)
-    ideal = lambda rng: lazy_random_sampler(rng, d, r)
+    ideal = lazy_sampler(d, r)
     targets = (
         ("birthday-levin", levin_sampler(d, s, r, k), k, None),
-        ("birthday-pp", lambda rng: build_pp_domain_extension(params, rng), k, None),
-        ("birthday-adw", lambda rng: build_adw_domain_extension(params, "table", rng),
-         2, adw_z(params, "table")),
+        ("birthday-pp", pp_sampler(params), k, None),
+        ("birthday-adw", KeySampler(adw_layout(params, "table")), 2, adw_z(params, "table")),
     )
     rows = []
     for name, sampler, kcol, zcol in targets:
@@ -151,7 +152,7 @@ def ggm_kat(pairs: int, seed: int):
     check(ggm_eval(GgmKey(root, 2, stub), BitString.from01("10")) == BitString.from01("1010"),
           "vector root=0101, x=10 did not give 1010")
 
-    rng = random.Random(derive_seed(seed, _PAIR_TAG))
+    rng = key_stream(seed, _PAIR_TAG)
     prg = PrgSpec("mix64", 16)
     oracle = GgmOracle(GgmKey(BitString(rng.getrandbits(16), 16), 16, prg))
     oracle.query(BitString(rng.getrandbits(16), 16))
@@ -208,7 +209,7 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
             acc.append(o)
             return o
 
-        rng = random.Random(derive_seed(seed, _PROBE_TAG, idx))
+        rng = key_stream(seed, _PROBE_TAG, idx)
         if flavor == "pp":
             handle = build_adaptive_from_nonadaptive(n, q, k, rng, f_sampler=f_sampler)
             zcol = None
@@ -236,19 +237,18 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     variants at identical shape parameters."""
     params = ExtensionParams(d=d, s=s, r=r, k=k, q=q, c=c)
     dist = birthday_distinguisher(q, d)
-    ideal = lambda rng: lazy_random_sampler(rng, d, r)
+    ideal = lazy_sampler(d, r)
     z_prf, z_table = adw_z(params, "prf"), adw_z(params, "table")
+    # prf-backed keys have no numpy twin: they are drawn trial by trial
     targets = (
-        ("adw-compare-pp", lambda rng: build_pp_domain_extension(params, rng),
-         k, 0, 2),
+        ("adw-compare-pp", pp_sampler(params), k, 0, 2),
         ("adw-compare-prf", lambda rng: build_adw_domain_extension(params, "prf", rng),
          2, z_prf, 3 * z_prf + 2),
-        ("adw-compare-table", lambda rng: build_adw_domain_extension(params, "table", rng),
-         2, z_table, 2),
+        ("adw-compare-table", KeySampler(adw_layout(params, "table")), 2, z_table, 2),
     )
     rows, problems = [], []
     for idx, (name, sampler, kcol, zcol, expected_calls) in enumerate(targets):
-        probe = sampler(random.Random(derive_seed(seed, _CALL_TAG, idx)))
+        probe = sampler(key_stream(seed, _CALL_TAG, idx))
         for i in range(3):
             f_calls, _ = count_underlying_calls(probe.key, BitString(i, d))
             if f_calls != expected_calls:

@@ -7,8 +7,11 @@ estimated advantage is |p_real - p_ideal| over independent trial sets;
 reported stderr is the binomial error sqrt(pr(1-pr)/T + pi(1-pi)/T).
 
 Everything is deterministic given the master seed: trial t of world w
-runs on random.Random(derive_seed(seed, w, t)) with w = 0 for real and
-1 for ideal. Rerunning a game reproduces every per-trial verdict.
+(0 for real, 1 for ideal) keys its oracle from the counter-mode stream
+game_streams(seed, w).stream(t), whose word j is
+derive_seed(seed, GAME_TAG, w, t, j). The batched runner reads the same
+words, so rerunning a game either way reproduces every per-trial
+verdict.
 
 Nonadaptive distinguishers commit to their query list at construction
 time, so nonadaptivity is enforced by shape rather than by discipline.
@@ -20,19 +23,20 @@ aborted, counted, and scored as a reject.
 
 from __future__ import annotations
 
+import functools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, derive_seed
+from .bits import BitString, KeyStreams, derive_seed
 from .errors import ConfigurationError, ProtocolViolation
 from .prfcore import LazyRandomOracle, Oracle
 
 REAL_WORLD = 0
 IDEAL_WORLD = 1
 
+_GAME_TAG = 0x47414D45
 _SAMPLE_TAG = 0x53414D50
 _BASELINE_TAG = 0x42415345
 
@@ -68,7 +72,17 @@ class GameResult:
         )
 
 
-class _QueryGuard:
+def game_streams(seed: int, world: int) -> KeyStreams:
+    """The key streams of a game's trials in one world, one per trial."""
+    return KeyStreams(seed, _GAME_TAG, world)
+
+
+def sample_streams(seed: int) -> KeyStreams:
+    """The key streams of the uniformity estimator, one per sample."""
+    return KeyStreams(seed, _SAMPLE_TAG)
+
+
+class QueryGuard:
     def __init__(self, oracle: Oracle, budget: int, allow_repeats: bool):
         self.oracle = oracle
         self.budget = budget
@@ -158,19 +172,20 @@ class AdaptiveDistinguisher(Distinguisher):
 def run_game(real_sampler, ideal_sampler, dist: Distinguisher, trials: int, seed: int) -> GameResult:
     """Estimate the distinguisher's advantage between two samplers.
 
-    Samplers are callables rng -> Oracle, invoked once per trial with a
-    trial-specific rng. Trial sets of the two worlds are independent.
+    Samplers are callables rng -> Oracle, invoked once per trial with
+    the trial's key stream. Trial sets of the two worlds are independent.
     """
     if trials < 1:
         raise ConfigurationError("trials must be positive")
     verdicts: dict[int, list[bool]] = {REAL_WORLD: [], IDEAL_WORLD: []}
     violations = 0
     for world, sampler in ((REAL_WORLD, real_sampler), (IDEAL_WORLD, ideal_sampler)):
+        streams = game_streams(seed, world)
         for t in range(trials):
-            rng = random.Random(derive_seed(seed, world, t))
+            rng = streams.stream(t)
             oracle = sampler(rng)
             dist.reset(rng)
-            guard = _QueryGuard(oracle, dist.budget, dist.allow_repeats)
+            guard = QueryGuard(oracle, dist.budget, dist.allow_repeats)
             try:
                 verdict = bool(dist.run(guard))
             except ProtocolViolation:
@@ -207,12 +222,14 @@ def birthday_closed_form(q: int, bits: int) -> float:
 
 # random involutions
 
-def _involution_ratios(size: int) -> list[float]:
-    # ratios[k] = I(k-1)/I(k) via I(k) = I(k-1) + (k-1) I(k-2)
+@functools.cache
+def _involution_ratios(size: int) -> tuple[float, ...]:
+    # ratios[k] = I(k-1)/I(k) via I(k) = I(k-1) + (k-1) I(k-2); computed
+    # once per size, not once per sampled involution
     ratios = [0.0, 1.0]
     for k in range(2, size + 1):
         ratios.append(1.0 / (1.0 + (k - 1) * ratios[k - 1]))
-    return ratios
+    return tuple(ratios)
 
 
 def expected_fixed_points(size: int) -> float:
@@ -344,7 +361,8 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     this support and sample count, which is the meaningful comparison
     point because the plug-in estimate is biased upward.
 
-    handle_sampler is a callable rng -> oracle; if it also provides
+    handle_sampler is a callable rng -> oracle, called on sample i's
+    stream sample_streams(seed).stream(i); if it also provides
     batch_tuples(queries, samples, seed) -> codes, that route is used
     instead of the per-sample loop and must agree with it pointwise.
     """
@@ -354,9 +372,10 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     if len({x.value for x in queries}) != len(queries):
         raise ValueError("queries must be distinct")
 
+    streams = sample_streams(seed)
     r = getattr(handle_sampler, "range_bits", None)
     if r is None:
-        probe = handle_sampler(random.Random(derive_seed(seed, _SAMPLE_TAG, 0)))
+        probe = handle_sampler(streams.stream(0))
         r = probe.range_bits
     t = len(queries)
     if r * t > 16:
@@ -372,7 +391,7 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     else:
         codes = np.empty(samples, dtype=np.int64)
         for i in range(samples):
-            handle = handle_sampler(random.Random(derive_seed(seed, _SAMPLE_TAG, i)))
+            handle = handle_sampler(streams.stream(i))
             code = 0
             for x in queries:
                 code = (code << r) | handle.query(x).value
@@ -476,8 +495,9 @@ def run_multi_game(family_sampler, ideal_sampler,
         raise ConfigurationError("trials must be positive")
     verdicts: dict[int, list[bool]] = {REAL_WORLD: [], IDEAL_WORLD: []}
     for world, sampler in ((REAL_WORLD, family_sampler), (IDEAL_WORLD, ideal_sampler)):
+        streams = game_streams(seed, world)
         for t in range(trials):
-            rng = random.Random(derive_seed(seed, world, t))
+            rng = streams.stream(t)
             oracles = [sampler(rng) for _ in range(multi.s)]
             answers = [oracles[idx].query(x) for idx, x in multi.queries]
             verdicts[world].append(bool(multi.decide(answers)))

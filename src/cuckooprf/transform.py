@@ -26,6 +26,15 @@ The four transformations:
 A table-backed adaptive-security variant (build_adw_adaptive_from_
 nonadaptive) mirrors the second builder with tabulated inner maps
 whose entries stay inside the first 4q strings, preserving locality.
+
+Drawn from a key stream (bits.key_stream), every slot of a key takes
+whole words: a k-wise hash over GF(2^w) takes k words of w bits, a
+lazy-random oracle one 64-bit word, a table one word per entry. The
+domain-extension keys are written once as slot layouts over a draws
+interface: KeyDraws draws each slot as a key object from an rng, and
+batch.ColumnDraws reads the same slots as word columns of a block of
+key streams. A KeySampler wraps a layout, so the batched runner can
+sample its keys without building them.
 """
 
 from __future__ import annotations
@@ -42,8 +51,9 @@ from .hashfam import (
     RangeRestriction,
     restrict_to_table,
     sample_kwise,
+    sample_table,
 )
-from .prfcore import GgmKey, GgmOracle, LazyRandomOracle, Oracle, PrgSpec
+from .prfcore import GgmKey, GgmOracle, LazyRandomOracle, LevinOracle, Oracle, PrgSpec
 
 MAX_WIDTH = max(SUPPORTED_WIDTHS)
 
@@ -103,17 +113,78 @@ def _check_query_budget(q: int, s: int):
         raise ConfigurationError(f"query budget q={q} exceeds 2^(s-2)={1 << (s - 2)}")
 
 
+class KeyDraws:
+    """Key slots drawn from an rng, each as a scalar key object.
+
+    Underlying PRF slots come from f_sampler (default lazy-random).
+    """
+
+    def __init__(self, rng, f_sampler=None):
+        self.rng = rng
+        self.f_sampler = f_sampler or lazy_random_sampler
+
+    def kwise(self, k: int, domain_bits: int, range_bits: int):
+        return sample_kwise(k, domain_bits, range_bits, self.rng)
+
+    def prf(self, domain_bits: int, range_bits: int) -> Oracle:
+        return self.f_sampler(self.rng, domain_bits, range_bits)
+
+    def table(self, count: int, entry_bits: int) -> RandomTable:
+        return sample_table(count, entry_bits, self.rng)
+
+    def levin(self, h, f) -> LevinOracle:
+        return LevinOracle(h, f)
+
+    def pp(self, *slots) -> PPOracle:
+        return PPOracle(PPKey(*slots))
+
+    def adw(self, *slots) -> ADWOracle:
+        return ADWOracle(ADWKey(*slots))
+
+
+class KeySampler:
+    """An oracle sampler written once as a slot layout, layout(draws).
+
+    Called with an rng it builds the oracle from KeyDraws(rng); the
+    batched runner evaluates the same layout on the word columns of a
+    block of trials, so both read each slot from the same words.
+    """
+
+    def __init__(self, layout):
+        self.layout = layout
+
+    def __call__(self, rng):
+        return self.layout(KeyDraws(rng))
+
+
+def lazy_sampler(domain_bits: int, range_bits: int) -> KeySampler:
+    """A fresh lazy-random oracle per trial."""
+    return KeySampler(lambda draws: draws.prf(domain_bits, range_bits))
+
+
+def pp_layout(d: int, s: int, r: int, k: int):
+    """pp slots: h1, h2 (d to s bits) and g (d to r bits), k coefficients
+    each, then the underlying f1 and f2."""
+
+    def layout(draws):
+        h1 = draws.kwise(k, d, s)
+        h2 = draws.kwise(k, d, s)
+        g = draws.kwise(k, d, r)
+        f1 = draws.prf(s, r)
+        return draws.pp(h1, h2, g, f1, draws.prf(s, r))
+
+    return layout
+
+
+def pp_sampler(p: ExtensionParams) -> KeySampler:
+    _check_query_budget(p.q, p.s)
+    return KeySampler(pp_layout(p.d, p.s, p.r, p.k))
+
+
 def build_pp_domain_extension(p: ExtensionParams, rng, f_sampler=None) -> PPOracle:
     """pp combiner over two fresh underlying PRFs: d-bit domain from
     s-bit domain at exactly two underlying calls per query."""
-    f_sampler = f_sampler or lazy_random_sampler
-    _check_query_budget(p.q, p.s)
-    h1 = sample_kwise(p.k, p.d, p.s, rng)
-    h2 = sample_kwise(p.k, p.d, p.s, rng)
-    g = sample_kwise(p.k, p.d, p.r, rng)
-    f1 = f_sampler(rng, p.s, p.r)
-    f2 = f_sampler(rng, p.s, p.r)
-    return PPOracle(PPKey(h1, h2, g, f1, f2))
+    return pp_sampler(p).layout(KeyDraws(rng, f_sampler))
 
 
 def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None) -> PPOracle:
@@ -170,8 +241,8 @@ class PaddedPrfMap(Oracle):
         return self.f.query(x.zero_extend(self.f.domain_bits)).truncate_low(self.range_bits)
 
 
-def build_adw_domain_extension(p: ExtensionParams, variant: str, rng, f_sampler=None) -> ADWOracle:
-    """adw combiner in one of two shapes.
+def adw_layout(p: ExtensionParams, variant: str):
+    """adw slots in one of two shapes.
 
     variant "prf": z = 2(c+2) inner maps on u = log2(q) bits, each
     realized through a fresh underlying PRF instance with zero-padded
@@ -182,34 +253,38 @@ def build_adw_domain_extension(p: ExtensionParams, variant: str, rng, f_sampler=
     each a 2-entry random table, so one query spends exactly two
     underlying calls.
     """
-    f_sampler = f_sampler or lazy_random_sampler
     z = adw_z(p, variant)
     _check_query_budget(p.q, p.s)
-    h1 = sample_kwise(2, p.d, p.s, rng)
-    h2 = sample_kwise(2, p.d, p.s, rng)
-    ell = sample_kwise(2, p.d, p.r, rng)
     if variant == "prf":
         if p.q < 2:
             raise ConfigurationError("prf-backed adw needs q >= 2")
         u = math.ceil(math.log2(p.q))
         if not u <= p.s <= p.r:
             raise ConfigurationError(f"need u <= s <= r, got u={u}, s={p.s}, r={p.r}")
-        gbar = tuple(sample_kwise(2, p.d, u, rng) for _ in range(z))
 
-        def prf_map(range_bits: int) -> PaddedPrfMap:
-            return PaddedPrfMap(f_sampler(rng, p.s, p.r), u, range_bits)
+    def layout(draws):
+        h1 = draws.kwise(2, p.d, p.s)
+        h2 = draws.kwise(2, p.d, p.s)
+        ell = draws.kwise(2, p.d, p.r)
+        if variant == "prf":
+            gbar = tuple(draws.kwise(2, p.d, u) for _ in range(z))
+            m1bar = tuple(PaddedPrfMap(draws.prf(p.s, p.r), u, p.s) for _ in range(z))
+            m2bar = tuple(PaddedPrfMap(draws.prf(p.s, p.r), u, p.s) for _ in range(z))
+            ybar = tuple(PaddedPrfMap(draws.prf(p.s, p.r), u, p.r) for _ in range(z))
+        else:
+            gbar = tuple(draws.kwise(2, p.d, 1) for _ in range(z))
+            m1bar = tuple(draws.table(2, p.s) for _ in range(z))
+            m2bar = tuple(draws.table(2, p.s) for _ in range(z))
+            ybar = tuple(draws.table(2, p.r) for _ in range(z))
+        f1 = draws.prf(p.s, p.r)
+        return draws.adw(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, draws.prf(p.s, p.r))
 
-        m1bar = tuple(prf_map(p.s) for _ in range(z))
-        m2bar = tuple(prf_map(p.s) for _ in range(z))
-        ybar = tuple(prf_map(p.r) for _ in range(z))
-    else:
-        gbar = tuple(sample_kwise(2, p.d, 1, rng) for _ in range(z))
-        m1bar = tuple(RandomTable((rng.getrandbits(p.s), rng.getrandbits(p.s)), p.s) for _ in range(z))
-        m2bar = tuple(RandomTable((rng.getrandbits(p.s), rng.getrandbits(p.s)), p.s) for _ in range(z))
-        ybar = tuple(RandomTable((rng.getrandbits(p.r), rng.getrandbits(p.r)), p.r) for _ in range(z))
-    f1 = f_sampler(rng, p.s, p.r)
-    f2 = f_sampler(rng, p.s, p.r)
-    return ADWOracle(ADWKey(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, f2))
+    return layout
+
+
+def build_adw_domain_extension(p: ExtensionParams, variant: str, rng, f_sampler=None) -> ADWOracle:
+    """adw combiner over fresh inner maps and underlying PRFs; see adw_layout."""
+    return adw_layout(p, variant)(KeyDraws(rng, f_sampler))
 
 
 def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=None) -> ADWOracle:

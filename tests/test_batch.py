@@ -10,16 +10,16 @@ from cuckooprf.batch import (
     batch_eval_kwise,
     const_mul,
     lazy_answers,
-    mix64_np,
     run_nonadaptive_game_batched,
 )
-from cuckooprf.bits import BitString, derive_seed, mix64
+from cuckooprf.bits import BitString, derive_seed, key_stream, mix64, mix64_np, truncate
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import (
     NonAdaptiveDistinguisher,
     birthday_distinguisher,
     run_game,
+    sample_streams,
     tuple_uniformity_sd,
 )
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
@@ -78,6 +78,20 @@ def test_const_mul_matches_field_multiply():
             assert len(const_mul(spec, c).tables) == max(1, w // 8)
             for v, g in zip(vals, got):
                 assert int(g) == spec.mul_int(v, c)
+
+
+@pytest.mark.parametrize("w", SUPPORTED_WIDTHS)
+def test_const_mul_tables_equal_mul_int(w):
+    # table pos, entry b is c * (b << 8 pos): one table of all 2^w products for w <= 8
+    spec = default_spec(w)
+    rng = random.Random(730 + w)
+    for c in (0, 1, (1 << w) - 1, rng.getrandbits(w), rng.getrandbits(w)):
+        tables = batch._ConstMul(spec, c).tables
+        assert len(tables) == max(1, w // 8)
+        for pos, table in enumerate(tables):
+            assert table.dtype == np.uint64
+            assert table.tolist() == [spec.mul_int(c, b << (8 * pos))
+                                      for b in range(min(256, 1 << w))]
 
 
 def test_batch_eval_kwise_matches_scalar():
@@ -172,6 +186,8 @@ def test_batch_answers_declines_unsupported_shapes():
     mixed = [LazyRandomOracle(1, 16, 8), LevinOracle(sample_kwise(2, 16, 8, rng),
                                                      LazyRandomOracle(2, 8, 8))]
     assert batch_answers(mixed, qs) is None
+    # same type and domain, different ranges: each row would need its own cut
+    assert batch_answers([LazyRandomOracle(1, 16, 8), LazyRandomOracle(2, 16, 4)], qs) is None
     # mismatched query length
     lazy = [LazyRandomOracle(1, 16, 8)]
     assert batch_answers(lazy, [BitString(0, 12)]) is None
@@ -264,7 +280,8 @@ def test_batched_game_validation():
         run_nonadaptive_game_batched(_mk_lazy(8, 8), _mk_lazy(8, 8), dist, 0, 1)
 
 
-def test_tuple_sampler_scalar_consumes_one_draw():
+def test_tuple_sampler_draws_the_pp_slot_layout():
+    # k coefficients for each of h1, h2 and g over GF(2^8), then the two f seeds
     sampler = PPTupleSampler(8, 8, 2, 8)
 
     class Probe(random.Random):
@@ -278,25 +295,22 @@ def test_tuple_sampler_scalar_consumes_one_draw():
 
     rng = Probe()
     sampler(rng)
-    assert rng.calls == [64]
+    assert rng.calls == [8] * 24 + [64, 64]
 
 
-def test_tuple_sampler_key_from_draw_layout():
+def test_tuple_sampler_reads_slot_i_from_word_i():
     sampler = PPTupleSampler(8, 8, 2, 3)
-    key = sampler.key_from_draw(99)
-    from cuckooprf.bits import truncate
-
-    assert key.h1.coeffs == tuple(truncate(derive_seed(99, i), 8) for i in range(3))
-    assert key.h2.coeffs == tuple(truncate(derive_seed(99, 3 + i), 8) for i in range(3))
-    assert key.g.coeffs == tuple(truncate(derive_seed(99, 6 + i), 8) for i in range(3))
-    assert key.f1.seed == derive_seed(99, 9)
-    assert key.f2.seed == derive_seed(99, 10)
+    key = sampler(key_stream(99, 5)).key
+    words = [derive_seed(99, 5, j) for j in range(11)]
+    assert key.h1.coeffs == tuple(truncate(w, 8) for w in words[0:3])
+    assert key.h2.coeffs == tuple(truncate(w, 8) for w in words[3:6])
+    assert key.g.coeffs == tuple(truncate(w, 8) for w in words[6:9])
+    assert key.f1.seed == words[9]
+    assert key.f2.seed == words[10]
     assert key.g.range_bits == 2
 
 
 def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):
-    from cuckooprf.games import _SAMPLE_TAG
-
     # blocks of 128 samples at 4 queries, so 500 samples span four
     monkeypatch.setattr(batch, "BLOCK_ELEMS", 512)
     sampler = PPTupleSampler(8, 8, 2, 8)
@@ -304,7 +318,7 @@ def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):
     samples, seed = 500, 724
     codes = sampler.batch_tuples(queries, samples, seed)
     for i in range(samples):
-        handle = sampler(random.Random(derive_seed(seed, _SAMPLE_TAG, i)))
+        handle = sampler(sample_streams(seed).stream(i))
         code = 0
         for x in queries:
             code = (code << 2) | handle.query(x).value

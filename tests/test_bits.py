@@ -1,8 +1,27 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cuckooprf.bits import C1, MASK64, BitString, derive_seed, mix64, truncate
+from cuckooprf.bits import (
+    C1,
+    MASK64,
+    BitString,
+    KeyStreams,
+    derive_seed,
+    key_stream,
+    mix64,
+    stream_words,
+    truncate,
+)
+
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+# negative, zero, in range and at or above 2^64: derive_seed reduces them all mod 2^64
+SEEDS = st.one_of(st.integers(-2**70, -1), st.just(0), st.integers(1, MASK64),
+                  st.integers(2**64, 2**70))
+PARTS = st.lists(st.integers(0, 2**40), max_size=3)
 
 
 def _mix64_reference(v):
@@ -122,3 +141,77 @@ def test_bitstring_zero_extend_pads_high_bits():
     assert b.zero_extend(3) == b
     with pytest.raises(ValueError):
         b.zero_extend(2)
+
+
+# counter-mode key streams
+
+
+@PROPERTY
+@given(SEEDS, PARTS, st.integers(1, 300))
+def test_stream_word_j_is_derive_seed_j(seed, parts, n):
+    # n crosses the stream's refills (16 words, then 48, then 192)
+    stream = key_stream(seed, *parts)
+    assert [stream.getrandbits(64) for _ in range(n)] == [
+        derive_seed(seed, *parts, j) for j in range(n)]
+
+
+@PROPERTY
+@given(SEEDS, PARTS, st.integers(0, 50), st.integers(1, 6), st.integers(0, 70),
+       st.integers(1, 40))
+def test_numpy_twin_equals_scalar_stream(seed, parts, t0, rows, j0, cols):
+    streams = KeyStreams(seed, *parts)
+    words = stream_words(streams.heads(range(t0, t0 + rows)), range(j0, j0 + cols))
+    assert words.dtype == np.uint64 and words.shape == (rows, cols)
+    expected = []
+    for t in range(t0, t0 + rows):
+        stream = streams.stream(t)
+        row = [stream.getrandbits(64) for _ in range(j0 + cols)]
+        expected.append(row[j0:])
+    assert words.tolist() == expected
+
+
+@PROPERTY
+@given(SEEDS, st.lists(st.integers(0, 200), min_size=1, max_size=12))
+def test_getrandbits_truncates_and_concatenates_words(seed, widths):
+    stream = key_stream(seed, 3)
+    words = iter(derive_seed(seed, 3, j) for j in range(10**6))
+    for w in widths:
+        if w <= 64:
+            expected = truncate(next(words), w)  # w = 0 still takes a word
+        else:
+            expected = 0
+            for low in range(0, w, 64):
+                expected |= truncate(next(words), min(64, w - low)) << low
+        assert stream.getrandbits(w) == expected
+    assert stream.getrandbits(0) == 0
+
+
+@PROPERTY
+@given(SEEDS, st.lists(st.integers(1, 5000), min_size=1, max_size=20))
+def test_random_and_randrange_follow_the_words(seed, bounds):
+    stream = key_stream(seed, 4)
+    words = iter(derive_seed(seed, 4, j) for j in range(10**6))
+    for n in bounds:
+        u = stream.random()
+        assert 0.0 <= u < 1.0 and u == (next(words) >> 11) * 2.0**-53
+        # random.Random's rule: redraw n.bit_length() bits until below n
+        while True:
+            expected = truncate(next(words), n.bit_length())
+            if expected < n:
+                break
+        assert stream.randrange(n) == expected
+
+
+def test_key_stream_rejects_what_it_cannot_do():
+    stream = key_stream(1)
+    with pytest.raises(ValueError):
+        stream.getrandbits(-1)
+    for reseed in (lambda: stream.seed(2), stream.getstate):
+        with pytest.raises(TypeError):
+            reseed()
+    assert stream.getrandbits(0) == 0
+    assert stream.getrandbits(64) == derive_seed(1, 1)  # the 0-bit call took word 0
+    # the rest of the random.Random interface works on the same words
+    assert sorted(key_stream(5).sample(range(10), 10)) == list(range(10))
+    assert key_stream(6).choice("abc") in "abc"
+    assert isinstance(key_stream(7).gauss(), float)

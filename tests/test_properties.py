@@ -2,10 +2,12 @@
 and of the numpy grid kernel at every supported width.
 
 The scalar Oracle.query path is the reference for the numpy path, so the
-two must agree pointwise; the per-query call counts and the z = 0
-degeneration of adw to pp must hold for every drawn shape, not only at
-the pinned examples of the other test files. Runs are derandomized so
-the suite stays reproducible.
+two must agree pointwise, whether the numpy path reads the keys off
+scalar oracles or samples them itself from the key streams' words; the
+per-query call counts, the z = 0 degeneration of adw to pp and the 4q
+locality of the adaptive builders must hold for every drawn shape, not
+only at the pinned examples of the other test files. Runs are
+derandomized so the suite stays reproducible.
 """
 
 import random
@@ -17,19 +19,24 @@ from hypothesis import strategies as st
 
 from cuckooprf import batch
 from cuckooprf.batch import batch_answers, batch_eval_kwise, run_nonadaptive_game_batched
-from cuckooprf.bits import BitString
+from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
 from cuckooprf.combine import ADWKey, PPKey, adw_eval, count_underlying_calls, pp_eval
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher, run_game
 from cuckooprf.gf import SUPPORTED_WIDTHS
 from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise
-from cuckooprf.prfcore import LazyRandomOracle
+from cuckooprf.prfcore import InstrumentedOracle, LazyRandomOracle
 from cuckooprf.transform import (
     ExtensionParams,
+    KeySampler,
+    adw_layout,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
     build_adw_domain_extension,
     build_pp_domain_extension,
+    lazy_random_sampler,
+    lazy_sampler,
+    pp_sampler,
 )
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -178,15 +185,38 @@ def _parity_distinguisher(q: int, d: int) -> NonAdaptiveDistinguisher:
         decide_batch=lambda values: (values[:, 0] & 1).astype(bool))
 
 
+# KeySamplers go through their numpy twin in the batched runner; the
+# prf-backed adw has none and is sampled trial by trial there.
 _GAME_SAMPLERS = {
-    "lazy": lambda rng: LazyRandomOracle(rng.getrandbits(64), 12, 12),
+    "lazy": lazy_sampler(12, 12),
     "levin": levin_sampler(12, 8, 12, 4),
-    "pp": lambda rng: build_pp_domain_extension(ExtensionParams(12, 8, 12, 4, 8), rng),
-    "adw-table": lambda rng: build_adw_domain_extension(
-        ExtensionParams(12, 8, 12, 2, 8), "table", rng),
+    "pp": pp_sampler(ExtensionParams(12, 8, 12, 4, 8)),
+    "adw-table": KeySampler(adw_layout(ExtensionParams(12, 8, 12, 2, 8), "table")),
     "adw-prf": lambda rng: build_adw_domain_extension(
         ExtensionParams(12, 8, 12, 2, 8), "prf", rng),
 }
+
+
+@PROPERTY
+@given(shapes(), st.sampled_from(("lazy", "levin", "pp", "adw-table")), st.data())
+def test_numpy_twin_equals_scalar_keys(shape, kind, data):
+    _, d, s, r, k = shape
+    q = 1 << data.draw(st.integers(0, min(2, s - 2)), label="log2 q")
+    sampler = {
+        "lazy": lambda: lazy_sampler(d, r),
+        "levin": lambda: levin_sampler(d, s, r, k),
+        "pp": lambda: pp_sampler(ExtensionParams(d, s, r, k, q)),
+        "adw-table": lambda: KeySampler(adw_layout(ExtensionParams(d, s, r, 2, q), "table")),
+    }[kind]()
+    streams = KeyStreams(data.draw(st.integers(-2**64, 2**64), label="seed"), 9)
+    t0 = data.draw(st.integers(0, 100), label="t0")
+    rows = range(t0, t0 + TRIALS)
+    xs = _inputs(data, d)
+    columns = sampler.layout(batch.ColumnDraws(streams.heads(rows)))
+    grid = columns.grid(batch._Points(x.value for x in xs))
+    assert (columns.domain_bits, columns.range_bits) == (d, r)
+    assert grid.tolist() == [[sampler(streams.stream(t)).query(x).value for x in xs]
+                             for t in rows]
 
 
 @PROPERTY
@@ -200,3 +230,30 @@ def test_batched_game_equals_run_game_across_blocks(kind, q, data):
     with mock.patch.object(batch, "BLOCK_ELEMS", SMALL_BLOCK_ELEMS):
         fast = run_nonadaptive_game_batched(sampler, ideal, dist, trials, seed)
     assert fast == run_game(sampler, ideal, dist, trials, seed)
+
+
+@PROPERTY
+@given(st.booleans(), st.integers(4, 16), st.data())
+def test_adaptive_builders_keep_underlying_queries_below_4q(adw, n, data):
+    q = 1 << data.draw(st.integers(1 if adw else 0, n - 2), label="log2 q")
+    seen: list[InstrumentedOracle] = []
+
+    def f_sampler(rng, domain_bits, range_bits):
+        seen.append(InstrumentedOracle(lazy_random_sampler(rng, domain_bits, range_bits)))
+        return seen[-1]
+
+    rng = _rng(data)
+    if adw:
+        c = data.draw(st.integers(1, 3), label="c")
+        handle = build_adw_adaptive_from_nonadaptive(n, q, c, rng, f_sampler)
+    else:
+        k = data.draw(st.integers(2, 6), label="k")
+        handle = build_adaptive_from_nonadaptive(n, q, k, rng, f_sampler)
+    # answer-chained probes: each input depends on the last answer
+    x, probes = BitString(0, n), 40
+    for i in range(probes):
+        y = handle.query(x)
+        x = BitString(truncate(mix64(y.value ^ i), n), n)
+    queries = [v.value for f in seen for v in f.queries]
+    assert len(queries) == 2 * probes
+    assert max(queries) < 4 * q
