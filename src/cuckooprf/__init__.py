@@ -87,8 +87,6 @@ from .transform import (
     build_adw_domain_extension,
     build_pp_domain_extension,
     build_prg_prf,
-    default_ggm_input_bits,
-    default_independence,
     lazy_random_sampler,
 )
 
@@ -105,7 +103,7 @@ __all__ = [
     "birthday_closed_form", "birthday_distinguisher", "build_adaptive_from_nonadaptive",
     "build_adw_adaptive_from_nonadaptive", "build_adw_domain_extension",
     "build_pp_domain_extension", "build_prg_prf", "count_underlying_calls",
-    "default_ggm_input_bits", "default_independence", "default_spec", "derive_seed",
+    "default_spec", "derive_seed",
     "eval_kwise", "exact_sd", "exhaustive_independence_check", "expected_fixed_points",
     "ggm_eval", "hybrid_wrap",
     "involution_distinguisher", "involution_game", "involution_nonadaptive_distinguisher",

@@ -28,7 +28,9 @@ with z inner maps, however many trials or samples are asked for.
 
 Supported shapes: lazy-random, hash-then-query over a k-wise key, the
 pp combiner, and the adw combiner with table or padded-prf inner
-maps. Anything else falls back to the scalar game runner, so callers
+maps. A block of affine adw keys (combine.is_affine) asked for more
+than d+1 points is answered from per-row byte tables of its inner
+values, as an ADWOracle answers once folded. Anything else falls back to the scalar game runner, so callers
 never need to know which path ran.
 """
 
@@ -52,7 +54,7 @@ from .games import (
     run_game,
     sample_streams,
 )
-from .gf import FieldSpec, default_spec
+from .gf import FieldSpec, default_spec, linear_tables
 from .hashfam import KWiseHashKey, RandomTable, RestrictedHash, width_for
 from .prfcore import LazyRandomOracle, LevinOracle
 from .transform import KeySampler, PaddedPrfMap, check_widths, pp_layout
@@ -79,21 +81,14 @@ class _ConstMul:
     256-entry table of c * (byte << position) products (one table of
     all 2^w products for w <= 8), and the XOR of the looked-up entries
     is the product. Exact by linearity of carryless multiplication over
-    GF(2), which also builds the tables: from the w products c * 2^b,
-    each table doubles bit by bit, entry m + 2^i = entry m ^ c * 2^(8 pos + i).
+    GF(2), which also builds the tables: they are gf.linear_tables of
+    the w products c * 2^b.
     """
 
     def __init__(self, spec: FieldSpec, c: int):
         w = spec.width
-        bits = min(8, w)
         powers = [spec.mul_int(c, 1 << b) for b in range(w)]
-        tables = []
-        for pos in range(0, w, bits):
-            table = np.zeros(1, dtype=np.uint64)
-            for product in powers[pos:pos + bits]:
-                table = np.concatenate((table, table ^ np.uint64(product)))
-            tables.append(table)
-        self.tables = tuple(tables)
+        self.tables = tuple(linear_tables(powers, min(8, w)))
 
 
 _CONST_MUL_CACHE: dict[tuple[FieldSpec, int], _ConstMul] = {}
@@ -239,6 +234,14 @@ class _ADW:
         self.domain_bits, self.range_bits = self.h1.domain_bits, self.f1.range_bits
 
     def grid(self, points: _Points) -> np.ndarray:
+        if len(points.xs) > self.domain_bits + 1 and self._affine():
+            inner1, inner2, yterm = self._folded(points)
+        else:
+            inner1, inner2, yterm = self._inner(points)
+        return self.f1.at(inner1) ^ self.f2.at(inner2) ^ yterm
+
+    def _inner(self, points: _Points):
+        """The three inner values, (trials, q) each, one z column at a time."""
         inner1, inner2, yterm = (h.grid(points) for h in (self.h1, self.h2, self.ell))
         # one g column at a time, so only one (trials, q) grid of g values lives
         for g, m1, m2, y in zip(self.gbar, self.m1bar, self.m2bar, self.ybar):
@@ -246,7 +249,31 @@ class _ADW:
             inner1 = inner1 ^ m1.at(gv)
             inner2 = inner2 ^ m2.at(gv)
             yterm = yterm ^ y.at(gv)
-        return self.f1.at(inner1) ^ self.f2.at(inner2) ^ yterm
+        return inner1, inner2, yterm
+
+    def _affine(self) -> bool:
+        """combine.is_affine for every row: hashes of degree <= 1, 2-entry tables."""
+        return (all(h.coeffs.shape[1] <= 2 for h in (self.h1, self.h2, self.ell, *self.gbar))
+                and all(isinstance(m, _Tables) and m.entries.shape[1] == 2
+                        for bar in (self.m1bar, self.m2bar, self.ybar) for m in bar))
+
+    def _folded(self, points: _Points):
+        """The three inner values, (trials, q) each, from per-row byte
+        tables of their affine map, which the values at x = 0 and at the
+        d unit vectors give (combine.fold_adw in columns). One value and
+        one byte table at a time, so a block holds one (trials, 256) table."""
+        at_basis = self._inner(_Points([0] + [1 << j for j in range(self.domain_bits)]))
+        xs = np.array(points.xs, dtype=np.uint64)
+        point_bytes = [(xs >> np.uint64(pos)) & np.uint64(255)
+                       for pos in range(0, self.domain_bits, 8)]
+        folded = []
+        for values in at_basis:
+            const = values[:, :1]
+            acc = np.repeat(const, len(xs), axis=1)
+            for table, idx in zip(linear_tables(values[:, 1:] ^ const), point_bytes):
+                acc ^= table[:, idx]
+            folded.append(acc)
+        return folded
 
 
 class ColumnDraws:

@@ -23,14 +23,24 @@ Values are plain ints inside the combiners. A BitString is built only
 where a value crosses an Oracle.query boundary: the input and answer
 of pp_eval/adw_eval, and each call of an underlying oracle, which
 Oracle.eval_int routes through query.
+
+An adw key whose hashes all have degree at most 1 (k <= 2) and whose
+inner maps are all 2-entry tables is GF(2)-affine in x: each of its
+three inner values is c ^ L x. ADWOracle folds such a key into byte
+tables of that map (fold_adw) once more than d+1 queries are asked,
+which is what the fold costs to build; adw_eval stays the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from .bits import BitString
-from .hashfam import RandomTable
+from .gf import linear_tables
+from .hashfam import KWiseHashKey, RandomTable, RestrictedHash
 from .prfcore import Oracle
 
 
@@ -154,13 +164,86 @@ def adw_eval(key: ADWKey, x: BitString) -> BitString:
     return BitString(a ^ b ^ c, key.range_bits)
 
 
+def _affine_hash(h) -> bool:
+    key = h.key if isinstance(h, RestrictedHash) else h
+    return isinstance(key, KWiseHashKey) and key.k <= 2
+
+
+def is_affine(key: ADWKey) -> bool:
+    """Whether every inner value of key is GF(2)-affine in x: every hash
+    (plain or range-restricted) of degree at most 1, every inner map a
+    2-entry table indexed by one bit."""
+    return (all(_affine_hash(h) for h in (key.h1, key.h2, key.ell, *key.gbar))
+            and all(isinstance(m, RandomTable) and len(m) == 2
+                    for bar in (key.m1bar, key.m2bar, key.ybar) for m in bar))
+
+
+class _FoldedADW:
+    """An affine adw key as byte tables of its three inner values.
+
+    The values at x = 0 and at the d unit vectors give the constant and
+    the columns of the map; the three values are packed into one int
+    per table entry (inner1 low, then inner2, then the y part), so a
+    query costs ceil(d/8) lookups and the two underlying calls.
+    """
+
+    def __init__(self, key: ADWKey):
+        self.f1, self.f2 = key.f1, key.f2
+        self.s1, self.s2 = key.f1.domain_bits, key.f2.domain_bits
+        self.range_bits = key.range_bits
+
+        def inner(x: int) -> tuple[int, int, int]:
+            gvals = [g.eval_int(x) for g in key.gbar]
+            return (adw_inner_eval(key.h1, key.gbar, key.m1bar, x, gvals),
+                    adw_inner_eval(key.h2, key.gbar, key.m2bar, x, gvals),
+                    adw_inner_eval(key.ell, key.gbar, key.ybar, x, gvals))
+
+        points = [0] + [1 << j for j in range(key.domain_bits)]
+        at_basis = np.array([inner(x) for x in points], dtype=np.uint64).T  # (3, d+1)
+        const = at_basis[:, :1]
+        self.const = self._pack(*const[:, 0].tolist())
+        self.tables = [[self._pack(*entry) for entry in zip(*table.tolist())]
+                       for table in linear_tables(at_basis[:, 1:] ^ const)]
+
+    def _pack(self, a: int, b: int, y: int) -> int:
+        return a | (b << self.s1) | (y << (self.s1 + self.s2))
+
+    def __call__(self, x: BitString) -> BitString:
+        v, packed = x.value, self.const
+        for table in self.tables:
+            packed ^= table[v & 255]
+            v >>= 8
+        s1, s2 = self.s1, self.s2
+        a = self.f1.eval_int(packed & ((1 << s1) - 1))
+        b = self.f2.eval_int((packed >> s1) & ((1 << s2) - 1))
+        return BitString(a ^ b ^ (packed >> (s1 + s2)), self.range_bits)
+
+
+def fold_adw(key: ADWKey):
+    """x -> adw_eval(key, x) from the key's byte tables if it is affine,
+    else adw_eval itself. Building the tables costs d+1 evaluations of
+    the inner values; the underlying f1 and f2 are not called."""
+    return _FoldedADW(key) if is_affine(key) else partial(adw_eval, key)
+
+
 class ADWOracle(Oracle):
+    """adw_eval behind Oracle.query. The first d+1 queries are answered by
+    adw_eval; the key is folded (fold_adw) at query d+2, so the fold is
+    built only once it has been paid for, and answers from then on."""
+
     def __init__(self, key: ADWKey):
         super().__init__(key.domain_bits, key.range_bits, "adw")
         self.key = key
+        self._unfolded_left = key.domain_bits + 1
+        self._folded = None
 
     def _answer(self, x: BitString) -> BitString:
-        return adw_eval(self.key, x)
+        if self._unfolded_left:
+            self._unfolded_left -= 1
+            return adw_eval(self.key, x)
+        if self._folded is None:
+            self._folded = fold_adw(self.key)
+        return self._folded(x)
 
 
 class _Counted:

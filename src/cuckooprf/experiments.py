@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 
 from .batch import PPTupleSampler, run_nonadaptive_game_batched
-from .bits import BitString, derive_seed, key_stream, mix64, truncate
+from .bits import BitString, key_stream, mix64, truncate
 from .combine import count_underlying_calls
 from .errors import ConfigurationError
 from .games import (
@@ -35,7 +35,7 @@ from .games import (
     tuple_uniformity_sd,
 )
 from .hashfam import exhaustive_independence_check
-from .prfcore import GgmKey, GgmOracle, InstrumentedOracle, PrgSpec, ggm_eval
+from .prfcore import FunctionOracle, GgmKey, GgmOracle, PrgSpec, ggm_eval
 from .transform import (
     ExtensionParams,
     KeySampler,
@@ -191,9 +191,32 @@ def involution(n: int, trials: int, seed: int):
     return rows, []
 
 
+class _WindowTally:
+    """An f_sampler whose lazy-random oracles count, as they are queried,
+    every underlying query and those outside the first `window` strings."""
+
+    def __init__(self, window: int):
+        self.window = window
+        self.calls = 0
+        self.outside = 0
+
+    def __call__(self, rng, domain_bits: int, range_bits: int) -> FunctionOracle:
+        f = lazy_random_sampler(rng, domain_bits, range_bits)
+
+        def answer(x: BitString) -> BitString:
+            self.calls += 1
+            self.outside += x.value >= self.window
+            return f.query(x)
+
+        return FunctionOracle(answer, domain_bits, range_bits)
+
+
 def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
     """Drive the adaptive-security builders with an answer-chained prober
-    and verify that no underlying query ever leaves the first 4q strings."""
+    and verify that no underlying query ever leaves the first 4q strings.
+
+    Probe i mixes the last answer with word i of key_stream(seed,
+    _PROBE_TAG), which is derive_seed(seed, _PROBE_TAG, i)."""
     if probes < 1:
         raise ConfigurationError("probes must be positive")
     targets = (
@@ -202,27 +225,20 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
     )
     rows, problems = [], []
     for idx, (name, flavor, kcol) in enumerate(targets):
-        collected: list[InstrumentedOracle] = []
-
-        def f_sampler(rng, db, rb, acc=collected):
-            o = InstrumentedOracle(lazy_random_sampler(rng, db, rb))
-            acc.append(o)
-            return o
-
+        tally = _WindowTally(4 * q)
         rng = key_stream(seed, _PROBE_TAG, idx)
         if flavor == "pp":
-            handle = build_adaptive_from_nonadaptive(n, q, k, rng, f_sampler=f_sampler)
+            handle = build_adaptive_from_nonadaptive(n, q, k, rng, f_sampler=tally)
             zcol = None
         else:
-            handle = build_adw_adaptive_from_nonadaptive(n, q, _ADAPTIVE_C, rng,
-                                                         f_sampler=f_sampler)
+            handle = build_adw_adaptive_from_nonadaptive(n, q, _ADAPTIVE_C, rng, f_sampler=tally)
             zcol = adw_table_z(_ADAPTIVE_C, q)
+        words = key_stream(seed, _PROBE_TAG)
         x = BitString(0, n)
-        for i in range(probes):
+        for _ in range(probes):
             y = handle.query(x)
-            x = BitString(truncate(mix64(y.value ^ derive_seed(seed, _PROBE_TAG, i)), n), n)
-        total = sum(o.calls for o in collected)
-        outside = sum(1 for o in collected for xv in o.queries if xv.value >= 4 * q)
+            x = BitString(truncate(mix64(y.value ^ words.getrandbits(64)), n), n)
+        total, outside = tally.calls, tally.outside
         if outside:
             problems.append(f"{name}: {outside} of {total} underlying queries left the 4q prefix")
         rows.append(_row(name, n=n, d=n, s=n, r=n, k=kcol, q=q, z=zcol, trials=probes,

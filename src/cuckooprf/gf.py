@@ -24,7 +24,9 @@ Tables are built on first use, never at import or construction.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 SUPPORTED_WIDTHS = (4, 8, 16, 32, 64)
 
@@ -224,6 +226,27 @@ class FieldSpec:
             for c in rest:
                 acc = mul(acc, x) ^ c
         return acc
+
+
+def linear_tables(basis, bits: int = 8) -> Iterator[np.ndarray]:
+    """Lookup tables of GF(2)-linear maps, one per `bits` input bits.
+
+    basis[..., j] holds each map's value at the unit vector 2^j as a
+    uint64 word; leading axes index independent maps. Table p, entry m,
+    is the value at m << (bits * p), the XOR of basis[..., bits * p + i]
+    over the set bits i of m. A table doubles bit by bit, entry
+    m + 2^i = entry m ^ basis[..., bits * p + i], so its 2^bits entries
+    cost bits vector XORs; the last table is shorter when the input
+    length is not a multiple of bits. Tables are yielded one at a time,
+    so a caller that folds each into a result holds one at a time.
+    """
+    basis = np.asarray(basis, dtype=np.uint64)
+    for pos in range(0, basis.shape[-1], bits):
+        cols = basis[..., pos:pos + bits]
+        table = np.zeros(basis.shape[:-1] + (1 << cols.shape[-1],), dtype=np.uint64)
+        for i in range(cols.shape[-1]):
+            np.bitwise_xor(table[..., :1 << i], cols[..., i:i + 1], out=table[..., 1 << i:2 << i])
+        yield table
 
 
 _DEFAULT_SPECS: dict[int, FieldSpec] = {}

@@ -92,18 +92,6 @@ def check_widths(**bits: int):
             raise ConfigurationError(f"{name}={value} is outside 1..{MAX_WIDTH} bits")
 
 
-def default_independence(q: int) -> int:
-    """Default k = Theta(log q) for the pp-style builders."""
-    return math.ceil(2 * math.log2(max(q, 2))) + 4
-
-
-def default_ggm_input_bits(q: int) -> int:
-    """Hashed-tree input length covering a budget of q queries."""
-    if q < 1:
-        raise ConfigurationError("query budget q must be positive")
-    return math.ceil(math.log2(q)) + 2
-
-
 def lazy_random_sampler(rng, domain_bits: int, range_bits: int) -> LazyRandomOracle:
     return LazyRandomOracle(rng.getrandbits(64), domain_bits, range_bits)
 

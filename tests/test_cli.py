@@ -153,6 +153,35 @@ def test_every_subcommand_runs_small(capsys):
         assert out.split("\n")[0] == HEADER
 
 
+# CSV bytes of three small runs at the default seed, pinned before the
+# affine fold of adw keys: both fold paths (scalar past d+1 probes,
+# numpy at q = 128 > d+1) must leave every row as it was.
+GOLDEN_ROWS = {
+    ("adaptive-transform", "--probes", "300"): """\
+adaptive-transform-pp,16,16,16,16,12,64,,300,1.0,1.0,0.0,,2024,0
+adaptive-transform-adw,16,16,16,16,2,64,36,300,1.0,1.0,0.0,,2024,0
+""",
+    ("birthday", "--trials", "60"): """\
+birthday-levin,24,24,12,24,16,128,,60,0.8166666666666667,0.0,0.8166666666666667,0.04995368225036439,2024,0
+birthday-pp,24,24,12,24,16,128,,60,0.0,0.0,0.0,0.0,2024,0
+birthday-adw,24,24,12,24,2,128,42,60,0.0,0.0,0.0,0.0,2024,0
+""",
+    ("adw-compare", "--trials", "60"): """\
+adw-compare-pp,24,24,12,24,16,128,0,60,0.0,0.0,0.0,0.0,2024,0
+adw-compare-prf,24,24,12,24,2,128,6,60,0.0,0.0,0.0,0.0,2024,0
+adw-compare-table,24,24,12,24,2,128,42,60,0.0,0.0,0.0,0.0,2024,0
+""",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_ROWS))
+def test_golden_rows(argv, capsys):
+    assert cli.main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == HEADER + "\n" + GOLDEN_ROWS[argv]
+    assert captured.err == ""
+
+
 def _assert_configuration_error(rc, err):
     assert rc == 2
     assert any(line.startswith("configuration error:") for line in err.splitlines())

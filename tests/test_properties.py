@@ -10,25 +10,37 @@ only at the pinned examples of the other test files. Runs are
 derandomized so the suite stays reproducible.
 """
 
+import dataclasses
 import random
+from functools import partial
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuckooprf import batch
 from cuckooprf.batch import batch_answers, batch_eval_kwise, run_nonadaptive_game_batched
 from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
-from cuckooprf.combine import ADWKey, PPKey, adw_eval, count_underlying_calls, pp_eval
+from cuckooprf.combine import (
+    ADWKey,
+    ADWOracle,
+    PPKey,
+    adw_eval,
+    count_underlying_calls,
+    is_affine,
+    pp_eval,
+)
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher, run_game
 from cuckooprf.gf import SUPPORTED_WIDTHS
-from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise
+from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise, sample_table
 from cuckooprf.prfcore import InstrumentedOracle, LazyRandomOracle
 from cuckooprf.transform import (
     ExtensionParams,
     KeySampler,
+    PaddedPrfMap,
     adw_layout,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
@@ -232,16 +244,21 @@ def test_batched_game_equals_run_game_across_blocks(kind, q, data):
     assert fast == run_game(sampler, ideal, dist, trials, seed)
 
 
+def _counting_sampler(seen: list):
+    """An f_sampler that records each lazy-random oracle it draws, instrumented."""
+    def f_sampler(rng, domain_bits, range_bits):
+        seen.append(InstrumentedOracle(lazy_random_sampler(rng, domain_bits, range_bits)))
+        return seen[-1]
+
+    return f_sampler
+
+
 @PROPERTY
 @given(st.booleans(), st.integers(4, 16), st.data())
 def test_adaptive_builders_keep_underlying_queries_below_4q(adw, n, data):
     q = 1 << data.draw(st.integers(1 if adw else 0, n - 2), label="log2 q")
     seen: list[InstrumentedOracle] = []
-
-    def f_sampler(rng, domain_bits, range_bits):
-        seen.append(InstrumentedOracle(lazy_random_sampler(rng, domain_bits, range_bits)))
-        return seen[-1]
-
+    f_sampler = _counting_sampler(seen)
     rng = _rng(data)
     if adw:
         c = data.draw(st.integers(1, 3), label="c")
@@ -257,3 +274,107 @@ def test_adaptive_builders_keep_underlying_queries_below_4q(adw, n, data):
     queries = [v.value for f in seen for v in f.queries]
     assert len(queries) == 2 * probes
     assert max(queries) < 4 * q
+
+
+# Input lengths for the fold: byte multiples and not, up to the widest
+# field. A property runs once per length, so each runs fewer examples.
+FOLD_LENGTHS = (5, 17, 24, 64)
+FOLD_PROPERTY = settings(PROPERTY, max_examples=6)
+
+
+def _table_adw(data, d: int, restricted: bool):
+    """rng, f_sampler -> an oracle of one shape from one of the two
+    table-backed adw builders, at input length d."""
+    if restricted:
+        q = 1 << data.draw(st.integers(1, min(3, d - 2)), label="log2 q")
+        c = data.draw(st.integers(1, 2), label="c")
+        return lambda rng, f_sampler=None: build_adw_adaptive_from_nonadaptive(
+            d, q, c, rng, f_sampler)
+    p = _table_params(data, d)
+    return lambda rng, f_sampler=None: build_adw_domain_extension(p, "table", rng, f_sampler)
+
+
+def _table_params(data, d: int) -> ExtensionParams:
+    """A table-backed adw shape with z >= 1: 2 <= q <= 2^(s-2)."""
+    s = data.draw(st.integers(3, min(d, 20)), label="s")
+    r = data.draw(st.integers(1, 64), label="r")
+    q = 1 << data.draw(st.integers(1, min(3, s - 2)), label="log2 q")
+    return ExtensionParams(d, s, r, 2, q)
+
+
+def _past_fold(data, d: int) -> list[BitString]:
+    """d+1 inputs the reference answers, then a few the fold answers."""
+    values = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=d + 2, max_size=d + 6),
+                       label="xs")
+    return [BitString(v, d) for v in values]
+
+
+@pytest.mark.parametrize("d", FOLD_LENGTHS)
+@FOLD_PROPERTY
+@given(st.booleans(), st.data())
+def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
+    seen: list[InstrumentedOracle] = []
+    oracle = _table_adw(data, d, restricted)(_rng(data), _counting_sampler(seen))
+    assert is_affine(oracle.key)
+    xs = _past_fold(data, d)
+    assert [oracle.query(x) for x in xs] == [adw_eval(oracle.key, x) for x in xs]
+    assert oracle._folded is not None and not isinstance(oracle._folded, partial)
+    # the fold itself calls no underlying oracle; each query calls f1 and f2
+    assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
+
+
+@pytest.mark.parametrize("d", FOLD_LENGTHS)
+@FOLD_PROPERTY
+@given(st.booleans(), st.data())
+def test_folded_adw_grid_equals_adw_eval(d, twin, data):
+    xs = _past_fold(data, d)
+    if twin:
+        sampler = KeySampler(adw_layout(_table_params(data, d), "table"))
+        streams = KeyStreams(data.draw(st.integers(0, 2**64 - 1), label="seed"), 9)
+        columns = sampler.layout(batch.ColumnDraws(streams.heads(range(TRIALS))))
+        keys = [sampler(streams.stream(t)).key for t in range(TRIALS)]
+    else:
+        rng, build = _rng(data), _table_adw(data, d, True)
+        oracles = [build(rng) for _ in range(TRIALS)]
+        columns = batch._columns(oracles)
+        keys = [o.key for o in oracles]
+    assert columns._affine()
+    grid = columns.grid(batch._Points(x.value for x in xs))
+    assert grid.tolist() == [[adw_eval(key, x).value for x in xs] for key in keys]
+
+
+def _with(bar: tuple, i: int, item) -> tuple:
+    return bar[:i] + (item,) + bar[i + 1:]
+
+
+@PROPERTY
+@given(st.sampled_from(FOLD_LENGTHS), st.sampled_from(("g", "m1bar", "m2bar", "ybar", "wide")),
+       st.data())
+def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
+    """One 3-wise g, one prf-backed inner map, or one column of 4-entry
+    tables under a 2-bit g, and the key takes the reference path in both
+    engines, exactly."""
+    rng = _rng(data)
+    key = _table_adw(data, d, data.draw(st.booleans(), label="restricted"))(rng).key
+    i = data.draw(st.integers(0, key.z - 1), label="i")
+    if slot == "g":
+        key = dataclasses.replace(key, gbar=_with(key.gbar, i, sample_kwise(3, d, 1, rng)))
+    elif slot == "wide":
+        key = dataclasses.replace(
+            key, gbar=_with(key.gbar, i, sample_kwise(2, d, 2, rng)),
+            **{name: _with(getattr(key, name), i, sample_table(4, bits, rng))
+               for name, bits in (("m1bar", key.f1.domain_bits), ("m2bar", key.f2.domain_bits),
+                                  ("ybar", key.range_bits))})
+    else:
+        bits = getattr(key, slot)[i].range_bits
+        f = PaddedPrfMap(LazyRandomOracle(rng.getrandbits(64), 8, 64), 1, bits)
+        key = dataclasses.replace(key, **{slot: _with(getattr(key, slot), i, f)})
+    assert not is_affine(key)
+    xs = _past_fold(data, d)
+    want = [adw_eval(key, x) for x in xs]
+    oracle = ADWOracle(key)
+    assert [oracle.query(x) for x in xs] == want
+    assert isinstance(oracle._folded, partial)
+    columns = batch._columns([oracle])
+    assert not columns._affine()
+    assert columns.grid(batch._Points(x.value for x in xs)).tolist() == [[y.value for y in want]]

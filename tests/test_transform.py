@@ -17,8 +17,6 @@ from cuckooprf.transform import (
     build_adw_domain_extension,
     build_pp_domain_extension,
     build_prg_prf,
-    default_ggm_input_bits,
-    default_independence,
 )
 
 
@@ -41,17 +39,6 @@ def test_query_budget_boundary():
     p_bad = ExtensionParams(24, 12, 24, 4, (1 << 10) + 1)
     with pytest.raises(ConfigurationError):
         build_pp_domain_extension(p_bad, random.Random(1))
-
-
-def test_default_parameter_helpers():
-    assert default_ggm_input_bits(1) == 2
-    assert default_ggm_input_bits(4) == 4
-    assert default_ggm_input_bits(1000) == 12
-    with pytest.raises(ConfigurationError):
-        default_ggm_input_bits(0)
-    assert default_independence(2) == 6
-    assert default_independence(128) == 18
-    assert default_independence(1) == default_independence(2)
 
 
 def test_pp_builder_shapes_and_determinism():
@@ -262,8 +249,7 @@ def test_prg_prf_budget_and_shape_guards():
 
 def test_prg_prf_minimal_budget_uses_two_bit_trees():
     prg = PrgSpec("mix64", 16)
-    m = default_ggm_input_bits(1)
-    assert m == 2
-    o = build_prg_prf(prg, m, 16, 2, 1, random.Random(55))
+    # m = 2 is the least input length whose budget 2^(m-2) admits a query
+    o = build_prg_prf(prg, 2, 16, 2, 1, random.Random(55))
     o.query(BitString(0, 16))
     assert o.key.f1.prg_calls + o.key.f2.prg_calls == 4
