@@ -6,32 +6,33 @@ thousands of trials and millions of key samples, and the test suite
 pins the batched output to the scalar output pointwise for every
 supported oracle shape.
 
-Keys reach the numpy path in one of two ways. A transform.KeySampler
-is sampled by its numpy twin: its slot layout runs on ColumnDraws,
-which reads every slot straight from the word matrix of a block of key
-streams (bits.stream_words), so the coefficients, seeds and tables go
-into arrays without a per-trial key object. Any other sampler is
-called trial by trial on the trial's key stream, and batch_answers
-reads the same arrays off the oracles it returns. Either way the
-arrays are the same, and so are the answers.
+games.run_game and games.tuple_uniformity_sd walk their trials or
+samples in blocks (blocks) of max(1, BLOCK_ELEMS // q) rows for q
+queries, and take each block's keys from block_keys in one of two
+ways. A transform.KeySampler is sampled by its numpy twin: its slot
+layout runs on ColumnDraws, which reads every slot straight from the
+word matrix of a block of key streams (bits.stream_words), so the
+coefficients, seeds and tables go into arrays without a per-trial key
+object. Any other sampler is called trial by trial on the trial's key
+stream, and batch_answers reads the same arrays off the oracles it
+returns. Either way the arrays are the same, and so are the answers.
+A block is sampled, answered and decided before the next one is
+sampled, so memory stays O(block * z) for adw keys with z inner maps,
+however many trials or samples are asked for.
 
 Every k-wise hash is evaluated as one rows x queries grid. The
 const_mul tables of the query points are stacked by query index once
-per batch_answers or batch_tuples call, in a dict local to that call
-and keyed by FieldSpec, so each Horner step is one gather per byte of
-the accumulator over the whole grid.
+per batch_answers call, in a dict local to that call and keyed by
+FieldSpec, so each Horner step is one gather per byte of the
+accumulator over the whole grid.
 
-Trials and samples are walked in blocks of max(1, BLOCK_ELEMS // q)
-rows for q queries: a block is sampled, answered and decided before
-the next one is sampled, so memory stays O(block * z) for adw keys
-with z inner maps, however many trials or samples are asked for.
-
-Supported shapes: lazy-random, hash-then-query over a k-wise key, the
-pp combiner, and the adw combiner with table or padded-prf inner
-maps. A block of affine adw keys (combine.is_affine) asked for more
-than d+1 points is answered from per-row byte tables of its inner
-values, as an ADWOracle answers once folded. Anything else falls back to the scalar game runner, so callers
-never need to know which path ran.
+Supported shapes: lazy-random, hash-then-query over a k-wise key
+(plain or range-restricted), the pp combiner, and the adw combiner
+with table or padded-prf inner maps. A block of affine adw keys
+(combine.is_affine) asked for more than d+1 points is answered from
+per-row byte tables of its inner values, as an ADWOracle answers once
+folded. batch_answers returns None for anything else, and the caller
+answers those oracles one query at a time.
 """
 
 from __future__ import annotations
@@ -40,24 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import C1, BitString, KeyStreams, mix64_np, stream_words, truncate
+from .bits import C1, KeyStreams, mix64_np, stream_words, truncate
 from .combine import ADWOracle, PPOracle
-from .errors import ConfigurationError, ProtocolViolation
-from .games import (
-    IDEAL_WORLD,
-    REAL_WORLD,
-    Distinguisher,
-    GameResult,
-    NonAdaptiveDistinguisher,
-    QueryGuard,
-    game_streams,
-    run_game,
-    sample_streams,
-)
 from .gf import FieldSpec, default_spec, linear_tables
-from .hashfam import KWiseHashKey, RandomTable, RestrictedHash, width_for
+from .hashfam import KWiseHashKey, RandomTable, RangeRestriction, RestrictedHash, width_for
 from .prfcore import LazyRandomOracle, LevinOracle
-from .transform import KeySampler, PaddedPrfMap, check_widths, pp_layout
+from .transform import KeySampler, PaddedPrfMap
 
 # Rows x queries of one block: large enough that numpy's per-call cost
 # is spread over many elements, small enough that a block of adw keys
@@ -102,7 +91,7 @@ def const_mul(spec: FieldSpec, c: int) -> _ConstMul:
     return cm
 
 
-def _blocks(rows: int, q: int):
+def blocks(rows: int, q: int):
     """Consecutive ranges of at most max(1, BLOCK_ELEMS // q) rows."""
     step = max(1, BLOCK_ELEMS // max(1, q))
     return (range(start, min(start + step, rows)) for start in range(0, rows, step))
@@ -276,6 +265,11 @@ class _ADW:
         return folded
 
 
+def _window_bits(bits: int, window: int | None) -> int:
+    """The bits a value keeps: all of its bits, or log2(window) of them."""
+    return bits if window is None else RangeRestriction(window, bits).index_bits
+
+
 class ColumnDraws:
     """transform.KeyDraws on a block of key streams, one row per stream.
 
@@ -293,15 +287,17 @@ class ColumnDraws:
         self._next += count
         return stream_words(self._heads, cols) & np.uint64(truncate(~0, bits))
 
-    def kwise(self, k: int, domain_bits: int, range_bits: int) -> _Hashes:
+    def kwise(self, k: int, domain_bits: int, range_bits: int,
+              window: int | None = None) -> _Hashes:
         w = width_for(domain_bits, range_bits)
-        return _Hashes(self._words(k, w), default_spec(w), domain_bits, range_bits)
+        out_bits = _window_bits(range_bits, window)
+        return _Hashes(self._words(k, w), default_spec(w), domain_bits, out_bits)
 
     def prf(self, domain_bits: int, range_bits: int) -> _Lazy:
         return _Lazy(self._words(1, 64)[:, 0], domain_bits, range_bits)
 
-    def table(self, count: int, entry_bits: int) -> _Tables:
-        return _Tables(self._words(count, entry_bits))
+    def table(self, count: int, entry_bits: int, window: int | None = None) -> _Tables:
+        return _Tables(self._words(count, _window_bits(entry_bits, window)))
 
     levin = _Levin
     pp = _PP
@@ -429,113 +425,17 @@ def batch_answers(oracles, queries) -> np.ndarray | None:
     return columns.grid(_Points(x.value for x in queries))
 
 
-def _block_keys(sampler, streams: KeyStreams, block: range, domain_bits: int):
+def block_keys(sampler, streams: KeyStreams, block: range, domain_bits: int):
     """The keys of a block of trials: the column form a KeySampler's
-    twin draws from the block's words, or else one oracle per trial."""
+    twin draws from the block's words, or else one oracle per trial.
+    None when the block's first oracle has no column form, so that a
+    block of oracles batch_answers would decline is never held at once.
+    """
     if isinstance(sampler, KeySampler):
         columns = sampler.layout(ColumnDraws(streams.heads(block)))
         if columns.domain_bits == domain_bits:
             return columns
-    return [sampler(streams.stream(t)) for t in block]
-
-
-def _scalar_verdicts(oracles, dist: NonAdaptiveDistinguisher) -> tuple[list[bool], int]:
-    verdicts, violations = [], 0
-    for oracle in oracles:
-        guard = QueryGuard(oracle, dist.budget, dist.allow_repeats)
-        try:
-            verdicts.append(bool(dist.run(guard)))
-        except ProtocolViolation:
-            violations += 1
-            verdicts.append(False)
-    return verdicts, violations
-
-
-def _decide(matrix: np.ndarray, dist: NonAdaptiveDistinguisher, keys) -> list[bool]:
-    if dist.decide_batch is not None:
-        return [bool(v) for v in dist.decide_batch(matrix)]
-    r = keys.range_bits if isinstance(keys, _BLOCK_COLUMNS) else keys[0].range_bits
-    return [bool(dist.decide([BitString(int(v), r) for v in row])) for row in matrix]
-
-
-def run_nonadaptive_game_batched(real_sampler, ideal_sampler,
-                                 dist: Distinguisher, trials: int, seed: int) -> GameResult:
-    """games.run_game with vectorized sampling and evaluation where possible.
-
-    Trial t of world w reads the same key stream as in run_game, one
-    block of trials at a time: through the numpy twin for a KeySampler,
-    trial by trial otherwise. So the result is identical to run_game,
-    and memory does not grow with trials. Blocks of unsupported oracles
-    are answered by the scalar loop, and distinguishers that are not
-    plain nonadaptive ones go to run_game itself.
-    """
-    if trials < 1:
-        raise ConfigurationError("trials must be positive")
-    if (not isinstance(dist, NonAdaptiveDistinguisher)
-            or type(dist).reset is not Distinguisher.reset
-            or type(dist).run is not NonAdaptiveDistinguisher.run):
-        return run_game(real_sampler, ideal_sampler, dist, trials, seed)
-
-    d = dist.queries[0].length
-    verdicts: dict[int, list[bool]] = {REAL_WORLD: [], IDEAL_WORLD: []}
-    violations = 0
-    for world, sampler in ((REAL_WORLD, real_sampler), (IDEAL_WORLD, ideal_sampler)):
-        streams = game_streams(seed, world)
-        for block in _blocks(trials, len(dist.queries)):
-            keys = _block_keys(sampler, streams, block, d)
-            matrix = batch_answers(keys, dist.queries)
-            if matrix is None:  # only oracle lists are ever declined
-                vs, bad = _scalar_verdicts(keys, dist)
-                violations += bad
-            else:
-                vs = _decide(matrix, dist, keys)
-            verdicts[world] += vs
-    return GameResult.from_verdicts(verdicts[REAL_WORLD], verdicts[IDEAL_WORLD], seed, violations)
-
-
-class PPTupleSampler(KeySampler):
-    """Freshly keyed pp handles for the uniformity estimator.
-
-    The handle of a sample reads its key slots from the sample's key
-    stream in pp_layout order: h1 coefficients are words 0..k-1, h2
-    k..2k-1, g 2k..3k-1, f1's seed word 3k and f2's 3k+1.
-    batch_tuples reads the same words through the numpy twin, so the
-    two routes are pointwise equal, and the tests pin that down.
-    """
-
-    def __init__(self, d: int, s: int, r: int, k: int):
-        if s < 1:
-            raise ConfigurationError("s must be positive")
-        check_widths(d=d, r=r)
-        if d < s:
-            raise ConfigurationError(f"extended domain d={d} below underlying s={s}")
-        if k < 2:
-            raise ConfigurationError(f"independence k must be at least 2, got {k}")
-        super().__init__(pp_layout(d, s, r, k))
-        self.d = d
-        self.s = s
-        self.r = r
-        self.k = k
-        self.range_bits = r
-
-    def batch_tuples(self, queries, samples: int, seed: int) -> np.ndarray:
-        """Output-tuple codes for the uniformity estimator.
-
-        Sample i's handle is keyed from games.sample_streams(seed)
-        .stream(i), as in the estimator's scalar loop; one block of
-        samples is derived and evaluated vectorized at a time.
-        """
-        queries = tuple(queries)
-        for x in queries:
-            if x.length != self.d:
-                raise ValueError(f"query length {x.length}, expected {self.d}")
-        points = _Points(x.value for x in queries)
-        streams = sample_streams(seed)
-        codes = np.empty(samples, dtype=np.int64)
-        for block in _blocks(samples, len(queries)):
-            outs = self.layout(ColumnDraws(streams.heads(block))).grid(points)
-            block_codes = np.zeros(len(block), dtype=np.int64)
-            for j in range(len(queries)):
-                block_codes = (block_codes << np.int64(self.r)) | outs[:, j].astype(np.int64)
-            codes[block.start:block.stop] = block_codes
-        return codes
+    first = sampler(streams.stream(block.start))
+    if _columns([first]) is None:
+        return None
+    return [first] + [sampler(streams.stream(t)) for t in block[1:]]

@@ -6,7 +6,7 @@ to stdout or --out as CSV (default) or JSON with one fixed column set
 across all experiments; hard-invariant failures are printed to stderr.
 
 Exit codes: 0 all checks passed, 1 a hard check failed, 2 the
-configuration violates a stated constraint.
+configuration violates a stated constraint or --out cannot be written.
 
 A flat JSON config file (--config) mirrors the flag names (master_seed
 for --seed) and wins over flags on conflict, with a notice on stderr.
@@ -176,22 +176,29 @@ def _dispatch(args: argparse.Namespace):
     raise ConfigurationError(f"unknown command {cmd!r}")
 
 
+def _write_out(path: str, text: str):
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output file: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config(parser, args)
         rows, problems = _dispatch(args)
+        text = (experiments.rows_to_csv(rows) if args.format == "csv"
+                else experiments.rows_to_json(rows))
+        if args.out:
+            _write_out(args.out, text)
+        else:
+            sys.stdout.write(text)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    text = (experiments.rows_to_csv(rows) if args.format == "csv"
-            else experiments.rows_to_json(rows))
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     for msg in problems:
         print(f"assertion failed: {msg}", file=sys.stderr)
     return 1 if problems else 0

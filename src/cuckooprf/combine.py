@@ -86,7 +86,7 @@ def pp_eval(key: PPKey, x: BitString) -> BitString:
 
 class PPOracle(Oracle):
     def __init__(self, key: PPKey):
-        super().__init__(key.domain_bits, key.range_bits, "pp")
+        super().__init__(key.domain_bits, key.range_bits)
         self.key = key
 
     def _answer(self, x: BitString) -> BitString:
@@ -232,7 +232,7 @@ class ADWOracle(Oracle):
     built only once it has been paid for, and answers from then on."""
 
     def __init__(self, key: ADWKey):
-        super().__init__(key.domain_bits, key.range_bits, "adw")
+        super().__init__(key.domain_bits, key.range_bits)
         self.key = key
         self._unfolded_left = key.domain_bits + 1
         self._folded = None

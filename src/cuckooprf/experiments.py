@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 
-from .batch import PPTupleSampler, run_nonadaptive_game_batched
 from .bits import BitString, key_stream, mix64, truncate
 from .combine import count_underlying_calls
 from .errors import ConfigurationError
@@ -45,8 +44,10 @@ from .transform import (
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
     build_adw_domain_extension,
+    check_widths,
     lazy_random_sampler,
     lazy_sampler,
+    pp_layout,
     pp_sampler,
 )
 
@@ -112,7 +113,7 @@ def birthday(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, seed: 
     )
     rows = []
     for name, sampler, kcol, zcol in targets:
-        res = run_nonadaptive_game_batched(sampler, ideal, dist, trials, seed)
+        res = run_game(sampler, ideal, dist, trials, seed)
         rows.append(_game_row(name, res, n=d, d=d, s=s, r=r, k=kcol, q=q, z=zcol))
     return rows, []
 
@@ -120,7 +121,14 @@ def birthday(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, seed: 
 def uniformity(d: int, s: int, r: int, k: int, queries: int, samples: int, seed: int):
     if queries < 1 or queries > 1 << d:
         raise ConfigurationError(f"{queries} distinct queries do not fit in {d} bits")
-    sampler = PPTupleSampler(d, s, r, k)
+    if s < 1:
+        raise ConfigurationError("s must be positive")
+    check_widths(d=d, r=r)
+    if d < s:
+        raise ConfigurationError(f"extended domain d={d} below underlying s={s}")
+    if k < 2:
+        raise ConfigurationError(f"independence k must be at least 2, got {k}")
+    sampler = KeySampler(pp_layout(d, s, r, k))
     qs = tuple(BitString(i, d) for i in range(queries))
     res = tuple_uniformity_sd(sampler, qs, samples, seed)
     row = _row("uniformity", n=d, d=d, s=s, r=r, k=k, q=queries, trials=samples,
@@ -255,7 +263,7 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     dist = birthday_distinguisher(q, d)
     ideal = lazy_sampler(d, r)
     z_prf, z_table = adw_z(params, "prf"), adw_z(params, "table")
-    # prf-backed keys have no numpy twin: they are drawn trial by trial
+    # prf-backed keys have no numpy twin: run_game draws them trial by trial
     targets = (
         ("adw-compare-pp", pp_sampler(params), k, 0, 2),
         ("adw-compare-prf", lambda rng: build_adw_domain_extension(params, "prf", rng),
@@ -272,7 +280,7 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
                     f"{name}: {f_calls} underlying calls per query, expected {expected_calls}"
                 )
                 break
-        res = run_nonadaptive_game_batched(sampler, ideal, dist, trials, seed)
+        res = run_game(sampler, ideal, dist, trials, seed)
         rows.append(_game_row(name, res, n=d, d=d, s=s, r=r, k=kcol, q=q, z=zcol))
     return rows, problems
 

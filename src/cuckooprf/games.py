@@ -9,9 +9,15 @@ reported stderr is the binomial error sqrt(pr(1-pr)/T + pi(1-pi)/T).
 Everything is deterministic given the master seed: trial t of world w
 (0 for real, 1 for ideal) keys its oracle from the counter-mode stream
 game_streams(seed, w).stream(t), whose word j is
-derive_seed(seed, GAME_TAG, w, t, j). The batched runner reads the same
-words, so rerunning a game either way reproduces every per-trial
-verdict.
+derive_seed(seed, GAME_TAG, w, t, j).
+
+run_game is the one game runner. It walks the trials of each world in
+blocks (batch.blocks). A plain nonadaptive distinguisher has each
+block's keys drawn by batch.block_keys, answered by batch.batch_answers
+and decided at once; any other distinguisher, and any block that
+batch_answers declines, is played by the per-trial loop, the reference
+path. Both read the same words, so either way every per-trial verdict
+is the same.
 
 Nonadaptive distinguishers commit to their query list at construction
 time, so nonadaptivity is enforced by shape rather than by discipline.
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import batch
 from .bits import BitString, KeyStreams, derive_seed
 from .errors import ConfigurationError, ProtocolViolation
 from .prfcore import LazyRandomOracle, Oracle
@@ -50,15 +57,14 @@ class GameResult:
     trials: int
     seed: int
     violations: int
-    real_verdicts: tuple[bool, ...]
-    ideal_verdicts: tuple[bool, ...]
 
     @classmethod
-    def from_verdicts(cls, real, ideal, seed: int, violations: int = 0) -> GameResult:
-        """The result of equally many real and ideal per-trial verdicts."""
-        trials = len(real)
-        p_real = sum(real) / trials
-        p_ideal = sum(ideal) / trials
+    def from_counts(cls, real_accepts: int, ideal_accepts: int, trials: int, seed: int,
+                    violations: int = 0) -> GameResult:
+        """The result of `trials` trials per world, of which real_accepts
+        and ideal_accepts were accepted."""
+        p_real = real_accepts / trials
+        p_ideal = ideal_accepts / trials
         return cls(
             p_real=p_real,
             p_ideal=p_ideal,
@@ -67,8 +73,6 @@ class GameResult:
             trials=trials,
             seed=seed,
             violations=violations,
-            real_verdicts=tuple(real),
-            ideal_verdicts=tuple(ideal),
         )
 
 
@@ -173,26 +177,60 @@ def run_game(real_sampler, ideal_sampler, dist: Distinguisher, trials: int, seed
     """Estimate the distinguisher's advantage between two samplers.
 
     Samplers are callables rng -> Oracle, invoked once per trial with
-    the trial's key stream. Trial sets of the two worlds are independent.
+    the trial's key stream; a transform.KeySampler is also sampled a
+    block at a time by its numpy twin. Trial sets of the two worlds are
+    independent.
     """
     if trials < 1:
         raise ConfigurationError("trials must be positive")
-    verdicts: dict[int, list[bool]] = {REAL_WORLD: [], IDEAL_WORLD: []}
+    batched = (isinstance(dist, NonAdaptiveDistinguisher)
+               and type(dist).reset is Distinguisher.reset
+               and type(dist).run is NonAdaptiveDistinguisher.run)
+    q = len(dist.queries) if batched else 1
+    accepts = {REAL_WORLD: 0, IDEAL_WORLD: 0}
     violations = 0
     for world, sampler in ((REAL_WORLD, real_sampler), (IDEAL_WORLD, ideal_sampler)):
         streams = game_streams(seed, world)
-        for t in range(trials):
-            rng = streams.stream(t)
-            oracle = sampler(rng)
-            dist.reset(rng)
-            guard = QueryGuard(oracle, dist.budget, dist.allow_repeats)
-            try:
-                verdict = bool(dist.run(guard))
-            except ProtocolViolation:
-                violations += 1
-                verdict = False
-            verdicts[world].append(verdict)
-    return GameResult.from_verdicts(verdicts[REAL_WORLD], verdicts[IDEAL_WORLD], seed, violations)
+        for block in batch.blocks(trials, q):
+            verdicts = _batched_verdicts(sampler, streams, block, dist) if batched else None
+            if verdicts is None:
+                verdicts, bad = _trial_verdicts(sampler, streams, block, dist)
+                violations += bad
+            accepts[world] += sum(verdicts)
+    return GameResult.from_counts(accepts[REAL_WORLD], accepts[IDEAL_WORLD], trials, seed,
+                                  violations)
+
+
+def _batched_verdicts(sampler, streams: KeyStreams, block: range,
+                      dist: NonAdaptiveDistinguisher) -> list[bool] | None:
+    """The block's verdicts from one answer matrix, or None if
+    batch_answers declines the block's keys. A function of its own, so
+    that a block's keys are gone before the next block is drawn."""
+    keys = batch.block_keys(sampler, streams, block, dist.queries[0].length)
+    matrix = None if keys is None else batch.batch_answers(keys, dist.queries)
+    if matrix is None:
+        return None
+    if dist.decide_batch is not None:
+        return [bool(v) for v in dist.decide_batch(matrix)]
+    r = (keys[0] if isinstance(keys, list) else keys).range_bits
+    return [bool(dist.decide([BitString(int(v), r) for v in row])) for row in matrix]
+
+
+def _trial_verdicts(sampler, streams: KeyStreams, block: range,
+                    dist: Distinguisher) -> tuple[list[bool], int]:
+    """The block's verdicts and protocol violations, one trial at a time."""
+    verdicts, violations = [], 0
+    for t in block:
+        rng = streams.stream(t)
+        oracle = sampler(rng)
+        dist.reset(rng)
+        guard = QueryGuard(oracle, dist.budget, dist.allow_repeats)
+        try:
+            verdicts.append(bool(dist.run(guard)))
+        except ProtocolViolation:
+            violations += 1
+            verdicts.append(False)
+    return verdicts, violations
 
 
 # birthday attack
@@ -268,7 +306,7 @@ def sample_involution(n: int, rng) -> list[int]:
 
 class InvolutionOracle(Oracle):
     def __init__(self, table: list[int], n: int):
-        super().__init__(n, n, "involution")
+        super().__init__(n, n)
         if len(table) != 1 << n:
             raise ValueError(f"table of {len(table)} entries for n={n}")
         self.table = table
@@ -311,19 +349,7 @@ def involution_samplers(n: int):
     return real, ideal
 
 
-def involution_game(n: int, trials: int, seed: int) -> GameResult:
-    real, ideal = involution_samplers(n)
-    return run_game(real, ideal, involution_distinguisher(n), trials, seed)
-
-
 # statistical distance
-
-def exact_sd(p: dict, q: dict) -> float:
-    """Exact statistical distance of two distributions on one support."""
-    if set(p) != set(q):
-        raise ValueError("supports differ")
-    return 0.5 * sum(abs(p[u] - q[u]) for u in p)
-
 
 @dataclass(frozen=True)
 class UniformityResult:
@@ -338,19 +364,6 @@ def _sd_from_codes(codes: np.ndarray, support: int, samples: int) -> float:
     return float(0.5 * np.abs(counts / samples - 1.0 / support).sum())
 
 
-class UniformTupleSampler:
-    """Reference sampler whose batch route is the baseline generator
-    itself, so its estimated distance equals the baseline exactly."""
-
-    def __init__(self, range_bits: int):
-        self.range_bits = range_bits
-
-    def batch_tuples(self, queries, samples: int, seed: int) -> np.ndarray:
-        support = 1 << (self.range_bits * len(queries))
-        gen = np.random.Generator(np.random.PCG64(derive_seed(seed, _BASELINE_TAG)))
-        return gen.integers(0, support, size=samples, dtype=np.int64)
-
-
 def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> UniformityResult:
     """Plug-in statistical distance of the joint output tuple from uniform.
 
@@ -362,9 +375,10 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     point because the plug-in estimate is biased upward.
 
     handle_sampler is a callable rng -> oracle, called on sample i's
-    stream sample_streams(seed).stream(i); if it also provides
-    batch_tuples(queries, samples, seed) -> codes, that route is used
-    instead of the per-sample loop and must agree with it pointwise.
+    stream sample_streams(seed).stream(i). Samples are walked in blocks
+    as run_game walks trials: a transform.KeySampler is sampled by its
+    numpy twin, and blocks batch_answers declines are queried one
+    handle at a time, with the same codes either way.
     """
     queries = tuple(queries)
     if not queries:
@@ -373,10 +387,7 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
         raise ValueError("queries must be distinct")
 
     streams = sample_streams(seed)
-    r = getattr(handle_sampler, "range_bits", None)
-    if r is None:
-        probe = handle_sampler(streams.stream(0))
-        r = probe.range_bits
+    r = handle_sampler(streams.stream(0)).range_bits
     t = len(queries)
     if r * t > 16:
         raise ConfigurationError(f"support of 2^{r * t} cells exceeds the 2^16 cap")
@@ -386,16 +397,9 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
             f"{samples} samples below the floor of 1000 per cell ({1000 * support})"
         )
 
-    if hasattr(handle_sampler, "batch_tuples"):
-        codes = np.asarray(handle_sampler.batch_tuples(queries, samples, seed))
-    else:
-        codes = np.empty(samples, dtype=np.int64)
-        for i in range(samples):
-            handle = handle_sampler(streams.stream(i))
-            code = 0
-            for x in queries:
-                code = (code << r) | handle.query(x).value
-            codes[i] = code
+    codes = np.empty(samples, dtype=np.int64)
+    for block in batch.blocks(samples, t):
+        codes[block.start:block.stop] = _block_codes(handle_sampler, streams, block, queries, r)
 
     sd_estimate = _sd_from_codes(codes, support, samples)
     gen = np.random.Generator(np.random.PCG64(derive_seed(seed, _BASELINE_TAG)))
@@ -404,101 +408,14 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     return UniformityResult(sd_estimate, baseline_sd, support, samples)
 
 
-# many-oracle to single-oracle hybrid
-
-class MultiOracleNonAdaptiveDistinguisher:
-    """Nonadaptive distinguisher against s oracles of one shape.
-
-    queries is a sequence of (oracle_index, input) pairs; decide sees
-    the answers aligned with it. Queries to any single oracle must be
-    distinct.
-    """
-
-    def __init__(self, s: int, queries, decide, domain_bits: int, range_bits: int):
-        if s < 1:
-            raise ValueError("need at least one oracle")
-        self.s = s
-        self.queries = tuple(queries)
-        self.decide = decide
-        self.domain_bits = domain_bits
-        self.range_bits = range_bits
-        per: dict[int, set[int]] = {}
-        for idx, x in self.queries:
-            if not 0 <= idx < s:
-                raise ValueError(f"oracle index {idx} out of range")
-            if x.length != domain_bits:
-                raise ValueError("query length mismatch")
-            seen = per.setdefault(idx, set())
-            if x.value in seen:
-                raise ValueError(f"repeated query to oracle {idx}")
-            seen.add(x.value)
-
-
-class _HybridWrapped(NonAdaptiveDistinguisher):
-    def __init__(self, multi, j: int, family_sampler, ideal_sampler):
-        self.multi = multi
-        self.j = j
-        self.family_sampler = family_sampler
-        self.ideal_sampler = ideal_sampler
-        self._aux: dict[int, Oracle] = {}
-        challenge_queries = tuple(x for idx, x in multi.queries if idx == j)
-        if not challenge_queries:
-            challenge_queries = (BitString(0, multi.domain_bits),)
-            self._challenge_used = False
-        else:
-            self._challenge_used = True
-        super().__init__(challenge_queries, decide=None)
-
-    def reset(self, rng):
-        self._aux = {}
-        for i in range(self.multi.s):
-            if i == self.j:
-                continue
-            sampler = self.ideal_sampler if i < self.j else self.family_sampler
-            self._aux[i] = sampler(rng)
-
-    def run(self, query) -> bool:
-        challenge_answers = {}
-        if self._challenge_used:
-            for x in self.queries:
-                challenge_answers[x.value] = query(x)
-        answers = []
-        for idx, x in self.multi.queries:
-            if idx == self.j:
-                answers.append(challenge_answers[x.value])
-            else:
-                answers.append(self._aux[idx].query(x))
-        return bool(self.multi.decide(answers))
-
-
-def hybrid_wrap(multi: MultiOracleNonAdaptiveDistinguisher, j: int, family_sampler,
-                ideal_sampler=None) -> Distinguisher:
-    """Single-oracle distinguisher: slot j is the challenge, slots below
-    j are fresh ideal samples, slots above are fresh family samples.
-    Averaged over j, the wrapped advantage is at least 1/s of the
-    multi-oracle advantage."""
-    if not 0 <= j < multi.s:
-        raise ValueError(f"slot {j} out of range for {multi.s} oracles")
-    if ideal_sampler is None:
-        ideal_sampler = lambda rng: LazyRandomOracle(
-            rng.getrandbits(64), multi.domain_bits, multi.range_bits
-        )
-    return _HybridWrapped(multi, j, family_sampler, ideal_sampler)
-
-
-def run_multi_game(family_sampler, ideal_sampler,
-                   multi: MultiOracleNonAdaptiveDistinguisher,
-                   trials: int, seed: int) -> GameResult:
-    """Direct advantage of a multi-oracle distinguisher: all s oracles
-    family-sampled versus all s ideal-sampled."""
-    if trials < 1:
-        raise ConfigurationError("trials must be positive")
-    verdicts: dict[int, list[bool]] = {REAL_WORLD: [], IDEAL_WORLD: []}
-    for world, sampler in ((REAL_WORLD, family_sampler), (IDEAL_WORLD, ideal_sampler)):
-        streams = game_streams(seed, world)
-        for t in range(trials):
-            rng = streams.stream(t)
-            oracles = [sampler(rng) for _ in range(multi.s)]
-            answers = [oracles[idx].query(x) for idx, x in multi.queries]
-            verdicts[world].append(bool(multi.decide(answers)))
-    return GameResult.from_verdicts(verdicts[REAL_WORLD], verdicts[IDEAL_WORLD], seed)
+def _block_codes(sampler, streams: KeyStreams, block: range, queries, r: int) -> np.ndarray:
+    """The output-tuple codes of a block of samples."""
+    keys = batch.block_keys(sampler, streams, block, queries[0].length)
+    outs = None if keys is None else batch.batch_answers(keys, queries)
+    if outs is None:
+        handles = keys if keys is not None else (sampler(streams.stream(i)) for i in block)
+        outs = np.array([[h.query(x).value for x in queries] for h in handles], dtype=np.uint64)
+    codes = np.zeros(len(block), dtype=np.int64)
+    for j in range(len(queries)):
+        codes = (codes << np.int64(r)) | outs[:, j].astype(np.int64)
+    return codes

@@ -22,20 +22,15 @@ from dataclasses import dataclass
 from .bits import C1, C2, BitString, mix64, truncate
 from .errors import ConfigurationError
 
-ORACLE_KINDS = ("lazy-random", "ggm", "pp", "adw", "levin", "involution", "composite")
-
 
 class Oracle:
-    """Base class: length-checked querying plus kind/shape metadata."""
+    """Base class: length-checked querying plus shape metadata."""
 
-    def __init__(self, domain_bits: int, range_bits: int, kind: str):
+    def __init__(self, domain_bits: int, range_bits: int):
         if domain_bits < 0 or range_bits < 1:
             raise ValueError(f"bad oracle shape {domain_bits}->{range_bits}")
-        if kind not in ORACLE_KINDS:
-            raise ValueError(f"unknown oracle kind {kind!r}")
         self.domain_bits = domain_bits
         self.range_bits = range_bits
-        self.kind = kind
 
     def query(self, x: BitString) -> BitString:
         if x.length != self.domain_bits:
@@ -59,7 +54,7 @@ def lazy_answer(seed: int, x_as_64: int, range_bits: int) -> int:
 
 class LazyRandomOracle(Oracle):
     def __init__(self, seed: int, domain_bits: int, range_bits: int):
-        super().__init__(domain_bits, range_bits, "lazy-random")
+        super().__init__(domain_bits, range_bits)
         if domain_bits > 64:
             raise ConfigurationError(f"lazy-random domain capped at 64 bits, got {domain_bits}")
         if range_bits > 64:
@@ -73,8 +68,8 @@ class LazyRandomOracle(Oracle):
 class FunctionOracle(Oracle):
     """Wrap an arbitrary function as an oracle. The function must be pure."""
 
-    def __init__(self, fn, domain_bits: int, range_bits: int, kind: str = "composite"):
-        super().__init__(domain_bits, range_bits, kind)
+    def __init__(self, fn, domain_bits: int, range_bits: int):
+        super().__init__(domain_bits, range_bits)
         self._fn = fn
 
     def _answer(self, x: BitString) -> BitString:
@@ -88,7 +83,7 @@ class InstrumentedOracle(Oracle):
     """Forwarding wrapper that records call count and the query sequence."""
 
     def __init__(self, inner: Oracle):
-        super().__init__(inner.domain_bits, inner.range_bits, inner.kind)
+        super().__init__(inner.domain_bits, inner.range_bits)
         self.inner = inner
         self.calls = 0
         self.queries: list[BitString] = []
@@ -182,7 +177,7 @@ def ggm_eval(key: GgmKey, x: BitString, expand=None, on_node=None) -> BitString:
 
 class GgmOracle(Oracle):
     def __init__(self, key: GgmKey):
-        super().__init__(key.input_bits, key.prg.seed_bits, "ggm")
+        super().__init__(key.input_bits, key.prg.seed_bits)
         self.key = key
         self.prg_calls = 0
 
@@ -206,7 +201,7 @@ class LevinOracle(Oracle):
             raise ValueError(
                 f"hash range {h.range_bits} does not match oracle domain {f.domain_bits}"
             )
-        super().__init__(h.domain_bits, f.range_bits, "levin")
+        super().__init__(h.domain_bits, f.range_bits)
         self.h = h
         self.f = f
 

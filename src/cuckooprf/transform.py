@@ -8,33 +8,33 @@ which makes experiments exact: the combiner is then measured against
 a genuinely random backing function, so any distinguishing advantage
 is attributable to the combiner itself.
 
-The four transformations:
+The five builders, each one of the two slot layouts below:
 
   build_pp_domain_extension      s-bit-domain PRF -> d-bit-domain PRF,
                                  two calls per query, q <= 2^(s-2)
   build_adaptive_from_nonadaptive
                                  nonadaptively-secure PRF -> adaptively
-                                 secure PRF; every underlying query
-                                 lands in the first 4q strings
+                                 secure PRF: pp_layout with h1 and h2
+                                 restricted to the first 4q strings
   build_adw_domain_extension     like pp but with z inner maps; the
                                  "prf" variant spends 3z+2 calls, the
                                  "table" variant 2 calls plus lookups
-  build_prg_prf                  length-doubling generator -> PRF via
-                                 hashed tree evaluation, 2m generator
-                                 calls per query
-
-A table-backed adaptive-security variant (build_adw_adaptive_from_
-nonadaptive) mirrors the second builder with tabulated inner maps
-whose entries stay inside the first 4q strings, preserving locality.
+  build_adw_adaptive_from_nonadaptive
+                                 the table adw_layout with h1, h2 and
+                                 the m-table entries inside the first
+                                 4q strings
+  build_prg_prf                  length-doubling generator -> PRF:
+                                 pp_layout over two tree PRFs, 2m
+                                 generator calls per query
 
 Drawn from a key stream (bits.key_stream), every slot of a key takes
 whole words: a k-wise hash over GF(2^w) takes k words of w bits, a
-lazy-random oracle one 64-bit word, a table one word per entry. The
-domain-extension keys are written once as slot layouts over a draws
-interface: KeyDraws draws each slot as a key object from an rng, and
+lazy-random oracle one 64-bit word, a table one word per entry. Each
+key shape is written once as a slot layout over a draws interface:
+KeyDraws draws each slot as a key object from an rng, and
 batch.ColumnDraws reads the same slots as word columns of a block of
-key streams. A KeySampler wraps a layout, so the batched runner can
-sample its keys without building them.
+key streams. A KeySampler wraps a layout, so games.run_game can sample
+a block of keys without building them.
 """
 
 from __future__ import annotations
@@ -104,21 +104,29 @@ def _check_query_budget(q: int, s: int):
 class KeyDraws:
     """Key slots drawn from an rng, each as a scalar key object.
 
-    Underlying PRF slots come from f_sampler (default lazy-random).
+    Underlying PRF slots come from f_sampler (default lazy-random). A
+    window confines a hash to the first `window` strings of its range
+    (RangeRestriction), and a table's entries to log2(window)-bit
+    values in their entry_bits-bit range.
     """
 
     def __init__(self, rng, f_sampler=None):
         self.rng = rng
         self.f_sampler = f_sampler or lazy_random_sampler
 
-    def kwise(self, k: int, domain_bits: int, range_bits: int):
-        return sample_kwise(k, domain_bits, range_bits, self.rng)
+    def kwise(self, k: int, domain_bits: int, range_bits: int, window: int | None = None):
+        key = sample_kwise(k, domain_bits, range_bits, self.rng)
+        return key if window is None else restrict_to_table(
+            key, RangeRestriction(window, range_bits))
 
     def prf(self, domain_bits: int, range_bits: int) -> Oracle:
         return self.f_sampler(self.rng, domain_bits, range_bits)
 
-    def table(self, count: int, entry_bits: int) -> RandomTable:
-        return sample_table(count, entry_bits, self.rng)
+    def table(self, count: int, entry_bits: int, window: int | None = None) -> RandomTable:
+        if window is None:
+            return sample_table(count, entry_bits, self.rng)
+        bits = RangeRestriction(window, entry_bits).index_bits
+        return RandomTable(tuple(self.rng.getrandbits(bits) for _ in range(count)), entry_bits)
 
     def levin(self, h, f) -> LevinOracle:
         return LevinOracle(h, f)
@@ -150,13 +158,14 @@ def lazy_sampler(domain_bits: int, range_bits: int) -> KeySampler:
     return KeySampler(lambda draws: draws.prf(domain_bits, range_bits))
 
 
-def pp_layout(d: int, s: int, r: int, k: int):
-    """pp slots: h1, h2 (d to s bits) and g (d to r bits), k coefficients
-    each, then the underlying f1 and f2."""
+def pp_layout(d: int, s: int, r: int, k: int, window: int | None = None):
+    """pp slots: h1, h2 (d to s bits, inside the first `window` strings
+    if one is given) and g (d to r bits), k coefficients each, then the
+    underlying f1 and f2."""
 
     def layout(draws):
-        h1 = draws.kwise(k, d, s)
-        h2 = draws.kwise(k, d, s)
+        h1 = draws.kwise(k, d, s, window)
+        h2 = draws.kwise(k, d, s, window)
         g = draws.kwise(k, d, r)
         f1 = draws.prf(s, r)
         return draws.pp(h1, h2, g, f1, draws.prf(s, r))
@@ -181,7 +190,6 @@ def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None)
     inside that prefix; a nonadaptively secure f suffices there because
     the full query set is fixed in advance.
     """
-    f_sampler = f_sampler or lazy_random_sampler
     check_widths(n=n)
     if k < 2:
         raise ConfigurationError(f"independence k must be at least 2, got {k}")
@@ -189,13 +197,7 @@ def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None)
         raise ConfigurationError(f"query budget q={q} must be a power of two")
     if 4 * q > 1 << n:
         raise ConfigurationError(f"4q={4 * q} exceeds the domain of {n} bits")
-    restriction = RangeRestriction(4 * q, n)
-    h1 = restrict_to_table(sample_kwise(k, n, n, rng), restriction)
-    h2 = restrict_to_table(sample_kwise(k, n, n, rng), restriction)
-    g = sample_kwise(k, n, n, rng)
-    f1 = f_sampler(rng, n, n)
-    f2 = f_sampler(rng, n, n)
-    return PPOracle(PPKey(h1, h2, g, f1, f2))
+    return pp_layout(n, n, n, k, window=4 * q)(KeyDraws(rng, f_sampler))
 
 
 def adw_table_z(c: int, q: int) -> int:
@@ -222,14 +224,14 @@ class PaddedPrfMap(Oracle):
                 f"{domain_bits}->{range_bits} view does not embed in "
                 f"{f.domain_bits}->{f.range_bits}"
             )
-        super().__init__(domain_bits, range_bits, "composite")
+        super().__init__(domain_bits, range_bits)
         self.f = f
 
     def _answer(self, x: BitString) -> BitString:
         return self.f.query(x.zero_extend(self.f.domain_bits)).truncate_low(self.range_bits)
 
 
-def adw_layout(p: ExtensionParams, variant: str):
+def adw_layout(p: ExtensionParams, variant: str, window: int | None = None):
     """adw slots in one of two shapes.
 
     variant "prf": z = 2(c+2) inner maps on u = log2(q) bits, each
@@ -240,6 +242,11 @@ def adw_layout(p: ExtensionParams, variant: str):
     variant "table": z = 2(c+2)*ceil(log2 q) inner maps on one bit,
     each a 2-entry random table, so one query spends exactly two
     underlying calls.
+
+    A window confines h1 and h2 to the first `window` strings of
+    {0,1}^s and, in the table variant, the m1/m2 entries to
+    log2(window)-bit values; XOR cannot leave that prefix when window
+    is a power of two. The prf variant's m maps are not confined.
     """
     z = adw_z(p, variant)
     _check_query_budget(p.q, p.s)
@@ -251,8 +258,8 @@ def adw_layout(p: ExtensionParams, variant: str):
             raise ConfigurationError(f"need u <= s <= r, got u={u}, s={p.s}, r={p.r}")
 
     def layout(draws):
-        h1 = draws.kwise(2, p.d, p.s)
-        h2 = draws.kwise(2, p.d, p.s)
+        h1 = draws.kwise(2, p.d, p.s, window)
+        h2 = draws.kwise(2, p.d, p.s, window)
         ell = draws.kwise(2, p.d, p.r)
         if variant == "prf":
             gbar = tuple(draws.kwise(2, p.d, u) for _ in range(z))
@@ -261,8 +268,8 @@ def adw_layout(p: ExtensionParams, variant: str):
             ybar = tuple(PaddedPrfMap(draws.prf(p.s, p.r), u, p.r) for _ in range(z))
         else:
             gbar = tuple(draws.kwise(2, p.d, 1) for _ in range(z))
-            m1bar = tuple(draws.table(2, p.s) for _ in range(z))
-            m2bar = tuple(draws.table(2, p.s) for _ in range(z))
+            m1bar = tuple(draws.table(2, p.s, window) for _ in range(z))
+            m2bar = tuple(draws.table(2, p.s, window) for _ in range(z))
             ybar = tuple(draws.table(2, p.r) for _ in range(z))
         f1 = draws.prf(p.s, p.r)
         return draws.adw(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, draws.prf(p.s, p.r))
@@ -282,7 +289,6 @@ def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=N
     of {0,1}^n; XOR cannot leave that prefix (4q is a power of two),
     so underlying queries stay inside it.
     """
-    f_sampler = f_sampler or lazy_random_sampler
     check_widths(n=n)
     if q < 2 or q & (q - 1):
         raise ConfigurationError(f"query budget q={q} must be a power of two, at least 2")
@@ -290,19 +296,8 @@ def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=N
         raise ConfigurationError(f"4q={4 * q} exceeds the domain of {n} bits")
     if c < 1:
         raise ConfigurationError("hardness exponent c must be at least 1")
-    z = adw_table_z(c, q)
-    restriction = RangeRestriction(4 * q, n)
-    j = restriction.index_bits
-    h1 = restrict_to_table(sample_kwise(2, n, n, rng), restriction)
-    h2 = restrict_to_table(sample_kwise(2, n, n, rng), restriction)
-    ell = sample_kwise(2, n, n, rng)
-    gbar = tuple(sample_kwise(2, n, 1, rng) for _ in range(z))
-    m1bar = tuple(RandomTable((rng.getrandbits(j), rng.getrandbits(j)), n) for _ in range(z))
-    m2bar = tuple(RandomTable((rng.getrandbits(j), rng.getrandbits(j)), n) for _ in range(z))
-    ybar = tuple(RandomTable((rng.getrandbits(n), rng.getrandbits(n)), n) for _ in range(z))
-    f1 = f_sampler(rng, n, n)
-    f2 = f_sampler(rng, n, n)
-    return ADWOracle(ADWKey(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, f2))
+    p = ExtensionParams(d=n, s=n, r=n, k=2, q=q, c=c)
+    return adw_layout(p, "table", window=4 * q)(KeyDraws(rng, f_sampler))
 
 
 def build_prg_prf(prg: PrgSpec, m: int, n: int, k: int, q: int, rng) -> PPOracle:
@@ -316,9 +311,8 @@ def build_prg_prf(prg: PrgSpec, m: int, n: int, k: int, q: int, rng) -> PPOracle
         raise ConfigurationError(f"independence k must be at least 2, got {k}")
     if m < 2 or q > 1 << (m - 2):
         raise ConfigurationError(f"query budget q={q} exceeds 2^(m-2) for m={m}")
-    h1 = sample_kwise(k, n, m, rng)
-    h2 = sample_kwise(k, n, m, rng)
-    g = sample_kwise(k, n, n, rng)
-    f1 = GgmOracle(GgmKey(BitString(rng.getrandbits(n), n), m, prg))
-    f2 = GgmOracle(GgmKey(BitString(rng.getrandbits(n), n), m, prg))
-    return PPOracle(PPKey(h1, h2, g, f1, f2))
+
+    def ggm_sampler(rng, domain_bits: int, range_bits: int) -> GgmOracle:
+        return GgmOracle(GgmKey(BitString(rng.getrandbits(range_bits), range_bits), domain_bits, prg))
+
+    return pp_layout(n, m, n, k)(KeyDraws(rng, ggm_sampler))

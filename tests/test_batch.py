@@ -3,18 +3,16 @@ import random
 import numpy as np
 import pytest
 
-from cuckooprf import batch
+from cuckooprf import batch, games
 from cuckooprf.batch import (
-    PPTupleSampler,
     batch_answers,
     batch_eval_kwise,
     const_mul,
     lazy_answers,
-    run_nonadaptive_game_batched,
 )
 from cuckooprf.bits import BitString, derive_seed, key_stream, mix64, mix64_np, truncate
 from cuckooprf.errors import ConfigurationError
-from cuckooprf.experiments import levin_sampler
+from cuckooprf.experiments import levin_sampler, uniformity
 from cuckooprf.games import (
     NonAdaptiveDistinguisher,
     birthday_distinguisher,
@@ -24,16 +22,18 @@ from cuckooprf.games import (
 )
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
 from cuckooprf.hashfam import KWiseHashKey, sample_kwise
-from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle, LevinOracle
+from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle, LevinOracle, PrgSpec
 from cuckooprf.transform import (
     ExtensionParams,
+    KeySampler,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
     build_adw_domain_extension,
     build_pp_domain_extension,
     build_prg_prf,
+    pp_layout,
 )
-from cuckooprf.prfcore import PrgSpec
+from gamepaths import assert_paths_agree
 
 
 def test_mix64_np_matches_scalar():
@@ -198,11 +198,10 @@ def test_batch_answers_declines_unsupported_shapes():
 
 
 def test_batched_game_equals_scalar_game_for_mixed_hash_shapes():
+    # blocks whose rows mix two hash shapes are declined and played per trial
     k2, k3 = levin_sampler(12, 8, 8, 2), levin_sampler(12, 8, 8, 3)
     mixed = lambda rng: (k2 if rng.getrandbits(1) else k3)(rng)
-    dist = birthday_distinguisher(16, 12)
-    fast = run_nonadaptive_game_batched(mixed, _mk_lazy(12, 8), dist, 20, 924)
-    assert fast == run_game(mixed, _mk_lazy(12, 8), dist, 20, 924)
+    assert_paths_agree(mixed, _mk_lazy(12, 8), birthday_distinguisher(16, 12), 20, 924)
 
 
 def _sampler_grid():
@@ -230,10 +229,7 @@ def _mk_lazy(d, r):
 def test_batched_game_equals_scalar_game():
     for name, sampler, q, d in _sampler_grid():
         ideal = _mk_lazy(d, 24 if d == 24 else 12)
-        dist = birthday_distinguisher(q, d)
-        fast = run_nonadaptive_game_batched(sampler, ideal, dist, 20, 920)
-        slow = run_game(sampler, ideal, dist, 20, 920)
-        assert fast == slow, name
+        assert_paths_agree(sampler, ideal, birthday_distinguisher(q, d), 20, 920)
 
 
 def test_batched_game_equals_scalar_without_decide_batch():
@@ -244,17 +240,20 @@ def test_batched_game_equals_scalar_without_decide_batch():
     dist = NonAdaptiveDistinguisher(
         queries, lambda ans: len({a.value for a in ans}) < len(ans)
     )
-    fast = run_nonadaptive_game_batched(sampler, _mk_lazy(24, 24), dist, 15, 921)
-    slow = run_game(sampler, _mk_lazy(24, 24), dist, 15, 921)
-    assert fast == slow
+    assert_paths_agree(sampler, _mk_lazy(24, 24), dist, 15, 921)
 
 
-def test_batched_game_falls_back_for_unsupported_oracles():
+def test_batched_game_falls_back_for_unsupported_oracles(monkeypatch):
     rng_free = lambda rng: build_prg_prf(PrgSpec("mix64", 16), 8, 16, 2, 16, rng)
     dist = birthday_distinguisher(16, 16)
-    fast = run_nonadaptive_game_batched(rng_free, _mk_lazy(16, 16), dist, 10, 922)
-    slow = run_game(rng_free, _mk_lazy(16, 16), dist, 10, 922)
-    assert fast == slow
+    assert_paths_agree(rng_free, _mk_lazy(16, 16), dist, 10, 922)
+    # a block of tree-backed oracles is never drawn whole for batch_answers
+    held = []
+    answers = batch.batch_answers
+    monkeypatch.setattr(batch, "batch_answers",
+                        lambda keys, qs: held.append(keys) or answers(keys, qs))
+    run_game(rng_free, rng_free, dist, 10, 922)
+    assert held == []
 
 
 def test_batched_game_falls_back_for_custom_distinguishers():
@@ -264,25 +263,25 @@ def test_batched_game_falls_back_for_custom_distinguishers():
         def reset(self, rng):
             calls.append(rng.getrandbits(8))
 
-    dist = Custom([BitString(i, 16) for i in range(8)],
-                  lambda ans: len({a.value for a in ans}) < 8)
-    fast = run_nonadaptive_game_batched(_mk_lazy(16, 16), _mk_lazy(16, 16), dist, 10, 923)
-    calls_after_fast = len(calls)
-    slow = run_game(_mk_lazy(16, 16), _mk_lazy(16, 16), dist, 10, 923)
-    assert fast == slow
-    # the batched entry point really did route through the scalar loop
-    assert calls_after_fast == 20
+    queries = [BitString(i, 16) for i in range(8)]
+    decide = lambda ans: len({a.value for a in ans}) < 8
+    custom = run_game(_mk_lazy(16, 16), _mk_lazy(16, 16), Custom(queries, decide), 10, 923)
+    plain = run_game(_mk_lazy(16, 16), _mk_lazy(16, 16),
+                     NonAdaptiveDistinguisher(queries, decide), 10, 923)
+    assert custom == plain
+    # the runner really did play it trial by trial, resetting it each time
+    assert len(calls) == 20
 
 
 def test_batched_game_validation():
     dist = birthday_distinguisher(8, 8)
     with pytest.raises(ConfigurationError):
-        run_nonadaptive_game_batched(_mk_lazy(8, 8), _mk_lazy(8, 8), dist, 0, 1)
+        run_game(_mk_lazy(8, 8), _mk_lazy(8, 8), dist, 0, 1)
 
 
 def test_tuple_sampler_draws_the_pp_slot_layout():
     # k coefficients for each of h1, h2 and g over GF(2^8), then the two f seeds
-    sampler = PPTupleSampler(8, 8, 2, 8)
+    sampler = KeySampler(pp_layout(8, 8, 2, 8))
 
     class Probe(random.Random):
         def __init__(self):
@@ -299,7 +298,7 @@ def test_tuple_sampler_draws_the_pp_slot_layout():
 
 
 def test_tuple_sampler_reads_slot_i_from_word_i():
-    sampler = PPTupleSampler(8, 8, 2, 3)
+    sampler = KeySampler(pp_layout(8, 8, 2, 3))
     key = sampler(key_stream(99, 5)).key
     words = [derive_seed(99, 5, j) for j in range(11)]
     assert key.h1.coeffs == tuple(truncate(w, 8) for w in words[0:3])
@@ -311,22 +310,29 @@ def test_tuple_sampler_reads_slot_i_from_word_i():
 
 
 def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):
-    # blocks of 128 samples at 4 queries, so 500 samples span four
+    # blocks of 256 samples at 2 queries, so 4000 samples span sixteen
     monkeypatch.setattr(batch, "BLOCK_ELEMS", 512)
-    sampler = PPTupleSampler(8, 8, 2, 8)
-    queries = [BitString(i, 8) for i in range(4)]
-    samples, seed = 500, 724
-    codes = sampler.batch_tuples(queries, samples, seed)
+    sampler = KeySampler(pp_layout(8, 8, 1, 8))
+    queries = [BitString(i, 8) for i in (0, 200)]
+    samples, seed = 4000, 724
+    codes = []
+    sd_from_codes = games._sd_from_codes
+    monkeypatch.setattr(games, "_sd_from_codes",
+                        lambda c, *rest: codes.append(c.tolist()) or sd_from_codes(c, *rest))
+    twin = tuple_uniformity_sd(sampler, queries, samples, seed)
+    # the same handles behind a shape batch_answers declines: queried one by one
+    opaque = lambda rng: FunctionOracle(sampler(rng).query, 8, 1)
+    assert tuple_uniformity_sd(opaque, queries, samples, seed) == twin
+    want = []
     for i in range(samples):
         handle = sampler(sample_streams(seed).stream(i))
-        code = 0
-        for x in queries:
-            code = (code << 2) | handle.query(x).value
-        assert int(codes[i]) == code
+        want.append((handle.query(queries[0]).value << 1) | handle.query(queries[1]).value)
+    # each run passes its codes, then the uniform baseline's
+    assert codes[0] == codes[2] == want
 
 
 def test_tuple_sampler_feeds_the_uniformity_estimator():
-    sampler = PPTupleSampler(8, 8, 2, 8)
+    sampler = KeySampler(pp_layout(8, 8, 2, 8))
     queries = [BitString(i, 8) for i in range(2)]
     res = tuple_uniformity_sd(sampler, queries, 16000, 725)
     assert res.support == 16
@@ -335,11 +341,11 @@ def test_tuple_sampler_feeds_the_uniformity_estimator():
 
 def test_tuple_sampler_validation():
     with pytest.raises(ConfigurationError):
-        PPTupleSampler(4, 8, 2, 8)  # d < s
+        uniformity(4, 8, 2, 8, 4, 10**6, 1)  # d < s
     with pytest.raises(ConfigurationError):
-        PPTupleSampler(8, 8, 2, 1)
+        uniformity(8, 8, 2, 1, 4, 10**6, 1)
     with pytest.raises(ConfigurationError):
-        PPTupleSampler(8, 0, 2, 8)
-    sampler = PPTupleSampler(8, 8, 2, 8)
+        uniformity(8, 0, 2, 8, 4, 10**6, 1)
+    sampler = KeySampler(pp_layout(8, 8, 2, 8))
     with pytest.raises(ValueError):
-        sampler.batch_tuples([BitString(0, 6)], 10, 1)
+        tuple_uniformity_sd(sampler, [BitString(0, 6)], 4000, 1)

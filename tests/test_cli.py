@@ -208,6 +208,20 @@ def test_malformed_config_exits_2(text, tmp_path, capsys):
     _assert_configuration_error(rc, capsys.readouterr().err)
 
 
+def test_out_to_a_missing_directory_exits_2(tmp_path, capsys):
+    rc = cli.main(["birthday", "--trials", "3", "--out", str(tmp_path / "absent" / "x.csv")])
+    err = capsys.readouterr().err
+    _assert_configuration_error(rc, err)
+    assert "cannot write output file" in err
+
+
+def test_out_to_a_directory_exits_2(tmp_path, capsys):
+    rc = cli.main(["birthday", "--trials", "3", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    _assert_configuration_error(rc, err)
+    assert "cannot write output file" in err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     rc = cli.main(["birthday", "--config", str(tmp_path / "absent.json")])
     _assert_configuration_error(rc, capsys.readouterr().err)

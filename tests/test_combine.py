@@ -75,7 +75,6 @@ def test_pp_zero_oracles_leave_g():
 def test_pp_oracle_wraps_eval():
     key = _tiny_pp_key()
     o = PPOracle(key)
-    assert o.kind == "pp"
     assert o.domain_bits == 2 and o.range_bits == 2
     for v in range(4):
         x = BitString(v, 2)
@@ -185,7 +184,6 @@ def test_adw_inner_eval_accepts_precomputed_gvals():
 def test_adw_oracle_wraps_eval():
     key = _small_adw_key(2, 409)
     o = ADWOracle(key)
-    assert o.kind == "adw"
     for v in (0, 11, 63):
         x = BitString(v, 6)
         assert o.query(x) == adw_eval(key, x)

@@ -2,6 +2,7 @@ import json
 
 from cuckooprf.bits import BitString
 from cuckooprf.errors import ConfigurationError
+from cuckooprf.prfcore import LevinOracle
 from cuckooprf.experiments import (
     CSV_COLUMNS,
     adaptive_transform,
@@ -77,7 +78,7 @@ def test_levin_sampler_shape():
     sampler = levin_sampler(16, 8, 16, 4)
     o = sampler(random.Random(3))
     assert o.domain_bits == 16 and o.range_bits == 16
-    assert o.kind == "levin"
+    assert isinstance(o, LevinOracle)
 
 
 def test_birthday_rows_and_determinism():

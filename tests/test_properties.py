@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuckooprf import batch
-from cuckooprf.batch import batch_answers, batch_eval_kwise, run_nonadaptive_game_batched
+from cuckooprf.batch import batch_answers, batch_eval_kwise
 from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
 from cuckooprf.combine import (
     ADWKey,
@@ -33,7 +33,7 @@ from cuckooprf.combine import (
     pp_eval,
 )
 from cuckooprf.experiments import levin_sampler
-from cuckooprf.games import NonAdaptiveDistinguisher, run_game
+from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import SUPPORTED_WIDTHS
 from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise, sample_table
 from cuckooprf.prfcore import InstrumentedOracle, LazyRandomOracle
@@ -48,8 +48,10 @@ from cuckooprf.transform import (
     build_pp_domain_extension,
     lazy_random_sampler,
     lazy_sampler,
+    pp_layout,
     pp_sampler,
 )
+from gamepaths import assert_paths_agree
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 TRIALS = 3
@@ -185,7 +187,7 @@ def test_grid_kernel_equals_eval_kwise(w, k, data):
             for _ in range(rows)]
     with mock.patch.object(batch, "BLOCK_ELEMS", SMALL_BLOCK_ELEMS):
         grid = np.concatenate([batch_eval_kwise(keys[b.start:b.stop], points)
-                               for b in batch._blocks(rows, len(points))])
+                               for b in batch.blocks(rows, len(points))])
     assert grid.tolist() == [[eval_kwise(key, x) for x in points] for key in keys]
 
 
@@ -197,7 +199,7 @@ def _parity_distinguisher(q: int, d: int) -> NonAdaptiveDistinguisher:
         decide_batch=lambda values: (values[:, 0] & 1).astype(bool))
 
 
-# KeySamplers go through their numpy twin in the batched runner; the
+# KeySamplers go through their numpy twin in run_game's block path; the
 # prf-backed adw has none and is sampled trial by trial there.
 _GAME_SAMPLERS = {
     "lazy": lazy_sampler(12, 12),
@@ -209,25 +211,46 @@ _GAME_SAMPLERS = {
 }
 
 
+def _adaptive_budget(data, d: int, least: int) -> int:
+    """A power-of-two budget q >= least with 4q <= 2^d."""
+    return 1 << data.draw(st.integers(least, min(4, d - 2)), label="log2 q")
+
+
 @PROPERTY
-@given(shapes(), st.sampled_from(("lazy", "levin", "pp", "adw-table")), st.data())
+@given(shapes(), st.sampled_from(("lazy", "levin", "pp", "adw-table", "adaptive-pp",
+                                  "adaptive-adw")), st.data())
 def test_numpy_twin_equals_scalar_keys(shape, kind, data):
     _, d, s, r, k = shape
-    q = 1 << data.draw(st.integers(0, min(2, s - 2)), label="log2 q")
-    sampler = {
-        "lazy": lambda: lazy_sampler(d, r),
-        "levin": lambda: levin_sampler(d, s, r, k),
-        "pp": lambda: pp_sampler(ExtensionParams(d, s, r, k, q)),
-        "adw-table": lambda: KeySampler(adw_layout(ExtensionParams(d, s, r, 2, q), "table")),
-    }[kind]()
+    xs = _inputs(data, d)
+    if kind.startswith("adaptive"):
+        # the adaptive builders are the two layouts with window 4q; past
+        # d+1 points the twin folds the adw key's restricted hashes and
+        # window tables, as the scalar oracle does at query d+2
+        xs, r = _past_fold(data, d), d
+        if kind == "adaptive-pp":
+            q = _adaptive_budget(data, d, 0)
+            build = partial(build_adaptive_from_nonadaptive, d, q, k)
+            layout = pp_layout(d, d, d, k, window=4 * q)
+        else:
+            q, c = _adaptive_budget(data, d, 1), data.draw(st.integers(1, 2), label="c")
+            build = partial(build_adw_adaptive_from_nonadaptive, d, q, c)
+            layout = adw_layout(ExtensionParams(d, d, d, 2, q, c), "table", window=4 * q)
+    else:
+        q = 1 << data.draw(st.integers(0, min(2, s - 2)), label="log2 q")
+        build = {
+            "lazy": lambda: lazy_sampler(d, r),
+            "levin": lambda: levin_sampler(d, s, r, k),
+            "pp": lambda: pp_sampler(ExtensionParams(d, s, r, k, q)),
+            "adw-table": lambda: KeySampler(adw_layout(ExtensionParams(d, s, r, 2, q), "table")),
+        }[kind]()
+        layout = build.layout
     streams = KeyStreams(data.draw(st.integers(-2**64, 2**64), label="seed"), 9)
     t0 = data.draw(st.integers(0, 100), label="t0")
     rows = range(t0, t0 + TRIALS)
-    xs = _inputs(data, d)
-    columns = sampler.layout(batch.ColumnDraws(streams.heads(rows)))
+    columns = layout(batch.ColumnDraws(streams.heads(rows)))
     grid = columns.grid(batch._Points(x.value for x in xs))
     assert (columns.domain_bits, columns.range_bits) == (d, r)
-    assert grid.tolist() == [[sampler(streams.stream(t)).query(x).value for x in xs]
+    assert grid.tolist() == [[build(streams.stream(t)).query(x).value for x in xs]
                              for t in rows]
 
 
@@ -238,10 +261,8 @@ def test_batched_game_equals_run_game_across_blocks(kind, q, data):
     trials = data.draw(st.integers(2 * block + 1, 3 * block + 1), label="trials")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     sampler, ideal = _GAME_SAMPLERS[kind], _GAME_SAMPLERS["lazy"]
-    dist = _parity_distinguisher(q, 12)
     with mock.patch.object(batch, "BLOCK_ELEMS", SMALL_BLOCK_ELEMS):
-        fast = run_nonadaptive_game_batched(sampler, ideal, dist, trials, seed)
-    assert fast == run_game(sampler, ideal, dist, trials, seed)
+        assert_paths_agree(sampler, ideal, _parity_distinguisher(q, 12), trials, seed)
 
 
 def _counting_sampler(seen: list):

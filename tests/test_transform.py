@@ -1,9 +1,10 @@
+import hashlib
 import math
 import random
 
 import pytest
 
-from cuckooprf.bits import BitString
+from cuckooprf.bits import BitString, key_stream, mix64, truncate
 from cuckooprf.combine import count_underlying_calls
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.hashfam import RandomTable, sample_kwise
@@ -253,3 +254,37 @@ def test_prg_prf_minimal_budget_uses_two_bit_trees():
     o = build_prg_prf(prg, 2, 16, 2, 1, random.Random(55))
     o.query(BitString(0, 16))
     assert o.key.f1.prg_calls + o.key.f2.prg_calls == 4
+
+
+# Every builder at two shapes (one for prg), each answering 40 fixed
+# inputs: past d+1 of them, so the folded adw keys answer from their
+# tables too. The digest was taken from the builders as they were before
+# they became layout wrappers; a changed draw order changes it.
+_GOLDEN_BUILDS = (
+    ("pp", 24, lambda rng: build_pp_domain_extension(ExtensionParams(24, 12, 24, 8, 128), rng)),
+    ("pp-small", 16, lambda rng: build_pp_domain_extension(ExtensionParams(16, 8, 12, 3, 16), rng)),
+    ("adaptive-pp", 16, lambda rng: build_adaptive_from_nonadaptive(16, 64, 12, rng)),
+    ("adaptive-pp-small", 10, lambda rng: build_adaptive_from_nonadaptive(10, 8, 3, rng)),
+    ("adw-table", 24, lambda rng: build_adw_domain_extension(
+        ExtensionParams(24, 12, 24, 2, 128), "table", rng)),
+    ("adw-prf", 20, lambda rng: build_adw_domain_extension(
+        ExtensionParams(20, 10, 12, 2, 16), "prf", rng)),
+    ("adaptive-adw", 16, lambda rng: build_adw_adaptive_from_nonadaptive(16, 64, 1, rng)),
+    ("adaptive-adw-small", 10, lambda rng: build_adw_adaptive_from_nonadaptive(10, 8, 2, rng)),
+    ("prg-prf", 16, lambda rng: build_prg_prf(PrgSpec("mix64", 16), 8, 16, 4, 16, rng)),
+)
+_GOLDEN_DIGEST = "0b199cb9f023e828bdb06ed7e2328db827d3147ba8934a52ee4d6e717977a23f"
+
+
+def test_builder_answers_match_the_golden_digest():
+    h = hashlib.sha256()
+    for name, d, build in _GOLDEN_BUILDS:
+        for seed in (0, 1, 2):
+            for rng_name, rng in (("random", random.Random(seed)),
+                                  ("stream", key_stream(seed, 71))):
+                oracle = build(rng)
+                for i in range(40):
+                    x = truncate(mix64(i), d)
+                    y = oracle.query(BitString(x, d)).value
+                    h.update(f"{name},{rng_name},{seed},{x},{y}\n".encode())
+    assert h.hexdigest() == _GOLDEN_DIGEST
