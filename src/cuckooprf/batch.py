@@ -4,21 +4,20 @@ The scalar oracles define the expected behavior; this module
 reproduces their arithmetic with numpy so experiments scale to
 thousands of trials and millions of key samples, and the test suite
 pins the batched output to the scalar output pointwise for every
-supported oracle shape.
+slot layout.
 
 games.run_game and games.tuple_uniformity_sd walk their trials or
 samples in blocks (blocks) of max(1, BLOCK_ELEMS // q) rows for q
-queries, and take each block's keys from block_keys in one of two
-ways. A transform.KeySampler is sampled by its numpy twin: its slot
+queries. A transform.KeySampler is sampled by its numpy twin: its slot
 layout runs on ColumnDraws, which reads every slot straight from the
 word matrix of a block of key streams (bits.stream_words), so the
 coefficients, seeds and tables go into arrays without a per-trial key
-object. Any other sampler is called trial by trial on the trial's key
-stream, and batch_answers reads the same arrays off the oracles it
-returns. Either way the arrays are the same, and so are the answers.
-A block is sampled, answered and decided before the next one is
-sampled, so memory stays O(block * z) for adw keys with z inner maps,
-however many trials or samples are asked for.
+object, and batch_answers answers them as one matrix. block_keys
+returns None for any other sampler, whose trials the caller then plays
+one at a time. KeyDraws reads the same words, so the answers are the
+same either way. A block is sampled, answered and decided before the
+next one is sampled, so memory stays O(block * z) for adw keys with z
+inner maps, however many trials or samples are asked for.
 
 Every k-wise hash is evaluated as one rows x queries grid. The
 const_mul tables of the query points are stacked by query index once
@@ -26,13 +25,12 @@ per batch_answers call, in a dict local to that call and keyed by
 FieldSpec, so each Horner step is one gather per byte of the
 accumulator over the whole grid.
 
-Supported shapes: lazy-random, hash-then-query over a k-wise key
-(plain or range-restricted), the pp combiner, and the adw combiner
-with table or padded-prf inner maps. A block of affine adw keys
-(combine.is_affine) asked for more than d+1 points is answered from
-per-row byte tables of its inner values, as an ADWOracle answers once
-folded. batch_answers returns None for anything else, and the caller
-answers those oracles one query at a time.
+The column forms cover every slot a layout draws: k-wise hashes (plain
+or range-restricted), lazy-random functions and padded views of them,
+tables, and the levin, pp and adw combiners over them. A block of
+affine adw keys (combine.is_affine) asked for more than d+1 points is
+answered from per-row byte tables of its inner values, as an ADWOracle
+answers once folded.
 """
 
 from __future__ import annotations
@@ -42,11 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import C1, KeyStreams, mix64_np, stream_words, truncate
-from .combine import ADWOracle, PPOracle
 from .gf import FieldSpec, default_spec, linear_tables
-from .hashfam import KWiseHashKey, RandomTable, RangeRestriction, RestrictedHash, width_for
-from .prfcore import LazyRandomOracle, LevinOracle
-from .transform import KeySampler, PaddedPrfMap
+from .hashfam import RangeRestriction, width_for
+from .transform import KeySampler
 
 # Rows x queries of one block: large enough that numpy's per-call cost
 # is spread over many elements, small enough that a block of adw keys
@@ -117,8 +113,6 @@ class _Points:
         """Evaluate N polynomials (rows of coeffs, a0 first) at every point: (N, q)."""
         n, k = coeffs.shape
         q = len(self.xs)
-        if q == 0:
-            return np.empty((n, 0), dtype=np.uint64)
         tables = self._tables(spec)
         # point j's entries start at j * (table size) in each stacked table
         offsets = np.arange(q, dtype=np.intp) * (len(tables[0]) // q)
@@ -299,143 +293,26 @@ class ColumnDraws:
     def table(self, count: int, entry_bits: int, window: int | None = None) -> _Tables:
         return _Tables(self._words(count, _window_bits(entry_bits, window)))
 
+    def padded(self, f: _Lazy, domain_bits: int, range_bits: int) -> _Lazy:
+        return _Lazy(f.seeds, domain_bits, range_bits)
+
     levin = _Levin
     pp = _PP
     adw = _ADW
 
 
-def _one_shape(keys) -> bool:
-    """Whether all keys share one (width, k, domain_bits, range_bits)."""
-    return len({(key.width, key.k, key.domain_bits, key.range_bits) for key in keys}) == 1
-
-
-def _kwise_columns(keys) -> _Hashes:
-    coeffs = np.array([key.coeffs for key in keys], dtype=np.uint64)
-    return _Hashes(coeffs, keys[0].spec, keys[0].domain_bits, keys[0].range_bits)
-
-
-def batch_eval_kwise(keys, xs) -> np.ndarray:
-    """hashfam.eval_kwise for N same-shape keys at each raw query value."""
-    if not _one_shape(keys):
-        raise ValueError("keys must share one shape")
-    return _kwise_columns(keys).grid(_Points(xs))
-
-
-def _hash_columns(slots) -> _Hashes | None:
-    """One hash slot across trials; None if the slot shape is unsupported."""
-    first = slots[0]
-    if isinstance(first, KWiseHashKey):
-        if any(not isinstance(s, KWiseHashKey) for s in slots) or not _one_shape(slots):
-            return None
-        return _kwise_columns(slots)
-    if isinstance(first, RestrictedHash):
-        if any(not isinstance(s, RestrictedHash) or s.restriction != first.restriction
-               for s in slots):
-            return None
-        keys = [s.key for s in slots]
-        if not _one_shape(keys):
-            return None
-        hashes = _kwise_columns(keys)
-        return _Hashes(hashes.coeffs, hashes.spec, hashes.domain_bits,
-                       first.restriction.index_bits)
-    return None
-
-
-def _lazy_columns(fs) -> _Lazy | None:
-    if any(not isinstance(f, LazyRandomOracle) for f in fs):
-        return None
-    if any(f.range_bits != fs[0].range_bits for f in fs):
-        return None
-    return _Lazy(np.array([f.seed for f in fs], dtype=np.uint64), fs[0].domain_bits,
-                 fs[0].range_bits)
-
-
-def _map_columns(maps) -> _Tables | _Lazy | None:
-    """One inner-map column across trials."""
-    first = maps[0]
-    if isinstance(first, RandomTable):
-        if any(not isinstance(m, RandomTable) or len(m) != len(first) for m in maps):
-            return None
-        return _Tables(np.array([m.entries for m in maps], dtype=np.uint64))
-    if isinstance(first, PaddedPrfMap):
-        if any(not isinstance(m, PaddedPrfMap) or m.range_bits != first.range_bits
-               for m in maps):
-            return None
-        lazy = _lazy_columns([m.f for m in maps])
-        return None if lazy is None else _Lazy(lazy.seeds, first.domain_bits, first.range_bits)
-    return None
-
-
-def _adw_columns(keys) -> _ADW | None:
-    z = keys[0].z
-    if any(k.z != z for k in keys):
-        return None
-    hashes = [_hash_columns([k.h1 for k in keys]), _hash_columns([k.h2 for k in keys]),
-              _hash_columns([k.ell for k in keys])]
-    bars = [tuple(column([getattr(k, name)[j] for k in keys]) for j in range(z))
-            for name, column in (("gbar", _hash_columns), ("m1bar", _map_columns),
-                                 ("m2bar", _map_columns), ("ybar", _map_columns))]
-    fs = [_lazy_columns([k.f1 for k in keys]), _lazy_columns([k.f2 for k in keys])]
-    if None in hashes or None in fs or any(None in bar for bar in bars):
-        return None
-    return _ADW(*hashes, *bars, *fs)
-
-
-def _columns(oracles):
-    """The column form of a list of oracles, or None if they have none."""
-    kind, d = type(oracles[0]), oracles[0].domain_bits
-    if any(type(o) is not kind or o.domain_bits != d for o in oracles):
-        return None
-    if kind is LazyRandomOracle:
-        return _lazy_columns(oracles)
-    if kind is LevinOracle:
-        slots = [_hash_columns([o.h for o in oracles]), _lazy_columns([o.f for o in oracles])]
-        return None if None in slots else _Levin(*slots)
-    if kind is PPOracle:
-        keys = [o.key for o in oracles]
-        slots = [_hash_columns([k.h1 for k in keys]), _hash_columns([k.h2 for k in keys]),
-                 _hash_columns([k.g for k in keys]),
-                 _lazy_columns([k.f1 for k in keys]), _lazy_columns([k.f2 for k in keys])]
-        return None if None in slots else _PP(*slots)
-    if kind is ADWOracle:
-        return _adw_columns([o.key for o in oracles])
-    return None
-
-
-# The column forms that stand for a whole block of oracles.
-_BLOCK_COLUMNS = (_Lazy, _Levin, _PP, _ADW)
-
-
-def batch_answers(oracles, queries) -> np.ndarray | None:
-    """Answer matrix (trials, queries) as raw uint64 values.
-
-    oracles is a list of oracles, one per trial, or the column form of
-    a block of keys that a KeySampler's numpy twin drew. Returns None
-    when the oracles are outside the supported shapes, so callers can
-    fall back to scalar evaluation.
-    """
-    if isinstance(oracles, _BLOCK_COLUMNS):
-        columns = oracles
-    elif oracles:
-        columns = _columns(oracles)
-    else:
-        return None
-    if columns is None or any(x.length != columns.domain_bits for x in queries):
-        return None
+def batch_answers(columns, queries) -> np.ndarray:
+    """Answer matrix (trials, queries) as raw uint64 values of the
+    column form of a block of keys that block_keys drew."""
     return columns.grid(_Points(x.value for x in queries))
 
 
 def block_keys(sampler, streams: KeyStreams, block: range, domain_bits: int):
-    """The keys of a block of trials: the column form a KeySampler's
-    twin draws from the block's words, or else one oracle per trial.
-    None when the block's first oracle has no column form, so that a
-    block of oracles batch_answers would decline is never held at once.
+    """The column form of a block of trials' keys, which a KeySampler's
+    twin draws from the block's words. None for any other sampler, and
+    for keys of another domain, so that the per-trial loop plays them.
     """
-    if isinstance(sampler, KeySampler):
-        columns = sampler.layout(ColumnDraws(streams.heads(block)))
-        if columns.domain_bits == domain_bits:
-            return columns
-    first = sampler(streams.stream(block.start))
-    if _columns([first]) is None:
+    if not isinstance(sampler, KeySampler):
         return None
-    return [first] + [sampler(streams.stream(t)) for t in block[1:]]
+    columns = sampler.layout(ColumnDraws(streams.heads(block)))
+    return columns if columns.domain_bits == domain_bits else None

@@ -6,7 +6,8 @@ to stdout or --out as CSV (default) or JSON with one fixed column set
 across all experiments; hard-invariant failures are printed to stderr.
 
 Exit codes: 0 all checks passed, 1 a hard check failed, 2 the
-configuration violates a stated constraint or --out cannot be written.
+configuration violates a stated constraint or the output (--out or
+stdout) cannot be written.
 
 A flat JSON config file (--config) mirrors the flag names (master_seed
 for --seed) and wins over flags on conflict, with a notice on stderr.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import experiments
@@ -184,6 +186,19 @@ def _write_out(path: str, text: str):
         raise ConfigurationError(f"cannot write output file: {exc}") from exc
 
 
+def _write_stdout(text: str):
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The interpreter flushes stdout again at exit; point its file at
+        # devnull so that flush cannot fail and print a second error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ConfigurationError(f"cannot write output: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -195,7 +210,7 @@ def main(argv=None) -> int:
         if args.out:
             _write_out(args.out, text)
         else:
-            sys.stdout.write(text)
+            _write_stdout(text)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -43,7 +43,6 @@ from .transform import (
     adw_z,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
-    build_adw_domain_extension,
     check_widths,
     lazy_random_sampler,
     lazy_sampler,
@@ -263,11 +262,9 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     dist = birthday_distinguisher(q, d)
     ideal = lazy_sampler(d, r)
     z_prf, z_table = adw_z(params, "prf"), adw_z(params, "table")
-    # prf-backed keys have no numpy twin: run_game draws them trial by trial
     targets = (
         ("adw-compare-pp", pp_sampler(params), k, 0, 2),
-        ("adw-compare-prf", lambda rng: build_adw_domain_extension(params, "prf", rng),
-         2, z_prf, 3 * z_prf + 2),
+        ("adw-compare-prf", KeySampler(adw_layout(params, "prf")), 2, z_prf, 3 * z_prf + 2),
         ("adw-compare-table", KeySampler(adw_layout(params, "table")), 2, z_table, 2),
     )
     rows, problems = [], []

@@ -12,12 +12,12 @@ game_streams(seed, w).stream(t), whose word j is
 derive_seed(seed, GAME_TAG, w, t, j).
 
 run_game is the one game runner. It walks the trials of each world in
-blocks (batch.blocks). A plain nonadaptive distinguisher has each
-block's keys drawn by batch.block_keys, answered by batch.batch_answers
-and decided at once; any other distinguisher, and any block that
-batch_answers declines, is played by the per-trial loop, the reference
-path. Both read the same words, so either way every per-trial verdict
-is the same.
+blocks (batch.blocks). When a plain nonadaptive distinguisher meets a
+transform.KeySampler, each block's keys are drawn by the sampler's
+numpy twin (batch.block_keys), answered by batch.batch_answers and
+decided at once; any other distinguisher or sampler is played by the
+per-trial loop, the reference path. Both read the same words, so
+either way every per-trial verdict is the same.
 
 Nonadaptive distinguishers commit to their query list at construction
 time, so nonadaptivity is enforced by shape rather than by discipline.
@@ -38,7 +38,8 @@ import numpy as np
 from . import batch
 from .bits import BitString, KeyStreams, derive_seed
 from .errors import ConfigurationError, ProtocolViolation
-from .prfcore import LazyRandomOracle, Oracle
+from .prfcore import Oracle
+from .transform import lazy_sampler
 
 REAL_WORLD = 0
 IDEAL_WORLD = 1
@@ -177,9 +178,9 @@ def run_game(real_sampler, ideal_sampler, dist: Distinguisher, trials: int, seed
     """Estimate the distinguisher's advantage between two samplers.
 
     Samplers are callables rng -> Oracle, invoked once per trial with
-    the trial's key stream; a transform.KeySampler is also sampled a
-    block at a time by its numpy twin. Trial sets of the two worlds are
-    independent.
+    the trial's key stream, except that a transform.KeySampler facing a
+    plain NonAdaptiveDistinguisher is sampled a block at a time by its
+    numpy twin. Trial sets of the two worlds are independent.
     """
     if trials < 1:
         raise ConfigurationError("trials must be positive")
@@ -203,17 +204,17 @@ def run_game(real_sampler, ideal_sampler, dist: Distinguisher, trials: int, seed
 
 def _batched_verdicts(sampler, streams: KeyStreams, block: range,
                       dist: NonAdaptiveDistinguisher) -> list[bool] | None:
-    """The block's verdicts from one answer matrix, or None if
-    batch_answers declines the block's keys. A function of its own, so
-    that a block's keys are gone before the next block is drawn."""
+    """The block's verdicts from one answer matrix, or None if the
+    sampler has no numpy twin for these queries. A function of its own,
+    so that a block's keys are gone before the next block is drawn."""
     keys = batch.block_keys(sampler, streams, block, dist.queries[0].length)
-    matrix = None if keys is None else batch.batch_answers(keys, dist.queries)
-    if matrix is None:
+    if keys is None:
         return None
+    matrix = batch.batch_answers(keys, dist.queries)
     if dist.decide_batch is not None:
         return [bool(v) for v in dist.decide_batch(matrix)]
-    r = (keys[0] if isinstance(keys, list) else keys).range_bits
-    return [bool(dist.decide([BitString(int(v), r) for v in row])) for row in matrix]
+    return [bool(dist.decide([BitString(int(v), keys.range_bits) for v in row]))
+            for row in matrix]
 
 
 def _trial_verdicts(sampler, streams: KeyStreams, block: range,
@@ -345,8 +346,7 @@ def involution_nonadaptive_distinguisher(n: int) -> NonAdaptiveDistinguisher:
 
 def involution_samplers(n: int):
     real = lambda rng: InvolutionOracle(sample_involution(n, rng), n)
-    ideal = lambda rng: LazyRandomOracle(rng.getrandbits(64), n, n)
-    return real, ideal
+    return real, lazy_sampler(n, n)
 
 
 # statistical distance
@@ -377,8 +377,8 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     handle_sampler is a callable rng -> oracle, called on sample i's
     stream sample_streams(seed).stream(i). Samples are walked in blocks
     as run_game walks trials: a transform.KeySampler is sampled by its
-    numpy twin, and blocks batch_answers declines are queried one
-    handle at a time, with the same codes either way.
+    numpy twin, and any other sampler's handles are queried one at a
+    time, with the same codes either way.
     """
     queries = tuple(queries)
     if not queries:
@@ -411,9 +411,10 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
 def _block_codes(sampler, streams: KeyStreams, block: range, queries, r: int) -> np.ndarray:
     """The output-tuple codes of a block of samples."""
     keys = batch.block_keys(sampler, streams, block, queries[0].length)
-    outs = None if keys is None else batch.batch_answers(keys, queries)
-    if outs is None:
-        handles = keys if keys is not None else (sampler(streams.stream(i)) for i in block)
+    if keys is not None:
+        outs = batch.batch_answers(keys, queries)
+    else:
+        handles = (sampler(streams.stream(i)) for i in block)
         outs = np.array([[h.query(x).value for x in queries] for h in handles], dtype=np.uint64)
     codes = np.zeros(len(block), dtype=np.int64)
     for j in range(len(queries)):

@@ -66,11 +66,6 @@ class KWiseHashKey:
     def spec(self) -> FieldSpec:
         return default_spec(self.width)
 
-    def coeffs_hex(self) -> list[str]:
-        """Coefficients as fixed-width hex, a0 first. For experiment logs."""
-        digits = self.width // 4
-        return [format(c, f"0{digits}x") for c in self.coeffs]
-
     def __call__(self, x: BitString) -> BitString:
         if x.length != self.domain_bits:
             raise ValueError(f"input length {x.length}, expected {self.domain_bits}")

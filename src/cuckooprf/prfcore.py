@@ -189,13 +189,10 @@ class GgmOracle(Oracle):
         return ggm_eval(self.key, x, expand=self._counting_expand)
 
 
-def levin_eval(h, f: Oracle, x: BitString) -> BitString:
+class LevinOracle(Oracle):
     """Hash-then-query: f(h(x)). The domain-extension baseline that the
     birthday experiment breaks at roughly 2^(s/2) queries."""
-    return f.query(h(x))
 
-
-class LevinOracle(Oracle):
     def __init__(self, h, f: Oracle):
         if h.range_bits != f.domain_bits:
             raise ValueError(
@@ -206,4 +203,4 @@ class LevinOracle(Oracle):
         self.f = f
 
     def _answer(self, x: BitString) -> BitString:
-        return levin_eval(self.h, self.f, x)
+        return self.f.query(self.h(x))

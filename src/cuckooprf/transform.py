@@ -29,12 +29,14 @@ The five builders, each one of the two slot layouts below:
 
 Drawn from a key stream (bits.key_stream), every slot of a key takes
 whole words: a k-wise hash over GF(2^w) takes k words of w bits, a
-lazy-random oracle one 64-bit word, a table one word per entry. Each
-key shape is written once as a slot layout over a draws interface:
-KeyDraws draws each slot as a key object from an rng, and
-batch.ColumnDraws reads the same slots as word columns of a block of
-key streams. A KeySampler wraps a layout, so games.run_game can sample
-a block of keys without building them.
+lazy-random oracle one 64-bit word, a table one word per entry, and a
+padded view of an oracle none beyond the oracle's own. Each key shape
+is written once as a slot layout over a draws interface: KeyDraws
+draws each slot as a key object from an rng, and batch.ColumnDraws
+reads the same slots as word columns of a block of key streams. A
+KeySampler wraps a layout, so games.run_game can sample a block of
+keys without building them; any other sampler is played trial by
+trial.
 """
 
 from __future__ import annotations
@@ -127,6 +129,9 @@ class KeyDraws:
             return sample_table(count, entry_bits, self.rng)
         bits = RangeRestriction(window, entry_bits).index_bits
         return RandomTable(tuple(self.rng.getrandbits(bits) for _ in range(count)), entry_bits)
+
+    def padded(self, f: Oracle, domain_bits: int, range_bits: int) -> PaddedPrfMap:
+        return PaddedPrfMap(f, domain_bits, range_bits)
 
     def levin(self, h, f) -> LevinOracle:
         return LevinOracle(h, f)
@@ -263,9 +268,9 @@ def adw_layout(p: ExtensionParams, variant: str, window: int | None = None):
         ell = draws.kwise(2, p.d, p.r)
         if variant == "prf":
             gbar = tuple(draws.kwise(2, p.d, u) for _ in range(z))
-            m1bar = tuple(PaddedPrfMap(draws.prf(p.s, p.r), u, p.s) for _ in range(z))
-            m2bar = tuple(PaddedPrfMap(draws.prf(p.s, p.r), u, p.s) for _ in range(z))
-            ybar = tuple(PaddedPrfMap(draws.prf(p.s, p.r), u, p.r) for _ in range(z))
+            m1bar = tuple(draws.padded(draws.prf(p.s, p.r), u, p.s) for _ in range(z))
+            m2bar = tuple(draws.padded(draws.prf(p.s, p.r), u, p.s) for _ in range(z))
+            ybar = tuple(draws.padded(draws.prf(p.s, p.r), u, p.r) for _ in range(z))
         else:
             gbar = tuple(draws.kwise(2, p.d, 1) for _ in range(z))
             m1bar = tuple(draws.table(2, p.s, window) for _ in range(z))

@@ -5,33 +5,36 @@ import pytest
 
 from cuckooprf import batch, games
 from cuckooprf.batch import (
+    ColumnDraws,
     batch_answers,
-    batch_eval_kwise,
     const_mul,
     lazy_answers,
 )
-from cuckooprf.bits import BitString, derive_seed, key_stream, mix64, mix64_np, truncate
+from cuckooprf.bits import BitString, KeyStreams, derive_seed, key_stream, mix64, mix64_np, truncate
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.experiments import levin_sampler, uniformity
 from cuckooprf.games import (
     NonAdaptiveDistinguisher,
     birthday_distinguisher,
+    game_streams,
     run_game,
     sample_streams,
     tuple_uniformity_sd,
 )
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
-from cuckooprf.hashfam import KWiseHashKey, sample_kwise
-from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle, LevinOracle, PrgSpec
+from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle, PrgSpec
 from cuckooprf.transform import (
     ExtensionParams,
     KeySampler,
+    adw_layout,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
     build_adw_domain_extension,
     build_pp_domain_extension,
     build_prg_prf,
+    lazy_sampler,
     pp_layout,
+    pp_sampler,
 )
 from gamepaths import assert_paths_agree
 
@@ -73,8 +76,8 @@ def test_const_mul_matches_field_multiply():
         for _ in range(20):
             c = rng.getrandbits(w)
             vals = [rng.getrandbits(w) for _ in range(200)]
-            keys = [KWiseHashKey((0, v), w, w, w) for v in vals]
-            got = batch_eval_kwise(keys, [c])[:, 0]
+            coeffs = np.array([(0, v) for v in vals], dtype=np.uint64)
+            got = batch._Points([c]).horner(coeffs, spec, w)[:, 0]
             assert len(const_mul(spec, c).tables) == max(1, w // 8)
             for v, g in zip(vals, got):
                 assert int(g) == spec.mul_int(v, c)
@@ -94,159 +97,129 @@ def test_const_mul_tables_equal_mul_int(w):
                                       for b in range(min(256, 1 << w))]
 
 
-def test_batch_eval_kwise_matches_scalar():
-    rng = random.Random(703)
-    keys = [sample_kwise(5, 20, 9, rng) for _ in range(30)]
-    xs = [rng.getrandbits(20) for _ in range(25)]
-    grid = batch_eval_kwise(keys, xs)
-    for t, key in enumerate(keys):
-        for j, x in enumerate(xs):
-            assert int(grid[t, j]) == key(BitString(x, 20)).value
-    assert batch_eval_kwise(keys, []).shape == (30, 0)
-
-
-def test_batch_eval_kwise_rejects_mixed_shapes():
-    rng = random.Random(704)
-    keys = [sample_kwise(3, 20, 9, rng), sample_kwise(4, 20, 9, rng)]
-    with pytest.raises(ValueError):
-        batch_eval_kwise(keys, [0, 1])
-
-
-def _pointwise_check(oracles, queries):
-    matrix = batch_answers(oracles, queries)
-    assert matrix is not None
-    for t, o in enumerate(oracles):
-        for j, x in enumerate(queries):
-            assert int(matrix[t, j]) == o.query(x).value
+def _pointwise_check(layout, build, queries):
+    """The twin's answers to a block of rows equal the answers of build
+    (rng -> oracle) keyed from each row's stream: the layout read as word
+    columns against the builder's key objects."""
+    streams, rows = KeyStreams(77, 5), range(3, 9)
+    matrix = batch_answers(layout(ColumnDraws(streams.heads(rows))), queries)
+    assert matrix.tolist() == [[build(streams.stream(t)).query(x).value for x in queries]
+                               for t in rows]
 
 
 def test_batch_answers_lazy():
     rng = random.Random(705)
-    oracles = [LazyRandomOracle(rng.getrandbits(64), 18, 10) for _ in range(8)]
-    _pointwise_check(oracles, [BitString(rng.getrandbits(18), 18) for _ in range(30)])
+    sampler = lazy_sampler(18, 10)
+    _pointwise_check(sampler.layout, sampler,
+                     [BitString(rng.getrandbits(18), 18) for _ in range(30)])
 
 
 def test_batch_answers_levin():
-    rng = random.Random(706)
-    oracles = [
-        LevinOracle(sample_kwise(3, 18, 8, rng), LazyRandomOracle(rng.getrandbits(64), 8, 18))
-        for _ in range(8)
-    ]
-    _pointwise_check(oracles, [BitString(v, 18) for v in range(30)])
+    sampler = levin_sampler(18, 8, 18, 3)
+    _pointwise_check(sampler.layout, sampler, [BitString(v, 18) for v in range(30)])
 
 
 def test_batch_answers_pp():
     p = ExtensionParams(24, 12, 24, 8, 128)
-    rng = random.Random(707)
-    oracles = [build_pp_domain_extension(p, rng) for _ in range(6)]
     qrng = random.Random(708)
-    _pointwise_check(oracles, [BitString(qrng.getrandbits(24), 24) for _ in range(40)])
+    _pointwise_check(pp_layout(24, 12, 24, 8), lambda rng: build_pp_domain_extension(p, rng),
+                     [BitString(qrng.getrandbits(24), 24) for _ in range(40)])
 
 
 def test_batch_answers_pp_with_restricted_hashes():
-    rng = random.Random(709)
-    oracles = [build_adaptive_from_nonadaptive(16, 64, 6, rng) for _ in range(6)]
     qrng = random.Random(710)
-    _pointwise_check(oracles, [BitString(qrng.getrandbits(16), 16) for _ in range(40)])
+    _pointwise_check(pp_layout(16, 16, 16, 6, window=4 * 64),
+                     lambda rng: build_adaptive_from_nonadaptive(16, 64, 6, rng),
+                     [BitString(qrng.getrandbits(16), 16) for _ in range(40)])
 
 
 def test_batch_answers_adw_table():
     p = ExtensionParams(24, 12, 24, 2, 128, c=1)
-    rng = random.Random(711)
-    oracles = [build_adw_domain_extension(p, "table", rng) for _ in range(5)]
     qrng = random.Random(712)
-    _pointwise_check(oracles, [BitString(qrng.getrandbits(24), 24) for _ in range(25)])
+    _pointwise_check(adw_layout(p, "table"),
+                     lambda rng: build_adw_domain_extension(p, "table", rng),
+                     [BitString(qrng.getrandbits(24), 24) for _ in range(25)])
 
 
 def test_batch_answers_adw_prf():
     p = ExtensionParams(20, 10, 12, 2, 16, c=1)
-    rng = random.Random(713)
-    oracles = [build_adw_domain_extension(p, "prf", rng) for _ in range(5)]
     qrng = random.Random(714)
-    _pointwise_check(oracles, [BitString(qrng.getrandbits(20), 20) for _ in range(25)])
+    _pointwise_check(adw_layout(p, "prf"), lambda rng: build_adw_domain_extension(p, "prf", rng),
+                     [BitString(qrng.getrandbits(20), 20) for _ in range(25)])
 
 
 def test_batch_answers_adw_adaptive():
-    rng = random.Random(715)
-    oracles = [build_adw_adaptive_from_nonadaptive(16, 32, 1, rng) for _ in range(5)]
+    p = ExtensionParams(16, 16, 16, 2, 32, c=1)
     qrng = random.Random(716)
-    _pointwise_check(oracles, [BitString(qrng.getrandbits(16), 16) for _ in range(25)])
+    _pointwise_check(adw_layout(p, "table", window=4 * 32),
+                     lambda rng: build_adw_adaptive_from_nonadaptive(16, 32, 1, rng),
+                     [BitString(qrng.getrandbits(16), 16) for _ in range(25)])
 
 
-def test_batch_answers_declines_unsupported_shapes():
-    rng = random.Random(717)
-    ggm_backed = [
-        build_prg_prf(PrgSpec("mix64", 16), 8, 16, 2, 16, rng) for _ in range(3)
-    ]
-    qs = [BitString(v, 16) for v in range(4)]
-    assert batch_answers(ggm_backed, qs) is None
-    assert batch_answers([], qs) is None
-    fn = [FunctionOracle(lambda x: x, 16, 16) for _ in range(2)]
-    assert batch_answers(fn, qs) is None
-    mixed = [LazyRandomOracle(1, 16, 8), LevinOracle(sample_kwise(2, 16, 8, rng),
-                                                     LazyRandomOracle(2, 8, 8))]
-    assert batch_answers(mixed, qs) is None
-    # same type and domain, different ranges: each row would need its own cut
-    assert batch_answers([LazyRandomOracle(1, 16, 8), LazyRandomOracle(2, 16, 4)], qs) is None
-    # mismatched query length
-    lazy = [LazyRandomOracle(1, 16, 8)]
-    assert batch_answers(lazy, [BitString(0, 12)]) is None
-    # same oracle type, hashes of different independence
-    k2, k3 = levin_sampler(12, 8, 8, 2), levin_sampler(12, 8, 8, 3)
-    mixed_k = [k2(rng), k3(rng)]
-    assert batch_answers(mixed_k, [BitString(v, 12) for v in range(4)]) is None
+def test_only_key_samplers_reach_batch_answers(monkeypatch):
+    # every sampler but a KeySampler facing queries of its own domain is
+    # played trial by trial, and none of its blocks is answered as a matrix
+    held = []
+    answers = batch.batch_answers
+    monkeypatch.setattr(batch, "batch_answers",
+                        lambda keys, qs: held.append(keys) or answers(keys, qs))
+    lazy = lambda rng: LazyRandomOracle(rng.getrandbits(64), 16, 16)
+    ggm_backed = lambda rng: build_prg_prf(PrgSpec("mix64", 16), 8, 16, 2, 16, rng)
+    fn = lambda rng: FunctionOracle(lambda x: x, 16, 16)
+    dist = birthday_distinguisher(16, 16)
+    for sampler in (lazy, ggm_backed, fn):
+        assert batch.block_keys(sampler, game_streams(1, 0), range(8), 16) is None
+        run_game(sampler, sampler, dist, 8, 925)
+    # a KeySampler of another domain: every trial's queries violate it
+    wrong_domain = lazy_sampler(12, 16)
+    assert batch.block_keys(wrong_domain, game_streams(1, 0), range(8), 16) is None
+    assert run_game(wrong_domain, wrong_domain, dist, 8, 925).violations == 16
+    assert held == []
+    run_game(lazy_sampler(16, 16), lazy, dist, 8, 925)
+    assert len(held) == 1
 
 
 def test_batched_game_equals_scalar_game_for_mixed_hash_shapes():
-    # blocks whose rows mix two hash shapes are declined and played per trial
+    # a sampler whose trials mix two hash shapes has no twin and is played per trial
     k2, k3 = levin_sampler(12, 8, 8, 2), levin_sampler(12, 8, 8, 3)
     mixed = lambda rng: (k2 if rng.getrandbits(1) else k3)(rng)
-    assert_paths_agree(mixed, _mk_lazy(12, 8), birthday_distinguisher(16, 12), 20, 924)
+    assert_paths_agree(mixed, lazy_sampler(12, 8), birthday_distinguisher(16, 12), 20, 924)
 
 
 def _sampler_grid():
     p = ExtensionParams(24, 12, 24, 8, 128)
     pa = ExtensionParams(24, 12, 24, 2, 128, c=1)
     pf = ExtensionParams(20, 10, 12, 2, 16, c=1)
-
-    def levin(rng):
-        h = sample_kwise(8, 24, 12, rng)
-        return LevinOracle(h, LazyRandomOracle(rng.getrandbits(64), 12, 24))
-
     return [
-        ("lazy", _mk_lazy(24, 24), 128, 24),
-        ("levin", levin, 128, 24),
-        ("pp", lambda rng: build_pp_domain_extension(p, rng), 128, 24),
-        ("adw-table", lambda rng: build_adw_domain_extension(pa, "table", rng), 128, 24),
-        ("adw-prf", lambda rng: build_adw_domain_extension(pf, "prf", rng), 16, 20),
+        ("lazy", lazy_sampler(24, 24), 128, 24),
+        ("levin", levin_sampler(24, 12, 24, 8), 128, 24),
+        ("pp", pp_sampler(p), 128, 24),
+        ("adw-table", KeySampler(adw_layout(pa, "table")), 128, 24),
+        ("adw-prf", KeySampler(adw_layout(pf, "prf")), 16, 20),
     ]
-
-
-def _mk_lazy(d, r):
-    return lambda rng: LazyRandomOracle(rng.getrandbits(64), d, r)
 
 
 def test_batched_game_equals_scalar_game():
     for name, sampler, q, d in _sampler_grid():
-        ideal = _mk_lazy(d, 24 if d == 24 else 12)
+        ideal = lazy_sampler(d, 24 if d == 24 else 12)
         assert_paths_agree(sampler, ideal, birthday_distinguisher(q, d), 20, 920)
 
 
 def test_batched_game_equals_scalar_without_decide_batch():
     # same decision rule, but only the per-row scalar decide is provided
     p = ExtensionParams(24, 12, 24, 8, 64)
-    sampler = lambda rng: build_pp_domain_extension(p, rng)
+    sampler = pp_sampler(p)
     queries = [BitString(i, 24) for i in range(64)]
     dist = NonAdaptiveDistinguisher(
         queries, lambda ans: len({a.value for a in ans}) < len(ans)
     )
-    assert_paths_agree(sampler, _mk_lazy(24, 24), dist, 15, 921)
+    assert_paths_agree(sampler, lazy_sampler(24, 24), dist, 15, 921)
 
 
 def test_batched_game_falls_back_for_unsupported_oracles(monkeypatch):
     rng_free = lambda rng: build_prg_prf(PrgSpec("mix64", 16), 8, 16, 2, 16, rng)
     dist = birthday_distinguisher(16, 16)
-    assert_paths_agree(rng_free, _mk_lazy(16, 16), dist, 10, 922)
+    assert_paths_agree(rng_free, lazy_sampler(16, 16), dist, 10, 922)
     # a block of tree-backed oracles is never drawn whole for batch_answers
     held = []
     answers = batch.batch_answers
@@ -265,8 +238,8 @@ def test_batched_game_falls_back_for_custom_distinguishers():
 
     queries = [BitString(i, 16) for i in range(8)]
     decide = lambda ans: len({a.value for a in ans}) < 8
-    custom = run_game(_mk_lazy(16, 16), _mk_lazy(16, 16), Custom(queries, decide), 10, 923)
-    plain = run_game(_mk_lazy(16, 16), _mk_lazy(16, 16),
+    custom = run_game(lazy_sampler(16, 16), lazy_sampler(16, 16), Custom(queries, decide), 10, 923)
+    plain = run_game(lazy_sampler(16, 16), lazy_sampler(16, 16),
                      NonAdaptiveDistinguisher(queries, decide), 10, 923)
     assert custom == plain
     # the runner really did play it trial by trial, resetting it each time
@@ -276,7 +249,7 @@ def test_batched_game_falls_back_for_custom_distinguishers():
 def test_batched_game_validation():
     dist = birthday_distinguisher(8, 8)
     with pytest.raises(ConfigurationError):
-        run_game(_mk_lazy(8, 8), _mk_lazy(8, 8), dist, 0, 1)
+        run_game(lazy_sampler(8, 8), lazy_sampler(8, 8), dist, 0, 1)
 
 
 def test_tuple_sampler_draws_the_pp_slot_layout():

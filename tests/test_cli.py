@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +224,36 @@ def test_out_to_a_directory_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     _assert_configuration_error(rc, err)
     assert "cannot write output file" in err
+
+
+def _run_cli_into(stdout_fd: int) -> subprocess.CompletedProcess:
+    """kwise-verify in a fresh interpreter, its stdout on stdout_fd."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "cuckooprf.cli", "kwise-verify"],
+                          stdout=stdout_fd, stderr=subprocess.PIPE, text=True, env=env)
+
+
+def _assert_one_write_error(proc: subprocess.CompletedProcess):
+    # one line: the interpreter's own flush at exit adds nothing
+    _assert_configuration_error(proc.returncode, proc.stderr)
+    assert proc.stderr.startswith("configuration error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_stdout_on_a_full_device_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = _run_cli_into(full.fileno())
+    _assert_one_write_error(proc)
+
+
+def test_stdout_to_a_closed_pipe_exits_2():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli_into(write_end)
+    finally:
+        os.close(write_end)
+    _assert_one_write_error(proc)
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

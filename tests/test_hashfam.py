@@ -118,13 +118,6 @@ def test_single_key_output_balance_over_keyspace():
     assert all(v == 64 for v in counts.values())
 
 
-def test_coeffs_hex_zero_padded_lowercase():
-    key = KWiseHashKey((0x0A, 0xF0, 0x01), 8, 8, 8)
-    assert key.coeffs_hex() == ["0a", "f0", "01"]
-    wide = KWiseHashKey((0x1B,), 20, 10, 32)
-    assert wide.coeffs_hex() == ["0000001b"]
-
-
 def test_key_validation():
     with pytest.raises(ValueError):
         KWiseHashKey((), 4, 4, 4)

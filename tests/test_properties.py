@@ -1,16 +1,15 @@
 """Properties of the combiners over generated shapes at widths 8, 16 and 32,
 and of the numpy grid kernel at every supported width.
 
-The scalar Oracle.query path is the reference for the numpy path, so the
-two must agree pointwise, whether the numpy path reads the keys off
-scalar oracles or samples them itself from the key streams' words; the
+The scalar Oracle.query path is the reference for the numpy path, so a
+layout's numpy twin, which samples its keys from the key streams' words,
+must answer as the scalar oracles keyed from the same streams; the
 per-query call counts, the z = 0 degeneration of adw to pp and the 4q
 locality of the adaptive builders must hold for every drawn shape, not
 only at the pinned examples of the other test files. Runs are
 derandomized so the suite stays reproducible.
 """
 
-import dataclasses
 import random
 from functools import partial
 from unittest import mock
@@ -21,11 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuckooprf import batch
-from cuckooprf.batch import batch_answers, batch_eval_kwise
 from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
 from cuckooprf.combine import (
     ADWKey,
-    ADWOracle,
     PPKey,
     adw_eval,
     count_underlying_calls,
@@ -35,13 +32,14 @@ from cuckooprf.combine import (
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import SUPPORTED_WIDTHS
-from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise, sample_table
+from cuckooprf.hashfam import eval_kwise, sample_kwise
 from cuckooprf.prfcore import InstrumentedOracle, LazyRandomOracle
 from cuckooprf.transform import (
     ExtensionParams,
+    KeyDraws,
     KeySampler,
-    PaddedPrfMap,
     adw_layout,
+    adw_z,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
     build_adw_domain_extension,
@@ -81,67 +79,12 @@ def _inputs(data, d: int) -> list[BitString]:
     return [BitString(v, d) for v in values]
 
 
-def _assert_scalar_equals_batched(data, sampler, d: int):
-    rng = _rng(data)
-    oracles = [sampler(rng) for _ in range(TRIALS)]
-    xs = _inputs(data, d)
-    matrix = batch_answers(oracles, xs)
-    assert matrix is not None
-    assert matrix.tolist() == [[o.query(x).value for x in xs] for o in oracles]
-
-
-@PROPERTY
-@given(shapes(), st.data())
-def test_levin_scalar_equals_batched(shape, data):
-    _, d, s, r, k = shape
-    _assert_scalar_equals_batched(data, levin_sampler(d, s, r, k), d)
-
-
-@PROPERTY
-@given(shapes(), st.data())
-def test_pp_scalar_equals_batched(shape, data):
-    _, d, s, r, k = shape
-    p = ExtensionParams(d, s, r, k, 1)
-    _assert_scalar_equals_batched(data, lambda rng: build_pp_domain_extension(p, rng), d)
-
-
-@PROPERTY
-@given(shapes(), st.data())
-def test_range_restricted_pp_scalar_equals_batched(shape, data):
-    _, n, _, _, k = shape
-    q = 1 << data.draw(st.integers(0, min(4, n - 2)), label="log2 q")
-    _assert_scalar_equals_batched(
-        data, lambda rng: build_adaptive_from_nonadaptive(n, q, k, rng), n)
-
-
-@PROPERTY
-@given(shapes(), st.booleans(), st.data())
-def test_table_adw_scalar_equals_batched(shape, restricted, data):
-    _, d, s, r, _ = shape
-    if restricted:
-        q = 1 << data.draw(st.integers(1, min(3, d - 2)), label="log2 q")
-        sampler = lambda rng: build_adw_adaptive_from_nonadaptive(d, q, 1, rng)
-    else:
-        q = 1 << data.draw(st.integers(0, min(2, s - 2)), label="log2 q")
-        p = ExtensionParams(d, s, r, 2, q)
-        sampler = lambda rng: build_adw_domain_extension(p, "table", rng)
-    _assert_scalar_equals_batched(data, sampler, d)
-
-
 def _prf_adw_params(shape, data) -> ExtensionParams:
     """A prf-backed adw shape: 2 <= q <= 2^(s-2) and log2 q <= s <= r."""
     w, d, s, _, _ = shape
     r = data.draw(st.integers(s, w), label="r")
     q = 1 << data.draw(st.integers(1, min(3, s - 2)), label="log2 q")
     return ExtensionParams(d, s, r, 2, q)
-
-
-@PROPERTY
-@given(shapes(min_s=3), st.data())
-def test_prf_adw_scalar_equals_batched(shape, data):
-    p = _prf_adw_params(shape, data)
-    _assert_scalar_equals_batched(
-        data, lambda rng: build_adw_domain_extension(p, "prf", rng), p.d)
 
 
 @PROPERTY
@@ -182,12 +125,12 @@ def test_grid_kernel_equals_eval_kwise(w, k, data):
     rows = data.draw(st.sampled_from((1, block - 1, block, block + 1, 2 * block + 1)),
                      label="rows")
     r = data.draw(st.integers(1, w), label="r")
-    rng = _rng(data)
-    keys = [KWiseHashKey(tuple(rng.getrandbits(w) for _ in range(k)), w, r, w)
-            for _ in range(rows)]
+    streams = KeyStreams(data.draw(st.integers(0, 2**64 - 1), label="seed"), 9)
     with mock.patch.object(batch, "BLOCK_ELEMS", SMALL_BLOCK_ELEMS):
-        grid = np.concatenate([batch_eval_kwise(keys[b.start:b.stop], points)
-                               for b in batch.blocks(rows, len(points))])
+        grid = np.concatenate([
+            batch.ColumnDraws(streams.heads(b)).kwise(k, w, r).grid(batch._Points(points))
+            for b in batch.blocks(rows, len(points))])
+    keys = [sample_kwise(k, w, r, streams.stream(t)) for t in range(rows)]
     assert grid.tolist() == [[eval_kwise(key, x) for x in points] for key in keys]
 
 
@@ -199,15 +142,13 @@ def _parity_distinguisher(q: int, d: int) -> NonAdaptiveDistinguisher:
         decide_batch=lambda values: (values[:, 0] & 1).astype(bool))
 
 
-# KeySamplers go through their numpy twin in run_game's block path; the
-# prf-backed adw has none and is sampled trial by trial there.
+# KeySamplers, so each goes through its numpy twin in run_game's block path.
 _GAME_SAMPLERS = {
     "lazy": lazy_sampler(12, 12),
     "levin": levin_sampler(12, 8, 12, 4),
     "pp": pp_sampler(ExtensionParams(12, 8, 12, 4, 8)),
     "adw-table": KeySampler(adw_layout(ExtensionParams(12, 8, 12, 2, 8), "table")),
-    "adw-prf": lambda rng: build_adw_domain_extension(
-        ExtensionParams(12, 8, 12, 2, 8), "prf", rng),
+    "adw-prf": KeySampler(adw_layout(ExtensionParams(12, 8, 12, 2, 8), "prf")),
 }
 
 
@@ -217,10 +158,10 @@ def _adaptive_budget(data, d: int, least: int) -> int:
 
 
 @PROPERTY
-@given(shapes(), st.sampled_from(("lazy", "levin", "pp", "adw-table", "adaptive-pp",
+@given(shapes(), st.sampled_from(("lazy", "levin", "pp", "adw-table", "adw-prf", "adaptive-pp",
                                   "adaptive-adw")), st.data())
 def test_numpy_twin_equals_scalar_keys(shape, kind, data):
-    _, d, s, r, k = shape
+    w, d, s, r, k = shape
     xs = _inputs(data, d)
     if kind.startswith("adaptive"):
         # the adaptive builders are the two layouts with window 4q; past
@@ -235,6 +176,11 @@ def test_numpy_twin_equals_scalar_keys(shape, kind, data):
             q, c = _adaptive_budget(data, d, 1), data.draw(st.integers(1, 2), label="c")
             build = partial(build_adw_adaptive_from_nonadaptive, d, q, c)
             layout = adw_layout(ExtensionParams(d, d, d, 2, q, c), "table", window=4 * q)
+    elif kind == "adw-prf":
+        # z padded prf views as inner maps: the twin's padded slot
+        p = _prf_adw_params((w, d, max(s, 3), r, k), data)
+        r = p.r
+        build, layout = partial(build_adw_domain_extension, p, "prf"), adw_layout(p, "prf")
     else:
         q = 1 << data.draw(st.integers(0, min(2, s - 2)), label="log2 q")
         build = {
@@ -303,15 +249,23 @@ FOLD_LENGTHS = (5, 17, 24, 64)
 FOLD_PROPERTY = settings(PROPERTY, max_examples=6)
 
 
-def _table_adw(data, d: int, restricted: bool):
-    """rng, f_sampler -> an oracle of one shape from one of the two
-    table-backed adw builders, at input length d."""
+def _table_shape(data, d: int, restricted: bool) -> tuple[ExtensionParams, int | None]:
+    """(params, window) of one of the two table-backed adw builders at
+    input length d: the adaptive one (d = s = r, window 4q) or the plain one."""
     if restricted:
         q = 1 << data.draw(st.integers(1, min(3, d - 2)), label="log2 q")
         c = data.draw(st.integers(1, 2), label="c")
+        return ExtensionParams(d, d, d, 2, q, c), 4 * q
+    return _table_params(data, d), None
+
+
+def _table_adw(data, d: int, restricted: bool):
+    """rng, f_sampler -> an oracle of one shape from one of the two
+    table-backed adw builders, at input length d."""
+    p, _ = _table_shape(data, d, restricted)
+    if restricted:
         return lambda rng, f_sampler=None: build_adw_adaptive_from_nonadaptive(
-            d, q, c, rng, f_sampler)
-    p = _table_params(data, d)
+            d, p.q, p.c, rng, f_sampler)
     return lambda rng, f_sampler=None: build_adw_domain_extension(p, "table", rng, f_sampler)
 
 
@@ -344,28 +298,55 @@ def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
 
 
+def _keyed_both_ways(data, layout):
+    """A layout run on the first TRIALS streams of a drawn seed: the
+    twin's column form and the oracle KeyDraws builds from each stream."""
+    streams = KeyStreams(data.draw(st.integers(0, 2**64 - 1), label="seed"), 9)
+    columns = layout(batch.ColumnDraws(streams.heads(range(TRIALS))))
+    return columns, [layout(KeyDraws(streams.stream(t))) for t in range(TRIALS)]
+
+
 @pytest.mark.parametrize("d", FOLD_LENGTHS)
 @FOLD_PROPERTY
 @given(st.booleans(), st.data())
-def test_folded_adw_grid_equals_adw_eval(d, twin, data):
+def test_folded_adw_grid_equals_adw_eval(d, restricted, data):
     xs = _past_fold(data, d)
-    if twin:
-        sampler = KeySampler(adw_layout(_table_params(data, d), "table"))
-        streams = KeyStreams(data.draw(st.integers(0, 2**64 - 1), label="seed"), 9)
-        columns = sampler.layout(batch.ColumnDraws(streams.heads(range(TRIALS))))
-        keys = [sampler(streams.stream(t)).key for t in range(TRIALS)]
-    else:
-        rng, build = _rng(data), _table_adw(data, d, True)
-        oracles = [build(rng) for _ in range(TRIALS)]
-        columns = batch._columns(oracles)
-        keys = [o.key for o in oracles]
+    p, window = _table_shape(data, d, restricted)
+    columns, oracles = _keyed_both_ways(data, adw_layout(p, "table", window))
     assert columns._affine()
     grid = columns.grid(batch._Points(x.value for x in xs))
-    assert grid.tolist() == [[adw_eval(key, x).value for x in xs] for key in keys]
+    assert grid.tolist() == [[adw_eval(o.key, x).value for x in xs] for o in oracles]
 
 
-def _with(bar: tuple, i: int, item) -> tuple:
-    return bar[:i] + (item,) + bar[i + 1:]
+def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int):
+    """The table adw_layout with inner map i made non-affine: a 3-wise g
+    ("g"), a prf-backed map in one bar ("m1bar", "m2bar", "ybar"), or
+    4-entry tables under a 2-bit g ("wide")."""
+    z = adw_z(p, "table")
+    wide = slot == "wide"
+
+    def g(draws, j):
+        if j == i and slot == "g":
+            return draws.kwise(3, p.d, 1)
+        return draws.kwise(2, p.d, 2 if wide and j == i else 1)
+
+    def m(draws, j, name, bits, entry_window):
+        if j == i and slot == name:
+            return draws.padded(draws.prf(8, 64), 1, bits)
+        return draws.table(4 if wide and j == i else 2, bits, entry_window)
+
+    def layout(draws):
+        h1 = draws.kwise(2, p.d, p.s, window)
+        h2 = draws.kwise(2, p.d, p.s, window)
+        ell = draws.kwise(2, p.d, p.r)
+        gbar = tuple(g(draws, j) for j in range(z))
+        m1bar = tuple(m(draws, j, "m1bar", p.s, window) for j in range(z))
+        m2bar = tuple(m(draws, j, "m2bar", p.s, window) for j in range(z))
+        ybar = tuple(m(draws, j, "ybar", p.r, None) for j in range(z))
+        f1 = draws.prf(p.s, p.r)
+        return draws.adw(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, draws.prf(p.s, p.r))
+
+    return layout
 
 
 @PROPERTY
@@ -375,27 +356,14 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     """One 3-wise g, one prf-backed inner map, or one column of 4-entry
     tables under a 2-bit g, and the key takes the reference path in both
     engines, exactly."""
-    rng = _rng(data)
-    key = _table_adw(data, d, data.draw(st.booleans(), label="restricted"))(rng).key
-    i = data.draw(st.integers(0, key.z - 1), label="i")
-    if slot == "g":
-        key = dataclasses.replace(key, gbar=_with(key.gbar, i, sample_kwise(3, d, 1, rng)))
-    elif slot == "wide":
-        key = dataclasses.replace(
-            key, gbar=_with(key.gbar, i, sample_kwise(2, d, 2, rng)),
-            **{name: _with(getattr(key, name), i, sample_table(4, bits, rng))
-               for name, bits in (("m1bar", key.f1.domain_bits), ("m2bar", key.f2.domain_bits),
-                                  ("ybar", key.range_bits))})
-    else:
-        bits = getattr(key, slot)[i].range_bits
-        f = PaddedPrfMap(LazyRandomOracle(rng.getrandbits(64), 8, 64), 1, bits)
-        key = dataclasses.replace(key, **{slot: _with(getattr(key, slot), i, f)})
-    assert not is_affine(key)
+    p, window = _table_shape(data, d, data.draw(st.booleans(), label="restricted"))
+    i = data.draw(st.integers(0, adw_z(p, "table") - 1), label="i")
+    columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot, i))
     xs = _past_fold(data, d)
-    want = [adw_eval(key, x) for x in xs]
-    oracle = ADWOracle(key)
-    assert [oracle.query(x) for x in xs] == want
-    assert isinstance(oracle._folded, partial)
-    columns = batch._columns([oracle])
+    want = [[adw_eval(o.key, x) for x in xs] for o in oracles]
+    assert not any(is_affine(o.key) for o in oracles)
+    assert [[o.query(x) for x in xs] for o in oracles] == want
+    assert all(isinstance(o._folded, partial) for o in oracles)
     assert not columns._affine()
-    assert columns.grid(batch._Points(x.value for x in xs)).tolist() == [[y.value for y in want]]
+    assert columns.grid(batch._Points(x.value for x in xs)).tolist() == [
+        [y.value for y in row] for row in want]
