@@ -113,6 +113,8 @@ class _Points:
         """Evaluate N polynomials (rows of coeffs, a0 first) at every point: (N, q)."""
         n, k = coeffs.shape
         q = len(self.xs)
+        if q == 0:
+            return np.zeros((n, 0), dtype=np.uint64)
         tables = self._tables(spec)
         # point j's entries start at j * (table size) in each stacked table
         offsets = np.arange(q, dtype=np.intp) * (len(tables[0]) // q)

@@ -22,6 +22,7 @@ from cuckooprf.games import (
     tuple_uniformity_sd,
 )
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
+from cuckooprf.hashfam import sample_kwise
 from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle, PrgSpec
 from cuckooprf.transform import (
     ExtensionParams,
@@ -95,6 +96,20 @@ def test_const_mul_tables_equal_mul_int(w):
             assert table.dtype == np.uint64
             assert table.tolist() == [spec.mul_int(c, b << (8 * pos))
                                       for b in range(min(256, 1 << w))]
+
+
+def test_batch_eval_kwise_matches_scalar():
+    # a block of k-wise hashes drawn as word columns evaluates as the
+    # KWiseHashKeys that sample_kwise draws from the same streams
+    rng, streams, rows = random.Random(703), KeyStreams(703, 5), range(30)
+    xs = [rng.getrandbits(20) for _ in range(25)]
+    hashes = ColumnDraws(streams.heads(rows)).kwise(5, 20, 9)
+    grid = hashes.grid(batch._Points(xs))
+    for t in rows:
+        key = sample_kwise(5, 20, 9, streams.stream(t))
+        for j, x in enumerate(xs):
+            assert int(grid[t, j]) == key(BitString(x, 20)).value
+    assert hashes.grid(batch._Points([])).shape == (30, 0)
 
 
 def _pointwise_check(layout, build, queries):

@@ -157,10 +157,10 @@ def _adaptive_budget(data, d: int, least: int) -> int:
     return 1 << data.draw(st.integers(least, min(4, d - 2)), label="log2 q")
 
 
-@PROPERTY
-@given(shapes(), st.sampled_from(("lazy", "levin", "pp", "adw-table", "adw-prf", "adaptive-pp",
-                                  "adaptive-adw")), st.data())
-def test_numpy_twin_equals_scalar_keys(shape, kind, data):
+def _assert_twin_equals_scalar(shape, kind: str, data):
+    """The numpy twin of kind's layout, drawn on a block of key streams,
+    answers as the scalar oracles that kind's builder keys from the same
+    streams."""
     w, d, s, r, k = shape
     xs = _inputs(data, d)
     if kind.startswith("adaptive"):
@@ -198,6 +198,43 @@ def test_numpy_twin_equals_scalar_keys(shape, kind, data):
     assert (columns.domain_bits, columns.range_bits) == (d, r)
     assert grid.tolist() == [[build(streams.stream(t)).query(x).value for x in xs]
                              for t in rows]
+
+
+@PROPERTY
+@given(shapes(), st.sampled_from(("lazy", "levin", "pp", "adw-table", "adw-prf", "adaptive-pp",
+                                  "adaptive-adw")), st.data())
+def test_numpy_twin_equals_scalar_keys(shape, kind, data):
+    _assert_twin_equals_scalar(shape, kind, data)
+
+
+@PROPERTY
+@given(shapes(), st.data())
+def test_levin_scalar_equals_batched(shape, data):
+    _assert_twin_equals_scalar(shape, "levin", data)
+
+
+@PROPERTY
+@given(shapes(), st.data())
+def test_pp_scalar_equals_batched(shape, data):
+    _assert_twin_equals_scalar(shape, "pp", data)
+
+
+@PROPERTY
+@given(shapes(), st.data())
+def test_range_restricted_pp_scalar_equals_batched(shape, data):
+    _assert_twin_equals_scalar(shape, "adaptive-pp", data)
+
+
+@PROPERTY
+@given(shapes(), st.booleans(), st.data())
+def test_table_adw_scalar_equals_batched(shape, restricted, data):
+    _assert_twin_equals_scalar(shape, "adaptive-adw" if restricted else "adw-table", data)
+
+
+@PROPERTY
+@given(shapes(min_s=3), st.data())
+def test_prf_adw_scalar_equals_batched(shape, data):
+    _assert_twin_equals_scalar(shape, "adw-prf", data)
 
 
 @PROPERTY
