@@ -11,20 +11,23 @@ Everything is deterministic given the master seed: trial t of world w
 game_streams(seed, w).stream(t), whose word j is
 derive_seed(seed, GAME_TAG, w, t, j).
 
-run_game is the one game runner. It walks the trials of each world in
-blocks (batch.blocks). When a plain nonadaptive distinguisher meets a
-transform.KeySampler, each block's keys are drawn by the sampler's
-numpy twin (batch.block_keys), answered by batch.batch_answers and
-decided at once; any other distinguisher or sampler is played by the
-per-trial loop, the reference path. Both read the same words, so
-either way every per-trial verdict is the same.
-
 Nonadaptive distinguishers commit to their query list at construction
 time, so nonadaptivity is enforced by shape rather than by discipline.
-Adaptive ones choose each query from the transcript so far. Either
-way, queries pass through a guard that raises ProtocolViolation on
-budget overrun, repeats, or out-of-domain inputs; a violated trial is
-aborted, counted, and scored as a reject.
+Their one decision rule, decide, maps a (trials, q) uint64 matrix of
+answers to one verdict per row. Adaptive ones choose each query from the
+transcript so far. Queries asked one at a time pass through a guard that
+raises ProtocolViolation on budget overrun, repeats, or out-of-domain
+inputs; a violated trial is aborted, counted, and scored as a reject.
+
+run_game is the one game runner. It walks the trials of each world in
+blocks (batch.blocks). When a nonadaptive distinguisher meets a sampler
+with a numpy twin of its queries' domain (a transform.KeySampler), each
+block's keys are drawn by the twin (batch.block_keys), answered by
+batch.batch_answers and decided as one matrix. Every other block (of
+an adaptive distinguisher, or of a sampler without that twin) is played
+by the per-trial loop, the reference path, which decides a nonadaptive
+trial on its one-row matrix. Both read the same words, so
+either way every per-trial verdict is the same.
 """
 
 from __future__ import annotations
@@ -88,11 +91,9 @@ def sample_streams(seed: int) -> KeyStreams:
 
 
 class QueryGuard:
-    def __init__(self, oracle: Oracle, budget: int, allow_repeats: bool):
+    def __init__(self, oracle: Oracle, budget: int):
         self.oracle = oracle
         self.budget = budget
-        self.allow_repeats = allow_repeats
-        self.count = 0
         self.seen: set[int] = set()
 
     def __call__(self, x: BitString) -> BitString:
@@ -100,48 +101,43 @@ class QueryGuard:
             raise ProtocolViolation(
                 f"query of {x.length} bits against a {self.oracle.domain_bits}-bit domain"
             )
-        if self.count >= self.budget:
+        if len(self.seen) >= self.budget:
             raise ProtocolViolation(f"query budget {self.budget} exceeded")
-        if not self.allow_repeats:
-            if x.value in self.seen:
-                raise ProtocolViolation(f"repeated query {x.to01()}")
-            self.seen.add(x.value)
-        self.count += 1
+        if x.value in self.seen:
+            raise ProtocolViolation(f"repeated query {x.to01()}")
+        self.seen.add(x.value)
         return self.oracle.query(x)
 
 
 class Distinguisher:
-    """Base: a budget, an optional per-trial reset, and a run method."""
+    """Base: a query budget and run(query) -> bool, which the per-trial
+    loop calls once per trial with the trial's guarded oracle."""
 
     budget: int
-    allow_repeats: bool = False
-
-    def reset(self, rng):
-        pass
 
     def run(self, query) -> bool:
         raise NotImplementedError
 
 
 class NonAdaptiveDistinguisher(Distinguisher):
-    """Query list fixed up front; decide sees the aligned answer list."""
+    """Query list fixed up front; decide maps a (trials, q) uint64 matrix,
+    column j holding the answers to query j, to one verdict per row."""
 
-    def __init__(self, queries, decide, allow_repeats: bool = False, decide_batch=None):
+    def __init__(self, queries, decide):
         self.queries = tuple(queries)
         if not self.queries:
             raise ValueError("empty query list")
         lengths = {x.length for x in self.queries}
         if len(lengths) != 1:
             raise ValueError("queries must share one length")
-        if not allow_repeats and len({x.value for x in self.queries}) != len(self.queries):
-            raise ValueError("repeated queries (pass allow_repeats to permit)")
+        if len({x.value for x in self.queries}) != len(self.queries):
+            raise ValueError("repeated queries")
         self.decide = decide
-        self.decide_batch = decide_batch
-        self.allow_repeats = allow_repeats
         self.budget = len(self.queries)
 
     def run(self, query) -> bool:
-        return bool(self.decide([query(x) for x in self.queries]))
+        answers = np.array([[query(x).value for x in self.queries]], dtype=np.uint64)
+        return bool(self.decide(answers)[0])
 
 
 class AdaptiveDistinguisher(Distinguisher):
@@ -151,18 +147,12 @@ class AdaptiveDistinguisher(Distinguisher):
     None from next_query to stop early.
     """
 
-    def __init__(self, budget: int, next_query, decide, reset=None, allow_repeats: bool = False):
+    def __init__(self, budget: int, next_query, decide):
         if budget < 1:
             raise ValueError("budget must be positive")
         self.budget = budget
         self._next_query = next_query
         self.decide = decide
-        self._reset = reset
-        self.allow_repeats = allow_repeats
-
-    def reset(self, rng):
-        if self._reset is not None:
-            self._reset(rng)
 
     def run(self, query) -> bool:
         transcript: list[tuple[BitString, BitString]] = []
@@ -178,15 +168,14 @@ def run_game(real_sampler, ideal_sampler, dist: Distinguisher, trials: int, seed
     """Estimate the distinguisher's advantage between two samplers.
 
     Samplers are callables rng -> Oracle, invoked once per trial with
-    the trial's key stream, except that a transform.KeySampler facing a
-    plain NonAdaptiveDistinguisher is sampled a block at a time by its
-    numpy twin. Trial sets of the two worlds are independent.
+    the trial's key stream, except that a NonAdaptiveDistinguisher facing
+    a transform.KeySampler of its queries' domain has each block of trials
+    sampled by the sampler's numpy twin and decided as one answer matrix.
+    Trial sets of the two worlds are independent.
     """
     if trials < 1:
         raise ConfigurationError("trials must be positive")
-    batched = (isinstance(dist, NonAdaptiveDistinguisher)
-               and type(dist).reset is Distinguisher.reset
-               and type(dist).run is NonAdaptiveDistinguisher.run)
+    batched = isinstance(dist, NonAdaptiveDistinguisher)
     q = len(dist.queries) if batched else 1
     accepts = {REAL_WORLD: 0, IDEAL_WORLD: 0}
     violations = 0
@@ -210,11 +199,7 @@ def _batched_verdicts(sampler, streams: KeyStreams, block: range,
     keys = batch.block_keys(sampler, streams, block, dist.queries[0].length)
     if keys is None:
         return None
-    matrix = batch.batch_answers(keys, dist.queries)
-    if dist.decide_batch is not None:
-        return [bool(v) for v in dist.decide_batch(matrix)]
-    return [bool(dist.decide([BitString(int(v), keys.range_bits) for v in row]))
-            for row in matrix]
+    return [bool(v) for v in dist.decide(batch.batch_answers(keys, dist.queries))]
 
 
 def _trial_verdicts(sampler, streams: KeyStreams, block: range,
@@ -222,10 +207,7 @@ def _trial_verdicts(sampler, streams: KeyStreams, block: range,
     """The block's verdicts and protocol violations, one trial at a time."""
     verdicts, violations = [], 0
     for t in block:
-        rng = streams.stream(t)
-        oracle = sampler(rng)
-        dist.reset(rng)
-        guard = QueryGuard(oracle, dist.budget, dist.allow_repeats)
+        guard = QueryGuard(sampler(streams.stream(t)), dist.budget)
         try:
             verdicts.append(bool(dist.run(guard)))
         except ProtocolViolation:
@@ -244,14 +226,11 @@ def birthday_distinguisher(q: int, domain_bits: int) -> NonAdaptiveDistinguisher
         raise ConfigurationError(f"q={q} distinct queries do not fit in {domain_bits} bits")
     queries = tuple(BitString(i, domain_bits) for i in range(q))
 
-    def decide(answers):
-        return len({a.value for a in answers}) < len(answers)
-
-    def decide_batch(values: np.ndarray) -> np.ndarray:
+    def decide(values: np.ndarray) -> np.ndarray:
         ordered = np.sort(values, axis=1)
         return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
 
-    return NonAdaptiveDistinguisher(queries, decide, decide_batch=decide_batch)
+    return NonAdaptiveDistinguisher(queries, decide)
 
 
 def birthday_closed_form(q: int, bits: int) -> float:
@@ -341,7 +320,7 @@ def involution_nonadaptive_distinguisher(n: int) -> NonAdaptiveDistinguisher:
     fails: it accepts iff two fixed points collide, which a permutation
     never produces and a random function almost never does."""
     queries = (BitString(0, n), BitString(1, n))
-    return NonAdaptiveDistinguisher(queries, lambda ans: ans[0] == ans[1])
+    return NonAdaptiveDistinguisher(queries, lambda values: values[:, 0] == values[:, 1])
 
 
 def involution_samplers(n: int):
@@ -375,10 +354,11 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     point because the plug-in estimate is biased upward.
 
     handle_sampler is a callable rng -> oracle, called on sample i's
-    stream sample_streams(seed).stream(i). Samples are walked in blocks
-    as run_game walks trials: a transform.KeySampler is sampled by its
-    numpy twin, and any other sampler's handles are queried one at a
-    time, with the same codes either way.
+    stream sample_streams(seed).stream(i). Every query must be an input
+    of sample 0's handle. Samples are walked in blocks as run_game walks
+    trials: a transform.KeySampler is sampled by its numpy twin, and any
+    other sampler's handles are queried one at a time, with the same
+    codes either way.
     """
     queries = tuple(queries)
     if not queries:
@@ -387,7 +367,10 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
         raise ValueError("queries must be distinct")
 
     streams = sample_streams(seed)
-    r = handle_sampler(streams.stream(0)).range_bits
+    first = handle_sampler(streams.stream(0))
+    if any(x.length != first.domain_bits for x in queries):
+        raise ValueError(f"queries must be inputs of the handles' {first.domain_bits}-bit domain")
+    r = first.range_bits
     t = len(queries)
     if r * t > 16:
         raise ConfigurationError(f"support of 2^{r * t} cells exceeds the 2^16 cap")

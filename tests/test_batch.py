@@ -14,9 +14,11 @@ from cuckooprf.bits import BitString, KeyStreams, derive_seed, key_stream, mix64
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.experiments import levin_sampler, uniformity
 from cuckooprf.games import (
+    Distinguisher,
     NonAdaptiveDistinguisher,
     birthday_distinguisher,
     game_streams,
+    involution_nonadaptive_distinguisher,
     run_game,
     sample_streams,
     tuple_uniformity_sd,
@@ -221,14 +223,23 @@ def test_batched_game_equals_scalar_game():
 
 
 def test_batched_game_equals_scalar_without_decide_batch():
-    # same decision rule, but only the per-row scalar decide is provided
+    # birthday's collision rule written a second way, one set per row
     p = ExtensionParams(24, 12, 24, 8, 64)
     sampler = pp_sampler(p)
     queries = [BitString(i, 24) for i in range(64)]
     dist = NonAdaptiveDistinguisher(
-        queries, lambda ans: len({a.value for a in ans}) < len(ans)
+        queries, lambda values: [len(set(row)) < len(row) for row in values.tolist()]
     )
     assert_paths_agree(sampler, lazy_sampler(24, 24), dist, 15, 921)
+
+
+def test_involution_nonadaptive_rule_agrees_on_both_paths():
+    # n-bit domain and range, small enough that some trials collide
+    n = 3
+    real = KeySampler(pp_layout(n, 2, n, 2))
+    res = assert_paths_agree(real, lazy_sampler(n, n),
+                             involution_nonadaptive_distinguisher(n), 40, 926)
+    assert res.p_real > 0 and res.p_ideal > 0
 
 
 def test_batched_game_falls_back_for_unsupported_oracles(monkeypatch):
@@ -246,18 +257,20 @@ def test_batched_game_falls_back_for_unsupported_oracles(monkeypatch):
 
 def test_batched_game_falls_back_for_custom_distinguishers():
     calls = []
-
-    class Custom(NonAdaptiveDistinguisher):
-        def reset(self, rng):
-            calls.append(rng.getrandbits(8))
-
     queries = [BitString(i, 16) for i in range(8)]
-    decide = lambda ans: len({a.value for a in ans}) < 8
-    custom = run_game(lazy_sampler(16, 16), lazy_sampler(16, 16), Custom(queries, decide), 10, 923)
+
+    class Custom(Distinguisher):
+        budget = len(queries)
+
+        def run(self, query):
+            calls.append(None)
+            return len({query(x).value for x in queries}) < len(queries)
+
+    custom = run_game(lazy_sampler(16, 16), lazy_sampler(16, 16), Custom(), 10, 923)
     plain = run_game(lazy_sampler(16, 16), lazy_sampler(16, 16),
-                     NonAdaptiveDistinguisher(queries, decide), 10, 923)
+                     birthday_distinguisher(8, 16), 10, 923)
     assert custom == plain
-    # the runner really did play it trial by trial, resetting it each time
+    # the runner really did play it trial by trial
     assert len(calls) == 20
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cuckooprf.bits import BitString
@@ -21,6 +22,7 @@ from cuckooprf.games import (
     tuple_uniformity_sd,
 )
 from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle
+from cuckooprf.transform import KeySampler, pp_layout
 
 
 def _lazy_sampler(d, r):
@@ -28,7 +30,7 @@ def _lazy_sampler(d, r):
 
 
 def test_constant_distinguisher_has_zero_advantage():
-    dist = NonAdaptiveDistinguisher([BitString(0, 8)], lambda ans: True)
+    dist = NonAdaptiveDistinguisher([BitString(0, 8)], lambda values: values[:, 0] >= 0)
     res = run_game(_lazy_sampler(8, 8), _lazy_sampler(8, 8), dist, 50, 600)
     assert res.p_real == 1.0
     assert res.p_ideal == 1.0
@@ -97,16 +99,6 @@ def test_wrong_length_query_is_a_violation():
     assert res.violations == 6
 
 
-def test_allow_repeats_permits_duplicates():
-    x = BitString(5, 8)
-    dist = NonAdaptiveDistinguisher(
-        [x, x], lambda ans: ans[0] == ans[1], allow_repeats=True
-    )
-    res = run_game(_lazy_sampler(8, 8), _lazy_sampler(8, 8), dist, 10, 607)
-    assert res.violations == 0
-    assert res.p_real == 1.0 and res.p_ideal == 1.0
-
-
 def test_nonadaptive_constructor_validation():
     with pytest.raises(ValueError):
         NonAdaptiveDistinguisher([], lambda ans: True)
@@ -147,14 +139,15 @@ def test_birthday_simulation_tracks_closed_form():
 
 
 def test_birthday_decide_and_decide_batch_agree():
-    import numpy as np
-
+    # one rule, on a block and one row at a time, against a set per row
     dist = birthday_distinguisher(8, 6)
     rng = random.Random(611)
     rows = [[rng.getrandbits(4) for _ in range(8)] for _ in range(200)]
-    scalar = [dist.decide([BitString(v, 4) for v in row]) for row in rows]
-    batch = dist.decide_batch(np.array(rows, dtype=np.uint64))
-    assert scalar == [bool(b) for b in batch]
+    reference = [len(set(row)) < len(row) for row in rows]
+    block = dist.decide(np.array(rows, dtype=np.uint64))
+    one_at_a_time = [bool(dist.decide(np.array([row], dtype=np.uint64))[0]) for row in rows]
+    assert [bool(v) for v in block] == one_at_a_time == reference
+    assert 0 < sum(reference) < len(rows)
 
 
 def test_expected_fixed_points_small_cases():
@@ -231,3 +224,13 @@ def test_uniformity_guard_rails():
         tuple_uniformity_sd(_lazy_sampler(8, 9), qs, 10**9, 1)  # 18-bit support
     with pytest.raises(ConfigurationError):
         tuple_uniformity_sd(_lazy_sampler(8, 2), qs, 15999, 1)  # below floor
+
+
+def test_uniformity_rejects_queries_outside_the_handles_domain():
+    # the numpy twin and plain per-sample handles reject them alike
+    twin = KeySampler(pp_layout(8, 8, 1, 8))
+    plain = lambda rng: twin(rng)
+    for sampler in (twin, plain):
+        for wrong in (BitString(1, 6), BitString(300, 10)):
+            with pytest.raises(ValueError):
+                tuple_uniformity_sd(sampler, [BitString(0, 8), wrong], 4000, 620)

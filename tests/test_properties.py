@@ -137,9 +137,8 @@ def test_grid_kernel_equals_eval_kwise(w, k, data):
 def _parity_distinguisher(q: int, d: int) -> NonAdaptiveDistinguisher:
     """Accepts on an odd first answer: about half the trials either way,
     so a verdict out of place shows."""
-    return NonAdaptiveDistinguisher(
-        [BitString(v, d) for v in range(q)], lambda answers: bool(answers[0].value & 1),
-        decide_batch=lambda values: (values[:, 0] & 1).astype(bool))
+    return NonAdaptiveDistinguisher([BitString(v, d) for v in range(q)],
+                                    lambda values: (values[:, 0] & 1).astype(bool))
 
 
 # KeySamplers, so each goes through its numpy twin in run_game's block path.
