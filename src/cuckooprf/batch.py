@@ -67,12 +67,18 @@ class _ConstMul:
     all 2^w products for w <= 8), and the XOR of the looked-up entries
     is the product. Exact by linearity of carryless multiplication over
     GF(2), which also builds the tables: they are gf.linear_tables of
-    the w products c * 2^b.
+    the w products c * 2^b, each the double of the one before (shift
+    left, then XOR the reduction polynomial on overflow).
     """
 
     def __init__(self, spec: FieldSpec, c: int):
         w = spec.width
-        powers = [spec.mul_int(c, 1 << b) for b in range(w)]
+        powers = []
+        for _ in range(w):
+            powers.append(c)
+            c <<= 1
+            if c >> w:
+                c ^= spec.poly
         self.tables = tuple(linear_tables(powers, min(8, w)))
 
 

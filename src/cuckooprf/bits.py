@@ -2,11 +2,12 @@
 
 Every value that crosses the public Oracle.query boundary is a
 BitString: an unsigned integer paired with an explicit length. Lengths
-are checked at each operation so a 4-bit value can never be silently
-confused with the same integer at 8 bits. Inside the combiners values
-are plain ints, whose shapes the keys have already validated. Bit positions are MSB-first: bit(0) is the leftmost
-bit, matching the left-to-right order in which tree constructions
-consume input bits.
+are checked at each operation, so a 4-bit value can never be silently
+confused with the same integer at 8 bits. Inside the combiners, values
+are plain ints whose shapes the keys have already validated.
+
+Bit positions are MSB-first: bit(0) is the leftmost bit. This matches
+the left-to-right order in which tree constructions consume input bits.
 
 mix64 is the splitmix64 finalizer. It is the only source of derived
 randomness in the experiment harness: lazy-random oracles, key streams,

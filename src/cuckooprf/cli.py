@@ -27,9 +27,9 @@ from .errors import ConfigurationError
 def _add_common(sp, trials_default=None):
     sp.add_argument("--seed", type=int, default=2024,
                     help="master seed; fixes every derived random choice (default 2024)")
-    sp.add_argument("--trials", type=int, default=trials_default,
-                    help="game trials per world" if trials_default else
-                    "accepted for interface uniformity; unused here")
+    if trials_default is not None:
+        sp.add_argument("--trials", type=int, default=trials_default,
+                        help="game trials per world")
     sp.add_argument("--out", default=None, help="output file (default stdout)")
     sp.add_argument("--format", choices=("csv", "json"), default="csv",
                     help="output format (default csv)")

@@ -15,11 +15,13 @@ trial division over all divisors of degree <= w/2; the two wide widths
 use well-known low-weight irreducibles and are covered by known-answer
 tests instead.
 
-The multiplication strategy is width-dependent (full tables for w <= 8,
-log/exp tables for w = 16, byte-sliced carryless products above) but
-the contract is bit-exact agreement with the schoolbook shift-and-XOR
-definition, which the test suite checks against an independent oracle.
-Tables are built on first use, never at import or construction.
+Multiplication has one strategy per width band: log/exp tables for
+w <= 16, and the schoolbook shift-and-XOR _mul_raw for w in {32, 64}.
+The contract is bit-exact agreement with the schoolbook definition,
+which the test suite checks against an independent oracle. Tables are
+built on first use, never at import or construction. The numpy engine
+(batch._ConstMul) multiplies by a fixed element through tables of its
+doublings c * 2^b and makes no product here.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _is_irreducible(poly: int) -> bool:
 
 
 def _mul_raw(a: int, b: int, width: int, poly: int) -> int:
-    """Schoolbook carryless multiply and reduce. Slow but obviously right."""
+    """Schoolbook carryless multiply and reduce: the w >= 32 multiplier."""
     acc = 0
     while b:
         if b & 1:
@@ -67,73 +69,34 @@ def _mul_raw(a: int, b: int, width: int, poly: int) -> int:
     return _polymod(acc, poly)
 
 
-# 15-bit carryless products of byte pairs, shared by every wide field.
-_CL8: list[list[int]] | None = None
-
-
-def _cl8() -> list[list[int]]:
-    global _CL8
-    if _CL8 is None:
-        table = []
-        for a in range(256):
-            row = []
-            for b in range(256):
-                acc, aa, bb = 0, a, b
-                while bb:
-                    if bb & 1:
-                        acc ^= aa
-                    aa <<= 1
-                    bb >>= 1
-                row.append(acc)
-            table.append(row)
-        _CL8 = table
-    return _CL8
-
-
 class FieldSpec:
-    """A concrete field: width plus reduction polynomial.
+    """The field GF(2^width) under its shipped reduction polynomial.
 
-    Instances cache their multiplication tables, so reuse one spec per
-    field (default_spec does this) rather than constructing in a loop.
+    Two width bands, one multiplier each. For w <= 16, log/exp tables
+    over a generator of the multiplicative group, built on first use and
+    cached on the instance, so reuse one spec per field (default_spec
+    does this) rather than constructing in a loop. For w in {32, 64},
+    the schoolbook _mul_raw.
     """
 
-    def __init__(self, width: int, reduction_poly: int | None = None):
+    def __init__(self, width: int):
         if width not in SUPPORTED_WIDTHS:
             raise ValueError(f"unsupported width {width}")
-        poly = DEFAULT_REDUCTION[width] if reduction_poly is None else reduction_poly
-        if poly.bit_length() - 1 != width:
-            raise ValueError(f"reduction polynomial {poly:#x} does not have degree {width}")
-        if width <= 16 and not _is_irreducible(poly):
-            raise ValueError(f"reduction polynomial {poly:#x} is reducible")
         self.width = width
-        self.reduction_poly = poly
-        self._mul_table: list[list[int]] | None = None
+        self.poly = DEFAULT_REDUCTION[width]
+        if width <= 16 and not _is_irreducible(self.poly):
+            raise ValueError(f"reduction polynomial {self.poly:#x} is reducible")
         self._log: list[int] | None = None
         self._exp: list[int] | None = None
-        self._reduce_tables: list[list[int]] | None = None
 
     def __repr__(self):
-        return f"FieldSpec(width={self.width}, reduction_poly={self.reduction_poly:#x})"
+        return f"FieldSpec(width={self.width})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.width == other.width
-            and self.reduction_poly == other.reduction_poly
-        )
+        return isinstance(other, FieldSpec) and self.width == other.width
 
     def __hash__(self):
-        return hash((self.width, self.reduction_poly))
-
-    # table construction, one strategy per width band
-
-    def _build_mul_table(self) -> list[list[int]]:
-        if self._mul_table is None:
-            w, p = self.width, self.reduction_poly
-            self._mul_table = [
-                [_mul_raw(a, b, w, p) for b in range(1 << w)] for a in range(1 << w)
-            ]
-        return self._mul_table
+        return hash(self.width)
 
     def _build_logexp(self) -> tuple[list[int], list[int]]:
         if self._log is None:
@@ -143,7 +106,7 @@ class FieldSpec:
                 exp = [1]
                 v = 1
                 while True:
-                    v = _mul_raw(v, g, self.width, self.reduction_poly)
+                    v = _mul_raw(v, g, self.width, self.poly)
                     if v == 1:
                         break
                     exp.append(v)
@@ -157,64 +120,24 @@ class FieldSpec:
             self._log = log
         return self._log, self._exp
 
-    def _build_reduce_tables(self) -> list[list[int]]:
-        if self._reduce_tables is None:
-            w, p = self.width, self.reduction_poly
-            tables = []
-            for pos in range(w // 8):
-                tables.append([_polymod(byte << (w + 8 * pos), p) for byte in range(256)])
-            self._reduce_tables = tables
-        return self._reduce_tables
-
     def mul_int(self, a: int, b: int) -> int:
         """Product of raw integer elements. No range checks; hot path."""
-        w = self.width
-        if w <= 8:
-            return self._build_mul_table()[a][b]
-        if w == 16:
+        if self.width <= 16:
             if a == 0 or b == 0:
                 return 0
             log, exp = self._build_logexp()
             return exp[log[a] + log[b]]
-        # byte-sliced carryless product, then table reduction
-        cl8 = _cl8()
-        nbytes = w // 8
-        abytes = [(a >> (8 * i)) & 255 for i in range(nbytes)]
-        bbytes = [(b >> (8 * i)) & 255 for i in range(nbytes)]
-        prod = 0
-        for i, ab in enumerate(abytes):
-            if ab:
-                row = cl8[ab]
-                for j, bb in enumerate(bbytes):
-                    if bb:
-                        prod ^= row[bb] << (8 * (i + j))
-        red = self._build_reduce_tables()
-        out = prod & ((1 << w) - 1)
-        high = prod >> w
-        pos = 0
-        while high:
-            byte = high & 255
-            if byte:
-                out ^= red[pos][byte]
-            high >>= 8
-            pos += 1
-        return out
+        return _mul_raw(a, b, self.width, self.poly)
 
     def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
         """a0 + a1*x + ... + a_{k-1}*x^{k-1} by Horner's rule, on raw ints.
 
-        The multiplier is resolved once per evaluation rather than once
-        per product: the row of x for w <= 8, log(x) for w = 16, the
-        bound mul_int above.
+        For w <= 16, log(x) is looked up once per evaluation rather than
+        once per product; wider fields multiply through mul_int.
         """
         acc = coeffs[-1]
         rest = coeffs[-2::-1]
-        w = self.width
-        if w <= 8:
-            row = self._build_mul_table()[x]
-            for c in rest:
-                acc = row[acc] ^ c
-        elif w == 16:
+        if self.width <= 16:
             if x == 0:
                 return coeffs[0]
             log, exp = self._build_logexp()

@@ -193,15 +193,24 @@ def _assert_configuration_error(rc, err):
 
 
 @pytest.mark.parametrize("argv", [
-    ["birthday", "--s", "1"],
-    ["birthday", "--d", "70"],
+    ["birthday", "--s", "1", "--trials", "2"],
+    ["birthday", "--d", "70", "--trials", "2"],
     ["uniformity", "--d", "70"],
     ["adaptive-transform", "--n", "70"],
-    ["involution", "--n", "0"],
+    ["involution", "--n", "0", "--trials", "2"],
 ])
 def test_out_of_range_parameters_exit_2(argv, capsys):
-    rc = cli.main(argv + ["--trials", "2"])
+    rc = cli.main(argv)
     _assert_configuration_error(rc, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["kwise-verify", "uniformity", "ggm-kat",
+                                     "adaptive-transform"])
+def test_trials_is_rejected_where_no_game_is_played(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--trials", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["{\"q\": 16,", "\xff\xfe"])

@@ -6,6 +6,7 @@ from cuckooprf.gf import (
     DEFAULT_REDUCTION,
     SUPPORTED_WIDTHS,
     FieldSpec,
+    _is_irreducible,
     _mul_raw,
     default_spec,
 )
@@ -138,37 +139,41 @@ def test_poly_eval_degenerate_cases():
         assert spec.poly_eval([3, 1], top) == top ^ 3
 
 
-def test_fieldspec_rejects_reducible_polynomial():
-    # x^16 + x^5 + x^3 + x + 1 is the shipped irreducible for width 16
-    FieldSpec(16, 0x1002B)
-    with pytest.raises(ValueError):
-        FieldSpec(16, 0x1002A)
-    with pytest.raises(ValueError):
-        FieldSpec(8, 0x100)
+def test_is_irreducible_accepts_shipped_and_rejects_reducible():
+    for w in SUPPORTED_WIDTHS:
+        if w <= 16:
+            assert _is_irreducible(DEFAULT_REDUCTION[w])
+    assert not _is_irreducible(0x1002A)  # divisible by x
+    assert not _is_irreducible(0x100)  # x^8
     # x^4 + x^2 + 1 = (x^2 + x + 1)^2
-    with pytest.raises(ValueError):
-        FieldSpec(4, 0b10101)
+    assert not _is_irreducible(0b10101)
 
 
 def test_fieldspec_rejects_unsupported_width():
     with pytest.raises(ValueError):
-        FieldSpec(5, 0x3F)
+        FieldSpec(5)
     with pytest.raises(ValueError):
         FieldSpec(12)
 
 
 def test_fieldspec_equality_and_default_cache():
     assert default_spec(8) is default_spec(8)
-    assert FieldSpec(8, 0x11B) == default_spec(8)
-    assert hash(FieldSpec(8, 0x11B)) == hash(default_spec(8))
+    assert FieldSpec(8) == default_spec(8)
+    assert hash(FieldSpec(8)) == hash(default_spec(8))
 
 
-def test_alternate_irreducible_gives_different_field():
-    # x^4 + x^3 + 1 is also irreducible over GF(2)
-    alt = FieldSpec(4, 0b11001)
-    std = default_spec(4)
-    products_alt = [alt.mul_int(a, b) for a in range(16) for b in range(16)]
-    products_std = [std.mul_int(a, b) for a in range(16) for b in range(16)]
-    assert products_alt != products_std
-    for a in range(1, 16):
-        assert len([b for b in range(1, 16) if alt.mul_int(a, b) == 1]) == 1
+@pytest.mark.parametrize("w", [w for w in SUPPORTED_WIDTHS if w <= 16])
+def test_logexp_tables_are_a_permutation_and_its_inverse(w):
+    log, exp = FieldSpec(w)._build_logexp()
+    order = (1 << w) - 1
+    assert sorted(exp[:order]) == list(range(1, order + 1))
+    for i, v in enumerate(exp[:order]):
+        assert log[v] == i
+
+
+def test_mul_matches_schoolbook_exhaustive_width8():
+    spec = default_spec(8)
+    red = DEFAULT_REDUCTION[8]
+    for a in range(256):
+        for b in range(256):
+            assert spec.mul_int(a, b) == _mul_schoolbook(a, b, 8, red)
