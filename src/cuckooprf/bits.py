@@ -230,15 +230,3 @@ class BitString:
         if not 0 <= n <= self.length:
             raise ValueError(f"drop {n} of length {self.length}")
         return BitString(truncate(self.value, self.length - n), self.length - n)
-
-    def truncate_low(self, bits: int) -> "BitString":
-        """Keep the low `bits` bits."""
-        if bits > self.length:
-            raise ValueError(f"truncate to {bits} of length {self.length}")
-        return BitString(truncate(self.value, bits), bits)
-
-    def zero_extend(self, length: int) -> "BitString":
-        """Pad with leading zeroes up to `length`; the value is unchanged."""
-        if length < self.length:
-            raise ValueError(f"zero_extend to {length} below length {self.length}")
-        return BitString(self.value, length)

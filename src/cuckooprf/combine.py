@@ -19,10 +19,11 @@ call). Every slot is duck-typed: anything with domain_bits/range_bits
 attributes and an eval_int(int) -> int method works, which admits
 plain k-wise keys, range-restricted ones, tables and any Oracle.
 
-Values are plain ints inside the combiners. A BitString is built only
-where a value crosses an Oracle.query boundary: the input and answer
-of pp_eval/adw_eval, and each call of an underlying oracle, which
-Oracle.eval_int routes through query.
+Values are plain ints inside the combiners: pp_eval, adw_eval and
+count_underlying_calls take and return raw values, and every slot is
+called through eval_int. A BitString is built only where PPOracle or
+ADWOracle is queried through Oracle.query, which checks the input
+length the combiners take on trust.
 
 An adw key whose hashes all have degree at most 1 (k <= 2) and whose
 inner maps are all 2-entry tables is GF(2)-affine in x: each of its
@@ -38,15 +39,9 @@ from functools import partial
 
 import numpy as np
 
-from .bits import BitString
 from .gf import linear_tables
 from .hashfam import KWiseHashKey, RandomTable, RestrictedHash
 from .prfcore import Oracle
-
-
-def _check_input(key, x: BitString):
-    if x.length != key.domain_bits:
-        raise ValueError(f"input length {x.length}, key domain is {key.domain_bits} bits")
 
 
 @dataclass(frozen=True)
@@ -77,11 +72,9 @@ class PPKey:
         return self.f1.range_bits
 
 
-def pp_eval(key: PPKey, x: BitString) -> BitString:
-    _check_input(key, x)
-    v = x.value
-    y = key.f1.eval_int(key.h1.eval_int(v)) ^ key.f2.eval_int(key.h2.eval_int(v))
-    return BitString(y ^ key.g.eval_int(v), key.range_bits)
+def pp_eval(key: PPKey, x: int) -> int:
+    y = key.f1.eval_int(key.h1.eval_int(x)) ^ key.f2.eval_int(key.h2.eval_int(x))
+    return y ^ key.g.eval_int(x)
 
 
 class PPOracle(Oracle):
@@ -89,7 +82,7 @@ class PPOracle(Oracle):
         super().__init__(key.domain_bits, key.range_bits)
         self.key = key
 
-    def _answer(self, x: BitString) -> BitString:
+    def eval_int(self, x: int) -> int:
         return pp_eval(self.key, x)
 
 
@@ -154,14 +147,11 @@ def adw_inner_eval(h, gbar, mbar, x: int, gvals=None) -> int:
     return acc
 
 
-def adw_eval(key: ADWKey, x: BitString) -> BitString:
-    _check_input(key, x)
-    v = x.value
-    gvals = [g.eval_int(v) for g in key.gbar]  # shared between both halves and the y part
-    a = key.f1.eval_int(adw_inner_eval(key.h1, key.gbar, key.m1bar, v, gvals))
-    b = key.f2.eval_int(adw_inner_eval(key.h2, key.gbar, key.m2bar, v, gvals))
-    c = adw_inner_eval(key.ell, key.gbar, key.ybar, v, gvals)
-    return BitString(a ^ b ^ c, key.range_bits)
+def adw_eval(key: ADWKey, x: int) -> int:
+    gvals = [g.eval_int(x) for g in key.gbar]  # shared between both halves and the y part
+    a = key.f1.eval_int(adw_inner_eval(key.h1, key.gbar, key.m1bar, x, gvals))
+    b = key.f2.eval_int(adw_inner_eval(key.h2, key.gbar, key.m2bar, x, gvals))
+    return a ^ b ^ adw_inner_eval(key.ell, key.gbar, key.ybar, x, gvals)
 
 
 def _affine_hash(h) -> bool:
@@ -190,7 +180,6 @@ class _FoldedADW:
     def __init__(self, key: ADWKey):
         self.f1, self.f2 = key.f1, key.f2
         self.s1, self.s2 = key.f1.domain_bits, key.f2.domain_bits
-        self.range_bits = key.range_bits
 
         def inner(x: int) -> tuple[int, int, int]:
             gvals = [g.eval_int(x) for g in key.gbar]
@@ -208,15 +197,15 @@ class _FoldedADW:
     def _pack(self, a: int, b: int, y: int) -> int:
         return a | (b << self.s1) | (y << (self.s1 + self.s2))
 
-    def __call__(self, x: BitString) -> BitString:
-        v, packed = x.value, self.const
+    def __call__(self, x: int) -> int:
+        packed = self.const
         for table in self.tables:
-            packed ^= table[v & 255]
-            v >>= 8
+            packed ^= table[x & 255]
+            x >>= 8
         s1, s2 = self.s1, self.s2
         a = self.f1.eval_int(packed & ((1 << s1) - 1))
         b = self.f2.eval_int((packed >> s1) & ((1 << s2) - 1))
-        return BitString(a ^ b ^ (packed >> (s1 + s2)), self.range_bits)
+        return a ^ b ^ (packed >> (s1 + s2))
 
 
 def fold_adw(key: ADWKey):
@@ -227,7 +216,7 @@ def fold_adw(key: ADWKey):
 
 
 class ADWOracle(Oracle):
-    """adw_eval behind Oracle.query. The first d+1 queries are answered by
+    """adw_eval as an oracle. The first d+1 queries are answered by
     adw_eval; the key is folded (fold_adw) at query d+2, so the fold is
     built only once it has been paid for, and answers from then on."""
 
@@ -237,7 +226,7 @@ class ADWOracle(Oracle):
         self._unfolded_left = key.domain_bits + 1
         self._folded = None
 
-    def _answer(self, x: BitString) -> BitString:
+    def eval_int(self, x: int) -> int:
         if self._unfolded_left:
             self._unfolded_left -= 1
             return adw_eval(self.key, x)
@@ -260,7 +249,7 @@ class _Counted:
         return self.slot.eval_int(x)
 
 
-def count_underlying_calls(key, x: BitString) -> tuple[int, int]:
+def count_underlying_calls(key, x: int) -> tuple[int, int]:
     """Evaluate once at x and report (f_calls, hash_calls).
 
     f_calls counts queries to underlying oracles: the two outer f's

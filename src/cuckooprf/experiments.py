@@ -200,7 +200,9 @@ def involution(n: int, trials: int, seed: int):
 
 class _WindowTally:
     """An f_sampler whose lazy-random oracles count, as they are queried,
-    every underlying query and those outside the first `window` strings."""
+    every underlying query and those outside the first `window` strings.
+    It keeps the two counts, not the queries, so its memory does not grow
+    with the number of probes."""
 
     def __init__(self, window: int):
         self.window = window
@@ -210,10 +212,10 @@ class _WindowTally:
     def __call__(self, rng, domain_bits: int, range_bits: int) -> FunctionOracle:
         f = lazy_random_sampler(rng, domain_bits, range_bits)
 
-        def answer(x: BitString) -> BitString:
+        def answer(x: int) -> int:
             self.calls += 1
-            self.outside += x.value >= self.window
-            return f.query(x)
+            self.outside += x >= self.window
+            return f.eval_int(x)
 
         return FunctionOracle(answer, domain_bits, range_bits)
 
@@ -271,7 +273,7 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     for idx, (name, sampler, kcol, zcol, expected_calls) in enumerate(targets):
         probe = sampler(key_stream(seed, _CALL_TAG, idx))
         for i in range(3):
-            f_calls, _ = count_underlying_calls(probe.key, BitString(i, d))
+            f_calls, _ = count_underlying_calls(probe.key, i)
             if f_calls != expected_calls:
                 problems.append(
                     f"{name}: {f_calls} underlying calls per query, expected {expected_calls}"

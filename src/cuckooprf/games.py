@@ -291,8 +291,8 @@ class InvolutionOracle(Oracle):
             raise ValueError(f"table of {len(table)} entries for n={n}")
         self.table = table
 
-    def _answer(self, x: BitString) -> BitString:
-        return BitString(self.table[x.value], self.range_bits)
+    def eval_int(self, x: int) -> int:
+        return self.table[x]
 
 
 def involution_distinguisher(n: int) -> AdaptiveDistinguisher:

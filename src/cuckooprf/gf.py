@@ -73,10 +73,10 @@ class FieldSpec:
     """The field GF(2^width) under its shipped reduction polynomial.
 
     Two width bands, one multiplier each. For w <= 16, log/exp tables
-    over a generator of the multiplicative group, built on first use and
-    cached on the instance, so reuse one spec per field (default_spec
-    does this) rather than constructing in a loop. For w in {32, 64},
-    the schoolbook _mul_raw.
+    over the generator x+1 of the multiplicative group, built on first
+    use and cached on the instance, so reuse one spec per field
+    (default_spec does this) rather than constructing in a loop. For w
+    in {32, 64}, the schoolbook _mul_raw.
     """
 
     def __init__(self, width: int):
@@ -100,19 +100,18 @@ class FieldSpec:
 
     def _build_logexp(self) -> tuple[list[int], list[int]]:
         if self._log is None:
+            # powers of the generator x+1, which generates the
+            # multiplicative group under each shipped w <= 16 polynomial:
+            # v * (x+1) = v ^ (v << 1), reduced when bit w is set
             order = (1 << self.width) - 1
-            g = 2
-            while True:
-                exp = [1]
-                v = 1
-                while True:
-                    v = _mul_raw(v, g, self.width, self.poly)
-                    if v == 1:
-                        break
-                    exp.append(v)
-                if len(exp) == order:
-                    break
-                g += 1  # the group is cyclic, so some generator exists
+            top = 1 << self.width
+            exp = [1] * order
+            v = 1
+            for i in range(1, order):
+                v ^= v << 1
+                if v & top:
+                    v ^= self.poly
+                exp[i] = v
             log = [0] * (order + 1)
             for i, v in enumerate(exp):
                 log[v] = i

@@ -13,8 +13,8 @@ over exactly the first t strings of the ambient domain in lexicographic
 order.
 
 Keys, restricted keys and tables evaluate on raw ints via eval_int,
-which is what the combiners call; calling a key on a BitString is the
-length-checked form of the same evaluation.
+the one method the combiners call on a slot. They are slots of a key,
+not oracles, so none of them takes or returns a BitString.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, truncate
+from .bits import truncate
 from .errors import ConfigurationError
 from .gf import SUPPORTED_WIDTHS, FieldSpec, default_spec
 
@@ -65,11 +65,6 @@ class KWiseHashKey:
     @property
     def spec(self) -> FieldSpec:
         return default_spec(self.width)
-
-    def __call__(self, x: BitString) -> BitString:
-        if x.length != self.domain_bits:
-            raise ValueError(f"input length {x.length}, expected {self.domain_bits}")
-        return BitString(eval_kwise(self, x.value), self.range_bits)
 
     def eval_int(self, x: int) -> int:
         return eval_kwise(self, x)
@@ -127,9 +122,6 @@ class RestrictedHash:
     @property
     def range_bits(self) -> int:
         return self.restriction.ambient_bits
-
-    def __call__(self, x: BitString) -> BitString:
-        return self.key(x).truncate_low(self.restriction.index_bits).zero_extend(self.range_bits)
 
     def eval_int(self, x: int) -> int:
         return truncate(eval_kwise(self.key, x), self.restriction.index_bits)

@@ -1,8 +1,10 @@
 """Oracles: lazy-random functions, length-doubling generators, the GGM
 tree, and the hash-then-query baseline.
 
-An Oracle is a deterministic keyed function on bit strings with
-explicit domain and range lengths. Determinism is the load-bearing
+An Oracle is a deterministic keyed function with explicit domain and
+range lengths. Every oracle evaluates through eval_int on raw ints;
+Oracle.query is its public face on bit strings, which checks the
+input length and wraps the answer. Determinism is the load-bearing
 property: a distinguisher may interleave queries in any order and must
 see one consistent function, which the game harness relies on.
 
@@ -24,7 +26,13 @@ from .errors import ConfigurationError
 
 
 class Oracle:
-    """Base class: length-checked querying plus shape metadata."""
+    """Base class: shape metadata, eval_int on raw values, and query.
+
+    Subclasses implement eval_int(int) -> int, the one evaluation
+    method, which the combiners call on every slot. query is the
+    boundary on bit strings: it checks the input length, calls eval_int
+    and wraps the answer.
+    """
 
     def __init__(self, domain_bits: int, range_bits: int):
         if domain_bits < 0 or range_bits < 1:
@@ -35,15 +43,9 @@ class Oracle:
     def query(self, x: BitString) -> BitString:
         if x.length != self.domain_bits:
             raise ValueError(f"query length {x.length}, oracle domain is {self.domain_bits} bits")
-        return self._answer(x)
-
-    __call__ = query
+        return BitString(self.eval_int(x.value), self.range_bits)
 
     def eval_int(self, x: int) -> int:
-        """query on raw values, the form the combiners call every slot in."""
-        return self.query(BitString(x, self.domain_bits)).value
-
-    def _answer(self, x: BitString) -> BitString:
         raise NotImplementedError
 
 
@@ -61,37 +63,23 @@ class LazyRandomOracle(Oracle):
             raise ConfigurationError(f"lazy-random range capped at 64 bits, got {range_bits}")
         self.seed = seed & ((1 << 64) - 1)
 
-    def _answer(self, x: BitString) -> BitString:
-        return BitString(lazy_answer(self.seed, x.value, self.range_bits), self.range_bits)
+    def eval_int(self, x: int) -> int:
+        return lazy_answer(self.seed, x, self.range_bits)
 
 
 class FunctionOracle(Oracle):
-    """Wrap an arbitrary function as an oracle. The function must be pure."""
+    """Wrap an arbitrary int -> int function as an oracle. The function
+    must be pure."""
 
     def __init__(self, fn, domain_bits: int, range_bits: int):
         super().__init__(domain_bits, range_bits)
         self._fn = fn
 
-    def _answer(self, x: BitString) -> BitString:
+    def eval_int(self, x: int) -> int:
         y = self._fn(x)
-        if y.length != self.range_bits:
-            raise ValueError(f"wrapped function returned {y.length} bits, expected {self.range_bits}")
+        if not 0 <= y < 1 << self.range_bits:
+            raise ValueError(f"wrapped function returned {y:#x}, not a {self.range_bits}-bit value")
         return y
-
-
-class InstrumentedOracle(Oracle):
-    """Forwarding wrapper that records call count and the query sequence."""
-
-    def __init__(self, inner: Oracle):
-        super().__init__(inner.domain_bits, inner.range_bits)
-        self.inner = inner
-        self.calls = 0
-        self.queries: list[BitString] = []
-
-    def _answer(self, x: BitString) -> BitString:
-        self.calls += 1
-        self.queries.append(x)
-        return self.inner._answer(x)
 
 
 @dataclass(frozen=True)
@@ -185,8 +173,10 @@ class GgmOracle(Oracle):
         self.prg_calls += 1
         return prg_expand(spec, s)
 
-    def _answer(self, x: BitString) -> BitString:
-        return ggm_eval(self.key, x, expand=self._counting_expand)
+    def eval_int(self, x: int) -> int:
+        # ggm_eval walks the input's bits MSB-first, so it takes a BitString
+        x_bits = BitString(x, self.domain_bits)
+        return ggm_eval(self.key, x_bits, expand=self._counting_expand).value
 
 
 class LevinOracle(Oracle):
@@ -202,5 +192,5 @@ class LevinOracle(Oracle):
         self.h = h
         self.f = f
 
-    def _answer(self, x: BitString) -> BitString:
-        return self.f.query(self.h(x))
+    def eval_int(self, x: int) -> int:
+        return self.f.eval_int(self.h.eval_int(x))

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bits import BitString
+from .bits import BitString, truncate
 from .combine import ADWKey, ADWOracle, PPKey, PPOracle
 from .errors import ConfigurationError
 from .gf import SUPPORTED_WIDTHS
@@ -219,9 +219,10 @@ def adw_z(p: ExtensionParams, variant: str) -> int:
 
 
 class PaddedPrfMap(Oracle):
-    """A u-bit to r'-bit view of a wider oracle: zero-extend the input
-    to the oracle's domain, truncate the output. How one underlying PRF
-    shape serves every inner-map shape the adw combiner needs."""
+    """A u-bit to r'-bit view of a wider oracle: the input value is
+    queried unchanged in the oracle's wider domain (zero-extended), and
+    the answer keeps its low r' bits. How one underlying PRF shape
+    serves every inner-map shape the adw combiner needs."""
 
     def __init__(self, f: Oracle, domain_bits: int, range_bits: int):
         if domain_bits > f.domain_bits or range_bits > f.range_bits:
@@ -232,8 +233,8 @@ class PaddedPrfMap(Oracle):
         super().__init__(domain_bits, range_bits)
         self.f = f
 
-    def _answer(self, x: BitString) -> BitString:
-        return self.f.query(x.zero_extend(self.f.domain_bits)).truncate_low(self.range_bits)
+    def eval_int(self, x: int) -> int:
+        return truncate(self.f.eval_int(x), self.range_bits)
 
 
 def adw_layout(p: ExtensionParams, variant: str, window: int | None = None):

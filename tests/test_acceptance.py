@@ -13,7 +13,7 @@ from cuckooprf.combine import ADWKey, PPKey, adw_eval, count_underlying_calls, p
 from cuckooprf.experiments import birthday, involution, rows_to_csv, uniformity
 from cuckooprf.games import birthday_closed_form, birthday_distinguisher, run_game
 from cuckooprf.hashfam import exhaustive_independence_check, sample_kwise
-from cuckooprf.prfcore import GgmKey, GgmOracle, LazyRandomOracle, PrgSpec, ggm_eval
+from cuckooprf.prfcore import GgmKey, LazyRandomOracle, PrgSpec, ggm_eval
 from cuckooprf.transform import (
     ExtensionParams,
     build_adaptive_from_nonadaptive,
@@ -21,6 +21,7 @@ from cuckooprf.transform import (
     build_pp_domain_extension,
     build_prg_prf,
 )
+from spies import InstrumentedOracle, counting_sampler
 
 SEED = 20240816
 
@@ -92,7 +93,7 @@ def test_criterion_4_adw_degenerates_to_pp():
     adw = ADWKey(h1, h2, ell, (), (), (), (), f1, f2)
     pp = PPKey(h1, h2, ell, f1, f2)
     mismatches = sum(
-        adw_eval(adw, BitString(v, 6)) != pp_eval(pp, BitString(v, 6)) for v in range(64)
+        adw_eval(adw, v) != pp_eval(pp, v) for v in range(64)
     )
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 5
@@ -129,21 +130,15 @@ def test_criterion_5_ggm_known_answers_and_prefix_sharing():
 
 def test_criterion_6_adaptive_builder_query_locality():
     n, q, probes = 16, 64, 10000
-    seen: list[int] = []
-
-    def spy_sampler(rng, d, r):
-        o = LazyRandomOracle(rng.getrandbits(64), d, r)
-        orig = o._answer
-        o._answer = lambda x: seen.append(x.value) or orig(x)
-        return o
-
-    oracle = build_adaptive_from_nonadaptive(n, q, 12, random.Random(SEED), spy_sampler)
+    spies: list[InstrumentedOracle] = []
+    oracle = build_adaptive_from_nonadaptive(n, q, 12, random.Random(SEED), counting_sampler(spies))
     # answer-chained probes: each next input depends on the last output,
     # which is as adaptive as a distinguisher can get
     x = BitString(0, n)
     for _ in range(probes):
         y = oracle.query(x)
         x = BitString(y.value ^ random.Random(y.value).getrandbits(n), n)
+    seen = [v for f in spies for v in f.queries]
     outside = sum(v >= 4 * q for v in seen)
     ok = len(seen) == 2 * probes and outside == 0
     _report(
@@ -160,7 +155,7 @@ def test_criterion_7_call_count_accounting():
 
     pp = build_pp_domain_extension(ExtensionParams(24, 12, 24, 16, 128), random.Random(1))
     pp_ok = all(
-        count_underlying_calls(pp.key, BitString(rng.getrandbits(24), 24))[0] == 2
+        count_underlying_calls(pp.key, rng.getrandbits(24))[0] == 2
         for _ in range(runs)
     )
 
@@ -169,7 +164,7 @@ def test_criterion_7_call_count_accounting():
     )
     z = prf.key.z
     prf_ok = all(
-        count_underlying_calls(prf.key, BitString(rng.getrandbits(20), 20))[0] == 3 * z + 2
+        count_underlying_calls(prf.key, rng.getrandbits(20))[0] == 3 * z + 2
         for _ in range(runs)
     )
 
@@ -177,7 +172,7 @@ def test_criterion_7_call_count_accounting():
         ExtensionParams(24, 12, 24, 2, 128, c=1), "table", random.Random(3)
     )
     table_ok = all(
-        count_underlying_calls(table.key, BitString(rng.getrandbits(24), 24))[0] == 2
+        count_underlying_calls(table.key, rng.getrandbits(24))[0] == 2
         for _ in range(runs)
     )
 

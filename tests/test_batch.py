@@ -110,7 +110,7 @@ def test_batch_eval_kwise_matches_scalar():
     for t in rows:
         key = sample_kwise(5, 20, 9, streams.stream(t))
         for j, x in enumerate(xs):
-            assert int(grid[t, j]) == key(BitString(x, 20)).value
+            assert int(grid[t, j]) == key.eval_int(x)
     assert hashes.grid(batch._Points([])).shape == (30, 0)
 
 
@@ -322,7 +322,7 @@ def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):
                         lambda c, *rest: codes.append(c.tolist()) or sd_from_codes(c, *rest))
     twin = tuple_uniformity_sd(sampler, queries, samples, seed)
     # the same handles behind a shape batch_answers declines: queried one by one
-    opaque = lambda rng: FunctionOracle(sampler(rng).query, 8, 1)
+    opaque = lambda rng: FunctionOracle(sampler(rng).eval_int, 8, 1)
     assert tuple_uniformity_sd(opaque, queries, samples, seed) == twin
     want = []
     for i in range(samples):

@@ -126,23 +126,6 @@ def test_bitstring_concat_take_drop():
     assert c.drop(3) == b
 
 
-def test_bitstring_truncate_low_keeps_low_bits():
-    b = BitString.from01("110101")
-    assert b.truncate_low(3).to01() == "101"
-    assert b.truncate_low(6) == b
-    assert b.truncate_low(0).length == 0
-
-
-def test_bitstring_zero_extend_pads_high_bits():
-    b = BitString.from01("101")
-    e = b.zero_extend(6)
-    assert e.to01() == "000101"
-    assert e.truncate_low(3) == b
-    assert b.zero_extend(3) == b
-    with pytest.raises(ValueError):
-        b.zero_extend(2)
-
-
 # counter-mode key streams
 
 

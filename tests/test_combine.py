@@ -18,11 +18,11 @@ from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle
 
 
 def _bit_low(x):
-    return x.truncate_low(1)
+    return x & 1
 
 
 def _bit_high(x):
-    return x.take(1)
+    return x >> 1
 
 
 def _tiny_pp_key():
@@ -30,22 +30,22 @@ def _tiny_pp_key():
     h1 = FunctionOracle(_bit_low, 2, 1)
     h2 = FunctionOracle(_bit_high, 2, 1)
     g = FunctionOracle(lambda x: x, 2, 2)
-    f1 = FunctionOracle(lambda p: BitString.from01("01" if p.value == 0 else "10"), 1, 2)
-    f2 = FunctionOracle(lambda p: BitString.from01("11" if p.value == 0 else "00"), 1, 2)
+    f1 = FunctionOracle(lambda p: 0b01 if p == 0 else 0b10, 1, 2)
+    f2 = FunctionOracle(lambda p: 0b11 if p == 0 else 0b00, 1, 2)
     return PPKey(h1, h2, g, f1, f2)
 
 
 def test_pp_hand_vector():
     key = _tiny_pp_key()
     # x = 10: f1(low bit 0) = 01, f2(high bit 1) = 00, g = 10, XOR = 11
-    assert pp_eval(key, BitString.from01("10")).to01() == "11"
+    assert pp_eval(key, 0b10) == 0b11
 
 
 def test_pp_full_truth_table():
     key = _tiny_pp_key()
     expected = {"00": "10", "01": "00", "10": "11", "11": "01"}
     for x, y in expected.items():
-        assert pp_eval(key, BitString.from01(x)).to01() == y
+        assert pp_eval(key, int(x, 2)) == int(y, 2)
 
 
 def test_pp_matching_halves_cancel_to_g():
@@ -56,20 +56,18 @@ def test_pp_matching_halves_cancel_to_g():
     f = LazyRandomOracle(9, 4, 5)
     key = PPKey(h, h, g, f, f)
     for v in range(64):
-        x = BitString(v, 6)
-        assert pp_eval(key, x) == g(x)
+        assert pp_eval(key, v) == g.eval_int(v)
 
 
 def test_pp_zero_oracles_leave_g():
-    zero = FunctionOracle(lambda p: BitString(0, 5), 4, 5)
+    zero = FunctionOracle(lambda p: 0, 4, 5)
     rng = random.Random(402)
     h1 = sample_kwise(2, 6, 4, rng)
     h2 = sample_kwise(2, 6, 4, rng)
     g = sample_kwise(2, 6, 5, rng)
     key = PPKey(h1, h2, g, zero, zero)
     for v in range(64):
-        x = BitString(v, 6)
-        assert pp_eval(key, x) == g(x)
+        assert pp_eval(key, v) == g.eval_int(v)
 
 
 def test_pp_oracle_wraps_eval():
@@ -77,8 +75,7 @@ def test_pp_oracle_wraps_eval():
     o = PPOracle(key)
     assert o.domain_bits == 2 and o.range_bits == 2
     for v in range(4):
-        x = BitString(v, 2)
-        assert o.query(x) == pp_eval(key, x)
+        assert o.query(BitString(v, 2)).value == pp_eval(key, v)
 
 
 def test_pp_key_shape_validation():
@@ -102,7 +99,7 @@ def test_pp_exactly_two_underlying_calls():
     g = sample_kwise(2, 8, 6, rng)
     key = PPKey(h1, h2, g, LazyRandomOracle(2, 4, 6), LazyRandomOracle(3, 4, 6))
     for v in (0, 17, 255):
-        f_calls, hash_calls = count_underlying_calls(key, BitString(v, 8))
+        f_calls, hash_calls = count_underlying_calls(key, v)
         assert f_calls == 2
         assert hash_calls == 3
 
@@ -137,8 +134,7 @@ def test_adw_zero_z_degenerates_to_pp():
     key = _small_adw_key(0, 405)
     pp = PPKey(key.h1, key.h2, key.ell, key.f1, key.f2)
     for v in range(64):
-        x = BitString(v, 6)
-        assert adw_eval(key, x) == pp_eval(pp, x)
+        assert adw_eval(key, v) == pp_eval(pp, v)
 
 
 def test_adw_zero_tables_reduce_to_ell():
@@ -152,8 +148,7 @@ def test_adw_zero_tables_reduce_to_ell():
     )
     pp = PPKey(key.h1, key.h2, key.ell, key.f1, key.f2)
     for v in range(64):
-        x = BitString(v, 6)
-        assert adw_eval(zeroed, x) == pp_eval(pp, x)
+        assert adw_eval(zeroed, v) == pp_eval(pp, v)
 
 
 def test_adw_single_map_straight_line():
@@ -161,12 +156,11 @@ def test_adw_single_map_straight_line():
     key = _small_adw_key(1, 407)
     g1, t1, t2, ty = key.gbar[0], key.m1bar[0], key.m2bar[0], key.ybar[0]
     for v in range(64):
-        x = BitString(v, 6)
-        i = g1(x).value
-        p1 = key.h1(x) ^ BitString(t1.entries[i], 4)
-        p2 = key.h2(x) ^ BitString(t2.entries[i], 4)
-        want = key.f1.query(p1) ^ key.f2.query(p2) ^ key.ell(x) ^ BitString(ty.entries[i], 5)
-        assert adw_eval(key, x) == want
+        i = g1.eval_int(v)
+        p1 = BitString(key.h1.eval_int(v) ^ t1.entries[i], 4)
+        p2 = BitString(key.h2.eval_int(v) ^ t2.entries[i], 4)
+        want = key.f1.query(p1).value ^ key.f2.query(p2).value ^ key.ell.eval_int(v) ^ ty.entries[i]
+        assert adw_eval(key, v) == want
 
 
 def test_adw_inner_eval_accepts_precomputed_gvals():
@@ -177,7 +171,7 @@ def test_adw_inner_eval_accepts_precomputed_gvals():
     assert adw_inner_eval(key.h1, key.gbar, key.m1bar, x, gvals) == direct
     want = key.h1.eval_int(x)
     for g, m in zip(key.gbar, key.m1bar):
-        want ^= m.entries[g(BitString(x, 6)).value]
+        want ^= m.entries[g.eval_int(x)]
     assert direct == want
 
 
@@ -185,13 +179,12 @@ def test_adw_oracle_wraps_eval():
     key = _small_adw_key(2, 409)
     o = ADWOracle(key)
     for v in (0, 11, 63):
-        x = BitString(v, 6)
-        assert o.query(x) == adw_eval(key, x)
+        assert o.query(BitString(v, 6)).value == adw_eval(key, v)
 
 
 def test_adw_table_maps_cost_two_calls():
     key = _small_adw_key(3, 410, table_maps=True)
-    f_calls, hash_calls = count_underlying_calls(key, BitString(21, 6))
+    f_calls, hash_calls = count_underlying_calls(key, 21)
     assert f_calls == 2
     # h1, h2, ell, and each g_i exactly once
     assert hash_calls == 3 + 3
@@ -200,7 +193,7 @@ def test_adw_table_maps_cost_two_calls():
 def test_adw_prf_maps_cost_three_z_plus_two_calls():
     for z in (1, 2, 4):
         key = _small_adw_key(z, 411, table_maps=False)
-        f_calls, hash_calls = count_underlying_calls(key, BitString(5, 6))
+        f_calls, hash_calls = count_underlying_calls(key, 5)
         assert f_calls == 3 * z + 2
         assert hash_calls == 3 + z
 
@@ -221,12 +214,12 @@ def test_adw_key_shape_validation():
 
 def test_count_underlying_calls_rejects_other_keys():
     with pytest.raises(ValueError):
-        count_underlying_calls(object(), BitString(0, 4))
+        count_underlying_calls(object(), 0)
 
 
 def test_counting_does_not_disturb_the_answer():
     key = _small_adw_key(2, 413)
-    x = BitString(44, 6)
+    x = 44
     before = adw_eval(key, x)
     count_underlying_calls(key, x)
     assert adw_eval(key, x) == before

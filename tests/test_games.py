@@ -199,7 +199,7 @@ def test_nonadaptive_two_queries_cannot_separate():
 
 def test_constant_handles_have_maximal_distance():
     def const_sampler(rng):
-        return FunctionOracle(lambda x: BitString(0, 2), 8, 2)
+        return FunctionOracle(lambda x: 0, 8, 2)
 
     res = tuple_uniformity_sd(const_sampler, [BitString(i, 8) for i in range(2)], 16000, 618)
     assert res.sd_estimate == pytest.approx(1 - 1 / 16)

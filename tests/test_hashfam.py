@@ -17,6 +17,7 @@ from cuckooprf.hashfam import (
     sample_table,
     width_for,
 )
+from cuckooprf.prfcore import LazyRandomOracle, LevinOracle
 
 
 class _CountingRng(random.Random):
@@ -62,11 +63,11 @@ def test_sampling_is_deterministic_in_the_seed():
 
 def test_eval_matches_direct_call_and_checks_length():
     key = sample_kwise(3, 8, 4, random.Random(9))
-    x = BitString(0xA5, 8)
-    assert eval_kwise(key, x.value) == key.eval_int(x.value) == key(x).value
-    assert key(x).length == 4
+    assert eval_kwise(key, 0xA5) == key.eval_int(0xA5) < 1 << 4
+    # a key is a slot, not an oracle: input lengths are checked where a
+    # BitString meets an oracle built on it
     with pytest.raises(ValueError):
-        key(BitString(3, 4))
+        LevinOracle(key, LazyRandomOracle(1, 4, 4)).query(BitString(3, 4))
 
 
 def test_pairwise_counts_full_range():
@@ -108,12 +109,11 @@ def test_exhaustive_check_rejects_infeasible_sizes():
 
 def test_single_key_output_balance_over_keyspace():
     # 1-wise uniformity at a fixed point, counted directly over all keys
-    x = BitString(0b0110, 4)
     counts = Counter()
     for a0 in range(16):
         for a1 in range(16):
             key = KWiseHashKey((a0, a1), 4, 2, 4)
-            counts[key(x).value] += 1
+            counts[key.eval_int(0b0110)] += 1
     assert set(counts) == {0, 1, 2, 3}
     assert all(v == 64 for v in counts.values())
 
@@ -142,17 +142,14 @@ def test_restricted_hash_lands_in_table_exhaustively():
     assert h.domain_bits == 3
     assert h.range_bits == 3
     for v in range(8):
-        out = h(BitString(v, 3))
-        assert out.length == 3
-        assert out.value < 4
+        assert h.eval_int(v) < 4
 
 
 def test_restricted_hash_is_low_bit_truncation():
     key = sample_kwise(2, 6, 6, random.Random(12))
     h = RestrictedHash(key, RangeRestriction(8, 6))
     for v in range(64):
-        x = BitString(v, 6)
-        assert h(x).value == key(x).value & 0b111
+        assert h.eval_int(v) == key.eval_int(v) & 0b111
 
 
 def test_restrict_rejects_key_too_narrow_for_table():

@@ -33,7 +33,7 @@ from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import SUPPORTED_WIDTHS
 from cuckooprf.hashfam import eval_kwise, sample_kwise
-from cuckooprf.prfcore import InstrumentedOracle, LazyRandomOracle
+from cuckooprf.prfcore import LazyRandomOracle
 from cuckooprf.transform import (
     ExtensionParams,
     KeyDraws,
@@ -44,12 +44,12 @@ from cuckooprf.transform import (
     build_adw_adaptive_from_nonadaptive,
     build_adw_domain_extension,
     build_pp_domain_extension,
-    lazy_random_sampler,
     lazy_sampler,
     pp_layout,
     pp_sampler,
 )
 from gamepaths import assert_paths_agree
+from spies import InstrumentedOracle, counting_sampler
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 TRIALS = 3
@@ -99,7 +99,7 @@ def test_adw_with_no_inner_maps_equals_pp(shape, data):
     adw = ADWKey(h1, h2, ell, (), (), (), (), f1, f2)
     pp = PPKey(h1, h2, ell, f1, f2)
     for x in _inputs(data, d):
-        assert adw_eval(adw, x) == pp_eval(pp, x)
+        assert adw_eval(adw, x.value) == pp_eval(pp, x.value)
 
 
 @PROPERTY
@@ -112,9 +112,9 @@ def test_underlying_call_counts(shape, data):
     table = build_adw_domain_extension(ExtensionParams(d, s, r, 2, 2), "table", rng).key
     prf = build_adw_domain_extension(_prf_adw_params(shape, data), "prf", rng).key
     for x in xs:
-        assert count_underlying_calls(pp, x) == (2, 3)
-        assert count_underlying_calls(table, x) == (2, 3 + table.z)
-        assert count_underlying_calls(prf, x) == (3 * prf.z + 2, 3 + prf.z)
+        assert count_underlying_calls(pp, x.value) == (2, 3)
+        assert count_underlying_calls(table, x.value) == (2, 3 + table.z)
+        assert count_underlying_calls(prf, x.value) == (3 * prf.z + 2, 3 + prf.z)
 
 
 @PROPERTY
@@ -247,21 +247,12 @@ def test_batched_game_equals_run_game_across_blocks(kind, q, data):
         assert_paths_agree(sampler, ideal, _parity_distinguisher(q, 12), trials, seed)
 
 
-def _counting_sampler(seen: list):
-    """An f_sampler that records each lazy-random oracle it draws, instrumented."""
-    def f_sampler(rng, domain_bits, range_bits):
-        seen.append(InstrumentedOracle(lazy_random_sampler(rng, domain_bits, range_bits)))
-        return seen[-1]
-
-    return f_sampler
-
-
 @PROPERTY
 @given(st.booleans(), st.integers(4, 16), st.data())
 def test_adaptive_builders_keep_underlying_queries_below_4q(adw, n, data):
     q = 1 << data.draw(st.integers(1 if adw else 0, n - 2), label="log2 q")
     seen: list[InstrumentedOracle] = []
-    f_sampler = _counting_sampler(seen)
+    f_sampler = counting_sampler(seen)
     rng = _rng(data)
     if adw:
         c = data.draw(st.integers(1, 3), label="c")
@@ -274,7 +265,7 @@ def test_adaptive_builders_keep_underlying_queries_below_4q(adw, n, data):
     for i in range(probes):
         y = handle.query(x)
         x = BitString(truncate(mix64(y.value ^ i), n), n)
-    queries = [v.value for f in seen for v in f.queries]
+    queries = [v for f in seen for v in f.queries]
     assert len(queries) == 2 * probes
     assert max(queries) < 4 * q
 
@@ -325,10 +316,10 @@ def _past_fold(data, d: int) -> list[BitString]:
 @given(st.booleans(), st.data())
 def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
     seen: list[InstrumentedOracle] = []
-    oracle = _table_adw(data, d, restricted)(_rng(data), _counting_sampler(seen))
+    oracle = _table_adw(data, d, restricted)(_rng(data), counting_sampler(seen))
     assert is_affine(oracle.key)
     xs = _past_fold(data, d)
-    assert [oracle.query(x) for x in xs] == [adw_eval(oracle.key, x) for x in xs]
+    assert [oracle.query(x).value for x in xs] == [adw_eval(oracle.key, x.value) for x in xs]
     assert oracle._folded is not None and not isinstance(oracle._folded, partial)
     # the fold itself calls no underlying oracle; each query calls f1 and f2
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
@@ -351,7 +342,7 @@ def test_folded_adw_grid_equals_adw_eval(d, restricted, data):
     columns, oracles = _keyed_both_ways(data, adw_layout(p, "table", window))
     assert columns._affine()
     grid = columns.grid(batch._Points(x.value for x in xs))
-    assert grid.tolist() == [[adw_eval(o.key, x).value for x in xs] for o in oracles]
+    assert grid.tolist() == [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
 
 
 def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int):
@@ -396,10 +387,9 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     i = data.draw(st.integers(0, adw_z(p, "table") - 1), label="i")
     columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot, i))
     xs = _past_fold(data, d)
-    want = [[adw_eval(o.key, x) for x in xs] for o in oracles]
+    want = [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
     assert not any(is_affine(o.key) for o in oracles)
-    assert [[o.query(x) for x in xs] for o in oracles] == want
+    assert [[o.query(x).value for x in xs] for o in oracles] == want
     assert all(isinstance(o._folded, partial) for o in oracles)
     assert not columns._affine()
-    assert columns.grid(batch._Points(x.value for x in xs)).tolist() == [
-        [y.value for y in row] for row in want]
+    assert columns.grid(batch._Points(x.value for x in xs)).tolist() == want

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -19,6 +20,7 @@ from cuckooprf.transform import (
     build_pp_domain_extension,
     build_prg_prf,
 )
+from spies import InstrumentedOracle, counting_sampler
 
 
 def test_params_validation():
@@ -60,35 +62,19 @@ def test_pp_builder_shapes_and_determinism():
 def test_pp_builder_uses_two_calls():
     p = ExtensionParams(20, 10, 16, 6, 64)
     o = build_pp_domain_extension(p, random.Random(44))
-    f_calls, _ = count_underlying_calls(o.key, BitString(77, 20))
+    f_calls, _ = count_underlying_calls(o.key, 77)
     assert f_calls == 2
 
 
 def test_adaptive_builder_keeps_queries_in_prefix():
     # every underlying query must land among the first 4q strings
     q, n = 8, 10
-    seen = []
-
-    def spy_sampler(rng, d, r):
-        inner = LazyRandomOracle(rng.getrandbits(64), d, r)
-
-        class Spy(LazyRandomOracle):
-            pass
-
-        spy = Spy(inner.seed, d, r)
-        orig = spy._answer
-
-        def answer(x):
-            seen.append(x.value)
-            return orig(x)
-
-        spy._answer = answer
-        return spy
-
-    o = build_adaptive_from_nonadaptive(n, q, 4, random.Random(45), spy_sampler)
+    spies: list[InstrumentedOracle] = []
+    o = build_adaptive_from_nonadaptive(n, q, 4, random.Random(45), counting_sampler(spies))
     rng = random.Random(46)
     for _ in range(200):
         o.query(BitString(rng.getrandbits(n), n))
+    seen = [v for f in spies for v in f.queries]
     assert seen
     assert all(v < 4 * q for v in seen)
 
@@ -108,8 +94,8 @@ def test_padded_prf_map_embeds_and_truncates():
     m = PaddedPrfMap(f, 3, 5)
     assert m.domain_bits == 3 and m.range_bits == 5
     for v in range(8):
-        want = f.query(BitString(v, 8)).truncate_low(5)
-        assert m.query(BitString(v, 3)) == want
+        want = truncate(f.query(BitString(v, 8)).value, 5)
+        assert m.query(BitString(v, 3)).value == want
     with pytest.raises(ConfigurationError):
         PaddedPrfMap(f, 9, 5)
     with pytest.raises(ConfigurationError):
@@ -135,7 +121,7 @@ def test_adw_prf_variant_shape_and_cost():
     u = math.ceil(math.log2(p.q))
     assert all(g.range_bits == u for g in o.key.gbar)
     assert all(isinstance(m, PaddedPrfMap) for m in o.key.m1bar + o.key.m2bar + o.key.ybar)
-    f_calls, _ = count_underlying_calls(o.key, BitString(123, 20))
+    f_calls, _ = count_underlying_calls(o.key, 123)
     assert f_calls == 3 * z + 2
 
 
@@ -156,7 +142,7 @@ def test_adw_table_variant_shape_and_cost():
     for m in o.key.m1bar + o.key.m2bar + o.key.ybar:
         assert isinstance(m, RandomTable)
         assert len(m) == 2
-    f_calls, _ = count_underlying_calls(o.key, BitString(123, 20))
+    f_calls, _ = count_underlying_calls(o.key, 123)
     assert f_calls == 2
 
 
@@ -172,24 +158,46 @@ def test_adw_builder_determinism():
 
 def test_adw_adaptive_builder_stays_in_prefix():
     q, n = 8, 10
-    seen = []
-
-    def spy_sampler(rng, d, r):
-        o = LazyRandomOracle(rng.getrandbits(64), d, r)
-        orig = o._answer
-        o._answer = lambda x: seen.append(x.value) or orig(x)
-        return o
-
-    o = build_adw_adaptive_from_nonadaptive(n, q, 1, random.Random(50), spy_sampler)
+    spies: list[InstrumentedOracle] = []
+    o = build_adw_adaptive_from_nonadaptive(n, q, 1, random.Random(50), counting_sampler(spies))
     rng = random.Random(51)
     for _ in range(300):
         o.query(BitString(rng.getrandbits(n), n))
+    seen = [v for f in spies for v in f.queries]
     assert seen
     assert all(v < 4 * q for v in seen)
     # m-table entries are index offsets inside the prefix, padded to n bits
     for m in o.key.m1bar + o.key.m2bar:
         assert m.entry_bits == n
         assert all(e < 4 * q for e in m.entries)
+
+
+@pytest.mark.parametrize("name, d, build", [
+    ("pp", 20, lambda rng: build_pp_domain_extension(ExtensionParams(20, 10, 16, 6, 64), rng)),
+    ("adaptive-pp", 10, lambda rng: build_adaptive_from_nonadaptive(10, 8, 4, rng)),
+    ("adw-prf", 20, lambda rng: build_adw_domain_extension(
+        ExtensionParams(20, 10, 12, 2, 16), "prf", rng)),
+    ("adw-table", 20, lambda rng: build_adw_domain_extension(
+        ExtensionParams(20, 10, 12, 2, 16), "table", rng)),
+    ("adaptive-adw", 10, lambda rng: build_adw_adaptive_from_nonadaptive(10, 8, 1, rng)),
+])
+def test_query_builds_one_bitstring_its_answer(name, d, build):
+    """Values stay plain ints inside a builder's oracle: a query past the
+    adw fold (d+1 queries) constructs its answer and no other BitString."""
+    oracle = build(random.Random(56))
+    xs = [BitString(v, d) for v in range(d + 3)]
+    for x in xs[:-1]:
+        oracle.query(x)
+    built = []
+    check = BitString.__post_init__
+
+    def counting_check(self):
+        built.append(self)
+        check(self)
+
+    with mock.patch.object(BitString, "__post_init__", counting_check):
+        y = oracle.query(xs[-1])
+    assert len(built) == 1 and built[0] is y
 
 
 def test_adw_adaptive_builder_validation():
@@ -223,7 +231,8 @@ def test_prg_prf_matches_straight_line_composition():
 
     for v in range(16):
         x = BitString(v, 4)
-        want = walk(root1, h1(x)) ^ walk(root2, h2(x)) ^ g(x).value
+        want = (walk(root1, BitString(h1.eval_int(v), 2))
+                ^ walk(root2, BitString(h2.eval_int(v), 2)) ^ g.eval_int(v))
         assert o.query(x).value == want
 
 
