@@ -33,21 +33,24 @@ MASK64 = (1 << 64) - 1
 # Fixed mixing constants (golden-ratio and Weyl increments).
 C1 = 0x9E3779B97F4A7C15
 C2 = 0xD1B54A32D192ED03
+# splitmix64's two finalizer multipliers.
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 
 def mix64(v: int) -> int:
     """splitmix64 finalizer on a 64-bit lane."""
     v &= MASK64
     v ^= v >> 30
-    v = (v * 0xBF58476D1CE4E5B9) & MASK64
+    v = (v * MIX1) & MASK64
     v ^= v >> 27
-    v = (v * 0x94D049BB133111EB) & MASK64
+    v = (v * MIX2) & MASK64
     v ^= v >> 31
     return v
 
 
-_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_MUL2 = np.uint64(0x94D049BB133111EB)
+_MUL1 = np.uint64(MIX1)
+_MUL2 = np.uint64(MIX2)
 _SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 
 

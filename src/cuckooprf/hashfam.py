@@ -14,17 +14,20 @@ order.
 
 Keys, restricted keys and tables evaluate on raw ints via eval_int,
 the one method the combiners call on a slot. They are slots of a key,
-not oracles, so none of them takes or returns a BitString.
+not oracles, so none of them takes or returns a BitString. The eval_int
+of a key and of a restricted key is eval_kwise itself: each holds its
+field spec and its output mask, computed at construction, so one
+evaluation is one eval_kwise frame over FieldSpec.poly_eval and one
+mask. Constructing either builds no field tables.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import truncate
 from .errors import ConfigurationError
 from .gf import SUPPORTED_WIDTHS, FieldSpec, default_spec
 
@@ -38,14 +41,27 @@ def width_for(domain_bits: int, range_bits: int) -> int:
     raise ValueError(f"no supported width covers {need} bits")
 
 
+def eval_kwise(key, x: int) -> int:
+    """The key's polynomial at a raw domain value, masked to its output
+    bits: range_bits for a KWiseHashKey, the index bits for a
+    RestrictedHash. Both classes use it as their eval_int."""
+    return key.spec.poly_eval(key.coeffs, x) & key.mask
+
+
 @dataclass(frozen=True)
 class KWiseHashKey:
-    """Coefficients a0..a_{k-1} of a degree-(k-1) polynomial over GF(2^w)."""
+    """Coefficients a0..a_{k-1} of a degree-(k-1) polynomial over GF(2^w).
+
+    spec and mask (the low range_bits bits) are derived at construction
+    and take no part in comparison.
+    """
 
     coeffs: tuple[int, ...]
     domain_bits: int
     range_bits: int
     width: int
+    spec: FieldSpec = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) < 1:
@@ -57,17 +73,14 @@ class KWiseHashKey:
         for c in self.coeffs:
             if not 0 <= c < (1 << self.width):
                 raise ValueError(f"coefficient {c:#x} out of range for width {self.width}")
+        object.__setattr__(self, "spec", default_spec(self.width))
+        object.__setattr__(self, "mask", (1 << self.range_bits) - 1)
 
     @property
     def k(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def spec(self) -> FieldSpec:
-        return default_spec(self.width)
-
-    def eval_int(self, x: int) -> int:
-        return eval_kwise(self, x)
+    eval_int = eval_kwise
 
 
 def sample_kwise(k: int, domain_bits: int, range_bits: int, rng) -> KWiseHashKey:
@@ -77,11 +90,6 @@ def sample_kwise(k: int, domain_bits: int, range_bits: int, rng) -> KWiseHashKey
     w = width_for(domain_bits, range_bits)
     coeffs = tuple(rng.getrandbits(w) for _ in range(k))
     return KWiseHashKey(coeffs, domain_bits, range_bits, w)
-
-
-def eval_kwise(key: KWiseHashKey, x: int) -> int:
-    """The key's polynomial at a raw domain value, truncated to range_bits."""
-    return truncate(key.spec.poly_eval(key.coeffs, x), key.range_bits)
 
 
 @dataclass(frozen=True)
@@ -109,11 +117,21 @@ class RestrictedHash:
     """A k-wise key post-composed with a range restriction.
 
     Keeps the low index bits of the key's output and zero-extends to
-    the ambient length, so values always land below table_size.
+    the ambient length, so values always land below table_size. It
+    carries the key's coeffs and spec and one mask, the key's mask cut
+    to the index bits, so eval_kwise evaluates it with a single mask.
     """
 
     key: KWiseHashKey
     restriction: RangeRestriction
+    coeffs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    spec: FieldSpec = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", self.key.coeffs)
+        object.__setattr__(self, "spec", self.key.spec)
+        object.__setattr__(self, "mask", self.key.mask & ((1 << self.restriction.index_bits) - 1))
 
     @property
     def domain_bits(self) -> int:
@@ -123,8 +141,7 @@ class RestrictedHash:
     def range_bits(self) -> int:
         return self.restriction.ambient_bits
 
-    def eval_int(self, x: int) -> int:
-        return truncate(eval_kwise(self.key, x), self.restriction.index_bits)
+    eval_int = eval_kwise
 
 
 def restrict_to_table(key: KWiseHashKey, restriction: RangeRestriction) -> RestrictedHash:

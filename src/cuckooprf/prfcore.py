@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import C1, C2, BitString, mix64, truncate
+from .bits import C1, C2, MASK64, MIX1, MIX2, BitString, mix64, truncate
 from .errors import ConfigurationError
 
 
@@ -50,8 +50,20 @@ class Oracle:
 
 
 def lazy_answer(seed: int, x_as_64: int, range_bits: int) -> int:
-    """The raw derivation rule; shared with the batched engine."""
-    return truncate(mix64(seed ^ mix64(x_as_64 ^ C1)), range_bits)
+    """The raw derivation rule, truncate(mix64(seed ^ mix64(x ^ C1)),
+    range_bits), with both mix64 rounds and the mask in this one frame.
+    batch.lazy_answers is its numpy twin."""
+    v = (x_as_64 ^ C1) & MASK64
+    v ^= v >> 30
+    v = (v * MIX1) & MASK64
+    v ^= v >> 27
+    v = (v * MIX2) & MASK64
+    v = (seed ^ v ^ (v >> 31)) & MASK64
+    v ^= v >> 30
+    v = (v * MIX1) & MASK64
+    v ^= v >> 27
+    v = (v * MIX2) & MASK64
+    return (v ^ (v >> 31)) & ((1 << range_bits) - 1)
 
 
 class LazyRandomOracle(Oracle):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -167,8 +168,28 @@ def test_logexp_tables_are_a_permutation_and_its_inverse(w):
     log, exp = FieldSpec(w)._build_logexp()
     order = (1 << w) - 1
     assert sorted(exp[:order]) == list(range(1, order + 1))
+    assert exp[order:] == exp[:order]
     for i, v in enumerate(exp[:order]):
         assert log[v] == i
+
+
+def test_tables_are_built_on_first_use():
+    spec = FieldSpec(16)
+    assert spec._log is None and spec._exp is None
+    assert spec.mul_int(3, 7) == _mul_raw(3, 7, 16, spec.poly)
+    assert spec._log is not None
+
+
+def test_w16_tables_build_within_a_mebibyte():
+    # typed arrays: 128 KiB of log and 256 KiB of doubled exp
+    spec = FieldSpec(16)
+    tracemalloc.start()
+    try:
+        spec._build_logexp()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mul_matches_schoolbook_exhaustive_width8():

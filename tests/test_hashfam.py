@@ -1,8 +1,10 @@
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 
+from cuckooprf import gf
 from cuckooprf.bits import BitString
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.hashfam import (
@@ -150,6 +152,16 @@ def test_restricted_hash_is_low_bit_truncation():
     h = RestrictedHash(key, RangeRestriction(8, 6))
     for v in range(64):
         assert h.eval_int(v) == key.eval_int(v) & 0b111
+
+
+def test_constructing_keys_builds_no_field_tables():
+    with mock.patch.dict(gf._DEFAULT_SPECS, clear=True):
+        key = sample_kwise(12, 16, 16, random.Random(14))
+        h = restrict_to_table(key, RangeRestriction(256, 16))
+        assert h.spec is key.spec
+        assert key.spec._log is None
+        h.eval_int(1)
+        assert key.spec._log is not None
 
 
 def test_restrict_rejects_key_too_narrow_for_table():

@@ -1,10 +1,14 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from cuckooprf.bits import BitString, derive_seed
+from cuckooprf.batch import lazy_answers
+from cuckooprf.bits import C1, BitString, derive_seed, mix64, truncate
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.hashfam import sample_kwise
 from cuckooprf.prfcore import (
@@ -42,10 +46,14 @@ def test_lazy_oracle_replays_and_depends_on_seed():
     assert diffs > 250
 
 
-def test_lazy_answer_is_the_oracle_rule():
-    o = LazyRandomOracle(99, 16, 7)
-    for v in (0, 1, 0xBEEF):
-        assert o.query(BitString(v, 16)).value == lazy_answer(99, v, 7)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.integers(1, 64))
+def test_lazy_answer_is_the_oracle_rule(seed, x, range_bits):
+    want = truncate(mix64(seed ^ mix64(x ^ C1)), range_bits)
+    assert lazy_answer(seed, x, range_bits) == want
+    assert LazyRandomOracle(seed, 64, range_bits).query(BitString(x, 64)).value == want
+    grid = lazy_answers(np.array([seed], dtype=np.uint64), np.array([x], dtype=np.uint64), range_bits)
+    assert int(grid[0, 0]) == want
 
 
 def test_lazy_oracle_size_caps():

@@ -1,5 +1,5 @@
 """Properties of the combiners over generated shapes at widths 8, 16 and 32,
-and of the numpy grid kernel at every supported width.
+and of the scalar hashes and the numpy grid kernel at every supported width.
 
 The scalar Oracle.query path is the reference for the numpy path, so a
 layout's numpy twin, which samples its keys from the key streams' words,
@@ -31,8 +31,14 @@ from cuckooprf.combine import (
 )
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
-from cuckooprf.gf import SUPPORTED_WIDTHS
-from cuckooprf.hashfam import eval_kwise, sample_kwise
+from cuckooprf.gf import DEFAULT_REDUCTION, SUPPORTED_WIDTHS, _mul_raw
+from cuckooprf.hashfam import (
+    KWiseHashKey,
+    RangeRestriction,
+    eval_kwise,
+    restrict_to_table,
+    sample_kwise,
+)
 from cuckooprf.prfcore import LazyRandomOracle
 from cuckooprf.transform import (
     ExtensionParams,
@@ -132,6 +138,40 @@ def test_grid_kernel_equals_eval_kwise(w, k, data):
             for b in batch.blocks(rows, len(points))])
     keys = [sample_kwise(k, w, r, streams.stream(t)) for t in range(rows)]
     assert grid.tolist() == [[eval_kwise(key, x) for x in points] for key in keys]
+
+
+def _power_sum(coeffs, x: int, w: int) -> int:
+    """a0 + a1*x + ... + a_{k-1}*x^{k-1} as a sum of schoolbook products,
+    with no Horner step and no table."""
+    poly = DEFAULT_REDUCTION[w]
+    acc, power = 0, 1
+    for a in coeffs:
+        acc ^= _mul_raw(a, power, w, poly)
+        power = _mul_raw(power, x, w, poly)
+    return acc
+
+
+@pytest.mark.parametrize("w", SUPPORTED_WIDTHS)
+@PROPERTY
+@given(st.integers(1, 16), st.data())
+def test_scalar_hashes_equal_the_schoolbook_power_sum(w, k, data):
+    d = data.draw(st.integers(1, w), label="d")
+    r = data.draw(st.integers(1, w), label="r")
+    index_bits = data.draw(st.none() | st.integers(0, r), label="window bits")
+    coeffs = tuple(data.draw(st.lists(st.integers(0, (1 << w) - 1), min_size=k, max_size=k),
+                             label="coeffs"))
+    key = KWiseHashKey(coeffs, d, r, w)
+    restricted = None if index_bits is None else restrict_to_table(
+        key, RangeRestriction(1 << index_bits, r))
+    # every x at w = 4, so Horner's accumulator passes through 0
+    xs = range(1 << w) if w == 4 else [0] + data.draw(
+        st.lists(st.integers(0, (1 << d) - 1), max_size=8), label="xs")
+    for x in xs:
+        want = _power_sum(coeffs, x, w) & ((1 << r) - 1)
+        assert key.eval_int(x) == eval_kwise(key, x) == want
+        if restricted is not None:
+            cut = want & ((1 << index_bits) - 1)
+            assert restricted.eval_int(x) == eval_kwise(restricted, x) == cut
 
 
 def _parity_distinguisher(q: int, d: int) -> NonAdaptiveDistinguisher:
