@@ -25,8 +25,8 @@ per batch_answers call, in a dict local to that call and keyed by
 FieldSpec, so each Horner step is one gather per byte of the
 accumulator over the whole grid.
 
-The column forms cover every slot a layout draws: k-wise hashes (plain
-or range-restricted), lazy-random functions and padded views of them,
+The column forms cover every slot a layout draws: k-wise hashes (with
+or without a window), lazy-random functions and padded views of them,
 tables, and the levin, pp and adw combiners over them. A block of
 affine adw keys (combine.is_affine) asked for more than d+1 points is
 answered from per-row byte tables of its inner values, as an ADWOracle
@@ -41,7 +41,7 @@ import numpy as np
 
 from .bits import C1, KeyStreams, mix64_np, stream_words, truncate
 from .gf import FieldSpec, default_spec, linear_tables
-from .hashfam import RangeRestriction, width_for
+from .hashfam import width_for, window_bits
 from .transform import KeySampler
 
 # Rows x queries of one block: large enough that numpy's per-call cost
@@ -144,7 +144,7 @@ class _Points:
 
 class _Hashes:
     """N k-wise hashes of one shape: coefficient rows, a0 first, and the
-    output bits kept (a range restriction keeps its index bits)."""
+    output bits kept (hashfam.window_bits of the key's window)."""
 
     def __init__(self, coeffs: np.ndarray, spec: FieldSpec, domain_bits: int, out_bits: int):
         self.coeffs = coeffs
@@ -267,11 +267,6 @@ class _ADW:
         return folded
 
 
-def _window_bits(bits: int, window: int | None) -> int:
-    """The bits a value keeps: all of its bits, or log2(window) of them."""
-    return bits if window is None else RangeRestriction(window, bits).index_bits
-
-
 class ColumnDraws:
     """transform.KeyDraws on a block of key streams, one row per stream.
 
@@ -292,14 +287,14 @@ class ColumnDraws:
     def kwise(self, k: int, domain_bits: int, range_bits: int,
               window: int | None = None) -> _Hashes:
         w = width_for(domain_bits, range_bits)
-        out_bits = _window_bits(range_bits, window)
+        out_bits = window_bits(window, range_bits)
         return _Hashes(self._words(k, w), default_spec(w), domain_bits, out_bits)
 
     def prf(self, domain_bits: int, range_bits: int) -> _Lazy:
         return _Lazy(self._words(1, 64)[:, 0], domain_bits, range_bits)
 
     def table(self, count: int, entry_bits: int, window: int | None = None) -> _Tables:
-        return _Tables(self._words(count, _window_bits(entry_bits, window)))
+        return _Tables(self._words(count, window_bits(window, entry_bits)))
 
     def padded(self, f: _Lazy, domain_bits: int, range_bits: int) -> _Lazy:
         return _Lazy(f.seeds, domain_bits, range_bits)

@@ -214,11 +214,6 @@ class BitString:
             raise ValueError(f"bit index {i} out of range for length {self.length}")
         return (self.value >> (self.length - 1 - i)) & 1
 
-    def __xor__(self, other: "BitString") -> "BitString":
-        if self.length != other.length:
-            raise ValueError(f"xor of lengths {self.length} and {other.length}")
-        return BitString(self.value ^ other.value, self.length)
-
     def concat(self, other: "BitString") -> "BitString":
         return BitString((self.value << other.length) | other.value, self.length + other.length)
 

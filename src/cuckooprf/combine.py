@@ -17,13 +17,12 @@ Inner maps are either RandomTable (table-backed: lookups, no oracle
 calls) or Oracle instances (prf-backed: each lookup is an underlying
 call). Every slot is duck-typed: anything with domain_bits/range_bits
 attributes and an eval_int(int) -> int method works, which admits
-plain k-wise keys, range-restricted ones, tables and any Oracle.
+k-wise keys (with or without a window), tables and any Oracle.
 
-Values are plain ints inside the combiners: pp_eval, adw_eval and
-count_underlying_calls take and return raw values, and every slot is
-called through eval_int. A BitString is built only where PPOracle or
-ADWOracle is queried through Oracle.query, which checks the input
-length the combiners take on trust.
+Values are plain ints inside the combiners: pp_eval and adw_eval take
+and return raw values, and every slot is called through eval_int. A
+BitString is built only where PPOracle or ADWOracle is queried through
+Oracle.query, which checks the input length the combiners take on trust.
 
 An adw key whose hashes all have degree at most 1 (k <= 2) and whose
 inner maps are all 2-entry tables is GF(2)-affine in x: each of its
@@ -40,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .gf import linear_tables
-from .hashfam import KWiseHashKey, RandomTable, RestrictedHash
+from .hashfam import KWiseHashKey, RandomTable
 from .prfcore import Oracle
 
 
@@ -154,16 +153,12 @@ def adw_eval(key: ADWKey, x: int) -> int:
     return a ^ b ^ adw_inner_eval(key.ell, key.gbar, key.ybar, x, gvals)
 
 
-def _affine_hash(h) -> bool:
-    key = h.key if isinstance(h, RestrictedHash) else h
-    return isinstance(key, KWiseHashKey) and key.k <= 2
-
-
 def is_affine(key: ADWKey) -> bool:
     """Whether every inner value of key is GF(2)-affine in x: every hash
-    (plain or range-restricted) of degree at most 1, every inner map a
-    2-entry table indexed by one bit."""
-    return (all(_affine_hash(h) for h in (key.h1, key.h2, key.ell, *key.gbar))
+    a k-wise key of degree at most 1, every inner map a 2-entry table
+    indexed by one bit."""
+    return (all(isinstance(h, KWiseHashKey) and h.k <= 2
+                for h in (key.h1, key.h2, key.ell, *key.gbar))
             and all(isinstance(m, RandomTable) and len(m) == 2
                     for bar in (key.m1bar, key.m2bar, key.ybar) for m in bar))
 
@@ -234,41 +229,3 @@ class ADWOracle(Oracle):
             self._folded = fold_adw(self.key)
         return self._folded(x)
 
-
-class _Counted:
-    """Forwards eval_int to a slot and counts the calls."""
-
-    def __init__(self, slot):
-        self.slot = slot
-        self.calls = 0
-        self.domain_bits = slot.domain_bits
-        self.range_bits = slot.range_bits
-
-    def eval_int(self, x: int) -> int:
-        self.calls += 1
-        return self.slot.eval_int(x)
-
-
-def count_underlying_calls(key, x: int) -> tuple[int, int]:
-    """Evaluate once at x and report (f_calls, hash_calls).
-
-    f_calls counts queries to underlying oracles: the two outer f's
-    plus, for prf-backed inner maps, every inner lookup. Table-backed
-    inner maps contribute nothing. hash_calls counts k-wise hash
-    evaluations; the shared g-vector is evaluated once per g_i.
-    """
-    if isinstance(key, PPKey):
-        hashes = [_Counted(h) for h in (key.h1, key.h2, key.g)]
-        fs = [_Counted(f) for f in (key.f1, key.f2)]
-        pp_eval(PPKey(*hashes, *fs), x)
-    elif isinstance(key, ADWKey):
-        hashes = [_Counted(h) for h in (key.h1, key.h2, key.ell, *key.gbar)]
-        f1, f2 = _Counted(key.f1), _Counted(key.f2)
-        maps = [tuple(m if isinstance(m, RandomTable) else _Counted(m) for m in bar)
-                for bar in (key.m1bar, key.m2bar, key.ybar)]
-        h1, h2, ell, *gbar = hashes
-        adw_eval(ADWKey(h1, h2, ell, tuple(gbar), *maps, f1, f2), x)
-        fs = [f1, f2, *(m for bar in maps for m in bar if isinstance(m, _Counted))]
-    else:
-        raise ValueError(f"not a combiner key: {type(key).__name__}")
-    return sum(f.calls for f in fs), sum(h.calls for h in hashes)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 
 from .bits import BitString, key_stream, mix64, truncate
-from .combine import count_underlying_calls
 from .errors import ConfigurationError
 from .games import (
     GameResult,
@@ -37,6 +36,7 @@ from .hashfam import exhaustive_independence_check
 from .prfcore import FunctionOracle, GgmKey, GgmOracle, PrgSpec, ggm_eval
 from .transform import (
     ExtensionParams,
+    KeyDraws,
     KeySampler,
     adw_layout,
     adw_table_z,
@@ -198,11 +198,12 @@ def involution(n: int, trials: int, seed: int):
     return rows, []
 
 
-class _WindowTally:
+class _CallTally:
     """An f_sampler whose lazy-random oracles count, as they are queried,
     every underlying query and those outside the first `window` strings.
     It keeps the two counts, not the queries, so its memory does not grow
-    with the number of probes."""
+    with the number of probes. It is the one call counter of the
+    experiments: a builder's underlying calls are counted where it draws f."""
 
     def __init__(self, window: int):
         self.window = window
@@ -234,7 +235,7 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
     )
     rows, problems = [], []
     for idx, (name, flavor, kcol) in enumerate(targets):
-        tally = _WindowTally(4 * q)
+        tally = _CallTally(4 * q)
         rng = key_stream(seed, _PROBE_TAG, idx)
         if flavor == "pp":
             handle = build_adaptive_from_nonadaptive(n, q, k, rng, f_sampler=tally)
@@ -259,7 +260,10 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
 
 def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, seed: int):
     """Birthday advantage and per-query call cost of pp next to both adw
-    variants at identical shape parameters."""
+    variants at identical shape parameters.
+
+    The cost is read from a probe oracle keyed with a _CallTally over d+2
+    queries, so the last query is the first a table adw answers folded."""
     params = ExtensionParams(d=d, s=s, r=r, k=k, q=q, c=c)
     dist = birthday_distinguisher(q, d)
     ideal = lazy_sampler(d, r)
@@ -271,13 +275,14 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     )
     rows, problems = [], []
     for idx, (name, sampler, kcol, zcol, expected_calls) in enumerate(targets):
-        probe = sampler(key_stream(seed, _CALL_TAG, idx))
-        for i in range(3):
-            f_calls, _ = count_underlying_calls(probe.key, i)
-            if f_calls != expected_calls:
-                problems.append(
-                    f"{name}: {f_calls} underlying calls per query, expected {expected_calls}"
-                )
+        tally = _CallTally(1 << s)
+        probe = sampler.layout(KeyDraws(key_stream(seed, _CALL_TAG, idx), tally))
+        for x in range(d + 2):
+            before = tally.calls
+            probe.eval_int(x)
+            if tally.calls - before != expected_calls:
+                problems.append(f"{name}: {tally.calls - before} underlying calls per query, "
+                                f"expected {expected_calls}")
                 break
         res = run_game(sampler, ideal, dist, trials, seed)
         rows.append(_game_row(name, res, n=d, d=d, s=s, r=r, k=kcol, q=q, z=zcol))

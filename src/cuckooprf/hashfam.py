@@ -7,18 +7,19 @@ to w bits, the polynomial is evaluated, and the output is truncated to
 the low range_bits bits. Truncation preserves exact k-wise independence
 because every r-bit value has exactly 2^(w-r) preimages under it.
 
-Range restriction to a table of size t (a power of two) keeps the low
-log2(t) bits and zero-extends to the ambient length, so outputs range
-over exactly the first t strings of the ambient domain in lexicographic
-order.
+A window w (a power of two) confines a key's outputs to the first w
+strings of its range: the key keeps the low log2(w) bits of each output
+(window_bits) and its range_bits stay the ambient length, so values
+land below w. A table drawn with a window has log2(w)-bit entries in
+its entry_bits-bit range.
 
-Keys, restricted keys and tables evaluate on raw ints via eval_int,
-the one method the combiners call on a slot. They are slots of a key,
-not oracles, so none of them takes or returns a BitString. The eval_int
-of a key and of a restricted key is eval_kwise itself: each holds its
-field spec and its output mask, computed at construction, so one
-evaluation is one eval_kwise frame over FieldSpec.poly_eval and one
-mask. Constructing either builds no field tables.
+Keys and tables evaluate on raw ints via eval_int, the one method the
+combiners call on a slot. They are slots of a key, not oracles, so
+neither takes or returns a BitString. The eval_int of a key is
+eval_kwise itself: the key holds its field spec and its output mask,
+computed at construction, so one evaluation is one eval_kwise frame
+over FieldSpec.poly_eval and one mask. Constructing a key builds no
+field tables.
 """
 
 from __future__ import annotations
@@ -41,10 +42,22 @@ def width_for(domain_bits: int, range_bits: int) -> int:
     raise ValueError(f"no supported width covers {need} bits")
 
 
+def window_bits(window: int | None, bits: int) -> int:
+    """The low bits a `bits`-bit value keeps inside the first `window`
+    strings of {0,1}^bits: all of them without a window, else log2(window)."""
+    if window is None:
+        return bits
+    if window < 1 or window & (window - 1):
+        raise ConfigurationError(f"table_size {window} is not a power of two")
+    kept = window.bit_length() - 1
+    if kept > bits:
+        raise ConfigurationError(f"table_size {window} exceeds ambient domain of {bits} bits")
+    return kept
+
+
 def eval_kwise(key, x: int) -> int:
-    """The key's polynomial at a raw domain value, masked to its output
-    bits: range_bits for a KWiseHashKey, the index bits for a
-    RestrictedHash. Both classes use it as their eval_int."""
+    """The key's polynomial at a raw domain value, masked to its kept
+    output bits. KWiseHashKey uses it as its eval_int."""
     return key.spec.poly_eval(key.coeffs, x) & key.mask
 
 
@@ -52,14 +65,15 @@ def eval_kwise(key, x: int) -> int:
 class KWiseHashKey:
     """Coefficients a0..a_{k-1} of a degree-(k-1) polynomial over GF(2^w).
 
-    spec and mask (the low range_bits bits) are derived at construction
-    and take no part in comparison.
+    spec and mask (the low window_bits(window, range_bits) bits) are
+    derived at construction and take no part in comparison.
     """
 
     coeffs: tuple[int, ...]
     domain_bits: int
     range_bits: int
     width: int
+    window: int | None = None
     spec: FieldSpec = field(init=False, repr=False, compare=False)
     mask: int = field(init=False, repr=False, compare=False)
 
@@ -74,7 +88,7 @@ class KWiseHashKey:
             if not 0 <= c < (1 << self.width):
                 raise ValueError(f"coefficient {c:#x} out of range for width {self.width}")
         object.__setattr__(self, "spec", default_spec(self.width))
-        object.__setattr__(self, "mask", (1 << self.range_bits) - 1)
+        object.__setattr__(self, "mask", (1 << window_bits(self.window, self.range_bits)) - 1)
 
     @property
     def k(self) -> int:
@@ -83,73 +97,15 @@ class KWiseHashKey:
     eval_int = eval_kwise
 
 
-def sample_kwise(k: int, domain_bits: int, range_bits: int, rng) -> KWiseHashKey:
-    """Draw a uniform family member. Consumes exactly k*w random bits."""
+def sample_kwise(k: int, domain_bits: int, range_bits: int, rng,
+                 window: int | None = None) -> KWiseHashKey:
+    """Draw a uniform family member, confined to `window` if one is
+    given. Consumes exactly k*w random bits."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     w = width_for(domain_bits, range_bits)
     coeffs = tuple(rng.getrandbits(w) for _ in range(k))
-    return KWiseHashKey(coeffs, domain_bits, range_bits, w)
-
-
-@dataclass(frozen=True)
-class RangeRestriction:
-    """Restriction of outputs to the first table_size strings of {0,1}^ambient_bits."""
-
-    table_size: int
-    ambient_bits: int
-
-    def __post_init__(self):
-        if self.table_size < 1 or self.table_size & (self.table_size - 1):
-            raise ConfigurationError(f"table_size {self.table_size} is not a power of two")
-        if self.index_bits > self.ambient_bits:
-            raise ConfigurationError(
-                f"table_size {self.table_size} exceeds ambient domain of {self.ambient_bits} bits"
-            )
-
-    @property
-    def index_bits(self) -> int:
-        return self.table_size.bit_length() - 1
-
-
-@dataclass(frozen=True)
-class RestrictedHash:
-    """A k-wise key post-composed with a range restriction.
-
-    Keeps the low index bits of the key's output and zero-extends to
-    the ambient length, so values always land below table_size. It
-    carries the key's coeffs and spec and one mask, the key's mask cut
-    to the index bits, so eval_kwise evaluates it with a single mask.
-    """
-
-    key: KWiseHashKey
-    restriction: RangeRestriction
-    coeffs: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    spec: FieldSpec = field(init=False, repr=False, compare=False)
-    mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", self.key.coeffs)
-        object.__setattr__(self, "spec", self.key.spec)
-        object.__setattr__(self, "mask", self.key.mask & ((1 << self.restriction.index_bits) - 1))
-
-    @property
-    def domain_bits(self) -> int:
-        return self.key.domain_bits
-
-    @property
-    def range_bits(self) -> int:
-        return self.restriction.ambient_bits
-
-    eval_int = eval_kwise
-
-
-def restrict_to_table(key: KWiseHashKey, restriction: RangeRestriction) -> RestrictedHash:
-    if key.range_bits < restriction.index_bits:
-        raise ValueError(
-            f"key range of {key.range_bits} bits cannot index a table of {restriction.table_size}"
-        )
-    return RestrictedHash(key, restriction)
+    return KWiseHashKey(coeffs, domain_bits, range_bits, w, window)
 
 
 @dataclass(frozen=True)
@@ -183,17 +139,19 @@ class RandomTable:
         return self.entries[index]
 
 
-def sample_table(count: int, entry_bits: int, rng) -> RandomTable:
+def sample_table(count: int, entry_bits: int, rng, window: int | None = None) -> RandomTable:
+    """count entries of entry_bits bits, each inside the first `window`
+    strings if one is given."""
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    return RandomTable(tuple(rng.getrandbits(entry_bits) for _ in range(count)), entry_bits)
+    bits = window_bits(window, entry_bits)
+    return RandomTable(tuple(rng.getrandbits(bits) for _ in range(count)), entry_bits)
 
 
 @dataclass(frozen=True)
 class IndependenceReport:
     ok: bool
     keys_enumerated: int
-    tuples_checked: int
     expected_count: int
 
 
@@ -236,15 +194,13 @@ def exhaustive_independence_check(k: int, width: int = 4, range_bits: int | None
         raise ConfigurationError("key count is not a multiple of the output tuple count")
 
     ok = True
-    tuples_checked = 0
     n_codes = (1 << r) ** k
     for xs in itertools.permutations(range(n), k):
         code = evals[:, xs[0]].astype(np.uint32)
         for x in xs[1:]:
             code = (code << np.uint32(r)) | evals[:, x]
         counts = np.bincount(code, minlength=n_codes)
-        tuples_checked += 1
         if not (counts == expected).all():
             ok = False
             break
-    return IndependenceReport(ok, n_keys, tuples_checked, expected)
+    return IndependenceReport(ok, n_keys, expected)

@@ -48,13 +48,7 @@ from .bits import BitString, truncate
 from .combine import ADWKey, ADWOracle, PPKey, PPOracle
 from .errors import ConfigurationError
 from .gf import SUPPORTED_WIDTHS
-from .hashfam import (
-    RandomTable,
-    RangeRestriction,
-    restrict_to_table,
-    sample_kwise,
-    sample_table,
-)
+from .hashfam import RandomTable, sample_kwise, sample_table
 from .prfcore import GgmKey, GgmOracle, LazyRandomOracle, LevinOracle, Oracle, PrgSpec
 
 MAX_WIDTH = max(SUPPORTED_WIDTHS)
@@ -107,9 +101,8 @@ class KeyDraws:
     """Key slots drawn from an rng, each as a scalar key object.
 
     Underlying PRF slots come from f_sampler (default lazy-random). A
-    window confines a hash to the first `window` strings of its range
-    (RangeRestriction), and a table's entries to log2(window)-bit
-    values in their entry_bits-bit range.
+    window confines a hash's outputs and a table's entries to the first
+    `window` strings of their range (hashfam.window_bits).
     """
 
     def __init__(self, rng, f_sampler=None):
@@ -117,18 +110,13 @@ class KeyDraws:
         self.f_sampler = f_sampler or lazy_random_sampler
 
     def kwise(self, k: int, domain_bits: int, range_bits: int, window: int | None = None):
-        key = sample_kwise(k, domain_bits, range_bits, self.rng)
-        return key if window is None else restrict_to_table(
-            key, RangeRestriction(window, range_bits))
+        return sample_kwise(k, domain_bits, range_bits, self.rng, window)
 
     def prf(self, domain_bits: int, range_bits: int) -> Oracle:
         return self.f_sampler(self.rng, domain_bits, range_bits)
 
     def table(self, count: int, entry_bits: int, window: int | None = None) -> RandomTable:
-        if window is None:
-            return sample_table(count, entry_bits, self.rng)
-        bits = RangeRestriction(window, entry_bits).index_bits
-        return RandomTable(tuple(self.rng.getrandbits(bits) for _ in range(count)), entry_bits)
+        return sample_table(count, entry_bits, self.rng, window)
 
     def padded(self, f: Oracle, domain_bits: int, range_bits: int) -> PaddedPrfMap:
         return PaddedPrfMap(f, domain_bits, range_bits)

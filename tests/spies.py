@@ -1,11 +1,16 @@
-"""Call-recording oracles for the tests.
+"""Call-recording slots for the tests.
 
-InstrumentedOracle forwards eval_int to the oracle it wraps and records
-every query value, so a test can count the underlying calls a builder
-makes and check where they land. counting_sampler is an f_sampler that
-hands each builder instrumented lazy-random oracles and keeps them.
+InstrumentedOracle forwards eval_int to the slot it wraps (an oracle, a
+hash key or any other slot) and records every query value, so a test
+can count the calls a key makes and check where they land.
+counting_sampler is an f_sampler that hands each builder instrumented
+lazy-random oracles and keeps them; count_calls counts the calls of
+one evaluation of a key a test built by hand.
 """
 
+import dataclasses
+
+from cuckooprf.hashfam import RandomTable
 from cuckooprf.prfcore import Oracle
 from cuckooprf.transform import lazy_random_sampler
 
@@ -13,7 +18,7 @@ from cuckooprf.transform import lazy_random_sampler
 class InstrumentedOracle(Oracle):
     """Forwarding wrapper that records call count and the query values."""
 
-    def __init__(self, inner: Oracle):
+    def __init__(self, inner):
         super().__init__(inner.domain_bits, inner.range_bits)
         self.inner = inner
         self.calls = 0
@@ -32,3 +37,28 @@ def counting_sampler(seen: list):
         return seen[-1]
 
     return f_sampler
+
+
+def count_calls(evaluate, key, x: int) -> tuple[int, int]:
+    """(underlying calls, hash calls) of evaluate(key, x) for a pp or adw
+    key, counted on a copy of the key whose slots are InstrumentedOracles.
+
+    The hashes are h1, h2, g or ell and each g_i; the underlying oracles
+    are f1, f2 and every inner map that is not a RandomTable, which a
+    lookup reaches without an underlying call."""
+    hashes, fs = [], []
+
+    def spy(slot, seen):
+        if isinstance(slot, RandomTable):
+            return slot
+        seen.append(InstrumentedOracle(slot))
+        return seen[-1]
+
+    slots = {}
+    for field in dataclasses.fields(key):
+        value = getattr(key, field.name)
+        seen = fs if field.name in ("f1", "f2", "m1bar", "m2bar", "ybar") else hashes
+        slots[field.name] = (tuple(spy(v, seen) for v in value) if isinstance(value, tuple)
+                             else spy(value, seen))
+    evaluate(dataclasses.replace(key, **slots), x)
+    return sum(f.calls for f in fs), sum(h.calls for h in hashes)

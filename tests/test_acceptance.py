@@ -9,7 +9,7 @@ import random
 import time
 
 from cuckooprf.bits import BitString
-from cuckooprf.combine import ADWKey, PPKey, adw_eval, count_underlying_calls, pp_eval
+from cuckooprf.combine import ADWKey, PPKey, adw_eval, pp_eval
 from cuckooprf.experiments import birthday, involution, rows_to_csv, uniformity
 from cuckooprf.games import birthday_closed_form, birthday_distinguisher, run_game
 from cuckooprf.hashfam import exhaustive_independence_check, sample_kwise
@@ -149,32 +149,36 @@ def test_criterion_6_adaptive_builder_query_locality():
     )
 
 
+def _counted(build):
+    """The oracle build(f_sampler) returns for a counting_sampler, and a
+    function that queries it at x and returns the underlying calls made."""
+    spies: list[InstrumentedOracle] = []
+    oracle = build(counting_sampler(spies))
+
+    def calls(x: int) -> int:
+        before = sum(f.calls for f in spies)
+        oracle.eval_int(x)
+        return sum(f.calls for f in spies) - before
+
+    return oracle, calls
+
+
 def test_criterion_7_call_count_accounting():
     runs = 1000
     rng = random.Random(SEED)
 
-    pp = build_pp_domain_extension(ExtensionParams(24, 12, 24, 16, 128), random.Random(1))
-    pp_ok = all(
-        count_underlying_calls(pp.key, rng.getrandbits(24))[0] == 2
-        for _ in range(runs)
-    )
+    _, pp_calls = _counted(lambda fs: build_pp_domain_extension(
+        ExtensionParams(24, 12, 24, 16, 128), random.Random(1), fs))
+    pp_ok = all(pp_calls(rng.getrandbits(24)) == 2 for _ in range(runs))
 
-    prf = build_adw_domain_extension(
-        ExtensionParams(20, 10, 12, 2, 16, c=1), "prf", random.Random(2)
-    )
+    prf, prf_calls = _counted(lambda fs: build_adw_domain_extension(
+        ExtensionParams(20, 10, 12, 2, 16, c=1), "prf", random.Random(2), fs))
     z = prf.key.z
-    prf_ok = all(
-        count_underlying_calls(prf.key, rng.getrandbits(20))[0] == 3 * z + 2
-        for _ in range(runs)
-    )
+    prf_ok = all(prf_calls(rng.getrandbits(20)) == 3 * z + 2 for _ in range(runs))
 
-    table = build_adw_domain_extension(
-        ExtensionParams(24, 12, 24, 2, 128, c=1), "table", random.Random(3)
-    )
-    table_ok = all(
-        count_underlying_calls(table.key, rng.getrandbits(24))[0] == 2
-        for _ in range(runs)
-    )
+    _, table_calls = _counted(lambda fs: build_adw_domain_extension(
+        ExtensionParams(24, 12, 24, 2, 128, c=1), "table", random.Random(3), fs))
+    table_ok = all(table_calls(rng.getrandbits(24)) == 2 for _ in range(runs))
 
     m = 8
     pipeline = build_prg_prf(PrgSpec("mix64", 16), m, 16, 2, 64, random.Random(4))

@@ -109,14 +109,6 @@ def test_bitstring_bit_is_msb_first():
     assert [b.bit(i) for i in range(4)] == [1, 1, 0, 0]
 
 
-def test_bitstring_xor_requires_equal_length():
-    a = BitString(0b1100, 4)
-    b = BitString(0b1010, 4)
-    assert (a ^ b).to01() == "0110"
-    with pytest.raises(ValueError):
-        a ^ BitString(0b101, 3)
-
-
 def test_bitstring_concat_take_drop():
     a = BitString.from01("110")
     b = BitString.from01("01")

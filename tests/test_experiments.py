@@ -188,3 +188,19 @@ def test_adw_compare_rows_and_call_costs():
     for r in rows:
         assert r["advantage"] < 0.2
         assert r["trials"] == 30
+
+
+def test_adw_compare_counts_calls_past_the_fold(monkeypatch):
+    # the probe's last query is the first a table adw answers folded, so
+    # an extra underlying call made only there must show as a problem
+    from cuckooprf import combine
+
+    folded_call = combine._FoldedADW.__call__
+
+    def one_more_f1_call(self, x):
+        self.f1.eval_int(0)
+        return folded_call(self, x)
+
+    monkeypatch.setattr(combine._FoldedADW, "__call__", one_more_f1_call)
+    _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)
+    assert problems == ["adw-compare-table: 3 underlying calls per query, expected 2"]

@@ -10,14 +10,12 @@ from cuckooprf.errors import ConfigurationError
 from cuckooprf.hashfam import (
     KWiseHashKey,
     RandomTable,
-    RangeRestriction,
-    RestrictedHash,
     eval_kwise,
     exhaustive_independence_check,
-    restrict_to_table,
     sample_kwise,
     sample_table,
     width_for,
+    window_bits,
 )
 from cuckooprf.prfcore import LazyRandomOracle, LevinOracle
 
@@ -130,17 +128,18 @@ def test_key_validation():
 
 
 def test_range_restriction_validation_and_index_bits():
-    r = RangeRestriction(4, 3)
-    assert r.index_bits == 2
+    assert window_bits(4, 3) == 2
+    assert window_bits(None, 3) == 3
     with pytest.raises(ConfigurationError):
-        RangeRestriction(5, 3)
+        window_bits(5, 3)
     with pytest.raises(ConfigurationError):
-        RangeRestriction(16, 3)
+        window_bits(16, 3)
+    with pytest.raises(ConfigurationError):
+        sample_kwise(2, 6, 1, random.Random(13), window=4)
 
 
 def test_restricted_hash_lands_in_table_exhaustively():
-    key = sample_kwise(3, 3, 3, random.Random(11))
-    h = restrict_to_table(key, RangeRestriction(4, 3))
+    h = sample_kwise(3, 3, 3, random.Random(11), window=4)
     assert h.domain_bits == 3
     assert h.range_bits == 3
     for v in range(8):
@@ -149,7 +148,8 @@ def test_restricted_hash_lands_in_table_exhaustively():
 
 def test_restricted_hash_is_low_bit_truncation():
     key = sample_kwise(2, 6, 6, random.Random(12))
-    h = RestrictedHash(key, RangeRestriction(8, 6))
+    h = KWiseHashKey(key.coeffs, 6, 6, key.width, window=8)
+    assert h != key
     for v in range(64):
         assert h.eval_int(v) == key.eval_int(v) & 0b111
 
@@ -157,17 +157,11 @@ def test_restricted_hash_is_low_bit_truncation():
 def test_constructing_keys_builds_no_field_tables():
     with mock.patch.dict(gf._DEFAULT_SPECS, clear=True):
         key = sample_kwise(12, 16, 16, random.Random(14))
-        h = restrict_to_table(key, RangeRestriction(256, 16))
+        h = sample_kwise(12, 16, 16, random.Random(14), window=256)
         assert h.spec is key.spec
         assert key.spec._log is None
         h.eval_int(1)
         assert key.spec._log is not None
-
-
-def test_restrict_rejects_key_too_narrow_for_table():
-    key = sample_kwise(2, 6, 1, random.Random(13))
-    with pytest.raises(ValueError):
-        restrict_to_table(key, RangeRestriction(4, 6))
 
 
 def test_sample_table_shape_and_determinism():
@@ -177,6 +171,8 @@ def test_sample_table_shape_and_determinism():
     assert t == sample_table(8, 5, random.Random(21))
     assert t.domain_bits == 3 and t.range_bits == 5
     assert [t.eval_int(i) for i in range(8)] == list(t.entries)
+    windowed = sample_table(8, 5, random.Random(21), window=4)
+    assert windowed.entry_bits == 5 and all(0 <= e < 4 for e in windowed.entries)
 
 
 def test_sample_table_entries_look_uniform():

@@ -25,20 +25,13 @@ from cuckooprf.combine import (
     ADWKey,
     PPKey,
     adw_eval,
-    count_underlying_calls,
     is_affine,
     pp_eval,
 )
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import DEFAULT_REDUCTION, SUPPORTED_WIDTHS, _mul_raw
-from cuckooprf.hashfam import (
-    KWiseHashKey,
-    RangeRestriction,
-    eval_kwise,
-    restrict_to_table,
-    sample_kwise,
-)
+from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise
 from cuckooprf.prfcore import LazyRandomOracle
 from cuckooprf.transform import (
     ExtensionParams,
@@ -55,7 +48,7 @@ from cuckooprf.transform import (
     pp_sampler,
 )
 from gamepaths import assert_paths_agree
-from spies import InstrumentedOracle, counting_sampler
+from spies import InstrumentedOracle, count_calls, counting_sampler
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 TRIALS = 3
@@ -118,9 +111,9 @@ def test_underlying_call_counts(shape, data):
     table = build_adw_domain_extension(ExtensionParams(d, s, r, 2, 2), "table", rng).key
     prf = build_adw_domain_extension(_prf_adw_params(shape, data), "prf", rng).key
     for x in xs:
-        assert count_underlying_calls(pp, x.value) == (2, 3)
-        assert count_underlying_calls(table, x.value) == (2, 3 + table.z)
-        assert count_underlying_calls(prf, x.value) == (3 * prf.z + 2, 3 + prf.z)
+        assert count_calls(pp_eval, pp, x.value) == (2, 3)
+        assert count_calls(adw_eval, table, x.value) == (2, 3 + table.z)
+        assert count_calls(adw_eval, prf, x.value) == (3 * prf.z + 2, 3 + prf.z)
 
 
 @PROPERTY
@@ -161,8 +154,7 @@ def test_scalar_hashes_equal_the_schoolbook_power_sum(w, k, data):
     coeffs = tuple(data.draw(st.lists(st.integers(0, (1 << w) - 1), min_size=k, max_size=k),
                              label="coeffs"))
     key = KWiseHashKey(coeffs, d, r, w)
-    restricted = None if index_bits is None else restrict_to_table(
-        key, RangeRestriction(1 << index_bits, r))
+    restricted = None if index_bits is None else KWiseHashKey(coeffs, d, r, w, 1 << index_bits)
     # every x at w = 4, so Horner's accumulator passes through 0
     xs = range(1 << w) if w == 4 else [0] + data.draw(
         st.lists(st.integers(0, (1 << d) - 1), max_size=8), label="xs")
@@ -204,7 +196,7 @@ def _assert_twin_equals_scalar(shape, kind: str, data):
     xs = _inputs(data, d)
     if kind.startswith("adaptive"):
         # the adaptive builders are the two layouts with window 4q; past
-        # d+1 points the twin folds the adw key's restricted hashes and
+        # d+1 points the twin folds the adw key's windowed hashes and
         # window tables, as the scalar oracle does at query d+2
         xs, r = _past_fold(data, d), d
         if kind == "adaptive-pp":

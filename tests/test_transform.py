@@ -6,7 +6,6 @@ from unittest import mock
 import pytest
 
 from cuckooprf.bits import BitString, key_stream, mix64, truncate
-from cuckooprf.combine import count_underlying_calls
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.hashfam import RandomTable, sample_kwise
 from cuckooprf.prfcore import LazyRandomOracle, PrgSpec
@@ -61,8 +60,10 @@ def test_pp_builder_shapes_and_determinism():
 
 def test_pp_builder_uses_two_calls():
     p = ExtensionParams(20, 10, 16, 6, 64)
-    o = build_pp_domain_extension(p, random.Random(44))
-    f_calls, _ = count_underlying_calls(o.key, 77)
+    spies: list[InstrumentedOracle] = []
+    o = build_pp_domain_extension(p, random.Random(44), counting_sampler(spies))
+    o.eval_int(77)
+    f_calls = sum(f.calls for f in spies)
     assert f_calls == 2
 
 
@@ -114,14 +115,16 @@ def test_adw_z_values():
 
 def test_adw_prf_variant_shape_and_cost():
     p = ExtensionParams(20, 10, 12, 2, 16, c=1)
-    o = build_adw_domain_extension(p, "prf", random.Random(47))
+    spies: list[InstrumentedOracle] = []
+    o = build_adw_domain_extension(p, "prf", random.Random(47), counting_sampler(spies))
     assert o.domain_bits == 20 and o.range_bits == 12
     z = o.key.z
     assert z == 6
     u = math.ceil(math.log2(p.q))
     assert all(g.range_bits == u for g in o.key.gbar)
     assert all(isinstance(m, PaddedPrfMap) for m in o.key.m1bar + o.key.m2bar + o.key.ybar)
-    f_calls, _ = count_underlying_calls(o.key, 123)
+    o.eval_int(123)
+    f_calls = sum(f.calls for f in spies)
     assert f_calls == 3 * z + 2
 
 
@@ -135,14 +138,16 @@ def test_adw_prf_variant_parameter_guards():
 
 def test_adw_table_variant_shape_and_cost():
     p = ExtensionParams(20, 10, 12, 2, 16, c=1)
-    o = build_adw_domain_extension(p, "table", random.Random(48))
+    spies: list[InstrumentedOracle] = []
+    o = build_adw_domain_extension(p, "table", random.Random(48), counting_sampler(spies))
     z = o.key.z
     assert z == 2 * 3 * 4
     assert all(g.range_bits == 1 for g in o.key.gbar)
     for m in o.key.m1bar + o.key.m2bar + o.key.ybar:
         assert isinstance(m, RandomTable)
         assert len(m) == 2
-    f_calls, _ = count_underlying_calls(o.key, 123)
+    o.eval_int(123)
+    f_calls = sum(f.calls for f in spies)
     assert f_calls == 2
 
 
