@@ -1,13 +1,12 @@
 """Length-tagged bit strings and the 64-bit mixing primitives.
 
 Every value that crosses the public Oracle.query boundary is a
-BitString: an unsigned integer paired with an explicit length. Lengths
-are checked at each operation, so a 4-bit value can never be silently
-confused with the same integer at 8 bits. Inside the combiners, values
-are plain ints whose shapes the keys have already validated.
-
-Bit positions are MSB-first: bit(0) is the leftmost bit. This matches
-the left-to-right order in which tree constructions consume input bits.
+BitString: an unsigned integer paired with an explicit length. The
+length is checked when a BitString is built and when Oracle.query
+takes one, so a 4-bit value can never be silently confused with the
+same integer at 8 bits. Everywhere else, the combiners and the GGM
+tree included, values are plain ints whose shapes the keys have
+already validated.
 
 mix64 is the splitmix64 finalizer. It is the only source of derived
 randomness in the experiment harness: lazy-random oracles, key streams,
@@ -187,7 +186,7 @@ class BitString:
     """An immutable bit vector of explicit length (0..64 bits and beyond).
 
     value holds the bits as an unsigned integer; length may be zero
-    (the empty string, used as the root input of tree constructions).
+    (the empty string, the one input of a 0-bit domain).
     """
 
     value: int
@@ -199,32 +198,5 @@ class BitString:
         if self.value < 0 or self.value >= (1 << self.length):
             raise ValueError(f"value {self.value:#x} does not fit in {self.length} bits")
 
-    @classmethod
-    def from01(cls, s: str) -> "BitString":
-        if s and set(s) - {"0", "1"}:
-            raise ValueError(f"not a 01-string: {s!r}")
-        return cls(int(s, 2) if s else 0, len(s))
-
     def to01(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""
-
-    def bit(self, i: int) -> int:
-        """Bit i counted MSB-first: bit(0) is the leftmost."""
-        if not 0 <= i < self.length:
-            raise ValueError(f"bit index {i} out of range for length {self.length}")
-        return (self.value >> (self.length - 1 - i)) & 1
-
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString((self.value << other.length) | other.value, self.length + other.length)
-
-    def take(self, n: int) -> "BitString":
-        """The first (leftmost) n bits."""
-        if not 0 <= n <= self.length:
-            raise ValueError(f"take {n} of length {self.length}")
-        return BitString(self.value >> (self.length - n), n)
-
-    def drop(self, n: int) -> "BitString":
-        """Everything after the first n bits."""
-        if not 0 <= n <= self.length:
-            raise ValueError(f"drop {n} of length {self.length}")
-        return BitString(truncate(self.value, self.length - n), self.length - n)

@@ -151,28 +151,29 @@ def ggm_kat(pairs: int, seed: int):
             problems.append(label)
 
     stub = PrgSpec("stub-complement", 4)
-    root = BitString.from01("0101")
-    check(ggm_eval(GgmKey(root, 0, stub), BitString(0, 0)) == root,
+    root = 0b0101
+    check(ggm_eval(GgmKey(root, 0, stub), 0) == root,
           "empty input did not return the root seed")
-    check(ggm_eval(GgmKey(root, 3, stub), BitString.from01("000")) == root,
+    check(ggm_eval(GgmKey(root, 3, stub), 0b000) == root,
           "all-zero input did not keep the root under the stub generator")
-    check(ggm_eval(GgmKey(root, 2, stub), BitString.from01("10")) == BitString.from01("1010"),
+    check(ggm_eval(GgmKey(root, 2, stub), 0b10) == 0b1010,
           "vector root=0101, x=10 did not give 1010")
 
     rng = key_stream(seed, _PAIR_TAG)
     prg = PrgSpec("mix64", 16)
-    oracle = GgmOracle(GgmKey(BitString(rng.getrandbits(16), 16), 16, prg))
-    oracle.query(BitString(rng.getrandbits(16), 16))
+    oracle = GgmOracle(GgmKey(rng.getrandbits(16), 16, prg))
+    oracle.eval_int(rng.getrandbits(16))
     check(oracle.prg_calls == 16, f"one query cost {oracle.prg_calls} expansions, expected 16")
 
     for _ in range(pairs):
-        key = GgmKey(BitString(rng.getrandbits(16), 16), 16, prg)
+        key = GgmKey(rng.getrandbits(16), 16, prg)
         p = rng.randrange(17)
-        shared = BitString(rng.getrandbits(p), p)
+        # a 0-bit draw still takes a stream word, at p = 0 and at p = 16
+        shared = rng.getrandbits(p) << (16 - p)
         paths = []
         for _ in range(2):
-            x = shared.concat(BitString(rng.getrandbits(16 - p), 16 - p))
-            nodes: list[BitString] = []
+            x = shared | rng.getrandbits(16 - p)
+            nodes: list[int] = []
             ggm_eval(key, x, on_node=lambda i, s, acc=nodes: acc.append(s))
             paths.append(nodes)
         check(paths[0][:p + 1] == paths[1][:p + 1],
@@ -244,10 +245,9 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
             handle = build_adw_adaptive_from_nonadaptive(n, q, _ADAPTIVE_C, rng, f_sampler=tally)
             zcol = adw_table_z(_ADAPTIVE_C, q)
         words = key_stream(seed, _PROBE_TAG)
-        x = BitString(0, n)
+        x = 0
         for _ in range(probes):
-            y = handle.query(x)
-            x = BitString(truncate(mix64(y.value ^ words.getrandbits(64)), n), n)
+            x = truncate(mix64(handle.eval_int(x) ^ words.getrandbits(64)), n)
         total, outside = tally.calls, tally.outside
         if outside:
             problems.append(f"{name}: {outside} of {total} underlying queries left the 4q prefix")

@@ -48,10 +48,10 @@ def window_bits(window: int | None, bits: int) -> int:
     if window is None:
         return bits
     if window < 1 or window & (window - 1):
-        raise ConfigurationError(f"table_size {window} is not a power of two")
+        raise ConfigurationError(f"window {window} is not a power of two")
     kept = window.bit_length() - 1
     if kept > bits:
-        raise ConfigurationError(f"table_size {window} exceeds ambient domain of {bits} bits")
+        raise ConfigurationError(f"window {window} exceeds ambient domain of {bits} bits")
     return kept
 
 

@@ -2,11 +2,12 @@
 tree, and the hash-then-query baseline.
 
 An Oracle is a deterministic keyed function with explicit domain and
-range lengths. Every oracle evaluates through eval_int on raw ints;
-Oracle.query is its public face on bit strings, which checks the
-input length and wraps the answer. Determinism is the load-bearing
-property: a distinguisher may interleave queries in any order and must
-see one consistent function, which the game harness relies on.
+range lengths. Every oracle evaluates through eval_int on raw ints, as
+do the generator and the tree walk; Oracle.query is the one public
+face on bit strings, which checks the input length and wraps the
+answer. Determinism is the load-bearing property: a distinguisher may
+interleave queries in any order and must see one consistent function,
+which the game harness relies on.
 
 A lazy-random oracle is the experiment stand-in for a truly random
 function. Answers are derived per query as
@@ -116,17 +117,15 @@ class PrgSpec:
             raise ConfigurationError("mix64 prg is limited to 64-bit seeds")
 
 
-def prg_expand(spec: PrgSpec, s: BitString) -> BitString:
-    """Expand an n-bit seed to exactly 2n bits."""
-    if s.length != spec.seed_bits:
-        raise ValueError(f"seed length {s.length}, spec says {spec.seed_bits}")
+def prg_expand(spec: PrgSpec, s: int) -> int:
+    """Expand an n-bit seed to the 2n-bit int whose high n bits are the
+    left half."""
     n = spec.seed_bits
+    if not 0 <= s < 1 << n:
+        raise ValueError(f"seed {s:#x} does not fit in {n} bits")
     if spec.kind == "stub-complement":
-        comp = s.value ^ ((1 << n) - 1)
-        return s.concat(BitString(comp, n))
-    left = truncate(mix64(s.value ^ C1), n)
-    right = truncate(mix64(s.value ^ C2), n)
-    return BitString(left, n).concat(BitString(right, n))
+        return (s << n) | (s ^ ((1 << n) - 1))
+    return (truncate(mix64(s ^ C1), n) << n) | truncate(mix64(s ^ C2), n)
 
 
 @dataclass(frozen=True)
@@ -138,38 +137,43 @@ class GgmKey:
     the seeds of w||0 (left half) and w||1 (right half).
     """
 
-    root_seed: BitString
+    root_seed: int
     input_bits: int
     prg: PrgSpec
 
     def __post_init__(self):
-        if self.root_seed.length != self.prg.seed_bits:
+        if not 0 <= self.root_seed < 1 << self.prg.seed_bits:
             raise ValueError(
-                f"root seed has {self.root_seed.length} bits, prg expects {self.prg.seed_bits}"
+                f"root seed {self.root_seed:#x} does not fit in {self.prg.seed_bits} bits"
             )
         if self.input_bits < 0:
             raise ValueError("input_bits must be nonnegative")
 
 
-def ggm_eval(key: GgmKey, x: BitString, expand=None, on_node=None) -> BitString:
-    """Evaluate the tree PRF at x with exactly x.length expansions.
+def ggm_eval(key: GgmKey, x: int, expand=None, on_node=None) -> int:
+    """Evaluate the tree PRF at x with exactly input_bits expansions.
+
+    The walk reads x's input_bits bits MSB-first, the leftmost bit at
+    the root: a 0 bit keeps the left (high) half of the expansion, a 1
+    bit the right (low) half.
 
     expand defaults to prg_expand; pass a wrapper to count calls.
     on_node(i, seed) is invoked with the intermediate seed after
     consuming i bits, i = 0..input_bits; useful for checking that
     inputs with a common prefix share the corresponding path.
     """
-    if x.length != key.input_bits:
-        raise ValueError(f"input length {x.length}, key expects {key.input_bits}")
+    m = key.input_bits
+    if not 0 <= x < 1 << m:
+        raise ValueError(f"input {x:#x} does not fit in {m} bits")
     if expand is None:
         expand = prg_expand
     n = key.prg.seed_bits
     seed = key.root_seed
     if on_node is not None:
         on_node(0, seed)
-    for i in range(x.length):
+    for i in range(m):
         both = expand(key.prg, seed)
-        seed = both.take(n) if x.bit(i) == 0 else both.drop(n)
+        seed = truncate(both, n) if (x >> (m - 1 - i)) & 1 else both >> n
         if on_node is not None:
             on_node(i + 1, seed)
     return seed
@@ -181,14 +185,12 @@ class GgmOracle(Oracle):
         self.key = key
         self.prg_calls = 0
 
-    def _counting_expand(self, spec: PrgSpec, s: BitString) -> BitString:
+    def _counting_expand(self, spec: PrgSpec, s: int) -> int:
         self.prg_calls += 1
         return prg_expand(spec, s)
 
     def eval_int(self, x: int) -> int:
-        # ggm_eval walks the input's bits MSB-first, so it takes a BitString
-        x_bits = BitString(x, self.domain_bits)
-        return ggm_eval(self.key, x_bits, expand=self._counting_expand).value
+        return ggm_eval(self.key, x, expand=self._counting_expand)
 
 
 class LevinOracle(Oracle):

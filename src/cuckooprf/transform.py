@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bits import BitString, truncate
+from .bits import truncate
 from .combine import ADWKey, ADWOracle, PPKey, PPOracle
 from .errors import ConfigurationError
 from .gf import SUPPORTED_WIDTHS
@@ -307,6 +307,6 @@ def build_prg_prf(prg: PrgSpec, m: int, n: int, k: int, q: int, rng) -> PPOracle
         raise ConfigurationError(f"query budget q={q} exceeds 2^(m-2) for m={m}")
 
     def ggm_sampler(rng, domain_bits: int, range_bits: int) -> GgmOracle:
-        return GgmOracle(GgmKey(BitString(rng.getrandbits(range_bits), range_bits), domain_bits, prg))
+        return GgmOracle(GgmKey(rng.getrandbits(range_bits), domain_bits, prg))
 
     return pp_layout(n, m, n, k)(KeyDraws(rng, ggm_sampler))

@@ -102,23 +102,23 @@ def test_criterion_4_adw_degenerates_to_pp():
 
 def test_criterion_5_ggm_known_answers_and_prefix_sharing():
     stub = PrgSpec("stub-complement", 4)
-    root = BitString.from01("0101")
+    root = 0b0101
     vectors_ok = (
-        ggm_eval(GgmKey(root, 0, stub), BitString(0, 0)) == root
-        and ggm_eval(GgmKey(root, 3, stub), BitString.from01("000")) == root
-        and ggm_eval(GgmKey(root, 2, stub), BitString.from01("10")) == BitString.from01("1010")
+        ggm_eval(GgmKey(root, 0, stub), 0) == root
+        and ggm_eval(GgmKey(root, 3, stub), 0b000) == root
+        and ggm_eval(GgmKey(root, 2, stub), 0b10) == 0b1010
     )
 
     rng = random.Random(SEED)
     prg = PrgSpec("mix64", 16)
     shared_ok = True
     for _ in range(100):
-        key = GgmKey(BitString(rng.getrandbits(16), 16), 16, prg)
+        key = GgmKey(rng.getrandbits(16), 16, prg)
         p = rng.randrange(17)
-        shared = BitString(rng.getrandbits(p), p)
+        shared = rng.getrandbits(p) << (16 - p)
         paths = []
         for _ in range(2):
-            x = shared.concat(BitString(rng.getrandbits(16 - p), 16 - p))
+            x = shared | rng.getrandbits(16 - p)
             nodes = []
             ggm_eval(key, x, on_node=lambda i, s, acc=nodes: acc.append(s))
             paths.append(nodes)

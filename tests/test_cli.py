@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +186,19 @@ def test_golden_rows(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == HEADER + "\n" + GOLDEN_ROWS[argv]
     assert captured.err == ""
+
+
+def test_console_script_entry_point_prints_the_golden_rows(capsys):
+    # pyproject.toml read as text: Python 3.10 has no tomllib
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    (module, attr), = re.findall(r'^cuckooprf\s*=\s*"([\w.]+):(\w+)"', section, re.M)
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is cli.main
+    assert entry(["kwise-verify", "--seed", "2024"]) == 0
+    golden = (root / "tests" / "golden" / "kwise-verify.csv").read_text()
+    assert capsys.readouterr().out == golden
 
 
 def _assert_configuration_error(rc, err):

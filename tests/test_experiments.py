@@ -2,7 +2,7 @@ import json
 
 from cuckooprf.bits import BitString
 from cuckooprf.errors import ConfigurationError
-from cuckooprf.prfcore import LevinOracle
+from cuckooprf.prfcore import GgmKey, GgmOracle, LevinOracle, PrgSpec
 from cuckooprf.experiments import (
     CSV_COLUMNS,
     adaptive_transform,
@@ -172,6 +172,25 @@ def test_adaptive_transform_locality():
     assert pp["q"] == 16
     assert adw["z"] == 2 * 3 * 4
     assert pp["trials"] == 300
+
+
+def test_bitstrings_are_built_only_at_oracle_query(monkeypatch):
+    built = []
+    post_init = BitString.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    x = BitString(0x2A, 10)
+    oracle = GgmOracle(GgmKey(0xCAFE, 10, PrgSpec("mix64", 16)))
+    monkeypatch.setattr(BitString, "__post_init__", counting_post_init)
+    y = oracle.query(x)
+    assert built == [y]  # the answer, and nothing on the tree walk
+
+    built.clear()
+    adaptive_transform(16, 64, 12, 50, 807)
+    assert built == []
 
 
 def test_adw_compare_rows_and_call_costs():

@@ -130,9 +130,9 @@ def test_key_validation():
 def test_range_restriction_validation_and_index_bits():
     assert window_bits(4, 3) == 2
     assert window_bits(None, 3) == 3
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="window 5 is not a power of two"):
         window_bits(5, 3)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="window 16 exceeds ambient domain of 3 bits"):
         window_bits(16, 3)
     with pytest.raises(ConfigurationError):
         sample_kwise(2, 6, 1, random.Random(13), window=4)

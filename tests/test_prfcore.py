@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from cuckooprf.batch import lazy_answers
-from cuckooprf.bits import C1, BitString, derive_seed, mix64, truncate
+from cuckooprf.bits import C1, C2, BitString, derive_seed, mix64, truncate
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.hashfam import sample_kwise
 from cuckooprf.prfcore import (
@@ -76,9 +76,8 @@ def test_lazy_outputs_pass_chi_square():
 
 def test_prg_stub_vector_and_length():
     spec = PrgSpec("stub-complement", 4)
-    out = prg_expand(spec, BitString.from01("0101"))
-    assert out.to01() == "01011010"
-    assert prg_expand(spec, BitString(0, 4)).to01() == "00001111"
+    assert prg_expand(spec, 0b0101) == 0b01011010
+    assert prg_expand(spec, 0) == 0b00001111
 
 
 def test_prg_mix64_halves_look_independent():
@@ -87,10 +86,10 @@ def test_prg_mix64_halves_look_independent():
     seen = set()
     equal_halves = 0
     for s in range(10000):
-        out = prg_expand(spec, BitString(s, 16))
-        assert out.length == 32
-        equal_halves += out.take(16) == out.drop(16)
-        seen.add(out.value)
+        out = prg_expand(spec, s)
+        assert 0 <= out < 1 << 32
+        equal_halves += out >> 16 == truncate(out, 16)
+        seen.add(out)
     assert equal_halves <= 3
     assert len(seen) > 9900
 
@@ -100,35 +99,46 @@ def test_prg_validation():
         PrgSpec("aes", 16)
     with pytest.raises(ConfigurationError):
         PrgSpec("mix64", 65)
-    with pytest.raises(ValueError):
-        prg_expand(PrgSpec("mix64", 16), BitString(0, 8))
+    for bad in (-1, 1 << 16):
+        with pytest.raises(ValueError):
+            prg_expand(PrgSpec("mix64", 16), bad)
 
 
 def test_ggm_zero_length_input_returns_root():
-    key = GgmKey(BitString.from01("1011"), 0, PrgSpec("stub-complement", 4))
-    assert ggm_eval(key, BitString(0, 0)).to01() == "1011"
+    key = GgmKey(0b1011, 0, PrgSpec("stub-complement", 4))
+    assert ggm_eval(key, 0) == 0b1011
 
 
 def test_ggm_stub_hand_vectors():
     # root 0101 expands to 0101 | 1010; walking bit 1 then bit 0 of the
     # input picks the right half then its left half
-    key = GgmKey(BitString.from01("0101"), 2, PrgSpec("stub-complement", 4))
-    assert ggm_eval(key, BitString.from01("00")).to01() == "0101"
-    assert ggm_eval(key, BitString.from01("01")).to01() == "1010"
-    assert ggm_eval(key, BitString.from01("10")).to01() == "1010"
-    assert ggm_eval(key, BitString.from01("11")).to01() == "0101"
+    key = GgmKey(0b0101, 2, PrgSpec("stub-complement", 4))
+    assert ggm_eval(key, 0b00) == 0b0101
+    assert ggm_eval(key, 0b01) == 0b1010
+    assert ggm_eval(key, 0b10) == 0b1010
+    assert ggm_eval(key, 0b11) == 0b0101
 
 
-def test_ggm_first_bit_consumed_is_most_significant():
-    key = GgmKey(BitString.from01("0011"), 3, PrgSpec("stub-complement", 4))
-    # input 100: right child of root (1100), then two left children (1100, 1100)
-    assert ggm_eval(key, BitString.from01("100")).to01() == "1100"
-    assert ggm_eval(key, BitString.from01("001")).to01() == "1100"
-    assert ggm_eval(key, BitString.from01("000")).to01() == "0011"
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([8, 16, 32, 64]), st.integers(0, 12), st.data())
+def test_ggm_first_bit_consumed_is_most_significant(seed_bits, m, data):
+    # the mix64 generator, unlike the stub, gives every bit order its own leaf
+    prg = PrgSpec("mix64", seed_bits)
+    root = data.draw(st.integers(0, (1 << seed_bits) - 1))
+    xs = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=4))
+    key = GgmKey(root, m, prg)
+    oracle = GgmOracle(key)
+    for q, x in enumerate(xs, 1):
+        seed = root
+        for b in format(x, f"0{m}b") if m else "":
+            seed = truncate(mix64(seed ^ (C1 if b == "0" else C2)), seed_bits)
+        assert ggm_eval(key, x) == seed
+        assert oracle.eval_int(x) == seed
+        assert oracle.prg_calls == m * q
 
 
 def test_ggm_exactly_m_expansions_per_query():
-    key = GgmKey(BitString(0x1234, 16), 10, PrgSpec("mix64", 16))
+    key = GgmKey(0x1234, 10, PrgSpec("mix64", 16))
     o = GgmOracle(key)
     rng = random.Random(302)
     for q in range(1, 50):
@@ -137,7 +147,7 @@ def test_ggm_exactly_m_expansions_per_query():
 
 
 def test_ggm_common_prefix_shares_path():
-    key = GgmKey(BitString(0xBEEF, 16), 12, PrgSpec("mix64", 16))
+    key = GgmKey(0xBEEF, 12, PrgSpec("mix64", 16))
 
     def path(x):
         nodes = []
@@ -151,26 +161,29 @@ def test_ggm_common_prefix_shares_path():
         flip = a ^ (1 << rng.randrange(0, 12 - p)) if p < 12 else a
         # force equality on the top p bits only
         b = (a >> (12 - p)) << (12 - p) | (flip & ((1 << (12 - p)) - 1))
-        pa = path(BitString(a, 12))
-        pb = path(BitString(b, 12))
+        pa = path(a)
+        pb = path(b)
         assert pa[: p + 1] == pb[: p + 1]
 
 
 def test_ggm_distinct_inputs_rarely_collide():
     # a 32-bit seed keeps internal tree states collision-free at this scale
-    key = GgmKey(BitString(0xACE, 32), 16, PrgSpec("mix64", 32))
-    outs = {ggm_eval(key, BitString(i, 16)).value for i in range(2000)}
+    key = GgmKey(0xACE, 16, PrgSpec("mix64", 32))
+    outs = {ggm_eval(key, i) for i in range(2000)}
     assert len(outs) >= 1998
 
 
 def test_ggm_key_validation():
     with pytest.raises(ValueError):
-        GgmKey(BitString(0, 8), 4, PrgSpec("mix64", 16))
+        GgmKey(1 << 16, 4, PrgSpec("mix64", 16))
     with pytest.raises(ValueError):
-        GgmKey(BitString(0, 16), -1, PrgSpec("mix64", 16))
-    key = GgmKey(BitString(0, 16), 4, PrgSpec("mix64", 16))
+        GgmKey(-1, 4, PrgSpec("mix64", 16))
     with pytest.raises(ValueError):
-        ggm_eval(key, BitString(0, 5))
+        GgmKey(0, -1, PrgSpec("mix64", 16))
+    key = GgmKey(0, 4, PrgSpec("mix64", 16))
+    for bad in (-1, 1 << 4):
+        with pytest.raises(ValueError):
+            ggm_eval(key, bad)
 
 
 def test_levin_is_hash_then_query():
@@ -214,7 +227,7 @@ def test_all_oracle_kinds_replay_under_reordering():
         h = sample_kwise(3, 10, 6, random.Random(307))
         return {
             "lazy": LazyRandomOracle(5, 10, 6),
-            "ggm": GgmOracle(GgmKey(BitString(0xCAFE, 16), 10, PrgSpec("mix64", 16))),
+            "ggm": GgmOracle(GgmKey(0xCAFE, 10, PrgSpec("mix64", 16))),
             "levin": LevinOracle(h, LazyRandomOracle(6, 6, 6)),
         }
 
