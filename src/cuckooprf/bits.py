@@ -98,8 +98,8 @@ def stream_words(heads: np.ndarray, cols: range) -> np.ndarray:
 
 
 # Words a KeyStream derives per refill, growing geometrically: small
-# streams (a lazy-random seed, one key) stay cheap, long ones (sampling
-# an involution) amortize numpy's per-call cost.
+# streams (a lazy-random seed, one key) stay cheap, long ones (the
+# adaptive probes' words) amortize numpy's per-call cost.
 _CHUNK_MIN = 16
 _CHUNK_MAX = 4096
 
@@ -112,8 +112,10 @@ class KeyStream(random.Random):
     takes the next word and keeps its low w bits; a wider call
     concatenates ceil(w/64) words, the first one lowest. random() takes
     one word and keeps its high 53 bits. randrange, choice, shuffle and
-    the rest of random.Random are built on those two, so builders that
-    take an rng take a KeyStream unchanged. Make one with key_stream.
+    the rest of random.Random are built on those two: random.Random gives
+    any subclass that overrides getrandbits its own rule, redrawing
+    getrandbits(n.bit_length()) until the result is below n. So builders
+    that take an rng take a KeyStream unchanged. Make one with key_stream.
     """
 
     def __init__(self, head: int):
@@ -141,17 +143,6 @@ class KeyStream(random.Random):
         if not self._unread:
             self._refill()
         return (self._unread.pop() >> 11) * 2.0**-53
-
-    def _randbelow(self, n: int) -> int:
-        # random.Random's rejection rule on getrandbits(n.bit_length()),
-        # inlined: randrange, choice and shuffle all come through here
-        mask = (1 << n.bit_length()) - 1
-        while True:
-            if not self._unread:
-                self._refill()
-            r = self._unread.pop() & mask
-            if r < n:
-                return r
 
     def seed(self, *args, **kwargs):
         raise TypeError("a KeyStream is fixed by its head; make a new one with key_stream")

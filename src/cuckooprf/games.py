@@ -233,66 +233,56 @@ def birthday_distinguisher(q: int, domain_bits: int) -> NonAdaptiveDistinguisher
     return NonAdaptiveDistinguisher(queries, decide)
 
 
-def birthday_closed_form(q: int, bits: int) -> float:
-    """Collision probability of q uniform draws from 2^bits values."""
-    return 1.0 - math.exp(-q * (q - 1) / 2.0 ** (bits + 1))
-
-
 # random involutions
 
 @functools.cache
 def _involution_ratios(size: int) -> tuple[float, ...]:
     # ratios[k] = I(k-1)/I(k) via I(k) = I(k-1) + (k-1) I(k-2); computed
-    # once per size, not once per sampled involution
+    # once per size, not once per oracle
     ratios = [0.0, 1.0]
     for k in range(2, size + 1):
         ratios.append(1.0 / (1.0 + (k - 1) * ratios[k - 1]))
     return tuple(ratios)
 
 
-def expected_fixed_points(size: int) -> float:
-    """Mean number of fixed points of a uniform involution on `size` points."""
-    return size * _involution_ratios(size)[size]
-
-
-def sample_involution(n: int, rng) -> list[int]:
-    """Uniform random involution on {0,1}^n as a lookup table.
-
-    Processes points one at a time: the current point is fixed with
-    probability I(k-1)/I(k) and otherwise paired with a uniform
-    remaining partner, which yields the uniform distribution over all
-    involutions.
-    """
-    if n > 16:
-        raise ConfigurationError(f"involution sampling capped at n=16, got {n}")
-    size = 1 << n
-    ratios = _involution_ratios(size)
-    table = [0] * size
-    remaining = list(range(size))
-    while remaining:
-        k = len(remaining)
-        a = remaining.pop()
-        if k == 1 or rng.random() < ratios[k]:
-            table[a] = a
-        else:
-            idx = rng.randrange(k - 1)
-            b = remaining[idx]
-            remaining[idx] = remaining[-1]
-            remaining.pop()
-            table[a] = b
-            table[b] = a
-    return table
-
-
 class InvolutionOracle(Oracle):
-    def __init__(self, table: list[int], n: int):
+    """A uniform random involution on {0,1}^n, revealed on demand.
+
+    Only the points asked so far, and their partners, are held. With k
+    points still unrevealed, an unseen x is fixed with probability
+    I(k-1)/I(k), where I(k) counts the involutions on k points, and
+    otherwise paired with a uniform unrevealed partner, found by redrawing
+    n-bit words. That is the sequential sampler run in the order points
+    are first asked, so every order gives a uniform involution.
+
+    Answers are consistent within one instance. Which involution an
+    instance is depends on its stream and on the order in which points
+    are first asked.
+    """
+
+    def __init__(self, n: int, rng):
+        # the ratio table still has 2^n + 1 entries
+        if n > 16:
+            raise ConfigurationError(f"involution sampling capped at n=16, got {n}")
         super().__init__(n, n)
-        if len(table) != 1 << n:
-            raise ValueError(f"table of {len(table)} entries for n={n}")
-        self.table = table
+        self._rng = rng
+        self._ratios = _involution_ratios(1 << n)
+        self._revealed: dict[int, int] = {}
 
     def eval_int(self, x: int) -> int:
-        return self.table[x]
+        revealed = self._revealed
+        if x in revealed:
+            return revealed[x]
+        unrevealed = (1 << self.domain_bits) - len(revealed)
+        if self._rng.random() < self._ratios[unrevealed]:
+            revealed[x] = x
+            return x
+        b = x
+        while b == x or b in revealed:
+            b = self._rng.getrandbits(self.domain_bits)
+        revealed[x] = b
+        revealed[b] = x
+        return b
 
 
 def involution_distinguisher(n: int) -> AdaptiveDistinguisher:
@@ -324,8 +314,7 @@ def involution_nonadaptive_distinguisher(n: int) -> NonAdaptiveDistinguisher:
 
 
 def involution_samplers(n: int):
-    real = lambda rng: InvolutionOracle(sample_involution(n, rng), n)
-    return real, lazy_sampler(n, n)
+    return (lambda rng: InvolutionOracle(n, rng)), lazy_sampler(n, n)
 
 
 # statistical distance

@@ -7,7 +7,9 @@ do the generator and the tree walk; Oracle.query is the one public
 face on bit strings, which checks the input length and wraps the
 answer. Determinism is the load-bearing property: a distinguisher may
 interleave queries in any order and must see one consistent function,
-which the game harness relies on.
+which the game harness relies on. games.InvolutionOracle is consistent
+within one instance, but which involution it is depends also on the
+order in which points are first asked.
 
 A lazy-random oracle is the experiment stand-in for a truly random
 function. Answers are derived per query as

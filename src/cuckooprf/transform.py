@@ -288,8 +288,6 @@ def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=N
         raise ConfigurationError(f"query budget q={q} must be a power of two, at least 2")
     if 4 * q > 1 << n:
         raise ConfigurationError(f"4q={4 * q} exceeds the domain of {n} bits")
-    if c < 1:
-        raise ConfigurationError("hardness exponent c must be at least 1")
     p = ExtensionParams(d=n, s=n, r=n, k=2, q=q, c=c)
     return adw_layout(p, "table", window=4 * q)(KeyDraws(rng, f_sampler))
 

@@ -11,7 +11,7 @@ import time
 from cuckooprf.bits import BitString
 from cuckooprf.combine import ADWKey, PPKey, adw_eval, pp_eval
 from cuckooprf.experiments import birthday, involution, rows_to_csv, uniformity
-from cuckooprf.games import birthday_closed_form, birthday_distinguisher, run_game
+from cuckooprf.games import birthday_distinguisher, run_game
 from cuckooprf.hashfam import exhaustive_independence_check, sample_kwise
 from cuckooprf.prfcore import GgmKey, LazyRandomOracle, PrgSpec, ggm_eval
 from cuckooprf.transform import (
@@ -21,6 +21,7 @@ from cuckooprf.transform import (
     build_pp_domain_extension,
     build_prg_prf,
 )
+from closedforms import birthday_closed_form
 from spies import InstrumentedOracle, counting_sampler
 
 SEED = 20240816

@@ -1,28 +1,31 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from cuckooprf.bits import BitString
+from cuckooprf.bits import BitString, key_stream
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.games import (
     AdaptiveDistinguisher,
     Distinguisher,
     InvolutionOracle,
     NonAdaptiveDistinguisher,
-    birthday_closed_form,
+    QueryGuard,
+    _involution_ratios,
     birthday_distinguisher,
-    expected_fixed_points,
+    game_streams,
     involution_distinguisher,
     involution_nonadaptive_distinguisher,
     involution_samplers,
     run_game,
-    sample_involution,
     tuple_uniformity_sd,
 )
 from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle
 from cuckooprf.transform import KeySampler, pp_layout
+
+from closedforms import birthday_closed_form, expected_fixed_points, involution_count
 
 
 def _lazy_sampler(d, r):
@@ -158,10 +161,24 @@ def test_expected_fixed_points_small_cases():
     assert expected_fixed_points(3) == pytest.approx(1.5)
 
 
+def _reveal_all(oracle: InvolutionOracle, order: list[int]) -> list[int]:
+    """The oracle's involution as a table, its points asked in `order`."""
+    table = [0] * len(order)
+    for v in order:
+        table[v] = oracle.eval_int(v)
+    return table
+
+
+def _shuffled(size: int, rng) -> list[int]:
+    order = list(range(size))
+    rng.shuffle(order)
+    return order
+
+
 def test_sampled_involutions_are_involutions():
     rng = random.Random(612)
     for _ in range(50):
-        table = sample_involution(6, rng)
+        table = _reveal_all(InvolutionOracle(6, rng), _shuffled(64, rng))
         assert sorted(table) == list(range(64))
         assert all(table[table[v]] == v for v in range(64))
 
@@ -170,7 +187,7 @@ def test_involution_fixed_point_mean():
     rng = random.Random(613)
     total = 0
     for _ in range(10000):
-        table = sample_involution(6, rng)
+        table = _reveal_all(InvolutionOracle(6, rng), _shuffled(64, rng))
         total += sum(table[v] == v for v in range(64))
     mean = total / 10000
     want = expected_fixed_points(64)
@@ -178,8 +195,66 @@ def test_involution_fixed_point_mean():
 
 
 def test_involution_oracle_validation():
-    with pytest.raises(ValueError):
-        InvolutionOracle([0, 1, 2], 2)
+    # the ratio table has 2^n + 1 entries, so n is capped at 16
+    with pytest.raises(ConfigurationError):
+        InvolutionOracle(17, random.Random(1))
+
+
+def test_involution_ratios_match_exact_counts():
+    for size in range(1, 65):
+        ratios = _involution_ratios(size)
+        for k in range(1, size + 1):
+            want = involution_count(k - 1) / involution_count(k)
+            assert abs(ratios[k] - want) <= 1e-12 * want
+
+
+def test_involutions_are_uniform_in_every_reveal_order():
+    # the 10 involutions on 4 points, each hit 4,000 times in expectation
+    everyone = {p for p in itertools.permutations(range(4))
+                if all(p[p[v]] == v for v in range(4))}
+    assert len(everyone) == 10
+    samples = 40000
+    sd = math.sqrt(samples * 0.1 * 0.9)
+    for tag, order_rng in ((0, None), (1, random.Random(622))):
+        rng = key_stream(622, tag)
+        counts = dict.fromkeys(everyone, 0)
+        for _ in range(samples):
+            order = _shuffled(4, order_rng) if order_rng else list(range(4))
+            counts[tuple(_reveal_all(InvolutionOracle(2, rng), order))] += 1
+        assert all(abs(c - samples / 10) <= 6 * sd for c in counts.values()), counts
+
+
+class _CountingStream(random.Random):
+    """A key stream that counts the words it hands out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.words = 0
+
+    def getrandbits(self, k: int) -> int:
+        self.words += 1
+        return self.inner.getrandbits(k)
+
+    def random(self) -> float:
+        self.words += 1
+        return self.inner.random()
+
+
+def test_adaptive_walk_reveals_only_what_it_asks():
+    # a table of 2^16 points would take ~2^16 words per trial
+    dist = involution_distinguisher(16)
+    streams = game_streams(623, 0)
+    for t in range(20):
+        rng = _CountingStream(streams.stream(t))
+        assert dist.run(QueryGuard(InvolutionOracle(16, rng), dist.budget))
+        assert rng.words <= 8
+
+
+def test_involution_replays_on_equal_streams():
+    asked = [random.Random(624).randrange(1 << 10) for _ in range(300)]
+    a = InvolutionOracle(10, key_stream(624))
+    b = InvolutionOracle(10, key_stream(624))
+    assert [a.eval_int(v) for v in asked] == [b.eval_int(v) for v in asked]
 
 
 def test_adaptive_walk_separates_involutions():
