@@ -19,11 +19,15 @@ same either way. A block is sampled, answered and decided before the
 next one is sampled, so memory stays O(block * z) for adw keys with z
 inner maps, however many trials or samples are asked for.
 
-Every k-wise hash is evaluated as one rows x queries grid. The
-const_mul tables of the query points are stacked by query index once
-per batch_answers call, in a dict local to that call and keyed by
-FieldSpec, so each Horner step is one gather per byte of the
-accumulator over the whole grid.
+Every k-wise hash is evaluated as one rows x queries grid, coefficient
+by coefficient: h(x_j) = a0 ^ a1 x_j ^ ... ^ a_{k-1} x_j^(k-1). Each
+map a -> a * x_j^i is GF(2)-linear, so it has one 16-entry table per
+nibble of a (Shoup's 4-bit tables, as in GHASH), and every term is one
+gather of q contiguous table entries per nibble over the whole grid.
+The queries of a game are fixed, so the tables of (field, points, k)
+are built once, from doublings of the powers x_j^i without a field
+product, and kept in a small LRU cache; FieldSpec.poly_eval is the
+scalar reference.
 
 The column forms cover every slot a layout draws: k-wise hashes (with
 or without a window), lazy-random functions and padded views of them,
@@ -36,6 +40,7 @@ answers once folded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,87 +64,44 @@ def lazy_answers(seeds: np.ndarray, xs: np.ndarray, range_bits: int) -> np.ndarr
     return out & np.uint64(truncate(~0, range_bits))
 
 
-class _ConstMul:
-    """Tables for multiplying field elements by one fixed element c.
-
-    The variable operand is split into bytes; each byte position has a
-    256-entry table of c * (byte << position) products (one table of
-    all 2^w products for w <= 8), and the XOR of the looked-up entries
-    is the product. Exact by linearity of carryless multiplication over
-    GF(2), which also builds the tables: they are gf.linear_tables of
-    the w products c * 2^b, each the double of the one before (shift
-    left, then XOR the reduction polynomial on overflow).
-    """
-
-    def __init__(self, spec: FieldSpec, c: int):
-        w = spec.width
-        powers = []
-        for _ in range(w):
-            powers.append(c)
-            c <<= 1
-            if c >> w:
-                c ^= spec.poly
-        self.tables = tuple(linear_tables(powers, min(8, w)))
-
-
-_CONST_MUL_CACHE: dict[tuple[FieldSpec, int], _ConstMul] = {}
-
-
-def const_mul(spec: FieldSpec, c: int) -> _ConstMul:
-    key = (spec, c)
-    cm = _CONST_MUL_CACHE.get(key)
-    if cm is None:
-        cm = _CONST_MUL_CACHE[key] = _ConstMul(spec, c)
-    return cm
-
-
 def blocks(rows: int, q: int):
     """Consecutive ranges of at most max(1, BLOCK_ELEMS // q) rows."""
     step = max(1, BLOCK_ELEMS // max(1, q))
     return (range(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
-class _Points:
-    """The query points of one evaluation and, per field, their const_mul
-    tables stacked by query index (built on first use, from the cache)."""
+@lru_cache(maxsize=8)
+def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
+    """Nibble tables of multiplication by x_j^i for 1 <= i < k, in the
+    field's narrowest unsigned dtype: entry [i - 1, p, m, j] is
+    (m << 4p) * x_j^i, one (16, q) table per power and nibble position.
 
-    def __init__(self, xs):
-        self.xs = list(xs)
-        self._stacked: dict[FieldSpec, tuple[np.ndarray, ...]] = {}
-
-    def _tables(self, spec: FieldSpec) -> tuple[np.ndarray, ...]:
-        stacked = self._stacked.get(spec)
-        if stacked is None:
-            per_point = [const_mul(spec, x).tables for x in self.xs]
-            stacked = self._stacked[spec] = tuple(
-                np.concatenate(byte_tables) for byte_tables in zip(*per_point))
-        return stacked
-
-    def horner(self, coeffs: np.ndarray, spec: FieldSpec, range_bits: int) -> np.ndarray:
-        """Evaluate N polynomials (rows of coeffs, a0 first) at every point: (N, q)."""
-        n, k = coeffs.shape
-        q = len(self.xs)
-        if q == 0:
-            return np.zeros((n, 0), dtype=np.uint64)
-        tables = self._tables(spec)
-        # point j's entries start at j * (table size) in each stacked table
-        offsets = np.arange(q, dtype=np.intp) * (len(tables[0]) // q)
-        idx = np.empty((n, q), dtype=np.intp)
-        acc = np.ascontiguousarray(np.broadcast_to(coeffs[:, k - 1:k], (n, q)))
-        for i in range(k - 2, -1, -1):
-            # little-endian bytes, so byte pos indexes the tables of byte position pos
-            acc_bytes = acc.astype("<u8", copy=False).view(np.uint8).reshape(n, q, 8)
-            nxt = coeffs[:, i:i + 1]
-            for pos, table in enumerate(tables):
-                np.add(acc_bytes[:, :, pos], offsets, out=idx)
-                nxt = nxt ^ table.take(idx)
-            acc = nxt
-        return acc & np.uint64(truncate(~0, range_bits))
+    Multiplying by a fixed element is GF(2)-linear, so the tables are
+    gf.linear_tables of the w doublings x_j^i * 2^b, each the one
+    before shifted left with the low w bits of the reduction polynomial
+    XORed in on overflow; x_j^i is the XOR of the doublings of
+    x_j^(i-1) at the set bits of x_j. No field product is made.
+    """
+    w, q = spec.width, len(xs)
+    mask, low = np.uint64(truncate(~0, w)), np.uint64(truncate(spec.poly, w))
+    bits = (np.array(xs, dtype=np.uint64) >> np.arange(w, dtype=np.uint64)[:, None]) & np.uint64(1)
+    basis = np.empty((k, w, q), dtype=np.uint64)
+    basis[0] = 1 << np.arange(w, dtype=np.uint64)[:, None]
+    for i in range(1, k):
+        v = np.bitwise_xor.reduce(basis[i - 1] * bits, axis=0)
+        for b in range(w):
+            basis[i, b] = v
+            v = ((v << np.uint64(1)) & mask) ^ (v >> np.uint64(w - 1)) * low
+    tables = np.empty((k - 1, w // 4, 16, q), dtype=f"u{max(1, w // 8)}")
+    for pos, table in enumerate(linear_tables(basis[1:].transpose(0, 2, 1), 4)):
+        tables[:, pos] = table.transpose(0, 2, 1)
+    tables.flags.writeable = False  # one cached array is shared by every caller
+    return tables
 
 
 # Column forms of key slots, one array row per trial. A slot has
 # at(values) for its answers on a (trials, q) grid of values, or
-# grid(points) for its answers at every query point; the slots that can
+# grid(xs) for its answers at every query point; the slots that can
 # be a whole oracle also carry its domain_bits and range_bits.
 
 class _Hashes:
@@ -152,8 +114,17 @@ class _Hashes:
         self.domain_bits = domain_bits
         self.out_bits = out_bits
 
-    def grid(self, points: _Points) -> np.ndarray:
-        return points.horner(self.coeffs, self.spec, self.out_bits)
+    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
+        """h(x_j) = a0 ^ XOR over i >= 1 of a_i * x_j^i, one coefficient
+        column at a time: each nibble of a_i picks one row of q values
+        from its table of x^i, a gather of contiguous rows over the grid."""
+        coeffs = self.coeffs
+        tables = _power_tables(self.spec, xs, coeffs.shape[1])
+        acc = np.repeat(coeffs[:, :1].astype(tables.dtype), len(xs), axis=1)
+        for a, per_nibble in zip(coeffs.T[1:], tables):
+            for pos, table in enumerate(per_nibble):
+                acc ^= table.take((a >> np.uint64(4 * pos)) & np.uint64(15), axis=0)
+        return acc.astype(np.uint64) & np.uint64(truncate(~0, self.out_bits))
 
 
 class _Lazy:
@@ -167,8 +138,8 @@ class _Lazy:
     def at(self, values: np.ndarray) -> np.ndarray:
         return lazy_answers(self.seeds, values, self.range_bits)
 
-    def grid(self, points: _Points) -> np.ndarray:
-        return self.at(np.array(points.xs, dtype=np.uint64))
+    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
+        return self.at(np.array(xs, dtype=np.uint64))
 
 
 class _Tables:
@@ -189,8 +160,8 @@ class _Levin:
     def __post_init__(self):
         self.domain_bits, self.range_bits = self.h.domain_bits, self.f.range_bits
 
-    def grid(self, points: _Points) -> np.ndarray:
-        return self.f.at(self.h.grid(points))
+    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
+        return self.f.at(self.h.grid(xs))
 
 
 @dataclass
@@ -204,9 +175,9 @@ class _PP:
     def __post_init__(self):
         self.domain_bits, self.range_bits = self.h1.domain_bits, self.f1.range_bits
 
-    def grid(self, points: _Points) -> np.ndarray:
-        return (self.f1.at(self.h1.grid(points)) ^ self.f2.at(self.h2.grid(points))
-                ^ self.g.grid(points))
+    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
+        return (self.f1.at(self.h1.grid(xs)) ^ self.f2.at(self.h2.grid(xs))
+                ^ self.g.grid(xs))
 
 
 @dataclass
@@ -224,19 +195,19 @@ class _ADW:
     def __post_init__(self):
         self.domain_bits, self.range_bits = self.h1.domain_bits, self.f1.range_bits
 
-    def grid(self, points: _Points) -> np.ndarray:
-        if len(points.xs) > self.domain_bits + 1 and self._affine():
-            inner1, inner2, yterm = self._folded(points)
+    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
+        if len(xs) > self.domain_bits + 1 and self._affine():
+            inner1, inner2, yterm = self._folded(xs)
         else:
-            inner1, inner2, yterm = self._inner(points)
+            inner1, inner2, yterm = self._inner(xs)
         return self.f1.at(inner1) ^ self.f2.at(inner2) ^ yterm
 
-    def _inner(self, points: _Points):
+    def _inner(self, xs: tuple[int, ...]):
         """The three inner values, (trials, q) each, one z column at a time."""
-        inner1, inner2, yterm = (h.grid(points) for h in (self.h1, self.h2, self.ell))
+        inner1, inner2, yterm = (h.grid(xs) for h in (self.h1, self.h2, self.ell))
         # one g column at a time, so only one (trials, q) grid of g values lives
         for g, m1, m2, y in zip(self.gbar, self.m1bar, self.m2bar, self.ybar):
-            gv = g.grid(points)
+            gv = g.grid(xs)
             inner1 = inner1 ^ m1.at(gv)
             inner2 = inner2 ^ m2.at(gv)
             yterm = yterm ^ y.at(gv)
@@ -248,19 +219,19 @@ class _ADW:
                 and all(isinstance(m, _Tables) and m.entries.shape[1] == 2
                         for bar in (self.m1bar, self.m2bar, self.ybar) for m in bar))
 
-    def _folded(self, points: _Points):
+    def _folded(self, xs: tuple[int, ...]):
         """The three inner values, (trials, q) each, from per-row byte
         tables of their affine map, which the values at x = 0 and at the
         d unit vectors give (combine.fold_adw in columns). One value and
         one byte table at a time, so a block holds one (trials, 256) table."""
-        at_basis = self._inner(_Points([0] + [1 << j for j in range(self.domain_bits)]))
-        xs = np.array(points.xs, dtype=np.uint64)
-        point_bytes = [(xs >> np.uint64(pos)) & np.uint64(255)
+        at_basis = self._inner((0, *(1 << j for j in range(self.domain_bits))))
+        points = np.array(xs, dtype=np.uint64)
+        point_bytes = [(points >> np.uint64(pos)) & np.uint64(255)
                        for pos in range(0, self.domain_bits, 8)]
         folded = []
         for values in at_basis:
             const = values[:, :1]
-            acc = np.repeat(const, len(xs), axis=1)
+            acc = np.repeat(const, len(points), axis=1)
             for table, idx in zip(linear_tables(values[:, 1:] ^ const), point_bytes):
                 acc ^= table[:, idx]
             folded.append(acc)
@@ -307,7 +278,7 @@ class ColumnDraws:
 def batch_answers(columns, queries) -> np.ndarray:
     """Answer matrix (trials, queries) as raw uint64 values of the
     column form of a block of keys that block_keys drew."""
-    return columns.grid(_Points(x.value for x in queries))
+    return columns.grid(tuple(x.value for x in queries))
 
 
 def block_keys(sampler, streams: KeyStreams, block: range, domain_bits: int):

@@ -24,8 +24,9 @@ typed arrays: array('B') for w <= 8 and array('H') for w = 16, the exp
 table doubled so a log sum needs no reduction. At w = 16 that is 128
 KiB of log and 256 KiB of exp; as lists of boxed ints they would take
 5.2 MiB and miss cache on every Horner step. The numpy engine
-(batch._ConstMul) multiplies by a fixed element through tables of its
-doublings c * 2^b and makes no product here.
+(batch._power_tables) multiplies by the fixed powers x^i of its query
+points through linear_tables of their doublings x^i * 2^b and makes no
+product here.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuckooprf import batch, games
 from cuckooprf.batch import (
     ColumnDraws,
     batch_answers,
-    const_mul,
     lazy_answers,
 )
 from cuckooprf.bits import BitString, KeyStreams, derive_seed, key_stream, mix64, mix64_np, truncate
@@ -70,34 +72,51 @@ def test_lazy_answers_per_row_inputs():
             assert int(grid[t, j]) == o.query(BitString(int(xs[t, j]), 16)).value
 
 
-def test_const_mul_matches_field_multiply():
-    # (0, v) is the polynomial v * x, so its grid at point c is v * c
-    # through the const_mul tables of c
-    rng = random.Random(702)
-    for w in SUPPORTED_WIDTHS:
-        spec = default_spec(w)
-        for _ in range(20):
-            c = rng.getrandbits(w)
-            vals = [rng.getrandbits(w) for _ in range(200)]
-            coeffs = np.array([(0, v) for v in vals], dtype=np.uint64)
-            got = batch._Points([c]).horner(coeffs, spec, w)[:, 0]
-            assert len(const_mul(spec, c).tables) == max(1, w // 8)
-            for v, g in zip(vals, got):
-                assert int(g) == spec.mul_int(v, c)
-
-
 @pytest.mark.parametrize("w", SUPPORTED_WIDTHS)
-def test_const_mul_tables_equal_mul_int(w):
-    # table pos, entry b is c * (b << 8 pos): one table of all 2^w products for w <= 8
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 17), data=st.data())
+def test_hash_grid_equals_poly_eval(w, k, data):
+    # every width, w = 4 and w = 64 included: a doubling must XOR only the
+    # low w bits of the reduction polynomial (at w = 64, bit w lies outside uint64)
+    top = (1 << w) - 1
     spec = default_spec(w)
-    rng = random.Random(730 + w)
-    for c in (0, 1, (1 << w) - 1, rng.getrandbits(w), rng.getrandbits(w)):
-        tables = batch._ConstMul(spec, c).tables
-        assert len(tables) == max(1, w // 8)
-        for pos, table in enumerate(tables):
-            assert table.dtype == np.uint64
-            assert table.tolist() == [spec.mul_int(c, b << (8 * pos))
-                                      for b in range(min(256, 1 << w))]
+    xs = data.draw(st.one_of(st.just(()), st.lists(st.integers(0, top), max_size=6).map(
+        lambda extra: (0, 1, top, *extra))), label="xs")
+    rows = data.draw(st.lists(st.lists(st.integers(0, top), min_size=k, max_size=k),
+                              min_size=1, max_size=4), label="rows")
+    out_bits = data.draw(st.integers(1, w), label="out_bits")
+    grid = batch._Hashes(np.array(rows, dtype=np.uint64), spec, w, out_bits).grid(xs)
+    assert grid.dtype == np.uint64
+    assert grid.tolist() == [[truncate(spec.poly_eval(row, x), out_bits) for x in xs]
+                             for row in rows]
+
+
+def test_birthday_power_tables_stay_within_1_1_mebibytes():
+    # the birthday shape: w = 32, k = 16, 128 points, in nibble tables of uint32
+    batch._power_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        batch._power_tables(default_spec(32), tuple(range(128)), 16)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        batch._power_tables.cache_clear()
+    assert held <= 1.1 * (1 << 20)
+
+
+def test_power_table_cache_evicts_the_oldest_point_set():
+    tables, spec = batch._power_tables, default_spec(8)
+    size = tables.cache_info().maxsize
+    assert size is not None
+    tables.cache_clear()
+    for x in range(size + 1):
+        tables(spec, (x,), 2)
+    assert tables.cache_info().currsize == size
+    misses = tables.cache_info().misses
+    tables(spec, (size,), 2)
+    assert tables.cache_info().misses == misses
+    tables(spec, (0,), 2)
+    assert tables.cache_info().misses == misses + 1
 
 
 def test_batch_eval_kwise_matches_scalar():
@@ -106,12 +125,12 @@ def test_batch_eval_kwise_matches_scalar():
     rng, streams, rows = random.Random(703), KeyStreams(703, 5), range(30)
     xs = [rng.getrandbits(20) for _ in range(25)]
     hashes = ColumnDraws(streams.heads(rows)).kwise(5, 20, 9)
-    grid = hashes.grid(batch._Points(xs))
+    grid = hashes.grid(tuple(xs))
     for t in rows:
         key = sample_kwise(5, 20, 9, streams.stream(t))
         for j, x in enumerate(xs):
             assert int(grid[t, j]) == key.eval_int(x)
-    assert hashes.grid(batch._Points([])).shape == (30, 0)
+    assert hashes.grid(()).shape == (30, 0)
 
 
 def _pointwise_check(layout, build, queries):

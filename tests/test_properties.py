@@ -127,7 +127,7 @@ def test_grid_kernel_equals_eval_kwise(w, k, data):
     streams = KeyStreams(data.draw(st.integers(0, 2**64 - 1), label="seed"), 9)
     with mock.patch.object(batch, "BLOCK_ELEMS", SMALL_BLOCK_ELEMS):
         grid = np.concatenate([
-            batch.ColumnDraws(streams.heads(b)).kwise(k, w, r).grid(batch._Points(points))
+            batch.ColumnDraws(streams.heads(b)).kwise(k, w, r).grid(tuple(points))
             for b in batch.blocks(rows, len(points))])
     keys = [sample_kwise(k, w, r, streams.stream(t)) for t in range(rows)]
     assert grid.tolist() == [[eval_kwise(key, x) for x in points] for key in keys]
@@ -225,7 +225,7 @@ def _assert_twin_equals_scalar(shape, kind: str, data):
     t0 = data.draw(st.integers(0, 100), label="t0")
     rows = range(t0, t0 + TRIALS)
     columns = layout(batch.ColumnDraws(streams.heads(rows)))
-    grid = columns.grid(batch._Points(x.value for x in xs))
+    grid = columns.grid(tuple(x.value for x in xs))
     assert (columns.domain_bits, columns.range_bits) == (d, r)
     assert grid.tolist() == [[build(streams.stream(t)).query(x).value for x in xs]
                              for t in rows]
@@ -373,7 +373,7 @@ def test_folded_adw_grid_equals_adw_eval(d, restricted, data):
     p, window = _table_shape(data, d, restricted)
     columns, oracles = _keyed_both_ways(data, adw_layout(p, "table", window))
     assert columns._affine()
-    grid = columns.grid(batch._Points(x.value for x in xs))
+    grid = columns.grid(tuple(x.value for x in xs))
     assert grid.tolist() == [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
 
 
@@ -424,4 +424,4 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     assert [[o.query(x).value for x in xs] for o in oracles] == want
     assert all(isinstance(o._folded, partial) for o in oracles)
     assert not columns._affine()
-    assert columns.grid(batch._Points(x.value for x in xs)).tolist() == want
+    assert columns.grid(tuple(x.value for x in xs)).tolist() == want
