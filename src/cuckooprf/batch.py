@@ -15,9 +15,12 @@ coefficients, seeds and tables go into arrays without a per-trial key
 object, and batch_answers answers them as one matrix. block_keys
 returns None for any other sampler, whose trials the caller then plays
 one at a time. KeyDraws reads the same words, so the answers are the
-same either way. A block is sampled, answered and decided before the
-next one is sampled, so memory stays O(block * z) for adw keys with z
-inner maps, however many trials or samples are asked for.
+same either way; ColumnDraws.bar derives the words of a bar of z like
+slots in at most two calls. A block is sampled, answered and decided
+before the next one is sampled, so memory stays O(block * z) for adw
+keys with z inner maps, however many trials or samples are asked for.
+The z inner maps are evaluated in chunks stacked row-wise, each of at
+most BLOCK_ELEMS grid cells, so their grids stay as small as a block's.
 
 Every k-wise hash is evaluated as one rows x queries grid, coefficient
 by coefficient: h(x_j) = a0 ^ a1 x_j ^ ... ^ a_{k-1} x_j^(k-1). Each
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -102,7 +106,9 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
 # Column forms of key slots, one array row per trial. A slot has
 # at(values) for its answers on a (trials, q) grid of values, or
 # grid(xs) for its answers at every query point; the slots that can
-# be a whole oracle also carry its domain_bits and range_bits.
+# be a whole oracle also carry its domain_bits and range_bits. The
+# slots an adw key has z of also have a shape, which slots must share
+# for stack(slots) to make one slot of all their rows, in turn.
 
 class _Hashes:
     """N k-wise hashes of one shape: coefficient rows, a0 first, and the
@@ -113,6 +119,16 @@ class _Hashes:
         self.spec = spec
         self.domain_bits = domain_bits
         self.out_bits = out_bits
+
+    @property
+    def shape(self):
+        return _Hashes, self.coeffs.shape[1], self.spec, self.out_bits
+
+    @classmethod
+    def stack(cls, slots):
+        one = slots[0]
+        return cls(np.concatenate([h.coeffs for h in slots]), one.spec, one.domain_bits,
+                   one.out_bits)
 
     def grid(self, xs: tuple[int, ...]) -> np.ndarray:
         """h(x_j) = a0 ^ XOR over i >= 1 of a_i * x_j^i, one coefficient
@@ -135,6 +151,15 @@ class _Lazy:
         self.domain_bits = domain_bits
         self.range_bits = range_bits
 
+    @property
+    def shape(self):
+        return _Lazy, self.range_bits
+
+    @classmethod
+    def stack(cls, slots):
+        one = slots[0]
+        return cls(np.concatenate([f.seeds for f in slots]), one.domain_bits, one.range_bits)
+
     def at(self, values: np.ndarray) -> np.ndarray:
         return lazy_answers(self.seeds, values, self.range_bits)
 
@@ -148,8 +173,22 @@ class _Tables:
     def __init__(self, entries: np.ndarray):
         self.entries = entries
 
+    @property
+    def shape(self):
+        return _Tables, self.entries.shape[1]
+
+    @classmethod
+    def stack(cls, slots):
+        return cls(np.concatenate([t.entries for t in slots]))
+
     def at(self, values: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(self.entries, values.astype(np.intp), axis=1)
+        """Row t's entry at each of values[t], which the g indexing the
+        tables keeps below their length; one take on the raveled entries,
+        2-3x faster than take_along_axis at the adw shapes."""
+        rows, length = self.entries.shape
+        index = values.astype(np.intp)
+        index += np.arange(0, rows * length, length)[:, None]
+        return self.entries.ravel().take(index)
 
 
 @dataclass
@@ -203,15 +242,29 @@ class _ADW:
         return self.f1.at(inner1) ^ self.f2.at(inner2) ^ yterm
 
     def _inner(self, xs: tuple[int, ...]):
-        """The three inner values, (trials, q) each, one z column at a time."""
-        inner1, inner2, yterm = (h.grid(xs) for h in (self.h1, self.h2, self.ell))
-        # one g column at a time, so only one (trials, q) grid of g values lives
-        for g, m1, m2, y in zip(self.gbar, self.m1bar, self.m2bar, self.ybar):
-            gv = g.grid(xs)
-            inner1 = inner1 ^ m1.at(gv)
-            inner2 = inner2 ^ m2.at(gv)
-            yterm = yterm ^ y.at(gv)
-        return inner1, inner2, yterm
+        """The three inner values, (trials, q) each.
+
+        The z inner maps go in chunks of consecutive slots whose g, m1,
+        m2 and y each have one shape: a chunk's slots are stacked into
+        one column slot of chunk * trials rows, so it takes one g grid
+        and one lookup per bar, whose values are XORed in slot by slot.
+        A chunk holds as many slots as keep chunk * trials * q within
+        BLOCK_ELEMS, so its grids stay as small as a block's.
+        """
+        inner = [h.grid(xs) for h in (self.h1, self.h2, self.ell)]
+        rows = len(inner[0])
+        chunk = max(1, BLOCK_ELEMS // max(1, rows * len(xs)))
+        slots = zip(self.gbar, self.m1bar, self.m2bar, self.ybar)
+        for _, run in groupby(slots, key=lambda maps: tuple(m.shape for m in maps)):
+            run = list(run)
+            for start in range(0, len(run), chunk):
+                part = run[start:start + chunk]
+                g, *maps = (type(bar[0]).stack(bar) for bar in zip(*part))
+                gv = g.grid(xs)
+                for acc, m in zip(inner, maps):
+                    for values in m.at(gv).reshape(len(part), rows, len(xs)):
+                        acc ^= values
+        return inner
 
     def _affine(self) -> bool:
         """combine.is_affine for every row: hashes of degree <= 1, 2-entry tables."""
@@ -243,17 +296,40 @@ class ColumnDraws:
 
     A slot takes the next words of every stream, in the order the
     layout draws them, exactly as KeyDraws takes them from one stream's
-    getrandbits; each slot's words are derived when it is drawn.
+    getrandbits; each slot's words are derived when it is drawn, and
+    a bar's in at most two calls (bar).
     """
 
     def __init__(self, heads: np.ndarray):
         self._heads = heads
         self._next = 0
+        self._ahead = range(0), None  # columns bar derived ahead, and their words
 
     def _words(self, count: int, bits: int) -> np.ndarray:
         cols = range(self._next, self._next + count)
         self._next += count
-        return stream_words(self._heads, cols) & np.uint64(truncate(~0, bits))
+        ahead, words = self._ahead
+        if cols and cols[0] in ahead and cols[-1] in ahead:
+            words = words[:, cols.start - ahead.start:cols.stop - ahead.start]
+        else:
+            words = stream_words(self._heads, cols)
+        return words & np.uint64(truncate(~0, bits))
+
+    def bar(self, z: int, draw) -> tuple:
+        """z slots of draw(). The first slot's words are derived as it is
+        drawn; the other z - 1 slots' words, as many per slot as the first
+        read, are derived in one call, so a bar reads the words the scalar
+        draws read with at most two stream_words calls. A draw that reads
+        past them derives the rest as it goes."""
+        if z == 0:
+            return ()
+        start = self._next
+        first = draw()
+        cols = range(self._next, self._next + (z - 1) * (self._next - start))
+        self._ahead = cols, stream_words(self._heads, cols)
+        rest = tuple(draw() for _ in range(z - 1))
+        self._ahead = range(0), None
+        return (first, *rest)
 
     def kwise(self, k: int, domain_bits: int, range_bits: int,
               window: int | None = None) -> _Hashes:

@@ -33,10 +33,12 @@ lazy-random oracle one 64-bit word, a table one word per entry, and a
 padded view of an oracle none beyond the oracle's own. Each key shape
 is written once as a slot layout over a draws interface: KeyDraws
 draws each slot as a key object from an rng, and batch.ColumnDraws
-reads the same slots as word columns of a block of key streams. A
-KeySampler wraps a layout, so games.run_game can sample a block of
-keys without building them; any other sampler is played trial by
-trial.
+reads the same slots as word columns of a block of key streams. A bar
+of z like slots is drawn as bar(z, draw): KeyDraws calls draw() z
+times, and ColumnDraws derives the same words for the whole bar at
+once. A KeySampler wraps a layout, so games.run_game can sample a
+block of keys without building them; any other sampler is played
+trial by trial.
 """
 
 from __future__ import annotations
@@ -120,6 +122,9 @@ class KeyDraws:
 
     def padded(self, f: Oracle, domain_bits: int, range_bits: int) -> PaddedPrfMap:
         return PaddedPrfMap(f, domain_bits, range_bits)
+
+    def bar(self, z: int, draw) -> tuple:
+        return tuple(draw() for _ in range(z))
 
     def levin(self, h, f) -> LevinOracle:
         return LevinOracle(h, f)
@@ -256,15 +261,15 @@ def adw_layout(p: ExtensionParams, variant: str, window: int | None = None):
         h2 = draws.kwise(2, p.d, p.s, window)
         ell = draws.kwise(2, p.d, p.r)
         if variant == "prf":
-            gbar = tuple(draws.kwise(2, p.d, u) for _ in range(z))
-            m1bar = tuple(draws.padded(draws.prf(p.s, p.r), u, p.s) for _ in range(z))
-            m2bar = tuple(draws.padded(draws.prf(p.s, p.r), u, p.s) for _ in range(z))
-            ybar = tuple(draws.padded(draws.prf(p.s, p.r), u, p.r) for _ in range(z))
+            gbar = draws.bar(z, lambda: draws.kwise(2, p.d, u))
+            m1bar = draws.bar(z, lambda: draws.padded(draws.prf(p.s, p.r), u, p.s))
+            m2bar = draws.bar(z, lambda: draws.padded(draws.prf(p.s, p.r), u, p.s))
+            ybar = draws.bar(z, lambda: draws.padded(draws.prf(p.s, p.r), u, p.r))
         else:
-            gbar = tuple(draws.kwise(2, p.d, 1) for _ in range(z))
-            m1bar = tuple(draws.table(2, p.s, window) for _ in range(z))
-            m2bar = tuple(draws.table(2, p.s, window) for _ in range(z))
-            ybar = tuple(draws.table(2, p.r) for _ in range(z))
+            gbar = draws.bar(z, lambda: draws.kwise(2, p.d, 1))
+            m1bar = draws.bar(z, lambda: draws.table(2, p.s, window))
+            m2bar = draws.bar(z, lambda: draws.table(2, p.s, window))
+            ybar = draws.bar(z, lambda: draws.table(2, p.r))
         f1 = draws.prf(p.s, p.r)
         return draws.adw(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, draws.prf(p.s, p.r))
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -30,6 +31,7 @@ from cuckooprf.hashfam import sample_kwise
 from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle, PrgSpec
 from cuckooprf.transform import (
     ExtensionParams,
+    KeyDraws,
     KeySampler,
     adw_layout,
     build_adaptive_from_nonadaptive,
@@ -299,20 +301,22 @@ def test_batched_game_validation():
         run_game(lazy_sampler(8, 8), lazy_sampler(8, 8), dist, 0, 1)
 
 
+class _Probe(random.Random):
+    """An rng that records the width of each getrandbits call."""
+
+    def __init__(self):
+        super().__init__(11)
+        self.calls = []
+
+    def getrandbits(self, n):
+        self.calls.append(n)
+        return super().getrandbits(n)
+
+
 def test_tuple_sampler_draws_the_pp_slot_layout():
     # k coefficients for each of h1, h2 and g over GF(2^8), then the two f seeds
     sampler = KeySampler(pp_layout(8, 8, 2, 8))
-
-    class Probe(random.Random):
-        def __init__(self):
-            super().__init__(11)
-            self.calls = []
-
-        def getrandbits(self, n):
-            self.calls.append(n)
-            return super().getrandbits(n)
-
-    rng = Probe()
+    rng = _Probe()
     sampler(rng)
     assert rng.calls == [8] * 24 + [64, 64]
 
@@ -327,6 +331,90 @@ def test_tuple_sampler_reads_slot_i_from_word_i():
     assert key.f1.seed == words[9]
     assert key.f2.seed == words[10]
     assert key.g.range_bits == 2
+
+
+@pytest.mark.parametrize("variant, q", (("table", 2), ("prf", 4)))
+def test_adw_layout_reads_slot_i_from_word_i(variant, q):
+    # z = 6 inner maps either way. h1, h2 and ell take two coefficients
+    # each, then come the z slots of gbar, m1bar, m2bar and ybar in turn
+    # (a g two coefficients, an m or y map two table entries or one prf
+    # seed), then f1 and f2. The twin's row reads the scalar key's words.
+    layout = adw_layout(ExtensionParams(8, 4, 8, 2, q, 1), variant)
+    key = layout(KeyDraws(key_stream(99, 5))).key
+    twin = layout(ColumnDraws(KeyStreams(99).heads(range(5, 6))))
+    words = (derive_seed(99, 5, j) for j in itertools.count())
+
+    def next_words(count, bits):
+        return [truncate(next(words), bits) for _ in range(count)]
+
+    for h, column in zip((key.h1, key.h2, key.ell), (twin.h1, twin.h2, twin.ell)):
+        assert list(h.coeffs) == column.coeffs[0].tolist() == next_words(2, 8)
+    assert len(key.gbar) == len(twin.gbar) == 6
+    for g, column in zip(key.gbar, twin.gbar):
+        assert list(g.coeffs) == column.coeffs[0].tolist() == next_words(2, 8)
+    for bar, columns, bits in ((key.m1bar, twin.m1bar, 4), (key.m2bar, twin.m2bar, 4),
+                               (key.ybar, twin.ybar, 8)):
+        for m, column in zip(bar, columns, strict=True):
+            if variant == "table":
+                assert list(m.entries) == column.entries[0].tolist() == next_words(2, bits)
+            else:
+                assert [m.f.seed] == column.seeds.tolist() == next_words(1, 64)
+    assert [key.f1.seed, key.f2.seed] == [twin.f1.seeds[0], twin.f2.seeds[0]] == next_words(2, 64)
+
+
+def test_a_bar_whose_slots_differ_in_size_reads_the_scalar_words():
+    # the first slot reads 2 words, so the bar derives 3 * 2 ahead; the
+    # last slot reads past them, and the prf after the bar reads word 10
+    def layout(draws):
+        sizes = iter((2, 3, 1, 4))
+        return draws.bar(4, lambda: draws.table(next(sizes), 8)), draws.prf(8, 8)
+
+    streams = KeyStreams(31)
+    tables, f = layout(KeyDraws(streams.stream(0)))
+    columns, column_f = layout(ColumnDraws(streams.heads(range(1))))
+    assert [list(t.entries) for t in tables] == [c.entries[0].tolist() for c in columns]
+    assert column_f.seeds.tolist() == [f.seed] == [derive_seed(31, 0, 10)]
+
+
+@pytest.mark.parametrize("name", ("lazy", "levin", "pp", "adw-table", "adw-prf"))
+def test_block_keys_derives_the_words_the_scalar_draws_read(monkeypatch, name):
+    sampler = {
+        "lazy": lazy_sampler(12, 12),
+        "levin": levin_sampler(12, 8, 12, 4),
+        "pp": pp_sampler(ExtensionParams(12, 8, 12, 4, 8)),
+        "adw-table": KeySampler(adw_layout(ExtensionParams(12, 8, 12, 2, 8), "table")),
+        "adw-prf": KeySampler(adw_layout(ExtensionParams(12, 8, 12, 2, 8), "prf")),
+    }[name]
+    rng = _Probe()
+    sampler(rng)
+    derived, stream_words = [], batch.stream_words
+    monkeypatch.setattr(batch, "stream_words",
+                        lambda heads, cols: derived.append(len(cols)) or stream_words(heads, cols))
+    assert batch.block_keys(sampler, KeyStreams(7), range(4), 12) is not None
+    assert sum(derived) == len(rng.calls)
+    if name == "pp":
+        assert derived == [4, 4, 4, 1, 1]  # one call per slot
+    if name.startswith("adw"):
+        # h1, h2 and ell, two calls per bar, f1 and f2
+        assert len(derived) == 3 + 4 * 2 + 2
+
+
+@pytest.mark.parametrize("variant, mebibytes", (("table", 3.5), ("prf", 3)))
+def test_birthday_adw_block_stays_within_its_memory_pin(variant, mebibytes):
+    # one 256-row block at the birthday shape, power tables built cold:
+    # 2.85 MiB (table) and 2.1 MiB (prf) measured; the table variant's
+    # z = 42 slots stacked at once would hold 2.1 MB per temporary
+    sampler = KeySampler(adw_layout(ExtensionParams(24, 12, 24, 16, 128, 1), variant))
+    queries = [BitString(i, 24) for i in range(128)]
+    batch._power_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        batch_answers(batch.block_keys(sampler, KeyStreams(2024, 0), range(256), 24), queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        batch._power_tables.cache_clear()
+    assert peak <= mebibytes * (1 << 20)
 
 
 def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):

@@ -425,3 +425,67 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     assert all(isinstance(o._folded, partial) for o in oracles)
     assert not columns._affine()
     assert columns.grid(tuple(x.value for x in xs)).tolist() == want
+
+
+def _chunked_layout(data, d: int, kind: str):
+    """(layout, z) of an adw shape at input length d whose bars split into
+    chunks: (q, c) = (2, 3) or (4, 2) gives z = 10 or 16 (the prf variant
+    takes c = 3, so z = 10), and z = n c' + 1 for a chunk c' and n >= 2.
+    "z0" is the table variant at q = 1, which has no inner maps."""
+    q, c = (1, 1) if kind == "z0" else data.draw(st.sampled_from(((2, 3), (4, 2))), label="q, c")
+    if kind == "window":  # the adaptive builder's shape
+        p, window = ExtensionParams(d, d, d, 2, q, c), 4 * q
+    else:
+        s = data.draw(st.integers(4, min(d, 20)), label="s")
+        r = data.draw(st.integers(s if kind == "prf" else 1, 64), label="r")
+        p, window = ExtensionParams(d, s, r, 2, q, 3 if kind == "prf" else c), None
+    if kind == "not-affine":
+        slot = data.draw(st.sampled_from(("g", "m1bar", "m2bar", "ybar", "wide")), label="slot")
+        i = data.draw(st.integers(0, adw_z(p, "table") - 1), label="i")
+        return _not_affine_layout(p, window, slot, i), adw_z(p, "table")
+    variant = "prf" if kind == "prf" else "table"
+    return adw_layout(p, variant, window), adw_z(p, variant)
+
+
+@pytest.mark.parametrize("kind", ("table", "window", "prf", "not-affine", "z0"))
+@settings(PROPERTY, max_examples=10)
+@given(st.sampled_from(FOLD_LENGTHS), st.booleans(), st.data())
+def test_adw_twin_equals_scalar_across_chunks(kind, d, past_fold, data):
+    """With BLOCK_ELEMS cut so that a bar of z inner maps takes chunks of
+    c' slots, the last one holding 1, the twin stacks each chunk into one
+    g grid of c' * trials rows and still answers as the scalar keys; in
+    the mixed-shape bars a slot of its own shape is a chunk of its own."""
+    layout, z = _chunked_layout(data, d, kind)
+    columns, oracles = _keyed_both_ways(data, layout)
+    xs = _past_fold(data, d) if past_fold else _inputs(data, d)
+    folded = columns._affine() and len(xs) > d + 1
+    # the widest chunk that leaves 1 slot for the last of at least 3
+    chunk = max((c for c in range(1, (z - 1) // 2 + 1) if (z - 1) % c == 0), default=1)
+    rows_per_grid = []
+    real_grid = batch._Hashes.grid
+
+    def grid(self, points):
+        rows_per_grid.append(len(self.coeffs))
+        return real_grid(self, points)
+
+    elems = TRIALS * (d + 1 if folded else len(xs)) * chunk
+    with mock.patch.object(batch, "BLOCK_ELEMS", elems), \
+            mock.patch.object(batch._Hashes, "grid", grid):
+        answers = columns.grid(tuple(x.value for x in xs)).tolist()
+    assert answers == [[o.query(x).value for x in xs] for o in oracles]
+    assert sum(rows_per_grid) == (3 + z) * TRIALS
+    if kind == "z0":
+        assert rows_per_grid == [TRIALS] * 3
+    elif kind != "not-affine":
+        # h1, h2 and ell, then (z - 1) / c' full chunks and one of 1 slot
+        assert rows_per_grid == [TRIALS] * 3 + [chunk * TRIALS] * ((z - 1) // chunk) + [TRIALS]
+    assert max(rows_per_grid) <= chunk * TRIALS
+
+
+def test_a_bar_of_no_slots_draws_nothing():
+    def draw():
+        raise AssertionError("a bar of z = 0 slots drew one")
+
+    draws = batch.ColumnDraws(KeyStreams(1, 2).heads(range(3)))
+    assert draws.bar(0, draw) == KeyDraws(random.Random(1)).bar(0, draw) == ()
+    assert draws._next == 0
