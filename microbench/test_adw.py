@@ -6,7 +6,8 @@ The shape is one block of the benchmark's `birthday` workload: d = 24,
 s = 12, r = 24, q = 128 and c = 1, so z = 42 inner maps, each a one-bit
 g_i with 2-entry m1, m2 and y tables, on 250 rows. block_keys draws the
 block's keys from its words; batch_answers answers the 128 queries
-0..127, which it folds from the inner values at d + 1 basis points.
+0..127, which it folds from the inner values at the u + 1 = 8 basis
+points of the u = 7 low bits they use.
 """
 
 from cuckooprf import batch

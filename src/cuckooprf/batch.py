@@ -35,9 +35,10 @@ scalar reference.
 The column forms cover every slot a layout draws: k-wise hashes (with
 or without a window), lazy-random functions and padded views of them,
 tables, and the levin, pp and adw combiners over them. A block of
-affine adw keys (combine.is_affine) asked for more than d+1 points is
-answered from per-row byte tables of its inner values, as an ADWOracle
-answers once folded.
+affine adw keys (combine.is_affine) asked for more than u+1 points, u
+the number of low bits its queries use, is answered from per-row byte
+tables of its inner values over those u bits, built from the values at
+u+1 basis points, as an ADWOracle answers once folded at d+1.
 """
 
 from __future__ import annotations
@@ -235,8 +236,9 @@ class _ADW:
         self.domain_bits, self.range_bits = self.h1.domain_bits, self.f1.range_bits
 
     def grid(self, xs: tuple[int, ...]) -> np.ndarray:
-        if len(xs) > self.domain_bits + 1 and self._affine():
-            inner1, inner2, yterm = self._folded(xs)
+        used = max(xs, default=0).bit_length()
+        if len(xs) > used + 1 and self._affine():
+            inner1, inner2, yterm = self._folded(xs, used)
         else:
             inner1, inner2, yterm = self._inner(xs)
         return self.f1.at(inner1) ^ self.f2.at(inner2) ^ yterm
@@ -272,15 +274,15 @@ class _ADW:
                 and all(isinstance(m, _Tables) and m.entries.shape[1] == 2
                         for bar in (self.m1bar, self.m2bar, self.ybar) for m in bar))
 
-    def _folded(self, xs: tuple[int, ...]):
+    def _folded(self, xs: tuple[int, ...], used: int):
         """The three inner values, (trials, q) each, from per-row byte
-        tables of their affine map, which the values at x = 0 and at the
-        d unit vectors give (combine.fold_adw in columns). One value and
-        one byte table at a time, so a block holds one (trials, 256) table."""
-        at_basis = self._inner((0, *(1 << j for j in range(self.domain_bits))))
+        tables of their affine map on the low `used` bits, which hold
+        every x in xs (combine.fold_adw in columns): the values at x = 0
+        and at 1, 2, ..., 2^(used-1) give the map. One value and one byte
+        table at a time, so a block holds one (trials, 2^min(8, used)) table."""
+        at_basis = self._inner((0, *(1 << j for j in range(used))))
         points = np.array(xs, dtype=np.uint64)
-        point_bytes = [(points >> np.uint64(pos)) & np.uint64(255)
-                       for pos in range(0, self.domain_bits, 8)]
+        point_bytes = [(points >> np.uint64(pos)) & np.uint64(255) for pos in range(0, used, 8)]
         folded = []
         for values in at_basis:
             const = values[:, :1]

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,6 +193,14 @@ def test_batch_answers_adw_adaptive():
     _pointwise_check(adw_layout(p, "table", window=4 * 32),
                      lambda rng: build_adw_adaptive_from_nonadaptive(16, 32, 1, rng),
                      [BitString(qrng.getrandbits(16), 16) for _ in range(25)])
+
+
+def test_batch_answers_adw_with_no_queries():
+    # no queries use no input bits, and an empty block of answers is not folded
+    sampler = KeySampler(adw_layout(ExtensionParams(24, 12, 24, 2, 128, c=1), "table"))
+    columns = batch.block_keys(sampler, KeyStreams(718, 0), range(5), 24)
+    assert columns._affine()
+    assert batch_answers(columns, []).shape == (5, 0)
 
 
 def test_only_key_samplers_reach_batch_answers(monkeypatch):
@@ -399,10 +408,22 @@ def test_block_keys_derives_the_words_the_scalar_draws_read(monkeypatch, name):
         assert len(derived) == 3 + 4 * 2 + 2
 
 
+def test_birthday_adw_block_folds_from_8_points():
+    # the queries 0..127 use the low 7 bits: the fold evaluates the inner
+    # maps at 0 and 1, 2, ..., 64, not at the d + 1 = 25 basis points of d = 24
+    p = ExtensionParams(24, 12, 24, 16, 128, 1)
+    with mock.patch.object(batch._ADW, "_inner", autospec=True,
+                           side_effect=batch._ADW._inner) as inner:
+        _pointwise_check(adw_layout(p, "table"),
+                         lambda rng: build_adw_domain_extension(p, "table", rng),
+                         [BitString(i, 24) for i in range(128)])
+    assert [call.args[1] for call in inner.call_args_list] == [(0, 1, 2, 4, 8, 16, 32, 64)]
+
+
 @pytest.mark.parametrize("variant, mebibytes", (("table", 3.5), ("prf", 3)))
 def test_birthday_adw_block_stays_within_its_memory_pin(variant, mebibytes):
     # one 256-row block at the birthday shape, power tables built cold:
-    # 2.85 MiB (table) and 2.1 MiB (prf) measured; the table variant's
+    # 2.48 MiB (table) and 2.16 MiB (prf) measured; the table variant's
     # z = 42 slots stacked at once would hold 2.1 MB per temporary
     sampler = KeySampler(adw_layout(ExtensionParams(24, 12, 24, 16, 128, 1), variant))
     queries = [BitString(i, 24) for i in range(128)]

@@ -161,7 +161,8 @@ def test_every_subcommand_runs_small(capsys):
 
 # CSV bytes of three small runs at the default seed, pinned before the
 # affine fold of adw keys: both fold paths (scalar past d+1 probes,
-# numpy at q = 128 > d+1) must leave every row as it was.
+# numpy at q = 128 > u+1 = 8 basis points of the 7 bits its queries
+# use) must leave every row as it was.
 GOLDEN_ROWS = {
     ("adaptive-transform", "--probes", "300"): """\
 adaptive-transform-pp,16,16,16,16,12,64,,300,1.0,1.0,0.0,,2024,0

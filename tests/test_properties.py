@@ -12,11 +12,12 @@ derandomized so the suite stays reproducible.
 
 import random
 from functools import partial
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuckooprf import batch
@@ -358,9 +359,14 @@ def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
 
 
 def _keyed_both_ways(data, layout):
-    """A layout run on the first TRIALS streams of a drawn seed: the
-    twin's column form and the oracle KeyDraws builds from each stream."""
-    streams = KeyStreams(data.draw(st.integers(0, 2**64 - 1), label="seed"), 9)
+    """_keyed at a drawn seed."""
+    return _keyed(data.draw(st.integers(0, 2**64 - 1), label="seed"), layout)
+
+
+def _keyed(seed: int, layout):
+    """A layout run on the first TRIALS streams of a seed: the twin's
+    column form and the oracle KeyDraws builds from each stream."""
+    streams = KeyStreams(seed, 9)
     columns = layout(batch.ColumnDraws(streams.heads(range(TRIALS))))
     return columns, [layout(KeyDraws(streams.stream(t))) for t in range(TRIALS)]
 
@@ -375,6 +381,29 @@ def test_folded_adw_grid_equals_adw_eval(d, restricted, data):
     assert columns._affine()
     grid = columns.grid(tuple(x.value for x in xs))
     assert grid.tolist() == [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
+
+
+@pytest.mark.parametrize("d", FOLD_LENGTHS)
+@FOLD_PROPERTY
+@given(st.booleans(), st.data())
+def test_folded_twin_evaluates_the_inner_maps_at_the_bits_its_queries_use(d, restricted, data):
+    """u + 2 to u + 6 distinct points below 2^u, 0 and 2^(u-1) among them,
+    are folded from one _inner call at the u + 1 points 0, 1, 2, ...,
+    2^(u-1), and answered as adw_eval answers. (At u = 1 only 2 points
+    lie below 2^u, too few to fold.)"""
+    u = data.draw(st.integers(2, d), label="u")
+    top = 1 << (u - 1)
+    others = data.draw(st.lists(st.integers(1, (1 << u) - 2).map(lambda v: v + (v >= top)),
+                                unique=True, min_size=u, max_size=min(u + 4, (1 << u) - 2)),
+                       label="others")
+    xs = tuple(data.draw(st.permutations((0, top, *others)), label="xs"))
+    p, window = _table_shape(data, d, restricted)
+    columns, oracles = _keyed_both_ways(data, adw_layout(p, "table", window))
+    with mock.patch.object(batch._ADW, "_inner", autospec=True,
+                           side_effect=batch._ADW._inner) as inner:
+        grid = columns.grid(xs)
+    assert [call.args[1] for call in inner.call_args_list] == [(0, *(1 << j for j in range(u)))]
+    assert grid.tolist() == [[adw_eval(o.key, x) for x in xs] for o in oracles]
 
 
 def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int):
@@ -427,38 +456,74 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     assert columns.grid(tuple(x.value for x in xs)).tolist() == want
 
 
-def _chunked_layout(data, d: int, kind: str):
+class ChunkCase(NamedTuple):
+    """The draws of test_adw_twin_equals_scalar_across_chunks: the input
+    length, the points asked, the shape (the (q, c) pair, s and r, which
+    each kind reads as its shape allows), the non-affine slot and inner
+    map i (taken mod z), and the seed of the key streams."""
+    d: int
+    xs: tuple[int, ...]
+    qc: tuple[int, int]
+    s: int
+    r: int
+    slot: str
+    i: int
+    seed: int
+
+
+@st.composite
+def chunk_cases(draw):
+    d = draw(st.sampled_from(FOLD_LENGTHS))
+    # d + 2 to d + 6 points fold whatever bits they use; 1 to 5 points
+    # fold only when they use fewer bits than their number less one
+    many = draw(st.booleans())
+    xs = draw(st.lists(st.integers(0, (1 << d) - 1), min_size=d + 2 if many else 1,
+                       max_size=d + 6 if many else 5))
+    return ChunkCase(
+        d, tuple(xs), draw(st.sampled_from(((2, 3), (4, 2)))),
+        draw(st.integers(4, min(d, 20))), draw(st.integers(1, 64)),
+        draw(st.sampled_from(("g", "m1bar", "m2bar", "ybar", "wide"))),
+        draw(st.integers(0, 15)), draw(st.integers(0, 2**64 - 1)))
+
+
+def _chunked_layout(case: ChunkCase, kind: str):
     """(layout, z) of an adw shape at input length d whose bars split into
     chunks: (q, c) = (2, 3) or (4, 2) gives z = 10 or 16 (the prf variant
     takes c = 3, so z = 10), and z = n c' + 1 for a chunk c' and n >= 2.
     "z0" is the table variant at q = 1, which has no inner maps."""
-    q, c = (1, 1) if kind == "z0" else data.draw(st.sampled_from(((2, 3), (4, 2))), label="q, c")
+    d = case.d
+    q, c = (1, 1) if kind == "z0" else case.qc
     if kind == "window":  # the adaptive builder's shape
         p, window = ExtensionParams(d, d, d, 2, q, c), 4 * q
     else:
-        s = data.draw(st.integers(4, min(d, 20)), label="s")
-        r = data.draw(st.integers(s if kind == "prf" else 1, 64), label="r")
-        p, window = ExtensionParams(d, s, r, 2, q, 3 if kind == "prf" else c), None
+        r = max(case.r, case.s) if kind == "prf" else case.r
+        p, window = ExtensionParams(d, case.s, r, 2, q, 3 if kind == "prf" else c), None
     if kind == "not-affine":
-        slot = data.draw(st.sampled_from(("g", "m1bar", "m2bar", "ybar", "wide")), label="slot")
-        i = data.draw(st.integers(0, adw_z(p, "table") - 1), label="i")
-        return _not_affine_layout(p, window, slot, i), adw_z(p, "table")
+        z = adw_z(p, "table")
+        return _not_affine_layout(p, window, case.slot, case.i % z), z
     variant = "prf" if kind == "prf" else "table"
     return adw_layout(p, variant, window), adw_z(p, variant)
 
 
 @pytest.mark.parametrize("kind", ("table", "window", "prf", "not-affine", "z0"))
 @settings(PROPERTY, max_examples=10)
-@given(st.sampled_from(FOLD_LENGTHS), st.booleans(), st.data())
-def test_adw_twin_equals_scalar_across_chunks(kind, d, past_fold, data):
+@given(chunk_cases())
+# 4 points that use 2 bits: folded at 3 points, where a d+1 rule would not fold
+@example(ChunkCase(17, (0, 1, 2, 3), (2, 3), 8, 24, "g", 0, 1))
+# 2 points, one using all d bits: never folded
+@example(ChunkCase(17, (5, 1 << 16), (4, 2), 8, 24, "ybar", 3, 2))
+def test_adw_twin_equals_scalar_across_chunks(kind, case):
     """With BLOCK_ELEMS cut so that a bar of z inner maps takes chunks of
     c' slots, the last one holding 1, the twin stacks each chunk into one
     g grid of c' * trials rows and still answers as the scalar keys; in
-    the mixed-shape bars a slot of its own shape is a chunk of its own."""
-    layout, z = _chunked_layout(data, d, kind)
-    columns, oracles = _keyed_both_ways(data, layout)
-    xs = _past_fold(data, d) if past_fold else _inputs(data, d)
-    folded = columns._affine() and len(xs) > d + 1
+    the mixed-shape bars a slot of its own shape is a chunk of its own.
+    An affine block asked for more than u + 1 points, u the bits they
+    use, is folded, and its grids are over the u + 1 basis points."""
+    layout, z = _chunked_layout(case, kind)
+    columns, oracles = _keyed(case.seed, layout)
+    xs = [BitString(v, case.d) for v in case.xs]
+    used = max(case.xs).bit_length()
+    folded = columns._affine() and len(xs) > used + 1
     # the widest chunk that leaves 1 slot for the last of at least 3
     chunk = max((c for c in range(1, (z - 1) // 2 + 1) if (z - 1) % c == 0), default=1)
     rows_per_grid = []
@@ -468,10 +533,10 @@ def test_adw_twin_equals_scalar_across_chunks(kind, d, past_fold, data):
         rows_per_grid.append(len(self.coeffs))
         return real_grid(self, points)
 
-    elems = TRIALS * (d + 1 if folded else len(xs)) * chunk
+    elems = TRIALS * (used + 1 if folded else len(xs)) * chunk
     with mock.patch.object(batch, "BLOCK_ELEMS", elems), \
             mock.patch.object(batch._Hashes, "grid", grid):
-        answers = columns.grid(tuple(x.value for x in xs)).tolist()
+        answers = columns.grid(case.xs).tolist()
     assert answers == [[o.query(x).value for x in xs] for o in oracles]
     assert sum(rows_per_grid) == (3 + z) * TRIALS
     if kind == "z0":
