@@ -1,10 +1,10 @@
 """Beyond-birthday PRF domain extension via cuckoo-hashing combiners.
 
 The package provides k-wise independent polynomial hash families over
-binary fields, the pp and adw hash-and-XOR combiners, the tree PRF
-built from a length-doubling generator, five transformation builders
-(domain extension, adaptive security from nonadaptive, generator to
-PRF), and a distinguisher-game harness that measures what the naive
-hash-then-query construction loses to the birthday attack and the
-combiners do not.
+binary fields, the adw hash-and-XOR combiner (pp is adw with no inner
+maps), the tree PRF built from a length-doubling generator, five
+transformation builders (domain extension, adaptive security from
+nonadaptive, generator to PRF), and a distinguisher-game harness that
+measures what the naive hash-then-query construction loses to the
+birthday attack and the combiners do not.
 """

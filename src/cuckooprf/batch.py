@@ -34,9 +34,10 @@ scalar reference.
 
 The column forms cover every slot a layout draws: k-wise hashes (with
 or without a window), lazy-random functions and padded views of them,
-tables, and the levin, pp and adw combiners over them. A block of
-affine adw keys (combine.is_affine) asked for more than u+1 points, u
-the number of low bits its queries use, is answered from per-row byte
+tables, and the levin and adw combiners over them; a pp key is an adw
+key with no inner maps. A block of affine adw keys (combine.is_affine,
+which a pp key at k = 2 is) asked for more than u+1 points, u the
+number of low bits its queries use, is answered from per-row byte
 tables of its inner values over those u bits, built from the values at
 u+1 basis points, as an ADWOracle answers once folded at d+1.
 """
@@ -205,22 +206,6 @@ class _Levin:
 
 
 @dataclass
-class _PP:
-    h1: _Hashes
-    h2: _Hashes
-    g: _Hashes
-    f1: _Lazy
-    f2: _Lazy
-
-    def __post_init__(self):
-        self.domain_bits, self.range_bits = self.h1.domain_bits, self.f1.range_bits
-
-    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
-        return (self.f1.at(self.h1.grid(xs)) ^ self.f2.at(self.h2.grid(xs))
-                ^ self.g.grid(xs))
-
-
-@dataclass
 class _ADW:
     h1: _Hashes
     h2: _Hashes
@@ -349,7 +334,6 @@ class ColumnDraws:
         return _Lazy(f.seeds, domain_bits, range_bits)
 
     levin = _Levin
-    pp = _PP
     adw = _ADW
 
 

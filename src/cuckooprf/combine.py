@@ -1,17 +1,16 @@
-"""The two hash-and-XOR combiners used by every transformation.
+"""The hash-and-XOR combiner used by every transformation.
 
-Both evaluate a small number of underlying oracles at hashed positions
-and XOR the results, in the style of cuckoo hashing's two-table layout:
-
-  pp:   f1(h1(x)) ^ f2(h2(x)) ^ g(x)
+It evaluates two underlying oracles at hashed positions and XORs the
+results, in the style of cuckoo hashing's two-table layout:
 
   adw:  f1(inner1(x)) ^ f2(inner2(x)) ^ inner_y(x), where
         inner(h, mbar, x) = h(x) ^ XOR_i m_i(g_i(x))
 
-The adw inner maps m_i and y_i range over a vector of z functions on a
+The inner maps m_i and y_i range over a vector of z functions on a
 small domain of u-bit values; the g-vector is shared between the two
-halves and the y-part. With z = 0 the adw combiner degenerates to pp
-with g = ell, which the tests pin down pointwise.
+halves and the y-part. pp is adw with z = 0: an ADWKey whose four bars
+are empty, f1(h1(x)) ^ f2(h2(x)) ^ ell(x), which the tests pin to that
+formula pointwise.
 
 Inner maps are either RandomTable (table-backed: lookups, no oracle
 calls) or Oracle instances (prf-backed: each lookup is an underlying
@@ -19,16 +18,18 @@ call). Every slot is duck-typed: anything with domain_bits/range_bits
 attributes and an eval_int(int) -> int method works, which admits
 k-wise keys (with or without a window), tables and any Oracle.
 
-Values are plain ints inside the combiners: pp_eval and adw_eval take
-and return raw values, and every slot is called through eval_int. A
-BitString is built only where PPOracle or ADWOracle is queried through
-Oracle.query, which checks the input length the combiners take on trust.
+Values are plain ints inside the combiner: adw_inner_values and
+adw_eval take and return raw values, and every slot is called through
+eval_int. A BitString is built only where an ADWOracle is queried
+through Oracle.query, which checks the input length the combiner
+takes on trust.
 
 An adw key whose hashes all have degree at most 1 (k <= 2) and whose
 inner maps are all 2-entry tables is GF(2)-affine in x: each of its
-three inner values is c ^ L x. ADWOracle folds such a key into byte
-tables of that map (fold_adw) once more than d+1 queries are asked,
-which is what the fold costs to build; adw_eval stays the reference.
+three inner values is c ^ L x. A pp key at k = 2 is one. ADWOracle
+folds such a key into byte tables of that map (fold_adw) once more
+than d+1 queries are asked, which is what the fold costs to build;
+adw_eval stays the reference.
 """
 
 from __future__ import annotations
@@ -41,48 +42,6 @@ import numpy as np
 from .gf import linear_tables
 from .hashfam import KWiseHashKey, RandomTable
 from .prfcore import Oracle
-
-
-@dataclass(frozen=True)
-class PPKey:
-    h1: object
-    h2: object
-    g: object
-    f1: Oracle
-    f2: Oracle
-
-    def __post_init__(self):
-        d = self.h1.domain_bits
-        if self.h2.domain_bits != d or self.g.domain_bits != d:
-            raise ValueError("h1, h2, g must share one domain")
-        if self.h1.range_bits != self.f1.domain_bits:
-            raise ValueError("h1 range does not match f1 domain")
-        if self.h2.range_bits != self.f2.domain_bits:
-            raise ValueError("h2 range does not match f2 domain")
-        if not (self.f1.range_bits == self.f2.range_bits == self.g.range_bits):
-            raise ValueError("f1, f2, g must share one range")
-
-    @property
-    def domain_bits(self) -> int:
-        return self.h1.domain_bits
-
-    @property
-    def range_bits(self) -> int:
-        return self.f1.range_bits
-
-
-def pp_eval(key: PPKey, x: int) -> int:
-    y = key.f1.eval_int(key.h1.eval_int(x)) ^ key.f2.eval_int(key.h2.eval_int(x))
-    return y ^ key.g.eval_int(x)
-
-
-class PPOracle(Oracle):
-    def __init__(self, key: PPKey):
-        super().__init__(key.domain_bits, key.range_bits)
-        self.key = key
-
-    def eval_int(self, x: int) -> int:
-        return pp_eval(self.key, x)
 
 
 @dataclass(frozen=True)
@@ -135,22 +94,21 @@ class ADWKey:
         return self.f1.range_bits
 
 
-def adw_inner_eval(h, gbar, mbar, x: int, gvals=None) -> int:
-    """h(x) ^ XOR_i m_i(g_i(x)) on raw values. Pass gvals to reuse shared
-    g evaluations."""
-    if gvals is None:
-        gvals = [g.eval_int(x) for g in gbar]
-    acc = h.eval_int(x)
-    for m, gv in zip(mbar, gvals):
-        acc ^= m.eval_int(gv)
-    return acc
+def adw_inner_values(key: ADWKey, x: int) -> tuple[int, int, int]:
+    """The three inner values at x: h1(x), h2(x) and ell(x), each XORed
+    with its bar's maps at every g_i(x), each g_i evaluated once."""
+    a, b, y = key.h1.eval_int(x), key.h2.eval_int(x), key.ell.eval_int(x)
+    for g, m1, m2, m in zip(key.gbar, key.m1bar, key.m2bar, key.ybar):
+        gv = g.eval_int(x)
+        a ^= m1.eval_int(gv)
+        b ^= m2.eval_int(gv)
+        y ^= m.eval_int(gv)
+    return a, b, y
 
 
 def adw_eval(key: ADWKey, x: int) -> int:
-    gvals = [g.eval_int(x) for g in key.gbar]  # shared between both halves and the y part
-    a = key.f1.eval_int(adw_inner_eval(key.h1, key.gbar, key.m1bar, x, gvals))
-    b = key.f2.eval_int(adw_inner_eval(key.h2, key.gbar, key.m2bar, x, gvals))
-    return a ^ b ^ adw_inner_eval(key.ell, key.gbar, key.ybar, x, gvals)
+    a, b, y = adw_inner_values(key, x)
+    return key.f1.eval_int(a) ^ key.f2.eval_int(b) ^ y
 
 
 def is_affine(key: ADWKey) -> bool:
@@ -175,15 +133,9 @@ class _FoldedADW:
     def __init__(self, key: ADWKey):
         self.f1, self.f2 = key.f1, key.f2
         self.s1, self.s2 = key.f1.domain_bits, key.f2.domain_bits
-
-        def inner(x: int) -> tuple[int, int, int]:
-            gvals = [g.eval_int(x) for g in key.gbar]
-            return (adw_inner_eval(key.h1, key.gbar, key.m1bar, x, gvals),
-                    adw_inner_eval(key.h2, key.gbar, key.m2bar, x, gvals),
-                    adw_inner_eval(key.ell, key.gbar, key.ybar, x, gvals))
-
         points = [0] + [1 << j for j in range(key.domain_bits)]
-        at_basis = np.array([inner(x) for x in points], dtype=np.uint64).T  # (3, d+1)
+        at_basis = np.array([adw_inner_values(key, x) for x in points],
+                            dtype=np.uint64).T  # (3, d+1)
         const = at_basis[:, :1]
         self.const = self._pack(*const[:, 0].tolist())
         self.tables = [[self._pack(*entry) for entry in zip(*table.tolist())]

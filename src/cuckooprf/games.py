@@ -327,9 +327,8 @@ class UniformityResult:
     samples: int
 
 
-def _sd_from_codes(codes: np.ndarray, support: int, samples: int) -> float:
-    counts = np.bincount(codes, minlength=support)
-    return float(0.5 * np.abs(counts / samples - 1.0 / support).sum())
+def _sd_from_counts(counts: np.ndarray, samples: int) -> float:
+    return float(0.5 * np.abs(counts / samples - 1.0 / len(counts)).sum())
 
 
 def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> UniformityResult:
@@ -369,15 +368,17 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
             f"{samples} samples below the floor of 1000 per cell ({1000 * support})"
         )
 
-    codes = np.empty(samples, dtype=np.int64)
-    for block in batch.blocks(samples, t):
-        codes[block.start:block.stop] = _block_codes(handle_sampler, streams, block, queries, r)
-
-    sd_estimate = _sd_from_codes(codes, support, samples)
+    # only the cell counts outlive a block; the baseline's codes are drawn
+    # block by block too, which reads the generator as one draw would
+    counts, uniform = np.zeros(support, dtype=np.int64), np.zeros(support, dtype=np.int64)
     gen = np.random.Generator(np.random.PCG64(derive_seed(seed, _BASELINE_TAG)))
-    uniform_codes = gen.integers(0, support, size=samples, dtype=np.int64)
-    baseline_sd = _sd_from_codes(uniform_codes, support, samples)
-    return UniformityResult(sd_estimate, baseline_sd, support, samples)
+    for block in batch.blocks(samples, t):
+        codes = _block_codes(handle_sampler, streams, block, queries, r)
+        counts += np.bincount(codes, minlength=support)
+        uniform += np.bincount(gen.integers(0, support, size=len(block), dtype=np.int64),
+                               minlength=support)
+    return UniformityResult(_sd_from_counts(counts, samples), _sd_from_counts(uniform, samples),
+                            support, samples)
 
 
 def _block_codes(sampler, streams: KeyStreams, block: range, queries, r: int) -> np.ndarray:

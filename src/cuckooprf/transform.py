@@ -8,7 +8,9 @@ which makes experiments exact: the combiner is then measured against
 a genuinely random backing function, so any distinguishing advantage
 is attributable to the combiner itself.
 
-The five builders, each one of the two slot layouts below:
+The five builders, each one of the two slot layouts below, all
+return an ADWOracle: pp_layout is the adw key with z = 0, no inner
+maps, and adw_layout the one with z of them.
 
   build_pp_domain_extension      s-bit-domain PRF -> d-bit-domain PRF,
                                  two calls per query, q <= 2^(s-2)
@@ -16,8 +18,8 @@ The five builders, each one of the two slot layouts below:
                                  nonadaptively-secure PRF -> adaptively
                                  secure PRF: pp_layout with h1 and h2
                                  restricted to the first 4q strings
-  build_adw_domain_extension     like pp but with z inner maps; the
-                                 "prf" variant spends 3z+2 calls, the
+  build_adw_domain_extension     pp plus z inner maps; the "prf"
+                                 variant spends 3z+2 calls, the
                                  "table" variant 2 calls plus lookups
   build_adw_adaptive_from_nonadaptive
                                  the table adw_layout with h1, h2 and
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass
 
 from .bits import truncate
-from .combine import ADWKey, ADWOracle, PPKey, PPOracle
+from .combine import ADWKey, ADWOracle
 from .errors import ConfigurationError
 from .gf import SUPPORTED_WIDTHS
 from .hashfam import RandomTable, sample_kwise, sample_table
@@ -129,9 +131,6 @@ class KeyDraws:
     def levin(self, h, f) -> LevinOracle:
         return LevinOracle(h, f)
 
-    def pp(self, *slots) -> PPOracle:
-        return PPOracle(PPKey(*slots))
-
     def adw(self, *slots) -> ADWOracle:
         return ADWOracle(ADWKey(*slots))
 
@@ -159,14 +158,15 @@ def lazy_sampler(domain_bits: int, range_bits: int) -> KeySampler:
 def pp_layout(d: int, s: int, r: int, k: int, window: int | None = None):
     """pp slots: h1, h2 (d to s bits, inside the first `window` strings
     if one is given) and g (d to r bits), k coefficients each, then the
-    underlying f1 and f2."""
+    underlying f1 and f2. A pp key is an adw key with g as ell and no
+    inner maps."""
 
     def layout(draws):
         h1 = draws.kwise(k, d, s, window)
         h2 = draws.kwise(k, d, s, window)
         g = draws.kwise(k, d, r)
         f1 = draws.prf(s, r)
-        return draws.pp(h1, h2, g, f1, draws.prf(s, r))
+        return draws.adw(h1, h2, g, (), (), (), (), f1, draws.prf(s, r))
 
     return layout
 
@@ -176,13 +176,13 @@ def pp_sampler(p: ExtensionParams) -> KeySampler:
     return KeySampler(pp_layout(p.d, p.s, p.r, p.k))
 
 
-def build_pp_domain_extension(p: ExtensionParams, rng, f_sampler=None) -> PPOracle:
+def build_pp_domain_extension(p: ExtensionParams, rng, f_sampler=None) -> ADWOracle:
     """pp combiner over two fresh underlying PRFs: d-bit domain from
     s-bit domain at exactly two underlying calls per query."""
     return pp_sampler(p).layout(KeyDraws(rng, f_sampler))
 
 
-def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None) -> PPOracle:
+def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None) -> ADWOracle:
     """pp combiner with both hash ranges restricted to the first 4q
     strings of {0,1}^n, so the underlying PRFs are only ever evaluated
     inside that prefix; a nonadaptively secure f suffices there because
@@ -297,7 +297,7 @@ def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=N
     return adw_layout(p, "table", window=4 * q)(KeyDraws(rng, f_sampler))
 
 
-def build_prg_prf(prg: PrgSpec, m: int, n: int, k: int, q: int, rng) -> PPOracle:
+def build_prg_prf(prg: PrgSpec, m: int, n: int, k: int, q: int, rng) -> ADWOracle:
     """PRF from a length-doubling generator: pp over two tree PRFs with
     hashed m-bit inputs. One query costs two tree walks, hence exactly
     2m generator calls. Requires q <= 2^(m-2).

@@ -3,7 +3,9 @@
 involution_count computes I(k), the number of involutions on k points,
 exactly on ints via I(k) = I(k-1) + (k-1) I(k-2), so it is a reference
 for the float ratio recurrence in games that does not share its
-rounding.
+rounding. pp_formula writes the pp combiner out from a key's slots, so
+adw_eval on a key with no inner maps is compared with no library
+combiner.
 """
 
 import math
@@ -26,3 +28,9 @@ def expected_fixed_points(size: int) -> float:
     """Mean number of fixed points of a uniform involution on `size`
     points: each point is fixed in I(size-1) of the I(size) involutions."""
     return size * involution_count(size - 1) / involution_count(size)
+
+
+def pp_formula(key, x: int) -> int:
+    """f1(h1(x)) ^ f2(h2(x)) ^ ell(x), straight from the key's slots."""
+    return (key.f1.eval_int(key.h1.eval_int(x)) ^ key.f2.eval_int(key.h2.eval_int(x))
+            ^ key.ell.eval_int(x))

@@ -40,10 +40,11 @@ def counting_sampler(seen: list):
 
 
 def count_calls(evaluate, key, x: int) -> tuple[int, int]:
-    """(underlying calls, hash calls) of evaluate(key, x) for a pp or adw
-    key, counted on a copy of the key whose slots are InstrumentedOracles.
+    """(underlying calls, hash calls) of evaluate(key, x) for an adw key
+    (a pp key is one with no inner maps), counted on a copy of the key
+    whose slots are InstrumentedOracles.
 
-    The hashes are h1, h2, g or ell and each g_i; the underlying oracles
+    The hashes are h1, h2, ell and each g_i; the underlying oracles
     are f1, f2 and every inner map that is not a RandomTable, which a
     lookup reaches without an underlying call."""
     hashes, fs = [], []

@@ -336,10 +336,10 @@ def test_tuple_sampler_reads_slot_i_from_word_i():
     words = [derive_seed(99, 5, j) for j in range(11)]
     assert key.h1.coeffs == tuple(truncate(w, 8) for w in words[0:3])
     assert key.h2.coeffs == tuple(truncate(w, 8) for w in words[3:6])
-    assert key.g.coeffs == tuple(truncate(w, 8) for w in words[6:9])
+    assert key.ell.coeffs == tuple(truncate(w, 8) for w in words[6:9])
     assert key.f1.seed == words[9]
     assert key.f2.seed == words[10]
-    assert key.g.range_bits == 2
+    assert key.ell.range_bits == 2
 
 
 @pytest.mark.parametrize("variant, q", (("table", 2), ("prf", 4)))
@@ -444,10 +444,15 @@ def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):
     sampler = KeySampler(pp_layout(8, 8, 1, 8))
     queries = [BitString(i, 8) for i in (0, 200)]
     samples, seed = 4000, 724
-    codes = []
-    sd_from_codes = games._sd_from_codes
-    monkeypatch.setattr(games, "_sd_from_codes",
-                        lambda c, *rest: codes.append(c.tolist()) or sd_from_codes(c, *rest))
+    codes = {}
+    block_codes = games._block_codes
+
+    def spy(handle_sampler, *rest):
+        out = block_codes(handle_sampler, *rest)
+        codes.setdefault(handle_sampler, []).extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(games, "_block_codes", spy)
     twin = tuple_uniformity_sd(sampler, queries, samples, seed)
     # the same handles behind a shape batch_answers declines: queried one by one
     opaque = lambda rng: FunctionOracle(sampler(rng).eval_int, 8, 1)
@@ -456,8 +461,8 @@ def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):
     for i in range(samples):
         handle = sampler(sample_streams(seed).stream(i))
         want.append((handle.query(queries[0]).value << 1) | handle.query(queries[1]).value)
-    # each run passes its codes, then the uniform baseline's
-    assert codes[0] == codes[2] == want
+    # each run's codes, block after block
+    assert codes[sampler] == codes[opaque] == want
 
 
 def test_tuple_sampler_feeds_the_uniformity_estimator():

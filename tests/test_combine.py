@@ -3,17 +3,10 @@ import random
 import pytest
 
 from cuckooprf.bits import BitString
-from cuckooprf.combine import (
-    ADWKey,
-    ADWOracle,
-    PPKey,
-    PPOracle,
-    adw_eval,
-    adw_inner_eval,
-    pp_eval,
-)
+from cuckooprf.combine import ADWKey, ADWOracle, adw_eval, adw_inner_values
 from cuckooprf.hashfam import RandomTable, sample_kwise, sample_table
 from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle
+from closedforms import pp_formula
 from spies import count_calls
 
 
@@ -25,6 +18,11 @@ def _bit_high(x):
     return x >> 1
 
 
+def _pp_key(h1, h2, g, f1, f2):
+    """A pp key: the adw key with g as ell and no inner maps."""
+    return ADWKey(h1, h2, g, (), (), (), (), f1, f2)
+
+
 def _tiny_pp_key():
     # 2-bit inputs, 1-bit hash positions, 2-bit outputs, all slots explicit
     h1 = FunctionOracle(_bit_low, 2, 1)
@@ -32,20 +30,20 @@ def _tiny_pp_key():
     g = FunctionOracle(lambda x: x, 2, 2)
     f1 = FunctionOracle(lambda p: 0b01 if p == 0 else 0b10, 1, 2)
     f2 = FunctionOracle(lambda p: 0b11 if p == 0 else 0b00, 1, 2)
-    return PPKey(h1, h2, g, f1, f2)
+    return _pp_key(h1, h2, g, f1, f2)
 
 
 def test_pp_hand_vector():
     key = _tiny_pp_key()
     # x = 10: f1(low bit 0) = 01, f2(high bit 1) = 00, g = 10, XOR = 11
-    assert pp_eval(key, 0b10) == 0b11
+    assert adw_eval(key, 0b10) == 0b11
 
 
 def test_pp_full_truth_table():
     key = _tiny_pp_key()
     expected = {"00": "10", "01": "00", "10": "11", "11": "01"}
     for x, y in expected.items():
-        assert pp_eval(key, int(x, 2)) == int(y, 2)
+        assert adw_eval(key, int(x, 2)) == int(y, 2)
 
 
 def test_pp_matching_halves_cancel_to_g():
@@ -54,9 +52,9 @@ def test_pp_matching_halves_cancel_to_g():
     h = sample_kwise(3, 6, 4, rng)
     g = sample_kwise(3, 6, 5, rng)
     f = LazyRandomOracle(9, 4, 5)
-    key = PPKey(h, h, g, f, f)
+    key = _pp_key(h, h, g, f, f)
     for v in range(64):
-        assert pp_eval(key, v) == g.eval_int(v)
+        assert adw_eval(key, v) == g.eval_int(v)
 
 
 def test_pp_zero_oracles_leave_g():
@@ -65,17 +63,17 @@ def test_pp_zero_oracles_leave_g():
     h1 = sample_kwise(2, 6, 4, rng)
     h2 = sample_kwise(2, 6, 4, rng)
     g = sample_kwise(2, 6, 5, rng)
-    key = PPKey(h1, h2, g, zero, zero)
+    key = _pp_key(h1, h2, g, zero, zero)
     for v in range(64):
-        assert pp_eval(key, v) == g.eval_int(v)
+        assert adw_eval(key, v) == g.eval_int(v)
 
 
 def test_pp_oracle_wraps_eval():
     key = _tiny_pp_key()
-    o = PPOracle(key)
+    o = ADWOracle(key)
     assert o.domain_bits == 2 and o.range_bits == 2
     for v in range(4):
-        assert o.query(BitString(v, 2)).value == pp_eval(key, v)
+        assert o.query(BitString(v, 2)).value == adw_eval(key, v)
 
 
 def test_pp_key_shape_validation():
@@ -85,11 +83,11 @@ def test_pp_key_shape_validation():
     g = sample_kwise(2, 6, 5, rng)
     f_good = LazyRandomOracle(1, 4, 5)
     with pytest.raises(ValueError):
-        PPKey(h1, h2, g, LazyRandomOracle(1, 3, 5), f_good)
+        _pp_key(h1, h2, g, LazyRandomOracle(1, 3, 5), f_good)
     with pytest.raises(ValueError):
-        PPKey(h1, h2, g, f_good, LazyRandomOracle(1, 4, 6))
+        _pp_key(h1, h2, g, f_good, LazyRandomOracle(1, 4, 6))
     with pytest.raises(ValueError):
-        PPKey(h1, sample_kwise(2, 5, 4, rng), g, f_good, f_good)
+        _pp_key(h1, sample_kwise(2, 5, 4, rng), g, f_good, f_good)
 
 
 def test_pp_exactly_two_underlying_calls():
@@ -97,9 +95,9 @@ def test_pp_exactly_two_underlying_calls():
     h1 = sample_kwise(2, 8, 4, rng)
     h2 = sample_kwise(2, 8, 4, rng)
     g = sample_kwise(2, 8, 6, rng)
-    key = PPKey(h1, h2, g, LazyRandomOracle(2, 4, 6), LazyRandomOracle(3, 4, 6))
+    key = _pp_key(h1, h2, g, LazyRandomOracle(2, 4, 6), LazyRandomOracle(3, 4, 6))
     for v in (0, 17, 255):
-        f_calls, hash_calls = count_calls(pp_eval, key, v)
+        f_calls, hash_calls = count_calls(adw_eval, key, v)
         assert f_calls == 2
         assert hash_calls == 3
 
@@ -132,9 +130,8 @@ def test_adw_z_property():
 
 def test_adw_zero_z_degenerates_to_pp():
     key = _small_adw_key(0, 405)
-    pp = PPKey(key.h1, key.h2, key.ell, key.f1, key.f2)
     for v in range(64):
-        assert adw_eval(key, v) == pp_eval(pp, v)
+        assert adw_eval(key, v) == pp_formula(key, v)
 
 
 def test_adw_zero_tables_reduce_to_ell():
@@ -146,9 +143,8 @@ def test_adw_zero_tables_reduce_to_ell():
         tuple(RandomTable((0,) * 4, 5) for _ in range(2)),
         key.f1, key.f2,
     )
-    pp = PPKey(key.h1, key.h2, key.ell, key.f1, key.f2)
     for v in range(64):
-        assert adw_eval(zeroed, v) == pp_eval(pp, v)
+        assert adw_eval(zeroed, v) == pp_formula(key, v)
 
 
 def test_adw_single_map_straight_line():
@@ -163,16 +159,16 @@ def test_adw_single_map_straight_line():
         assert adw_eval(key, v) == want
 
 
-def test_adw_inner_eval_accepts_precomputed_gvals():
+def test_adw_inner_values_equal_the_inline_loop():
     key = _small_adw_key(2, 408)
-    x = 33
-    gvals = [g.eval_int(x) for g in key.gbar]
-    direct = adw_inner_eval(key.h1, key.gbar, key.m1bar, x)
-    assert adw_inner_eval(key.h1, key.gbar, key.m1bar, x, gvals) == direct
-    want = key.h1.eval_int(x)
-    for g, m in zip(key.gbar, key.m1bar):
-        want ^= m.entries[g.eval_int(x)]
-    assert direct == want
+    for x in (0, 33, 63):
+        want = []
+        for h, bar in ((key.h1, key.m1bar), (key.h2, key.m2bar), (key.ell, key.ybar)):
+            acc = h.eval_int(x)
+            for g, m in zip(key.gbar, bar):
+                acc ^= m.entries[g.eval_int(x)]
+            want.append(acc)
+        assert adw_inner_values(key, x) == tuple(want)
 
 
 def test_adw_oracle_wraps_eval():

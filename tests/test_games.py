@@ -1,10 +1,14 @@
+import gc
 import itertools
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cuckooprf import batch
 from cuckooprf.bits import BitString, key_stream
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.games import (
@@ -23,7 +27,7 @@ from cuckooprf.games import (
     tuple_uniformity_sd,
 )
 from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle
-from cuckooprf.transform import KeySampler, pp_layout
+from cuckooprf.transform import ExtensionParams, KeySampler, lazy_sampler, pp_layout, pp_sampler
 
 from closedforms import birthday_closed_form, expected_fixed_points, involution_count
 
@@ -309,3 +313,69 @@ def test_uniformity_rejects_queries_outside_the_handles_domain():
         for wrong in (BitString(1, 6), BitString(300, 10)):
             with pytest.raises(ValueError):
                 tuple_uniformity_sd(sampler, [BitString(0, 8), wrong], 4000, 620)
+
+
+# Memory does not grow with trials or samples. Each run walks blocks of
+# 256 grid cells, so T rows span several blocks and 8T rows eight times
+# as many; the 8T peak stays within MEMORY_FACTOR of the T peak on both
+# engines. Measured T -> 8T peaks (tracemalloc, Python 3.11, numpy 2.4):
+# run_game 25.8 -> 27.0 KB on the twin and 11.5 -> 11.5 KB per trial,
+# tuple_uniformity_sd 92.5 -> 95.2 KB and 39.8 -> 39.8 KB. Keeping one
+# array of codes, a block's answers or a trial's oracle per row or block
+# took the 8T peak to 1.8-7.9x the T peak.
+MEMORY_FACTOR = 1.5
+
+
+def _traced_peaks(run, rows: int, warm: int) -> list[int]:
+    """tracemalloc's peaks of run(rows) and run(8 * rows), after an
+    untraced run(warm). CPython keeps up to 2000 freed tuples of each
+    small size for reuse, and a tuple built from a generator never takes
+    one, so the first runs of a process leave more of the k-coefficient
+    tuples behind than later ones; the warm run fills those lists, and
+    the collector, whose full passes empty them, stays off throughout."""
+    gc.disable()
+    try:
+        run(warm, 1)
+        peaks = []
+        for n in (rows, 8 * rows):
+            tracemalloc.start()
+            try:
+                run(n, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        gc.enable()
+    return peaks
+
+
+def _per_trial(sampler):
+    """sampler behind a plain callable, which the per-trial loop plays."""
+    return lambda rng: sampler(rng)
+
+
+@pytest.mark.parametrize("engine", ("twin", "per-trial"))
+def test_run_game_memory_does_not_grow_with_trials(engine):
+    real, ideal = pp_sampler(ExtensionParams(12, 8, 12, 8, 8)), lazy_sampler(12, 12)
+    if engine == "per-trial":
+        real, ideal = _per_trial(real), _per_trial(ideal)
+    dist = birthday_distinguisher(8, 12)
+    with mock.patch.object(batch, "BLOCK_ELEMS", 256):
+        small, large = _traced_peaks(lambda n, seed: run_game(real, ideal, dist, n, seed),
+                                     32, 1024)
+    assert large <= MEMORY_FACTOR * small
+
+
+@pytest.mark.parametrize("engine", ("twin", "per-trial"))
+def test_tuple_uniformity_memory_does_not_grow_with_samples(engine):
+    # one 1-bit answer per sample: the fewest samples the estimator takes.
+    # The per-trial loop plays lazy-random handles, whose sampling costs
+    # least under tracing; its memory does not depend on the handles.
+    sampler = pp_sampler(ExtensionParams(8, 8, 1, 8, 1))
+    if engine == "per-trial":
+        sampler = _per_trial(lazy_sampler(8, 1))
+    queries = [BitString(200, 8)]
+    with mock.patch.object(batch, "BLOCK_ELEMS", 256):
+        small, large = _traced_peaks(
+            lambda n, seed: tuple_uniformity_sd(sampler, queries, n, seed), 2000, 2000)
+    assert large <= MEMORY_FACTOR * small

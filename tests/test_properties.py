@@ -22,13 +22,7 @@ from hypothesis import strategies as st
 
 from cuckooprf import batch
 from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
-from cuckooprf.combine import (
-    ADWKey,
-    PPKey,
-    adw_eval,
-    is_affine,
-    pp_eval,
-)
+from cuckooprf.combine import ADWKey, adw_eval, is_affine
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import DEFAULT_REDUCTION, SUPPORTED_WIDTHS, _mul_raw
@@ -48,6 +42,7 @@ from cuckooprf.transform import (
     pp_layout,
     pp_sampler,
 )
+from closedforms import pp_formula
 from gamepaths import assert_paths_agree
 from spies import InstrumentedOracle, count_calls, counting_sampler
 
@@ -97,9 +92,8 @@ def test_adw_with_no_inner_maps_equals_pp(shape, data):
     f1 = LazyRandomOracle(rng.getrandbits(64), s, r)
     f2 = LazyRandomOracle(rng.getrandbits(64), s, r)
     adw = ADWKey(h1, h2, ell, (), (), (), (), f1, f2)
-    pp = PPKey(h1, h2, ell, f1, f2)
     for x in _inputs(data, d):
-        assert adw_eval(adw, x.value) == pp_eval(pp, x.value)
+        assert adw_eval(adw, x.value) == pp_formula(adw, x.value)
 
 
 @PROPERTY
@@ -112,7 +106,7 @@ def test_underlying_call_counts(shape, data):
     table = build_adw_domain_extension(ExtensionParams(d, s, r, 2, 2), "table", rng).key
     prf = build_adw_domain_extension(_prf_adw_params(shape, data), "prf", rng).key
     for x in xs:
-        assert count_calls(pp_eval, pp, x.value) == (2, 3)
+        assert count_calls(adw_eval, pp, x.value) == (2, 3)
         assert count_calls(adw_eval, table, x.value) == (2, 3 + table.z)
         assert count_calls(adw_eval, prf, x.value) == (3 * prf.z + 2, 3 + prf.z)
 
@@ -383,27 +377,71 @@ def test_folded_adw_grid_equals_adw_eval(d, restricted, data):
     assert grid.tolist() == [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
 
 
-@pytest.mark.parametrize("d", FOLD_LENGTHS)
-@FOLD_PROPERTY
-@given(st.booleans(), st.data())
-def test_folded_twin_evaluates_the_inner_maps_at_the_bits_its_queries_use(d, restricted, data):
-    """u + 2 to u + 6 distinct points below 2^u, 0 and 2^(u-1) among them,
-    are folded from one _inner call at the u + 1 points 0, 1, 2, ...,
-    2^(u-1), and answered as adw_eval answers. (At u = 1 only 2 points
-    lie below 2^u, too few to fold.)"""
+def _block_below(data, d: int) -> tuple[int, tuple[int, ...]]:
+    """(u, xs): u + 2 to u + 6 distinct points below 2^u, 0 and 2^(u-1)
+    among them, for a drawn 2 <= u <= d. (At u = 1 only 2 points lie
+    below 2^u, too few to fold.)"""
     u = data.draw(st.integers(2, d), label="u")
     top = 1 << (u - 1)
     others = data.draw(st.lists(st.integers(1, (1 << u) - 2).map(lambda v: v + (v >= top)),
                                 unique=True, min_size=u, max_size=min(u + 4, (1 << u) - 2)),
                        label="others")
-    xs = tuple(data.draw(st.permutations((0, top, *others)), label="xs"))
-    p, window = _table_shape(data, d, restricted)
-    columns, oracles = _keyed_both_ways(data, adw_layout(p, "table", window))
+    return u, tuple(data.draw(st.permutations((0, top, *others)), label="xs"))
+
+
+def _inner_points(columns, xs: tuple[int, ...]):
+    """(grid, the points of each _inner call) of columns.grid(xs)."""
     with mock.patch.object(batch._ADW, "_inner", autospec=True,
                            side_effect=batch._ADW._inner) as inner:
         grid = columns.grid(xs)
-    assert [call.args[1] for call in inner.call_args_list] == [(0, *(1 << j for j in range(u)))]
+    return grid, [call.args[1] for call in inner.call_args_list]
+
+
+@pytest.mark.parametrize("d", FOLD_LENGTHS)
+@FOLD_PROPERTY
+@given(st.booleans(), st.data())
+def test_folded_twin_evaluates_the_inner_maps_at_the_bits_its_queries_use(d, restricted, data):
+    """A block of more than u + 1 points below 2^u is folded from one
+    _inner call at the u + 1 points 0, 1, 2, ..., 2^(u-1), and answered
+    as adw_eval answers."""
+    u, xs = _block_below(data, d)
+    p, window = _table_shape(data, d, restricted)
+    columns, oracles = _keyed_both_ways(data, adw_layout(p, "table", window))
+    grid, points = _inner_points(columns, xs)
+    assert points == [(0, *(1 << j for j in range(u)))]
     assert grid.tolist() == [[adw_eval(o.key, x) for x in xs] for o in oracles]
+
+
+@pytest.mark.parametrize("d", FOLD_LENGTHS)
+@FOLD_PROPERTY
+@given(st.booleans(), st.data())
+def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
+    """A pp key, an adw key with no inner maps, is affine at k = 2 and not
+    at k >= 3. Its oracle answers d + 3 or more queries with the pp
+    formula, by adw_eval up to query d + 1 and then folded (k = 2) or by
+    adw_eval still, at exactly 2 underlying calls per query; its twin
+    folds a block of more than u + 1 points only at k = 2."""
+    k = 2 if affine else data.draw(st.integers(3, 6), label="k")
+    s = data.draw(st.integers(2, min(d, 20)), label="s")
+    layout = pp_layout(d, s, data.draw(st.integers(1, 64), label="r"), k)
+    seen: list[InstrumentedOracle] = []
+    oracle = layout(KeyDraws(_rng(data), counting_sampler(seen)))
+    assert oracle.key.z == 0 and is_affine(oracle.key) == affine
+    xs = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=d + 3, max_size=d + 6),
+                   label="xs")
+    answers = [oracle.query(BitString(x, d)).value for x in xs[:d + 1]]
+    assert oracle._folded is None
+    answers += [oracle.query(BitString(x, d)).value for x in xs[d + 1:]]
+    assert isinstance(oracle._folded, partial) != affine
+    assert sum(f.calls for f in seen) == 2 * len(xs)
+    assert answers == [pp_formula(oracle.key, x) for x in xs]
+
+    u, block = _block_below(data, d)
+    columns, oracles = _keyed_both_ways(data, layout)
+    assert columns._affine() == affine
+    grid, points = _inner_points(columns, block)
+    assert points == [(0, *(1 << j for j in range(u))) if affine else block]
+    assert grid.tolist() == [[pp_formula(o.key, x) for x in block] for o in oracles]
 
 
 def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int):
