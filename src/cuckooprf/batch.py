@@ -24,13 +24,16 @@ most BLOCK_ELEMS grid cells, so their grids stay as small as a block's.
 
 Every k-wise hash is evaluated as one rows x queries grid, coefficient
 by coefficient: h(x_j) = a0 ^ a1 x_j ^ ... ^ a_{k-1} x_j^(k-1). Each
-map a -> a * x_j^i is GF(2)-linear, so it has one 16-entry table per
-nibble of a (Shoup's 4-bit tables, as in GHASH), and every term is one
-gather of q contiguous table entries per nibble over the whole grid.
-The queries of a game are fixed, so the tables of (field, points, k)
-are built once, from doublings of the powers x_j^i without a field
-product, and kept in a small LRU cache; FieldSpec.poly_eval is the
-scalar reference.
+map a -> a * x_j^i is GF(2)-linear, so it has one table per digit of
+a, and every term is one gather of q contiguous table entries per
+digit over the whole grid. When w <= 8 the digit is all of a, whose
+2^w-entry table it indexes directly: one gather per coefficient. Wider
+fields take 16-entry tables per nibble (Shoup's 4-bit tables, as in
+GHASH), because byte tables at the birthday shape (w = 32, k = 16,
+128 points) would hold 7.5 MB instead of 0.94 MiB. The queries of a
+game are fixed, so the tables of (field, points, k) are built once,
+from doublings of the powers x_j^i without a field product, and kept
+in a small LRU cache; FieldSpec.poly_eval is the scalar reference.
 
 The column forms cover every slot a layout draws: k-wise hashes (with
 or without a window), lazy-random functions and padded views of them,
@@ -50,7 +53,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .bits import C1, KeyStreams, mix64_np, stream_words, truncate
+from .bits import C1, KeyStreams, mix64_inplace, stream_words, truncate
 from .gf import FieldSpec, default_spec, linear_tables
 from .hashfam import width_for, window_bits
 from .transform import KeySampler
@@ -63,11 +66,15 @@ BLOCK_ELEMS = 1 << 15
 
 def lazy_answers(seeds: np.ndarray, xs: np.ndarray, range_bits: int) -> np.ndarray:
     """prfcore.lazy_answer over a grid: seeds (N,) against xs (q,) or (N, q)."""
-    inner = mix64_np(np.asarray(xs, dtype=np.uint64) ^ np.uint64(C1))
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    inner = mix64_inplace(np.bitwise_xor(xs, np.uint64(C1), dtype=np.uint64, order="C"))
     if inner.ndim == 1:
-        inner = inner[None, :]
-    out = mix64_np(np.asarray(seeds, dtype=np.uint64)[:, None] ^ inner)
-    return out & np.uint64(truncate(~0, range_bits))
+        out = seeds[:, None] ^ inner
+    else:  # inner is this call's own: the outer mix reuses it
+        out = np.bitwise_xor(seeds[:, None], inner, out=inner)
+    mix64_inplace(out)
+    out &= np.uint64(truncate(~0, range_bits))
+    return out
 
 
 def blocks(rows: int, q: int):
@@ -76,11 +83,20 @@ def blocks(rows: int, q: int):
     return (range(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
+def _element_dtype(spec: FieldSpec) -> np.dtype:
+    """The narrowest unsigned dtype that holds an element of the field."""
+    return np.dtype(f"u{max(1, spec.width // 8)}")
+
+
 @lru_cache(maxsize=8)
 def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
-    """Nibble tables of multiplication by x_j^i for 1 <= i < k, in the
-    field's narrowest unsigned dtype: entry [i - 1, p, m, j] is
-    (m << 4p) * x_j^i, one (16, q) table per power and nibble position.
+    """Tables of multiplication by x_j^i for 1 <= i < k, in the field's
+    narrowest unsigned dtype, one per power and digit position of a
+    coefficient: entry [i - 1, p, m, j] is (m << digit * p) * x_j^i.
+    A digit is the whole coefficient when w <= 8, so the shape is
+    (k - 1, 1, 2^w, q), and a nibble otherwise, (k - 1, w / 4, 16, q):
+    byte tables at the birthday shape (w = 32, k = 16, 128 points)
+    would hold 7.5 MB, against 0.94 MiB of nibble tables.
 
     Multiplying by a fixed element is GF(2)-linear, so the tables are
     gf.linear_tables of the w doublings x_j^i * 2^b, each the one
@@ -89,6 +105,7 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
     x_j^(i-1) at the set bits of x_j. No field product is made.
     """
     w, q = spec.width, len(xs)
+    digit = w if w <= 8 else 4
     mask, low = np.uint64(truncate(~0, w)), np.uint64(truncate(spec.poly, w))
     bits = (np.array(xs, dtype=np.uint64) >> np.arange(w, dtype=np.uint64)[:, None]) & np.uint64(1)
     basis = np.empty((k, w, q), dtype=np.uint64)
@@ -98,8 +115,8 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
         for b in range(w):
             basis[i, b] = v
             v = ((v << np.uint64(1)) & mask) ^ (v >> np.uint64(w - 1)) * low
-    tables = np.empty((k - 1, w // 4, 16, q), dtype=f"u{max(1, w // 8)}")
-    for pos, table in enumerate(linear_tables(basis[1:].transpose(0, 2, 1), 4)):
+    tables = np.empty((k - 1, w // digit, 1 << digit, q), dtype=_element_dtype(spec))
+    for pos, table in enumerate(linear_tables(basis[1:].transpose(0, 2, 1), digit)):
         tables[:, pos] = table.transpose(0, 2, 1)
     tables.flags.writeable = False  # one cached array is shared by every caller
     return tables
@@ -114,7 +131,9 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
 
 class _Hashes:
     """N k-wise hashes of one shape: coefficient rows, a0 first, and the
-    output bits kept (hashfam.window_bits of the key's window)."""
+    output bits kept (hashfam.window_bits of the key's window). ColumnDraws
+    draws the rows in the field's narrowest unsigned dtype, as the power
+    tables are, so a block's coefficients take w/64 of its words' bytes."""
 
     def __init__(self, coeffs: np.ndarray, spec: FieldSpec, domain_bits: int, out_bits: int):
         self.coeffs = coeffs
@@ -134,15 +153,24 @@ class _Hashes:
 
     def grid(self, xs: tuple[int, ...]) -> np.ndarray:
         """h(x_j) = a0 ^ XOR over i >= 1 of a_i * x_j^i, one coefficient
-        column at a time: each nibble of a_i picks one row of q values
-        from its table of x^i, a gather of contiguous rows over the grid."""
+        column at a time: each digit of a_i picks one row of q values
+        from its table of x^i, a gather of contiguous rows over the grid.
+        When w <= 8 the digit is a_i itself: one gather per coefficient,
+        with no shift or mask. Wider fields take a_i's nibbles, whose
+        tables stay small (_power_tables)."""
         coeffs = self.coeffs
         tables = _power_tables(self.spec, xs, coeffs.shape[1])
         acc = np.repeat(coeffs[:, :1].astype(tables.dtype), len(xs), axis=1)
-        for a, per_nibble in zip(coeffs.T[1:], tables):
-            for pos, table in enumerate(per_nibble):
-                acc ^= table.take((a >> np.uint64(4 * pos)) & np.uint64(15), axis=0)
-        return acc.astype(np.uint64) & np.uint64(truncate(~0, self.out_bits))
+        if tables.shape[1] == 1:
+            for a, (table,) in zip(coeffs.T[1:], tables):
+                acc ^= table.take(a, axis=0)
+        else:
+            for a, per_nibble in zip(coeffs.T[1:], tables):
+                for pos, table in enumerate(per_nibble):
+                    acc ^= table.take((a >> 4 * pos) & 15, axis=0)
+        out = acc.astype(np.uint64)
+        out &= np.uint64(truncate(~0, self.out_bits))
+        return out
 
 
 class _Lazy:
@@ -226,7 +254,10 @@ class _ADW:
             inner1, inner2, yterm = self._folded(xs, used)
         else:
             inner1, inner2, yterm = self._inner(xs)
-        return self.f1.at(inner1) ^ self.f2.at(inner2) ^ yterm
+        out = self.f1.at(inner1)
+        out ^= self.f2.at(inner2)
+        out ^= yterm
+        return out
 
     def _inner(self, xs: tuple[int, ...]):
         """The three inner values, (trials, q) each.
@@ -295,12 +326,13 @@ class ColumnDraws:
     def _words(self, count: int, bits: int) -> np.ndarray:
         cols = range(self._next, self._next + count)
         self._next += count
+        mask = np.uint64(truncate(~0, bits))
         ahead, words = self._ahead
         if cols and cols[0] in ahead and cols[-1] in ahead:
-            words = words[:, cols.start - ahead.start:cols.stop - ahead.start]
-        else:
-            words = stream_words(self._heads, cols)
-        return words & np.uint64(truncate(~0, bits))
+            return words[:, cols.start - ahead.start:cols.stop - ahead.start] & mask
+        words = stream_words(self._heads, cols)
+        words &= mask
+        return words
 
     def bar(self, z: int, draw) -> tuple:
         """z slots of draw(). The first slot's words are derived as it is
@@ -320,9 +352,9 @@ class ColumnDraws:
 
     def kwise(self, k: int, domain_bits: int, range_bits: int,
               window: int | None = None) -> _Hashes:
-        w = width_for(domain_bits, range_bits)
-        out_bits = window_bits(window, range_bits)
-        return _Hashes(self._words(k, w), default_spec(w), domain_bits, out_bits)
+        spec = default_spec(width_for(domain_bits, range_bits))
+        coeffs = self._words(k, spec.width).astype(_element_dtype(spec))
+        return _Hashes(coeffs, spec, domain_bits, window_bits(window, range_bits))
 
     def prf(self, domain_bits: int, range_bits: int) -> _Lazy:
         return _Lazy(self._words(1, 64)[:, 0], domain_bits, range_bits)

@@ -11,7 +11,11 @@ already validated.
 mix64 is the splitmix64 finalizer. It is the only source of derived
 randomness in the experiment harness: lazy-random oracles, key streams,
 and the counter-mode PRG variant all reduce to it, which is what makes
-every run replayable from one 64-bit seed.
+every run replayable from one 64-bit seed. Its numpy form mixes a
+C-ordered uint64 array in place (mix64_inplace), over consecutive
+slices of MIX_CHUNK elements through one scratch slice, so a pass over
+a block's words allocates at most one slice whatever the block's size;
+mix64_np mixes a C-ordered copy and leaves its input as it was.
 
 Key material comes from counter-mode streams with one rule: word j of
 the stream tagged (seed, *parts) is derive_seed(seed, *parts, j).
@@ -51,19 +55,39 @@ def mix64(v: int) -> int:
 _MUL1 = np.uint64(MIX1)
 _MUL2 = np.uint64(MIX2)
 _SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+# Elements mixed per pass. A pass over a slice this long keeps the slice
+# and its shifted copy in cache (256 KB together), and a mix allocates
+# one scratch slice, not a temporary the size of the array per step.
+MIX_CHUNK = 1 << 14
 
 
-def mix64_np(v: np.ndarray) -> np.ndarray:
-    """Vector form of mix64; uint64 in, uint64 out. In-place array
-    arithmetic wraps modulo 2^64 without overflow warnings."""
+def mix64_inplace(v: np.ndarray) -> np.ndarray:
+    """mix64 on every element of a C-ordered uint64 array, in place; v
+    is returned. The mix runs over consecutive slices of MIX_CHUNK
+    elements of the flat array, through one scratch slice. For the
+    caller's own fresh temporaries; mix64_np mixes a copy."""
+    if v.dtype != np.uint64 or not v.flags.c_contiguous:
+        # reshape(-1) would copy, and mixing the copy would leave v as it was
+        raise ValueError("mix64_inplace needs a C-ordered uint64 array")
     s30, s27, s31 = _SHIFTS
-    v = np.array(v, dtype=np.uint64)
-    v ^= v >> s30
-    v *= _MUL1
-    v ^= v >> s27
-    v *= _MUL2
-    v ^= v >> s31
+    flat = v.reshape(-1)
+    scratch = np.empty(min(flat.size, MIX_CHUNK), dtype=np.uint64)
+    for start in range(0, flat.size, MIX_CHUNK):
+        part = flat[start:start + MIX_CHUNK]
+        shifted = scratch[:len(part)]
+        part ^= np.right_shift(part, s30, out=shifted)
+        part *= _MUL1
+        part ^= np.right_shift(part, s27, out=shifted)
+        part *= _MUL2
+        part ^= np.right_shift(part, s31, out=shifted)
     return v
+
+
+def mix64_np(v) -> np.ndarray:
+    """Vector form of mix64; uint64 in, uint64 out, v unchanged. Mixes a
+    C-ordered copy of v in place (mix64_inplace). In-place array
+    arithmetic wraps modulo 2^64 without overflow warnings."""
+    return mix64_inplace(np.array(v, dtype=np.uint64, order="C"))
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -85,7 +109,7 @@ def truncate(value: int, bits: int) -> int:
 
 def _part_tags(indices: range) -> np.ndarray:
     """mix64(i ^ C2) for each i: what derive_seed folds in for a part i."""
-    return mix64_np(np.arange(indices.start, indices.stop, dtype=np.uint64) ^ np.uint64(C2))
+    return mix64_inplace(np.arange(indices.start, indices.stop, dtype=np.uint64) ^ np.uint64(C2))
 
 
 def stream_words(heads: np.ndarray, cols: range) -> np.ndarray:
@@ -94,7 +118,7 @@ def stream_words(heads: np.ndarray, cols: range) -> np.ndarray:
     Word j of the stream with head derive_seed(seed, *parts) is
     derive_seed(seed, *parts, j), the chain folding in one more part.
     """
-    return mix64_np(heads[:, None] ^ _part_tags(cols)[None, :])
+    return mix64_inplace(heads[:, None] ^ _part_tags(cols)[None, :])
 
 
 # Words a KeyStream derives per refill, growing geometrically: small
@@ -169,7 +193,7 @@ class KeyStreams:
 
     def heads(self, rows: range) -> np.ndarray:
         """derive_seed(seed, *parts, t) for every t in rows."""
-        return mix64_np(np.uint64(derive_seed(self.seed, *self.parts)) ^ _part_tags(rows))
+        return mix64_inplace(np.uint64(derive_seed(self.seed, *self.parts)) ^ _part_tags(rows))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ for --seed) and wins over flags on conflict, with a notice on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,7 +38,11 @@ def _add_common(sp, trials_default=None):
                     help="flat JSON config file; overrides flags on conflict")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call. Parsing
+    leaves it as it was, and a config file changes only the namespace
+    a call parsed, so no call's flags or config reach the next call."""
     parser = argparse.ArgumentParser(
         prog="cuckooprf",
         description="Seeded experiments for hash-combined PRF constructions.",

@@ -69,6 +69,7 @@ def test_lazy_answers_per_row_inputs():
     seeds = np.array([1, 2, 3], dtype=np.uint64)
     xs = np.array([[1, 2], [3, 4], [5, 6]], dtype=np.uint64)
     grid = lazy_answers(seeds, xs, 8)
+    assert xs.tolist() == [[1, 2], [3, 4], [5, 6]]  # mixed in a buffer of its own
     for t in range(3):
         o = LazyRandomOracle(int(seeds[t]), 16, 8)
         for j in range(2):
@@ -92,6 +93,27 @@ def test_hash_grid_equals_poly_eval(w, k, data):
     assert grid.dtype == np.uint64
     assert grid.tolist() == [[truncate(spec.poly_eval(row, x), out_bits) for x in xs]
                              for row in rows]
+
+
+@pytest.mark.parametrize("w", (4, 8))
+def test_byte_wide_grid_takes_every_coefficient_at_every_power(w):
+    # at w <= 8 a coefficient indexes its own table of x^i: one row per
+    # value c at power i, all other coefficients zero, against poly_eval
+    k, spec = 8, default_spec(w)
+    xs = (0, 1, 2, 3, 5, (1 << w) - 2, (1 << w) - 1)
+    rows = [[c if j == i else 0 for j in range(k)] for i in range(k) for c in range(1 << w)]
+    grid = batch._Hashes(np.array(rows, dtype=np.uint64), spec, w, w).grid(xs)
+    assert grid.tolist() == [[spec.poly_eval(row, x) for x in xs] for row in rows]
+
+
+@pytest.mark.parametrize("w, digits, entries", ((4, 1, 16), (8, 1, 256), (16, 4, 16),
+                                                (32, 8, 16), (64, 16, 16)))
+def test_power_tables_take_whole_coefficients_up_to_w_8_and_nibbles_above(w, digits, entries):
+    k, xs = 5, (1, 2, 3)
+    tables = batch._power_tables(default_spec(w), xs, k)
+    assert tables.shape == (k - 1, digits, entries, len(xs))
+    # a block's coefficients are drawn in the tables' narrow dtype, not as uint64 words
+    assert ColumnDraws(KeyStreams(1, 2).heads(range(3))).kwise(k, w, w).coeffs.dtype == tables.dtype
 
 
 def test_birthday_power_tables_stay_within_1_1_mebibytes():

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from cuckooprf.bits import (
     C1,
     MASK64,
+    MIX_CHUNK,
     BitString,
     KeyStreams,
     derive_seed,
     key_stream,
     mix64,
+    mix64_inplace,
+    mix64_np,
     stream_words,
     truncate,
 )
@@ -121,6 +124,41 @@ def test_numpy_twin_equals_scalar_stream(seed, parts, t0, rows, j0, cols):
         row = [stream.getrandbits(64) for _ in range(j0 + cols)]
         expected.append(row[j0:])
     assert words.tolist() == expected
+
+
+def _words(n, seed):
+    rng = random.Random(seed)
+    return np.array([rng.getrandbits(64) for _ in range(n)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.asfortranarray(_words(35, 1).reshape(5, 7)),  # reshape(-1) would copy
+    lambda: _words(60, 2)[1::3],
+    lambda: np.array(_words(1, 3)[0]),  # 0-d
+    lambda: _words(3 * MIX_CHUNK + 5, 4),  # three whole slices and a short one
+], ids=["fortran", "strided", "0-d", "3-chunks-and-5"])
+def test_mix64_np_mixes_a_copy_of_any_layout(make):
+    v = make()
+    before = v.copy()
+    got = mix64_np(v)
+    assert np.array_equal(v, before)
+    assert got.shape == v.shape and got.dtype == np.uint64
+    assert [int(g) for g in got.ravel()] == [mix64(int(x)) for x in v.ravel()]
+
+
+def test_mix64_inplace_refuses_what_it_cannot_mix_in_place():
+    v = np.asfortranarray(_words(12, 5).reshape(3, 4))
+    for bad in (v, _words(12, 5)[::2], _words(4, 5).astype(np.int64)):
+        with pytest.raises(ValueError):
+            mix64_inplace(bad)
+
+
+def test_stream_words_over_several_mix_slices_are_derive_seed():
+    # 700 x 25 words span two MIX_CHUNK slices of the flat matrix
+    seed, parts, rows, cols = 99, (7, 3), range(5, 705), range(11, 36)
+    assert len(rows) * len(cols) > MIX_CHUNK
+    words = stream_words(KeyStreams(seed, *parts).heads(rows), cols)
+    assert words.tolist() == [[derive_seed(seed, *parts, t, j) for j in cols] for t in rows]
 
 
 @PROPERTY

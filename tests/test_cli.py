@@ -202,6 +202,30 @@ def test_console_script_entry_point_prints_the_golden_rows(capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_main_keeps_nothing_of_one_call_for_the_next(tmp_path, capsys):
+    # the parser is built once per process: subcommands, then a --config
+    # call that sets every birthday shape flag and the seed, then the same
+    # plain calls again, each with its golden or fresh-process rows
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "birthday", "q": 16, "trials": 10,
+                               "master_seed": 5, "d": 16, "s": 8, "r": 16, "k": 4}))
+    configured = ("birthday", "--config", str(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "cuckooprf.cli", *configured],
+                           capture_output=True, text=True, env=env)
+    assert fresh.returncode == 0
+    golden = Path(__file__).parent / "golden" / "kwise-verify.csv"
+    expected = {argv: (HEADER + "\n" + rows, "") for argv, rows in GOLDEN_ROWS.items()}
+    expected[("kwise-verify",)] = golden.read_text(), ""
+    expected[configured] = fresh.stdout, fresh.stderr
+    plain = [*sorted(GOLDEN_ROWS), ("kwise-verify",)]
+    for argv in [*plain, configured, *plain]:
+        assert cli.main(list(argv)) == 0, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == expected[argv], argv
+
+
 def _assert_configuration_error(rc, err):
     assert rc == 2
     assert any(line.startswith("configuration error:") for line in err.splitlines())
