@@ -1,4 +1,5 @@
-"""Microbenchmarks of per-trial key sampling in the numpy twin.
+"""Microbenchmarks of key sampling: a block's keys in the numpy twin, and
+one trial's keys on KeyDraws.
 
     python -m pytest microbench --benchmark-only
 
@@ -7,14 +8,16 @@ The shapes are one block of the benchmark's workloads: `uniformity`
 `birthday` (pp_layout(24, 12, 24, 16), 50 words on 250 rows).
 stream_words derives a block's words in one call; a pp_layout draw on
 ColumnDraws derives them slot by slot and masks each slot to its width,
-as block_keys does for every block of a run.
+as block_keys does for every block of a run. The per-trial loop draws
+the same layout from one trial's key stream through KeyDraws, as the
+samplers without a numpy twin do for every trial.
 """
 
 import pytest
 
 from cuckooprf import batch
 from cuckooprf.bits import KeyStreams, stream_words
-from cuckooprf.transform import pp_layout
+from cuckooprf.transform import KeyDraws, pp_layout
 
 # pp_layout's (d, s, r, k), rows
 SHAPES = {
@@ -41,3 +44,11 @@ def test_pp_layout_draw(benchmark, shape):
     heads, layout = _heads(rows), pp_layout(*args)
     key = benchmark(lambda: layout(batch.ColumnDraws(heads)))
     assert key.h1.coeffs.shape == (rows, args[3])
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_pp_layout_draw_per_trial(benchmark, shape):
+    args, _ = SHAPES[shape]
+    streams, layout = KeyStreams(2024, 0), pp_layout(*args)
+    key = benchmark(lambda: layout(KeyDraws(streams.stream(7))))
+    assert len(key.key.h1.coeffs) == args[3]

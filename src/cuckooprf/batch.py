@@ -22,6 +22,17 @@ keys with z inner maps, however many trials or samples are asked for.
 The z inner maps are evaluated in chunks stacked row-wise, each of at
 most BLOCK_ELEMS grid cells, so their grids stay as small as a block's.
 
+A block's arrays (its heads and words, coefficients, seeds and tables,
+hash grids and their sums, lazy answers and mix scratch) are taken from
+a Workspace, which the block loop resets before each block: the first
+block sizes it, and a block of the same shape after it allocates no
+array of its own. Buffers whose lifetimes do not overlap share memory
+(Workspace.frame), so the workspace holds what a block holds at once,
+and nothing in it outlives the loop's call. What a block hands back
+is never the workspace's: batch_answers returns a fresh matrix, which
+decide may keep, unless its caller passes the block's workspace, and
+games._block_codes returns fresh codes.
+
 Every k-wise hash is evaluated as one rows x queries grid, coefficient
 by coefficient: h(x_j) = a0 ^ a1 x_j ^ ... ^ a_{k-1} x_j^(k-1). Each
 map a -> a * x_j^i is GF(2)-linear, so it has one table per digit of
@@ -47,13 +58,15 @@ u+1 basis points, as an ADWOracle answers once folded at d+1.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
-from .bits import C1, KeyStreams, mix64_inplace, stream_words, truncate
+from .bits import C1, MIX_CHUNK, KeyStreams, mix64_inplace, stream_words, truncate
 from .gf import FieldSpec, default_spec, linear_tables
 from .hashfam import width_for, window_bits
 from .transform import KeySampler
@@ -64,15 +77,82 @@ from .transform import KeySampler
 BLOCK_ELEMS = 1 << 15
 
 
-def lazy_answers(seeds: np.ndarray, xs: np.ndarray, range_bits: int) -> np.ndarray:
-    """prfcore.lazy_answer over a grid: seeds (N,) against xs (q,) or (N, q)."""
+# Byte alignment of every buffer a Workspace hands out.
+_ALIGN = 64
+
+
+class Workspace:
+    """The block-sized scratch buffers of a block loop.
+
+    games.tuple_uniformity_sd makes one per call, games.run_game one per
+    world, and each resets it before every block; nothing in it outlives
+    the call. empty(shape, dtype) hands out views of one flat buffer,
+    stacked in the order they are taken. A view is its taker's until the
+    workspace is reset, or until the frame() it was taken in exits; then
+    the next empty() takes its bytes again. So buffers whose lifetimes do
+    not overlap, such as the word matrices of a block's k-wise slots,
+    share memory, and the buffer is as long as the most a block held at
+    once. What a block takes past the buffer's end is a fresh array, and
+    the next reset() grows the buffer to that high-water mark: the first
+    block allocates as it would without a workspace, and the blocks after
+    it, if no larger, allocate nothing. A new workspace has no buffer, so
+    every array it hands out is fresh; batch_answers takes its matrix from
+    one unless told otherwise, so that the caller may keep it.
+    """
+
+    def __init__(self):
+        self._buffer = np.empty(0, dtype=np.uint8)
+        self._top = 0  # bytes taken, in the order taken
+        self._high = 0  # the most bytes taken at once
+
+    def empty(self, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialized array of the workspace (a fresh one past its end)."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        start, self._top = self._top, self._top + -(-nbytes // _ALIGN) * _ALIGN
+        self._high = max(self._high, self._top)
+        if self._top > len(self._buffer):
+            return np.empty(shape, dtype)
+        return self._buffer[start:start + nbytes].view(dtype).reshape(shape)
+
+    @contextmanager
+    def frame(self):
+        """Give back, on exit, every buffer taken inside."""
+        top = self._top
+        yield
+        self._top = top
+
+    def reset(self):
+        """Give back every buffer, growing the workspace to the most a
+        block has held at once."""
+        if self._high > len(self._buffer):
+            self._buffer = np.empty(0, dtype=np.uint8)  # freed before its successor is made
+            self._buffer = np.empty(self._high, dtype=np.uint8)
+        self._top = 0
+
+    def scratch(self, elements: int) -> np.ndarray:
+        """A mix64_inplace scratch slice for an array of `elements`
+        elements: the bytes past the last buffer taken, which the next
+        empty() takes again."""
+        top = self._top
+        slice_ = self.empty((min(elements, MIX_CHUNK),), np.uint64)
+        self._top = top
+        return slice_
+
+
+def lazy_answers(seeds: np.ndarray, xs: np.ndarray, range_bits: int,
+                 out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """prfcore.lazy_answer over a grid: seeds (N,) against xs (q,) or
+    (N, q), written into out (N, q) if one is given, which may be xs."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    inner = mix64_inplace(np.bitwise_xor(xs, np.uint64(C1), dtype=np.uint64, order="C"))
-    if inner.ndim == 1:
-        out = seeds[:, None] ^ inner
-    else:  # inner is this call's own: the outer mix reuses it
-        out = np.bitwise_xor(seeds[:, None], inner, out=inner)
-    mix64_inplace(out)
+    if out is None:
+        out = np.empty((len(seeds), xs.shape[-1]), dtype=np.uint64)
+    if xs.ndim == 1:  # one row of points for every seed: mixed once
+        out[...] = mix64_inplace(np.bitwise_xor(xs, np.uint64(C1), dtype=np.uint64))
+    else:
+        np.bitwise_xor(xs, np.uint64(C1), out=out, dtype=np.uint64)
+        mix64_inplace(out, scratch)
+    out ^= seeds[:, None]
+    mix64_inplace(out, scratch)
     out &= np.uint64(truncate(~0, range_bits))
     return out
 
@@ -124,22 +204,33 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
 
 # Column forms of key slots, one array row per trial. A slot has
 # at(values) for its answers on a (trials, q) grid of values, or
-# grid(xs) for its answers at every query point; the slots that can
-# be a whole oracle also carry its domain_bits and range_bits. The
-# slots an adw key has z of also have a shape, which slots must share
-# for stack(slots) to make one slot of all their rows, in turn.
+# grid(xs, into) for its answers at every query point, taken from the
+# workspace `into` (by default the slot's own); the slots that can be a
+# whole oracle also carry its domain_bits and range_bits. The slots an
+# adw key has z of also have a shape, which slots must share for
+# stack(slots) to make one slot of all their rows, in turn.
+
+def _stacked(arrays, ws: Workspace) -> np.ndarray:
+    """The arrays one after another along their first axis, in ws."""
+    one = arrays[0]
+    out = ws.empty((sum(len(a) for a in arrays), *one.shape[1:]), one.dtype)
+    return np.concatenate(arrays, out=out)
+
 
 class _Hashes:
     """N k-wise hashes of one shape: coefficient rows, a0 first, and the
     output bits kept (hashfam.window_bits of the key's window). ColumnDraws
     draws the rows in the field's narrowest unsigned dtype, as the power
-    tables are, so a block's coefficients take w/64 of its words' bytes."""
+    tables are, so a block's coefficients take w/64 of its words' bytes,
+    and keeps each coefficient's column contiguous (coeffs.T is C-ordered)."""
 
-    def __init__(self, coeffs: np.ndarray, spec: FieldSpec, domain_bits: int, out_bits: int):
+    def __init__(self, coeffs: np.ndarray, spec: FieldSpec, domain_bits: int, out_bits: int,
+                 ws: Workspace | None = None):
         self.coeffs = coeffs
         self.spec = spec
         self.domain_bits = domain_bits
         self.out_bits = out_bits
+        self.ws = Workspace() if ws is None else ws
 
     @property
     def shape(self):
@@ -148,27 +239,36 @@ class _Hashes:
     @classmethod
     def stack(cls, slots):
         one = slots[0]
-        return cls(np.concatenate([h.coeffs for h in slots]), one.spec, one.domain_bits,
-                   one.out_bits)
+        return cls(_stacked([h.coeffs for h in slots], one.ws), one.spec, one.domain_bits,
+                   one.out_bits, one.ws)
 
-    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
+    def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
         """h(x_j) = a0 ^ XOR over i >= 1 of a_i * x_j^i, one coefficient
         column at a time: each digit of a_i picks one row of q values
         from its table of x^i, a gather of contiguous rows over the grid.
         When w <= 8 the digit is a_i itself: one gather per coefficient,
         with no shift or mask. Wider fields take a_i's nibbles, whose
-        tables stay small (_power_tables)."""
-        coeffs = self.coeffs
+        tables stay small (_power_tables). The sum is kept in the tables'
+        narrow dtype, and each gather's digits and rows go through one
+        index and one term buffer of the workspace."""
+        coeffs, ws = self.coeffs, self.ws
+        rows, q = len(coeffs), len(xs)
+        out = (into or ws).empty((rows, q), np.uint64)
         tables = _power_tables(self.spec, xs, coeffs.shape[1])
-        acc = np.repeat(coeffs[:, :1].astype(tables.dtype), len(xs), axis=1)
-        if tables.shape[1] == 1:
-            for a, (table,) in zip(coeffs.T[1:], tables):
-                acc ^= table.take(a, axis=0)
-        else:
-            for a, per_nibble in zip(coeffs.T[1:], tables):
-                for pos, table in enumerate(per_nibble):
-                    acc ^= table.take((a >> 4 * pos) & 15, axis=0)
-        out = acc.astype(np.uint64)
+        with ws.frame():
+            acc = ws.empty((rows, q), tables.dtype)
+            acc[...] = coeffs[:, :1]
+            index, term = ws.empty((rows,), np.intp), ws.empty((rows, q), tables.dtype)
+            for a, per_digit in zip(coeffs.T[1:], tables):
+                for pos, table in enumerate(per_digit):
+                    if len(per_digit) == 1:
+                        np.copyto(index, a)
+                    else:
+                        np.right_shift(a, 4 * pos, out=index)
+                        index &= 15
+                    # every digit is below the table's length
+                    acc ^= table.take(index, axis=0, out=term, mode="clip")
+            np.copyto(out, acc)
         out &= np.uint64(truncate(~0, self.out_bits))
         return out
 
@@ -176,10 +276,11 @@ class _Hashes:
 class _Lazy:
     """N lazy-random functions, or padded views of them, cut to range_bits."""
 
-    def __init__(self, seeds: np.ndarray, domain_bits: int, range_bits: int):
+    def __init__(self, seeds: np.ndarray, domain_bits: int, range_bits: int, ws: Workspace):
         self.seeds = seeds
         self.domain_bits = domain_bits
         self.range_bits = range_bits
+        self.ws = ws
 
     @property
     def shape(self):
@@ -188,20 +289,27 @@ class _Lazy:
     @classmethod
     def stack(cls, slots):
         one = slots[0]
-        return cls(np.concatenate([f.seeds for f in slots]), one.domain_bits, one.range_bits)
+        return cls(_stacked([f.seeds for f in slots], one.ws), one.domain_bits, one.range_bits,
+                   one.ws)
 
-    def at(self, values: np.ndarray) -> np.ndarray:
-        return lazy_answers(self.seeds, values, self.range_bits)
+    def at(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The answers at values, written into out if one is given
+        (values itself, when they are not needed after)."""
+        if out is None:
+            out = self.ws.empty(values.shape, np.uint64)
+        return lazy_answers(self.seeds, values, self.range_bits, out, self.ws.scratch(out.size))
 
-    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
-        return self.at(np.array(xs, dtype=np.uint64))
+    def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
+        out = (into or self.ws).empty((len(self.seeds), len(xs)), np.uint64)
+        return self.at(np.array(xs, dtype=np.uint64), out)
 
 
 class _Tables:
     """N random tables of one length: entries (N, length)."""
 
-    def __init__(self, entries: np.ndarray):
+    def __init__(self, entries: np.ndarray, ws: Workspace):
         self.entries = entries
+        self.ws = ws
 
     @property
     def shape(self):
@@ -209,16 +317,20 @@ class _Tables:
 
     @classmethod
     def stack(cls, slots):
-        return cls(np.concatenate([t.entries for t in slots]))
+        return cls(_stacked([t.entries for t in slots], slots[0].ws), slots[0].ws)
 
     def at(self, values: np.ndarray) -> np.ndarray:
         """Row t's entry at each of values[t], which the g indexing the
         tables keeps below their length; one take on the raveled entries,
         2-3x faster than take_along_axis at the adw shapes."""
         rows, length = self.entries.shape
-        index = values.astype(np.intp)
+        out = self.ws.empty(values.shape, np.uint64)
+        # the flat index of each entry is built in out's bytes, and take
+        # reads each index before it writes that entry over it
+        index = out.view(np.intp)
+        np.copyto(index, values, casting="unsafe")
         index += np.arange(0, rows * length, length)[:, None]
-        return self.entries.ravel().take(index)
+        return self.entries.ravel().take(index, out=out, mode="clip")
 
 
 @dataclass
@@ -229,8 +341,9 @@ class _Levin:
     def __post_init__(self):
         self.domain_bits, self.range_bits = self.h.domain_bits, self.f.range_bits
 
-    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
-        return self.f.at(self.h.grid(xs))
+    def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
+        values = self.h.grid(xs, into)
+        return self.f.at(values, values)
 
 
 @dataclass
@@ -247,29 +360,35 @@ class _ADW:
 
     def __post_init__(self):
         self.domain_bits, self.range_bits = self.h1.domain_bits, self.f1.range_bits
+        self.ws = self.h1.ws
 
-    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
+    def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
+        """f1(inner1) ^ f2(inner2) ^ yterm, each f answered in place of
+        its inner value, so the sum is kept where inner1 was taken."""
         used = max(xs, default=0).bit_length()
         if len(xs) > used + 1 and self._affine():
-            inner1, inner2, yterm = self._folded(xs, used)
+            inner1, inner2, yterm = self._folded(xs, used, into)
         else:
-            inner1, inner2, yterm = self._inner(xs)
-        out = self.f1.at(inner1)
-        out ^= self.f2.at(inner2)
-        out ^= yterm
-        return out
+            inner1, inner2, yterm = self._inner(xs, into)
+        answers = self.f1.at(inner1, inner1)
+        answers ^= self.f2.at(inner2, inner2)
+        answers ^= yterm
+        return answers
 
-    def _inner(self, xs: tuple[int, ...]):
-        """The three inner values, (trials, q) each.
+    def _inner(self, xs: tuple[int, ...], into: Workspace | None = None) -> list:
+        """The three inner values, (trials, q) each: the first taken from
+        `into` (by default the block's workspace), the others from the
+        block's workspace.
 
         The z inner maps go in chunks of consecutive slots whose g, m1,
         m2 and y each have one shape: a chunk's slots are stacked into
         one column slot of chunk * trials rows, so it takes one g grid
         and one lookup per bar, whose values are XORed in slot by slot.
         A chunk holds as many slots as keep chunk * trials * q within
-        BLOCK_ELEMS, so its grids stay as small as a block's.
+        BLOCK_ELEMS, so its grids stay as small as a block's, and each
+        chunk gives its workspace buffers back before the next.
         """
-        inner = [h.grid(xs) for h in (self.h1, self.h2, self.ell)]
+        inner = [self.h1.grid(xs, into), self.h2.grid(xs), self.ell.grid(xs)]
         rows = len(inner[0])
         chunk = max(1, BLOCK_ELEMS // max(1, rows * len(xs)))
         slots = zip(self.gbar, self.m1bar, self.m2bar, self.ybar)
@@ -277,11 +396,13 @@ class _ADW:
             run = list(run)
             for start in range(0, len(run), chunk):
                 part = run[start:start + chunk]
-                g, *maps = (type(bar[0]).stack(bar) for bar in zip(*part))
-                gv = g.grid(xs)
-                for acc, m in zip(inner, maps):
-                    for values in m.at(gv).reshape(len(part), rows, len(xs)):
-                        acc ^= values
+                with self.ws.frame():
+                    g, *maps = (type(bar[0]).stack(bar) for bar in zip(*part))
+                    gv = g.grid(xs)
+                    for acc, m in zip(inner, maps):
+                        with self.ws.frame():
+                            for values in m.at(gv).reshape(len(part), rows, len(xs)):
+                                acc ^= values
         return inner
 
     def _affine(self) -> bool:
@@ -290,22 +411,37 @@ class _ADW:
                 and all(isinstance(m, _Tables) and m.entries.shape[1] == 2
                         for bar in (self.m1bar, self.m2bar, self.ybar) for m in bar))
 
-    def _folded(self, xs: tuple[int, ...], used: int):
-        """The three inner values, (trials, q) each, from per-row byte
-        tables of their affine map on the low `used` bits, which hold
-        every x in xs (combine.fold_adw in columns): the values at x = 0
-        and at 1, 2, ..., 2^(used-1) give the map. One value and one byte
-        table at a time, so a block holds one (trials, 2^min(8, used)) table."""
+    def _folded(self, xs: tuple[int, ...], used: int, into: Workspace | None = None) -> list:
+        """The three inner values, (trials, q) each, placed as _inner
+        places them, from per-row byte tables of their affine map on the
+        low `used` bits, which hold every x in xs (combine.fold_adw in
+        columns): the values at x = 0 and at 1, 2, ..., 2^(used-1) give
+        the map. One value and one byte table at a time, so a block holds
+        one (trials, 2^min(8, used)) table. The values at the basis are
+        taken first, so the grids of their chunks are given back before
+        the three (trials, q) arrays are taken; the first byte's lookup
+        is written straight into its value, and only the lookups of
+        further bytes need a buffer of their own."""
+        ws = self.ws
         at_basis = self._inner((0, *(1 << j for j in range(used))))
         points = np.array(xs, dtype=np.uint64)
         point_bytes = [(points >> np.uint64(pos)) & np.uint64(255) for pos in range(0, used, 8)]
-        folded = []
-        for values in at_basis:
-            const = values[:, :1]
-            acc = np.repeat(const, len(points), axis=1)
-            for table, idx in zip(linear_tables(values[:, 1:] ^ const), point_bytes):
-                acc ^= table[:, idx]
-            folded.append(acc)
+        shape = (len(at_basis[0]), len(xs))
+        folded = [(into or ws).empty(shape, np.uint64), ws.empty(shape, np.uint64),
+                  ws.empty(shape, np.uint64)]
+        with ws.frame():
+            term = ws.empty(shape, np.uint64) if len(point_bytes) > 1 else None
+            for values, acc in zip(at_basis, folded):
+                const = values[:, :1]
+                if not point_bytes:  # no bit is used, so every point is 0
+                    acc[...] = 0
+                # every byte of a point is below the table's length
+                for pos, (table, idx) in enumerate(zip(linear_tables(values[:, 1:] ^ const),
+                                                       point_bytes)):
+                    table.take(idx, axis=1, out=term if pos else acc, mode="clip")
+                    if pos:
+                        acc ^= term
+                acc ^= const
         return folded
 
 
@@ -315,24 +451,33 @@ class ColumnDraws:
     A slot takes the next words of every stream, in the order the
     layout draws them, exactly as KeyDraws takes them from one stream's
     getrandbits; each slot's words are derived when it is drawn, and
-    a bar's in at most two calls (bar).
+    a bar's in at most two calls (bar). Every slot is kept in the
+    workspace ws until it resets; a k-wise slot's 64-bit words are given
+    back once narrowed to coefficients.
     """
 
-    def __init__(self, heads: np.ndarray):
+    def __init__(self, heads: np.ndarray, ws: Workspace | None = None):
         self._heads = heads
+        self.ws = Workspace() if ws is None else ws
         self._next = 0
         self._ahead = range(0), None  # columns bar derived ahead, and their words
 
     def _words(self, count: int, bits: int) -> np.ndarray:
+        """The next count words of every stream, masked to bits: a view
+        of the workspace, or of the words a bar derived ahead."""
         cols = range(self._next, self._next + count)
         self._next += count
-        mask = np.uint64(truncate(~0, bits))
         ahead, words = self._ahead
         if cols and cols[0] in ahead and cols[-1] in ahead:
-            return words[:, cols.start - ahead.start:cols.stop - ahead.start] & mask
-        words = stream_words(self._heads, cols)
-        words &= mask
+            words = words[:, cols.start - ahead.start:cols.stop - ahead.start]
+        else:
+            words = self._derive(cols)
+        words &= np.uint64(truncate(~0, bits))
         return words
+
+    def _derive(self, cols: range) -> np.ndarray:
+        out = self.ws.empty((len(cols), len(self._heads)), np.uint64)
+        return stream_words(self._heads, cols, out, self.ws.scratch(out.size))
 
     def bar(self, z: int, draw) -> tuple:
         """z slots of draw(). The first slot's words are derived as it is
@@ -345,7 +490,7 @@ class ColumnDraws:
         start = self._next
         first = draw()
         cols = range(self._next, self._next + (z - 1) * (self._next - start))
-        self._ahead = cols, stream_words(self._heads, cols)
+        self._ahead = cols, self._derive(cols)
         rest = tuple(draw() for _ in range(z - 1))
         self._ahead = range(0), None
         return (first, *rest)
@@ -353,34 +498,44 @@ class ColumnDraws:
     def kwise(self, k: int, domain_bits: int, range_bits: int,
               window: int | None = None) -> _Hashes:
         spec = default_spec(width_for(domain_bits, range_bits))
-        coeffs = self._words(k, spec.width).astype(_element_dtype(spec))
-        return _Hashes(coeffs, spec, domain_bits, window_bits(window, range_bits))
+        coeffs = self.ws.empty((k, len(self._heads)), _element_dtype(spec)).T
+        with self.ws.frame():
+            np.copyto(coeffs, self._words(k, spec.width), casting="unsafe")
+        return _Hashes(coeffs, spec, domain_bits, window_bits(window, range_bits), self.ws)
 
     def prf(self, domain_bits: int, range_bits: int) -> _Lazy:
-        return _Lazy(self._words(1, 64)[:, 0], domain_bits, range_bits)
+        return _Lazy(self._words(1, 64)[:, 0], domain_bits, range_bits, self.ws)
 
     def table(self, count: int, entry_bits: int, window: int | None = None) -> _Tables:
-        return _Tables(self._words(count, window_bits(window, entry_bits)))
+        return _Tables(self._words(count, window_bits(window, entry_bits)), self.ws)
 
     def padded(self, f: _Lazy, domain_bits: int, range_bits: int) -> _Lazy:
-        return _Lazy(f.seeds, domain_bits, range_bits)
+        return _Lazy(f.seeds, domain_bits, range_bits, self.ws)
 
     levin = _Levin
     adw = _ADW
 
 
-def batch_answers(columns, queries) -> np.ndarray:
+def batch_answers(columns, queries, into: Workspace | None = None) -> np.ndarray:
     """Answer matrix (trials, queries) as raw uint64 values of the
-    column form of a block of keys that block_keys drew."""
-    return columns.grid(tuple(x.value for x in queries))
+    column form of a block of keys that block_keys drew, taken from the
+    workspace `into`. By default that is a new workspace, whose every
+    buffer is a fresh array, so the caller may keep the matrix after the
+    block's workspace moves on; a caller that is done with it within the
+    block passes the block's workspace."""
+    return columns.grid(tuple(x.value for x in queries), into or Workspace())
 
 
-def block_keys(sampler, streams: KeyStreams, block: range, domain_bits: int):
+def block_keys(sampler, streams: KeyStreams, block: range, domain_bits: int,
+               ws: Workspace | None = None):
     """The column form of a block of trials' keys, which a KeySampler's
-    twin draws from the block's words. None for any other sampler, and
-    for keys of another domain, so that the per-trial loop plays them.
+    twin draws from the block's words into the workspace ws (a fresh one
+    if none is given). None for any other sampler, and for keys of another
+    domain, so that the per-trial loop plays them.
     """
     if not isinstance(sampler, KeySampler):
         return None
-    columns = sampler.layout(ColumnDraws(streams.heads(block)))
+    ws = Workspace() if ws is None else ws
+    heads = streams.heads(block, ws.empty((len(block),), np.uint64), ws.scratch(len(block)))
+    columns = sampler.layout(ColumnDraws(heads, ws))
     return columns if columns.domain_bits == domain_bits else None

@@ -14,14 +14,15 @@ and the counter-mode PRG variant all reduce to it, which is what makes
 every run replayable from one 64-bit seed. Its numpy form mixes a
 C-ordered uint64 array in place (mix64_inplace), over consecutive
 slices of MIX_CHUNK elements through one scratch slice, so a pass over
-a block's words allocates at most one slice whatever the block's size;
-mix64_np mixes a C-ordered copy and leaves its input as it was.
+a block's words needs one slice whatever the block's size; the numpy
+twin passes the slice of its block workspace (batch.Workspace).
 
 Key material comes from counter-mode streams with one rule: word j of
 the stream tagged (seed, *parts) is derive_seed(seed, *parts, j).
 key_stream is that stream behind the random.Random interface, which
 every builder takes; KeyStreams.heads and stream_words are its numpy
-twin, the words of many streams at once, one uint64 matrix per call.
+twin, the words of many streams at once, one uint64 matrix per call,
+written into the caller's array when it passes one (out).
 """
 
 from __future__ import annotations
@@ -61,17 +62,20 @@ _SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 MIX_CHUNK = 1 << 14
 
 
-def mix64_inplace(v: np.ndarray) -> np.ndarray:
+def mix64_inplace(v: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """mix64 on every element of a C-ordered uint64 array, in place; v
     is returned. The mix runs over consecutive slices of MIX_CHUNK
-    elements of the flat array, through one scratch slice. For the
-    caller's own fresh temporaries; mix64_np mixes a copy."""
+    elements of the flat array, through one scratch slice: the caller's
+    scratch, a uint64 array of at least min(v.size, MIX_CHUNK) elements
+    (the numpy twin passes Workspace.scratch, the free bytes past the
+    last buffer its block took), or else one allocated here."""
     if v.dtype != np.uint64 or not v.flags.c_contiguous:
         # reshape(-1) would copy, and mixing the copy would leave v as it was
         raise ValueError("mix64_inplace needs a C-ordered uint64 array")
     s30, s27, s31 = _SHIFTS
     flat = v.reshape(-1)
-    scratch = np.empty(min(flat.size, MIX_CHUNK), dtype=np.uint64)
+    if scratch is None:
+        scratch = np.empty(min(flat.size, MIX_CHUNK), dtype=np.uint64)
     for start in range(0, flat.size, MIX_CHUNK):
         part = flat[start:start + MIX_CHUNK]
         shifted = scratch[:len(part)]
@@ -81,13 +85,6 @@ def mix64_inplace(v: np.ndarray) -> np.ndarray:
         part *= _MUL2
         part ^= np.right_shift(part, s31, out=shifted)
     return v
-
-
-def mix64_np(v) -> np.ndarray:
-    """Vector form of mix64; uint64 in, uint64 out, v unchanged. Mixes a
-    C-ordered copy of v in place (mix64_inplace). In-place array
-    arithmetic wraps modulo 2^64 without overflow warnings."""
-    return mix64_inplace(np.array(v, dtype=np.uint64, order="C"))
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -107,18 +104,32 @@ def truncate(value: int, bits: int) -> int:
     return value & ((1 << bits) - 1)
 
 
-def _part_tags(indices: range) -> np.ndarray:
-    """mix64(i ^ C2) for each i: what derive_seed folds in for a part i."""
-    return mix64_inplace(np.arange(indices.start, indices.stop, dtype=np.uint64) ^ np.uint64(C2))
+def _part_tags(indices: range, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
+    """mix64(i ^ C2) for each i: what derive_seed folds in for a part i,
+    written into out if one is given."""
+    if out is None:
+        out = np.arange(indices.start, indices.stop, dtype=np.uint64)
+    else:  # count in place: a running sum of ones, moved to the start
+        np.cumsum(np.broadcast_to(np.uint64(1), out.shape), out=out)
+        out += np.uint64(indices.start)
+        out -= np.uint64(1)
+    out ^= np.uint64(C2)
+    return mix64_inplace(out, scratch)
 
 
-def stream_words(heads: np.ndarray, cols: range) -> np.ndarray:
-    """Words cols of each head's stream, one row per head: (len(heads), len(cols)).
+def stream_words(heads: np.ndarray, cols: range, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """Words cols of each head's stream, one row per head: (len(heads),
+    len(cols)). It is the transpose of a C-ordered (len(cols), len(heads))
+    array, out if one is given, so each word column is contiguous, and
+    the words are derived and mixed along it.
 
     Word j of the stream with head derive_seed(seed, *parts) is
     derive_seed(seed, *parts, j), the chain folding in one more part.
     """
-    return mix64_inplace(heads[:, None] ^ _part_tags(cols)[None, :])
+    out = np.bitwise_xor(_part_tags(cols, scratch=scratch)[:, None], heads, out=out)
+    return mix64_inplace(out, scratch).T
 
 
 # Words a KeyStream derives per refill, growing geometrically: small
@@ -191,9 +202,13 @@ class KeyStreams:
     def stream(self, t: int) -> KeyStream:
         return key_stream(self.seed, *self.parts, t)
 
-    def heads(self, rows: range) -> np.ndarray:
-        """derive_seed(seed, *parts, t) for every t in rows."""
-        return mix64_inplace(np.uint64(derive_seed(self.seed, *self.parts)) ^ _part_tags(rows))
+    def heads(self, rows: range, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+        """derive_seed(seed, *parts, t) for every t in rows, written into
+        out if one is given."""
+        tags = _part_tags(rows, out, scratch)
+        tags ^= np.uint64(derive_seed(self.seed, *self.parts))
+        return mix64_inplace(tags, scratch)
 
 
 @dataclass(frozen=True)

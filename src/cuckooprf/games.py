@@ -23,7 +23,9 @@ run_game is the one game runner. It walks the trials of each world in
 blocks (batch.blocks). When a nonadaptive distinguisher meets a sampler
 with a numpy twin of its queries' domain (a transform.KeySampler), each
 block's keys are drawn by the twin (batch.block_keys), answered by
-batch.batch_answers and decided as one matrix. Every other block (of
+batch.batch_answers and decided as one matrix; the twin's buffers come
+from one batch.Workspace per world, reset before every block, and the
+answer matrix decide sees is its own. Every other block (of
 an adaptive distinguisher, or of a sampler without that twin) is played
 by the per-trial loop, the reference path, which decides a nonadaptive
 trial on its one-row matrix. Both read the same words, so
@@ -181,8 +183,10 @@ def run_game(real_sampler, ideal_sampler, dist: Distinguisher, trials: int, seed
     violations = 0
     for world, sampler in ((REAL_WORLD, real_sampler), (IDEAL_WORLD, ideal_sampler)):
         streams = game_streams(seed, world)
+        ws = batch.Workspace()  # one per world: each sampler draws keys of its own shape
         for block in batch.blocks(trials, q):
-            verdicts = _batched_verdicts(sampler, streams, block, dist) if batched else None
+            ws.reset()
+            verdicts = _batched_verdicts(sampler, streams, block, dist, ws) if batched else None
             if verdicts is None:
                 verdicts, bad = _trial_verdicts(sampler, streams, block, dist)
                 violations += bad
@@ -192,11 +196,11 @@ def run_game(real_sampler, ideal_sampler, dist: Distinguisher, trials: int, seed
 
 
 def _batched_verdicts(sampler, streams: KeyStreams, block: range,
-                      dist: NonAdaptiveDistinguisher) -> list[bool] | None:
+                      dist: NonAdaptiveDistinguisher, ws: batch.Workspace) -> list[bool] | None:
     """The block's verdicts from one answer matrix, or None if the
     sampler has no numpy twin for these queries. A function of its own,
     so that a block's keys are gone before the next block is drawn."""
-    keys = batch.block_keys(sampler, streams, block, dist.queries[0].length)
+    keys = batch.block_keys(sampler, streams, block, dist.queries[0].length, ws)
     if keys is None:
         return None
     return [bool(v) for v in dist.decide(batch.batch_answers(keys, dist.queries))]
@@ -372,8 +376,10 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     # block by block too, which reads the generator as one draw would
     counts, uniform = np.zeros(support, dtype=np.int64), np.zeros(support, dtype=np.int64)
     gen = np.random.Generator(np.random.PCG64(derive_seed(seed, _BASELINE_TAG)))
+    ws = batch.Workspace()
     for block in batch.blocks(samples, t):
-        codes = _block_codes(handle_sampler, streams, block, queries, r)
+        ws.reset()
+        codes = _block_codes(handle_sampler, streams, block, queries, r, ws)
         counts += np.bincount(codes, minlength=support)
         uniform += np.bincount(gen.integers(0, support, size=len(block), dtype=np.int64),
                                minlength=support)
@@ -381,15 +387,20 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
                             support, samples)
 
 
-def _block_codes(sampler, streams: KeyStreams, block: range, queries, r: int) -> np.ndarray:
-    """The output-tuple codes of a block of samples."""
-    keys = batch.block_keys(sampler, streams, block, queries[0].length)
+def _block_codes(sampler, streams: KeyStreams, block: range, queries, r: int,
+                 ws: batch.Workspace) -> np.ndarray:
+    """The output-tuple codes of a block of samples: a fresh array, taken
+    before the block's own so that it does not sit above them in the heap
+    when they are freed. The twin's answers stay in the workspace: they
+    are read here, not kept."""
+    codes = np.zeros(len(block), dtype=np.uint64)
+    keys = batch.block_keys(sampler, streams, block, queries[0].length, ws)
     if keys is not None:
-        outs = batch.batch_answers(keys, queries)
+        outs = batch.batch_answers(keys, queries, ws)
     else:
         handles = (sampler(streams.stream(i)) for i in block)
         outs = np.array([[h.query(x).value for x in queries] for h in handles], dtype=np.uint64)
-    codes = np.zeros(len(block), dtype=np.int64)
     for j in range(len(queries)):
-        codes = (codes << np.int64(r)) | outs[:, j].astype(np.int64)
-    return codes
+        codes <<= np.uint64(r)
+        codes |= outs[:, j]
+    return codes.view(np.int64)  # below 2^16 (the support cap), as bincount takes them

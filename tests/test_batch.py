@@ -14,7 +14,15 @@ from cuckooprf.batch import (
     batch_answers,
     lazy_answers,
 )
-from cuckooprf.bits import BitString, KeyStreams, derive_seed, key_stream, mix64, mix64_np, truncate
+from cuckooprf.bits import (
+    BitString,
+    KeyStreams,
+    derive_seed,
+    key_stream,
+    mix64,
+    mix64_inplace,
+    truncate,
+)
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.experiments import levin_sampler, uniformity
 from cuckooprf.games import (
@@ -47,10 +55,10 @@ from cuckooprf.transform import (
 from gamepaths import assert_paths_agree
 
 
-def test_mix64_np_matches_scalar():
+def test_mix64_inplace_matches_scalar():
     rng = random.Random(701)
     vals = np.array([rng.getrandbits(64) for _ in range(5000)], dtype=np.uint64)
-    got = mix64_np(vals)
+    got = mix64_inplace(vals.copy())
     for v, g in zip(vals[:500], got[:500]):
         assert int(g) == mix64(int(v))
 
@@ -420,7 +428,8 @@ def test_block_keys_derives_the_words_the_scalar_draws_read(monkeypatch, name):
     sampler(rng)
     derived, stream_words = [], batch.stream_words
     monkeypatch.setattr(batch, "stream_words",
-                        lambda heads, cols: derived.append(len(cols)) or stream_words(heads, cols))
+                        lambda heads, cols, *out: derived.append(len(cols))
+                        or stream_words(heads, cols, *out))
     assert batch.block_keys(sampler, KeyStreams(7), range(4), 12) is not None
     assert sum(derived) == len(rng.calls)
     if name == "pp":
@@ -485,6 +494,80 @@ def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):
         want.append((handle.query(queries[0]).value << 1) | handle.query(queries[1]).value)
     # each run's codes, block after block
     assert codes[sampler] == codes[opaque] == want
+
+
+def test_uniformity_blocks_after_the_first_allocate_nothing_large(monkeypatch):
+    # the uniformity unit: pp_layout(8, 8, 2, 8) at 4 queries, so 32 blocks
+    # of 8192 rows. Each block's twin (_block_codes) hands back one fresh
+    # 64 KiB codes array; from the second block on, everything else it
+    # holds comes from the workspace, sized by the reset before block 2.
+    # tracemalloc's peak counts every domain, so numpy's ufunc buffers,
+    # which are not array data, are shrunk for the run; the numpy domain
+    # alone must also hold the same bytes at the start of every block.
+    sampler = KeySampler(pp_layout(8, 8, 2, 8))
+    queries = [BitString(i, 8) for i in range(4)]
+    arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    rises, live = [], []
+    block_codes = games._block_codes
+
+    def spy(*args):
+        snapshot = tracemalloc.take_snapshot().filter_traces(arrays)
+        live.append(sum(trace.size for trace in snapshot.traces))
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        codes = block_codes(*args)
+        rises.append(tracemalloc.get_traced_memory()[1] - start - codes.nbytes)
+        return codes
+
+    monkeypatch.setattr(games, "_block_codes", spy)
+    bufsize = np.setbufsize(1024)
+    tracemalloc.start()
+    try:
+        tuple_uniformity_sd(sampler, queries, 256_000, 5)
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert len(rises) == 32
+    assert max(rises[1:]) < 64 << 10, rises
+    assert len(set(live[1:])) == 1, live
+
+
+@pytest.mark.parametrize("name", ("pp", "adw-table", "levin"))
+def test_kept_answers_and_codes_survive_the_blocks_after_them(monkeypatch, name):
+    # blocks of 32 trials at 16 queries and of 256 samples at 2 queries;
+    # every block's answer matrix (what decide gets) and tuple codes are
+    # kept while the later blocks run, then checked against the same
+    # blocks drawn again in a fresh workspace
+    monkeypatch.setattr(batch, "BLOCK_ELEMS", 512)
+    sampler = {
+        "pp": pp_sampler(ExtensionParams(16, 8, 2, 4, 16)),
+        "adw-table": KeySampler(adw_layout(ExtensionParams(16, 8, 2, 2, 16), "table")),
+        "levin": levin_sampler(16, 8, 2, 4),
+    }[name]
+    ideal, dist, trials, seed = lazy_sampler(16, 2), birthday_distinguisher(16, 16), 100, 926
+    kept = []
+
+    def decide(values):
+        kept.append(values)
+        return dist.decide(values)
+
+    run_game(sampler, ideal, NonAdaptiveDistinguisher(dist.queries, decide), trials, seed)
+    fresh = [batch_answers(batch.block_keys(world_sampler, game_streams(seed, world), block, 16),
+                           dist.queries)
+             for world, world_sampler in enumerate((sampler, ideal))
+             for block in batch.blocks(trials, 16)]
+    assert len(kept) == len(fresh) == 8
+    assert all(np.array_equal(k, f) for k, f in zip(kept, fresh))
+
+    codes, block_codes = [], games._block_codes
+    monkeypatch.setattr(games, "_block_codes",
+                        lambda *args: codes.append(block_codes(*args)) or codes[-1])
+    queries, samples = [BitString(i, 16) for i in (3, 9)], 16_000
+    tuple_uniformity_sd(sampler, queries, samples, seed)
+    fresh = [block_codes(sampler, sample_streams(seed), block, queries, 2, batch.Workspace())
+             for block in batch.blocks(samples, 2)]
+    assert len(codes) == len(fresh) == 63
+    assert all(np.array_equal(c, f) for c, f in zip(codes, fresh))
 
 
 def test_tuple_sampler_feeds_the_uniformity_estimator():

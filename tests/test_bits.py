@@ -15,7 +15,6 @@ from cuckooprf.bits import (
     key_stream,
     mix64,
     mix64_inplace,
-    mix64_np,
     stream_words,
     truncate,
 )
@@ -137,13 +136,16 @@ def _words(n, seed):
     lambda: np.array(_words(1, 3)[0]),  # 0-d
     lambda: _words(3 * MIX_CHUNK + 5, 4),  # three whole slices and a short one
 ], ids=["fortran", "strided", "0-d", "3-chunks-and-5"])
-def test_mix64_np_mixes_a_copy_of_any_layout(make):
+def test_mix64_inplace_mixes_a_c_ordered_copy_of_any_layout(make):
     v = make()
     before = v.copy()
-    got = mix64_np(v)
+    want = [mix64(int(x)) for x in v.ravel()]
+    # its own scratch, and a caller's full MIX_CHUNK slice holding stale words
+    for scratch in (None, _words(MIX_CHUNK, 6)):
+        copy = np.array(v, dtype=np.uint64, order="C")
+        assert mix64_inplace(copy, scratch) is copy
+        assert copy.shape == v.shape and [int(g) for g in copy.ravel()] == want
     assert np.array_equal(v, before)
-    assert got.shape == v.shape and got.dtype == np.uint64
-    assert [int(g) for g in got.ravel()] == [mix64(int(x)) for x in v.ravel()]
 
 
 def test_mix64_inplace_refuses_what_it_cannot_mix_in_place():

@@ -567,9 +567,9 @@ def test_adw_twin_equals_scalar_across_chunks(kind, case):
     rows_per_grid = []
     real_grid = batch._Hashes.grid
 
-    def grid(self, points):
+    def grid(self, points, *out):
         rows_per_grid.append(len(self.coeffs))
-        return real_grid(self, points)
+        return real_grid(self, points, *out)
 
     elems = TRIALS * (used + 1 if folded else len(xs)) * chunk
     with mock.patch.object(batch, "BLOCK_ELEMS", elems), \
