@@ -26,7 +26,7 @@ def _keys():
 
 def test_adw_block_keys(benchmark):
     columns = benchmark(_keys)
-    assert len(columns.gbar) == 42
+    assert len(columns.gbar.coeffs) == 42 * ROWS  # the z = 42 g_i, stacked
 
 
 def test_adw_batch_answers(benchmark):

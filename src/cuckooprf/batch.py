@@ -15,12 +15,14 @@ coefficients, seeds and tables go into arrays without a per-trial key
 object, and batch_answers answers them as one matrix. block_keys
 returns None for any other sampler, whose trials the caller then plays
 one at a time. KeyDraws reads the same words, so the answers are the
-same either way; ColumnDraws.bar derives the words of a bar of z like
-slots in at most two calls. A block is sampled, answered and decided
-before the next one is sampled, so memory stays O(block * z) for adw
-keys with z inner maps, however many trials or samples are asked for.
-The z inner maps are evaluated in chunks stacked row-wise, each of at
-most BLOCK_ELEMS grid cells, so their grids stay as small as a block's.
+same either way. ColumnDraws.bar draws a bar of z like slots as one
+column slot of z * rows rows, slot i in rows i * rows to (i + 1) * rows,
+from words derived in one stream_words call. A block is sampled,
+answered and decided before the next one is sampled, so memory stays
+O(block * z) for adw keys with z inner maps, however many trials or
+samples are asked for. The z inner maps are evaluated in chunks of
+consecutive slots, row slices of the stacked bars, each of at most
+BLOCK_ELEMS grid cells, so their grids stay as small as a block's.
 
 A block's arrays (its heads and words, coefficients, seeds and tables,
 hash grids and their sums, lazy answers and mix scratch) are taken from
@@ -62,7 +64,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -206,15 +207,8 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
 # at(values) for its answers on a (trials, q) grid of values, or
 # grid(xs, into) for its answers at every query point, taken from the
 # workspace `into` (by default the slot's own); the slots that can be a
-# whole oracle also carry its domain_bits and range_bits. The slots an
-# adw key has z of also have a shape, which slots must share for
-# stack(slots) to make one slot of all their rows, in turn.
-
-def _stacked(arrays, ws: Workspace) -> np.ndarray:
-    """The arrays one after another along their first axis, in ws."""
-    one = arrays[0]
-    out = ws.empty((sum(len(a) for a in arrays), *one.shape[1:]), one.dtype)
-    return np.concatenate(arrays, out=out)
+# whole oracle also carry its domain_bits and range_bits. The slots a
+# bar stacks also have part(rows), the slot of those rows alone.
 
 
 class _Hashes:
@@ -232,15 +226,8 @@ class _Hashes:
         self.out_bits = out_bits
         self.ws = Workspace() if ws is None else ws
 
-    @property
-    def shape(self):
-        return _Hashes, self.coeffs.shape[1], self.spec, self.out_bits
-
-    @classmethod
-    def stack(cls, slots):
-        one = slots[0]
-        return cls(_stacked([h.coeffs for h in slots], one.ws), one.spec, one.domain_bits,
-                   one.out_bits, one.ws)
+    def part(self, rows: slice) -> _Hashes:
+        return _Hashes(self.coeffs[rows], self.spec, self.domain_bits, self.out_bits, self.ws)
 
     def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
         """h(x_j) = a0 ^ XOR over i >= 1 of a_i * x_j^i, one coefficient
@@ -282,15 +269,8 @@ class _Lazy:
         self.range_bits = range_bits
         self.ws = ws
 
-    @property
-    def shape(self):
-        return _Lazy, self.range_bits
-
-    @classmethod
-    def stack(cls, slots):
-        one = slots[0]
-        return cls(_stacked([f.seeds for f in slots], one.ws), one.domain_bits, one.range_bits,
-                   one.ws)
+    def part(self, rows: slice) -> _Lazy:
+        return _Lazy(self.seeds[rows], self.domain_bits, self.range_bits, self.ws)
 
     def at(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The answers at values, written into out if one is given
@@ -305,19 +285,14 @@ class _Lazy:
 
 
 class _Tables:
-    """N random tables of one length: entries (N, length)."""
+    """N random tables of one length: entries (N, length), C-ordered."""
 
     def __init__(self, entries: np.ndarray, ws: Workspace):
         self.entries = entries
         self.ws = ws
 
-    @property
-    def shape(self):
-        return _Tables, self.entries.shape[1]
-
-    @classmethod
-    def stack(cls, slots):
-        return cls(_stacked([t.entries for t in slots], slots[0].ws), slots[0].ws)
+    def part(self, rows: slice) -> _Tables:
+        return _Tables(self.entries[rows], self.ws)
 
     def at(self, values: np.ndarray) -> np.ndarray:
         """Row t's entry at each of values[t], which the g indexing the
@@ -348,19 +323,28 @@ class _Levin:
 
 @dataclass
 class _ADW:
+    """An adw key in columns. Each bar is the one slot ColumnDraws.bar
+    stacked, z * trials rows with inner map i in rows i * trials to
+    (i + 1) * trials, or () when the key has no inner maps."""
     h1: _Hashes
     h2: _Hashes
     ell: _Hashes
-    gbar: tuple
-    m1bar: tuple
-    m2bar: tuple
-    ybar: tuple
+    gbar: _Hashes | tuple
+    m1bar: _Lazy | _Tables | tuple
+    m2bar: _Lazy | _Tables | tuple
+    ybar: _Lazy | _Tables | tuple
     f1: _Lazy
     f2: _Lazy
 
     def __post_init__(self):
         self.domain_bits, self.range_bits = self.h1.domain_bits, self.f1.range_bits
         self.ws = self.h1.ws
+        self.bars = (self.gbar, self.m1bar, self.m2bar, self.ybar)
+        if self.bars == ((),) * 4:
+            self.bars = ()
+        elif any(isinstance(bar, tuple) for bar in self.bars):
+            raise ValueError("the twin reads each bar as one stacked slot (ColumnDraws.bar), "
+                             "not as a tuple of slots")
 
     def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
         """f1(inner1) ^ f2(inner2) ^ yterm, each f answered in place of
@@ -380,36 +364,31 @@ class _ADW:
         `into` (by default the block's workspace), the others from the
         block's workspace.
 
-        The z inner maps go in chunks of consecutive slots whose g, m1,
-        m2 and y each have one shape: a chunk's slots are stacked into
-        one column slot of chunk * trials rows, so it takes one g grid
-        and one lookup per bar, whose values are XORed in slot by slot.
-        A chunk holds as many slots as keep chunk * trials * q within
+        The z inner maps go in chunks of consecutive slots, one row slice
+        of each bar (part), so a chunk takes one g grid and one lookup
+        per m or y bar, whose values are XORed in slot by slot. A chunk
+        holds as many slots as keep chunk * trials * q within
         BLOCK_ELEMS, so its grids stay as small as a block's, and each
         chunk gives its workspace buffers back before the next.
         """
         inner = [self.h1.grid(xs, into), self.h2.grid(xs), self.ell.grid(xs)]
-        rows = len(inner[0])
-        chunk = max(1, BLOCK_ELEMS // max(1, rows * len(xs)))
-        slots = zip(self.gbar, self.m1bar, self.m2bar, self.ybar)
-        for _, run in groupby(slots, key=lambda maps: tuple(m.shape for m in maps)):
-            run = list(run)
-            for start in range(0, len(run), chunk):
-                part = run[start:start + chunk]
-                with self.ws.frame():
-                    g, *maps = (type(bar[0]).stack(bar) for bar in zip(*part))
-                    gv = g.grid(xs)
-                    for acc, m in zip(inner, maps):
-                        with self.ws.frame():
-                            for values in m.at(gv).reshape(len(part), rows, len(xs)):
-                                acc ^= values
+        rows, q = len(inner[0]), len(xs)
+        step = max(1, rows * max(1, BLOCK_ELEMS // max(1, rows * q)))
+        for start in range(0, len(self.gbar.coeffs) if self.bars else 0, step):
+            with self.ws.frame():
+                g, *maps = (bar.part(slice(start, start + step)) for bar in self.bars)
+                gv = g.grid(xs)
+                for acc, m in zip(inner, maps):
+                    with self.ws.frame():
+                        for values in m.at(gv).reshape(len(gv) // rows, rows, q):
+                            acc ^= values
         return inner
 
     def _affine(self) -> bool:
         """combine.is_affine for every row: hashes of degree <= 1, 2-entry tables."""
-        return (all(h.coeffs.shape[1] <= 2 for h in (self.h1, self.h2, self.ell, *self.gbar))
+        return (all(h.coeffs.shape[1] <= 2 for h in (self.h1, self.h2, self.ell, *self.bars[:1]))
                 and all(isinstance(m, _Tables) and m.entries.shape[1] == 2
-                        for bar in (self.m1bar, self.m2bar, self.ybar) for m in bar))
+                        for m in self.bars[1:]))
 
     def _folded(self, xs: tuple[int, ...], used: int, into: Workspace | None = None) -> list:
         """The three inner values, (trials, q) each, placed as _inner
@@ -450,64 +429,65 @@ class ColumnDraws:
 
     A slot takes the next words of every stream, in the order the
     layout draws them, exactly as KeyDraws takes them from one stream's
-    getrandbits; each slot's words are derived when it is drawn, and
-    a bar's in at most two calls (bar). Every slot is kept in the
-    workspace ws until it resets; a k-wise slot's 64-bit words are given
-    back once narrowed to coefficients.
+    getrandbits, and its words are derived in one stream_words call as
+    it is drawn. A bar of z like slots is drawn as one slot of z * rows
+    rows (bar). Every slot is kept in the workspace ws until it resets:
+    k-wise coefficients and table entries are copied out of their words,
+    which are given back at once; a prf's seeds are its words.
     """
 
     def __init__(self, heads: np.ndarray, ws: Workspace | None = None):
         self._heads = heads
         self.ws = Workspace() if ws is None else ws
         self._next = 0
-        self._ahead = range(0), None  # columns bar derived ahead, and their words
+        self._z = 1  # slots in the bar being drawn, 1 outside a bar
+        self._slots = 0  # slots drawn, a bar's counted once
 
     def _words(self, count: int, bits: int) -> np.ndarray:
-        """The next count words of every stream, masked to bits: a view
-        of the workspace, or of the words a bar derived ahead."""
-        cols = range(self._next, self._next + count)
-        self._next += count
-        ahead, words = self._ahead
-        if cols and cols[0] in ahead and cols[-1] in ahead:
-            words = words[:, cols.start - ahead.start:cols.stop - ahead.start]
-        else:
-            words = self._derive(cols)
-        words &= np.uint64(truncate(~0, bits))
-        return words
-
-    def _derive(self, cols: range) -> np.ndarray:
+        """The next count words of each of the z slots being drawn, masked
+        to bits: a (z, count, rows) C-ordered array of the workspace."""
+        cols = range(self._next, self._next + self._z * count)
+        self._next, self._slots = cols.stop, self._slots + 1
         out = self.ws.empty((len(cols), len(self._heads)), np.uint64)
-        return stream_words(self._heads, cols, out, self.ws.scratch(out.size))
+        stream_words(self._heads, cols, out, self.ws.scratch(out.size))
+        out &= np.uint64(truncate(~0, bits))
+        return out.reshape(self._z, count, len(self._heads))
 
-    def bar(self, z: int, draw) -> tuple:
-        """z slots of draw(). The first slot's words are derived as it is
-        drawn; the other z - 1 slots' words, as many per slot as the first
-        read, are derived in one call, so a bar reads the words the scalar
-        draws read with at most two stream_words calls. A draw that reads
-        past them derives the rest as it goes."""
+    def bar(self, z: int, draw):
+        """The z slots of draw() as one slot of z * rows rows, slot i in
+        rows i * rows to (i + 1) * rows. draw() is called once, with every
+        slot it reads z times as wide, so the bar reads the words the
+        scalar draws read in one stream_words call; a draw that reads
+        anything but one slot is refused. () when z is 0."""
         if z == 0:
             return ()
-        start = self._next
-        first = draw()
-        cols = range(self._next, self._next + (z - 1) * (self._next - start))
-        self._ahead = cols, self._derive(cols)
-        rest = tuple(draw() for _ in range(z - 1))
-        self._ahead = range(0), None
-        return (first, *rest)
+        slots, self._z = self._slots, z
+        stacked = draw()
+        self._z = 1
+        if self._slots != slots + 1:
+            raise ValueError(f"a bar's draw read {self._slots - slots} slots, not one")
+        return stacked
 
     def kwise(self, k: int, domain_bits: int, range_bits: int,
               window: int | None = None) -> _Hashes:
         spec = default_spec(width_for(domain_bits, range_bits))
-        coeffs = self.ws.empty((k, len(self._heads)), _element_dtype(spec)).T
+        rows = len(self._heads)
+        coeffs = self.ws.empty((k, self._z * rows), _element_dtype(spec))
         with self.ws.frame():
-            np.copyto(coeffs, self._words(k, spec.width), casting="unsafe")
-        return _Hashes(coeffs, spec, domain_bits, window_bits(window, range_bits), self.ws)
+            words = self._words(k, spec.width)
+            np.copyto(coeffs.reshape(k, self._z, rows), words.transpose(1, 0, 2), casting="unsafe")
+        return _Hashes(coeffs.T, spec, domain_bits, window_bits(window, range_bits), self.ws)
 
     def prf(self, domain_bits: int, range_bits: int) -> _Lazy:
-        return _Lazy(self._words(1, 64)[:, 0], domain_bits, range_bits, self.ws)
+        return _Lazy(self._words(1, 64).reshape(-1), domain_bits, range_bits, self.ws)
 
     def table(self, count: int, entry_bits: int, window: int | None = None) -> _Tables:
-        return _Tables(self._words(count, window_bits(window, entry_bits)), self.ws)
+        rows = len(self._heads)
+        entries = self.ws.empty((self._z * rows, count), np.uint64)
+        with self.ws.frame():
+            words = self._words(count, window_bits(window, entry_bits))
+            np.copyto(entries.reshape(self._z, rows, count), words.transpose(0, 2, 1))
+        return _Tables(entries, self.ws)
 
     def padded(self, f: _Lazy, domain_bits: int, range_bits: int) -> _Lazy:
         return _Lazy(f.seeds, domain_bits, range_bits, self.ws)

@@ -37,10 +37,11 @@ is written once as a slot layout over a draws interface: KeyDraws
 draws each slot as a key object from an rng, and batch.ColumnDraws
 reads the same slots as word columns of a block of key streams. A bar
 of z like slots is drawn as bar(z, draw): KeyDraws calls draw() z
-times, and ColumnDraws derives the same words for the whole bar at
-once. A KeySampler wraps a layout, so games.run_game can sample a
-block of keys without building them; any other sampler is played
-trial by trial.
+times, and ColumnDraws calls it once, reading the same words for the
+whole bar in one call, and holds the bar as one slot of z stacked
+blocks of rows. A KeySampler wraps a layout, so games.run_game can
+sample a block of keys without building them; any other sampler is
+played trial by trial.
 """
 
 from __future__ import annotations

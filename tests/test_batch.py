@@ -377,42 +377,48 @@ def test_adw_layout_reads_slot_i_from_word_i(variant, q):
     # z = 6 inner maps either way. h1, h2 and ell take two coefficients
     # each, then come the z slots of gbar, m1bar, m2bar and ybar in turn
     # (a g two coefficients, an m or y map two table entries or one prf
-    # seed), then f1 and f2. The twin's row reads the scalar key's words.
+    # seed), then f1 and f2. The twin draws streams 4, 5 and 6, so each
+    # bar is one slot of 6 * 3 rows, slot i in rows 3i to 3i + 3, and
+    # stream 5's row of slot i, row 3i + 1, reads the scalar key's words.
     layout = adw_layout(ExtensionParams(8, 4, 8, 2, q, 1), variant)
     key = layout(KeyDraws(key_stream(99, 5))).key
-    twin = layout(ColumnDraws(KeyStreams(99).heads(range(5, 6))))
+    twin = layout(ColumnDraws(KeyStreams(99).heads(range(4, 7))))
     words = (derive_seed(99, 5, j) for j in itertools.count())
 
     def next_words(count, bits):
         return [truncate(next(words), bits) for _ in range(count)]
 
     for h, column in zip((key.h1, key.h2, key.ell), (twin.h1, twin.h2, twin.ell)):
-        assert list(h.coeffs) == column.coeffs[0].tolist() == next_words(2, 8)
-    assert len(key.gbar) == len(twin.gbar) == 6
-    for g, column in zip(key.gbar, twin.gbar):
-        assert list(g.coeffs) == column.coeffs[0].tolist() == next_words(2, 8)
-    for bar, columns, bits in ((key.m1bar, twin.m1bar, 4), (key.m2bar, twin.m2bar, 4),
-                               (key.ybar, twin.ybar, 8)):
-        for m, column in zip(bar, columns, strict=True):
+        assert list(h.coeffs) == column.coeffs[1].tolist() == next_words(2, 8)
+    assert len(key.gbar) == 6 and len(twin.gbar.coeffs) == 6 * 3
+    for i, g in enumerate(key.gbar):
+        assert list(g.coeffs) == twin.gbar.coeffs[3 * i + 1].tolist() == next_words(2, 8)
+    for bar, column, bits in ((key.m1bar, twin.m1bar, 4), (key.m2bar, twin.m2bar, 4),
+                              (key.ybar, twin.ybar, 8)):
+        for i, m in enumerate(bar):
             if variant == "table":
-                assert list(m.entries) == column.entries[0].tolist() == next_words(2, bits)
+                assert list(m.entries) == column.entries[3 * i + 1].tolist() == next_words(2, bits)
             else:
-                assert [m.f.seed] == column.seeds.tolist() == next_words(1, 64)
-    assert [key.f1.seed, key.f2.seed] == [twin.f1.seeds[0], twin.f2.seeds[0]] == next_words(2, 64)
+                assert [m.f.seed] == [column.seeds[3 * i + 1]] == next_words(1, 64)
+    assert [key.f1.seed, key.f2.seed] == [twin.f1.seeds[1], twin.f2.seeds[1]] == next_words(2, 64)
 
 
-def test_a_bar_whose_slots_differ_in_size_reads_the_scalar_words():
-    # the first slot reads 2 words, so the bar derives 3 * 2 ahead; the
-    # last slot reads past them, and the prf after the bar reads word 10
-    def layout(draws):
-        sizes = iter((2, 3, 1, 4))
-        return draws.bar(4, lambda: draws.table(next(sizes), 8)), draws.prf(8, 8)
+def test_the_twin_refuses_an_adw_key_with_a_bar_of_per_slot_columns():
+    # what KeyDraws.bar returns, a tuple of z slots, is not a bar the twin reads
+    draws = ColumnDraws(KeyStreams(3).heads(range(2)))
+    h, f = draws.kwise(2, 8, 4), draws.prf(4, 8)
+    maps = (draws.table(2, 4), draws.table(2, 4))
+    with pytest.raises(ValueError, match="one stacked slot"):
+        draws.adw(h, h, h, (draws.kwise(2, 8, 1), draws.kwise(2, 8, 1)), maps, maps, maps, f, f)
 
-    streams = KeyStreams(31)
-    tables, f = layout(KeyDraws(streams.stream(0)))
-    columns, column_f = layout(ColumnDraws(streams.heads(range(1))))
-    assert [list(t.entries) for t in tables] == [c.entries[0].tolist() for c in columns]
-    assert column_f.seeds.tolist() == [f.seed] == [derive_seed(31, 0, 10)]
+
+@pytest.mark.parametrize("reads", (0, 2))
+def test_the_twin_refuses_a_bar_whose_draw_reads_other_than_one_slot(reads):
+    draws = ColumnDraws(KeyStreams(3).heads(range(2)))
+    f = draws.prf(4, 8)
+    draw = {0: lambda: f, 2: lambda: draws.levin(draws.kwise(2, 8, 4), draws.prf(4, 8))}[reads]
+    with pytest.raises(ValueError, match=f"read {reads} slots"):
+        draws.bar(3, draw)
 
 
 @pytest.mark.parametrize("name", ("lazy", "levin", "pp", "adw-table", "adw-prf"))
@@ -435,8 +441,8 @@ def test_block_keys_derives_the_words_the_scalar_draws_read(monkeypatch, name):
     if name == "pp":
         assert derived == [4, 4, 4, 1, 1]  # one call per slot
     if name.startswith("adw"):
-        # h1, h2 and ell, two calls per bar, f1 and f2
-        assert len(derived) == 3 + 4 * 2 + 2
+        # h1, h2 and ell, one call per bar, f1 and f2
+        assert len(derived) == 3 + 4 + 2
 
 
 def test_birthday_adw_block_folds_from_8_points():

@@ -32,6 +32,7 @@ from cuckooprf.transform import (
     ExtensionParams,
     KeyDraws,
     KeySampler,
+    PaddedPrfMap,
     adw_layout,
     adw_z,
     build_adaptive_from_nonadaptive,
@@ -444,31 +445,39 @@ def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     assert grid.tolist() == [[pp_formula(o.key, x) for x in block] for o in oracles]
 
 
-def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int):
+def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int | None = None):
     """The table adw_layout with inner map i made non-affine: a 3-wise g
     ("g"), a prf-backed map in one bar ("m1bar", "m2bar", "ybar"), or
-    4-entry tables under a 2-bit g ("wide")."""
+    4-entry tables under a 2-bit g ("wide"). With i None every inner map
+    is made so, and each bar is drawn as draws.bar, the one form the twin
+    reads; with i a map index the bars are tuples, which only KeyDraws
+    builds."""
     z = adw_z(p, "table")
     wide = slot == "wide"
 
-    def g(draws, j):
-        if j == i and slot == "g":
+    def g(draws, odd):
+        if odd and slot == "g":
             return draws.kwise(3, p.d, 1)
-        return draws.kwise(2, p.d, 2 if wide and j == i else 1)
+        return draws.kwise(2, p.d, 2 if wide and odd else 1)
 
-    def m(draws, j, name, bits, entry_window):
-        if j == i and slot == name:
+    def m(draws, odd, name, bits, entry_window):
+        if odd and slot == name:
             return draws.padded(draws.prf(8, 64), 1, bits)
-        return draws.table(4 if wide and j == i else 2, bits, entry_window)
+        return draws.table(4 if wide and odd else 2, bits, entry_window)
+
+    def bar(draws, draw):
+        if i is None:
+            return draws.bar(z, lambda: draw(True))
+        return tuple(draw(j == i) for j in range(z))
 
     def layout(draws):
         h1 = draws.kwise(2, p.d, p.s, window)
         h2 = draws.kwise(2, p.d, p.s, window)
         ell = draws.kwise(2, p.d, p.r)
-        gbar = tuple(g(draws, j) for j in range(z))
-        m1bar = tuple(m(draws, j, "m1bar", p.s, window) for j in range(z))
-        m2bar = tuple(m(draws, j, "m2bar", p.s, window) for j in range(z))
-        ybar = tuple(m(draws, j, "ybar", p.r, None) for j in range(z))
+        gbar = bar(draws, lambda odd: g(draws, odd))
+        m1bar = bar(draws, lambda odd: m(draws, odd, "m1bar", p.s, window))
+        m2bar = bar(draws, lambda odd: m(draws, odd, "m2bar", p.s, window))
+        ybar = bar(draws, lambda odd: m(draws, odd, "ybar", p.r, None))
         f1 = draws.prf(p.s, p.r)
         return draws.adw(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, draws.prf(p.s, p.r))
 
@@ -480,32 +489,37 @@ def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int
        st.data())
 def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     """One 3-wise g, one prf-backed inner map, or one column of 4-entry
-    tables under a 2-bit g, and the key takes the reference path in both
-    engines, exactly."""
+    tables under a 2-bit g, and the key takes the reference path in the
+    scalar engine, exactly. The twin reads a bar only whole, so it is
+    checked on keys whose every inner map is made so."""
     p, window = _table_shape(data, d, data.draw(st.booleans(), label="restricted"))
     i = data.draw(st.integers(0, adw_z(p, "table") - 1), label="i")
-    columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot, i))
+    oracles = [_not_affine_layout(p, window, slot, i)(KeyDraws(_rng(data)))
+               for _ in range(TRIALS)]
     xs = _past_fold(data, d)
     want = [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
     assert not any(is_affine(o.key) for o in oracles)
     assert [[o.query(x).value for x in xs] for o in oracles] == want
     assert all(isinstance(o._folded, partial) for o in oracles)
+
+    columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot))
+    assert not any(is_affine(o.key) for o in oracles)
     assert not columns._affine()
-    assert columns.grid(tuple(x.value for x in xs)).tolist() == want
+    assert columns.grid(tuple(x.value for x in xs)).tolist() == \
+        [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
 
 
 class ChunkCase(NamedTuple):
     """The draws of test_adw_twin_equals_scalar_across_chunks: the input
     length, the points asked, the shape (the (q, c) pair, s and r, which
-    each kind reads as its shape allows), the non-affine slot and inner
-    map i (taken mod z), and the seed of the key streams."""
+    each kind reads as its shape allows), the non-affine slot, and the
+    seed of the key streams."""
     d: int
     xs: tuple[int, ...]
     qc: tuple[int, int]
     s: int
     r: int
     slot: str
-    i: int
     seed: int
 
 
@@ -521,7 +535,7 @@ def chunk_cases(draw):
         d, tuple(xs), draw(st.sampled_from(((2, 3), (4, 2)))),
         draw(st.integers(4, min(d, 20))), draw(st.integers(1, 64)),
         draw(st.sampled_from(("g", "m1bar", "m2bar", "ybar", "wide"))),
-        draw(st.integers(0, 15)), draw(st.integers(0, 2**64 - 1)))
+        draw(st.integers(0, 2**64 - 1)))
 
 
 def _chunked_layout(case: ChunkCase, kind: str):
@@ -537,8 +551,7 @@ def _chunked_layout(case: ChunkCase, kind: str):
         r = max(case.r, case.s) if kind == "prf" else case.r
         p, window = ExtensionParams(d, case.s, r, 2, q, 3 if kind == "prf" else c), None
     if kind == "not-affine":
-        z = adw_z(p, "table")
-        return _not_affine_layout(p, window, case.slot, case.i % z), z
+        return _not_affine_layout(p, window, case.slot), adw_z(p, "table")
     variant = "prf" if kind == "prf" else "table"
     return adw_layout(p, variant, window), adw_z(p, variant)
 
@@ -547,14 +560,14 @@ def _chunked_layout(case: ChunkCase, kind: str):
 @settings(PROPERTY, max_examples=10)
 @given(chunk_cases())
 # 4 points that use 2 bits: folded at 3 points, where a d+1 rule would not fold
-@example(ChunkCase(17, (0, 1, 2, 3), (2, 3), 8, 24, "g", 0, 1))
+@example(ChunkCase(17, (0, 1, 2, 3), (2, 3), 8, 24, "g", 1))
 # 2 points, one using all d bits: never folded
-@example(ChunkCase(17, (5, 1 << 16), (4, 2), 8, 24, "ybar", 3, 2))
+@example(ChunkCase(17, (5, 1 << 16), (4, 2), 8, 24, "ybar", 2))
 def test_adw_twin_equals_scalar_across_chunks(kind, case):
     """With BLOCK_ELEMS cut so that a bar of z inner maps takes chunks of
-    c' slots, the last one holding 1, the twin stacks each chunk into one
-    g grid of c' * trials rows and still answers as the scalar keys; in
-    the mixed-shape bars a slot of its own shape is a chunk of its own.
+    c' slots, the last one holding 1, the twin takes each chunk as one
+    row slice of the stacked bars, one g grid of c' * trials rows, and
+    still answers as the scalar keys.
     An affine block asked for more than u + 1 points, u the bits they
     use, is folded, and its grids are over the u + 1 basis points."""
     layout, z = _chunked_layout(case, kind)
@@ -579,7 +592,7 @@ def test_adw_twin_equals_scalar_across_chunks(kind, case):
     assert sum(rows_per_grid) == (3 + z) * TRIALS
     if kind == "z0":
         assert rows_per_grid == [TRIALS] * 3
-    elif kind != "not-affine":
+    else:
         # h1, h2 and ell, then (z - 1) / c' full chunks and one of 1 slot
         assert rows_per_grid == [TRIALS] * 3 + [chunk * TRIALS] * ((z - 1) // chunk) + [TRIALS]
     assert max(rows_per_grid) <= chunk * TRIALS
@@ -592,3 +605,70 @@ def test_a_bar_of_no_slots_draws_nothing():
     draws = batch.ColumnDraws(KeyStreams(1, 2).heads(range(3)))
     assert draws.bar(0, draw) == KeyDraws(random.Random(1)).bar(0, draw) == ()
     assert draws._next == 0
+
+
+@st.composite
+def bar_slots(draw):
+    """(method, args) of one slot per kind a bar stacks: a k-wise hash over
+    GF(2^w) at every supported w, with or without a window, a windowed
+    table, and a padded view of a prf."""
+
+    def window(bits):
+        return draw(st.none() | st.integers(0, bits).map(lambda b: 1 << b))
+
+    slots = []
+    for w in SUPPORTED_WIDTHS:
+        k, d, r = draw(st.integers(2, 5)), draw(st.integers(w // 2 + 1, w)), draw(st.integers(1, w))
+        slots.append(("kwise", (k, d, r, window(r))))
+    entry_bits = draw(st.integers(1, 64))
+    entry_window = 1 << draw(st.integers(0, entry_bits))
+    slots.append(("table", (draw(st.integers(1, 5)), entry_bits, entry_window)))
+    s, r = draw(st.integers(2, 64)), draw(st.integers(1, 64))
+    slots.append(("padded", (s, r, draw(st.integers(1, s)), draw(st.integers(1, r)))))
+    return slots
+
+
+def _draw_slot(draws, method: str, args: tuple):
+    if method == "padded":
+        s, r, domain_bits, range_bits = args
+        return draws.padded(draws.prf(s, r), domain_bits, range_bits)
+    return getattr(draws, method)(*args)
+
+
+def _scalar_words(slot) -> list[int]:
+    if isinstance(slot, KWiseHashKey):
+        return list(slot.coeffs)
+    if isinstance(slot, PaddedPrfMap):
+        return [slot.f.seed]
+    return list(slot.entries)
+
+
+def _stacked_words(slot) -> list[list[int]]:
+    if isinstance(slot, batch._Hashes):
+        return slot.coeffs.tolist()
+    if isinstance(slot, batch._Lazy):
+        return [[seed] for seed in slot.seeds.tolist()]
+    return slot.entries.tolist()
+
+
+@pytest.mark.parametrize("z", (1, 2, 7))
+@pytest.mark.parametrize("rows", (1, 3, 256))
+@settings(PROPERTY, max_examples=5)
+@given(bar_slots(), st.integers(0, 2**64 - 1))
+def test_a_stacked_bar_holds_slot_i_in_rows_i_rows_to_i_plus_1_rows(rows, z, slots, seed):
+    """ColumnDraws.bar draws a bar of z slots as one slot of z * rows
+    rows: row i * rows + t holds the words KeyDraws.bar's slot i reads
+    from stream t. One bar per kind, drawn in turn and followed by a
+    prf, so each bar also reads exactly the scalar bar's words."""
+
+    def layout(draws):
+        bars = [draws.bar(z, lambda: _draw_slot(draws, *slot)) for slot in slots]
+        return bars, draws.prf(8, 64)
+
+    streams = KeyStreams(seed, 4)
+    stacked, after = layout(batch.ColumnDraws(streams.heads(range(rows))))
+    keys = [layout(KeyDraws(streams.stream(t))) for t in range(rows)]
+    for n, column in enumerate(stacked):
+        assert _stacked_words(column) == [_scalar_words(keys[t][0][n][i])
+                                          for i in range(z) for t in range(rows)]
+    assert after.seeds.tolist() == [f.seed for _, f in keys]
