@@ -40,13 +40,20 @@ by coefficient: h(x_j) = a0 ^ a1 x_j ^ ... ^ a_{k-1} x_j^(k-1). Each
 map a -> a * x_j^i is GF(2)-linear, so it has one table per digit of
 a, and every term is one gather of q contiguous table entries per
 digit over the whole grid. When w <= 8 the digit is all of a, whose
-2^w-entry table it indexes directly: one gather per coefficient. Wider
-fields take 16-entry tables per nibble (Shoup's 4-bit tables, as in
-GHASH), because byte tables at the birthday shape (w = 32, k = 16,
-128 points) would hold 7.5 MB instead of 0.94 MiB. The queries of a
-game are fixed, so the tables of (field, points, k) are built once,
-from doublings of the powers x_j^i without a field product, and kept
-in a small LRU cache; FieldSpec.poly_eval is the scalar reference.
+2^w-entry table it indexes directly: one gather per coefficient, a0's
+from the table of x^0. Wider fields take 16-entry tables per nibble
+(Shoup's 4-bit tables, as in GHASH), because byte tables at the
+birthday shape (w = 32, k = 16, 128 points) would hold 7.5 MB instead
+of 0.94 MiB, and broadcast a0. The queries of a game are fixed, so the
+tables of (field, points, k) are built once, from doublings of the
+powers x_j^i without a field product, and kept in a small LRU cache;
+FieldSpec.poly_eval is the scalar reference.
+
+A lazy-random function answers a grid of points of its domain with
+prfcore.lazy_answer's two mixes, the inner one, mix64(x ^ C1), read
+from a cached table of the whole domain when that holds no more
+entries than a block's grid (BLOCK_ELEMS), as the s-bit f of the
+uniformity and birthday workloads does.
 
 The column forms cover every slot a layout draws: k-wise hashes (with
 or without a window), lazy-random functions and padded views of them,
@@ -140,15 +147,36 @@ class Workspace:
         return slice_
 
 
-def lazy_answers(seeds: np.ndarray, xs: np.ndarray, range_bits: int,
+@lru_cache(maxsize=16)
+def _inner_mixes(domain_bits: int) -> np.ndarray:
+    """mix64(x ^ C1) for every x of a domain_bits-bit domain, the inner
+    half of prfcore.lazy_answer, read-only. lazy_answers builds it only
+    while it holds at most BLOCK_ELEMS entries (256 KiB), no more than
+    one block's grid."""
+    table = np.arange(1 << domain_bits, dtype=np.uint64)
+    table ^= np.uint64(C1)
+    mix64_inplace(table)
+    table.flags.writeable = False  # one cached array is shared by every caller
+    return table
+
+
+def lazy_answers(seeds: np.ndarray, xs: np.ndarray, range_bits: int, domain_bits: int = 64,
                  out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """prfcore.lazy_answer over a grid: seeds (N,) against xs (q,) or
-    (N, q), written into out (N, q) if one is given, which may be xs."""
+    (N, q), points of a domain_bits-bit domain, written into out (N, q)
+    if one is given, which may be xs. The inner half mix64(x ^ C1) of a
+    (N, q) grid is read from the table of f's whole domain when that
+    holds at most BLOCK_ELEMS entries (_inner_mixes), and mixed per
+    point otherwise."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     if out is None:
         out = np.empty((len(seeds), xs.shape[-1]), dtype=np.uint64)
     if xs.ndim == 1:  # one row of points for every seed: mixed once
         out[...] = mix64_inplace(np.bitwise_xor(xs, np.uint64(C1), dtype=np.uint64))
+    elif 1 << domain_bits <= BLOCK_ELEMS:
+        # every point is below the table's length, and take reads each
+        # index before it writes that entry over it
+        _inner_mixes(domain_bits).take(xs.view(np.intp), out=out, mode="clip")
     else:
         np.bitwise_xor(xs, np.uint64(C1), out=out, dtype=np.uint64)
         mix64_inplace(out, scratch)
@@ -171,13 +199,15 @@ def _element_dtype(spec: FieldSpec) -> np.dtype:
 
 @lru_cache(maxsize=8)
 def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
-    """Tables of multiplication by x_j^i for 1 <= i < k, in the field's
-    narrowest unsigned dtype, one per power and digit position of a
-    coefficient: entry [i - 1, p, m, j] is (m << digit * p) * x_j^i.
-    A digit is the whole coefficient when w <= 8, so the shape is
-    (k - 1, 1, 2^w, q), and a nibble otherwise, (k - 1, w / 4, 16, q):
-    byte tables at the birthday shape (w = 32, k = 16, 128 points)
-    would hold 7.5 MB, against 0.94 MiB of nibble tables.
+    """Tables of multiplication by x_j^i, in the field's narrowest
+    unsigned dtype, one per power and digit position of a coefficient:
+    entry [i - first, p, m, j] is (m << digit * p) * x_j^i. A digit is
+    the whole coefficient when w <= 8, and then every power has a table,
+    x^0 too (first = 0), so the shape is (k, 1, 2^w, q): a0 is gathered
+    like the other coefficients. Otherwise a digit is a nibble, and the
+    powers from x^1 (first = 1) have tables, (k - 1, w / 4, 16, q): byte
+    tables at the birthday shape (w = 32, k = 16, 128 points) would hold
+    7.5 MB, against 0.94 MiB of nibble tables.
 
     Multiplying by a fixed element is GF(2)-linear, so the tables are
     gf.linear_tables of the w doublings x_j^i * 2^b, each the one
@@ -186,7 +216,7 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
     x_j^(i-1) at the set bits of x_j. No field product is made.
     """
     w, q = spec.width, len(xs)
-    digit = w if w <= 8 else 4
+    digit, first = (w, 0) if w <= 8 else (4, 1)
     mask, low = np.uint64(truncate(~0, w)), np.uint64(truncate(spec.poly, w))
     bits = (np.array(xs, dtype=np.uint64) >> np.arange(w, dtype=np.uint64)[:, None]) & np.uint64(1)
     basis = np.empty((k, w, q), dtype=np.uint64)
@@ -196,8 +226,8 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
         for b in range(w):
             basis[i, b] = v
             v = ((v << np.uint64(1)) & mask) ^ (v >> np.uint64(w - 1)) * low
-    tables = np.empty((k - 1, w // digit, 1 << digit, q), dtype=_element_dtype(spec))
-    for pos, table in enumerate(linear_tables(basis[1:].transpose(0, 2, 1), digit)):
+    tables = np.empty((k - first, w // digit, 1 << digit, q), dtype=_element_dtype(spec))
+    for pos, table in enumerate(linear_tables(basis[first:].transpose(0, 2, 1), digit)):
         tables[:, pos] = table.transpose(0, 2, 1)
     tables.flags.writeable = False  # one cached array is shared by every caller
     return tables
@@ -230,23 +260,27 @@ class _Hashes:
         return _Hashes(self.coeffs[rows], self.spec, self.domain_bits, self.out_bits, self.ws)
 
     def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
-        """h(x_j) = a0 ^ XOR over i >= 1 of a_i * x_j^i, one coefficient
-        column at a time: each digit of a_i picks one row of q values
-        from its table of x^i, a gather of contiguous rows over the grid.
-        When w <= 8 the digit is a_i itself: one gather per coefficient,
-        with no shift or mask. Wider fields take a_i's nibbles, whose
-        tables stay small (_power_tables). The sum is kept in the tables'
-        narrow dtype, and each gather's digits and rows go through one
-        index and one term buffer of the workspace."""
+        """h(x_j) = XOR over i of a_i * x_j^i, one coefficient column at a
+        time: each digit of a_i picks one row of q values from its table
+        of x^i, a gather of contiguous rows over the grid. When w <= 8
+        the digit is a_i itself: one gather per coefficient, with no shift
+        or mask, a0's from the table of x^0 straight into the sum. Wider
+        fields take a_i's nibbles, whose tables stay small
+        (_power_tables), and a0 is broadcast along the q queries, which
+        costs less than its w / 4 gathers. The sum is kept and masked in the
+        tables' narrow dtype, and each gather's digits and rows go
+        through one index and one term buffer of the workspace."""
         coeffs, ws = self.coeffs, self.ws
         rows, q = len(coeffs), len(xs)
         out = (into or ws).empty((rows, q), np.uint64)
         tables = _power_tables(self.spec, xs, coeffs.shape[1])
+        first = coeffs.shape[1] - len(tables)  # the power of the first table
         with ws.frame():
             acc = ws.empty((rows, q), tables.dtype)
-            acc[...] = coeffs[:, :1]
+            if first:
+                acc[...] = coeffs[:, :1]
             index, term = ws.empty((rows,), np.intp), ws.empty((rows, q), tables.dtype)
-            for a, per_digit in zip(coeffs.T[1:], tables):
+            for i, (a, per_digit) in enumerate(zip(coeffs.T[first:], tables)):
                 for pos, table in enumerate(per_digit):
                     if len(per_digit) == 1:
                         np.copyto(index, a)
@@ -254,9 +288,13 @@ class _Hashes:
                         np.right_shift(a, 4 * pos, out=index)
                         index &= 15
                     # every digit is below the table's length
-                    acc ^= table.take(index, axis=0, out=term, mode="clip")
+                    if i or first:
+                        acc ^= table.take(index, axis=0, out=term, mode="clip")
+                    else:  # a0 at w <= 8, the first term of the sum
+                        table.take(index, axis=0, out=acc, mode="clip")
+            if self.out_bits < self.spec.width:
+                acc &= acc.dtype.type(truncate(~0, self.out_bits))
             np.copyto(out, acc)
-        out &= np.uint64(truncate(~0, self.out_bits))
         return out
 
 
@@ -277,7 +315,8 @@ class _Lazy:
         (values itself, when they are not needed after)."""
         if out is None:
             out = self.ws.empty(values.shape, np.uint64)
-        return lazy_answers(self.seeds, values, self.range_bits, out, self.ws.scratch(out.size))
+        return lazy_answers(self.seeds, values, self.range_bits, self.domain_bits, out,
+                            self.ws.scratch(out.size))
 
     def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
         out = (into or self.ws).empty((len(self.seeds), len(xs)), np.uint64)
@@ -443,14 +482,16 @@ class ColumnDraws:
         self._z = 1  # slots in the bar being drawn, 1 outside a bar
         self._slots = 0  # slots drawn, a bar's counted once
 
-    def _words(self, count: int, bits: int) -> np.ndarray:
+    def _words(self, count: int, bits: int = 64) -> np.ndarray:
         """The next count words of each of the z slots being drawn, masked
-        to bits: a (z, count, rows) C-ordered array of the workspace."""
+        to bits (not at all at 64): a (z, count, rows) C-ordered array of
+        the workspace."""
         cols = range(self._next, self._next + self._z * count)
         self._next, self._slots = cols.stop, self._slots + 1
         out = self.ws.empty((len(cols), len(self._heads)), np.uint64)
         stream_words(self._heads, cols, out, self.ws.scratch(out.size))
-        out &= np.uint64(truncate(~0, bits))
+        if bits < 64:
+            out &= np.uint64(truncate(~0, bits))
         return out.reshape(self._z, count, len(self._heads))
 
     def bar(self, z: int, draw):
@@ -471,15 +512,16 @@ class ColumnDraws:
     def kwise(self, k: int, domain_bits: int, range_bits: int,
               window: int | None = None) -> _Hashes:
         spec = default_spec(width_for(domain_bits, range_bits))
-        rows = len(self._heads)
-        coeffs = self.ws.empty((k, self._z * rows), _element_dtype(spec))
+        rows, dtype = len(self._heads), _element_dtype(spec)
+        coeffs = self.ws.empty((k, self._z * rows), dtype)
         with self.ws.frame():
-            words = self._words(k, spec.width)
+            # the narrowing copy keeps the dtype's bits, which are w's unless w = 4
+            words = self._words(k, spec.width if spec.width < 8 * dtype.itemsize else 64)
             np.copyto(coeffs.reshape(k, self._z, rows), words.transpose(1, 0, 2), casting="unsafe")
         return _Hashes(coeffs.T, spec, domain_bits, window_bits(window, range_bits), self.ws)
 
     def prf(self, domain_bits: int, range_bits: int) -> _Lazy:
-        return _Lazy(self._words(1, 64).reshape(-1), domain_bits, range_bits, self.ws)
+        return _Lazy(self._words(1).reshape(-1), domain_bits, range_bits, self.ws)
 
     def table(self, count: int, entry_bits: int, window: int | None = None) -> _Tables:
         rows = len(self._heads)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,6 +119,16 @@ def _part_tags(indices: range, out: np.ndarray | None = None,
     return mix64_inplace(out, scratch)
 
 
+@lru_cache(maxsize=64)
+def _column_tags(cols: range) -> np.ndarray:
+    """_part_tags(cols), read-only: the same for every block of streams.
+    An entry holds one word per column of a slot's or a bar's range, or
+    of a KeyStream refill (at most _CHUNK_MAX words, 32 KiB)."""
+    tags = _part_tags(cols)
+    tags.flags.writeable = False  # one cached array is shared by every caller
+    return tags
+
+
 def stream_words(heads: np.ndarray, cols: range, out: np.ndarray | None = None,
                  scratch: np.ndarray | None = None) -> np.ndarray:
     """Words cols of each head's stream, one row per head: (len(heads),
@@ -127,8 +138,10 @@ def stream_words(heads: np.ndarray, cols: range, out: np.ndarray | None = None,
 
     Word j of the stream with head derive_seed(seed, *parts) is
     derive_seed(seed, *parts, j), the chain folding in one more part.
+    The tags mix64(j ^ C2) of a word range do not depend on the heads,
+    so they are derived once per range and kept in a small LRU cache.
     """
-    out = np.bitwise_xor(_part_tags(cols, scratch=scratch)[:, None], heads, out=out)
+    out = np.bitwise_xor(_column_tags(cols)[:, None], heads, out=out)
     return mix64_inplace(out, scratch).T
 
 

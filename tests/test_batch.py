@@ -84,6 +84,27 @@ def test_lazy_answers_per_row_inputs():
             assert int(grid[t, j]) == o.query(BitString(int(xs[t, j]), 16)).value
 
 
+def test_the_inner_mix_cache_holds_no_table_larger_than_a_block():
+    # lazy_answers reads a grid's inner mixes from a table of the domain
+    # only while it holds at most BLOCK_ELEMS entries: after grids at
+    # domains of 1 to 17, 24 and 64 bits the cache holds the 15 tables of
+    # 1 to 15 bits, each read-only
+    mixes = batch._inner_mixes
+    mixes.cache_clear()
+    try:
+        seeds = np.arange(2, dtype=np.uint64)
+        for d in (*range(1, 18), 24, 64):
+            lazy_answers(seeds, np.zeros((2, 3), dtype=np.uint64), 8, d)
+        held = mixes.cache_info().currsize
+        tables = [mixes(d) for d in range(1, 16)]  # each a hit
+        assert mixes.cache_info().misses == held == len(tables)
+        assert [len(table) for table in tables] == [1 << d for d in range(1, 16)]
+        assert len(tables[-1]) == batch.BLOCK_ELEMS
+        assert not any(table.flags.writeable for table in tables)
+    finally:
+        mixes.cache_clear()
+
+
 @pytest.mark.parametrize("w", SUPPORTED_WIDTHS)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(1, 17), data=st.data())
@@ -117,9 +138,14 @@ def test_byte_wide_grid_takes_every_coefficient_at_every_power(w):
 @pytest.mark.parametrize("w, digits, entries", ((4, 1, 16), (8, 1, 256), (16, 4, 16),
                                                 (32, 8, 16), (64, 16, 16)))
 def test_power_tables_take_whole_coefficients_up_to_w_8_and_nibbles_above(w, digits, entries):
+    # whole coefficients have a table of x^0 too, through which a0 is
+    # gathered; nibble fields broadcast a0 and have tables from x^1
     k, xs = 5, (1, 2, 3)
     tables = batch._power_tables(default_spec(w), xs, k)
-    assert tables.shape == (k - 1, digits, entries, len(xs))
+    powers = k if digits == 1 else k - 1
+    assert tables.shape == (powers, digits, entries, len(xs))
+    if digits == 1:
+        assert tables[0, 0].tolist() == [[m] * len(xs) for m in range(entries)]
     # a block's coefficients are drawn in the tables' narrow dtype, not as uint64 words
     assert ColumnDraws(KeyStreams(1, 2).heads(range(3))).kwise(k, w, w).coeffs.dtype == tables.dtype
 

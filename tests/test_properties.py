@@ -129,6 +129,44 @@ def test_grid_kernel_equals_eval_kwise(w, k, data):
     assert grid.tolist() == [[eval_kwise(key, x) for x in points] for key in keys]
 
 
+@pytest.mark.parametrize("side", ("table", "mixed"))
+@PROPERTY
+@given(st.data())
+def test_lazy_answers_on_a_grid_equal_lazy_answer(side, data):
+    """A block's lazy-random slot, or a padded view of one, answers a
+    (rows, q) grid of points of its domain, 0 and 2^d - 1 among them,
+    as the scalar oracles keyed from the same streams, also when it
+    answers in place of the points. On the table side of the rule
+    (2^d <= BLOCK_ELEMS) the inner mixes are read from the table of the
+    domain, on the other side mixed per point."""
+    table = side == "table"
+    domain_bits = data.draw(st.integers(1, 15) if table else st.integers(16, 17), label="d")
+    top = (1 << domain_bits) - 1
+    rows, q = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(2, 5), label="q")
+    r = data.draw(st.integers(1, 64), label="r")
+    cells = data.draw(st.lists(st.integers(0, top), min_size=rows * q - 2, max_size=rows * q - 2),
+                      label="points")
+    points = np.array(data.draw(st.permutations([0, top, *cells]), label="order"),
+                      dtype=np.uint64).reshape(rows, q)
+    # a padded view of a prf of (s, r') bits, or the prf itself
+    view = data.draw(st.none() | st.tuples(st.integers(domain_bits, 64), st.integers(r, 64)),
+                     label="padded")
+
+    def layout(draws):
+        if view is None:
+            return draws.prf(domain_bits, r)
+        return draws.padded(draws.prf(*view), domain_bits, r)
+
+    streams = KeyStreams(data.draw(st.integers(0, 2**64 - 1), label="seed"), 11)
+    f = layout(batch.ColumnDraws(streams.heads(range(rows))))
+    keys = [layout(KeyDraws(streams.stream(t))) for t in range(rows)]
+    expected = [[key.eval_int(int(x)) for x in row] for key, row in zip(keys, points)]
+    with mock.patch.object(batch, "_inner_mixes", wraps=batch._inner_mixes) as mixes:
+        assert f.at(points.copy()).tolist() == expected
+        assert f.at(points, points).tolist() == expected
+    assert mixes.called == table
+
+
 def _power_sum(coeffs, x: int, w: int) -> int:
     """a0 + a1*x + ... + a_{k-1}*x^{k-1} as a sum of schoolbook products,
     with no Horner step and no table."""
