@@ -1,5 +1,5 @@
 """Microbenchmarks of key sampling: a block's keys in the numpy twin, and
-one trial's keys on KeyDraws.
+one trial's keys on KeyDraws; and the splitmix64 mix of a block's grid.
 
     python -m pytest microbench --benchmark-only
 
@@ -10,13 +10,15 @@ stream_words derives a block's words in one call; a pp_layout draw on
 ColumnDraws derives them slot by slot and masks each slot to its width,
 as block_keys does for every block of a run. The per-trial loop draws
 the same layout from one trial's key stream through KeyDraws, as the
-samplers without a numpy twin do for every trial.
+samplers without a numpy twin do for every trial. mix64_inplace mixes
+one block's grid of lazy answers, (8192, 4) for `uniformity` and
+(250, 128) for `birthday`, through its workspace's scratch.
 """
 
 import pytest
 
 from cuckooprf import batch
-from cuckooprf.bits import KeyStreams, stream_words
+from cuckooprf.bits import KeyStreams, mix64_inplace, stream_words
 from cuckooprf.transform import KeyDraws, pp_layout
 
 # pp_layout's (d, s, r, k), rows
@@ -24,6 +26,7 @@ SHAPES = {
     "uniformity": ((8, 8, 2, 8), 8192),
     "birthday": ((24, 12, 24, 16), 250),
 }
+GRIDS = {"uniformity": (8192, 4), "birthday": (250, 128)}
 
 
 def _heads(rows):
@@ -52,3 +55,14 @@ def test_pp_layout_draw_per_trial(benchmark, shape):
     streams, layout = KeyStreams(2024, 0), pp_layout(*args)
     key = benchmark(lambda: layout(KeyDraws(streams.stream(7))))
     assert len(key.key.h1.coeffs) == args[3]
+
+
+@pytest.mark.parametrize("shape", GRIDS)
+def test_mix64_inplace(benchmark, shape):
+    rows, q = GRIDS[shape]
+    grid = stream_words(_heads(rows), range(q)).copy()
+    ws = batch.Workspace()
+    ws.scratch(grid.size)
+    ws.reset()  # the scratch is now the workspace's, as in every block after the first
+    out = benchmark(mix64_inplace, grid, ws.scratch(grid.size))
+    assert out is grid

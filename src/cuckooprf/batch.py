@@ -25,8 +25,9 @@ consecutive slots, row slices of the stacked bars, each of at most
 BLOCK_ELEMS grid cells, so their grids stay as small as a block's.
 
 A block's arrays (its heads and words, coefficients, seeds and tables,
-hash grids and their sums, lazy answers and mix scratch) are taken from
-a Workspace, which the block loop resets before each block: the first
+hash grids and their sums, lazy answers, and the scratch a mix writes
+its shifts into, as long as the array it mixes) are taken from a
+Workspace, which the block loop resets before each block: the first
 block sizes it, and a block of the same shape after it allocates no
 array of its own. Buffers whose lifetimes do not overlap share memory
 (Workspace.frame), so the workspace holds what a block holds at once,
@@ -74,7 +75,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bits import C1, MIX_CHUNK, KeyStreams, mix64_inplace, stream_words, truncate
+from .bits import C1, KeyStreams, mix64_inplace, stream_words, truncate
 from .gf import FieldSpec, default_spec, linear_tables
 from .hashfam import width_for, window_bits
 from .transform import KeySampler
@@ -138,13 +139,10 @@ class Workspace:
         self._top = 0
 
     def scratch(self, elements: int) -> np.ndarray:
-        """A mix64_inplace scratch slice for an array of `elements`
-        elements: the bytes past the last buffer taken, which the next
-        empty() takes again."""
-        top = self._top
-        slice_ = self.empty((min(elements, MIX_CHUNK),), np.uint64)
-        self._top = top
-        return slice_
+        """A mix64_inplace scratch of `elements` uint64 words: the bytes
+        past the last buffer taken, which the next empty() takes again."""
+        with self.frame():
+            return self.empty((elements,), np.uint64)
 
 
 @lru_cache(maxsize=16)

@@ -12,10 +12,9 @@ mix64 is the splitmix64 finalizer. It is the only source of derived
 randomness in the experiment harness: lazy-random oracles, key streams,
 and the counter-mode PRG variant all reduce to it, which is what makes
 every run replayable from one 64-bit seed. Its numpy form mixes a
-C-ordered uint64 array in place (mix64_inplace), over consecutive
-slices of MIX_CHUNK elements through one scratch slice, so a pass over
-a block's words needs one slice whatever the block's size; the numpy
-twin passes the slice of its block workspace (batch.Workspace).
+C-ordered uint64 array in place (mix64_inplace), in one pass through
+a scratch array as long as it; the numpy twin passes the free bytes of
+its block workspace (batch.Workspace.scratch).
 
 Key material comes from counter-mode streams with one rule: word j of
 the stream tagged (seed, *parts) is derive_seed(seed, *parts, j).
@@ -57,34 +56,27 @@ def mix64(v: int) -> int:
 _MUL1 = np.uint64(MIX1)
 _MUL2 = np.uint64(MIX2)
 _SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
-# Elements mixed per pass. A pass over a slice this long keeps the slice
-# and its shifted copy in cache (256 KB together), and a mix allocates
-# one scratch slice, not a temporary the size of the array per step.
-MIX_CHUNK = 1 << 14
 
 
 def mix64_inplace(v: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """mix64 on every element of a C-ordered uint64 array, in place; v
-    is returned. The mix runs over consecutive slices of MIX_CHUNK
-    elements of the flat array, through one scratch slice: the caller's
-    scratch, a uint64 array of at least min(v.size, MIX_CHUNK) elements
-    (the numpy twin passes Workspace.scratch, the free bytes past the
-    last buffer its block took), or else one allocated here."""
+    is returned. Each shift is written into one scratch array: the
+    caller's scratch, a 1-D uint64 array of at least v.size elements (the
+    numpy twin passes Workspace.scratch, the free bytes past the last
+    buffer its block took), or else one allocated here, so a mix makes
+    no temporary the size of v per step. A shorter scratch fails the
+    first shift (ValueError), before v changes."""
     if v.dtype != np.uint64 or not v.flags.c_contiguous:
         # reshape(-1) would copy, and mixing the copy would leave v as it was
         raise ValueError("mix64_inplace needs a C-ordered uint64 array")
     s30, s27, s31 = _SHIFTS
     flat = v.reshape(-1)
-    if scratch is None:
-        scratch = np.empty(min(flat.size, MIX_CHUNK), dtype=np.uint64)
-    for start in range(0, flat.size, MIX_CHUNK):
-        part = flat[start:start + MIX_CHUNK]
-        shifted = scratch[:len(part)]
-        part ^= np.right_shift(part, s30, out=shifted)
-        part *= _MUL1
-        part ^= np.right_shift(part, s27, out=shifted)
-        part *= _MUL2
-        part ^= np.right_shift(part, s31, out=shifted)
+    shifted = np.empty_like(flat) if scratch is None else scratch[:flat.size]
+    flat ^= np.right_shift(flat, s30, out=shifted)
+    flat *= _MUL1
+    flat ^= np.right_shift(flat, s27, out=shifted)
+    flat *= _MUL2
+    flat ^= np.right_shift(flat, s31, out=shifted)
     return v
 
 

@@ -528,6 +528,76 @@ def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):
     assert codes[sampler] == codes[opaque] == want
 
 
+def _block(ws):
+    """Buffers as a block takes them: two kept, two inside a frame, then
+    one more after the frame is given back."""
+    kept = [ws.empty((100,), np.uint64), ws.empty((3, 7), np.uint8)]
+    with ws.frame():
+        framed = [ws.empty((50,), np.uint32), ws.empty((10, 10), np.float64)]
+    return kept, framed, ws.empty((20,), np.intp)
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_workspace_buffers_live_at_once_never_overlap():
+    ws = batch.Workspace()
+    _block(ws)
+    ws.reset()
+    kept, framed, after = _block(ws)
+    for live in (kept + framed, kept + [after]):
+        for a, b in itertools.combinations(live, 2):
+            assert not np.shares_memory(a, b)
+    assert [a.shape for a in kept + framed + [after]] == [(100,), (3, 7), (50,), (10, 10), (20,)]
+    assert [a.dtype for a in kept] == [np.uint64, np.uint8]
+
+
+def test_workspace_frame_gives_back_what_was_taken_inside_it():
+    ws = batch.Workspace()
+    _block(ws)
+    ws.reset()
+    _, framed, after = _block(ws)
+    assert _address(after) == _address(framed[0]) and np.shares_memory(after, framed[0])
+
+
+def test_workspace_reset_grows_to_the_most_held_at_once():
+    ws = batch.Workspace()
+    first = _block(ws)
+    # a new workspace has no buffer: the first block's arrays are fresh
+    assert all(a.flags.owndata for a in first[0] + first[1] + [first[2]])
+    for _ in range(2):
+        ws.reset()
+        kept, framed, after = _block(ws)
+        assert not any(a.flags.owndata for a in kept + framed + [after])
+
+
+def test_workspace_hands_out_a_fresh_array_past_its_end():
+    ws = batch.Workspace()
+    _block(ws)
+    ws.reset()
+    kept, framed, after = _block(ws)
+    beyond = ws.empty((1024,), np.uint64)  # more than the block held at once
+    assert beyond.flags.owndata
+    assert not any(np.shares_memory(beyond, a) for a in kept + framed + [after])
+    ws.reset()  # grown to hold it too
+    _block(ws)
+    assert not ws.empty((1024,), np.uint64).flags.owndata
+
+
+def test_workspace_scratch_is_taken_again_by_the_next_buffer():
+    ws = batch.Workspace()
+    ws.empty((5,), np.uint8)
+    ws.scratch(40)
+    ws.reset()
+    head = ws.empty((5,), np.uint8)
+    scratch = ws.scratch(40)
+    assert scratch.shape == (40,) and scratch.dtype == np.uint64 and not scratch.flags.owndata
+    assert not np.shares_memory(scratch, head)
+    taken = ws.empty((40,), np.uint64)
+    assert _address(taken) == _address(scratch) and not taken.flags.owndata
+
+
 def test_uniformity_blocks_after_the_first_allocate_nothing_large(monkeypatch):
     # the uniformity unit: pp_layout(8, 8, 2, 8) at 4 queries, so 32 blocks
     # of 8192 rows. Each block's twin (_block_codes) hands back one fresh

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from cuckooprf.bits import (
     C1,
     MASK64,
-    MIX_CHUNK,
     BitString,
     KeyStreams,
     derive_seed,
@@ -134,14 +134,15 @@ def _words(n, seed):
     lambda: np.asfortranarray(_words(35, 1).reshape(5, 7)),  # reshape(-1) would copy
     lambda: _words(60, 2)[1::3],
     lambda: np.array(_words(1, 3)[0]),  # 0-d
-    lambda: _words(3 * MIX_CHUNK + 5, 4),  # three whole slices and a short one
-], ids=["fortran", "strided", "0-d", "3-chunks-and-5"])
+    lambda: _words(3 * (1 << 14) + 5, 4),
+], ids=["fortran", "strided", "0-d", "long"])
 def test_mix64_inplace_mixes_a_c_ordered_copy_of_any_layout(make):
     v = make()
     before = v.copy()
     want = [mix64(int(x)) for x in v.ravel()]
-    # its own scratch, and a caller's full MIX_CHUNK slice holding stale words
-    for scratch in (None, _words(MIX_CHUNK, 6)):
+    # its own scratch, and a caller's scratch of exactly v.size words and
+    # one longer, both holding stale words
+    for scratch in (None, _words(v.size, 6), _words(v.size + 1, 7)):
         copy = np.array(v, dtype=np.uint64, order="C")
         assert mix64_inplace(copy, scratch) is copy
         assert copy.shape == v.shape and [int(g) for g in copy.ravel()] == want
@@ -153,12 +154,14 @@ def test_mix64_inplace_refuses_what_it_cannot_mix_in_place():
     for bad in (v, _words(12, 5)[::2], _words(4, 5).astype(np.int64)):
         with pytest.raises(ValueError):
             mix64_inplace(bad)
+    short = _words(12, 5)
+    with pytest.raises(ValueError):  # a scratch shorter than the array
+        mix64_inplace(short, _words(11, 6))
+    assert np.array_equal(short, _words(12, 5))
 
 
-def test_stream_words_over_several_mix_slices_are_derive_seed():
-    # 700 x 25 words span two MIX_CHUNK slices of the flat matrix
+def test_stream_words_of_a_large_matrix_are_derive_seed():
     seed, parts, rows, cols = 99, (7, 3), range(5, 705), range(11, 36)
-    assert len(rows) * len(cols) > MIX_CHUNK
     words = stream_words(KeyStreams(seed, *parts).heads(rows), cols)
     assert words.tolist() == [[derive_seed(seed, *parts, t, j) for j in cols] for t in rows]
 
@@ -193,6 +196,27 @@ def test_random_and_randrange_follow_the_words(seed, bounds):
             if expected < n:
                 break
         assert stream.randrange(n) == expected
+
+
+@PROPERTY
+@given(SEEDS, PARTS, st.lists(st.one_of(st.integers(0, 200), st.none()), min_size=1, max_size=16))
+def test_reads_across_refills_follow_the_words(seed, parts, reads):
+    # None is a random(); a stream refills at words 16, 64 and 256, and
+    # the reads repeat until they have taken all three refills' words
+    stream = key_stream(seed, *parts)
+    j = 0
+    for w in itertools.cycle(reads):
+        if j > 256:
+            break
+        count = 1 if w is None or w <= 64 else -(-w // 64)
+        words = [derive_seed(seed, *parts, i) for i in range(j, j + count)]
+        j += count
+        if w is None:
+            assert stream.random() == (words[0] >> 11) * 2.0**-53
+        else:
+            expected = sum(truncate(word, min(64, w - 64 * i)) << 64 * i
+                           for i, word in enumerate(words))
+            assert stream.getrandbits(w) == expected
 
 
 def test_key_stream_rejects_what_it_cannot_do():
