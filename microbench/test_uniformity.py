@@ -5,12 +5,14 @@ benchmark's `uniformity` workload.
 
 uniformity --d 8 --s 8 --r 2 --k 8 --queries 4 walks its samples in
 blocks of 8192 rows, each drawn as pp_layout(8, 8, 2, 8) keys, answered
-at the queries 0..3 and packed into one code per row by
-games._block_codes. One round times 4 consecutive blocks through one
-workspace reset before each block, as tuple_uniformity_sd runs them:
-the first block sizes the workspace and the other three reuse it.
+at the queries 0..3 and packed into one code per row by the estimator's
+distinguisher, whose rule is games._pack. One round times 4 consecutive
+blocks through games._twin_values, the walker's per-block twin, with
+one workspace reset before each block, as tuple_uniformity_sd walks
+them: the first block sizes the workspace and the other three reuse it.
 """
 
+import functools
 from itertools import islice
 
 from cuckooprf import batch, games
@@ -19,7 +21,8 @@ from cuckooprf.transform import KeySampler, pp_layout
 
 D, R, Q, BLOCKS = 8, 2, 4, 4
 SAMPLER = KeySampler(pp_layout(D, 8, R, 8))
-QUERIES = [BitString(i, D) for i in range(Q)]
+DIST = games.NonAdaptiveDistinguisher([BitString(i, D) for i in range(Q)],
+                                      functools.partial(games._pack, r=R))
 STREAMS = games.sample_streams(2024)
 
 
@@ -27,7 +30,7 @@ def _blocks():
     ws, codes = batch.Workspace(), []
     for block in islice(batch.blocks(256_000, Q), BLOCKS):
         ws.reset()
-        codes.append(games._block_codes(SAMPLER, STREAMS, block, QUERIES, R, ws))
+        codes.append(games._twin_values(SAMPLER, STREAMS, block, DIST, ws)[0])
     return codes
 
 

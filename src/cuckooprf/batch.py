@@ -6,15 +6,15 @@ thousands of trials and millions of key samples, and the test suite
 pins the batched output to the scalar output pointwise for every
 slot layout.
 
-games.run_game and games.tuple_uniformity_sd walk their trials or
-samples in blocks (blocks) of max(1, BLOCK_ELEMS // q) rows for q
-queries. A transform.KeySampler is sampled by its numpy twin: its slot
-layout runs on ColumnDraws, which reads every slot straight from the
-word matrix of a block of key streams (bits.stream_words), so the
-coefficients, seeds and tables go into arrays without a per-trial key
-object, and batch_answers answers them as one matrix. block_keys
-returns None for any other sampler, whose trials the caller then plays
-one at a time. KeyDraws reads the same words, so the answers are the
+games._walk, the one block walker of games.run_game and
+games.tuple_uniformity_sd, walks their trials or samples in blocks
+(blocks) of max(1, BLOCK_ELEMS // q) rows for q queries. A
+transform.KeySampler is sampled by its numpy twin: its slot layout runs
+on ColumnDraws, which reads every slot straight from the word matrix of
+a block of key streams (bits.stream_words), so the coefficients, seeds
+and tables go into arrays without a per-trial key object, and
+batch_answers answers them as one matrix. block_keys returns None for
+any other sampler, whose trials the walker then plays one at a time. KeyDraws reads the same words, so the answers are the
 same either way. ColumnDraws.bar draws a bar of z like slots as one
 column slot of z * rows rows, slot i in rows i * rows to (i + 1) * rows,
 from words derived in one stream_words call. A block is sampled,
@@ -27,14 +27,13 @@ BLOCK_ELEMS grid cells, so their grids stay as small as a block's.
 A block's arrays (its heads and words, coefficients, seeds and tables,
 hash grids and their sums, lazy answers, and the scratch a mix writes
 its shifts into, as long as the array it mixes) are taken from a
-Workspace, which the block loop resets before each block: the first
+Workspace, which the block walker resets before each block: the first
 block sizes it, and a block of the same shape after it allocates no
 array of its own. Buffers whose lifetimes do not overlap share memory
 (Workspace.frame), so the workspace holds what a block holds at once,
-and nothing in it outlives the loop's call. What a block hands back
-is never the workspace's: batch_answers returns a fresh matrix, which
-decide may keep, unless its caller passes the block's workspace, and
-games._block_codes returns fresh codes.
+and nothing in it outlives the walker's call. The answer matrix
+batch_answers returns is the workspace's too, so decide reads it within
+the block; a decide that keeps values past the block copies them.
 
 Every k-wise hash is evaluated as one rows x queries grid, coefficient
 by coefficient: h(x_j) = a0 ^ a1 x_j ^ ... ^ a_{k-1} x_j^(k-1). Each
@@ -93,20 +92,20 @@ _ALIGN = 64
 class Workspace:
     """The block-sized scratch buffers of a block loop.
 
-    games.tuple_uniformity_sd makes one per call, games.run_game one per
-    world, and each resets it before every block; nothing in it outlives
-    the call. empty(shape, dtype) hands out views of one flat buffer,
-    stacked in the order they are taken. A view is its taker's until the
-    workspace is reset, or until the frame() it was taken in exits; then
-    the next empty() takes its bytes again. So buffers whose lifetimes do
-    not overlap, such as the word matrices of a block's k-wise slots,
-    share memory, and the buffer is as long as the most a block held at
-    once. What a block takes past the buffer's end is a fresh array, and
-    the next reset() grows the buffer to that high-water mark: the first
-    block allocates as it would without a workspace, and the blocks after
-    it, if no larger, allocate nothing. A new workspace has no buffer, so
-    every array it hands out is fresh; batch_answers takes its matrix from
-    one unless told otherwise, so that the caller may keep it.
+    games._walk makes one per call, that is one per world of
+    games.run_game and one per games.tuple_uniformity_sd, and resets it
+    before every block; nothing in it outlives the call. empty(shape,
+    dtype) hands out views of one flat buffer, stacked in the order they
+    are taken. A view is its taker's until the workspace is reset, or
+    until the frame() it was taken in exits; then the next empty() takes
+    its bytes again. So buffers whose lifetimes do not overlap, such as
+    the word matrices of a block's k-wise slots, share memory, and the
+    buffer is as long as the most a block held at once. What a block
+    takes past the buffer's end is a fresh array, and the next reset()
+    grows the buffer to that high-water mark: the first block allocates
+    as it would without a workspace, and the blocks after it, if no
+    larger, allocate nothing. A new workspace has no buffer, so every
+    array it hands out is fresh.
     """
 
     def __init__(self):
@@ -233,10 +232,10 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
 
 # Column forms of key slots, one array row per trial. A slot has
 # at(values) for its answers on a (trials, q) grid of values, or
-# grid(xs, into) for its answers at every query point, taken from the
-# workspace `into` (by default the slot's own); the slots that can be a
-# whole oracle also carry its domain_bits and range_bits. The slots a
-# bar stacks also have part(rows), the slot of those rows alone.
+# grid(xs) for its answers at every query point, taken from the slot's
+# workspace; the slots that can be a whole oracle also carry its
+# domain_bits and range_bits. The slots a bar stacks also have
+# part(rows), the slot of those rows alone.
 
 
 class _Hashes:
@@ -257,7 +256,7 @@ class _Hashes:
     def part(self, rows: slice) -> _Hashes:
         return _Hashes(self.coeffs[rows], self.spec, self.domain_bits, self.out_bits, self.ws)
 
-    def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
+    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
         """h(x_j) = XOR over i of a_i * x_j^i, one coefficient column at a
         time: each digit of a_i picks one row of q values from its table
         of x^i, a gather of contiguous rows over the grid. When w <= 8
@@ -270,7 +269,7 @@ class _Hashes:
         through one index and one term buffer of the workspace."""
         coeffs, ws = self.coeffs, self.ws
         rows, q = len(coeffs), len(xs)
-        out = (into or ws).empty((rows, q), np.uint64)
+        out = ws.empty((rows, q), np.uint64)
         tables = _power_tables(self.spec, xs, coeffs.shape[1])
         first = coeffs.shape[1] - len(tables)  # the power of the first table
         with ws.frame():
@@ -316,8 +315,8 @@ class _Lazy:
         return lazy_answers(self.seeds, values, self.range_bits, self.domain_bits, out,
                             self.ws.scratch(out.size))
 
-    def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
-        out = (into or self.ws).empty((len(self.seeds), len(xs)), np.uint64)
+    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
+        out = self.ws.empty((len(self.seeds), len(xs)), np.uint64)
         return self.at(np.array(xs, dtype=np.uint64), out)
 
 
@@ -353,8 +352,8 @@ class _Levin:
     def __post_init__(self):
         self.domain_bits, self.range_bits = self.h.domain_bits, self.f.range_bits
 
-    def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
-        values = self.h.grid(xs, into)
+    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
+        values = self.h.grid(xs)
         return self.f.at(values, values)
 
 
@@ -383,23 +382,22 @@ class _ADW:
             raise ValueError("the twin reads each bar as one stacked slot (ColumnDraws.bar), "
                              "not as a tuple of slots")
 
-    def grid(self, xs: tuple[int, ...], into: Workspace | None = None) -> np.ndarray:
+    def grid(self, xs: tuple[int, ...]) -> np.ndarray:
         """f1(inner1) ^ f2(inner2) ^ yterm, each f answered in place of
         its inner value, so the sum is kept where inner1 was taken."""
         used = max(xs, default=0).bit_length()
         if len(xs) > used + 1 and self._affine():
-            inner1, inner2, yterm = self._folded(xs, used, into)
+            inner1, inner2, yterm = self._folded(xs, used)
         else:
-            inner1, inner2, yterm = self._inner(xs, into)
+            inner1, inner2, yterm = self._inner(xs)
         answers = self.f1.at(inner1, inner1)
         answers ^= self.f2.at(inner2, inner2)
         answers ^= yterm
         return answers
 
-    def _inner(self, xs: tuple[int, ...], into: Workspace | None = None) -> list:
-        """The three inner values, (trials, q) each: the first taken from
-        `into` (by default the block's workspace), the others from the
-        block's workspace.
+    def _inner(self, xs: tuple[int, ...]) -> list:
+        """The three inner values, (trials, q) each, in the block's
+        workspace.
 
         The z inner maps go in chunks of consecutive slots, one row slice
         of each bar (part), so a chunk takes one g grid and one lookup
@@ -408,7 +406,7 @@ class _ADW:
         BLOCK_ELEMS, so its grids stay as small as a block's, and each
         chunk gives its workspace buffers back before the next.
         """
-        inner = [self.h1.grid(xs, into), self.h2.grid(xs), self.ell.grid(xs)]
+        inner = [self.h1.grid(xs), self.h2.grid(xs), self.ell.grid(xs)]
         rows, q = len(inner[0]), len(xs)
         step = max(1, rows * max(1, BLOCK_ELEMS // max(1, rows * q)))
         for start in range(0, len(self.gbar.coeffs) if self.bars else 0, step):
@@ -427,7 +425,7 @@ class _ADW:
                 and all(isinstance(m, _Tables) and m.entries.shape[1] == 2
                         for m in self.bars[1:]))
 
-    def _folded(self, xs: tuple[int, ...], used: int, into: Workspace | None = None) -> list:
+    def _folded(self, xs: tuple[int, ...], used: int) -> list:
         """The three inner values, (trials, q) each, placed as _inner
         places them, from per-row byte tables of their affine map on the
         low `used` bits, which hold every x in xs (combine.fold_adw in
@@ -443,8 +441,7 @@ class _ADW:
         points = np.array(xs, dtype=np.uint64)
         point_bytes = [(points >> np.uint64(pos)) & np.uint64(255) for pos in range(0, used, 8)]
         shape = (len(at_basis[0]), len(xs))
-        folded = [(into or ws).empty(shape, np.uint64), ws.empty(shape, np.uint64),
-                  ws.empty(shape, np.uint64)]
+        folded = [ws.empty(shape, np.uint64) for _ in range(3)]
         with ws.frame():
             term = ws.empty(shape, np.uint64) if len(point_bytes) > 1 else None
             for values, acc in zip(at_basis, folded):
@@ -536,14 +533,13 @@ class ColumnDraws:
     adw = _ADW
 
 
-def batch_answers(columns, queries, into: Workspace | None = None) -> np.ndarray:
+def batch_answers(columns, queries) -> np.ndarray:
     """Answer matrix (trials, queries) as raw uint64 values of the
     column form of a block of keys that block_keys drew, taken from the
-    workspace `into`. By default that is a new workspace, whose every
-    buffer is a fresh array, so the caller may keep the matrix after the
-    block's workspace moves on; a caller that is done with it within the
-    block passes the block's workspace."""
-    return columns.grid(tuple(x.value for x in queries), into or Workspace())
+    keys' own workspace: a view of it, which its caller reads before the
+    workspace is reset, unless the workspace is new and the matrix a
+    fresh array past its end."""
+    return columns.grid(tuple(x.value for x in queries))
 
 
 def block_keys(sampler, streams: KeyStreams, block: range, domain_bits: int,

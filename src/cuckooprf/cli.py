@@ -6,8 +6,8 @@ to stdout or --out as CSV (default) or JSON with one fixed column set
 across all experiments; hard-invariant failures are printed to stderr.
 
 Exit codes: 0 all checks passed, 1 a hard check failed, 2 the
-configuration violates a stated constraint or the output (--out or
-stdout) cannot be written.
+configuration violates a stated constraint (a seed outside 0..2^64-1
+among them) or the output (--out or stdout) cannot be written.
 
 A flat JSON config file (--config) mirrors the flag names (master_seed
 for --seed) and wins over flags on conflict, with a notice on stderr.
@@ -209,6 +209,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(parser, args)
+        # derive_seed reads a seed mod 2^64, so a seed outside would alias one inside
+        if not 0 <= args.seed < 1 << 64:
+            raise ConfigurationError(f"seed must be in 0..2^64-1, got {args.seed}")
         rows, problems = _dispatch(args)
         text = (experiments.rows_to_csv(rows) if args.format == "csv"
                 else experiments.rows_to_json(rows))

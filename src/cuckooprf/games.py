@@ -13,23 +13,28 @@ derive_seed(seed, GAME_TAG, w, t, j).
 
 Nonadaptive distinguishers commit to their query list at construction
 time, so nonadaptivity is enforced by shape rather than by discipline.
-Their one decision rule, decide, maps a (trials, q) uint64 matrix of
-answers to one verdict per row. Adaptive ones choose each query from the
-transcript so far. Queries asked one at a time pass through a guard that
-raises ProtocolViolation on budget overrun, repeats, or out-of-domain
-inputs; a violated trial is aborted, counted, and scored as a reject.
+Their one rule, decide, maps a (trials, q) uint64 matrix of answers to
+one value per row: a verdict, accepting when nonzero, or, for the
+uniformity estimator, the row's output-tuple code. Adaptive ones choose
+each query from the transcript so far. Queries asked one at a time pass
+through a guard that raises ProtocolViolation on budget overrun,
+repeats, or out-of-domain inputs; a violated trial is aborted, counted,
+and valued 0, a reject.
 
-run_game is the one game runner. It walks the trials of each world in
-blocks (batch.blocks). When a nonadaptive distinguisher meets a sampler
-with a numpy twin of its queries' domain (a transform.KeySampler), each
-block's keys are drawn by the twin (batch.block_keys), answered by
-batch.batch_answers and decided as one matrix; the twin's buffers come
-from one batch.Workspace per world, reset before every block, and the
-answer matrix decide sees is its own. Every other block (of
-an adaptive distinguisher, or of a sampler without that twin) is played
-by the per-trial loop, the reference path, which decides a nonadaptive
-trial on its one-row matrix. Both read the same words, so
-either way every per-trial verdict is the same.
+One walker (_walk) plays every block of rows, the trials of a world of
+run_game, the one game runner, and the samples of tuple_uniformity_sd.
+It walks them in blocks (batch.blocks) through one batch.Workspace,
+reset before every block. When a nonadaptive distinguisher meets a
+sampler with a numpy twin of its queries' domain (a
+transform.KeySampler), each block's keys are drawn by the twin
+(batch.block_keys) into that workspace, answered there by
+batch.batch_answers and decided as one matrix. Every other block (of an
+adaptive distinguisher, or of a sampler without that twin) is played by
+the per-trial loop, the reference path, which decides a nonadaptive
+trial on its one-row matrix. Both read the same words, so either way
+every row's value is the same. Each block's values are used before the
+next block is drawn: run_game counts the nonzero ones per world, and
+tuple_uniformity_sd counts the codes per cell.
 """
 
 from __future__ import annotations
@@ -112,18 +117,20 @@ class QueryGuard:
 
 
 class Distinguisher:
-    """Base: a query budget and run(query) -> bool, which the per-trial
-    loop calls once per trial with the trial's guarded oracle."""
+    """Base: a query budget and run(query), the trial's value, nonzero
+    to accept, which the per-trial loop calls once per trial with the
+    trial's guarded oracle."""
 
     budget: int
 
-    def run(self, query) -> bool:
+    def run(self, query):
         raise NotImplementedError
 
 
 class NonAdaptiveDistinguisher(Distinguisher):
     """Query list fixed up front; decide maps a (trials, q) uint64 matrix,
-    column j holding the answers to query j, to one verdict per row."""
+    column j holding the answers to query j, to one value per row, which
+    run_game counts as a verdict and tuple_uniformity_sd as a code."""
 
     def __init__(self, queries, decide):
         self.queries = tuple(queries)
@@ -137,9 +144,10 @@ class NonAdaptiveDistinguisher(Distinguisher):
         self.decide = decide
         self.budget = len(self.queries)
 
-    def run(self, query) -> bool:
+    def run(self, query):
+        """decide's value for the trial's one row of answers."""
         answers = np.array([[query(x).value for x in self.queries]], dtype=np.uint64)
-        return bool(self.decide(answers)[0])
+        return self.decide(answers)[0]
 
 
 class AdaptiveDistinguisher(Distinguisher):
@@ -173,51 +181,55 @@ def run_game(real_sampler, ideal_sampler, dist: Distinguisher, trials: int, seed
     the trial's key stream, except that a NonAdaptiveDistinguisher facing
     a transform.KeySampler of its queries' domain has each block of trials
     sampled by the sampler's numpy twin and decided as one answer matrix.
-    Trial sets of the two worlds are independent.
+    A trial is accepted when its value is nonzero. Trial sets of the two
+    worlds are independent.
     """
     if trials < 1:
         raise ConfigurationError("trials must be positive")
-    batched = isinstance(dist, NonAdaptiveDistinguisher)
-    q = len(dist.queries) if batched else 1
-    accepts = {REAL_WORLD: 0, IDEAL_WORLD: 0}
-    violations = 0
+    accepts, violations = [0, 0], 0
     for world, sampler in ((REAL_WORLD, real_sampler), (IDEAL_WORLD, ideal_sampler)):
-        streams = game_streams(seed, world)
-        ws = batch.Workspace()  # one per world: each sampler draws keys of its own shape
-        for block in batch.blocks(trials, q):
-            ws.reset()
-            verdicts = _batched_verdicts(sampler, streams, block, dist, ws) if batched else None
-            if verdicts is None:
-                verdicts, bad = _trial_verdicts(sampler, streams, block, dist)
-                violations += bad
-            accepts[world] += sum(verdicts)
-    return GameResult.from_counts(accepts[REAL_WORLD], accepts[IDEAL_WORLD], trials, seed,
-                                  violations)
+        for values, bad in _walk(sampler, game_streams(seed, world), trials, dist):
+            accepts[world] += int(np.count_nonzero(values))
+            violations += bad
+    return GameResult.from_counts(*accepts, trials, seed, violations)
 
 
-def _batched_verdicts(sampler, streams: KeyStreams, block: range,
-                      dist: NonAdaptiveDistinguisher, ws: batch.Workspace) -> list[bool] | None:
-    """The block's verdicts from one answer matrix, or None if the
+def _walk(sampler, streams: KeyStreams, rows: int, dist: Distinguisher):
+    """Yield (values, violations) for each block of rows: the
+    distinguisher's value per row, decide's for a nonadaptive one and
+    run's otherwise, and the block's protocol violations, each valued 0.
+    One workspace serves every block, reset before each, since one
+    sampler draws keys of one shape; a twin's values may be views of it,
+    so the caller uses them before it asks for the next block."""
+    twin = isinstance(dist, NonAdaptiveDistinguisher)
+    ws = batch.Workspace()
+    for block in batch.blocks(rows, len(dist.queries) if twin else 1):
+        ws.reset()
+        yield (twin and _twin_values(sampler, streams, block, dist, ws)
+               or _trial_values(sampler, streams, block, dist))
+
+
+def _twin_values(sampler, streams: KeyStreams, block: range, dist: NonAdaptiveDistinguisher,
+                 ws: batch.Workspace) -> tuple | None:
+    """(decide's values on the block's answer matrix, 0), or None if the
     sampler has no numpy twin for these queries. A function of its own,
     so that a block's keys are gone before the next block is drawn."""
     keys = batch.block_keys(sampler, streams, block, dist.queries[0].length, ws)
-    if keys is None:
-        return None
-    return [bool(v) for v in dist.decide(batch.batch_answers(keys, dist.queries))]
+    return None if keys is None else (dist.decide(batch.batch_answers(keys, dist.queries)), 0)
 
 
-def _trial_verdicts(sampler, streams: KeyStreams, block: range,
-                    dist: Distinguisher) -> tuple[list[bool], int]:
-    """The block's verdicts and protocol violations, one trial at a time."""
-    verdicts, violations = [], 0
+def _trial_values(sampler, streams: KeyStreams, block: range,
+                  dist: Distinguisher) -> tuple[list, int]:
+    """The block's values and protocol violations, one trial at a time."""
+    values, violations = [], 0
     for t in block:
         guard = QueryGuard(sampler(streams.stream(t)), dist.budget)
         try:
-            verdicts.append(bool(dist.run(guard)))
+            values.append(dist.run(guard))
         except ProtocolViolation:
             violations += 1
-            verdicts.append(False)
-    return verdicts, violations
+            values.append(0)
+    return values, violations
 
 
 # birthday attack
@@ -335,6 +347,16 @@ def _sd_from_counts(counts: np.ndarray, samples: int) -> float:
     return float(0.5 * np.abs(counts / samples - 1.0 / len(counts)).sum())
 
 
+def _pack(outs: np.ndarray, r: int) -> np.ndarray:
+    """Each row of r-bit answers as one code, the first answer most
+    significant: the rule of the estimator's distinguisher."""
+    codes = np.zeros(len(outs), dtype=np.uint64)
+    for column in outs.T:
+        codes <<= np.uint64(r)
+        codes |= column
+    return codes.view(np.int64)  # below 2^16 (the support cap), as bincount takes them
+
+
 def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> UniformityResult:
     """Plug-in statistical distance of the joint output tuple from uniform.
 
@@ -346,24 +368,18 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     point because the plug-in estimate is biased upward.
 
     handle_sampler is a callable rng -> oracle, called on sample i's
-    stream sample_streams(seed).stream(i). Every query must be an input
-    of sample 0's handle. Samples are walked in blocks as run_game walks
-    trials: a transform.KeySampler is sampled by its numpy twin, and any
-    other sampler's handles are queried one at a time, with the same
-    codes either way.
+    stream sample_streams(seed).stream(i); sample 0's handle gives the
+    range. The samples are walked as run_game walks a world's trials,
+    by a NonAdaptiveDistinguisher whose rule packs each row of answers
+    into its code, so a transform.KeySampler is sampled by its numpy
+    twin and any other sampler's handles are queried one at a time, with
+    the same codes either way. A handle that does not take the queries
+    raises ValueError.
     """
-    queries = tuple(queries)
-    if not queries:
-        raise ValueError("empty query list")
-    if len({x.value for x in queries}) != len(queries):
-        raise ValueError("queries must be distinct")
-
     streams = sample_streams(seed)
-    first = handle_sampler(streams.stream(0))
-    if any(x.length != first.domain_bits for x in queries):
-        raise ValueError(f"queries must be inputs of the handles' {first.domain_bits}-bit domain")
-    r = first.range_bits
-    t = len(queries)
+    r = handle_sampler(streams.stream(0)).range_bits
+    dist = NonAdaptiveDistinguisher(queries, functools.partial(_pack, r=r))
+    t = dist.budget
     if r * t > 16:
         raise ConfigurationError(f"support of 2^{r * t} cells exceeds the 2^16 cap")
     support = 1 << (r * t)
@@ -376,31 +392,11 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     # block by block too, which reads the generator as one draw would
     counts, uniform = np.zeros(support, dtype=np.int64), np.zeros(support, dtype=np.int64)
     gen = np.random.Generator(np.random.PCG64(derive_seed(seed, _BASELINE_TAG)))
-    ws = batch.Workspace()
-    for block in batch.blocks(samples, t):
-        ws.reset()
-        codes = _block_codes(handle_sampler, streams, block, queries, r, ws)
+    for codes, bad in _walk(handle_sampler, streams, samples, dist):
+        if bad:
+            raise ValueError("the queries must be inputs of every handle's domain")
         counts += np.bincount(codes, minlength=support)
-        uniform += np.bincount(gen.integers(0, support, size=len(block), dtype=np.int64),
+        uniform += np.bincount(gen.integers(0, support, size=len(codes), dtype=np.int64),
                                minlength=support)
     return UniformityResult(_sd_from_counts(counts, samples), _sd_from_counts(uniform, samples),
                             support, samples)
-
-
-def _block_codes(sampler, streams: KeyStreams, block: range, queries, r: int,
-                 ws: batch.Workspace) -> np.ndarray:
-    """The output-tuple codes of a block of samples: a fresh array, taken
-    before the block's own so that it does not sit above them in the heap
-    when they are freed. The twin's answers stay in the workspace: they
-    are read here, not kept."""
-    codes = np.zeros(len(block), dtype=np.uint64)
-    keys = batch.block_keys(sampler, streams, block, queries[0].length, ws)
-    if keys is not None:
-        outs = batch.batch_answers(keys, queries, ws)
-    else:
-        handles = (sampler(streams.stream(i)) for i in block)
-        outs = np.array([[h.query(x).value for x in queries] for h in handles], dtype=np.uint64)
-    for j in range(len(queries)):
-        codes <<= np.uint64(r)
-        codes |= outs[:, j]
-    return codes.view(np.int64)  # below 2^16 (the support cap), as bincount takes them

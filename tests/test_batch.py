@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -319,6 +320,23 @@ def test_batched_game_equals_scalar_without_decide_batch():
     assert_paths_agree(sampler, lazy_sampler(24, 24), dist, 15, 921)
 
 
+def test_a_decide_that_returns_a_view_of_its_matrix_agrees_on_both_paths(monkeypatch):
+    # blocks of 8 trials at 16 queries, 5 per world: the twin's values are
+    # a view of the answer matrix in the block's workspace, which the
+    # next block is drawn over, so they count only if read before it
+    monkeypatch.setattr(batch, "BLOCK_ELEMS", 128)
+    real, ideal = pp_sampler(ExtensionParams(16, 8, 2, 4, 16)), lazy_sampler(16, 2)
+    queries = [BitString(i, 16) for i in range(16)]
+    dist = NonAdaptiveDistinguisher(queries, lambda values: values[:, 3])
+    trials, seed = 40, 927
+    res = assert_paths_agree(real, ideal, dist, trials, seed)
+    # a trial accepts when its 2-bit answer to query 3 is nonzero
+    accepts = [sum(sampler(game_streams(seed, world).stream(t)).query(queries[3]).value != 0
+                   for t in range(trials))
+               for world, sampler in enumerate((real, ideal))]
+    assert (res.p_real, res.p_ideal) == (accepts[0] / trials, accepts[1] / trials)
+
+
 def test_involution_nonadaptive_rule_agrees_on_both_paths():
     # n-bit domain and range, small enough that some trials collide
     n = 3
@@ -508,14 +526,14 @@ def test_tuple_sampler_batch_matches_scalar_loop(monkeypatch):
     queries = [BitString(i, 8) for i in (0, 200)]
     samples, seed = 4000, 724
     codes = {}
-    block_codes = games._block_codes
+    walk = games._walk
 
     def spy(handle_sampler, *rest):
-        out = block_codes(handle_sampler, *rest)
-        codes.setdefault(handle_sampler, []).extend(out.tolist())
-        return out
+        for values, bad in walk(handle_sampler, *rest):
+            codes.setdefault(handle_sampler, []).extend(int(v) for v in values)
+            yield values, bad
 
-    monkeypatch.setattr(games, "_block_codes", spy)
+    monkeypatch.setattr(games, "_walk", spy)
     twin = tuple_uniformity_sd(sampler, queries, samples, seed)
     # the same handles behind a shape batch_answers declines: queried one by one
     opaque = lambda rng: FunctionOracle(sampler(rng).eval_int, 8, 1)
@@ -600,9 +618,10 @@ def test_workspace_scratch_is_taken_again_by_the_next_buffer():
 
 def test_uniformity_blocks_after_the_first_allocate_nothing_large(monkeypatch):
     # the uniformity unit: pp_layout(8, 8, 2, 8) at 4 queries, so 32 blocks
-    # of 8192 rows. Each block's twin (_block_codes) hands back one fresh
-    # 64 KiB codes array; from the second block on, everything else it
-    # holds comes from the workspace, sized by the reset before block 2.
+    # of 8192 rows. Each block's twin (_twin_values, called after the
+    # walker resets the workspace) hands back one fresh 64 KiB codes
+    # array; from the second block on, everything else it holds comes
+    # from the workspace, sized by the reset before block 2.
     # tracemalloc's peak counts every domain, so numpy's ufunc buffers,
     # which are not array data, are shrunk for the run; the numpy domain
     # alone must also hold the same bytes at the start of every block.
@@ -610,18 +629,18 @@ def test_uniformity_blocks_after_the_first_allocate_nothing_large(monkeypatch):
     queries = [BitString(i, 8) for i in range(4)]
     arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
     rises, live = [], []
-    block_codes = games._block_codes
+    twin_values = games._twin_values
 
     def spy(*args):
         snapshot = tracemalloc.take_snapshot().filter_traces(arrays)
         live.append(sum(trace.size for trace in snapshot.traces))
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        codes = block_codes(*args)
+        codes, bad = twin_values(*args)
         rises.append(tracemalloc.get_traced_memory()[1] - start - codes.nbytes)
-        return codes
+        return codes, bad
 
-    monkeypatch.setattr(games, "_block_codes", spy)
+    monkeypatch.setattr(games, "_twin_values", spy)
     bufsize = np.setbufsize(1024)
     tracemalloc.start()
     try:
@@ -636,37 +655,28 @@ def test_uniformity_blocks_after_the_first_allocate_nothing_large(monkeypatch):
 
 @pytest.mark.parametrize("name", ("pp", "adw-table", "levin"))
 def test_kept_answers_and_codes_survive_the_blocks_after_them(monkeypatch, name):
-    # blocks of 32 trials at 16 queries and of 256 samples at 2 queries;
-    # every block's answer matrix (what decide gets) and tuple codes are
-    # kept while the later blocks run, then checked against the same
-    # blocks drawn again in a fresh workspace
+    # blocks of 256 samples at 2 queries; every block's tuple codes, the
+    # packed answers the walker hands back, are kept while the later
+    # blocks run, then checked against the same blocks drawn again, each
+    # in a fresh workspace
     monkeypatch.setattr(batch, "BLOCK_ELEMS", 512)
     sampler = {
         "pp": pp_sampler(ExtensionParams(16, 8, 2, 4, 16)),
         "adw-table": KeySampler(adw_layout(ExtensionParams(16, 8, 2, 2, 16), "table")),
         "levin": levin_sampler(16, 8, 2, 4),
     }[name]
-    ideal, dist, trials, seed = lazy_sampler(16, 2), birthday_distinguisher(16, 16), 100, 926
-    kept = []
+    codes, walk = [], games._walk
 
-    def decide(values):
-        kept.append(values)
-        return dist.decide(values)
+    def spy(*args):
+        for values, bad in walk(*args):
+            codes.append(values)
+            yield values, bad
 
-    run_game(sampler, ideal, NonAdaptiveDistinguisher(dist.queries, decide), trials, seed)
-    fresh = [batch_answers(batch.block_keys(world_sampler, game_streams(seed, world), block, 16),
-                           dist.queries)
-             for world, world_sampler in enumerate((sampler, ideal))
-             for block in batch.blocks(trials, 16)]
-    assert len(kept) == len(fresh) == 8
-    assert all(np.array_equal(k, f) for k, f in zip(kept, fresh))
-
-    codes, block_codes = [], games._block_codes
-    monkeypatch.setattr(games, "_block_codes",
-                        lambda *args: codes.append(block_codes(*args)) or codes[-1])
-    queries, samples = [BitString(i, 16) for i in (3, 9)], 16_000
+    monkeypatch.setattr(games, "_walk", spy)
+    queries, samples, seed = [BitString(i, 16) for i in (3, 9)], 16_000, 926
     tuple_uniformity_sd(sampler, queries, samples, seed)
-    fresh = [block_codes(sampler, sample_streams(seed), block, queries, 2, batch.Workspace())
+    dist = NonAdaptiveDistinguisher(queries, functools.partial(games._pack, r=2))
+    fresh = [games._twin_values(sampler, sample_streams(seed), block, dist, batch.Workspace())[0]
              for block in batch.blocks(samples, 2)]
     assert len(codes) == len(fresh) == 63
     assert all(np.array_equal(c, f) for c, f in zip(codes, fresh))

@@ -261,6 +261,37 @@ def test_malformed_config_exits_2(text, tmp_path, capsys):
     _assert_configuration_error(rc, capsys.readouterr().err)
 
 
+def _seed_argv(how, seed, tmp_path):
+    """ggm-kat at the seed, given as the flag or as a config master_seed."""
+    argv = ["ggm-kat", "--pairs", "3"]
+    if how == "flag":
+        return argv + ["--seed", str(seed)]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"master_seed": seed}))
+    return argv + ["--config", str(path)]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_64_bits_exits_2(how, seed, tmp_path, capsys):
+    # derive_seed reads seeds mod 2^64: -1 would print 2^64 - 1's rows
+    rc = cli.main(_seed_argv(how, seed, tmp_path))
+    captured = capsys.readouterr()
+    _assert_configuration_error(rc, captured.err)
+    assert [line for line in captured.err.splitlines()
+            if line.startswith("configuration error:")] == [
+        f"configuration error: seed must be in 0..2^64-1, got {seed}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_seeds_at_the_64_bit_edges_run(how, seed, tmp_path, capsys):
+    assert cli.main(_seed_argv(how, seed, tmp_path)) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[CSV_COLUMNS.index("seed")] == str(seed)
+
+
 def test_out_to_a_missing_directory_exits_2(tmp_path, capsys):
     rc = cli.main(["birthday", "--trials", "3", "--out", str(tmp_path / "absent" / "x.csv")])
     err = capsys.readouterr().err

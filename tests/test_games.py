@@ -315,6 +315,20 @@ def test_uniformity_rejects_queries_outside_the_handles_domain():
                 tuple_uniformity_sd(sampler, [BitString(0, 8), wrong], 4000, 620)
 
 
+def test_uniformity_rejects_a_later_handle_of_another_domain():
+    # sample 0's handle takes the queries, but the third handle drawn has
+    # a 6-bit domain: the per-trial loop's guard stops it, and the
+    # estimator raises rather than count the violated sample as code 0
+    drawn = itertools.count()
+
+    def sampler(rng):
+        return LazyRandomOracle(rng.getrandbits(64), 6 if next(drawn) == 2 else 8, 1)
+
+    with pytest.raises(ValueError):
+        tuple_uniformity_sd(sampler, [BitString(0, 8)], 4000, 621)
+    assert next(drawn) > 3  # the walk reached it
+
+
 # Memory does not grow with trials or samples. Each run walks blocks of
 # 256 grid cells, so T rows span several blocks and 8T rows eight times
 # as many; the 8T peak stays within MEMORY_FACTOR of the T peak on both
