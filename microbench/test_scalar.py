@@ -1,6 +1,6 @@
 """Microbenchmarks of the scalar path: the field product, one k-wise hash
-evaluation and the combiner adw_eval, on the keys of the benchmark's
-`adaptive` workload.
+evaluation, the combiner adw_eval, a folded ADWOracle query and the
+lazy answer, on the keys of the benchmark's `adaptive` workload.
 
     python -m pytest microbench --benchmark-only
 
@@ -9,9 +9,16 @@ strings, both with h1 and h2 inside the first 4q = 256 strings:
 build_adaptive_from_nonadaptive's pp key, an adw key with 12-wise hashes
 over GF(2^16) and no inner maps, and build_adw_adaptive_from_nonadaptive's
 table-backed adw key with c = 1, so z = 2(c+2) * log2 q = 36 inner maps
-of 2-entry tables under 2-wise hashes. Each round is one adw_eval call
-on the key itself, so neither is folded: the pp key is not affine, and
-the table key's ADWOracle would fold it at query d + 2.
+of 2-entry tables under 2-wise hashes. test_adw_eval calls adw_eval on
+the key itself, the reference that answers an ADWOracle's first d + 1
+queries. test_folded_query asks an ADWOracle of each key after those
+d + 1 queries, so it is answered folded: the pp key, which is not
+affine, by power sums, and the table key from byte tables. Both make
+their two underlying calls through lazy_answer.
+
+lazy_answer is timed on a point whose inner mix is cached, as nearly
+every point of the `adaptive` workload's 4q window is after its first
+unit, and on a fresh point each round, which misses the cache.
 
 FieldSpec.mul_int is timed at every supported width on one fixed pair
 of nonzero elements, after a first product has built any tables; w <= 16
@@ -21,13 +28,15 @@ over GF(2^32), the shape of the `birthday` pp key's h1 played trial by
 trial.
 """
 
+import itertools
 import random
 
 import pytest
 
-from cuckooprf.combine import adw_eval
+from cuckooprf.combine import ADWOracle, adw_eval
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
 from cuckooprf.hashfam import eval_kwise, sample_kwise
+from cuckooprf.prfcore import lazy_answer
 from cuckooprf.transform import (
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
@@ -46,6 +55,30 @@ def test_adw_eval(benchmark, name):
     x = 0xBEEF
     answer = benchmark(adw_eval, key, x)
     assert answer == adw_eval(key, x) < 1 << N
+
+
+@pytest.mark.parametrize("name", KEYS)
+def test_folded_query(benchmark, name):
+    key = KEYS[name](random.Random(2024))
+    oracle = ADWOracle(key)
+    for x in range(N + 1):
+        oracle.eval_int(x)
+    x = 0xBEEF
+    assert benchmark(oracle.eval_int, x) == adw_eval(key, x) < 1 << N
+
+
+SEED = 0x5EED
+
+
+def test_lazy_answer_cached(benchmark):
+    x = 0xBEEF
+    answer = lazy_answer(SEED, x, N)
+    assert benchmark(lazy_answer, SEED, x, N) == answer
+
+
+def test_lazy_answer_uncached(benchmark):
+    fresh = itertools.count(1 << 40)  # no other benchmark asks these points
+    benchmark.pedantic(lazy_answer, setup=lambda: ((SEED, next(fresh), N), {}), rounds=20000)
 
 
 @pytest.mark.parametrize("width", SUPPORTED_WIDTHS)

@@ -28,8 +28,13 @@ An adw key whose hashes all have degree at most 1 (k <= 2) and whose
 inner maps are all 2-entry tables is GF(2)-affine in x: each of its
 three inner values is c ^ L x. A pp key at k = 2 is one. ADWOracle
 folds such a key into byte tables of that map (fold_adw) once more
-than d+1 queries are asked, which is what the fold costs to build;
-adw_eval stays the reference.
+than d+1 queries are asked, which is what the fold costs to build.
+A key that is not affine but whose h1, h2 and ell are k-wise keys over
+one GF(2^w), w <= 16, with one k and nonzero non-constant coefficients
+(power_summable; the pp keys of the adaptive builders) is answered
+from then on by power sums: log x^i is one running sum shared by the
+three hashes, and each term a_i x^i is one lookup in the field's exp
+table. Any other key keeps adw_eval, which stays the reference.
 """
 
 from __future__ import annotations
@@ -94,16 +99,21 @@ class ADWKey:
         return self.f1.range_bits
 
 
-def adw_inner_values(key: ADWKey, x: int) -> tuple[int, int, int]:
-    """The three inner values at x: h1(x), h2(x) and ell(x), each XORed
-    with its bar's maps at every g_i(x), each g_i evaluated once."""
-    a, b, y = key.h1.eval_int(x), key.h2.eval_int(x), key.ell.eval_int(x)
+def _xor_bars(key: ADWKey, x: int, a: int, b: int, y: int) -> tuple[int, int, int]:
+    """a, b and y, each XORed with its bar's maps at every g_i(x), each
+    g_i evaluated once: the one loop over the bars."""
     for g, m1, m2, m in zip(key.gbar, key.m1bar, key.m2bar, key.ybar):
         gv = g.eval_int(x)
         a ^= m1.eval_int(gv)
         b ^= m2.eval_int(gv)
         y ^= m.eval_int(gv)
     return a, b, y
+
+
+def adw_inner_values(key: ADWKey, x: int) -> tuple[int, int, int]:
+    """The three inner values at x: h1(x), h2(x) and ell(x), each XORed
+    with its bar's maps at every g_i(x)."""
+    return _xor_bars(key, x, key.h1.eval_int(x), key.h2.eval_int(x), key.ell.eval_int(x))
 
 
 def adw_eval(key: ADWKey, x: int) -> int:
@@ -155,17 +165,72 @@ class _FoldedADW:
         return a ^ b ^ (packed >> (s1 + s2))
 
 
+def power_summable(key: ADWKey) -> bool:
+    """Whether h1, h2 and ell are k-wise keys over one GF(2^w), w <= 16,
+    with one k and nonzero coefficients a_1..a_{k-1} (a_0 may be 0), so
+    that every term a_i x^i of the three has a log."""
+    hashes = (key.h1, key.h2, key.ell)
+    return (all(isinstance(h, KWiseHashKey) for h in hashes)
+            and len({(h.width, h.k) for h in hashes}) == 1 and key.h1.width <= 16
+            and all(all(h.coeffs[1:]) for h in hashes))
+
+
+class _PowerSumADW:
+    """A power-summable key (power_summable) evaluated term by term.
+
+    Each hash is a_0 + sum_i a_i x^i over GF(2^w). Its logs log a_i are
+    taken once, one column (h1, h2, ell) per power; a query keeps
+    log x^i = i log x mod 2^w - 1 as one running sum for the three, so
+    each term is one exp lookup and there is no product. The masks,
+    the bars and the two underlying calls follow as in adw_eval.
+    """
+
+    def __init__(self, key: ADWKey):
+        self.key = key
+        hashes = (key.h1, key.h2, key.ell)
+        self.log, self.exp = key.h1.spec.log_exp()
+        self.order = (1 << key.h1.width) - 1
+        self.consts = tuple(h.coeffs[0] for h in hashes)
+        self.masks = tuple(h.mask for h in hashes)
+        self.columns = tuple(zip(*([self.log[c] for c in h.coeffs[1:]] for h in hashes)))
+
+    def __call__(self, x: int) -> int:
+        a, b, y = self.consts
+        if x:
+            exp, order = self.exp, self.order
+            step = self.log[x]
+            e = 0
+            for l1, l2, l3 in self.columns:
+                e = (e + step) % order
+                a ^= exp[l1 + e]
+                b ^= exp[l2 + e]
+                y ^= exp[l3 + e]
+        m1, m2, m3 = self.masks
+        key = self.key
+        a, b, y = a & m1, b & m2, y & m3
+        if key.gbar:
+            a, b, y = _xor_bars(key, x, a, b, y)
+        return key.f1.eval_int(a) ^ key.f2.eval_int(b) ^ y
+
+
 def fold_adw(key: ADWKey):
-    """x -> adw_eval(key, x) from the key's byte tables if it is affine,
-    else adw_eval itself. Building the tables costs d+1 evaluations of
-    the inner values; the underlying f1 and f2 are not called."""
-    return _FoldedADW(key) if is_affine(key) else partial(adw_eval, key)
+    """x -> adw_eval(key, x): from the key's byte tables if it is affine,
+    by power sums if it is power_summable, else adw_eval itself.
+    Building the tables costs d+1 evaluations of the inner values and
+    the power sums k logs per hash; the underlying f1 and f2 are not
+    called."""
+    if is_affine(key):
+        return _FoldedADW(key)
+    if power_summable(key):
+        return _PowerSumADW(key)
+    return partial(adw_eval, key)
 
 
 class ADWOracle(Oracle):
     """adw_eval as an oracle. The first d+1 queries are answered by
-    adw_eval; the key is folded (fold_adw) at query d+2, so the fold is
-    built only once it has been paid for, and answers from then on."""
+    adw_eval; the key is folded (fold_adw: byte tables, power sums or
+    adw_eval) at query d+2, so a fold is built only once it has been
+    paid for, and answers from then on."""
 
     def __init__(self, key: ADWKey):
         super().__init__(key.domain_bits, key.range_bits)

@@ -33,7 +33,7 @@ from .games import (
     tuple_uniformity_sd,
 )
 from .hashfam import exhaustive_independence_check
-from .prfcore import FunctionOracle, GgmKey, GgmOracle, PrgSpec, ggm_eval
+from .prfcore import GgmKey, GgmOracle, LazyRandomOracle, PrgSpec, ggm_eval, lazy_answer
 from .transform import (
     ExtensionParams,
     KeyDraws,
@@ -44,7 +44,6 @@ from .transform import (
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
     check_widths,
-    lazy_random_sampler,
     lazy_sampler,
     pp_layout,
     pp_sampler,
@@ -199,27 +198,37 @@ def involution(n: int, trials: int, seed: int):
     return rows, []
 
 
+class _TalliedOracle(LazyRandomOracle):
+    """A lazy-random oracle that counts each of its queries on a
+    _CallTally before it answers, in the one eval_int frame."""
+
+    def __init__(self, tally: _CallTally, seed: int, domain_bits: int, range_bits: int):
+        super().__init__(seed, domain_bits, range_bits)
+        self.tally = tally
+
+    def eval_int(self, x: int) -> int:
+        tally = self.tally
+        tally.calls += 1
+        tally.outside += x >= tally.window
+        return lazy_answer(self.seed, x, self.range_bits)
+
+
 class _CallTally:
     """An f_sampler whose lazy-random oracles count, as they are queried,
     every underlying query and those outside the first `window` strings.
     It keeps the two counts, not the queries, so its memory does not grow
     with the number of probes. It is the one call counter of the
-    experiments: a builder's underlying calls are counted where it draws f."""
+    experiments: a builder's underlying calls are counted where it draws f.
+    Each oracle is a _TalliedOracle keyed, as lazy_random_sampler keys
+    one, by one 64-bit word of rng, and answers as that oracle would."""
 
     def __init__(self, window: int):
         self.window = window
         self.calls = 0
         self.outside = 0
 
-    def __call__(self, rng, domain_bits: int, range_bits: int) -> FunctionOracle:
-        f = lazy_random_sampler(rng, domain_bits, range_bits)
-
-        def answer(x: int) -> int:
-            self.calls += 1
-            self.outside += x >= self.window
-            return f.eval_int(x)
-
-        return FunctionOracle(answer, domain_bits, range_bits)
+    def __call__(self, rng, domain_bits: int, range_bits: int) -> _TalliedOracle:
+        return _TalliedOracle(self, rng.getrandbits(64), domain_bits, range_bits)
 
 
 def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):

@@ -23,7 +23,9 @@ built on first use, never at import or construction, straight into
 typed arrays: array('B') for w <= 8 and array('H') for w = 16, the exp
 table doubled so a log sum needs no reduction. At w = 16 that is 128
 KiB of log and 256 KiB of exp; as lists of boxed ints they would take
-5.2 MiB and miss cache on every Horner step. The numpy engine
+5.2 MiB and miss cache on every Horner step. FieldSpec.log_exp hands
+the tables to a caller that multiplies by log sums itself (the scalar
+combiner's power sums); no other module reads them. The numpy engine
 (batch._power_tables) multiplies by the fixed powers x^i of its query
 points through linear_tables of their doublings x^i * 2^b and makes no
 product here.
@@ -129,6 +131,15 @@ class FieldSpec:
             self._exp = exp * 2  # doubled to skip the mod in lookups
             self._log = log
         return self._log, self._exp
+
+    def log_exp(self) -> tuple[array, array]:
+        """The w <= 16 tables, built on first use: log[a] for nonzero a,
+        and exp with exp[i + j] = g^(i + j) for any two logs i, j below
+        2^w - 1, so a product of nonzero a and b is exp[log[a] + log[b]]
+        with no reduction. The tables are shared; callers only read them."""
+        if self.width > 16:
+            raise ValueError(f"no log/exp tables at width {self.width}")
+        return self._build_logexp()
 
     def mul_int(self, a: int, b: int) -> int:
         """Product of raw integer elements. No range checks; hot path."""

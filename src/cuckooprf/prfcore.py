@@ -17,12 +17,15 @@ function. Answers are derived per query as
     answer(seed, x) = truncate(mix64(seed ^ mix64(x ^ C1)), range_bits)
 
 so two oracles with equal seeds are pointwise equal and no table of
-size 2^domain ever materializes.
+size 2^domain ever materializes. The inner mix64(x ^ C1) depends on x
+alone, so every oracle reads it from one cache of the last 4096 points
+asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bits import C1, C2, MASK64, MIX1, MIX2, BitString, mix64, truncate
 from .errors import ConfigurationError
@@ -52,16 +55,21 @@ class Oracle:
         raise NotImplementedError
 
 
+@lru_cache(maxsize=4096)
+def _inner_mix(x_as_64: int) -> int:
+    """mix64(x ^ C1), the half of lazy_answer that does not depend on the
+    seed. Every oracle shares it, and the callers' queries repeat within
+    a small window (4q strings for the adaptive builders), so a bounded
+    cache answers most of them; it is the scalar counterpart of
+    batch._inner_mixes."""
+    return mix64(x_as_64 ^ C1)
+
+
 def lazy_answer(seed: int, x_as_64: int, range_bits: int) -> int:
     """The raw derivation rule, truncate(mix64(seed ^ mix64(x ^ C1)),
-    range_bits), with both mix64 rounds and the mask in this one frame.
-    batch.lazy_answers is its numpy twin."""
-    v = (x_as_64 ^ C1) & MASK64
-    v ^= v >> 30
-    v = (v * MIX1) & MASK64
-    v ^= v >> 27
-    v = (v * MIX2) & MASK64
-    v = (seed ^ v ^ (v >> 31)) & MASK64
+    range_bits): the inner mix from its cache, the outer mix and the
+    mask in this one frame. batch.lazy_answers is its numpy twin."""
+    v = (seed ^ _inner_mix(x_as_64)) & MASK64
     v ^= v >> 30
     v = (v * MIX1) & MASK64
     v ^= v >> 27
@@ -80,21 +88,6 @@ class LazyRandomOracle(Oracle):
 
     def eval_int(self, x: int) -> int:
         return lazy_answer(self.seed, x, self.range_bits)
-
-
-class FunctionOracle(Oracle):
-    """Wrap an arbitrary int -> int function as an oracle. The function
-    must be pure."""
-
-    def __init__(self, fn, domain_bits: int, range_bits: int):
-        super().__init__(domain_bits, range_bits)
-        self._fn = fn
-
-    def eval_int(self, x: int) -> int:
-        y = self._fn(x)
-        if not 0 <= y < 1 << self.range_bits:
-            raise ValueError(f"wrapped function returned {y:#x}, not a {self.range_bits}-bit value")
-        return y
 
 
 @dataclass(frozen=True)

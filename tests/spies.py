@@ -1,6 +1,7 @@
-"""Call-recording slots for the tests.
+"""Call-recording and hand-written slots for the tests.
 
-InstrumentedOracle forwards eval_int to the slot it wraps (an oracle, a
+FunctionOracle wraps an int -> int function as an oracle, for keys
+whose slots a test writes out by hand. InstrumentedOracle forwards eval_int to the slot it wraps (an oracle, a
 hash key or any other slot) and records every query value, so a test
 can count the calls a key makes and check where they land.
 counting_sampler is an f_sampler that hands each builder instrumented
@@ -13,6 +14,21 @@ import dataclasses
 from cuckooprf.hashfam import RandomTable
 from cuckooprf.prfcore import Oracle
 from cuckooprf.transform import lazy_random_sampler
+
+
+class FunctionOracle(Oracle):
+    """Wrap a pure int -> int function as an oracle. It rejects a result
+    that does not fit range_bits."""
+
+    def __init__(self, fn, domain_bits: int, range_bits: int):
+        super().__init__(domain_bits, range_bits)
+        self._fn = fn
+
+    def eval_int(self, x: int) -> int:
+        y = self._fn(x)
+        if not 0 <= y < 1 << self.range_bits:
+            raise ValueError(f"wrapped function returned {y:#x}, not a {self.range_bits}-bit value")
+        return y
 
 
 class InstrumentedOracle(Oracle):

@@ -38,7 +38,7 @@ from cuckooprf.games import (
 )
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
 from cuckooprf.hashfam import sample_kwise
-from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle, PrgSpec
+from cuckooprf.prfcore import LazyRandomOracle, PrgSpec
 from cuckooprf.transform import (
     ExtensionParams,
     KeyDraws,
@@ -54,6 +54,7 @@ from cuckooprf.transform import (
     pp_sampler,
 )
 from gamepaths import assert_paths_agree
+from spies import FunctionOracle
 
 
 def test_mix64_inplace_matches_scalar():

@@ -1,13 +1,23 @@
 import random
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from cuckooprf.bits import BitString
-from cuckooprf.combine import ADWKey, ADWOracle, adw_eval, adw_inner_values
-from cuckooprf.hashfam import RandomTable, sample_kwise, sample_table
-from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle
+from cuckooprf.combine import (
+    ADWKey,
+    ADWOracle,
+    _FoldedADW,
+    _PowerSumADW,
+    adw_eval,
+    adw_inner_values,
+    fold_adw,
+)
+from cuckooprf.hashfam import KWiseHashKey, RandomTable, sample_kwise, sample_table
+from cuckooprf.prfcore import LazyRandomOracle
 from closedforms import pp_formula
-from spies import count_calls
+from spies import FunctionOracle, count_calls
 
 
 def _bit_low(x):
@@ -216,3 +226,50 @@ def test_counting_does_not_disturb_the_answer():
     count_calls(lambda k, v: spied.append(adw_eval(k, v)), key, x)
     assert spied == [before]
     assert adw_eval(key, x) == before
+
+
+def _summable(k=12, width=16, d=16, window=256):
+    """h1, h2 and ell over GF(2^width) with nonzero a_1..a_{k-1}, h1 and
+    h2 inside the first `window` strings."""
+    rng = random.Random(k * width)
+
+    def draw(w):
+        coeffs = (rng.getrandbits(width), *(rng.randrange(1, 1 << width) for _ in range(k - 1)))
+        return KWiseHashKey(coeffs, d, d, width, w)
+
+    return [draw(window), draw(window), draw(None)]
+
+
+# name -> (the hashes, a change to one of them, the evaluator fold_adw picks)
+FOLD_CASES = {
+    "affine": (_summable(k=2), None, _FoldedADW),
+    "power sums": (_summable(), None, _PowerSumADW),
+    "a_0 = 0": (_summable(), (0, lambda h: replace(h, coeffs=(0, *h.coeffs[1:]))), _PowerSumADW),
+    "k = 3 at w = 4": (_summable(3, 4, 4, window=4), None, _PowerSumADW),
+    "zero a_5": (_summable(), (1, lambda h: replace(h, coeffs=h.coeffs[:5] + (0,) + h.coeffs[6:])),
+                 partial),
+    "mixed widths": (_summable(), (2, lambda h: replace(h, width=32)), partial),
+    "unequal k": (_summable(), (2, lambda h: replace(h, coeffs=h.coeffs[:-1])), partial),
+    "w = 32": (_summable(width=32, d=24), None, partial),
+}
+
+
+@pytest.mark.parametrize("case", FOLD_CASES)
+def test_fold_adw_picks_one_evaluator_per_kind_of_key(case):
+    """Byte tables for an affine key, power sums for one whose h1, h2 and
+    ell are k-wise keys of one width w <= 16 and one k with nonzero
+    a_1..a_{k-1}, and adw_eval itself for any other; each answers as
+    adw_eval does."""
+    hashes, change, evaluator = FOLD_CASES[case]
+    if change is not None:
+        i, edit = change
+        hashes = [edit(h) if j == i else h for j, h in enumerate(hashes)]
+    h1, h2, ell = hashes
+    d = h1.domain_bits
+    key = _pp_key(h1, h2, ell, LazyRandomOracle(11, d, d), LazyRandomOracle(12, d, d))
+    folded = fold_adw(key)
+    assert type(folded) is evaluator
+    if evaluator is partial:
+        assert folded.func is adw_eval and folded.args == (key,)
+    points = [0, 1, 2, 0xBEEF % (1 << d), (1 << d) - 1]
+    assert [folded(x) for x in points] == [adw_eval(key, x) for x in points]

@@ -1,8 +1,10 @@
 import json
 
-from cuckooprf.bits import BitString
+from cuckooprf import cli, experiments
+from cuckooprf.bits import BitString, key_stream
 from cuckooprf.errors import ConfigurationError
-from cuckooprf.prfcore import GgmKey, GgmOracle, LevinOracle, PrgSpec
+from cuckooprf.prfcore import GgmKey, GgmOracle, LazyRandomOracle, LevinOracle, PrgSpec
+from cuckooprf.transform import lazy_random_sampler
 from cuckooprf.experiments import (
     CSV_COLUMNS,
     adaptive_transform,
@@ -172,6 +174,52 @@ def test_adaptive_transform_locality():
     assert pp["q"] == 16
     assert adw["z"] == 2 * 3 * 4
     assert pp["trials"] == 300
+
+
+def test_a_tallied_oracle_answers_as_a_lazy_random_oracle_of_one_word():
+    tally = experiments._CallTally(1 << 16)
+    rng, twin = key_stream(905, 1), key_stream(905, 1)
+    oracle = tally(rng, 16, 12)
+    reference = lazy_random_sampler(twin, 16, 12)
+    assert isinstance(oracle, LazyRandomOracle) and oracle.seed == reference.seed
+    xs = [0, 1, 0xBEEF, 0xFFFF, 1]
+    assert [oracle.eval_int(x) for x in xs] == [reference.eval_int(x) for x in xs]
+    # each drew exactly one word: the streams are still in step
+    assert rng.getrandbits(64) == twin.getrandbits(64)
+    assert (tally.calls, tally.outside) == (5, 0)
+
+
+def test_a_tally_counts_queries_at_or_past_its_window_as_outside():
+    tally = experiments._CallTally(8)
+    first, second = tally(random.Random(1), 4, 4), tally(random.Random(2), 4, 4)
+    for oracle, x in ((first, 7), (second, 8), (first, 9), (second, 0), (first, 15)):
+        oracle.eval_int(x)
+    assert (tally.calls, tally.outside) == (5, 3)
+
+
+def _narrow_tallies(monkeypatch):
+    """Every _CallTally the experiments make keeps half the window asked
+    for, so the adaptive builders' 4q window is wider than the tally's."""
+    tally = experiments._CallTally
+    monkeypatch.setattr(experiments, "_CallTally", lambda window: tally(window // 2))
+
+
+def test_adaptive_transform_reports_queries_outside_the_window(monkeypatch):
+    _narrow_tallies(monkeypatch)
+    rows, problems = adaptive_transform(12, 16, 4, 300, 805)
+    assert all(r["violations"] > 0 and r["p_real"] < 1.0 for r in rows)
+    assert problems == [f"{r['experiment']}: {r['violations']} of {2 * 300} underlying "
+                        "queries left the 4q prefix" for r in rows]
+
+
+def test_cli_exits_1_when_queries_leave_the_window(monkeypatch, capsys):
+    _narrow_tallies(monkeypatch)
+    argv = ["adaptive-transform", "--n", "12", "--q", "16", "--k", "4", "--probes", "100"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[:2] for line in err] == [
+        ["assertion failed", " adaptive-transform-pp"],
+        ["assertion failed", " adaptive-transform-adw"]]
 
 
 def test_bitstrings_are_built_only_at_oracle_query(monkeypatch):

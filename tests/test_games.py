@@ -26,10 +26,11 @@ from cuckooprf.games import (
     run_game,
     tuple_uniformity_sd,
 )
-from cuckooprf.prfcore import FunctionOracle, LazyRandomOracle
+from cuckooprf.prfcore import LazyRandomOracle
 from cuckooprf.transform import ExtensionParams, KeySampler, lazy_sampler, pp_layout, pp_sampler
 
 from closedforms import birthday_closed_form, expected_fixed_points, involution_count
+from spies import FunctionOracle
 
 
 def _lazy_sampler(d, r):

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 from cuckooprf import batch
 from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
-from cuckooprf.combine import ADWKey, adw_eval, is_affine
+from cuckooprf.combine import ADWKey, ADWOracle, _FoldedADW, _PowerSumADW, adw_eval, is_affine
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import DEFAULT_REDUCTION, SUPPORTED_WIDTHS, _mul_raw
-from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise
+from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise, sample_table
 from cuckooprf.prfcore import LazyRandomOracle
 from cuckooprf.transform import (
     ExtensionParams,
@@ -391,6 +391,21 @@ def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
 
 
+def _evaluator(key: ADWKey):
+    """The evaluator type an ADWOracle must fold key into past query
+    d + 1: byte tables if key is affine; power sums if h1, h2 and ell
+    are k-wise keys of one width w <= 16 and one k whose coefficients
+    a_1..a_{k-1} are all nonzero; else partial(adw_eval, key)."""
+    hashes = (key.h1, key.h2, key.ell)
+    if is_affine(key):
+        return _FoldedADW
+    if (all(isinstance(h, KWiseHashKey) for h in hashes)
+            and len({(h.width, h.k) for h in hashes}) == 1 and key.h1.width <= 16
+            and all(c != 0 for h in hashes for c in h.coeffs[1:])):
+        return _PowerSumADW
+    return partial
+
+
 def _keyed_both_ways(data, layout):
     """_keyed at a drawn seed."""
     return _keyed(data.draw(st.integers(0, 2**64 - 1), label="seed"), layout)
@@ -457,9 +472,10 @@ def test_folded_twin_evaluates_the_inner_maps_at_the_bits_its_queries_use(d, res
 def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     """A pp key, an adw key with no inner maps, is affine at k = 2 and not
     at k >= 3. Its oracle answers d + 3 or more queries with the pp
-    formula, by adw_eval up to query d + 1 and then folded (k = 2) or by
-    adw_eval still, at exactly 2 underlying calls per query; its twin
-    folds a block of more than u + 1 points only at k = 2."""
+    formula, by adw_eval up to query d + 1 and then folded (k = 2), by
+    power sums or by adw_eval (_evaluator), at exactly 2 underlying
+    calls per query; its twin folds a block of more than u + 1 points
+    only at k = 2."""
     k = 2 if affine else data.draw(st.integers(3, 6), label="k")
     s = data.draw(st.integers(2, min(d, 20)), label="s")
     layout = pp_layout(d, s, data.draw(st.integers(1, 64), label="r"), k)
@@ -471,7 +487,8 @@ def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     answers = [oracle.query(BitString(x, d)).value for x in xs[:d + 1]]
     assert oracle._folded is None
     answers += [oracle.query(BitString(x, d)).value for x in xs[d + 1:]]
-    assert isinstance(oracle._folded, partial) != affine
+    assert isinstance(oracle._folded, _evaluator(oracle.key))
+    assert isinstance(oracle._folded, _FoldedADW) == affine
     assert sum(f.calls for f in seen) == 2 * len(xs)
     assert answers == [pp_formula(oracle.key, x) for x in xs]
 
@@ -527,9 +544,10 @@ def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int
        st.data())
 def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     """One 3-wise g, one prf-backed inner map, or one column of 4-entry
-    tables under a 2-bit g, and the key takes the reference path in the
-    scalar engine, exactly. The twin reads a bar only whole, so it is
-    checked on keys whose every inner map is made so."""
+    tables under a 2-bit g, and the scalar engine answers the key past
+    the fold by power sums or by adw_eval (_evaluator), exactly. The
+    twin reads a bar only whole, so it is checked on keys whose every
+    inner map is made so."""
     p, window = _table_shape(data, d, data.draw(st.booleans(), label="restricted"))
     i = data.draw(st.integers(0, adw_z(p, "table") - 1), label="i")
     oracles = [_not_affine_layout(p, window, slot, i)(KeyDraws(_rng(data)))
@@ -538,13 +556,55 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     want = [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
     assert not any(is_affine(o.key) for o in oracles)
     assert [[o.query(x).value for x in xs] for o in oracles] == want
-    assert all(isinstance(o._folded, partial) for o in oracles)
+    assert all(isinstance(o._folded, _evaluator(o.key)) for o in oracles)
+    assert not any(isinstance(o._folded, _FoldedADW) for o in oracles)
 
     columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot))
     assert not any(is_affine(o.key) for o in oracles)
     assert not columns._affine()
     assert columns.grid(tuple(x.value for x in xs)).tolist() == \
         [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
+
+
+def _summable_hash(data, w: int, k: int, d: int, bits: int, window: int | None) -> KWiseHashKey:
+    """A k-wise key over GF(2^w) whose coefficients a_1..a_{k-1} are nonzero."""
+    a0 = data.draw(st.integers(0, (1 << w) - 1), label="a0")
+    rest = data.draw(st.lists(st.integers(1, (1 << w) - 1), min_size=k - 1, max_size=k - 1),
+                     label="a_i")
+    return KWiseHashKey((a0, *rest), d, bits, w, window)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sampled_from((4, 8, 16)), st.integers(2, 12), st.booleans(), st.data())
+def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
+    """A key with power-summable h1, h2 and ell that is not affine (k >= 3,
+    or a 3-wise g) is answered from query d + 2 on by power sums, at
+    x = 0, x = 1 and drawn points, as adw_eval answers, at exactly 2
+    underlying calls per query."""
+    d = data.draw(st.integers(w // 2 + 1, w), label="d")
+    s = data.draw(st.integers(1, d), label="s")
+    r = data.draw(st.integers(1, w), label="r")
+    window = 1 << data.draw(st.integers(0, s), label="log2 window") if windowed else None
+    rng = _rng(data)
+    z = data.draw(st.integers(1 if k == 2 else 0, 3), label="z")
+    gbar = tuple(sample_kwise(3, d, 1, rng) for _ in range(z))
+    m1bar = tuple(sample_table(2, s, rng, window) for _ in range(z))
+    m2bar = tuple(sample_table(2, s, rng, window) for _ in range(z))
+    ybar = tuple(sample_table(2, r, rng) for _ in range(z))
+    f1, f2 = (InstrumentedOracle(LazyRandomOracle(rng.getrandbits(64), s, r)) for _ in range(2))
+    key = ADWKey(_summable_hash(data, w, k, d, s, window), _summable_hash(data, w, k, d, s, window),
+                 _summable_hash(data, w, k, d, r, None), gbar, m1bar, m2bar, ybar, f1, f2)
+    oracle = ADWOracle(key)
+    for x in data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=d + 1, max_size=d + 1),
+                       label="before the fold"):
+        oracle.eval_int(x)
+    xs = [0, 1, *data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4), label="xs")]
+    for x in xs:
+        calls = f1.calls + f2.calls
+        answer = oracle.eval_int(x)
+        assert f1.calls + f2.calls - calls == 2
+        assert answer == adw_eval(key, x)
+    assert type(oracle._folded) is _PowerSumADW
 
 
 class ChunkCase(NamedTuple):
