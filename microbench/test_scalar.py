@@ -1,6 +1,7 @@
 """Microbenchmarks of the scalar path: the field product, one k-wise hash
-evaluation, the combiner adw_eval, a folded ADWOracle query and the
-lazy answer, on the keys of the benchmark's `adaptive` workload.
+evaluation, the combiner adw_eval, building a fold and a folded
+ADWOracle query, the lazy answer and a tallied call, on the keys of the
+benchmark's `adaptive` workload.
 
     python -m pytest microbench --benchmark-only
 
@@ -11,14 +12,20 @@ over GF(2^16) and no inner maps, and build_adw_adaptive_from_nonadaptive's
 table-backed adw key with c = 1, so z = 2(c+2) * log2 q = 36 inner maps
 of 2-entry tables under 2-wise hashes. test_adw_eval calls adw_eval on
 the key itself, the reference that answers an ADWOracle's first d + 1
-queries. test_folded_query asks an ADWOracle of each key after those
-d + 1 queries, so it is answered folded: the pp key, which is not
-affine, by power sums, and the table key from byte tables. Both make
+queries. test_fold_build times fold_adw on each key, which an ADWOracle
+runs once, at query d + 2: byte tables of the odd powers x^1, x^3, ...,
+x^11 for the pp key, and of x alone, the 36 affine bars folded in, for
+the table key. test_folded_query asks an ADWOracle of each key after
+d + 2 queries, so it is answered from those tables, the fold being the
+oracle's eval_int. Both make
 their two underlying calls through lazy_answer.
 
 lazy_answer is timed on a point whose inner mix is cached, as nearly
 every point of the `adaptive` workload's 4q window is after its first
 unit, and on a fresh point each round, which misses the cache.
+test_tallied_memo_hit times the call the `adaptive` workload's f1 and f2
+mostly answer: a tallied oracle's count and memo lookup at a point
+inside its window that it was asked before.
 
 FieldSpec.mul_int is timed at every supported width on one fixed pair
 of nonzero elements, after a first product has built any tables; w <= 16
@@ -33,7 +40,8 @@ import random
 
 import pytest
 
-from cuckooprf.combine import ADWOracle, adw_eval
+from cuckooprf.combine import ADWOracle, adw_eval, fold_adw
+from cuckooprf.experiments import _CallTally
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
 from cuckooprf.hashfam import eval_kwise, sample_kwise
 from cuckooprf.prfcore import lazy_answer
@@ -58,10 +66,17 @@ def test_adw_eval(benchmark, name):
 
 
 @pytest.mark.parametrize("name", KEYS)
+def test_fold_build(benchmark, name):
+    key = KEYS[name](random.Random(2024))
+    x = 0xBEEF
+    assert benchmark(fold_adw, key)(x) == adw_eval(key, x)
+
+
+@pytest.mark.parametrize("name", KEYS)
 def test_folded_query(benchmark, name):
     key = KEYS[name](random.Random(2024))
     oracle = ADWOracle(key)
-    for x in range(N + 1):
+    for x in range(N + 2):  # the last one builds the fold
         oracle.eval_int(x)
     x = 0xBEEF
     assert benchmark(oracle.eval_int, x) == adw_eval(key, x) < 1 << N
@@ -79,6 +94,15 @@ def test_lazy_answer_cached(benchmark):
 def test_lazy_answer_uncached(benchmark):
     fresh = itertools.count(1 << 40)  # no other benchmark asks these points
     benchmark.pedantic(lazy_answer, setup=lambda: ((SEED, next(fresh), N), {}), rounds=20000)
+
+
+def test_tallied_memo_hit(benchmark):
+    tally = _CallTally(4 * Q)
+    oracle = tally(random.Random(2024), N, N)
+    x = 0xBE
+    answer = oracle.eval_int(x)
+    assert benchmark(oracle.eval_int, x) == answer == lazy_answer(oracle.seed, x, N)
+    assert tally.outside == 0
 
 
 @pytest.mark.parametrize("width", SUPPORTED_WIDTHS)

@@ -24,27 +24,29 @@ eval_int. A BitString is built only where an ADWOracle is queried
 through Oracle.query, which checks the input length the combiner
 takes on trust.
 
-An adw key whose hashes all have degree at most 1 (k <= 2) and whose
-inner maps are all 2-entry tables is GF(2)-affine in x: each of its
-three inner values is c ^ L x. A pp key at k = 2 is one. ADWOracle
-folds such a key into byte tables of that map (fold_adw) once more
-than d+1 queries are asked, which is what the fold costs to build.
-A key that is not affine but whose h1, h2 and ell are k-wise keys over
-one GF(2^w), w <= 16, with one k and nonzero non-constant coefficients
-(power_summable; the pp keys of the adaptive builders) is answered
-from then on by power sums: log x^i is one running sum shared by the
-three hashes, and each term a_i x^i is one lookup in the field's exp
-table. Any other key keeps adw_eval, which stays the reference.
+ADWOracle answers its first d+1 queries with adw_eval, the reference,
+and folds the key (fold_adw) at query d+2, so a key asked at only a
+few points never pays for a fold. A k-wise hash over GF(2^w) is a_0 ^ XOR over odd o < k of
+L_o(x^o), where L_o(y) = sum_t a_(o 2^t) y^(2^t) is GF(2)-linear in y,
+because squaring is (the Frobenius identity; Lidl and Niederreiter,
+Finite Fields, ch. 3). So when h1, h2 and ell are k-wise keys, each
+with w <= 16 or k <= 3, the three inner values are a constant XORed
+with one linear map of each odd power x^o, and _FoldedADW holds each
+map as byte tables of the three values packed into one int; x^o is one
+lookup exp[o log x mod 2^w - 1]. An affine bar (a 2-wise g into 2-entry
+tables) folds into the constant and the map of x; any other bar is
+evaluated per query. The fold still calls f1 and f2 once each per
+query. Any other key keeps adw_eval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .gf import linear_tables
+from .gf import default_spec, linear_tables
 from .hashfam import KWiseHashKey, RandomTable
 from .prfcore import Oracle
 
@@ -99,10 +101,15 @@ class ADWKey:
         return self.f1.range_bits
 
 
-def _xor_bars(key: ADWKey, x: int, a: int, b: int, y: int) -> tuple[int, int, int]:
+def _bars(key: ADWKey):
+    """The key's bars, one (g_i, m1_i, m2_i, y_i) tuple per inner map."""
+    return zip(key.gbar, key.m1bar, key.m2bar, key.ybar)
+
+
+def _xor_bars(bars, x: int, a: int, b: int, y: int) -> tuple[int, int, int]:
     """a, b and y, each XORed with its bar's maps at every g_i(x), each
     g_i evaluated once: the one loop over the bars."""
-    for g, m1, m2, m in zip(key.gbar, key.m1bar, key.m2bar, key.ybar):
+    for g, m1, m2, m in bars:
         gv = g.eval_int(x)
         a ^= m1.eval_int(gv)
         b ^= m2.eval_int(gv)
@@ -113,7 +120,7 @@ def _xor_bars(key: ADWKey, x: int, a: int, b: int, y: int) -> tuple[int, int, in
 def adw_inner_values(key: ADWKey, x: int) -> tuple[int, int, int]:
     """The three inner values at x: h1(x), h2(x) and ell(x), each XORed
     with its bar's maps at every g_i(x)."""
-    return _xor_bars(key, x, key.h1.eval_int(x), key.h2.eval_int(x), key.ell.eval_int(x))
+    return _xor_bars(_bars(key), x, key.h1.eval_int(x), key.h2.eval_int(x), key.ell.eval_int(x))
 
 
 def adw_eval(key: ADWKey, x: int) -> int:
@@ -121,116 +128,172 @@ def adw_eval(key: ADWKey, x: int) -> int:
     return key.f1.eval_int(a) ^ key.f2.eval_int(b) ^ y
 
 
+def _affine_bar(g, m1, m2, y) -> bool:
+    """Whether a bar is GF(2)-affine in x: g a k-wise key of degree at
+    most 1, every map a 2-entry table indexed by one bit."""
+    return (isinstance(g, KWiseHashKey) and len(g.coeffs) <= 2 and isinstance(m1, RandomTable)
+            and isinstance(m2, RandomTable) and isinstance(y, RandomTable)
+            and len(m1.entries) == len(m2.entries) == len(y.entries) == 2)
+
+
 def is_affine(key: ADWKey) -> bool:
-    """Whether every inner value of key is GF(2)-affine in x: every hash
-    a k-wise key of degree at most 1, every inner map a 2-entry table
-    indexed by one bit."""
-    return (all(isinstance(h, KWiseHashKey) and h.k <= 2
-                for h in (key.h1, key.h2, key.ell, *key.gbar))
-            and all(isinstance(m, RandomTable) and len(m) == 2
-                    for bar in (key.m1bar, key.m2bar, key.ybar) for m in bar))
+    """Whether every inner value of key is GF(2)-affine in x: h1, h2 and
+    ell of degree at most 1 and every bar affine (_affine_bar), as the
+    twin's batch._ADW._affine asks of a block."""
+    return (all(isinstance(h, KWiseHashKey) and h.k <= 2 for h in (key.h1, key.h2, key.ell))
+            and all(_affine_bar(*bar) for bar in _bars(key)))
+
+
+@lru_cache(maxsize=64)
+def _frobenius_logs(width: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, starts, logs) for the coefficients a_1..a_(k-1) over GF(2^w):
+    the exponents i = o 2^t (o odd) grouped by o, o ascending; the index
+    in i at which each o's group starts; and logs[n, j] = log (2^j)^(2^t),
+    which is 2^t log 2^j mod 2^w - 1, for the n-th exponent."""
+    log = default_spec(width).log_exp()[0]
+    log = np.frombuffer(log, dtype=log.typecode)
+    i = np.array(sorted(range(1, k), key=lambda e: (e // (e & -e), e)))
+    twos = i & -i
+    starts = np.flatnonzero(np.diff(i // twos, prepend=0))
+    logs = (twos[:, None] * log[1 << np.arange(width)]) % ((1 << width) - 1)
+    return i, starts, logs
+
+
+def _linear_maps(hashes, d: int) -> dict[tuple[int, int], np.ndarray]:
+    """The columns of each hash's linear maps L_o, masked, one
+    row per hash: {(0, 1): L_1 on the d bits of x, (w, o): L_o on the w
+    bits of x^o in GF(2^w) for each odd o >= 3}, a row zero where its
+    hash has no such o, and each padded with zero columns to whole bytes.
+
+    A hash is a_0 ^ XOR over odd o < k of L_o(x^o), where
+    L_o(y) = sum_t a_(o 2^t) y^(2^t); squaring is GF(2)-linear
+    (Frobenius), so each L_o is. Column j is L_o(2^j)."""
+    n = len(hashes)
+    maps = {(0, 1): np.zeros((n, -(-d // 8) * 8), dtype=np.uint64)}
+    widths: dict[int, list[int]] = {}
+    for row, h in enumerate(hashes):
+        widths.setdefault(h.width, []).append(row)
+    for w, rows in widths.items():
+        if w > 16:  # k <= 3 (fold_adw): L_1 alone, read off h at 0 and the unit vectors
+            for row in rows:
+                h = hashes[row]
+                c = h.eval_int(0)
+                maps[0, 1][row, :d] = [h.eval_int(1 << j) ^ c for j in range(d)]
+            continue
+        k = max(hashes[row].k for row in rows)
+        if k == 1:
+            continue
+        log, exp = (np.frombuffer(t, dtype=t.typecode) for t in default_spec(w).log_exp())
+        i, starts, logs = _frobenius_logs(w, k)
+        # a shorter key's missing coefficients, like any zero a_i, have
+        # no log and add nothing
+        a = np.array([hashes[row].coeffs + (0,) * (k - hashes[row].k) for row in rows])[:, i]
+        terms = np.where(a[..., None] != 0, exp[logs + log[a][..., None]], 0).astype(np.uint64)
+        masks = np.array([hashes[row].mask for row in rows], dtype=np.uint64)
+        columns = np.zeros((n, len(starts), -(-w // 8) * 8), dtype=np.uint64)
+        columns[rows, :, :w] = np.bitwise_xor.reduceat(terms, starts, axis=1) & masks[:, None, None]
+        maps[0, 1][:, :d] ^= columns[:, 0, :d]
+        for m in range(1, len(starts)):
+            maps[w, 2 * m + 1] = columns[:, m]
+    return maps
 
 
 class _FoldedADW:
-    """An affine adw key as byte tables of its three inner values.
+    """An adw key whose h1, h2 and ell are k-wise keys (fold_adw), as
+    byte tables of its three inner values.
 
-    The values at x = 0 and at the d unit vectors give the constant and
-    the columns of the map; the three values are packed into one int
-    per table entry (inner1 low, then inner2, then the y part), so a
-    query costs ceil(d/8) lookups and the two underlying calls.
+    Each hash is a_0 ^ XOR over odd o < k of L_o(x^o), each L_o
+    GF(2)-linear (_linear_maps), and a mask distributes over XOR. So
+    the three inner values are a constant ^ XOR_o T_o(x^o), one linear
+    map T_o per odd power (per field, for hashes of two widths), held
+    as one table per input byte whose entries pack the three values
+    into one int (inner1 low, then inner2, then the y part). An affine
+    bar (_affine_bar) is folded into the constant and T_1: m(g(x)) is
+    m(g(0)) ^ (g(x) ^ g(0)) (m(0) ^ m(1)), and g(x) ^ g(0) is linear in
+    x. Any other bar is evaluated per query. x^o is exp[o log x mod
+    2^w - 1], so a query costs ceil(d/8) lookups for T_1, two per odd
+    o >= 3 (the low and the high byte of x^o), the other bars and the
+    two underlying calls.
     """
 
     def __init__(self, key: ADWKey):
         self.f1, self.f2 = key.f1, key.f2
         self.s1, self.s2 = key.f1.domain_bits, key.f2.domain_bits
-        points = [0] + [1 << j for j in range(key.domain_bits)]
-        at_basis = np.array([adw_inner_values(key, x) for x in points],
-                            dtype=np.uint64).T  # (3, d+1)
-        const = at_basis[:, :1]
-        self.const = self._pack(*const[:, 0].tolist())
-        self.tables = [[self._pack(*entry) for entry in zip(*table.tolist())]
-                       for table in linear_tables(at_basis[:, 1:] ^ const)]
+        self.s3 = self.s1 + self.s2
+        self.m1, self.m2 = (1 << self.s1) - 1, (1 << self.s2) - 1
+        d = key.domain_bits
+        hashes = (key.h1, key.h2, key.ell)
+        maps = _linear_maps(hashes, d)
+        const = np.array([h.eval_int(0) for h in hashes], dtype=np.uint64)
+        affine, other = [], []
+        for bar in _bars(key):
+            (affine if _affine_bar(*bar) else other).append(bar)
+        self.bars = tuple(other)
+        if affine:
+            gs = [g for g, *_ in affine]
+            at0 = np.array([g.eval_int(0) for g in gs])
+            entries = np.array([[m.entries for m in bar[1:]] for bar in affine],
+                               dtype=np.uint64).transpose(1, 0, 2)  # (3, bars, 2)
+            const ^= np.bitwise_xor.reduce(entries[:, np.arange(len(gs)), at0], axis=1)
+            delta = entries[..., 0] ^ entries[..., 1]
+            bits = _linear_maps(gs, d)[0, 1] != 0
+            maps[0, 1] ^= np.bitwise_xor.reduce(np.where(bits, delta[..., None], 0), axis=1)
+        self.const = self._pack(*const.tolist())
+        order = sorted(maps)
+        columns = np.concatenate([maps[g].reshape(3, -1, 8) for g in order], axis=1)
+        if self.s3 + key.range_bits > 64:
+            columns = columns.astype(object)
+        # packed (tables, 8) columns -> (tables, 256) entries
+        tables = iter(next(linear_tables(self._pack(*columns))).tolist())
+        self.linear = [next(tables) for _ in range(-(-d // 8))]
+        # per field: its log and exp tables, and each odd o >= 3 with the
+        # tables of the low and the high byte of x^o ([0] when w <= 8)
+        odd: dict[int, list] = {}
+        for w, o in order[1:]:
+            odd.setdefault(w, []).append((o, next(tables), next(tables) if w > 8 else [0]))
+        self.fields = [(*default_spec(w).log_exp(), (1 << w) - 1, tuple(powers))
+                       for w, powers in odd.items()]
 
-    def _pack(self, a: int, b: int, y: int) -> int:
-        return a | (b << self.s1) | (y << (self.s1 + self.s2))
+    def _pack(self, a, b, y):
+        return a | (b << self.s1) | (y << self.s3)
 
     def __call__(self, x: int) -> int:
         packed = self.const
-        for table in self.tables:
-            packed ^= table[x & 255]
-            x >>= 8
-        s1, s2 = self.s1, self.s2
-        a = self.f1.eval_int(packed & ((1 << s1) - 1))
-        b = self.f2.eval_int((packed >> s1) & ((1 << s2) - 1))
-        return a ^ b ^ (packed >> (s1 + s2))
-
-
-def power_summable(key: ADWKey) -> bool:
-    """Whether h1, h2 and ell are k-wise keys over one GF(2^w), w <= 16,
-    with one k and nonzero coefficients a_1..a_{k-1} (a_0 may be 0), so
-    that every term a_i x^i of the three has a log."""
-    hashes = (key.h1, key.h2, key.ell)
-    return (all(isinstance(h, KWiseHashKey) for h in hashes)
-            and len({(h.width, h.k) for h in hashes}) == 1 and key.h1.width <= 16
-            and all(all(h.coeffs[1:]) for h in hashes))
-
-
-class _PowerSumADW:
-    """A power-summable key (power_summable) evaluated term by term.
-
-    Each hash is a_0 + sum_i a_i x^i over GF(2^w). Its logs log a_i are
-    taken once, one column (h1, h2, ell) per power; a query keeps
-    log x^i = i log x mod 2^w - 1 as one running sum for the three, so
-    each term is one exp lookup and there is no product. The masks,
-    the bars and the two underlying calls follow as in adw_eval.
-    """
-
-    def __init__(self, key: ADWKey):
-        self.key = key
-        hashes = (key.h1, key.h2, key.ell)
-        self.log, self.exp = key.h1.spec.log_exp()
-        self.order = (1 << key.h1.width) - 1
-        self.consts = tuple(h.coeffs[0] for h in hashes)
-        self.masks = tuple(h.mask for h in hashes)
-        self.columns = tuple(zip(*([self.log[c] for c in h.coeffs[1:]] for h in hashes)))
-
-    def __call__(self, x: int) -> int:
-        a, b, y = self.consts
+        v = x
+        for table in self.linear:
+            packed ^= table[v & 255]
+            v >>= 8
         if x:
-            exp, order = self.exp, self.order
-            step = self.log[x]
-            e = 0
-            for l1, l2, l3 in self.columns:
-                e = (e + step) % order
-                a ^= exp[l1 + e]
-                b ^= exp[l2 + e]
-                y ^= exp[l3 + e]
-        m1, m2, m3 = self.masks
-        key = self.key
-        a, b, y = a & m1, b & m2, y & m3
-        if key.gbar:
-            a, b, y = _xor_bars(key, x, a, b, y)
-        return key.f1.eval_int(a) ^ key.f2.eval_int(b) ^ y
+            for log, exp, order, powers in self.fields:
+                lx = log[x]
+                for o, low, high in powers:
+                    v = exp[o * lx % order]
+                    packed ^= low[v & 255] ^ high[v >> 8]
+        a = packed & self.m1
+        b = (packed >> self.s1) & self.m2
+        y = packed >> self.s3
+        if self.bars:
+            a, b, y = _xor_bars(self.bars, x, a, b, y)
+        return self.f1.eval_int(a) ^ self.f2.eval_int(b) ^ y
 
 
 def fold_adw(key: ADWKey):
-    """x -> adw_eval(key, x): from the key's byte tables if it is affine,
-    by power sums if it is power_summable, else adw_eval itself.
-    Building the tables costs d+1 evaluations of the inner values and
-    the power sums k logs per hash; the underlying f1 and f2 are not
-    called."""
-    if is_affine(key):
+    """x -> adw_eval(key, x): from byte tables (_FoldedADW) if h1, h2 and
+    ell are k-wise keys, each over GF(2^w) with w <= 16 (log/exp tables
+    give x^o) or with k <= 3 (x alone), else adw_eval itself. Building
+    the tables takes a few numpy passes over the coefficients and the
+    affine bars; the underlying f1 and f2 are not called."""
+    if all(isinstance(h, KWiseHashKey) and (h.width <= 16 or h.k <= 3)
+           for h in (key.h1, key.h2, key.ell)):
         return _FoldedADW(key)
-    if power_summable(key):
-        return _PowerSumADW(key)
     return partial(adw_eval, key)
 
 
 class ADWOracle(Oracle):
     """adw_eval as an oracle. The first d+1 queries are answered by
-    adw_eval; the key is folded (fold_adw: byte tables, power sums or
-    adw_eval) at query d+2, so a fold is built only once it has been
-    paid for, and answers from then on."""
+    adw_eval; the key is folded (fold_adw: byte tables or adw_eval) at
+    query d+2, so a fold is built only once it has been paid for, and
+    from then on the fold is the oracle's eval_int."""
 
     def __init__(self, key: ADWKey):
         super().__init__(key.domain_bits, key.range_bits)
@@ -242,7 +305,6 @@ class ADWOracle(Oracle):
         if self._unfolded_left:
             self._unfolded_left -= 1
             return adw_eval(self.key, x)
-        if self._folded is None:
-            self._folded = fold_adw(self.key)
+        if self._folded is None:  # a bound eval_int taken before the fold lands here
+            self.eval_int = self._folded = fold_adw(self.key)
         return self._folded(x)
-

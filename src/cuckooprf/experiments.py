@@ -200,27 +200,38 @@ def involution(n: int, trials: int, seed: int):
 
 class _TalliedOracle(LazyRandomOracle):
     """A lazy-random oracle that counts each of its queries on a
-    _CallTally before it answers, in the one eval_int frame."""
+    _CallTally before it answers, in the one eval_int frame. Its answers
+    inside the tally's window are memoized, so the memo never holds
+    more than `window` entries; every query still counts in calls, and
+    every query outside the window in outside, each time it is made."""
 
     def __init__(self, tally: _CallTally, seed: int, domain_bits: int, range_bits: int):
         super().__init__(seed, domain_bits, range_bits)
         self.tally = tally
+        self.memo: dict[int, int] = {}
 
     def eval_int(self, x: int) -> int:
         tally = self.tally
         tally.calls += 1
-        tally.outside += x >= tally.window
-        return lazy_answer(self.seed, x, self.range_bits)
+        answer = self.memo.get(x)
+        if answer is None:
+            answer = lazy_answer(self.seed, x, self.range_bits)
+            if x < tally.window:
+                self.memo[x] = answer
+            else:
+                tally.outside += 1
+        return answer
 
 
 class _CallTally:
     """An f_sampler whose lazy-random oracles count, as they are queried,
     every underlying query and those outside the first `window` strings.
-    It keeps the two counts, not the queries, so its memory does not grow
-    with the number of probes. It is the one call counter of the
-    experiments: a builder's underlying calls are counted where it draws f.
-    Each oracle is a _TalliedOracle keyed, as lazy_random_sampler keys
-    one, by one 64-bit word of rng, and answers as that oracle would."""
+    It keeps the two counts, and each oracle its answers inside the
+    window, not the queries, so its memory does not grow with the number
+    of probes. It is the one call counter of the experiments: a
+    builder's underlying calls are counted where it draws f. Each
+    oracle is a _TalliedOracle keyed, as lazy_random_sampler keys one,
+    by one 64-bit word of rng, and answers as that oracle would."""
 
     def __init__(self, window: int):
         self.window = window
@@ -232,31 +243,30 @@ class _CallTally:
 
 
 def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
-    """Drive the adaptive-security builders with an answer-chained prober
+    """Drive the adaptive-security builders with answer-chained probers
     and verify that no underlying query ever leaves the first 4q strings.
 
-    Probe i mixes the last answer with word i of key_stream(seed,
-    _PROBE_TAG), which is derive_seed(seed, _PROBE_TAG, i)."""
+    Probe i of each target mixes that target's last answer with word i
+    of key_stream(seed, _PROBE_TAG), which is derive_seed(seed,
+    _PROBE_TAG, i); one loop draws each word once and advances both
+    chains with it."""
     if probes < 1:
         raise ConfigurationError("probes must be positive")
-    targets = (
-        ("adaptive-transform-pp", "pp", k),
-        ("adaptive-transform-adw", "adw", 2),
-    )
+    pp_tally, adw_tally = _CallTally(4 * q), _CallTally(4 * q)
+    pp = build_adaptive_from_nonadaptive(n, q, k, key_stream(seed, _PROBE_TAG, 0),
+                                         f_sampler=pp_tally)
+    adw = build_adw_adaptive_from_nonadaptive(n, q, _ADAPTIVE_C, key_stream(seed, _PROBE_TAG, 1),
+                                              f_sampler=adw_tally)
+    words = key_stream(seed, _PROBE_TAG)
+    x_pp = x_adw = 0
+    for _ in range(probes):
+        word = words.getrandbits(64)
+        x_pp = truncate(mix64(pp.eval_int(x_pp) ^ word), n)
+        x_adw = truncate(mix64(adw.eval_int(x_adw) ^ word), n)
     rows, problems = [], []
-    for idx, (name, flavor, kcol) in enumerate(targets):
-        tally = _CallTally(4 * q)
-        rng = key_stream(seed, _PROBE_TAG, idx)
-        if flavor == "pp":
-            handle = build_adaptive_from_nonadaptive(n, q, k, rng, f_sampler=tally)
-            zcol = None
-        else:
-            handle = build_adw_adaptive_from_nonadaptive(n, q, _ADAPTIVE_C, rng, f_sampler=tally)
-            zcol = adw_table_z(_ADAPTIVE_C, q)
-        words = key_stream(seed, _PROBE_TAG)
-        x = 0
-        for _ in range(probes):
-            x = truncate(mix64(handle.eval_int(x) ^ words.getrandbits(64)), n)
+    for name, tally, kcol, zcol in (
+            ("adaptive-transform-pp", pp_tally, k, None),
+            ("adaptive-transform-adw", adw_tally, 2, adw_table_z(_ADAPTIVE_C, q))):
         total, outside = tally.calls, tally.outside
         if outside:
             problems.append(f"{name}: {outside} of {total} underlying queries left the 4q prefix")

@@ -9,7 +9,6 @@ from cuckooprf.combine import (
     ADWKey,
     ADWOracle,
     _FoldedADW,
-    _PowerSumADW,
     adw_eval,
     adw_inner_values,
     fold_adw,
@@ -243,23 +242,31 @@ def _summable(k=12, width=16, d=16, window=256):
 # name -> (the hashes, a change to one of them, the evaluator fold_adw picks)
 FOLD_CASES = {
     "affine": (_summable(k=2), None, _FoldedADW),
-    "power sums": (_summable(), None, _PowerSumADW),
-    "a_0 = 0": (_summable(), (0, lambda h: replace(h, coeffs=(0, *h.coeffs[1:]))), _PowerSumADW),
-    "k = 3 at w = 4": (_summable(3, 4, 4, window=4), None, _PowerSumADW),
+    "power sums": (_summable(), None, _FoldedADW),
+    "a_0 = 0": (_summable(), (0, lambda h: replace(h, coeffs=(0, *h.coeffs[1:]))), _FoldedADW),
+    "k = 3 at w = 4": (_summable(3, 4, 4, window=4), None, _FoldedADW),
     "zero a_5": (_summable(), (1, lambda h: replace(h, coeffs=h.coeffs[:5] + (0,) + h.coeffs[6:])),
-                 partial),
+                 _FoldedADW),
     "mixed widths": (_summable(), (2, lambda h: replace(h, width=32)), partial),
-    "unequal k": (_summable(), (2, lambda h: replace(h, coeffs=h.coeffs[:-1])), partial),
+    "unequal k": (_summable(), (2, lambda h: replace(h, coeffs=h.coeffs[:-1])), _FoldedADW),
     "w = 32": (_summable(width=32, d=24), None, partial),
+    "w = 8 and w = 16": (_summable(12, 8, 8, window=16), (2, lambda h: replace(h, width=16)),
+                         _FoldedADW),
+    "w = 16 and w = 32 at k = 3": (_summable(3), (2, lambda h: replace(h, width=32)), _FoldedADW),
+    "w = 32 at k = 3": (_summable(3, 32, 24), None, _FoldedADW),
+    "w = 64 at k = 2": (_summable(2, 64, 40), None, _FoldedADW),
+    "w = 64 at k = 4": (_summable(4, 64, 40), None, partial),
+    "not k-wise": (_summable(), (0, lambda h: FunctionOracle(h.eval_int, h.domain_bits,
+                                                             h.range_bits)), partial),
 }
 
 
 @pytest.mark.parametrize("case", FOLD_CASES)
 def test_fold_adw_picks_one_evaluator_per_kind_of_key(case):
-    """Byte tables for an affine key, power sums for one whose h1, h2 and
-    ell are k-wise keys of one width w <= 16 and one k with nonzero
-    a_1..a_{k-1}, and adw_eval itself for any other; each answers as
-    adw_eval does."""
+    """Byte tables of the odd powers for a key whose h1, h2 and ell are
+    k-wise keys, each over GF(2^w) with w <= 16 or with k <= 3 (any
+    coefficient may be 0, and the three may differ in width and k), and
+    adw_eval itself for any other; each answers as adw_eval does."""
     hashes, change, evaluator = FOLD_CASES[case]
     if change is not None:
         i, edit = change
@@ -273,3 +280,17 @@ def test_fold_adw_picks_one_evaluator_per_kind_of_key(case):
         assert folded.func is adw_eval and folded.args == (key,)
     points = [0, 1, 2, 0xBEEF % (1 << d), (1 << d) - 1]
     assert [folded(x) for x in points] == [adw_eval(key, x) for x in points]
+
+
+def test_an_eval_int_bound_before_the_fold_builds_it_once():
+    """Past query d + 1 the fold is the oracle's eval_int; an eval_int
+    bound earlier answers through the same fold, built once."""
+    key = _pp_key(*_summable(k=5, d=16), LazyRandomOracle(13, 16, 16), LazyRandomOracle(14, 16, 16))
+    oracle = ADWOracle(key)
+    bound = oracle.eval_int
+    xs = range(0, 1 << 16, 997)
+    assert [bound(x) for x in xs] == [adw_eval(key, x) for x in xs]
+    folded = oracle._folded
+    assert type(folded) is _FoldedADW and oracle.eval_int is folded
+    assert [bound(x) for x in xs] == [oracle.eval_int(x) for x in xs]
+    assert oracle._folded is folded

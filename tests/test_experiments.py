@@ -1,10 +1,19 @@
+import gc
 import json
+import tracemalloc
+from functools import partial
 
-from cuckooprf import cli, experiments
-from cuckooprf.bits import BitString, key_stream
+from cuckooprf import bits, cli, experiments
+from cuckooprf.bits import BitString, key_stream, mix64, truncate
+from cuckooprf.combine import adw_eval
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.prfcore import GgmKey, GgmOracle, LazyRandomOracle, LevinOracle, PrgSpec
-from cuckooprf.transform import lazy_random_sampler
+from cuckooprf.transform import (
+    build_adaptive_from_nonadaptive,
+    build_adw_adaptive_from_nonadaptive,
+    lazy_random_sampler,
+)
+from spies import InstrumentedOracle, counting_sampler
 from cuckooprf.experiments import (
     CSV_COLUMNS,
     adaptive_transform,
@@ -197,6 +206,90 @@ def test_a_tally_counts_queries_at_or_past_its_window_as_outside():
     assert (tally.calls, tally.outside) == (5, 3)
 
 
+def test_a_repeated_outside_query_counts_as_outside_every_time():
+    tally = experiments._CallTally(8)
+    oracle = tally(random.Random(3), 4, 4)
+    answers = [oracle.eval_int(x) for x in (9, 9, 3, 9, 3)]
+    assert (tally.calls, tally.outside) == (5, 3)
+    assert answers[0] == answers[1] == answers[3] and answers[2] == answers[4]
+    assert list(oracle.memo) == [3]  # only the point inside the window is kept
+
+
+def test_a_tallied_oracle_memoizes_at_most_its_window_and_answers_as_lazy_random():
+    tally = experiments._CallTally(16)
+    rng, twin = key_stream(906, 1), key_stream(906, 1)
+    oracle, reference = tally(rng, 6, 6), lazy_random_sampler(twin, 6, 6)
+    xs = random.Random(4).choices(range(64), k=2000)
+    for x in xs:
+        assert oracle.eval_int(x) == reference.eval_int(x)
+        assert len(oracle.memo) <= 16
+    assert sorted(oracle.memo) == list(range(16))
+    assert (tally.calls, tally.outside) == (2000, sum(x >= 16 for x in xs))
+
+
+# Measured peaks (tracemalloc, Python 3.11) of adaptive_transform at the
+# benchmark's shape: 410 KB at 500 probes and at 4000, the fold tables of
+# the two keys, the two tallies' memos of at most 4q = 256 answers each
+# and one key stream refill of 4096 words. A refill grows with the words
+# read until it holds 4096 of them, and each range's tags are cached, so
+# the probe stream refills 4096 words from its first word on, and a
+# warm-up run reads the 8P words before either traced run.
+PROBE_MEMORY_SLACK = 1.05
+
+
+def test_adaptive_transform_memory_does_not_grow_with_probes(monkeypatch):
+    monkeypatch.setattr(bits, "_CHUNK_MIN", bits._CHUNK_MAX)
+    gc.disable()
+    try:
+        adaptive_transform(16, 64, 12, 8 * 500, 1)
+        peaks = []
+        for probes in (500, 8 * 500):
+            tracemalloc.start()
+            try:
+                adaptive_transform(16, 64, 12, probes, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        gc.enable()
+    small, large = peaks
+    assert large <= PROBE_MEMORY_SLACK * small
+
+
+def test_each_adaptive_target_replays_its_own_chain_through_adw_eval(monkeypatch):
+    """One loop advances both targets' chains with one word stream. Each
+    target's underlying oracles still see exactly 2 calls per probe, in
+    the order a sequential replay of that target's chain alone through
+    adw_eval asks them."""
+    tallies = []
+
+    class SpyTally(experiments._CallTally):
+        def __init__(self, window):
+            super().__init__(window)
+            self.oracles = []
+            tallies.append(self)
+
+        def __call__(self, rng, domain_bits, range_bits):
+            self.oracles.append(InstrumentedOracle(super().__call__(rng, domain_bits, range_bits)))
+            return self.oracles[-1]
+
+    monkeypatch.setattr(experiments, "_CallTally", SpyTally)
+    n, q, k, probes, seed = 12, 16, 4, 300, 812
+    rows, problems = adaptive_transform(n, q, k, probes, seed)
+    assert problems == [] and len(tallies) == 2
+    builders = (partial(build_adaptive_from_nonadaptive, n, q, k),
+                partial(build_adw_adaptive_from_nonadaptive, n, q, experiments._ADAPTIVE_C))
+    for idx, (tally, build) in enumerate(zip(tallies, builders)):
+        assert [o.calls for o in tally.oracles] == [probes, probes]
+        assert tally.calls == 2 * probes
+        seen = []
+        key = build(key_stream(seed, experiments._PROBE_TAG, idx), counting_sampler(seen)).key
+        words, x = key_stream(seed, experiments._PROBE_TAG), 0
+        for _ in range(probes):
+            x = truncate(mix64(adw_eval(key, x) ^ words.getrandbits(64)), n)
+        assert [o.queries for o in tally.oracles] == [o.queries for o in seen]
+
+
 def _narrow_tallies(monkeypatch):
     """Every _CallTally the experiments make keeps half the window asked
     for, so the adaptive builders' 4q window is wider than the tally's."""
@@ -258,8 +351,9 @@ def test_adw_compare_rows_and_call_costs():
 
 
 def test_adw_compare_counts_calls_past_the_fold(monkeypatch):
-    # the probe's last query is the first a table adw answers folded, so
-    # an extra underlying call made only there must show as a problem
+    # the probe's last query is the first each probe oracle answers
+    # folded, so an extra underlying call made only there must show as a
+    # problem for all three
     from cuckooprf import combine
 
     folded_call = combine._FoldedADW.__call__
@@ -270,4 +364,6 @@ def test_adw_compare_counts_calls_past_the_fold(monkeypatch):
 
     monkeypatch.setattr(combine._FoldedADW, "__call__", one_more_f1_call)
     _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)
-    assert problems == ["adw-compare-table: 3 underlying calls per query, expected 2"]
+    assert problems == ["adw-compare-pp: 3 underlying calls per query, expected 2",
+                        "adw-compare-prf: 21 underlying calls per query, expected 20",
+                        "adw-compare-table: 3 underlying calls per query, expected 2"]

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from cuckooprf import batch
 from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
-from cuckooprf.combine import ADWKey, ADWOracle, _FoldedADW, _PowerSumADW, adw_eval, is_affine
+from cuckooprf.combine import ADWKey, ADWOracle, _FoldedADW, adw_eval, fold_adw, is_affine
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import DEFAULT_REDUCTION, SUPPORTED_WIDTHS, _mul_raw
@@ -393,16 +393,12 @@ def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
 
 def _evaluator(key: ADWKey):
     """The evaluator type an ADWOracle must fold key into past query
-    d + 1: byte tables if key is affine; power sums if h1, h2 and ell
-    are k-wise keys of one width w <= 16 and one k whose coefficients
-    a_1..a_{k-1} are all nonzero; else partial(adw_eval, key)."""
-    hashes = (key.h1, key.h2, key.ell)
-    if is_affine(key):
+    d + 1: byte tables of the odd powers if h1, h2 and ell are k-wise
+    keys, each over GF(2^w) with w <= 16 or with k <= 3, whatever its
+    coefficients and its bars; else partial(adw_eval, key)."""
+    if all(isinstance(h, KWiseHashKey) and (h.width <= 16 or h.k <= 3)
+           for h in (key.h1, key.h2, key.ell)):
         return _FoldedADW
-    if (all(isinstance(h, KWiseHashKey) for h in hashes)
-            and len({(h.width, h.k) for h in hashes}) == 1 and key.h1.width <= 16
-            and all(c != 0 for h in hashes for c in h.coeffs[1:])):
-        return _PowerSumADW
     return partial
 
 
@@ -472,10 +468,9 @@ def test_folded_twin_evaluates_the_inner_maps_at_the_bits_its_queries_use(d, res
 def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     """A pp key, an adw key with no inner maps, is affine at k = 2 and not
     at k >= 3. Its oracle answers d + 3 or more queries with the pp
-    formula, by adw_eval up to query d + 1 and then folded (k = 2), by
-    power sums or by adw_eval (_evaluator), at exactly 2 underlying
-    calls per query; its twin folds a block of more than u + 1 points
-    only at k = 2."""
+    formula, by adw_eval up to query d + 1 and then from byte tables or
+    by adw_eval (_evaluator), at exactly 2 underlying calls per query;
+    its twin folds a block of more than u + 1 points only at k = 2."""
     k = 2 if affine else data.draw(st.integers(3, 6), label="k")
     s = data.draw(st.integers(2, min(d, 20)), label="s")
     layout = pp_layout(d, s, data.draw(st.integers(1, 64), label="r"), k)
@@ -487,8 +482,7 @@ def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     answers = [oracle.query(BitString(x, d)).value for x in xs[:d + 1]]
     assert oracle._folded is None
     answers += [oracle.query(BitString(x, d)).value for x in xs[d + 1:]]
-    assert isinstance(oracle._folded, _evaluator(oracle.key))
-    assert isinstance(oracle._folded, _FoldedADW) == affine
+    assert type(oracle._folded) is _evaluator(oracle.key)
     assert sum(f.calls for f in seen) == 2 * len(xs)
     assert answers == [pp_formula(oracle.key, x) for x in xs]
 
@@ -545,9 +539,10 @@ def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int
 def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     """One 3-wise g, one prf-backed inner map, or one column of 4-entry
     tables under a 2-bit g, and the scalar engine answers the key past
-    the fold by power sums or by adw_eval (_evaluator), exactly. The
-    twin reads a bar only whole, so it is checked on keys whose every
-    inner map is made so."""
+    the fold exactly, from byte tables that leave that one bar to each
+    query (_evaluator: the 2-wise hashes fold at every width). The twin
+    reads a bar only whole, so it is checked on keys whose every inner
+    map is made so, and does not fold them."""
     p, window = _table_shape(data, d, data.draw(st.booleans(), label="restricted"))
     i = data.draw(st.integers(0, adw_z(p, "table") - 1), label="i")
     oracles = [_not_affine_layout(p, window, slot, i)(KeyDraws(_rng(data)))
@@ -556,8 +551,9 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     want = [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
     assert not any(is_affine(o.key) for o in oracles)
     assert [[o.query(x).value for x in xs] for o in oracles] == want
-    assert all(isinstance(o._folded, _evaluator(o.key)) for o in oracles)
-    assert not any(isinstance(o._folded, _FoldedADW) for o in oracles)
+    assert all(type(o._folded) is _evaluator(o.key) is _FoldedADW for o in oracles)
+    assert [o._folded.bars for o in oracles] == \
+        [((o.key.gbar[i], o.key.m1bar[i], o.key.m2bar[i], o.key.ybar[i]),) for o in oracles]
 
     columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot))
     assert not any(is_affine(o.key) for o in oracles)
@@ -577,10 +573,11 @@ def _summable_hash(data, w: int, k: int, d: int, bits: int, window: int | None) 
 @settings(PROPERTY, max_examples=60)
 @given(st.sampled_from((4, 8, 16)), st.integers(2, 12), st.booleans(), st.data())
 def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
-    """A key with power-summable h1, h2 and ell that is not affine (k >= 3,
-    or a 3-wise g) is answered from query d + 2 on by power sums, at
-    x = 0, x = 1 and drawn points, as adw_eval answers, at exactly 2
-    underlying calls per query."""
+    """A key whose h1, h2 and ell are k-wise over one GF(2^w), w <= 16,
+    with nonzero a_1..a_{k-1}, that is not affine (k >= 3, or a 3-wise g),
+    is answered from query d + 2 on from byte tables, at x = 0, x = 1
+    and drawn points, as adw_eval answers, at exactly 2 underlying
+    calls per query."""
     d = data.draw(st.integers(w // 2 + 1, w), label="d")
     s = data.draw(st.integers(1, d), label="s")
     r = data.draw(st.integers(1, w), label="r")
@@ -604,7 +601,66 @@ def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
         answer = oracle.eval_int(x)
         assert f1.calls + f2.calls - calls == 2
         assert answer == adw_eval(key, x)
-    assert type(oracle._folded) is _PowerSumADW
+    assert type(oracle._folded) is _FoldedADW
+
+
+def _foldable_hash(data, d: int, bits: int, window: int | None, wide: bool) -> KWiseHashKey:
+    """A k-wise key from d to `bits` bits that fold_adw folds: over
+    GF(2^w) with w <= 16 and 2 <= k <= 16, or (wide) w in {32, 64} and
+    k <= 3; each coefficient 0 about a third of the time."""
+    widths = [w for w in ((32, 64) if wide else (4, 8, 16)) if w >= max(d, bits)]
+    w = data.draw(st.sampled_from(widths), label="w")
+    k = data.draw(st.integers(1, 3) if wide else st.integers(2, 16), label="k")
+    coeff = st.one_of(st.just(0), st.integers(0, (1 << w) - 1), st.integers(0, (1 << w) - 1))
+    coeffs = data.draw(st.lists(coeff, min_size=k, max_size=k), label="coeffs")
+    return KWiseHashKey(tuple(coeffs), d, bits, w, window)
+
+
+def _bar(data, rng, d: int, s1: int, s2: int, r: int, window: int | None) -> tuple:
+    """One bar (g, m1, m2, y): folded into the tables (a 2-wise g to one
+    bit, 2-entry tables) or left to each query (a 3-wise g, a 2-bit g
+    over 4-entry tables, or a prf-backed y map)."""
+    kind = data.draw(st.sampled_from(("affine", "3-wise g", "2-bit g", "prf y")), label="bar")
+    u = 2 if kind == "2-bit g" else 1
+    g = sample_kwise(3 if kind == "3-wise g" else 2, d, u, rng)
+    m1, m2 = sample_table(1 << u, s1, rng, window), sample_table(1 << u, s2, rng, window)
+    y = (PaddedPrfMap(LazyRandomOracle(rng.getrandbits(64), 8, 64), u, r) if kind == "prf y"
+         else sample_table(1 << u, r, rng))
+    return g, m1, m2, y
+
+
+@settings(PROPERTY, max_examples=80)
+@given(st.booleans(), st.booleans(), st.data())
+def test_fold_answers_as_adw_eval_at_two_calls_per_query(wide, windowed, data):
+    """fold_adw folds every key whose h1, h2 and ell are k-wise keys over
+    GF(2^w) with w <= 16 at any k, or w in {32, 64} at k <= 3: zero
+    coefficients anywhere, the three of their own widths and k, h1 and
+    h2 with or without a window, and bars folded or left to each query.
+    Building the fold calls no underlying oracle; it then answers as
+    adw_eval at x = 0, x = 1, x = 2^d - 1 and drawn points, with exactly
+    2 calls of f1 and f2 per query."""
+    d = data.draw(st.integers(1, 40 if wide else 16), label="d")
+    s1, s2 = (data.draw(st.integers(1, d), label="s") for _ in range(2))
+    r = data.draw(st.integers(1, 64 if wide else 16), label="r")
+    window = 1 << data.draw(st.integers(0, min(s1, s2)), label="log2 window") if windowed else None
+    rng = _rng(data)
+    h1 = _foldable_hash(data, d, s1, window, wide)
+    h2 = _foldable_hash(data, d, s2, window, wide)
+    ell = _foldable_hash(data, d, r, None, wide)
+    bars = [_bar(data, rng, d, s1, s2, r, window)
+            for _ in range(data.draw(st.integers(0, 3), label="z"))]
+    f1, f2 = (InstrumentedOracle(LazyRandomOracle(rng.getrandbits(64), s, r)) for s in (s1, s2))
+    gbar, m1bar, m2bar, ybar = tuple(zip(*bars)) if bars else ((),) * 4
+    key = ADWKey(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, f2)
+    folded = fold_adw(key)
+    assert type(folded) is _FoldedADW and f1.calls + f2.calls == 0
+    xs = [0, 1, (1 << d) - 1, *data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4),
+                                         label="xs")]
+    for x in xs:
+        calls = f1.calls, f2.calls
+        answer = folded(x)
+        assert (f1.calls - calls[0], f2.calls - calls[1]) == (1, 1)
+        assert answer == adw_eval(key, x)
 
 
 class ChunkCase(NamedTuple):
