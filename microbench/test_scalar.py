@@ -1,7 +1,7 @@
 """Microbenchmarks of the scalar path: the field product, one k-wise hash
-evaluation, the combiner adw_eval, building a fold and a folded
-ADWOracle query, the lazy answer and a tallied call, on the keys of the
-benchmark's `adaptive` workload.
+evaluation, the combiner adw_eval, building a fold, a folded ADWOracle
+query and one probe step, the lazy answer and a tallied call, on the
+keys of the benchmark's `adaptive` workload.
 
     python -m pytest microbench --benchmark-only
 
@@ -11,14 +11,16 @@ build_adaptive_from_nonadaptive's pp key, an adw key with 12-wise hashes
 over GF(2^16) and no inner maps, and build_adw_adaptive_from_nonadaptive's
 table-backed adw key with c = 1, so z = 2(c+2) * log2 q = 36 inner maps
 of 2-entry tables under 2-wise hashes. test_adw_eval calls adw_eval on
-the key itself, the reference that answers an ADWOracle's first d + 1
-queries. test_fold_build times fold_adw on each key, which an ADWOracle
-runs once, at query d + 2: byte tables of the odd powers x^1, x^3, ...,
-x^11 for the pp key, and of x alone, the 36 affine bars folded in, for
-the table key. test_folded_query asks an ADWOracle of each key after
-d + 2 queries, so it is answered from those tables, the fold being the
-oracle's eval_int. Both make
-their two underlying calls through lazy_answer.
+the key itself, the reference every fold answers as. test_fold_build
+times fold_adw on each key, which an ADWOracle runs once, at its first
+query: byte tables of the odd powers x^1, x^3, ..., x^11 for the pp
+key, and of x alone, the 36 affine bars folded in, for the table key.
+test_folded_query asks an ADWOracle of each key after one query, so it
+is answered from those tables, the fold being the oracle's eval_int.
+Both make their two underlying calls through lazy_answer.
+test_probe_step times one step of adaptive-transform's probe loop past
+the folds: each target's answer mixed with a word into its next point,
+the targets' f1 and f2 being tallied oracles.
 
 lazy_answer is timed on a point whose inner mix is cached, as nearly
 every point of the `adaptive` workload's 4q window is after its first
@@ -40,6 +42,7 @@ import random
 
 import pytest
 
+from cuckooprf.bits import mix64
 from cuckooprf.combine import ADWOracle, adw_eval, fold_adw
 from cuckooprf.experiments import _CallTally
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
@@ -76,10 +79,24 @@ def test_fold_build(benchmark, name):
 def test_folded_query(benchmark, name):
     key = KEYS[name](random.Random(2024))
     oracle = ADWOracle(key)
-    for x in range(N + 2):  # the last one builds the fold
-        oracle.eval_int(x)
+    oracle.eval_int(0)  # builds the fold
     x = 0xBEEF
     assert benchmark(oracle.eval_int, x) == adw_eval(key, x) < 1 << N
+
+
+def test_probe_step(benchmark):
+    rng, mask = random.Random(2024), (1 << N) - 1
+    pp = build_adaptive_from_nonadaptive(N, Q, 12, rng, f_sampler=_CallTally(4 * Q))
+    adw = build_adw_adaptive_from_nonadaptive(N, Q, 1, rng, f_sampler=_CallTally(4 * Q))
+    points = [0, 0]
+
+    def step(word):
+        points[0] = mix64(pp.eval_int(points[0]) ^ word) & mask
+        points[1] = mix64(adw.eval_int(points[1]) ^ word) & mask
+
+    step(0x5EED)  # builds both folds
+    benchmark(step, 0x5EED)
+    assert max(points) <= mask
 
 
 SEED = 0x5EED

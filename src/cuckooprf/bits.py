@@ -111,11 +111,15 @@ def _part_tags(indices: range, out: np.ndarray | None = None,
     return mix64_inplace(out, scratch)
 
 
+# Word ranges shorter than this have their tags cached: a slot's or a bar's
+# range and a KeyStream's first refills, which many streams ask again.
+_CACHED_COLUMNS = 256
+
+
 @lru_cache(maxsize=64)
 def _column_tags(cols: range) -> np.ndarray:
     """_part_tags(cols), read-only: the same for every block of streams.
-    An entry holds one word per column of a slot's or a bar's range, or
-    of a KeyStream refill (at most _CHUNK_MAX words, 32 KiB)."""
+    An entry holds fewer than _CACHED_COLUMNS words (2 KiB)."""
     tags = _part_tags(cols)
     tags.flags.writeable = False  # one cached array is shared by every caller
     return tags
@@ -131,15 +135,17 @@ def stream_words(heads: np.ndarray, cols: range, out: np.ndarray | None = None,
     Word j of the stream with head derive_seed(seed, *parts) is
     derive_seed(seed, *parts, j), the chain folding in one more part.
     The tags mix64(j ^ C2) of a word range do not depend on the heads,
-    so they are derived once per range and kept in a small LRU cache.
+    so a range shorter than _CACHED_COLUMNS has them derived once and
+    kept in a small LRU cache.
     """
-    out = np.bitwise_xor(_column_tags(cols)[:, None], heads, out=out)
+    tags = _column_tags(cols) if len(cols) < _CACHED_COLUMNS else _part_tags(cols)
+    out = np.bitwise_xor(tags[:, None], heads, out=out)
     return mix64_inplace(out, scratch).T
 
 
 # Words a KeyStream derives per refill, growing geometrically: small
-# streams (a lazy-random seed, one key) stay cheap, long ones (the
-# adaptive probes' words) amortize numpy's per-call cost.
+# streams (a lazy-random seed, one key) stay cheap, long ones amortize
+# numpy's per-call cost.
 _CHUNK_MIN = 16
 _CHUNK_MAX = 4096
 

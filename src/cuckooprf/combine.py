@@ -24,14 +24,16 @@ eval_int. A BitString is built only where an ADWOracle is queried
 through Oracle.query, which checks the input length the combiner
 takes on trust.
 
-ADWOracle answers its first d+1 queries with adw_eval, the reference,
-and folds the key (fold_adw) at query d+2, so a key asked at only a
-few points never pays for a fold. A k-wise hash over GF(2^w) is a_0 ^ XOR over odd o < k of
+ADWOracle folds the key (fold_adw) at its first query. At the
+benchmark's adaptive shape a fold costs about as much as 20 adw_eval
+queries of the pp key or 8 of the table key, and the CLI asks each
+oracle it builds at least d + 2 times, unless adaptive-transform runs
+with fewer --probes. A k-wise hash over GF(2^w) is a_0 ^ XOR over odd o < k of
 L_o(x^o), where L_o(y) = sum_t a_(o 2^t) y^(2^t) is GF(2)-linear in y,
 because squaring is (the Frobenius identity; Lidl and Niederreiter,
 Finite Fields, ch. 3). So when h1, h2 and ell are k-wise keys, each
 with w <= 16 or k <= 3, the three inner values are a constant XORed
-with one linear map of each odd power x^o, and _FoldedADW holds each
+with one linear map of each odd power x^o, and the fold holds each
 map as byte tables of the three values packed into one int; x^o is one
 lookup exp[o log x mod 2^w - 1]. An affine bar (a 2-wise g into 2-entry
 tables) folds into the constant and the map of x; any other bar is
@@ -174,11 +176,15 @@ def _linear_maps(hashes, d: int) -> dict[tuple[int, int], np.ndarray]:
     for row, h in enumerate(hashes):
         widths.setdefault(h.width, []).append(row)
     for w, rows in widths.items():
-        if w > 16:  # k <= 3 (fold_adw): L_1 alone, read off h at 0 and the unit vectors
-            for row in rows:
-                h = hashes[row]
-                c = h.eval_int(0)
-                maps[0, 1][row, :d] = [h.eval_int(1 << j) ^ c for j in range(d)]
+        if w > 16:  # k <= 3 (fold_adw): L_1 alone, column j a_1 2^j ^ a_2 4^j by doubling
+            a = np.array([(*hashes[row].coeffs[1:], 0, 0)[:2] for row in rows], dtype=np.uint64).T
+            masks = np.array([hashes[row].mask for row in rows], dtype=np.uint64)
+            full, top = (1 << w) - 1, np.uint64(w - 1)
+            low, full = np.uint64(default_spec(w).poly & full), np.uint64(full)
+            for j in range(d):
+                maps[0, 1][rows, j] = (a[0] ^ a[1]) & masks
+                a = ((a << np.uint64(1)) & full) ^ (a >> top) * low
+                a[1] = ((a[1] << np.uint64(1)) & full) ^ (a[1] >> top) * low
             continue
         k = max(hashes[row].k for row in rows)
         if k == 1:
@@ -198,9 +204,15 @@ def _linear_maps(hashes, d: int) -> dict[tuple[int, int], np.ndarray]:
     return maps
 
 
-class _FoldedADW:
-    """An adw key whose h1, h2 and ell are k-wise keys (fold_adw), as
-    byte tables of its three inner values.
+def fold_adw(key: ADWKey):
+    """x -> adw_eval(key, x) as one plain function. If h1, h2 and ell are
+    k-wise keys, each over GF(2^w) with w <= 16 (log/exp tables give
+    x^o) or with k <= 3 (x alone), it answers from byte tables of the
+    three inner values, and its tables, masks, shifts, the bars left to
+    each query and f1's and f2's eval_int are closure cells, bound once;
+    else it is partial(adw_eval, key). Building the tables takes a few
+    numpy passes over the coefficients and the affine bars; the
+    underlying f1 and f2 are not called.
 
     Each hash is a_0 ^ XOR over odd o < k of L_o(x^o), each L_o
     GF(2)-linear (_linear_maps), and a mask distributes over XOR. So
@@ -215,96 +227,80 @@ class _FoldedADW:
     o >= 3 (the low and the high byte of x^o), the other bars and the
     two underlying calls.
     """
+    hashes = (key.h1, key.h2, key.ell)
+    if not all(isinstance(h, KWiseHashKey) and (h.width <= 16 or h.k <= 3) for h in hashes):
+        return partial(adw_eval, key)
+    s1, s2, d = key.f1.domain_bits, key.f2.domain_bits, key.domain_bits
+    s3, m1, m2 = s1 + s2, (1 << s1) - 1, (1 << s2) - 1
+    maps = _linear_maps(hashes, d)
+    const = np.array([h.eval_int(0) for h in hashes], dtype=np.uint64)
+    affine, other = [], []
+    for bar in _bars(key):
+        (affine if _affine_bar(*bar) else other).append(bar)
+    bars = tuple(other)
+    if affine:
+        gs = [g for g, *_ in affine]
+        at0 = np.array([g.eval_int(0) for g in gs])
+        entries = np.array([[m.entries for m in bar[1:]] for bar in affine],
+                           dtype=np.uint64).transpose(1, 0, 2)  # (3, bars, 2)
+        const ^= np.bitwise_xor.reduce(entries[:, np.arange(len(gs)), at0], axis=1)
+        delta = entries[..., 0] ^ entries[..., 1]
+        bits = _linear_maps(gs, d)[0, 1] != 0
+        maps[0, 1] ^= np.bitwise_xor.reduce(np.where(bits, delta[..., None], 0), axis=1)
 
-    def __init__(self, key: ADWKey):
-        self.f1, self.f2 = key.f1, key.f2
-        self.s1, self.s2 = key.f1.domain_bits, key.f2.domain_bits
-        self.s3 = self.s1 + self.s2
-        self.m1, self.m2 = (1 << self.s1) - 1, (1 << self.s2) - 1
-        d = key.domain_bits
-        hashes = (key.h1, key.h2, key.ell)
-        maps = _linear_maps(hashes, d)
-        const = np.array([h.eval_int(0) for h in hashes], dtype=np.uint64)
-        affine, other = [], []
-        for bar in _bars(key):
-            (affine if _affine_bar(*bar) else other).append(bar)
-        self.bars = tuple(other)
-        if affine:
-            gs = [g for g, *_ in affine]
-            at0 = np.array([g.eval_int(0) for g in gs])
-            entries = np.array([[m.entries for m in bar[1:]] for bar in affine],
-                               dtype=np.uint64).transpose(1, 0, 2)  # (3, bars, 2)
-            const ^= np.bitwise_xor.reduce(entries[:, np.arange(len(gs)), at0], axis=1)
-            delta = entries[..., 0] ^ entries[..., 1]
-            bits = _linear_maps(gs, d)[0, 1] != 0
-            maps[0, 1] ^= np.bitwise_xor.reduce(np.where(bits, delta[..., None], 0), axis=1)
-        self.const = self._pack(*const.tolist())
-        order = sorted(maps)
-        columns = np.concatenate([maps[g].reshape(3, -1, 8) for g in order], axis=1)
-        if self.s3 + key.range_bits > 64:
-            columns = columns.astype(object)
-        # packed (tables, 8) columns -> (tables, 256) entries
-        tables = iter(next(linear_tables(self._pack(*columns))).tolist())
-        self.linear = [next(tables) for _ in range(-(-d // 8))]
-        # per field: its log and exp tables, and each odd o >= 3 with the
-        # tables of the low and the high byte of x^o ([0] when w <= 8)
-        odd: dict[int, list] = {}
-        for w, o in order[1:]:
-            odd.setdefault(w, []).append((o, next(tables), next(tables) if w > 8 else [0]))
-        self.fields = [(*default_spec(w).log_exp(), (1 << w) - 1, tuple(powers))
-                       for w, powers in odd.items()]
+    def pack(a, b, y):
+        return a | (b << s1) | (y << s3)
 
-    def _pack(self, a, b, y):
-        return a | (b << self.s1) | (y << self.s3)
+    start = pack(*const.tolist())
+    order = sorted(maps)
+    columns = np.concatenate([maps[g].reshape(3, -1, 8) for g in order], axis=1)
+    if s3 + key.range_bits > 64:
+        columns = columns.astype(object)
+    # packed (tables, 8) columns -> (tables, 256) entries
+    tables = iter(next(linear_tables(pack(*columns))).tolist())
+    linear = tuple(next(tables) for _ in range(-(-d // 8)))
+    # per field: its log and exp tables, and each odd o >= 3 with the
+    # tables of the low and the high byte of x^o ([0] when w <= 8)
+    odd: dict[int, list] = {}
+    for w, o in order[1:]:
+        odd.setdefault(w, []).append((o, next(tables), next(tables) if w > 8 else [0]))
+    fields = tuple((*default_spec(w).log_exp(), (1 << w) - 1, tuple(powers))
+                   for w, powers in odd.items())
+    f1, f2 = key.f1.eval_int, key.f2.eval_int
 
-    def __call__(self, x: int) -> int:
-        packed = self.const
+    def folded(x: int) -> int:
+        packed = start
         v = x
-        for table in self.linear:
+        for table in linear:
             packed ^= table[v & 255]
             v >>= 8
         if x:
-            for log, exp, order, powers in self.fields:
+            for log, exp, group, powers in fields:
                 lx = log[x]
                 for o, low, high in powers:
-                    v = exp[o * lx % order]
+                    v = exp[o * lx % group]
                     packed ^= low[v & 255] ^ high[v >> 8]
-        a = packed & self.m1
-        b = (packed >> self.s1) & self.m2
-        y = packed >> self.s3
-        if self.bars:
-            a, b, y = _xor_bars(self.bars, x, a, b, y)
-        return self.f1.eval_int(a) ^ self.f2.eval_int(b) ^ y
+        a = packed & m1
+        b = (packed >> s1) & m2
+        y = packed >> s3
+        if bars:
+            a, b, y = _xor_bars(bars, x, a, b, y)
+        return f1(a) ^ f2(b) ^ y
 
-
-def fold_adw(key: ADWKey):
-    """x -> adw_eval(key, x): from byte tables (_FoldedADW) if h1, h2 and
-    ell are k-wise keys, each over GF(2^w) with w <= 16 (log/exp tables
-    give x^o) or with k <= 3 (x alone), else adw_eval itself. Building
-    the tables takes a few numpy passes over the coefficients and the
-    affine bars; the underlying f1 and f2 are not called."""
-    if all(isinstance(h, KWiseHashKey) and (h.width <= 16 or h.k <= 3)
-           for h in (key.h1, key.h2, key.ell)):
-        return _FoldedADW(key)
-    return partial(adw_eval, key)
+    return folded
 
 
 class ADWOracle(Oracle):
-    """adw_eval as an oracle. The first d+1 queries are answered by
-    adw_eval; the key is folded (fold_adw: byte tables or adw_eval) at
-    query d+2, so a fold is built only once it has been paid for, and
-    from then on the fold is the oracle's eval_int."""
+    """adw_eval as an oracle. The key is folded (fold_adw: byte tables or
+    adw_eval) at the first query, and from then on the fold is the
+    oracle's eval_int; a key never asked is never folded."""
 
     def __init__(self, key: ADWKey):
         super().__init__(key.domain_bits, key.range_bits)
         self.key = key
-        self._unfolded_left = key.domain_bits + 1
         self._folded = None
 
     def eval_int(self, x: int) -> int:
-        if self._unfolded_left:
-            self._unfolded_left -= 1
-            return adw_eval(self.key, x)
         if self._folded is None:  # a bound eval_int taken before the fold lands here
             self.eval_int = self._folded = fold_adw(self.key)
         return self._folded(x)

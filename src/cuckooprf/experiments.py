@@ -20,8 +20,9 @@ as violations.
 from __future__ import annotations
 
 import json
+from itertools import islice
 
-from .bits import BitString, key_stream, mix64, truncate
+from .bits import BitString, KeyStreams, key_stream, mix64, stream_words
 from .errors import ConfigurationError
 from .games import (
     GameResult,
@@ -55,6 +56,9 @@ CSV_COLUMNS = ("experiment", "n", "d", "s", "r", "k", "q", "z", "trials",
 _PROBE_TAG = 0x50524F42
 _PAIR_TAG = 0x47474D50
 _CALL_TAG = 0x43414C4C
+# probe words per stream_words call: fixed, so memory does not grow with
+# --probes, and too long a range for bits._column_tags to cache
+_PROBE_CHUNK = 1024
 # hardness exponent of the adw adaptive-transform target
 _ADAPTIVE_C = 1
 
@@ -248,8 +252,8 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
 
     Probe i of each target mixes that target's last answer with word i
     of key_stream(seed, _PROBE_TAG), which is derive_seed(seed,
-    _PROBE_TAG, i); one loop draws each word once and advances both
-    chains with it."""
+    _PROBE_TAG, i); one loop reads each word once, _PROBE_CHUNK words
+    per stream_words call, and advances both chains with it."""
     if probes < 1:
         raise ConfigurationError("probes must be positive")
     pp_tally, adw_tally = _CallTally(4 * q), _CallTally(4 * q)
@@ -257,12 +261,14 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
                                          f_sampler=pp_tally)
     adw = build_adw_adaptive_from_nonadaptive(n, q, _ADAPTIVE_C, key_stream(seed, _PROBE_TAG, 1),
                                               f_sampler=adw_tally)
-    words = key_stream(seed, _PROBE_TAG)
+    head = KeyStreams(seed).heads(range(_PROBE_TAG, _PROBE_TAG + 1))  # derive_seed(seed, _PROBE_TAG)
+    mask = (1 << n) - 1
     x_pp = x_adw = 0
-    for _ in range(probes):
-        word = words.getrandbits(64)
-        x_pp = truncate(mix64(pp.eval_int(x_pp) ^ word), n)
-        x_adw = truncate(mix64(adw.eval_int(x_adw) ^ word), n)
+    for start in range(0, probes, _PROBE_CHUNK):
+        words = stream_words(head, range(start, start + _PROBE_CHUNK))[0]
+        for word in islice(words.tolist(), probes - start):
+            x_pp = mix64(pp.eval_int(x_pp) ^ word) & mask
+            x_adw = mix64(adw.eval_int(x_adw) ^ word) & mask
     rows, problems = [], []
     for name, tally, kcol, zcol in (
             ("adaptive-transform-pp", pp_tally, k, None),
@@ -282,7 +288,8 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     variants at identical shape parameters.
 
     The cost is read from a probe oracle keyed with a _CallTally over d+2
-    queries, so the last query is the first a table adw answers folded."""
+    queries, each answered by the oracle's fold (fold_adw), which is
+    built at its first query."""
     params = ExtensionParams(d=d, s=s, r=r, k=k, q=q, c=c)
     dist = birthday_distinguisher(q, d)
     ideal = lazy_sampler(d, r)

@@ -25,7 +25,7 @@ table doubled so a log sum needs no reduction. At w = 16 that is 128
 KiB of log and 256 KiB of exp; as lists of boxed ints they would take
 5.2 MiB and miss cache on every Horner step. FieldSpec.log_exp hands
 the tables to a caller that multiplies by log sums itself (the scalar
-fold, combine._FoldedADW, which takes each odd power x^o as
+fold, combine.fold_adw, which takes each odd power x^o as
 exp[o log x] and builds its maps from logs); no other module reads
 them. The numpy engine (batch._power_tables) multiplies by the fixed
 powers x^i of its query points through linear_tables of their

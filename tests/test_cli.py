@@ -160,7 +160,7 @@ def test_every_subcommand_runs_small(capsys):
 
 
 # CSV bytes of three small runs at the default seed, pinned before the
-# affine fold of adw keys: both fold paths (scalar past d+1 probes,
+# affine fold of adw keys: both fold paths (scalar from the first probe,
 # numpy at q = 128 > u+1 = 8 basis points of the 7 bits its queries
 # use) must leave every row as it was.
 GOLDEN_ROWS = {

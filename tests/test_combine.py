@@ -8,7 +8,6 @@ from cuckooprf.bits import BitString
 from cuckooprf.combine import (
     ADWKey,
     ADWOracle,
-    _FoldedADW,
     adw_eval,
     adw_inner_values,
     fold_adw,
@@ -16,7 +15,7 @@ from cuckooprf.combine import (
 from cuckooprf.hashfam import KWiseHashKey, RandomTable, sample_kwise, sample_table
 from cuckooprf.prfcore import LazyRandomOracle
 from closedforms import pp_formula
-from spies import FunctionOracle, count_calls
+from spies import FunctionOracle, count_calls, fold_kind
 
 
 def _bit_low(x):
@@ -241,20 +240,20 @@ def _summable(k=12, width=16, d=16, window=256):
 
 # name -> (the hashes, a change to one of them, the evaluator fold_adw picks)
 FOLD_CASES = {
-    "affine": (_summable(k=2), None, _FoldedADW),
-    "power sums": (_summable(), None, _FoldedADW),
-    "a_0 = 0": (_summable(), (0, lambda h: replace(h, coeffs=(0, *h.coeffs[1:]))), _FoldedADW),
-    "k = 3 at w = 4": (_summable(3, 4, 4, window=4), None, _FoldedADW),
+    "affine": (_summable(k=2), None, "tables"),
+    "power sums": (_summable(), None, "tables"),
+    "a_0 = 0": (_summable(), (0, lambda h: replace(h, coeffs=(0, *h.coeffs[1:]))), "tables"),
+    "k = 3 at w = 4": (_summable(3, 4, 4, window=4), None, "tables"),
     "zero a_5": (_summable(), (1, lambda h: replace(h, coeffs=h.coeffs[:5] + (0,) + h.coeffs[6:])),
-                 _FoldedADW),
+                 "tables"),
     "mixed widths": (_summable(), (2, lambda h: replace(h, width=32)), partial),
-    "unequal k": (_summable(), (2, lambda h: replace(h, coeffs=h.coeffs[:-1])), _FoldedADW),
+    "unequal k": (_summable(), (2, lambda h: replace(h, coeffs=h.coeffs[:-1])), "tables"),
     "w = 32": (_summable(width=32, d=24), None, partial),
     "w = 8 and w = 16": (_summable(12, 8, 8, window=16), (2, lambda h: replace(h, width=16)),
-                         _FoldedADW),
-    "w = 16 and w = 32 at k = 3": (_summable(3), (2, lambda h: replace(h, width=32)), _FoldedADW),
-    "w = 32 at k = 3": (_summable(3, 32, 24), None, _FoldedADW),
-    "w = 64 at k = 2": (_summable(2, 64, 40), None, _FoldedADW),
+                         "tables"),
+    "w = 16 and w = 32 at k = 3": (_summable(3), (2, lambda h: replace(h, width=32)), "tables"),
+    "w = 32 at k = 3": (_summable(3, 32, 24), None, "tables"),
+    "w = 64 at k = 2": (_summable(2, 64, 40), None, "tables"),
     "w = 64 at k = 4": (_summable(4, 64, 40), None, partial),
     "not k-wise": (_summable(), (0, lambda h: FunctionOracle(h.eval_int, h.domain_bits,
                                                              h.range_bits)), partial),
@@ -275,7 +274,7 @@ def test_fold_adw_picks_one_evaluator_per_kind_of_key(case):
     d = h1.domain_bits
     key = _pp_key(h1, h2, ell, LazyRandomOracle(11, d, d), LazyRandomOracle(12, d, d))
     folded = fold_adw(key)
-    assert type(folded) is evaluator
+    assert fold_kind(folded) == evaluator
     if evaluator is partial:
         assert folded.func is adw_eval and folded.args == (key,)
     points = [0, 1, 2, 0xBEEF % (1 << d), (1 << d) - 1]
@@ -283,14 +282,15 @@ def test_fold_adw_picks_one_evaluator_per_kind_of_key(case):
 
 
 def test_an_eval_int_bound_before_the_fold_builds_it_once():
-    """Past query d + 1 the fold is the oracle's eval_int; an eval_int
-    bound earlier answers through the same fold, built once."""
+    """From the first query on the fold is the oracle's eval_int; an
+    eval_int bound before it answers through the same fold, built once."""
     key = _pp_key(*_summable(k=5, d=16), LazyRandomOracle(13, 16, 16), LazyRandomOracle(14, 16, 16))
     oracle = ADWOracle(key)
     bound = oracle.eval_int
+    assert oracle._folded is None
     xs = range(0, 1 << 16, 997)
     assert [bound(x) for x in xs] == [adw_eval(key, x) for x in xs]
     folded = oracle._folded
-    assert type(folded) is _FoldedADW and oracle.eval_int is folded
+    assert fold_kind(folded) == "tables" and oracle.eval_int is folded
     assert [bound(x) for x in xs] == [oracle.eval_int(x) for x in xs]
     assert oracle._folded is folded

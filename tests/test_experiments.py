@@ -228,17 +228,14 @@ def test_a_tallied_oracle_memoizes_at_most_its_window_and_answers_as_lazy_random
 
 
 # Measured peaks (tracemalloc, Python 3.11) of adaptive_transform at the
-# benchmark's shape: 410 KB at 500 probes and at 4000, the fold tables of
-# the two keys, the two tallies' memos of at most 4q = 256 answers each
-# and one key stream refill of 4096 words. A refill grows with the words
-# read until it holds 4096 of them, and each range's tags are cached, so
-# the probe stream refills 4096 words from its first word on, and a
-# warm-up run reads the 8P words before either traced run.
+# benchmark's shape: 294 KB at 500 probes and 297 KB at 4000, the fold
+# tables of the two keys, the two tallies' memos of at most 4q = 256
+# answers each and one chunk of _PROBE_CHUNK probe words, whatever the
+# probes. A warm-up run builds the caches both traced runs share.
 PROBE_MEMORY_SLACK = 1.05
 
 
-def test_adaptive_transform_memory_does_not_grow_with_probes(monkeypatch):
-    monkeypatch.setattr(bits, "_CHUNK_MIN", bits._CHUNK_MAX)
+def test_adaptive_transform_memory_does_not_grow_with_probes():
     gc.disable()
     try:
         adaptive_transform(16, 64, 12, 8 * 500, 1)
@@ -256,11 +253,32 @@ def test_adaptive_transform_memory_does_not_grow_with_probes(monkeypatch):
     assert large <= PROBE_MEMORY_SLACK * small
 
 
+def test_probe_chunks_keep_no_tags_in_the_column_cache(monkeypatch):
+    """The probe words are read in chunks of _PROBE_CHUNK words whose tags
+    stream_words derives afresh each time, never through the cache."""
+    asked = []
+    column_tags = bits._column_tags
+    monkeypatch.setattr(bits, "_column_tags", lambda cols: asked.append(cols) or column_tags(cols))
+    adaptive_transform(12, 16, 4, 2 * experiments._PROBE_CHUNK + 1, 3)
+    assert experiments._PROBE_CHUNK >= bits._CACHED_COLUMNS
+    assert asked and all(len(cols) < bits._CACHED_COLUMNS for cols in asked)
+
+
 def test_each_adaptive_target_replays_its_own_chain_through_adw_eval(monkeypatch):
     """One loop advances both targets' chains with one word stream. Each
     target's underlying oracles still see exactly 2 calls per probe, in
     the order a sequential replay of that target's chain alone through
     adw_eval asks them."""
+    _assert_each_target_replays_its_chain(monkeypatch, 300)
+
+
+def test_the_probe_chains_replay_across_a_chunk_boundary(monkeypatch):
+    """Past the first chunk of probe words, each chain reads the next
+    words of the one stream: it replays as a sequential read does."""
+    _assert_each_target_replays_its_chain(monkeypatch, experiments._PROBE_CHUNK + 3)
+
+
+def _assert_each_target_replays_its_chain(monkeypatch, probes: int):
     tallies = []
 
     class SpyTally(experiments._CallTally):
@@ -274,7 +292,7 @@ def test_each_adaptive_target_replays_its_own_chain_through_adw_eval(monkeypatch
             return self.oracles[-1]
 
     monkeypatch.setattr(experiments, "_CallTally", SpyTally)
-    n, q, k, probes, seed = 12, 16, 4, 300, 812
+    n, q, k, seed = 12, 16, 4, 812
     rows, problems = adaptive_transform(n, q, k, probes, seed)
     assert problems == [] and len(tallies) == 2
     builders = (partial(build_adaptive_from_nonadaptive, n, q, k),
@@ -351,18 +369,22 @@ def test_adw_compare_rows_and_call_costs():
 
 
 def test_adw_compare_counts_calls_past_the_fold(monkeypatch):
-    # the probe's last query is the first each probe oracle answers
-    # folded, so an extra underlying call made only there must show as a
-    # problem for all three
+    # each probe oracle answers every query folded, so an extra underlying
+    # call made only by the fold must show as a problem for all three
     from cuckooprf import combine
 
-    folded_call = combine._FoldedADW.__call__
+    fold = combine.fold_adw
 
-    def one_more_f1_call(self, x):
-        self.f1.eval_int(0)
-        return folded_call(self, x)
+    def one_more_f1_call(key):
+        folded = fold(key)
 
-    monkeypatch.setattr(combine._FoldedADW, "__call__", one_more_f1_call)
+        def call(x):
+            key.f1.eval_int(0)
+            return folded(x)
+
+        return call
+
+    monkeypatch.setattr(combine, "fold_adw", one_more_f1_call)
     _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)
     assert problems == ["adw-compare-pp: 3 underlying calls per query, expected 2",
                         "adw-compare-prf: 21 underlying calls per query, expected 20",

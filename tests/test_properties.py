@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from cuckooprf import batch
 from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
-from cuckooprf.combine import ADWKey, ADWOracle, _FoldedADW, adw_eval, fold_adw, is_affine
+from cuckooprf.combine import ADWKey, ADWOracle, adw_eval, fold_adw, is_affine
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import DEFAULT_REDUCTION, SUPPORTED_WIDTHS, _mul_raw
@@ -45,7 +45,7 @@ from cuckooprf.transform import (
 )
 from closedforms import pp_formula
 from gamepaths import assert_paths_agree
-from spies import InstrumentedOracle, count_calls, counting_sampler
+from spies import InstrumentedOracle, count_calls, counting_sampler, fold_kind, table_fold
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 TRIALS = 3
@@ -231,7 +231,7 @@ def _assert_twin_equals_scalar(shape, kind: str, data):
     if kind.startswith("adaptive"):
         # the adaptive builders are the two layouts with window 4q; past
         # d+1 points the twin folds the adw key's windowed hashes and
-        # window tables, as the scalar oracle does at query d+2
+        # window tables, which the scalar oracle folds at its first query
         xs, r = _past_fold(data, d), d
         if kind == "adaptive-pp":
             q = _adaptive_budget(data, d, 0)
@@ -371,7 +371,8 @@ def _table_params(data, d: int) -> ExtensionParams:
 
 
 def _past_fold(data, d: int) -> list[BitString]:
-    """d+1 inputs the reference answers, then a few the fold answers."""
+    """d + 2 to d + 6 inputs: more than the d + 1 basis points of an
+    affine key, so the twin folds too."""
     values = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=d + 2, max_size=d + 6),
                        label="xs")
     return [BitString(v, d) for v in values]
@@ -386,19 +387,19 @@ def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
     assert is_affine(oracle.key)
     xs = _past_fold(data, d)
     assert [oracle.query(x).value for x in xs] == [adw_eval(oracle.key, x.value) for x in xs]
-    assert oracle._folded is not None and not isinstance(oracle._folded, partial)
+    assert fold_kind(oracle._folded) == "tables"
     # the fold itself calls no underlying oracle; each query calls f1 and f2
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
 
 
 def _evaluator(key: ADWKey):
-    """The evaluator type an ADWOracle must fold key into past query
-    d + 1: byte tables of the odd powers if h1, h2 and ell are k-wise
-    keys, each over GF(2^w) with w <= 16 or with k <= 3, whatever its
-    coefficients and its bars; else partial(adw_eval, key)."""
+    """The evaluator (fold_kind) an ADWOracle must fold key into at its
+    first query: byte tables of the odd powers if h1, h2 and ell are
+    k-wise keys, each over GF(2^w) with w <= 16 or with k <= 3, whatever
+    its coefficients and its bars; else partial(adw_eval, key)."""
     if all(isinstance(h, KWiseHashKey) and (h.width <= 16 or h.k <= 3)
            for h in (key.h1, key.h2, key.ell)):
-        return _FoldedADW
+        return "tables"
     return partial
 
 
@@ -468,8 +469,8 @@ def test_folded_twin_evaluates_the_inner_maps_at_the_bits_its_queries_use(d, res
 def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     """A pp key, an adw key with no inner maps, is affine at k = 2 and not
     at k >= 3. Its oracle answers d + 3 or more queries with the pp
-    formula, by adw_eval up to query d + 1 and then from byte tables or
-    by adw_eval (_evaluator), at exactly 2 underlying calls per query;
+    formula, from the first on from byte tables or by adw_eval
+    (_evaluator), at exactly 2 underlying calls per query;
     its twin folds a block of more than u + 1 points only at k = 2."""
     k = 2 if affine else data.draw(st.integers(3, 6), label="k")
     s = data.draw(st.integers(2, min(d, 20)), label="s")
@@ -479,10 +480,9 @@ def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     assert oracle.key.z == 0 and is_affine(oracle.key) == affine
     xs = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=d + 3, max_size=d + 6),
                    label="xs")
-    answers = [oracle.query(BitString(x, d)).value for x in xs[:d + 1]]
     assert oracle._folded is None
-    answers += [oracle.query(BitString(x, d)).value for x in xs[d + 1:]]
-    assert type(oracle._folded) is _evaluator(oracle.key)
+    answers = [oracle.query(BitString(x, d)).value for x in xs]
+    assert fold_kind(oracle._folded) == _evaluator(oracle.key)
     assert sum(f.calls for f in seen) == 2 * len(xs)
     assert answers == [pp_formula(oracle.key, x) for x in xs]
 
@@ -551,8 +551,8 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     want = [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
     assert not any(is_affine(o.key) for o in oracles)
     assert [[o.query(x).value for x in xs] for o in oracles] == want
-    assert all(type(o._folded) is _evaluator(o.key) is _FoldedADW for o in oracles)
-    assert [o._folded.bars for o in oracles] == \
+    assert all(fold_kind(o._folded) == _evaluator(o.key) == "tables" for o in oracles)
+    assert [table_fold(o._folded)["bars"] for o in oracles] == \
         [((o.key.gbar[i], o.key.m1bar[i], o.key.m2bar[i], o.key.ybar[i]),) for o in oracles]
 
     columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot))
@@ -575,7 +575,7 @@ def _summable_hash(data, w: int, k: int, d: int, bits: int, window: int | None) 
 def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     """A key whose h1, h2 and ell are k-wise over one GF(2^w), w <= 16,
     with nonzero a_1..a_{k-1}, that is not affine (k >= 3, or a 3-wise g),
-    is answered from query d + 2 on from byte tables, at x = 0, x = 1
+    is answered from its first query on from byte tables, at x = 0, x = 1
     and drawn points, as adw_eval answers, at exactly 2 underlying
     calls per query."""
     d = data.draw(st.integers(w // 2 + 1, w), label="d")
@@ -592,16 +592,13 @@ def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     key = ADWKey(_summable_hash(data, w, k, d, s, window), _summable_hash(data, w, k, d, s, window),
                  _summable_hash(data, w, k, d, r, None), gbar, m1bar, m2bar, ybar, f1, f2)
     oracle = ADWOracle(key)
-    for x in data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=d + 1, max_size=d + 1),
-                       label="before the fold"):
-        oracle.eval_int(x)
     xs = [0, 1, *data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4), label="xs")]
     for x in xs:
         calls = f1.calls + f2.calls
         answer = oracle.eval_int(x)
         assert f1.calls + f2.calls - calls == 2
         assert answer == adw_eval(key, x)
-    assert type(oracle._folded) is _FoldedADW
+    assert fold_kind(oracle._folded) == "tables"
 
 
 def _foldable_hash(data, d: int, bits: int, window: int | None, wide: bool) -> KWiseHashKey:
@@ -653,7 +650,7 @@ def test_fold_answers_as_adw_eval_at_two_calls_per_query(wide, windowed, data):
     gbar, m1bar, m2bar, ybar = tuple(zip(*bars)) if bars else ((),) * 4
     key = ADWKey(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, f2)
     folded = fold_adw(key)
-    assert type(folded) is _FoldedADW and f1.calls + f2.calls == 0
+    assert fold_kind(folded) == "tables" and f1.calls + f2.calls == 0
     xs = [0, 1, (1 << d) - 1, *data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4),
                                          label="xs")]
     for x in xs:

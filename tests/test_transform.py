@@ -187,8 +187,9 @@ def test_adw_adaptive_builder_stays_in_prefix():
     ("adaptive-adw", 10, lambda rng: build_adw_adaptive_from_nonadaptive(10, 8, 1, rng)),
 ])
 def test_query_builds_one_bitstring_its_answer(name, d, build):
-    """Values stay plain ints inside a builder's oracle: a query past the
-    adw fold (d+1 queries) constructs its answer and no other BitString."""
+    """Values stay plain ints inside a builder's oracle: a query answered
+    by the adw fold (built at the first query) constructs its answer and
+    no other BitString."""
     oracle = build(random.Random(56))
     xs = [BitString(v, d) for v in range(d + 3)]
     for x in xs[:-1]:
@@ -271,8 +272,7 @@ def test_prg_prf_minimal_budget_uses_two_bit_trees():
 
 
 # Every builder at two shapes (one for prg), each answering 40 fixed
-# inputs: past d+1 of them, so the folded adw keys answer from their
-# tables too. The digest was taken from the builders as they were before
+# inputs, the adw keys from their folds. The digest was taken from the builders as they were before
 # they became layout wrappers; a changed draw order changes it.
 _GOLDEN_BUILDS = (
     ("pp", 24, lambda rng: build_pp_domain_extension(ExtensionParams(24, 12, 24, 8, 128), rng)),
