@@ -22,12 +22,15 @@ test_probe_step times one step of adaptive-transform's probe loop past
 the folds: each target's answer mixed with a word into its next point,
 the targets' f1 and f2 being tallied oracles.
 
-lazy_answer is timed on a point whose inner mix is cached, as nearly
-every point of the `adaptive` workload's 4q window is after its first
-unit, and on a fresh point each round, which misses the cache.
-test_tallied_memo_hit times the call the `adaptive` workload's f1 and f2
-mostly answer: a tallied oracle's count and memo lookup at a point
-inside its window that it was asked before.
+lazy_answer is timed on a point whose inner mix is cached and on a
+fresh point each round, which misses the cache; the `adaptive`
+workload's f1 and f2 no longer call it inside their 4q window.
+test_tallied_block_hit times the call those oracles nearly always
+answer: a tallied oracle's count and list index in a block of its window
+that an earlier query filled. test_tallied_first_touch times a fresh
+oracle's first in-window query, which derives its block's answers in one
+batch.lazy_answers call: the `adaptive` workload's window of 256 strings
+is one block, so each oracle of a unit pays it once.
 
 FieldSpec.mul_int is timed at every supported width on one fixed pair
 of nonzero elements, after a first product has built any tables; w <= 16
@@ -44,7 +47,7 @@ import pytest
 
 from cuckooprf.bits import mix64
 from cuckooprf.combine import ADWOracle, adw_eval, fold_adw
-from cuckooprf.experiments import _CallTally
+from cuckooprf.experiments import _CallTally, _TalliedOracle
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
 from cuckooprf.hashfam import eval_kwise, sample_kwise
 from cuckooprf.prfcore import lazy_answer
@@ -113,13 +116,27 @@ def test_lazy_answer_uncached(benchmark):
     benchmark.pedantic(lazy_answer, setup=lambda: ((SEED, next(fresh), N), {}), rounds=20000)
 
 
-def test_tallied_memo_hit(benchmark):
+def test_tallied_block_hit(benchmark):
     tally = _CallTally(4 * Q)
     oracle = tally(random.Random(2024), N, N)
     x = 0xBE
-    answer = oracle.eval_int(x)
+    answer = oracle.eval_int(x)  # fills the window's one block
     assert benchmark(oracle.eval_int, x) == answer == lazy_answer(oracle.seed, x, N)
     assert tally.outside == 0
+
+
+def test_tallied_first_touch(benchmark):
+    tally = _CallTally(4 * Q)
+    seeds = itertools.count()
+    x = 0xBE
+
+    def fresh():
+        return (tally(random.Random(next(seeds)), N, N), x), {}
+
+    benchmark.pedantic(_TalliedOracle.eval_int, setup=fresh, rounds=2000)
+    oracle = tally(random.Random(2024), N, N)
+    assert oracle.eval_int(x) == lazy_answer(oracle.seed, x, N)
+    assert len(oracle.blocks[0]) == 4 * Q and tally.outside == 0
 
 
 @pytest.mark.parametrize("width", SUPPORTED_WIDTHS)

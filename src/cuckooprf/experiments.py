@@ -22,6 +22,9 @@ from __future__ import annotations
 import json
 from itertools import islice
 
+import numpy as np
+
+from .batch import lazy_answers
 from .bits import BitString, KeyStreams, key_stream, mix64, stream_words
 from .errors import ConfigurationError
 from .games import (
@@ -61,6 +64,9 @@ _CALL_TAG = 0x43414C4C
 _PROBE_CHUNK = 1024
 # hardness exponent of the adw adaptive-transform target
 _ADAPTIVE_C = 1
+# consecutive window strings whose answers a tallied oracle derives at
+# once, at the first query into them
+_TALLY_BLOCK = 256
 
 
 def _row(experiment: str, **cols) -> dict:
@@ -205,37 +211,50 @@ def involution(n: int, trials: int, seed: int):
 class _TalliedOracle(LazyRandomOracle):
     """A lazy-random oracle that counts each of its queries on a
     _CallTally before it answers, in the one eval_int frame. Its answers
-    inside the tally's window are memoized, so the memo never holds
-    more than `window` entries; every query still counts in calls, and
-    every query outside the window in outside, each time it is made."""
+    inside the tally's window are held in blocks of _TALLY_BLOCK
+    consecutive strings: the first query into a block derives the
+    block's answers, clipped at the window, in one batch.lazy_answers
+    call, and later queries into it are one list index. So it never
+    holds more than the window's answers, and none of a block it was
+    not asked in. A query outside the window is answered by lazy_answer,
+    the reference rule. Every query counts in calls, and every query
+    outside the window in outside, each time it is made."""
 
     def __init__(self, tally: _CallTally, seed: int, domain_bits: int, range_bits: int):
         super().__init__(seed, domain_bits, range_bits)
         self.tally = tally
-        self.memo: dict[int, int] = {}
+        self.blocks: dict[int, list[int]] = {}
 
     def eval_int(self, x: int) -> int:
         tally = self.tally
         tally.calls += 1
-        answer = self.memo.get(x)
-        if answer is None:
-            answer = lazy_answer(self.seed, x, self.range_bits)
-            if x < tally.window:
-                self.memo[x] = answer
-            else:
-                tally.outside += 1
-        return answer
+        if x >= tally.window:
+            tally.outside += 1
+            return lazy_answer(self.seed, x, self.range_bits)
+        block = self.blocks.get(x // _TALLY_BLOCK)
+        if block is None:
+            block = self._fill(x // _TALLY_BLOCK)
+        return block[x % _TALLY_BLOCK]
+
+    def _fill(self, index: int) -> list[int]:
+        start = index * _TALLY_BLOCK
+        xs = np.arange(start, min(start + _TALLY_BLOCK, self.tally.window), dtype=np.uint64)
+        seeds = np.array([self.seed], dtype=np.uint64)
+        block = self.blocks[index] = lazy_answers(seeds, xs, self.range_bits)[0].tolist()
+        return block
 
 
 class _CallTally:
     """An f_sampler whose lazy-random oracles count, as they are queried,
     every underlying query and those outside the first `window` strings.
-    It keeps the two counts, and each oracle its answers inside the
-    window, not the queries, so its memory does not grow with the number
-    of probes. It is the one call counter of the experiments: a
-    builder's underlying calls are counted where it draws f. Each
-    oracle is a _TalliedOracle keyed, as lazy_random_sampler keys one,
-    by one 64-bit word of rng, and answers as that oracle would."""
+    It keeps the two counts, and each oracle the blocks of window answers
+    it was asked in, not the queries, so its memory does not grow with
+    the number of probes: at most the window's answers per oracle, and
+    one block's for a window of 4q <= _TALLY_BLOCK strings. It is the one
+    call counter of the experiments: a builder's underlying calls are
+    counted where it draws f. Each oracle is a _TalliedOracle keyed, as
+    lazy_random_sampler keys one, by one 64-bit word of rng, and answers
+    as that oracle would."""
 
     def __init__(self, window: int):
         self.window = window

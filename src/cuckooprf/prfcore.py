@@ -58,9 +58,9 @@ class Oracle:
 @lru_cache(maxsize=4096)
 def _inner_mix(x_as_64: int) -> int:
     """mix64(x ^ C1), the half of lazy_answer that does not depend on the
-    seed. Every oracle shares it, and the callers' queries repeat within
-    a small window (4q strings for the adaptive builders), so a bounded
-    cache answers most of them; it is the scalar counterpart of
+    seed. Every oracle shares it, and a game played trial by trial asks
+    each trial's fresh lazy-random oracle the same few points, so a
+    bounded cache answers most of them; it is the scalar counterpart of
     batch._inner_mixes."""
     return mix64(x_as_64 ^ C1)
 

@@ -6,9 +6,10 @@ per_trial(sampler) hides the twin, so the same game, with the same
 queries and decision rule, is forced down the per-trial path. Each path
 records the answers its decisions saw, so two runs agree only if every
 trial of both worlds saw the same answers in the same order. Both must
-also see the answers of each trial's oracle keyed straight from its game
-stream, so that a sampler without a numpy twin, which both runs play
-trial by trial, is still checked against a reference outside the runner.
+also see the answers of each trial's oracle keyed once straight from its
+game stream and asked the queries in order, so that a sampler without a
+numpy twin, which both runs play trial by trial, is still checked
+against a reference outside the runner.
 """
 
 from cuckooprf.games import IDEAL_WORLD, REAL_WORLD, NonAdaptiveDistinguisher, game_streams, run_game
@@ -38,8 +39,14 @@ def assert_paths_agree(real, ideal, dist, trials: int, seed: int):
     fast = play(real, ideal, dist, trials, seed)
     slow = play(per_trial(real), per_trial(ideal), dist, trials, seed)
     assert fast == slow
-    assert slow[1] == [[sampler(game_streams(seed, world).stream(t)).query(x).value
-                        for x in dist.queries]
+    assert slow[1] == [reference_answers(sampler, game_streams(seed, world).stream(t), dist.queries)
                        for world, sampler in ((REAL_WORLD, real), (IDEAL_WORLD, ideal))
                        for t in range(trials)]
     return fast[0]
+
+
+def reference_answers(sampler, rng, queries) -> list[int]:
+    """The answers of the one oracle that sampler keys from rng, asked
+    the queries in order."""
+    oracle = sampler(rng)
+    return [oracle.query(x).value for x in queries]

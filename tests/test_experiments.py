@@ -7,7 +7,7 @@ from cuckooprf import bits, cli, experiments
 from cuckooprf.bits import BitString, key_stream, mix64, truncate
 from cuckooprf.combine import adw_eval
 from cuckooprf.errors import ConfigurationError
-from cuckooprf.prfcore import GgmKey, GgmOracle, LazyRandomOracle, LevinOracle, PrgSpec
+from cuckooprf.prfcore import GgmKey, GgmOracle, LazyRandomOracle, LevinOracle, PrgSpec, lazy_answer
 from cuckooprf.transform import (
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
@@ -206,13 +206,21 @@ def test_a_tally_counts_queries_at_or_past_its_window_as_outside():
     assert (tally.calls, tally.outside) == (5, 3)
 
 
+def _held(oracle) -> dict[int, int]:
+    """The answers a tallied oracle holds, by point."""
+    block = experiments._TALLY_BLOCK
+    return {index * block + i: answer
+            for index, answers in oracle.blocks.items() for i, answer in enumerate(answers)}
+
+
 def test_a_repeated_outside_query_counts_as_outside_every_time():
     tally = experiments._CallTally(8)
     oracle = tally(random.Random(3), 4, 4)
     answers = [oracle.eval_int(x) for x in (9, 9, 3, 9, 3)]
     assert (tally.calls, tally.outside) == (5, 3)
     assert answers[0] == answers[1] == answers[3] and answers[2] == answers[4]
-    assert list(oracle.memo) == [3]  # only the point inside the window is kept
+    # only the window's points are kept: its one block, clipped at 8
+    assert _held(oracle) == {x: lazy_answer(oracle.seed, x, 4) for x in range(8)}
 
 
 def test_a_tallied_oracle_memoizes_at_most_its_window_and_answers_as_lazy_random():
@@ -222,16 +230,43 @@ def test_a_tallied_oracle_memoizes_at_most_its_window_and_answers_as_lazy_random
     xs = random.Random(4).choices(range(64), k=2000)
     for x in xs:
         assert oracle.eval_int(x) == reference.eval_int(x)
-        assert len(oracle.memo) <= 16
-    assert sorted(oracle.memo) == list(range(16))
+        assert len(_held(oracle)) <= 16
+    assert _held(oracle) == {x: reference.eval_int(x) for x in range(16)}
     assert (tally.calls, tally.outside) == (2000, sum(x >= 16 for x in xs))
 
 
+def test_a_tallied_oracle_fills_only_the_blocks_it_is_asked_in():
+    # a window of 3.5 blocks: the last block is clipped at the window,
+    # and a block no query falls in is never derived
+    block = experiments._TALLY_BLOCK
+    window = 3 * block + block // 2
+    tally = experiments._CallTally(window)
+    rng, twin = key_stream(907, 1), key_stream(907, 1)
+    oracle, reference = tally(rng, 16, 16), lazy_random_sampler(twin, 16, 16)
+    xs = [5, window - 1, 2 * block, window, 5, window + block]
+    assert [oracle.eval_int(x) for x in xs] == [reference.eval_int(x) for x in xs]
+    assert sorted(oracle.blocks) == [0, 2, 3]
+    assert len(oracle.blocks[3]) == block // 2
+    assert _held(oracle) == {x: reference.eval_int(x)
+                             for b in (0, 2, 3) for x in range(b * block, min((b + 1) * block, window))}
+    assert (tally.calls, tally.outside) == (6, 2)
+
+
+def test_a_tallied_oracle_fills_blocks_at_the_top_of_a_64_bit_window():
+    # adw-compare's window is 2^s strings; its blocks past 2^63 are still
+    # derived as uint64 points
+    tally = experiments._CallTally(1 << 64)
+    oracle = tally(random.Random(5), 64, 64)
+    xs = [2**64 - 1, 2**63, 2**63 - 1, 0]
+    assert [oracle.eval_int(x) for x in xs] == [lazy_answer(oracle.seed, x, 64) for x in xs]
+    assert (tally.calls, tally.outside) == (4, 0)
+
+
 # Measured peaks (tracemalloc, Python 3.11) of adaptive_transform at the
-# benchmark's shape: 294 KB at 500 probes and 297 KB at 4000, the fold
-# tables of the two keys, the two tallies' memos of at most 4q = 256
-# answers each and one chunk of _PROBE_CHUNK probe words, whatever the
-# probes. A warm-up run builds the caches both traced runs share.
+# benchmark's shape: 274 KB at 500 probes and 274 KB at 4000, the fold
+# tables of the two keys, the four tallied oracles' one block each of
+# 4q = 256 answers and one chunk of _PROBE_CHUNK probe words, whatever
+# the probes. A warm-up run builds the caches both traced runs share.
 PROBE_MEMORY_SLACK = 1.05
 
 

@@ -20,14 +20,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuckooprf import batch
+from cuckooprf import batch, experiments
 from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
 from cuckooprf.combine import ADWKey, ADWOracle, adw_eval, fold_adw, is_affine
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import DEFAULT_REDUCTION, SUPPORTED_WIDTHS, _mul_raw
 from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise, sample_table
-from cuckooprf.prfcore import LazyRandomOracle
+from cuckooprf.prfcore import LazyRandomOracle, lazy_answer
 from cuckooprf.transform import (
     ExtensionParams,
     KeyDraws,
@@ -334,6 +334,30 @@ def test_adaptive_builders_keep_underlying_queries_below_4q(adw, n, data):
     queries = [v for f in seen for v in f.queries]
     assert len(queries) == 2 * probes
     assert max(queries) < 4 * q
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.integers(0, 12), st.integers(1, 64), st.data())
+def test_tallied_oracles_answer_as_lazy_answer_and_count_exactly(log_window, range_bits, data):
+    """Two oracles of one tally, asked a mix of points inside and outside
+    a window of 2^0..2^12 strings, answer as lazy_answer; the tally counts
+    every query and every outside one exactly; each oracle holds only the
+    blocks its in-window queries fell in, each clipped at the window."""
+    window, domain_bits = 1 << log_window, 14
+    tally = experiments._CallTally(window)
+    rng = _rng(data)
+    oracles = [tally(rng, domain_bits, range_bits) for _ in range(2)]
+    point = st.one_of(st.integers(0, window - 1), st.integers(window, (1 << domain_bits) - 1))
+    asked = data.draw(st.lists(st.tuples(st.integers(0, 1), point), max_size=60), label="asked")
+    for i, x in asked:
+        assert oracles[i].eval_int(x) == lazy_answer(oracles[i].seed, x, range_bits)
+    assert (tally.calls, tally.outside) == (len(asked), sum(x >= window for _, x in asked))
+    block = experiments._TALLY_BLOCK
+    for i, oracle in enumerate(oracles):
+        assert sorted(oracle.blocks) == sorted({x // block for j, x in asked if j == i and x < window})
+        for index, answers in oracle.blocks.items():
+            held = range(index * block, min((index + 1) * block, window))
+            assert answers == [lazy_answer(oracle.seed, x, range_bits) for x in held]
 
 
 # Input lengths for the fold: byte multiples and not, up to the widest
