@@ -1,6 +1,6 @@
 """Microbenchmarks of the scalar path: the field product, one k-wise hash
-evaluation, the combiner adw_eval, building a fold, a folded ADWOracle
-query and one probe step, the lazy answer and a tallied call, on the
+evaluation, the combiner adw_eval, building a fold, a folded query and
+one probe step, the lazy answer and a tallied call, on the
 keys of the benchmark's `adaptive` workload.
 
     python -m pytest microbench --benchmark-only
@@ -11,16 +11,16 @@ build_adaptive_from_nonadaptive's pp key, an adw key with 12-wise hashes
 over GF(2^16) and no inner maps, and build_adw_adaptive_from_nonadaptive's
 table-backed adw key with c = 1, so z = 2(c+2) * log2 q = 36 inner maps
 of 2-entry tables under 2-wise hashes. test_adw_eval calls adw_eval on
-the key itself, the reference every fold answers as. test_fold_build
-times fold_adw on each key, which an ADWOracle runs once, at its first
-query: byte tables of the odd powers x^1, x^3, ..., x^11 for the pp
-key, and of x alone, the 36 affine bars folded in, for the table key.
-test_folded_query asks an ADWOracle of each key after one query, so it
-is answered from those tables, the fold being the oracle's eval_int.
-Both make their two underlying calls through lazy_answer.
-test_probe_step times one step of adaptive-transform's probe loop past
-the folds: each target's answer mixed with a word into its next point,
-the targets' f1 and f2 being tallied oracles.
+the key itself, the reference every fold answers as, and what an
+ADWOracle answers by. test_fold_build times fold_adw on each key,
+which adaptive-transform runs once per target, before its probe loop:
+byte tables of the odd powers x^1, x^3, ..., x^11 for the pp key, and
+of x alone, the 36 affine bars folded in, for the table key.
+test_folded_query asks the fold of each key, which answers from those
+tables. Both make their two underlying calls through lazy_answer.
+test_probe_step times one step of adaptive-transform's probe loop on
+the two folds: each target's answer mixed with a word into its next
+point, the targets' f1 and f2 being tallied oracles.
 
 lazy_answer is timed on a point whose inner mix is cached and on a
 fresh point each round, which misses the cache; the `adaptive`
@@ -46,7 +46,7 @@ import random
 import pytest
 
 from cuckooprf.bits import mix64
-from cuckooprf.combine import ADWOracle, adw_eval, fold_adw
+from cuckooprf.combine import adw_eval, fold_adw
 from cuckooprf.experiments import _CallTally, _TalliedOracle
 from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
 from cuckooprf.hashfam import eval_kwise, sample_kwise
@@ -81,23 +81,23 @@ def test_fold_build(benchmark, name):
 @pytest.mark.parametrize("name", KEYS)
 def test_folded_query(benchmark, name):
     key = KEYS[name](random.Random(2024))
-    oracle = ADWOracle(key)
-    oracle.eval_int(0)  # builds the fold
+    folded = fold_adw(key)
     x = 0xBEEF
-    assert benchmark(oracle.eval_int, x) == adw_eval(key, x) < 1 << N
+    assert benchmark(folded, x) == adw_eval(key, x) < 1 << N
 
 
 def test_probe_step(benchmark):
     rng, mask = random.Random(2024), (1 << N) - 1
-    pp = build_adaptive_from_nonadaptive(N, Q, 12, rng, f_sampler=_CallTally(4 * Q))
-    adw = build_adw_adaptive_from_nonadaptive(N, Q, 1, rng, f_sampler=_CallTally(4 * Q))
+    pp = fold_adw(build_adaptive_from_nonadaptive(N, Q, 12, rng, f_sampler=_CallTally(4 * Q)).key)
+    adw = fold_adw(build_adw_adaptive_from_nonadaptive(N, Q, 1, rng,
+                                                       f_sampler=_CallTally(4 * Q)).key)
     points = [0, 0]
 
     def step(word):
-        points[0] = mix64(pp.eval_int(points[0]) ^ word) & mask
-        points[1] = mix64(adw.eval_int(points[1]) ^ word) & mask
+        points[0] = mix64(pp(points[0]) ^ word) & mask
+        points[1] = mix64(adw(points[1]) ^ word) & mask
 
-    step(0x5EED)  # builds both folds
+    step(0x5EED)  # fills each tallied oracle's window block
     benchmark(step, 0x5EED)
     assert max(points) <= mask
 

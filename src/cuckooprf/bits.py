@@ -112,7 +112,7 @@ def _part_tags(indices: range, out: np.ndarray | None = None,
 
 
 # Word ranges shorter than this have their tags cached: a slot's or a bar's
-# range and a KeyStream's first refills, which many streams ask again.
+# range and every KeyStream refill, which many streams ask again.
 _CACHED_COLUMNS = 256
 
 
@@ -143,11 +143,9 @@ def stream_words(heads: np.ndarray, cols: range, out: np.ndarray | None = None,
     return mix64_inplace(out, scratch).T
 
 
-# Words a KeyStream derives per refill, growing geometrically: small
-# streams (a lazy-random seed, one key) stay cheap, long ones amortize
-# numpy's per-call cost.
-_CHUNK_MIN = 16
-_CHUNK_MAX = 4096
+# Words a KeyStream derives per refill: enough for a per-trial key draw
+# in one or a few refills, each range cached (_CACHED_COLUMNS).
+_REFILL = 64
 
 
 class KeyStream(random.Random):
@@ -172,9 +170,8 @@ class KeyStream(random.Random):
 
     def _refill(self):
         j = self._next
-        n = min(_CHUNK_MAX, max(_CHUNK_MIN, 3 * j))
-        self._unread = stream_words(self._head, range(j, j + n))[0, ::-1].tolist()
-        self._next = j + n
+        self._unread = stream_words(self._head, range(j, j + _REFILL))[0, ::-1].tolist()
+        self._next = j + _REFILL
 
     def getrandbits(self, k: int) -> int:
         if 0 <= k <= 64:

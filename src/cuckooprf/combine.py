@@ -24,11 +24,14 @@ eval_int. A BitString is built only where an ADWOracle is queried
 through Oracle.query, which checks the input length the combiner
 takes on trust.
 
-ADWOracle folds the key (fold_adw) at its first query. At the
-benchmark's adaptive shape a fold costs about as much as 20 adw_eval
-queries of the pp key or 8 of the table key, and the CLI asks each
-oracle it builds at least d + 2 times, unless adaptive-transform runs
-with fewer --probes. A k-wise hash over GF(2^w) is a_0 ^ XOR over odd o < k of
+ADWOracle is adw_eval. fold_adw folds a key into one plain function
+that answers as adw_eval does. At the benchmark's adaptive shape a fold
+costs about as much as 20 adw_eval queries of the pp key or 8 of the
+table key, so only a caller that asks one key many times folds it:
+adaptive-transform's probe loop and adw-compare's call-count probe. A
+per-trial oracle asked a few times pays no fold.
+
+A k-wise hash over GF(2^w) is a_0 ^ XOR over odd o < k of
 L_o(x^o), where L_o(y) = sum_t a_(o 2^t) y^(2^t) is GF(2)-linear in y,
 because squaring is (the Frobenius identity; Lidl and Niederreiter,
 Finite Fields, ch. 3). So when h1, h2 and ell are k-wise keys, each
@@ -291,16 +294,12 @@ def fold_adw(key: ADWKey):
 
 
 class ADWOracle(Oracle):
-    """adw_eval as an oracle. The key is folded (fold_adw: byte tables or
-    adw_eval) at the first query, and from then on the fold is the
-    oracle's eval_int; a key never asked is never folded."""
+    """adw_eval as an oracle. A caller that asks one key many times folds
+    its key (fold_adw) instead."""
 
     def __init__(self, key: ADWKey):
         super().__init__(key.domain_bits, key.range_bits)
         self.key = key
-        self._folded = None
 
     def eval_int(self, x: int) -> int:
-        if self._folded is None:  # a bound eval_int taken before the fold lands here
-            self.eval_int = self._folded = fold_adw(self.key)
-        return self._folded(x)
+        return adw_eval(self.key, x)

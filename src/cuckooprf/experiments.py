@@ -26,6 +26,7 @@ import numpy as np
 
 from .batch import lazy_answers
 from .bits import BitString, KeyStreams, key_stream, mix64, stream_words
+from .combine import fold_adw
 from .errors import ConfigurationError
 from .games import (
     GameResult,
@@ -127,11 +128,11 @@ def birthday(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, seed: 
 
 
 def uniformity(d: int, s: int, r: int, k: int, queries: int, samples: int, seed: int):
+    check_widths(d=d, r=r)
     if queries < 1 or queries > 1 << d:
         raise ConfigurationError(f"{queries} distinct queries do not fit in {d} bits")
     if s < 1:
         raise ConfigurationError("s must be positive")
-    check_widths(d=d, r=r)
     if d < s:
         raise ConfigurationError(f"extended domain d={d} below underlying s={s}")
     if k < 2:
@@ -272,22 +273,24 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
     Probe i of each target mixes that target's last answer with word i
     of key_stream(seed, _PROBE_TAG), which is derive_seed(seed,
     _PROBE_TAG, i); one loop reads each word once, _PROBE_CHUNK words
-    per stream_words call, and advances both chains with it."""
+    per stream_words call, and advances both chains with it. Each target
+    is folded (fold_adw) once, before the loop, and the loop asks the
+    folds."""
     if probes < 1:
         raise ConfigurationError("probes must be positive")
     pp_tally, adw_tally = _CallTally(4 * q), _CallTally(4 * q)
-    pp = build_adaptive_from_nonadaptive(n, q, k, key_stream(seed, _PROBE_TAG, 0),
-                                         f_sampler=pp_tally)
-    adw = build_adw_adaptive_from_nonadaptive(n, q, _ADAPTIVE_C, key_stream(seed, _PROBE_TAG, 1),
-                                              f_sampler=adw_tally)
+    pp = fold_adw(build_adaptive_from_nonadaptive(n, q, k, key_stream(seed, _PROBE_TAG, 0),
+                                                  f_sampler=pp_tally).key)
+    adw = fold_adw(build_adw_adaptive_from_nonadaptive(
+        n, q, _ADAPTIVE_C, key_stream(seed, _PROBE_TAG, 1), f_sampler=adw_tally).key)
     head = KeyStreams(seed).heads(range(_PROBE_TAG, _PROBE_TAG + 1))  # derive_seed(seed, _PROBE_TAG)
     mask = (1 << n) - 1
     x_pp = x_adw = 0
     for start in range(0, probes, _PROBE_CHUNK):
         words = stream_words(head, range(start, start + _PROBE_CHUNK))[0]
         for word in islice(words.tolist(), probes - start):
-            x_pp = mix64(pp.eval_int(x_pp) ^ word) & mask
-            x_adw = mix64(adw.eval_int(x_adw) ^ word) & mask
+            x_pp = mix64(pp(x_pp) ^ word) & mask
+            x_adw = mix64(adw(x_adw) ^ word) & mask
     rows, problems = [], []
     for name, tally, kcol, zcol in (
             ("adaptive-transform-pp", pp_tally, k, None),
@@ -306,9 +309,9 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     """Birthday advantage and per-query call cost of pp next to both adw
     variants at identical shape parameters.
 
-    The cost is read from a probe oracle keyed with a _CallTally over d+2
-    queries, each answered by the oracle's fold (fold_adw), which is
-    built at its first query."""
+    The cost is read from a probe key drawn with a _CallTally and folded
+    (fold_adw) as adaptive-transform folds its targets, over d+2
+    queries of the fold."""
     params = ExtensionParams(d=d, s=s, r=r, k=k, q=q, c=c)
     dist = birthday_distinguisher(q, d)
     ideal = lazy_sampler(d, r)
@@ -321,10 +324,10 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     rows, problems = [], []
     for idx, (name, sampler, kcol, zcol, expected_calls) in enumerate(targets):
         tally = _CallTally(1 << s)
-        probe = sampler.layout(KeyDraws(key_stream(seed, _CALL_TAG, idx), tally))
+        probe = fold_adw(sampler.layout(KeyDraws(key_stream(seed, _CALL_TAG, idx), tally)).key)
         for x in range(d + 2):
             before = tally.calls
-            probe.eval_int(x)
+            probe(x)
             if tally.calls - before != expected_calls:
                 problems.append(f"{name}: {tally.calls - before} underlying calls per query, "
                                 f"expected {expected_calls}")

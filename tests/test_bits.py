@@ -104,7 +104,7 @@ def test_bitstring_from01_to01_roundtrip():
 @PROPERTY
 @given(SEEDS, PARTS, st.integers(1, 300))
 def test_stream_word_j_is_derive_seed_j(seed, parts, n):
-    # n crosses the stream's refills (16 words, then 48, then 192)
+    # n crosses the stream's refills, 64 words each
     stream = key_stream(seed, *parts)
     assert [stream.getrandbits(64) for _ in range(n)] == [
         derive_seed(seed, *parts, j) for j in range(n)]
@@ -201,8 +201,8 @@ def test_random_and_randrange_follow_the_words(seed, bounds):
 @PROPERTY
 @given(SEEDS, PARTS, st.lists(st.one_of(st.integers(0, 200), st.none()), min_size=1, max_size=16))
 def test_reads_across_refills_follow_the_words(seed, parts, reads):
-    # None is a random(); a stream refills at words 16, 64 and 256, and
-    # the reads repeat until they have taken all three refills' words
+    # None is a random(); a stream refills at words 64, 128, 192 and 256,
+    # and the reads repeat until they have crossed all four
     stream = key_stream(seed, *parts)
     j = 0
     for w in itertools.cycle(reads):

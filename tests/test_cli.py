@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -236,11 +237,29 @@ def _assert_configuration_error(rc, err):
     ["birthday", "--s", "1", "--trials", "2"],
     ["birthday", "--d", "70", "--trials", "2"],
     ["uniformity", "--d", "70"],
+    ["uniformity", "--d", "-1"],
     ["adaptive-transform", "--n", "70"],
     ["involution", "--n", "0", "--trials", "2"],
 ])
 def test_out_of_range_parameters_exit_2(argv, capsys):
     rc = cli.main(argv)
+    _assert_configuration_error(rc, capsys.readouterr().err)
+
+
+def _int_flags():
+    """(subcommand, flag) for every int option of every subcommand but
+    --seed, whose range has its own tests."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0]) for command in sub.choices
+            for dest, action in cli._options(parser, command).items()
+            if action.type is int and dest != "seed"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag", _int_flags())
+def test_every_int_flag_at_0_and_minus_1_exits_2(command, flag, value, capsys):
+    rc = cli.main([command, flag, value])
     _assert_configuration_error(rc, capsys.readouterr().err)
 
 

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from cuckooprf import combine
 from cuckooprf.bits import BitString
 from cuckooprf.combine import (
     ADWKey,
@@ -281,16 +282,14 @@ def test_fold_adw_picks_one_evaluator_per_kind_of_key(case):
     assert [folded(x) for x in points] == [adw_eval(key, x) for x in points]
 
 
-def test_an_eval_int_bound_before_the_fold_builds_it_once():
-    """From the first query on the fold is the oracle's eval_int; an
-    eval_int bound before it answers through the same fold, built once."""
+def test_an_adw_oracle_asked_100_queries_answers_by_adw_eval_and_never_folds(monkeypatch):
+    """An ADWOracle is adw_eval, whatever fold_adw would make of its key:
+    it never calls fold_adw, and no attribute shadows its eval_int."""
     key = _pp_key(*_summable(k=5, d=16), LazyRandomOracle(13, 16, 16), LazyRandomOracle(14, 16, 16))
+    assert fold_kind(fold_adw(key)) == "tables"
+    folds = []
+    monkeypatch.setattr(combine, "fold_adw", lambda key: folds.append(key) or fold_adw(key))
     oracle = ADWOracle(key)
-    bound = oracle.eval_int
-    assert oracle._folded is None
-    xs = range(0, 1 << 16, 997)
-    assert [bound(x) for x in xs] == [adw_eval(key, x) for x in xs]
-    folded = oracle._folded
-    assert fold_kind(folded) == "tables" and oracle.eval_int is folded
-    assert [bound(x) for x in xs] == [oracle.eval_int(x) for x in xs]
-    assert oracle._folded is folded
+    xs = range(0, 100 * 601, 601)
+    assert [oracle.eval_int(x) for x in xs] == [adw_eval(key, x) for x in xs]
+    assert folds == [] and "eval_int" not in vars(oracle)

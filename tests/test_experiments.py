@@ -9,11 +9,12 @@ from cuckooprf.combine import adw_eval
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.prfcore import GgmKey, GgmOracle, LazyRandomOracle, LevinOracle, PrgSpec, lazy_answer
 from cuckooprf.transform import (
+    adw_table_z,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
     lazy_random_sampler,
 )
-from spies import InstrumentedOracle, counting_sampler
+from spies import InstrumentedOracle, counting_sampler, fold_kind
 from cuckooprf.experiments import (
     CSV_COLUMNS,
     adaptive_transform,
@@ -183,6 +184,26 @@ def test_adaptive_transform_locality():
     assert pp["q"] == 16
     assert adw["z"] == 2 * 3 * 4
     assert pp["trials"] == 300
+
+
+@pytest.mark.parametrize("probes", [1, 300, 1025])
+def test_adaptive_transform_folds_each_target_once_and_probes_the_folds(monkeypatch, probes):
+    """The speed path: each target's key is folded (fold_adw) once, the
+    pp key and then the adw key, into byte tables, and every probe asks
+    the folds, not the targets' oracles."""
+    fold, folds = experiments.fold_adw, []
+
+    def spy(key):
+        folded, asked = fold(key), []
+        folds.append((key, folded, asked))
+        return lambda x: asked.append(x) or folded(x)
+
+    monkeypatch.setattr(experiments, "fold_adw", spy)
+    rows, problems = adaptive_transform(16, 64, 12, probes, 2024)
+    assert problems == [] and [r["trials"] for r in rows] == [probes, probes]
+    assert [key.z for key, _, _ in folds] == [0, adw_table_z(experiments._ADAPTIVE_C, 64)]
+    assert [fold_kind(folded) for _, folded, _ in folds] == ["tables", "tables"]
+    assert [len(asked) for _, _, asked in folds] == [probes, probes]
 
 
 def test_a_tallied_oracle_answers_as_a_lazy_random_oracle_of_one_word():
@@ -404,11 +425,9 @@ def test_adw_compare_rows_and_call_costs():
 
 
 def test_adw_compare_counts_calls_past_the_fold(monkeypatch):
-    # each probe oracle answers every query folded, so an extra underlying
-    # call made only by the fold must show as a problem for all three
-    from cuckooprf import combine
-
-    fold = combine.fold_adw
+    # each probe key is folded and asked through its fold, so an extra
+    # underlying call made only by the fold must show as a problem for all three
+    fold = experiments.fold_adw
 
     def one_more_f1_call(key):
         folded = fold(key)
@@ -419,7 +438,7 @@ def test_adw_compare_counts_calls_past_the_fold(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(combine, "fold_adw", one_more_f1_call)
+    monkeypatch.setattr(experiments, "fold_adw", one_more_f1_call)
     _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)
     assert problems == ["adw-compare-pp: 3 underlying calls per query, expected 2",
                         "adw-compare-prf: 21 underlying calls per query, expected 20",

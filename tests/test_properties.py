@@ -231,7 +231,7 @@ def _assert_twin_equals_scalar(shape, kind: str, data):
     if kind.startswith("adaptive"):
         # the adaptive builders are the two layouts with window 4q; past
         # d+1 points the twin folds the adw key's windowed hashes and
-        # window tables, which the scalar oracle folds at its first query
+        # window tables
         xs, r = _past_fold(data, d), d
         if kind == "adaptive-pp":
             q = _adaptive_budget(data, d, 0)
@@ -410,17 +410,23 @@ def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
     oracle = _table_adw(data, d, restricted)(_rng(data), counting_sampler(seen))
     assert is_affine(oracle.key)
     xs = _past_fold(data, d)
-    assert [oracle.query(x).value for x in xs] == [adw_eval(oracle.key, x.value) for x in xs]
-    assert fold_kind(oracle._folded) == "tables"
-    # the fold itself calls no underlying oracle; each query calls f1 and f2
+    want = [adw_eval(oracle.key, x.value) for x in xs]
+    assert [oracle.query(x).value for x in xs] == want
+    # each query calls f1 and f2, the oracle's and adw_eval's
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
+    folded = fold_adw(oracle.key)
+    assert fold_kind(folded) == "tables"
+    # the fold itself calls no underlying oracle; each of its queries calls f1 and f2
+    assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
+    assert [folded(x.value) for x in xs] == want
+    assert sum(f.calls for f in seen) == 3 * 2 * len(xs)
 
 
 def _evaluator(key: ADWKey):
-    """The evaluator (fold_kind) an ADWOracle must fold key into at its
-    first query: byte tables of the odd powers if h1, h2 and ell are
-    k-wise keys, each over GF(2^w) with w <= 16 or with k <= 3, whatever
-    its coefficients and its bars; else partial(adw_eval, key)."""
+    """The evaluator (fold_kind) fold_adw must fold key into: byte tables
+    of the odd powers if h1, h2 and ell are k-wise keys, each over
+    GF(2^w) with w <= 16 or with k <= 3, whatever its coefficients and
+    its bars; else partial(adw_eval, key)."""
     if all(isinstance(h, KWiseHashKey) and (h.width <= 16 or h.k <= 3)
            for h in (key.h1, key.h2, key.ell)):
         return "tables"
@@ -492,10 +498,10 @@ def test_folded_twin_evaluates_the_inner_maps_at_the_bits_its_queries_use(d, res
 @given(st.booleans(), st.data())
 def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     """A pp key, an adw key with no inner maps, is affine at k = 2 and not
-    at k >= 3. Its oracle answers d + 3 or more queries with the pp
-    formula, from the first on from byte tables or by adw_eval
-    (_evaluator), at exactly 2 underlying calls per query;
-    its twin folds a block of more than u + 1 points only at k = 2."""
+    at k >= 3. Its oracle, and its fold (byte tables or adw_eval,
+    _evaluator), each answer d + 3 or more queries with the pp formula,
+    at exactly 2 underlying calls per query; its twin folds a block of
+    more than u + 1 points only at k = 2."""
     k = 2 if affine else data.draw(st.integers(3, 6), label="k")
     s = data.draw(st.integers(2, min(d, 20)), label="s")
     layout = pp_layout(d, s, data.draw(st.integers(1, 64), label="r"), k)
@@ -504,10 +510,12 @@ def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     assert oracle.key.z == 0 and is_affine(oracle.key) == affine
     xs = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=d + 3, max_size=d + 6),
                    label="xs")
-    assert oracle._folded is None
     answers = [oracle.query(BitString(x, d)).value for x in xs]
-    assert fold_kind(oracle._folded) == _evaluator(oracle.key)
     assert sum(f.calls for f in seen) == 2 * len(xs)
+    folded = fold_adw(oracle.key)
+    assert fold_kind(folded) == _evaluator(oracle.key)
+    assert [folded(x) for x in xs] == answers
+    assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
     assert answers == [pp_formula(oracle.key, x) for x in xs]
 
     u, block = _block_below(data, d)
@@ -562,11 +570,11 @@ def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int
        st.data())
 def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     """One 3-wise g, one prf-backed inner map, or one column of 4-entry
-    tables under a 2-bit g, and the scalar engine answers the key past
-    the fold exactly, from byte tables that leave that one bar to each
-    query (_evaluator: the 2-wise hashes fold at every width). The twin
-    reads a bar only whole, so it is checked on keys whose every inner
-    map is made so, and does not fold them."""
+    tables under a 2-bit g, and the scalar oracle answers the key past
+    d + 1 points exactly, as does its fold, from byte tables that leave
+    that one bar to each query (_evaluator: the 2-wise hashes fold at
+    every width). The twin reads a bar only whole, so it is checked on
+    keys whose every inner map is made so, and does not fold them."""
     p, window = _table_shape(data, d, data.draw(st.booleans(), label="restricted"))
     i = data.draw(st.integers(0, adw_z(p, "table") - 1), label="i")
     oracles = [_not_affine_layout(p, window, slot, i)(KeyDraws(_rng(data)))
@@ -575,9 +583,11 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     want = [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
     assert not any(is_affine(o.key) for o in oracles)
     assert [[o.query(x).value for x in xs] for o in oracles] == want
-    assert all(fold_kind(o._folded) == _evaluator(o.key) == "tables" for o in oracles)
-    assert [table_fold(o._folded)["bars"] for o in oracles] == \
+    folds = [fold_adw(o.key) for o in oracles]
+    assert all(fold_kind(f) == _evaluator(o.key) == "tables" for f, o in zip(folds, oracles))
+    assert [table_fold(f)["bars"] for f in folds] == \
         [((o.key.gbar[i], o.key.m1bar[i], o.key.m2bar[i], o.key.ybar[i]),) for o in oracles]
+    assert [[f(x.value) for x in xs] for f in folds] == want
 
     columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot))
     assert not any(is_affine(o.key) for o in oracles)
@@ -599,9 +609,9 @@ def _summable_hash(data, w: int, k: int, d: int, bits: int, window: int | None) 
 def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     """A key whose h1, h2 and ell are k-wise over one GF(2^w), w <= 16,
     with nonzero a_1..a_{k-1}, that is not affine (k >= 3, or a 3-wise g),
-    is answered from its first query on from byte tables, at x = 0, x = 1
-    and drawn points, as adw_eval answers, at exactly 2 underlying
-    calls per query."""
+    is folded into byte tables; the fold and the key's oracle answer at
+    x = 0, x = 1 and drawn points as adw_eval answers, at exactly 2
+    underlying calls per query."""
     d = data.draw(st.integers(w // 2 + 1, w), label="d")
     s = data.draw(st.integers(1, d), label="s")
     r = data.draw(st.integers(1, w), label="r")
@@ -616,13 +626,15 @@ def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     key = ADWKey(_summable_hash(data, w, k, d, s, window), _summable_hash(data, w, k, d, s, window),
                  _summable_hash(data, w, k, d, r, None), gbar, m1bar, m2bar, ybar, f1, f2)
     oracle = ADWOracle(key)
+    folded = fold_adw(oracle.key)
+    assert fold_kind(folded) == "tables"
     xs = [0, 1, *data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4), label="xs")]
-    for x in xs:
-        calls = f1.calls + f2.calls
-        answer = oracle.eval_int(x)
-        assert f1.calls + f2.calls - calls == 2
-        assert answer == adw_eval(key, x)
-    assert fold_kind(oracle._folded) == "tables"
+    for ask in (folded, oracle.eval_int):
+        for x in xs:
+            calls = f1.calls + f2.calls
+            answer = ask(x)
+            assert f1.calls + f2.calls - calls == 2
+            assert answer == adw_eval(key, x)
 
 
 def _foldable_hash(data, d: int, bits: int, window: int | None, wide: bool) -> KWiseHashKey:

@@ -188,8 +188,7 @@ def test_adw_adaptive_builder_stays_in_prefix():
 ])
 def test_query_builds_one_bitstring_its_answer(name, d, build):
     """Values stay plain ints inside a builder's oracle: a query answered
-    by the adw fold (built at the first query) constructs its answer and
-    no other BitString."""
+    by adw_eval constructs its answer and no other BitString."""
     oracle = build(random.Random(56))
     xs = [BitString(v, d) for v in range(d + 3)]
     for x in xs[:-1]:
