@@ -28,20 +28,20 @@ ADWOracle is adw_eval. fold_adw folds a key into one plain function
 that answers as adw_eval does. At the benchmark's adaptive shape a fold
 costs about as much as 20 adw_eval queries of the pp key or 8 of the
 table key, so only a caller that asks one key many times folds it:
-adaptive-transform's probe loop and adw-compare's call-count probe. A
-per-trial oracle asked a few times pays no fold.
+adaptive-transform's probe loop. A per-trial oracle asked a few times,
+and adw-compare's call-count probe, pay no fold.
 
 A k-wise hash over GF(2^w) is a_0 ^ XOR over odd o < k of
 L_o(x^o), where L_o(y) = sum_t a_(o 2^t) y^(2^t) is GF(2)-linear in y,
 because squaring is (the Frobenius identity; Lidl and Niederreiter,
-Finite Fields, ch. 3). So when h1, h2 and ell are k-wise keys, each
-with w <= 16 or k <= 3, the three inner values are a constant XORed
-with one linear map of each odd power x^o, and the fold holds each
-map as byte tables of the three values packed into one int; x^o is one
-lookup exp[o log x mod 2^w - 1]. An affine bar (a 2-wise g into 2-entry
-tables) folds into the constant and the map of x; any other bar is
-evaluated per query. The fold still calls f1 and f2 once each per
-query. Any other key keeps adw_eval.
+Finite Fields, ch. 3). So when h1, h2 and ell are k-wise keys over one
+GF(2^w) with w <= 16 and every bar is affine (a 2-wise g over that
+field into 2-entry tables), the three inner values are a constant
+XORed with one linear map of each odd power x^o, and the fold holds
+each map as byte tables of the three values packed into one int; x^o
+is one lookup exp[o log x mod 2^w - 1]. The fold still calls f1 and f2
+once each per query. Any other key keeps adw_eval: these are the keys
+adaptive-transform builds, and no other caller folds.
 """
 
 from __future__ import annotations
@@ -111,21 +111,16 @@ def _bars(key: ADWKey):
     return zip(key.gbar, key.m1bar, key.m2bar, key.ybar)
 
 
-def _xor_bars(bars, x: int, a: int, b: int, y: int) -> tuple[int, int, int]:
-    """a, b and y, each XORed with its bar's maps at every g_i(x), each
-    g_i evaluated once: the one loop over the bars."""
-    for g, m1, m2, m in bars:
+def adw_inner_values(key: ADWKey, x: int) -> tuple[int, int, int]:
+    """The three inner values at x: h1(x), h2(x) and ell(x), each XORed
+    with its bar's maps at every g_i(x), each g_i evaluated once."""
+    a, b, y = key.h1.eval_int(x), key.h2.eval_int(x), key.ell.eval_int(x)
+    for g, m1, m2, m in _bars(key):
         gv = g.eval_int(x)
         a ^= m1.eval_int(gv)
         b ^= m2.eval_int(gv)
         y ^= m.eval_int(gv)
     return a, b, y
-
-
-def adw_inner_values(key: ADWKey, x: int) -> tuple[int, int, int]:
-    """The three inner values at x: h1(x), h2(x) and ell(x), each XORed
-    with its bar's maps at every g_i(x)."""
-    return _xor_bars(_bars(key), x, key.h1.eval_int(x), key.h2.eval_int(x), key.ell.eval_int(x))
 
 
 def adw_eval(key: ADWKey, x: int) -> int:
@@ -164,111 +159,81 @@ def _frobenius_logs(width: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return i, starts, logs
 
 
-def _linear_maps(hashes, d: int) -> dict[tuple[int, int], np.ndarray]:
-    """The columns of each hash's linear maps L_o, masked, one
-    row per hash: {(0, 1): L_1 on the d bits of x, (w, o): L_o on the w
-    bits of x^o in GF(2^w) for each odd o >= 3}, a row zero where its
-    hash has no such o, and each padded with zero columns to whole bytes.
+def _linear_maps(hashes, d: int, w: int) -> list[np.ndarray]:
+    """The columns of the hashes' linear maps L_o over GF(2^w), masked,
+    one row per hash: L_1 on the bits of x up to the byte that holds bit
+    d - 1 (an x below 2^d sets none past it), then L_o on the w bits of
+    x^o, padded with zero columns to whole bytes, for each odd o >= 3
+    below the largest k, a row zero where its hash has no such o.
 
     A hash is a_0 ^ XOR over odd o < k of L_o(x^o), where
     L_o(y) = sum_t a_(o 2^t) y^(2^t); squaring is GF(2)-linear
     (Frobenius), so each L_o is. Column j is L_o(2^j)."""
-    n = len(hashes)
-    maps = {(0, 1): np.zeros((n, -(-d // 8) * 8), dtype=np.uint64)}
-    widths: dict[int, list[int]] = {}
-    for row, h in enumerate(hashes):
-        widths.setdefault(h.width, []).append(row)
-    for w, rows in widths.items():
-        if w > 16:  # k <= 3 (fold_adw): L_1 alone, column j a_1 2^j ^ a_2 4^j by doubling
-            a = np.array([(*hashes[row].coeffs[1:], 0, 0)[:2] for row in rows], dtype=np.uint64).T
-            masks = np.array([hashes[row].mask for row in rows], dtype=np.uint64)
-            full, top = (1 << w) - 1, np.uint64(w - 1)
-            low, full = np.uint64(default_spec(w).poly & full), np.uint64(full)
-            for j in range(d):
-                maps[0, 1][rows, j] = (a[0] ^ a[1]) & masks
-                a = ((a << np.uint64(1)) & full) ^ (a >> top) * low
-                a[1] = ((a[1] << np.uint64(1)) & full) ^ (a[1] >> top) * low
-            continue
-        k = max(hashes[row].k for row in rows)
-        if k == 1:
-            continue
-        log, exp = (np.frombuffer(t, dtype=t.typecode) for t in default_spec(w).log_exp())
-        i, starts, logs = _frobenius_logs(w, k)
-        # a shorter key's missing coefficients, like any zero a_i, have
-        # no log and add nothing
-        a = np.array([hashes[row].coeffs + (0,) * (k - hashes[row].k) for row in rows])[:, i]
-        terms = np.where(a[..., None] != 0, exp[logs + log[a][..., None]], 0).astype(np.uint64)
-        masks = np.array([hashes[row].mask for row in rows], dtype=np.uint64)
-        columns = np.zeros((n, len(starts), -(-w // 8) * 8), dtype=np.uint64)
-        columns[rows, :, :w] = np.bitwise_xor.reduceat(terms, starts, axis=1) & masks[:, None, None]
-        maps[0, 1][:, :d] ^= columns[:, 0, :d]
-        for m in range(1, len(starts)):
-            maps[w, 2 * m + 1] = columns[:, m]
-    return maps
+    log, exp = (np.frombuffer(t, dtype=t.typecode) for t in default_spec(w).log_exp())
+    k = max(2, *(h.k for h in hashes))
+    i, starts, logs = _frobenius_logs(w, k)
+    # a shorter key's missing coefficients, like any zero a_i, have no
+    # log and add nothing
+    a = np.array([h.coeffs + (0,) * (k - h.k) for h in hashes])[:, i]
+    terms = np.where(a[..., None] != 0, exp[logs + log[a][..., None]], 0).astype(np.uint64)
+    masks = np.array([h.mask for h in hashes], dtype=np.uint64)
+    columns = np.zeros((len(hashes), len(starts), -(-w // 8) * 8), dtype=np.uint64)
+    columns[..., :w] = np.bitwise_xor.reduceat(terms, starts, axis=1) & masks[:, None, None]
+    return [columns[:, 0, :-(-d // 8) * 8], *columns[:, 1:].transpose(1, 0, 2)]
 
 
 def fold_adw(key: ADWKey):
-    """x -> adw_eval(key, x) as one plain function. If h1, h2 and ell are
-    k-wise keys, each over GF(2^w) with w <= 16 (log/exp tables give
-    x^o) or with k <= 3 (x alone), it answers from byte tables of the
-    three inner values, and its tables, masks, shifts, the bars left to
-    each query and f1's and f2's eval_int are closure cells, bound once;
-    else it is partial(adw_eval, key). Building the tables takes a few
-    numpy passes over the coefficients and the affine bars; the
-    underlying f1 and f2 are not called.
+    """x -> adw_eval(key, x) as one plain function. If h1, h2, ell and
+    every g_i are k-wise keys over one GF(2^w) with w <= 16, and every
+    bar is affine (_affine_bar), it answers from byte tables of the
+    three inner values, and its tables, masks, shifts and f1's and f2's
+    eval_int are closure cells, bound once; else it is
+    partial(adw_eval, key). Building the tables takes a few numpy passes
+    over the coefficients and the bars; the underlying f1 and f2 are
+    not called.
 
     Each hash is a_0 ^ XOR over odd o < k of L_o(x^o), each L_o
     GF(2)-linear (_linear_maps), and a mask distributes over XOR. So
     the three inner values are a constant ^ XOR_o T_o(x^o), one linear
-    map T_o per odd power (per field, for hashes of two widths), held
-    as one table per input byte whose entries pack the three values
-    into one int (inner1 low, then inner2, then the y part). An affine
-    bar (_affine_bar) is folded into the constant and T_1: m(g(x)) is
-    m(g(0)) ^ (g(x) ^ g(0)) (m(0) ^ m(1)), and g(x) ^ g(0) is linear in
-    x. Any other bar is evaluated per query. x^o is exp[o log x mod
-    2^w - 1], so a query costs ceil(d/8) lookups for T_1, two per odd
-    o >= 3 (the low and the high byte of x^o), the other bars and the
-    two underlying calls.
+    map T_o per odd power, held as one table per input byte whose
+    entries pack the three values into one int below 2^48 (inner1 low,
+    then inner2, then the y part). Each bar is folded into the constant
+    and T_1: m(g(x)) is m(g(0)) ^ (g(x) ^ g(0)) (m(0) ^ m(1)), and
+    g(x) ^ g(0) is linear in x. x^o is exp[o log x mod 2^w - 1], so a
+    query costs ceil(d/8) lookups for T_1, two per odd o >= 3 (the low
+    and the high byte of x^o) and the two underlying calls.
     """
-    hashes = (key.h1, key.h2, key.ell)
-    if not all(isinstance(h, KWiseHashKey) and (h.width <= 16 or h.k <= 3) for h in hashes):
+    hashes, bars = (key.h1, key.h2, key.ell), tuple(_bars(key))
+    if not (all(isinstance(h, KWiseHashKey) for h in hashes) and all(_affine_bar(*b) for b in bars)
+            and len({h.width for h in (*hashes, *key.gbar)}) == 1 and key.h1.width <= 16):
         return partial(adw_eval, key)
-    s1, s2, d = key.f1.domain_bits, key.f2.domain_bits, key.domain_bits
+    s1, s2, d, w = key.f1.domain_bits, key.f2.domain_bits, key.domain_bits, key.h1.width
     s3, m1, m2 = s1 + s2, (1 << s1) - 1, (1 << s2) - 1
-    maps = _linear_maps(hashes, d)
+    maps = _linear_maps(hashes, d, w)
     const = np.array([h.eval_int(0) for h in hashes], dtype=np.uint64)
-    affine, other = [], []
-    for bar in _bars(key):
-        (affine if _affine_bar(*bar) else other).append(bar)
-    bars = tuple(other)
-    if affine:
-        gs = [g for g, *_ in affine]
-        at0 = np.array([g.eval_int(0) for g in gs])
-        entries = np.array([[m.entries for m in bar[1:]] for bar in affine],
+    if bars:
+        at0 = np.array([g.eval_int(0) for g in key.gbar])
+        entries = np.array([[m.entries for m in bar[1:]] for bar in bars],
                            dtype=np.uint64).transpose(1, 0, 2)  # (3, bars, 2)
-        const ^= np.bitwise_xor.reduce(entries[:, np.arange(len(gs)), at0], axis=1)
+        const ^= np.bitwise_xor.reduce(entries[:, np.arange(len(bars)), at0], axis=1)
         delta = entries[..., 0] ^ entries[..., 1]
-        bits = _linear_maps(gs, d)[0, 1] != 0
-        maps[0, 1] ^= np.bitwise_xor.reduce(np.where(bits, delta[..., None], 0), axis=1)
+        bits = _linear_maps(key.gbar, d, w)[0] != 0
+        maps[0] ^= np.bitwise_xor.reduce(np.where(bits, delta[..., None], 0), axis=1)
 
     def pack(a, b, y):
         return a | (b << s1) | (y << s3)
 
     start = pack(*const.tolist())
-    order = sorted(maps)
-    columns = np.concatenate([maps[g].reshape(3, -1, 8) for g in order], axis=1)
-    if s3 + key.range_bits > 64:
-        columns = columns.astype(object)
+    columns = np.concatenate([m.reshape(3, -1, 8) for m in maps], axis=1)
     # packed (tables, 8) columns -> (tables, 256) entries
     tables = iter(next(linear_tables(pack(*columns))).tolist())
     linear = tuple(next(tables) for _ in range(-(-d // 8)))
-    # per field: its log and exp tables, and each odd o >= 3 with the
-    # tables of the low and the high byte of x^o ([0] when w <= 8)
-    odd: dict[int, list] = {}
-    for w, o in order[1:]:
-        odd.setdefault(w, []).append((o, next(tables), next(tables) if w > 8 else [0]))
-    fields = tuple((*default_spec(w).log_exp(), (1 << w) - 1, tuple(powers))
-                   for w, powers in odd.items())
+    # each odd o >= 3 with the tables of the low and the high byte of
+    # x^o ([0] when w <= 8)
+    powers = tuple((2 * n + 1, next(tables), next(tables) if w > 8 else [0])
+                   for n in range(1, len(maps)))
+    log, exp = default_spec(w).log_exp()
+    group = (1 << w) - 1
     f1, f2 = key.f1.eval_int, key.f2.eval_int
 
     def folded(x: int) -> int:
@@ -278,17 +243,11 @@ def fold_adw(key: ADWKey):
             packed ^= table[v & 255]
             v >>= 8
         if x:
-            for log, exp, group, powers in fields:
-                lx = log[x]
-                for o, low, high in powers:
-                    v = exp[o * lx % group]
-                    packed ^= low[v & 255] ^ high[v >> 8]
-        a = packed & m1
-        b = (packed >> s1) & m2
-        y = packed >> s3
-        if bars:
-            a, b, y = _xor_bars(bars, x, a, b, y)
-        return f1(a) ^ f2(b) ^ y
+            lx = log[x]
+            for o, low, high in powers:
+                v = exp[o * lx % group]
+                packed ^= low[v & 255] ^ high[v >> 8]
+        return f1(packed & m1) ^ f2((packed >> s1) & m2) ^ packed >> s3
 
     return folded
 

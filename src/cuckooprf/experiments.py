@@ -309,9 +309,8 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     """Birthday advantage and per-query call cost of pp next to both adw
     variants at identical shape parameters.
 
-    The cost is read from a probe key drawn with a _CallTally and folded
-    (fold_adw) as adaptive-transform folds its targets, over d+2
-    queries of the fold."""
+    The cost is read from a probe oracle drawn with a _CallTally, over
+    d+2 of its queries (adw_eval); only adaptive-transform folds."""
     params = ExtensionParams(d=d, s=s, r=r, k=k, q=q, c=c)
     dist = birthday_distinguisher(q, d)
     ideal = lazy_sampler(d, r)
@@ -324,7 +323,7 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     rows, problems = [], []
     for idx, (name, sampler, kcol, zcol, expected_calls) in enumerate(targets):
         tally = _CallTally(1 << s)
-        probe = fold_adw(sampler.layout(KeyDraws(key_stream(seed, _CALL_TAG, idx), tally)).key)
+        probe = sampler.layout(KeyDraws(key_stream(seed, _CALL_TAG, idx), tally)).eval_int
         for x in range(d + 2):
             before = tally.calls
             probe(x)

@@ -25,11 +25,13 @@ table doubled so a log sum needs no reduction. At w = 16 that is 128
 KiB of log and 256 KiB of exp; as lists of boxed ints they would take
 5.2 MiB and miss cache on every Horner step. FieldSpec.log_exp hands
 the tables to a caller that multiplies by log sums itself (the scalar
-fold, combine.fold_adw, which takes each odd power x^o as
-exp[o log x] and builds its maps from logs); no other module reads
-them. The numpy engine (batch._power_tables) multiplies by the fixed
-powers x^i of its query points through linear_tables of their
-doublings x^i * 2^b and makes no product here.
+fold, combine.fold_adw, which folds only keys over one field with
+w <= 16, takes each odd power x^o as exp[o log x] and builds its maps
+from logs); no other module reads them. The numpy engine
+(batch._power_tables) multiplies by the fixed powers x^i of its query
+points through linear_tables of their doublings x^i * 2^b and makes no
+product here. linear_tables holds uint64 words only: the widest map it
+builds, the scalar fold's three packed inner values, is 48 bits.
 """
 
 from __future__ import annotations
@@ -180,8 +182,7 @@ def linear_tables(basis, bits: int = 8) -> Iterator[np.ndarray]:
     """Lookup tables of GF(2)-linear maps, one per `bits` input bits.
 
     basis[..., j] holds each map's value at the unit vector 2^j as a
-    uint64 word, or as a Python int in an object array for a map wider
-    than 64 bits; leading axes index independent maps. Table p, entry m,
+    uint64 word; leading axes index independent maps. Table p, entry m,
     is the value at m << (bits * p), the XOR of basis[..., bits * p + i]
     over the set bits i of m. A table doubles bit by bit, entry
     m + 2^i = entry m ^ basis[..., bits * p + i], so its 2^bits entries
@@ -189,9 +190,7 @@ def linear_tables(basis, bits: int = 8) -> Iterator[np.ndarray]:
     length is not a multiple of bits. Tables are yielded one at a time,
     so a caller that folds each into a result holds one at a time.
     """
-    basis = np.asarray(basis)
-    if basis.dtype != object:
-        basis = basis.astype(np.uint64, copy=False)
+    basis = np.asarray(basis, dtype=np.uint64)
     for pos in range(0, basis.shape[-1], bits):
         cols = basis[..., pos:pos + bits]
         table = np.zeros(basis.shape[:-1] + (1 << cols.shape[-1],), dtype=basis.dtype)

@@ -6,9 +6,8 @@ hash key or any other slot) and records every query value, so a test
 can count the calls a key makes and check where they land.
 counting_sampler is an f_sampler that hands each builder instrumented
 lazy-random oracles and keeps them; count_calls counts the calls of
-one evaluation of a key a test built by hand. fold_kind and table_fold
-tell fold_adw's byte-table fold from partial(adw_eval, key) and read
-its closure cells.
+one evaluation of a key a test built by hand. fold_kind tells
+fold_adw's byte-table fold from partial(adw_eval, key).
 """
 
 import dataclasses
@@ -57,18 +56,11 @@ def counting_sampler(seen: list):
     return f_sampler
 
 
-def table_fold(fold) -> dict | None:
-    """The closure cells of fold_adw's byte-table fold by name ("bars",
-    "f1", "linear", ...), or None if fold is any other evaluator."""
-    if getattr(fold, "__qualname__", None) != "fold_adw.<locals>.folded":
-        return None
-    return dict(zip(fold.__code__.co_freevars, (c.cell_contents for c in fold.__closure__)))
-
-
 def fold_kind(fold):
     """"tables" for fold_adw's byte-table fold, else the evaluator's type
     (partial, for partial(adw_eval, key))."""
-    return "tables" if table_fold(fold) is not None else type(fold)
+    folded = getattr(fold, "__qualname__", None) == "fold_adw.<locals>.folded"
+    return "tables" if folded else type(fold)
 
 
 def count_calls(evaluate, key, x: int) -> tuple[int, int]:

@@ -246,21 +246,38 @@ def test_out_of_range_parameters_exit_2(argv, capsys):
     _assert_configuration_error(rc, capsys.readouterr().err)
 
 
-def _int_flags():
-    """(subcommand, flag) for every int option of every subcommand but
-    --seed, whose range has its own tests."""
+def _int_options():
+    """(subcommand, flag, config key) for every int option of every
+    subcommand but --seed, whose range has its own tests."""
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return [(command, action.option_strings[0]) for command in sub.choices
+    return [(command, action.option_strings[0], dest) for command in sub.choices
             for dest, action in cli._options(parser, command).items()
             if action.type is int and dest != "seed"]
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("command, flag", _int_flags())
-def test_every_int_flag_at_0_and_minus_1_exits_2(command, flag, value, capsys):
-    rc = cli.main([command, flag, value])
-    _assert_configuration_error(rc, capsys.readouterr().err)
+def _int_argv(how, command, flag, key, value, tmp_path):
+    """The subcommand with one int option at value, given as the flag or
+    as a config key."""
+    if how == "flag":
+        return [command, flag, str(value)]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    return [command, "--config", str(path)]
+
+
+# a flag case's id is its subcommand, flag and value; a config case's
+# id adds "config"
+@pytest.mark.parametrize("how, command, flag, key, value", [
+    pytest.param(how, command, flag, key, value,
+                 id=f"{command}-{flag}-{value}" + ("-config" if how == "config" else ""))
+    for how in ("flag", "config") for command, flag, key in _int_options() for value in (0, -1)])
+def test_every_int_flag_at_0_and_minus_1_exits_2(how, command, flag, key, value, tmp_path, capsys):
+    rc = cli.main(_int_argv(how, command, flag, key, value, tmp_path))
+    err = capsys.readouterr().err
+    _assert_configuration_error(rc, err)
+    if how == "config":
+        assert re.search(rf"^config file overrides --{key}: \S+ -> {value}$", err, re.M)
 
 
 @pytest.mark.parametrize("command", ["kwise-verify", "uniformity", "ggm-kat",

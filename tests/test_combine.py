@@ -239,41 +239,58 @@ def _summable(k=12, width=16, d=16, window=256):
     return [draw(window), draw(window), draw(None)]
 
 
-# name -> (the hashes, a change to one of them, the evaluator fold_adw picks)
+def _g(k, width, d=16):
+    """A k-wise g from d bits to one bit over GF(2^width), a_1..a_(k-1) nonzero."""
+    rng = random.Random(k * width + 1)
+    coeffs = (rng.getrandbits(width), *(rng.randrange(1, 1 << width) for _ in range(k - 1)))
+    return KWiseHashKey(coeffs, d, 1, width)
+
+
+# name -> (the hashes, a change to one of them, the g of one bar or None,
+# the evaluator fold_adw picks)
 FOLD_CASES = {
-    "affine": (_summable(k=2), None, "tables"),
-    "power sums": (_summable(), None, "tables"),
-    "a_0 = 0": (_summable(), (0, lambda h: replace(h, coeffs=(0, *h.coeffs[1:]))), "tables"),
-    "k = 3 at w = 4": (_summable(3, 4, 4, window=4), None, "tables"),
+    "affine": (_summable(k=2), None, None, "tables"),
+    "power sums": (_summable(), None, None, "tables"),
+    "a_0 = 0": (_summable(), (0, lambda h: replace(h, coeffs=(0, *h.coeffs[1:]))), None, "tables"),
+    "k = 3 at w = 4": (_summable(3, 4, 4, window=4), None, None, "tables"),
     "zero a_5": (_summable(), (1, lambda h: replace(h, coeffs=h.coeffs[:5] + (0,) + h.coeffs[6:])),
-                 "tables"),
-    "mixed widths": (_summable(), (2, lambda h: replace(h, width=32)), partial),
-    "unequal k": (_summable(), (2, lambda h: replace(h, coeffs=h.coeffs[:-1])), "tables"),
-    "w = 32": (_summable(width=32, d=24), None, partial),
+                 None, "tables"),
+    "mixed widths": (_summable(), (2, lambda h: replace(h, width=32)), None, partial),
+    "unequal k": (_summable(), (2, lambda h: replace(h, coeffs=h.coeffs[:-1])), None, "tables"),
+    "w = 32": (_summable(width=32, d=24), None, None, partial),
     "w = 8 and w = 16": (_summable(12, 8, 8, window=16), (2, lambda h: replace(h, width=16)),
-                         "tables"),
-    "w = 16 and w = 32 at k = 3": (_summable(3), (2, lambda h: replace(h, width=32)), "tables"),
-    "w = 32 at k = 3": (_summable(3, 32, 24), None, "tables"),
-    "w = 64 at k = 2": (_summable(2, 64, 40), None, "tables"),
-    "w = 64 at k = 4": (_summable(4, 64, 40), None, partial),
+                         None, partial),
+    "w = 16 and w = 32 at k = 3": (_summable(3), (2, lambda h: replace(h, width=32)), None,
+                                   partial),
+    "w = 32 at k = 3": (_summable(3, 32, 24), None, None, partial),
+    "w = 64 at k = 2": (_summable(2, 64, 40), None, None, partial),
+    "w = 64 at k = 4": (_summable(4, 64, 40), None, None, partial),
     "not k-wise": (_summable(), (0, lambda h: FunctionOracle(h.eval_int, h.domain_bits,
-                                                             h.range_bits)), partial),
+                                                             h.range_bits)), None, partial),
+    "2-wise g at w = 16": (_summable(), None, _g(2, 16), "tables"),
+    "3-wise g": (_summable(), None, _g(3, 16), partial),
+    "2-wise g over GF(2^32) beside w = 16": (_summable(), None, _g(2, 32), partial),
 }
 
 
 @pytest.mark.parametrize("case", FOLD_CASES)
 def test_fold_adw_picks_one_evaluator_per_kind_of_key(case):
-    """Byte tables of the odd powers for a key whose h1, h2 and ell are
-    k-wise keys, each over GF(2^w) with w <= 16 or with k <= 3 (any
-    coefficient may be 0, and the three may differ in width and k), and
-    adw_eval itself for any other; each answers as adw_eval does."""
-    hashes, change, evaluator = FOLD_CASES[case]
+    """Byte tables of the odd powers for a key whose h1, h2, ell and every
+    g are k-wise keys over one GF(2^w) with w <= 16 and whose every bar
+    is affine (any coefficient may be 0, and the hashes may differ in
+    k), and adw_eval itself for any other; each answers as adw_eval
+    does."""
+    hashes, change, g, evaluator = FOLD_CASES[case]
     if change is not None:
         i, edit = change
         hashes = [edit(h) if j == i else h for j, h in enumerate(hashes)]
     h1, h2, ell = hashes
     d = h1.domain_bits
-    key = _pp_key(h1, h2, ell, LazyRandomOracle(11, d, d), LazyRandomOracle(12, d, d))
+    rng = random.Random(d)
+    bars = ((), (), (), ())
+    if g is not None:
+        bars = ((g,), *((sample_table(2, d, rng),) for _ in range(3)))
+    key = ADWKey(h1, h2, ell, *bars, LazyRandomOracle(11, d, d), LazyRandomOracle(12, d, d))
     folded = fold_adw(key)
     assert fold_kind(folded) == evaluator
     if evaluator is partial:

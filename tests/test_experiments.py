@@ -3,7 +3,7 @@ import json
 import tracemalloc
 from functools import partial
 
-from cuckooprf import bits, cli, experiments
+from cuckooprf import bits, cli, combine, experiments
 from cuckooprf.bits import BitString, key_stream, mix64, truncate
 from cuckooprf.combine import adw_eval
 from cuckooprf.errors import ConfigurationError
@@ -190,7 +190,8 @@ def test_adaptive_transform_locality():
 def test_adaptive_transform_folds_each_target_once_and_probes_the_folds(monkeypatch, probes):
     """The speed path: each target's key is folded (fold_adw) once, the
     pp key and then the adw key, into byte tables, and every probe asks
-    the folds, not the targets' oracles."""
+    the folds, not the targets' oracles. adw-compare, which asks its
+    probe oracles, never folds."""
     fold, folds = experiments.fold_adw, []
 
     def spy(key):
@@ -204,6 +205,8 @@ def test_adaptive_transform_folds_each_target_once_and_probes_the_folds(monkeypa
     assert [key.z for key, _, _ in folds] == [0, adw_table_z(experiments._ADAPTIVE_C, 64)]
     assert [fold_kind(folded) for _, folded, _ in folds] == ["tables", "tables"]
     assert [len(asked) for _, _, asked in folds] == [probes, probes]
+    _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)
+    assert problems == [] and len(folds) == 2
 
 
 def test_a_tallied_oracle_answers_as_a_lazy_random_oracle_of_one_word():
@@ -425,20 +428,15 @@ def test_adw_compare_rows_and_call_costs():
 
 
 def test_adw_compare_counts_calls_past_the_fold(monkeypatch):
-    # each probe key is folded and asked through its fold, so an extra
-    # underlying call made only by the fold must show as a problem for all three
-    fold = experiments.fold_adw
+    # each probe oracle answers by adw_eval, so an extra underlying call
+    # made there must show as a problem for all three
+    evaluate = combine.adw_eval
 
-    def one_more_f1_call(key):
-        folded = fold(key)
+    def one_more_f1_call(key, x):
+        key.f1.eval_int(0)
+        return evaluate(key, x)
 
-        def call(x):
-            key.f1.eval_int(0)
-            return folded(x)
-
-        return call
-
-    monkeypatch.setattr(experiments, "fold_adw", one_more_f1_call)
+    monkeypatch.setattr(combine, "adw_eval", one_more_f1_call)
     _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)
     assert problems == ["adw-compare-pp: 3 underlying calls per query, expected 2",
                         "adw-compare-prf: 21 underlying calls per query, expected 20",

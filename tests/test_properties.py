@@ -26,7 +26,7 @@ from cuckooprf.combine import ADWKey, ADWOracle, adw_eval, fold_adw, is_affine
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import DEFAULT_REDUCTION, SUPPORTED_WIDTHS, _mul_raw
-from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise, sample_table
+from cuckooprf.hashfam import KWiseHashKey, RandomTable, eval_kwise, sample_kwise, sample_table
 from cuckooprf.prfcore import LazyRandomOracle, lazy_answer
 from cuckooprf.transform import (
     ExtensionParams,
@@ -45,7 +45,7 @@ from cuckooprf.transform import (
 )
 from closedforms import pp_formula
 from gamepaths import assert_paths_agree
-from spies import InstrumentedOracle, count_calls, counting_sampler, fold_kind, table_fold
+from spies import InstrumentedOracle, count_calls, counting_sampler, fold_kind
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 TRIALS = 3
@@ -415,7 +415,7 @@ def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
     # each query calls f1 and f2, the oracle's and adw_eval's
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
     folded = fold_adw(oracle.key)
-    assert fold_kind(folded) == "tables"
+    assert fold_kind(folded) == _evaluator(oracle.key)
     # the fold itself calls no underlying oracle; each of its queries calls f1 and f2
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
     assert [folded(x.value) for x in xs] == want
@@ -424,11 +424,15 @@ def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
 
 def _evaluator(key: ADWKey):
     """The evaluator (fold_kind) fold_adw must fold key into: byte tables
-    of the odd powers if h1, h2 and ell are k-wise keys, each over
-    GF(2^w) with w <= 16 or with k <= 3, whatever its coefficients and
-    its bars; else partial(adw_eval, key)."""
-    if all(isinstance(h, KWiseHashKey) and (h.width <= 16 or h.k <= 3)
-           for h in (key.h1, key.h2, key.ell)):
+    of the odd powers if h1, h2, ell and every g_i are k-wise keys over
+    one GF(2^w) with w <= 16, whatever their coefficients, and every g_i
+    has k <= 2 and every inner map is a 2-entry table; else
+    partial(adw_eval, key)."""
+    hashes = (key.h1, key.h2, key.ell, *key.gbar)
+    maps = (*key.m1bar, *key.m2bar, *key.ybar)
+    if (all(isinstance(h, KWiseHashKey) for h in hashes) and len({h.width for h in hashes}) == 1
+            and key.h1.width <= 16 and all(g.k <= 2 for g in key.gbar)
+            and all(isinstance(m, RandomTable) and len(m.entries) == 2 for m in maps)):
         return "tables"
     return partial
 
@@ -571,10 +575,10 @@ def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int
 def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     """One 3-wise g, one prf-backed inner map, or one column of 4-entry
     tables under a 2-bit g, and the scalar oracle answers the key past
-    d + 1 points exactly, as does its fold, from byte tables that leave
-    that one bar to each query (_evaluator: the 2-wise hashes fold at
-    every width). The twin reads a bar only whole, so it is checked on
-    keys whose every inner map is made so, and does not fold them."""
+    d + 1 points exactly, as does fold_adw's evaluator, which is
+    adw_eval itself (_evaluator). The twin reads a bar only whole, so it
+    is checked on keys whose every inner map is made so, and does not
+    fold them."""
     p, window = _table_shape(data, d, data.draw(st.booleans(), label="restricted"))
     i = data.draw(st.integers(0, adw_z(p, "table") - 1), label="i")
     oracles = [_not_affine_layout(p, window, slot, i)(KeyDraws(_rng(data)))
@@ -584,9 +588,7 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     assert not any(is_affine(o.key) for o in oracles)
     assert [[o.query(x).value for x in xs] for o in oracles] == want
     folds = [fold_adw(o.key) for o in oracles]
-    assert all(fold_kind(f) == _evaluator(o.key) == "tables" for f, o in zip(folds, oracles))
-    assert [table_fold(f)["bars"] for f in folds] == \
-        [((o.key.gbar[i], o.key.m1bar[i], o.key.m2bar[i], o.key.ybar[i]),) for o in oracles]
+    assert all(fold_kind(f) == _evaluator(o.key) == partial for f, o in zip(folds, oracles))
     assert [[f(x.value) for x in xs] for f in folds] == want
 
     columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot))
@@ -608,17 +610,18 @@ def _summable_hash(data, w: int, k: int, d: int, bits: int, window: int | None) 
 @given(st.sampled_from((4, 8, 16)), st.integers(2, 12), st.booleans(), st.data())
 def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     """A key whose h1, h2 and ell are k-wise over one GF(2^w), w <= 16,
-    with nonzero a_1..a_{k-1}, that is not affine (k >= 3, or a 3-wise g),
-    is folded into byte tables; the fold and the key's oracle answer at
-    x = 0, x = 1 and drawn points as adw_eval answers, at exactly 2
-    underlying calls per query."""
+    with nonzero a_1..a_{k-1}, and whose up to 3 bars are affine (a
+    2-wise g over that field into 2-entry tables), is folded into byte
+    tables; the fold and the key's oracle answer at x = 0, x = 1 and
+    drawn points as adw_eval answers, at exactly 2 underlying calls per
+    query."""
     d = data.draw(st.integers(w // 2 + 1, w), label="d")
     s = data.draw(st.integers(1, d), label="s")
     r = data.draw(st.integers(1, w), label="r")
     window = 1 << data.draw(st.integers(0, s), label="log2 window") if windowed else None
     rng = _rng(data)
-    z = data.draw(st.integers(1 if k == 2 else 0, 3), label="z")
-    gbar = tuple(sample_kwise(3, d, 1, rng) for _ in range(z))
+    z = data.draw(st.integers(0, 3), label="z")
+    gbar = tuple(sample_kwise(2, d, 1, rng) for _ in range(z))
     m1bar = tuple(sample_table(2, s, rng, window) for _ in range(z))
     m2bar = tuple(sample_table(2, s, rng, window) for _ in range(z))
     ybar = tuple(sample_table(2, r, rng) for _ in range(z))
@@ -637,25 +640,26 @@ def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
             assert answer == adw_eval(key, x)
 
 
-def _foldable_hash(data, d: int, bits: int, window: int | None, wide: bool) -> KWiseHashKey:
-    """A k-wise key from d to `bits` bits that fold_adw folds: over
-    GF(2^w) with w <= 16 and 2 <= k <= 16, or (wide) w in {32, 64} and
-    k <= 3; each coefficient 0 about a third of the time."""
-    widths = [w for w in ((32, 64) if wide else (4, 8, 16)) if w >= max(d, bits)]
-    w = data.draw(st.sampled_from(widths), label="w")
-    k = data.draw(st.integers(1, 3) if wide else st.integers(2, 16), label="k")
+def _foldable_hash(data, w: int, d: int, bits: int, window: int | None) -> KWiseHashKey:
+    """A k-wise key over GF(2^w) from d to `bits` bits, 2 <= k <= 16,
+    each coefficient 0 about a third of the time."""
+    k = data.draw(st.integers(2, 16), label="k")
     coeff = st.one_of(st.just(0), st.integers(0, (1 << w) - 1), st.integers(0, (1 << w) - 1))
     coeffs = data.draw(st.lists(coeff, min_size=k, max_size=k), label="coeffs")
     return KWiseHashKey(tuple(coeffs), d, bits, w, window)
 
 
-def _bar(data, rng, d: int, s1: int, s2: int, r: int, window: int | None) -> tuple:
-    """One bar (g, m1, m2, y): folded into the tables (a 2-wise g to one
-    bit, 2-entry tables) or left to each query (a 3-wise g, a 2-bit g
-    over 4-entry tables, or a prf-backed y map)."""
-    kind = data.draw(st.sampled_from(("affine", "3-wise g", "2-bit g", "prf y")), label="bar")
+def _bar(data, rng, w: int, d: int, s1: int, s2: int, r: int, window: int | None) -> tuple:
+    """One bar (g, m1, m2, y), g over GF(2^w) unless drawn wider:
+    affine (a 2-wise g to one bit, 2-entry tables), or not (a 3-wise g,
+    a 2-bit g over 4-entry tables, a prf-backed y map, or a 2-wise g
+    over GF(2^32))."""
+    kind = data.draw(st.sampled_from(("affine", "affine", "3-wise g", "2-bit g", "prf y",
+                                      "wide g")), label="bar")
     u = 2 if kind == "2-bit g" else 1
-    g = sample_kwise(3 if kind == "3-wise g" else 2, d, u, rng)
+    width = 32 if kind == "wide g" else w
+    g = KWiseHashKey(tuple(rng.getrandbits(width) for _ in range(3 if kind == "3-wise g" else 2)),
+                     d, u, width)
     m1, m2 = sample_table(1 << u, s1, rng, window), sample_table(1 << u, s2, rng, window)
     y = (PaddedPrfMap(LazyRandomOracle(rng.getrandbits(64), 8, 64), u, r) if kind == "prf y"
          else sample_table(1 << u, r, rng))
@@ -663,30 +667,31 @@ def _bar(data, rng, d: int, s1: int, s2: int, r: int, window: int | None) -> tup
 
 
 @settings(PROPERTY, max_examples=80)
-@given(st.booleans(), st.booleans(), st.data())
-def test_fold_answers_as_adw_eval_at_two_calls_per_query(wide, windowed, data):
-    """fold_adw folds every key whose h1, h2 and ell are k-wise keys over
-    GF(2^w) with w <= 16 at any k, or w in {32, 64} at k <= 3: zero
-    coefficients anywhere, the three of their own widths and k, h1 and
-    h2 with or without a window, and bars folded or left to each query.
-    Building the fold calls no underlying oracle; it then answers as
-    adw_eval at x = 0, x = 1, x = 2^d - 1 and drawn points, with exactly
-    2 calls of f1 and f2 per query."""
-    d = data.draw(st.integers(1, 40 if wide else 16), label="d")
+@given(st.sampled_from((4, 8, 16)), st.booleans(), st.data())
+def test_fold_answers_as_adw_eval_at_two_calls_per_query(w, windowed, data):
+    """fold_adw folds a key whose h1, h2, ell and every g are k-wise keys
+    over one GF(2^w), w <= 16, at any k, with every bar affine: zero
+    coefficients anywhere, the three hashes of their own k, and h1 and h2
+    with or without a window. Any other bar, or a g of another width,
+    leaves the key to adw_eval (_evaluator). Building the fold calls no
+    underlying oracle; it then answers as adw_eval at x = 0, x = 1,
+    x = 2^d - 1 and drawn points, with exactly 2 calls of f1 and f2 per
+    query."""
+    d = data.draw(st.integers(1, w), label="d")
     s1, s2 = (data.draw(st.integers(1, d), label="s") for _ in range(2))
-    r = data.draw(st.integers(1, 64 if wide else 16), label="r")
+    r = data.draw(st.integers(1, w), label="r")
     window = 1 << data.draw(st.integers(0, min(s1, s2)), label="log2 window") if windowed else None
     rng = _rng(data)
-    h1 = _foldable_hash(data, d, s1, window, wide)
-    h2 = _foldable_hash(data, d, s2, window, wide)
-    ell = _foldable_hash(data, d, r, None, wide)
-    bars = [_bar(data, rng, d, s1, s2, r, window)
+    h1 = _foldable_hash(data, w, d, s1, window)
+    h2 = _foldable_hash(data, w, d, s2, window)
+    ell = _foldable_hash(data, w, d, r, None)
+    bars = [_bar(data, rng, w, d, s1, s2, r, window)
             for _ in range(data.draw(st.integers(0, 3), label="z"))]
     f1, f2 = (InstrumentedOracle(LazyRandomOracle(rng.getrandbits(64), s, r)) for s in (s1, s2))
     gbar, m1bar, m2bar, ybar = tuple(zip(*bars)) if bars else ((),) * 4
     key = ADWKey(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, f2)
     folded = fold_adw(key)
-    assert fold_kind(folded) == "tables" and f1.calls + f2.calls == 0
+    assert fold_kind(folded) == _evaluator(key) and f1.calls + f2.calls == 0
     xs = [0, 1, (1 << d) - 1, *data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4),
                                          label="xs")]
     for x in xs:
