@@ -43,11 +43,18 @@ digit over the whole grid. When w <= 8 the digit is all of a, whose
 2^w-entry table it indexes directly: one gather per coefficient, a0's
 from the table of x^0. Wider fields take 16-entry tables per nibble
 (Shoup's 4-bit tables, as in GHASH), because byte tables at the
-birthday shape (w = 32, k = 16, 128 points) would hold 7.5 MB instead
-of 0.94 MiB, and broadcast a0. The queries of a game are fixed, so the
-tables of (field, points, k) are built once, from doublings of the
-powers x_j^i without a field product, and kept in a small LRU cache;
-FieldSpec.poly_eval is the scalar reference.
+birthday shape (w = 32, k = 16, 128 points) would hold 7.5 MB, and
+broadcast a0. A grid works at the width of the bits it keeps: its
+tables hold only the low min(out_bits, w) bits of each entry, in the
+narrowest unsigned dtype that holds them (uint16 for birthday's 12-bit
+h1, h2 and levin h, 0.47 MiB; uint32 for its 24-bit g, 0.94 MiB), so
+its sum needs no final mask; and when a row of q entries fills 2, 4 or
+8 bytes, the row is one machine word, so each gather moves one word
+per grid row and each XOR touches 1/q as many elements. The queries of
+a game are fixed, so the tables of (field, points, k, kept bits) are
+built once, from doublings of the powers x_j^i without a field
+product, and kept in a small LRU cache; FieldSpec.poly_eval is the
+scalar reference.
 
 A lazy-random function answers a grid of points of its domain with
 prfcore.lazy_answer's two mixes, the inner one, mix64(x ^ C1), read
@@ -189,43 +196,65 @@ def blocks(rows: int, q: int):
     return (range(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
-def _element_dtype(spec: FieldSpec) -> np.dtype:
-    """The narrowest unsigned dtype that holds an element of the field."""
-    return np.dtype(f"u{max(1, spec.width // 8)}")
+def _uint(bits: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds `bits` bits."""
+    return np.dtype(f"u{next(n for n in (1, 2, 4, 8) if bits <= 8 * n)}")
 
 
 @lru_cache(maxsize=8)
-def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
-    """Tables of multiplication by x_j^i, in the field's narrowest
-    unsigned dtype, one per power and digit position of a coefficient:
-    entry [i - first, p, m, j] is (m << digit * p) * x_j^i. A digit is
-    the whole coefficient when w <= 8, and then every power has a table,
-    x^0 too (first = 0), so the shape is (k, 1, 2^w, q): a0 is gathered
-    like the other coefficients. Otherwise a digit is a nibble, and the
-    powers from x^1 (first = 1) have tables, (k - 1, w / 4, 16, q): byte
-    tables at the birthday shape (w = 32, k = 16, 128 points) would hold
-    7.5 MB, against 0.94 MiB of nibble tables.
+def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int, kept: int) -> np.ndarray:
+    """Tables of multiplication by x_j^i, cut to the low `kept` bits of
+    each product and held in the narrowest unsigned dtype of kept bits,
+    one per power and digit position of a coefficient: entry
+    [i - first, p, m, j] is (m << digit * p) * x_j^i mod 2^kept. A digit
+    is the whole coefficient when w <= 8, and then every power has a
+    table, x^0 too (first = 0), so the shape is (k, 1, 2^w, q): a0 is
+    gathered like the other coefficients. Otherwise a digit is a nibble,
+    and the powers from x^1 (first = 1) have tables, (k - 1, w / 4, 16,
+    q): byte tables at the birthday shape (w = 32, k = 16, 128 points)
+    would hold 7.5 MB, against 0.94 MiB of 24-bit nibble tables in
+    uint32 and 0.47 MiB of 12-bit ones in uint16. When a row of q
+    entries fills 2, 4 or 8 bytes, the tables are returned viewed as
+    one such word per row, shape (..., 1), so a gather moves one word
+    per row and an XOR of rows is one word operation.
 
-    Multiplying by a fixed element is GF(2)-linear, so the tables are
-    gf.linear_tables of the w doublings x_j^i * 2^b, each the one
-    before shifted left with the low w bits of the reduction polynomial
-    XORed in on overflow; x_j^i is the XOR of the doublings of
-    x_j^(i-1) at the set bits of x_j. No field product is made.
+    Multiplying by a fixed element is GF(2)-linear, so a digit's table
+    is built as gf.linear_tables builds one, doubling row by row: row
+    m + 2^b is row m XOR the map's value at the digit's bit b, here a
+    doubling x_j^i * 2^(digit * p + b). A doubling is the one before
+    shifted left, with the low w bits of the reduction polynomial XORed
+    in on overflow; x_j^i is the XOR of the doublings of x_j at the set
+    bits of x_j^(i-1). No field product is made. The doublings are made
+    at the field's width, and each is stored cut to the kept bits in the
+    tables' dtype, which cuts every table entry, as the maps are linear;
+    so no uint64 array of the k * w * q doublings is ever held.
     """
     w, q = spec.width, len(xs)
     digit, first = (w, 0) if w <= 8 else (4, 1)
     mask, low = np.uint64(truncate(~0, w)), np.uint64(truncate(spec.poly, w))
-    bits = (np.array(xs, dtype=np.uint64) >> np.arange(w, dtype=np.uint64)[:, None]) & np.uint64(1)
-    basis = np.empty((k, w, q), dtype=np.uint64)
-    basis[0] = 1 << np.arange(w, dtype=np.uint64)[:, None]
-    for i in range(1, k):
-        v = np.bitwise_xor.reduce(basis[i - 1] * bits, axis=0)
+
+    def doublings(v: np.ndarray, bits: int = w) -> np.ndarray:
+        """v * 2^b for every b < w, along a new next-to-last axis, each
+        cut to its low `bits` bits as it is stored, in their dtype."""
+        out = np.empty((*v.shape[:-1], w, q), dtype=_uint(bits))
         for b in range(w):
-            basis[i, b] = v
+            np.bitwise_and(v, truncate(~0, bits), out=out[..., b, :], casting="unsafe")
             v = ((v << np.uint64(1)) & mask) ^ (v >> np.uint64(w - 1)) * low
-    tables = np.empty((k - first, w // digit, 1 << digit, q), dtype=_element_dtype(spec))
-    for pos, table in enumerate(linear_tables(basis[first:].transpose(0, 2, 1), digit)):
-        tables[:, pos] = table.transpose(0, 2, 1)
+        return out
+
+    by_x, bit = doublings(np.array(xs, dtype=np.uint64)), np.arange(w, dtype=np.uint64)[:, None]
+    powers = np.ones((k, q), dtype=np.uint64)
+    for i in range(1, k):
+        powers[i] = np.bitwise_xor.reduce(by_x * ((powers[i - 1] >> bit) & 1), axis=0)
+    dtype = _uint(kept)
+    basis = doublings(powers[first:], kept).reshape(k - first, w // digit, digit, q)
+    # gf.linear_tables with the table's axis before the q points: row
+    # m + 2^b of a digit's table is row m ^ the doubling at its bit b
+    tables = np.zeros((k - first, w // digit, 1 << digit, q), dtype=dtype)
+    for b in range(digit):
+        np.bitwise_xor(tables[:, :, :1 << b], basis[:, :, b:b + 1], out=tables[:, :, 1 << b:2 << b])
+    if q * dtype.itemsize in (2, 4, 8):
+        tables = tables.view(f"u{q * dtype.itemsize}")
     tables.flags.writeable = False  # one cached array is shared by every caller
     return tables
 
@@ -241,9 +270,9 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int) -> np.ndarray:
 class _Hashes:
     """N k-wise hashes of one shape: coefficient rows, a0 first, and the
     output bits kept (hashfam.window_bits of the key's window). ColumnDraws
-    draws the rows in the field's narrowest unsigned dtype, as the power
-    tables are, so a block's coefficients take w/64 of its words' bytes,
-    and keeps each coefficient's column contiguous (coeffs.T is C-ordered)."""
+    draws the rows in the field's narrowest unsigned dtype, so a block's
+    coefficients take w/64 of its words' bytes, and keeps each
+    coefficient's column contiguous (coeffs.T is C-ordered)."""
 
     def __init__(self, coeffs: np.ndarray, spec: FieldSpec, domain_bits: int, out_bits: int,
                  ws: Workspace | None = None):
@@ -263,35 +292,46 @@ class _Hashes:
         the digit is a_i itself: one gather per coefficient, with no shift
         or mask, a0's from the table of x^0 straight into the sum. Wider
         fields take a_i's nibbles, whose tables stay small
-        (_power_tables), and a0 is broadcast along the q queries, which
-        costs less than its w / 4 gathers. The sum is kept and masked in the
-        tables' narrow dtype, and each gather's digits and rows go
-        through one index and one term buffer of the workspace."""
+        (_power_tables), and a0, cut to the kept bits, is broadcast along
+        the q queries, which costs less than its w / 4 gathers.
+
+        The tables hold only the kept bits (hashfam.window_bits), in the
+        narrowest dtype that holds them, so the sum needs no final mask.
+        When their rows are packed into one word of q lanes, the sum is
+        kept as one word per row too, and a0 is put in every lane by one
+        product with the word whose lanes each hold 1; a0 is below 2^kept,
+        so no lane carries into the next. A coefficient's digits are taken
+        into one (digits, rows) index buffer of the workspace at once, and
+        each gather goes through one term buffer."""
         coeffs, ws = self.coeffs, self.ws
         rows, q = len(coeffs), len(xs)
+        kept = min(self.out_bits, self.spec.width)
         out = ws.empty((rows, q), np.uint64)
-        tables = _power_tables(self.spec, xs, coeffs.shape[1])
+        tables = _power_tables(self.spec, xs, coeffs.shape[1], kept)
         first = coeffs.shape[1] - len(tables)  # the power of the first table
+        digits, lanes = tables.shape[1], tables.shape[-1]
         with ws.frame():
-            acc = ws.empty((rows, q), tables.dtype)
+            acc = ws.empty((rows, lanes), tables.dtype)
             if first:
-                acc[...] = coeffs[:, :1]
-            index, term = ws.empty((rows,), np.intp), ws.empty((rows, q), tables.dtype)
+                np.bitwise_and(coeffs[:, :1], truncate(~0, kept), out=acc, casting="unsafe")
+                if lanes < q:  # packed: a0 in each of the word's q lanes
+                    lane_bits = 8 * tables.itemsize // q
+                    acc *= tables.dtype.type(sum(1 << lane_bits * j for j in range(q)))
+            index, term = ws.empty((digits, rows), np.intp), ws.empty((rows, lanes), tables.dtype)
+            shifts = np.arange(0, 4 * digits, 4, dtype=coeffs.dtype)[:, None]
             for i, (a, per_digit) in enumerate(zip(coeffs.T[first:], tables)):
-                for pos, table in enumerate(per_digit):
-                    if len(per_digit) == 1:
-                        np.copyto(index, a)
-                    else:
-                        np.right_shift(a, 4 * pos, out=index)
-                        index &= 15
+                if digits == 1:
+                    np.copyto(index[0], a)
+                else:
+                    np.right_shift(a, shifts, out=index, casting="unsafe")
+                    index &= 15
+                for table, digit in zip(per_digit, index):
                     # every digit is below the table's length
                     if i or first:
-                        acc ^= table.take(index, axis=0, out=term, mode="clip")
+                        acc ^= table.take(digit, axis=0, out=term, mode="clip")
                     else:  # a0 at w <= 8, the first term of the sum
-                        table.take(index, axis=0, out=acc, mode="clip")
-            if self.out_bits < self.spec.width:
-                acc &= acc.dtype.type(truncate(~0, self.out_bits))
-            np.copyto(out, acc)
+                        table.take(digit, axis=0, out=acc, mode="clip")
+            np.copyto(out, acc.view(_uint(kept)))  # a packed word's lanes, one per query
         return out
 
 
@@ -507,7 +547,7 @@ class ColumnDraws:
     def kwise(self, k: int, domain_bits: int, range_bits: int,
               window: int | None = None) -> _Hashes:
         spec = default_spec(width_for(domain_bits, range_bits))
-        rows, dtype = len(self._heads), _element_dtype(spec)
+        rows, dtype = len(self._heads), _uint(spec.width)
         coeffs = self.ws.empty((k, self._z * rows), dtype)
         with self.ws.frame():
             # the narrowing copy keeps the dtype's bits, which are w's unless w = 4

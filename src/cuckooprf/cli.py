@@ -187,7 +187,7 @@ def _write_out(path: str, text: str):
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigurationError(f"cannot write output file: {exc}") from exc
 
 

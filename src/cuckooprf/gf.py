@@ -29,9 +29,11 @@ fold, combine.fold_adw, which folds only keys over one field with
 w <= 16, takes each odd power x^o as exp[o log x] and builds its maps
 from logs); no other module reads them. The numpy engine
 (batch._power_tables) multiplies by the fixed powers x^i of its query
-points through linear_tables of their doublings x^i * 2^b and makes no
-product here. linear_tables holds uint64 words only: the widest map it
-builds, the scalar fold's three packed inner values, is 48 bits.
+points through nibble or byte tables of their doublings x^i * 2^b,
+built by linear_tables' row doubling but cut to the bits a hash keeps
+and held in the narrowest dtype of those bits, and makes no product
+here. linear_tables holds uint64 words only: the widest map it builds,
+the scalar fold's three packed inner values, is 48 bits.
 """
 
 from __future__ import annotations

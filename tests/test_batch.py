@@ -25,7 +25,7 @@ from cuckooprf.bits import (
     truncate,
 )
 from cuckooprf.errors import ConfigurationError
-from cuckooprf.experiments import levin_sampler, uniformity
+from cuckooprf.experiments import birthday, levin_sampler, uniformity
 from cuckooprf.games import (
     Distinguisher,
     NonAdaptiveDistinguisher,
@@ -141,28 +141,46 @@ def test_byte_wide_grid_takes_every_coefficient_at_every_power(w):
                                                 (32, 8, 16), (64, 16, 16)))
 def test_power_tables_take_whole_coefficients_up_to_w_8_and_nibbles_above(w, digits, entries):
     # whole coefficients have a table of x^0 too, through which a0 is
-    # gathered; nibble fields broadcast a0 and have tables from x^1
-    k, xs = 5, (1, 2, 3)
-    tables = batch._power_tables(default_spec(w), xs, k)
+    # gathered; nibble fields broadcast a0 and have tables from x^1. Each
+    # entry keeps the low `kept` bits of its product in the narrowest
+    # dtype that holds them, and a row of 3 points stays a row of 3
+    # entries, while a row of 4 that fills 4 or 8 bytes is one word
+    k, spec = 5, default_spec(w)
     powers = k if digits == 1 else k - 1
-    assert tables.shape == (powers, digits, entries, len(xs))
-    if digits == 1:
-        assert tables[0, 0].tolist() == [[m] * len(xs) for m in range(entries)]
-    # a block's coefficients are drawn in the tables' narrow dtype, not as uint64 words
-    assert ColumnDraws(KeyStreams(1, 2).heads(range(3))).kwise(k, w, w).coeffs.dtype == tables.dtype
+    for kept in sorted({1, min(w, 12), w}):
+        narrow = np.dtype(f"u{1 if kept <= 8 else 2 if kept <= 16 else 4 if kept <= 32 else 8}")
+        for xs in ((1, 2, 3), (1, 2, 3, (1 << w) - 1)):
+            tables = batch._power_tables(spec, xs, k, kept)
+            row = len(xs) * narrow.itemsize
+            packed = row in (2, 4, 8)
+            assert tables.dtype == (np.dtype(f"u{row}") if packed else narrow)
+            assert tables.shape == (powers, digits, entries, 1 if packed else len(xs))
+            entry = tables.view(narrow)
+            assert entry.shape == (powers, digits, entries, len(xs))
+            assert entry.tolist() == [
+                [[[truncate(spec.mul_int(m << (w // digits) * p, spec.poly_eval([0] * i + [1], x)),
+                            kept) for x in xs]
+                  for m in range(entries)] for p in range(digits)]
+                for i in range(k - powers, k)]
+    # a block's coefficients are drawn in the field's narrowest dtype, not as uint64 words
+    coeffs = ColumnDraws(KeyStreams(1, 2).heads(range(3))).kwise(k, w, w).coeffs
+    assert coeffs.dtype == batch._power_tables(spec, (1, 2, 3), k, w).dtype
 
 
 def test_birthday_power_tables_stay_within_1_1_mebibytes():
-    # the birthday shape: w = 32, k = 16, 128 points, in nibble tables of uint32
-    batch._power_tables.cache_clear()
-    tracemalloc.start()
-    try:
-        batch._power_tables(default_spec(32), tuple(range(128)), 16)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # the birthday shape: w = 32, k = 16, 128 points, in nibble tables
+    # of uint32 for g's 24 bits (0.94 MiB) and of uint16 for the 12 bits
+    # of h1, h2 and levin's h (0.47 MiB)
+    for kept, mebibytes in ((24, 1.1), (12, 0.55)):
         batch._power_tables.cache_clear()
-    assert held <= 1.1 * (1 << 20)
+        tracemalloc.start()
+        try:
+            batch._power_tables(default_spec(32), tuple(range(128)), 16, kept)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            batch._power_tables.cache_clear()
+        assert held <= mebibytes * (1 << 20), kept
 
 
 def test_power_table_cache_evicts_the_oldest_point_set():
@@ -171,13 +189,26 @@ def test_power_table_cache_evicts_the_oldest_point_set():
     assert size is not None
     tables.cache_clear()
     for x in range(size + 1):
-        tables(spec, (x,), 2)
+        tables(spec, (x,), 2, 8)
     assert tables.cache_info().currsize == size
     misses = tables.cache_info().misses
-    tables(spec, (size,), 2)
+    tables(spec, (size,), 2, 8)
     assert tables.cache_info().misses == misses
-    tables(spec, (0,), 2)
+    tables(spec, (0,), 2, 8)
     assert tables.cache_info().misses == misses + 1
+    # a table of fewer kept bits is another entry
+    tables(spec, (0,), 2, 4)
+    assert tables.cache_info().misses == misses + 2
+    # every table one birthday unit asks for (pp, levin and the table
+    # adw's folded basis) stays cached: a second unit builds none
+    tables.cache_clear()
+    for seed in (1, 2):
+        _, problems = birthday(24, 12, 24, 128, 16, 1, 2, seed)
+        assert problems == []
+        if seed == 1:
+            misses = tables.cache_info().misses
+    assert misses <= size
+    assert tables.cache_info().misses == misses
 
 
 def test_batch_eval_kwise_matches_scalar():

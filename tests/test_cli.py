@@ -1,13 +1,18 @@
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cuckooprf import cli
 from cuckooprf.experiments import CSV_COLUMNS
@@ -140,24 +145,65 @@ def test_failed_checks_exit_1(monkeypatch, capsys):
     assert "assertion failed: forced failure" in captured.err
 
 
+# one cheap run of each subcommand
+SMALL_ARGV = {
+    "kwise-verify": ["kwise-verify", "--k", "2"],
+    "birthday": ["birthday", "--d", "16", "--s", "8", "--r", "16", "--q", "16",
+                 "--k", "4", "--trials", "10"],
+    "uniformity": ["uniformity", "--d", "8", "--s", "8", "--r", "1", "--k", "2",
+                   "--queries", "2", "--samples", "4000"],
+    "ggm-kat": ["ggm-kat", "--pairs", "2"],
+    "involution": ["involution", "--n", "6", "--trials", "20"],
+    "adaptive-transform": ["adaptive-transform", "--n", "12", "--q", "16", "--k", "4",
+                           "--probes", "100"],
+    "adw-compare": ["adw-compare", "--d", "16", "--s", "8", "--r", "16", "--q", "16",
+                    "--k", "4", "--trials", "10"],
+}
+
+
 def test_every_subcommand_runs_small(capsys):
-    small = [
-        ["kwise-verify", "--k", "2"],
-        ["birthday", "--d", "16", "--s", "8", "--r", "16", "--q", "16",
-         "--k", "4", "--trials", "10"],
-        ["uniformity", "--d", "8", "--s", "8", "--r", "1", "--k", "2",
-         "--queries", "2", "--samples", "4000"],
-        ["ggm-kat", "--pairs", "2"],
-        ["involution", "--n", "6", "--trials", "20"],
-        ["adaptive-transform", "--n", "12", "--q", "16", "--k", "4", "--probes", "100"],
-        ["adw-compare", "--d", "16", "--s", "8", "--r", "16", "--q", "16",
-         "--k", "4", "--trials", "10"],
-    ]
-    for args in small:
+    for args in SMALL_ARGV.values():
         rc = cli.main(args)
         out = capsys.readouterr().out
         assert rc == 0, args
         assert out.split("\n")[0] == HEADER
+
+
+# every config key of every subcommand, and keys that none of them has
+_CONFIG_KEYS = st.one_of(
+    st.sampled_from(sorted({"experiment", "master_seed"}.union(
+        *(cli._options(cli.build_parser(), command) for command in SMALL_ARGV)))),
+    st.text(max_size=6))
+_NOT_INTS = st.one_of(
+    st.text(max_size=6), st.floats(), st.booleans(), st.none(),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(SMALL_ARGV)),
+       st.dictionaries(_CONFIG_KEYS, _NOT_INTS, min_size=1, max_size=3))
+@example("ggm-kat", {"out": "a\x00b"})  # a NUL in the output path
+@example("kwise-verify", {"k": None, "format": "json"})
+@example("birthday", {"out": "rows.csv", "experiment": "birthday"})
+def test_config_values_that_are_not_ints_exit_0_or_2(command, cfg):
+    # a config of str, float, bool, null, list and object values, and of
+    # keys the subcommand does not have, runs (exit 0) or is refused
+    # (exit 2), and never ends in a traceback. It runs in a directory of
+    # its own, where a str "out" writes its file.
+    cwd, out, err = os.getcwd(), io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "cfg.json").write_text(json.dumps(cfg))
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main([*SMALL_ARGV[command], "--config", "cfg.json"])
+        finally:
+            os.chdir(cwd)
+    assert rc in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        _assert_configuration_error(rc, err.getvalue())
 
 
 # CSV bytes of three small runs at the default seed, pinned before the
@@ -178,6 +224,18 @@ birthday-adw,24,24,12,24,2,128,42,60,0.0,0.0,0.0,0.0,2024,0
 adw-compare-pp,24,24,12,24,16,128,0,60,0.0,0.0,0.0,0.0,2024,0
 adw-compare-prf,24,24,12,24,2,128,6,60,0.0,0.0,0.0,0.0,2024,0
 adw-compare-table,24,24,12,24,2,128,42,60,0.0,0.0,0.0,0.0,2024,0
+""",
+    # grids at w = 16 whose table rows pack into machine words: 2-byte
+    # rows (uniformity, 2 points), 4- and 8-byte rows (birthday, 4 points)
+    ("uniformity", "--d", "16", "--s", "8", "--r", "2", "--k", "5", "--queries", "2",
+     "--samples", "16000"): """\
+uniformity,16,16,8,2,5,2,,16000,0.01618749999999999,0.0116875,0.00449999999999999,,2024,0
+""",
+    ("birthday", "--d", "16", "--s", "8", "--r", "16", "--q", "4", "--k", "5",
+     "--trials", "200"): """\
+birthday-levin,16,16,8,16,5,4,,200,0.035,0.0,0.035,0.012995191418367026,2024,0
+birthday-pp,16,16,8,16,5,4,,200,0.0,0.0,0.0,0.0,2024,0
+birthday-adw,16,16,8,16,2,4,12,200,0.0,0.0,0.0,0.0,2024,0
 """,
 }
 

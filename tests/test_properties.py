@@ -112,21 +112,44 @@ def test_underlying_call_counts(shape, data):
         assert count_calls(adw_eval, prf, x.value) == (3 * prf.z + 2, 3 + prf.z)
 
 
-@PROPERTY
-@given(st.sampled_from(SUPPORTED_WIDTHS), st.integers(1, 16), st.data())
-def test_grid_kernel_equals_eval_kwise(w, k, data):
-    points = [0] + data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=5), label="points")
-    block = SMALL_BLOCK_ELEMS // len(points)
-    rows = data.draw(st.sampled_from((1, block - 1, block, block + 1, 2 * block + 1)),
-                     label="rows")
-    r = data.draw(st.integers(1, w), label="r")
-    streams = KeyStreams(data.draw(st.integers(0, 2**64 - 1), label="seed"), 9)
+def _assert_grid_equals_eval_kwise(w, k, points, rows, r, seed):
+    """A block walk of k-wise hashes from w to r bits, drawn as word
+    columns, evaluates at points as the KWiseHashKeys that sample_kwise
+    draws from the same streams."""
+    streams = KeyStreams(seed, 9)
     with mock.patch.object(batch, "BLOCK_ELEMS", SMALL_BLOCK_ELEMS):
         grid = np.concatenate([
             batch.ColumnDraws(streams.heads(b)).kwise(k, w, r).grid(tuple(points))
             for b in batch.blocks(rows, len(points))])
     keys = [sample_kwise(k, w, r, streams.stream(t)) for t in range(rows)]
     assert grid.tolist() == [[eval_kwise(key, x) for x in points] for key in keys]
+
+
+@PROPERTY
+@given(st.sampled_from(SUPPORTED_WIDTHS), st.integers(1, 16), st.data())
+def test_grid_kernel_equals_eval_kwise(w, k, data):
+    points = [0] + data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=7), label="points")
+    block = SMALL_BLOCK_ELEMS // len(points)
+    rows = data.draw(st.sampled_from((1, block - 1, block, block + 1, 2 * block + 1)),
+                     label="rows")
+    r = data.draw(st.integers(1, w), label="r")
+    _assert_grid_equals_eval_kwise(w, k, points, rows, r,
+                                   data.draw(st.integers(0, 2**64 - 1), label="seed"))
+
+
+@pytest.mark.parametrize("w, r, q", (
+    # a0 gathered from the table of x^0 (w <= 8): rows of 2, 4 and 8 bytes
+    (4, 3, 2), (8, 8, 4), (8, 5, 8),
+    # a0 broadcast into the lanes (w >= 16): rows of 2, 4 and 8 bytes
+    (16, 8, 2), (16, 12, 2), (16, 16, 4), (32, 7, 8), (32, 12, 4), (32, 32, 2), (64, 16, 4),
+))
+def test_packed_grid_rows_equal_eval_kwise(w, r, q):
+    # q points whose kept entries fill one machine word per row, the top
+    # point of the field among them, at k = 1, 2, 5 and 16
+    rng = random.Random(w * q + r)
+    points = [0, (1 << w) - 1, *(rng.getrandbits(w) for _ in range(q - 2))]
+    for k in (1, 2, 5, 16):
+        _assert_grid_equals_eval_kwise(w, k, points, 2 * (SMALL_BLOCK_ELEMS // q) + 1, r, k)
 
 
 @pytest.mark.parametrize("side", ("table", "mixed"))
