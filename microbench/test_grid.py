@@ -9,10 +9,9 @@ function from s to r bits) in the benchmark's workloads: `uniformity`
 (d = s = 8, r = 2: w = 8, k = 8, 4 queries, 8192 rows) and `birthday`
 (d = 24, s = 12, r = 24: w = 32, k = 16, 128 queries, 250 rows). Two
 more hash grids of `birthday` have their own kept width: its pp key's
-g (24 of 32 bits kept, in uint32 tables that no row packs), and one
-chunk of its table adw key's g bar (k = 2, 1 bit kept, at the 8 basis
-points 0, 1, 2, ..., 64 of the fold, 4096 rows: one uint64 word per
-table row). The query points are fixed per game, so the grid's power
+g (24 of 32 bits kept, in uint32 tables), and one chunk of its table
+adw key's g bar (k = 2, 1 bit kept, in uint8 tables, at the 8 basis
+points 0, 1, 2, ..., 64 of the fold, 4096 rows). The query points are fixed per game, so the grid's power
 tables come from their cache after the first call, as they do in a run,
 and so does the table of f1's inner mixes, which both s-bit domains
 take.

@@ -48,13 +48,11 @@ broadcast a0. A grid works at the width of the bits it keeps: its
 tables hold only the low min(out_bits, w) bits of each entry, in the
 narrowest unsigned dtype that holds them (uint16 for birthday's 12-bit
 h1, h2 and levin h, 0.47 MiB; uint32 for its 24-bit g, 0.94 MiB), so
-its sum needs no final mask; and when a row of q entries fills 2, 4 or
-8 bytes, the row is one machine word, so each gather moves one word
-per grid row and each XOR touches 1/q as many elements. The queries of
-a game are fixed, so the tables of (field, points, k, kept bits) are
-built once, from doublings of the powers x_j^i without a field
-product, and kept in a small LRU cache; FieldSpec.poly_eval is the
-scalar reference.
+each gather and XOR moves that many bytes per entry and the sum needs
+no final mask. The queries of a game are fixed, so the tables of
+(field, points, k, kept bits) are built once, from doublings of the
+powers x_j^i without a field product, and kept in a small LRU cache;
+FieldSpec.poly_eval is the scalar reference.
 
 A lazy-random function answers a grid of points of its domain with
 prfcore.lazy_answer's two mixes, the inner one, mix64(x ^ C1), read
@@ -213,10 +211,7 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int, kept: int) -> np
     and the powers from x^1 (first = 1) have tables, (k - 1, w / 4, 16,
     q): byte tables at the birthday shape (w = 32, k = 16, 128 points)
     would hold 7.5 MB, against 0.94 MiB of 24-bit nibble tables in
-    uint32 and 0.47 MiB of 12-bit ones in uint16. When a row of q
-    entries fills 2, 4 or 8 bytes, the tables are returned viewed as
-    one such word per row, shape (..., 1), so a gather moves one word
-    per row and an XOR of rows is one word operation.
+    uint32 and 0.47 MiB of 12-bit ones in uint16.
 
     Multiplying by a fixed element is GF(2)-linear, so a digit's table
     is built as gf.linear_tables builds one, doubling row by row: row
@@ -253,8 +248,6 @@ def _power_tables(spec: FieldSpec, xs: tuple[int, ...], k: int, kept: int) -> np
     tables = np.zeros((k - first, w // digit, 1 << digit, q), dtype=dtype)
     for b in range(digit):
         np.bitwise_xor(tables[:, :, :1 << b], basis[:, :, b:b + 1], out=tables[:, :, 1 << b:2 << b])
-    if q * dtype.itemsize in (2, 4, 8):
-        tables = tables.view(f"u{q * dtype.itemsize}")
     tables.flags.writeable = False  # one cached array is shared by every caller
     return tables
 
@@ -296,11 +289,8 @@ class _Hashes:
         the q queries, which costs less than its w / 4 gathers.
 
         The tables hold only the kept bits (hashfam.window_bits), in the
-        narrowest dtype that holds them, so the sum needs no final mask.
-        When their rows are packed into one word of q lanes, the sum is
-        kept as one word per row too, and a0 is put in every lane by one
-        product with the word whose lanes each hold 1; a0 is below 2^kept,
-        so no lane carries into the next. A coefficient's digits are taken
+        narrowest dtype that holds them, and the sum is kept in that
+        dtype, so it needs no final mask. A coefficient's digits are taken
         into one (digits, rows) index buffer of the workspace at once, and
         each gather goes through one term buffer."""
         coeffs, ws = self.coeffs, self.ws
@@ -309,15 +299,12 @@ class _Hashes:
         out = ws.empty((rows, q), np.uint64)
         tables = _power_tables(self.spec, xs, coeffs.shape[1], kept)
         first = coeffs.shape[1] - len(tables)  # the power of the first table
-        digits, lanes = tables.shape[1], tables.shape[-1]
+        digits = tables.shape[1]
         with ws.frame():
-            acc = ws.empty((rows, lanes), tables.dtype)
+            acc = ws.empty((rows, q), tables.dtype)
             if first:
                 np.bitwise_and(coeffs[:, :1], truncate(~0, kept), out=acc, casting="unsafe")
-                if lanes < q:  # packed: a0 in each of the word's q lanes
-                    lane_bits = 8 * tables.itemsize // q
-                    acc *= tables.dtype.type(sum(1 << lane_bits * j for j in range(q)))
-            index, term = ws.empty((digits, rows), np.intp), ws.empty((rows, lanes), tables.dtype)
+            index, term = ws.empty((digits, rows), np.intp), ws.empty((rows, q), tables.dtype)
             shifts = np.arange(0, 4 * digits, 4, dtype=coeffs.dtype)[:, None]
             for i, (a, per_digit) in enumerate(zip(coeffs.T[first:], tables)):
                 if digits == 1:
@@ -331,7 +318,7 @@ class _Hashes:
                         acc ^= table.take(digit, axis=0, out=term, mode="clip")
                     else:  # a0 at w <= 8, the first term of the sum
                         table.take(digit, axis=0, out=acc, mode="clip")
-            np.copyto(out, acc.view(_uint(kept)))  # a packed word's lanes, one per query
+            np.copyto(out, acc)
         return out
 
 

@@ -143,21 +143,16 @@ def test_power_tables_take_whole_coefficients_up_to_w_8_and_nibbles_above(w, dig
     # whole coefficients have a table of x^0 too, through which a0 is
     # gathered; nibble fields broadcast a0 and have tables from x^1. Each
     # entry keeps the low `kept` bits of its product in the narrowest
-    # dtype that holds them, and a row of 3 points stays a row of 3
-    # entries, while a row of 4 that fills 4 or 8 bytes is one word
+    # dtype that holds them, one entry per point
     k, spec = 5, default_spec(w)
     powers = k if digits == 1 else k - 1
     for kept in sorted({1, min(w, 12), w}):
         narrow = np.dtype(f"u{1 if kept <= 8 else 2 if kept <= 16 else 4 if kept <= 32 else 8}")
         for xs in ((1, 2, 3), (1, 2, 3, (1 << w) - 1)):
             tables = batch._power_tables(spec, xs, k, kept)
-            row = len(xs) * narrow.itemsize
-            packed = row in (2, 4, 8)
-            assert tables.dtype == (np.dtype(f"u{row}") if packed else narrow)
-            assert tables.shape == (powers, digits, entries, 1 if packed else len(xs))
-            entry = tables.view(narrow)
-            assert entry.shape == (powers, digits, entries, len(xs))
-            assert entry.tolist() == [
+            assert tables.dtype == narrow
+            assert tables.shape == (powers, digits, entries, len(xs))
+            assert tables.tolist() == [
                 [[[truncate(spec.mul_int(m << (w // digits) * p, spec.poly_eval([0] * i + [1], x)),
                             kept) for x in xs]
                   for m in range(entries)] for p in range(digits)]

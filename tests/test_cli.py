@@ -225,8 +225,9 @@ adw-compare-pp,24,24,12,24,16,128,0,60,0.0,0.0,0.0,0.0,2024,0
 adw-compare-prf,24,24,12,24,2,128,6,60,0.0,0.0,0.0,0.0,2024,0
 adw-compare-table,24,24,12,24,2,128,42,60,0.0,0.0,0.0,0.0,2024,0
 """,
-    # grids at w = 16 whose table rows pack into machine words: 2-byte
-    # rows (uniformity, 2 points), 4- and 8-byte rows (birthday, 4 points)
+    # grids at w = 16 that keep fewer bits than the field: uint8 tables
+    # (uniformity, 2 points; birthday's 8-bit h1 and h2 at 4 points)
+    # and uint16 ones (birthday's 16-bit g)
     ("uniformity", "--d", "16", "--s", "8", "--r", "2", "--k", "5", "--queries", "2",
      "--samples", "16000"): """\
 uniformity,16,16,8,2,5,2,,16000,0.01618749999999999,0.0116875,0.00449999999999999,,2024,0

@@ -138,14 +138,16 @@ def test_grid_kernel_equals_eval_kwise(w, k, data):
 
 
 @pytest.mark.parametrize("w, r, q", (
-    # a0 gathered from the table of x^0 (w <= 8): rows of 2, 4 and 8 bytes
+    # a0 gathered from the table of x^0 (w <= 8), in uint8 tables
     (4, 3, 2), (8, 8, 4), (8, 5, 8),
-    # a0 broadcast into the lanes (w >= 16): rows of 2, 4 and 8 bytes
-    (16, 8, 2), (16, 12, 2), (16, 16, 4), (32, 7, 8), (32, 12, 4), (32, 32, 2), (64, 16, 4),
+    # a0 cut to the kept bits and broadcast (w >= 16), in uint8, uint16,
+    # uint32 and uint64 tables
+    (16, 8, 2), (16, 12, 2), (16, 16, 4), (32, 7, 8), (32, 12, 4), (32, 24, 3),
+    (32, 32, 2), (64, 16, 4), (64, 40, 3), (64, 64, 2),
 ))
-def test_packed_grid_rows_equal_eval_kwise(w, r, q):
-    # q points whose kept entries fill one machine word per row, the top
-    # point of the field among them, at k = 1, 2, 5 and 16
+def test_kept_width_grids_equal_eval_kwise(w, r, q):
+    # q points, the top point of the field among them, at k = 1, 2, 5
+    # and 16, where the grid keeps r of the field's w bits
     rng = random.Random(w * q + r)
     points = [0, (1 << w) - 1, *(rng.getrandbits(w) for _ in range(q - 2))]
     for k in (1, 2, 5, 16):
