@@ -10,11 +10,13 @@ already validated.
 
 mix64 is the splitmix64 finalizer. It is the only source of derived
 randomness in the experiment harness: lazy-random oracles, key streams,
-and the counter-mode PRG variant all reduce to it, which is what makes
-every run replayable from one 64-bit seed. Its numpy form mixes a
-C-ordered uint64 array in place (mix64_inplace), in one pass through
-a scratch array as long as it; the numpy twin passes the free bytes of
-its block workspace (batch.Workspace.scratch).
+the counter-mode PRG variant and the uniformity estimator's uniform
+baseline codes all reduce to it, which is what makes every run
+replayable from one 64-bit seed; no module uses numpy's generators.
+Its numpy form mixes a C-ordered uint64 array in place
+(mix64_inplace), in one pass through a scratch array as long as it;
+the numpy twin passes the free bytes of its block workspace
+(batch.Workspace.scratch).
 
 Key material comes from counter-mode streams with one rule: word j of
 the stream tagged (seed, *parts) is derive_seed(seed, *parts, j).

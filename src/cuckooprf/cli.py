@@ -134,7 +134,11 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace):
     if not args.config:
         return
     try:
-        with open(args.config) as fh:
+        fh = open(args.config)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigurationError(f"cannot read config file: {exc}") from exc
+    try:
+        with fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from exc
@@ -156,7 +160,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace):
         _check_config_value(key, val, options[dest])
         old = getattr(args, dest)
         if old != val:
-            print(f"config file overrides --{dest}: {old} -> {val}", file=sys.stderr)
+            # repr escapes a str value's control characters
+            print(f"config file overrides --{dest}: {old!r} -> {val!r}", file=sys.stderr)
         setattr(args, dest, val)
 
 

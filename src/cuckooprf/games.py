@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import batch
-from .bits import BitString, KeyStreams, derive_seed
+from .bits import BitString, KeyStreams, stream_words
 from .errors import ConfigurationError, ProtocolViolation
 from .prfcore import Oracle
 from .transform import lazy_sampler
@@ -357,6 +357,14 @@ def _pack(outs: np.ndarray, r: int) -> np.ndarray:
     return codes.view(np.int64)  # below 2^16 (the support cap), as bincount takes them
 
 
+def _baseline_codes(head: np.ndarray, words: range, support: int) -> np.ndarray:
+    """Words `words` of the stream with head `head`, each cut to its low
+    log2(support) bits: codes exactly uniform on a power-of-two support."""
+    codes = stream_words(head, words)[0]
+    codes &= np.uint64(support - 1)
+    return codes.view(np.int64)  # below 2^16, as bincount takes them
+
+
 def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> UniformityResult:
     """Plug-in statistical distance of the joint output tuple from uniform.
 
@@ -365,7 +373,10 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
     code (first query most significant). The same estimator applied to
     truly uniform codes gives baseline_sd, the estimator's own bias at
     this support and sample count, which is the meaningful comparison
-    point because the plug-in estimate is biased upward.
+    point because the plug-in estimate is biased upward. Uniform code i
+    is the low r·t bits of word i of key_stream(seed, _BASELINE_TAG),
+    that is of derive_seed(seed, _BASELINE_TAG, i); the support is a
+    power of two, so the codes are exactly uniform.
 
     handle_sampler is a callable rng -> oracle, called on sample i's
     stream sample_streams(seed).stream(i); sample 0's handle gives the
@@ -388,15 +399,17 @@ def tuple_uniformity_sd(handle_sampler, queries, samples: int, seed: int) -> Uni
             f"{samples} samples below the floor of 1000 per cell ({1000 * support})"
         )
 
-    # only the cell counts outlive a block; the baseline's codes are drawn
-    # block by block too, which reads the generator as one draw would
+    # only the cell counts outlive a block; the baseline reads its stream
+    # block by block, each block the words after the last one's
     counts, uniform = np.zeros(support, dtype=np.int64), np.zeros(support, dtype=np.int64)
-    gen = np.random.Generator(np.random.PCG64(derive_seed(seed, _BASELINE_TAG)))
+    head = KeyStreams(seed).heads(range(_BASELINE_TAG, _BASELINE_TAG + 1))
+    drawn = 0
     for codes, bad in _walk(handle_sampler, streams, samples, dist):
         if bad:
             raise ValueError("the queries must be inputs of every handle's domain")
         counts += np.bincount(codes, minlength=support)
-        uniform += np.bincount(gen.integers(0, support, size=len(codes), dtype=np.int64),
-                               minlength=support)
+        baseline = _baseline_codes(head, range(drawn, drawn + len(codes)), support)
+        uniform += np.bincount(baseline, minlength=support)
+        drawn += len(codes)
     return UniformityResult(_sd_from_counts(counts, samples), _sd_from_counts(uniform, samples),
                             support, samples)

@@ -161,6 +161,19 @@ SMALL_ARGV = {
 }
 
 
+def test_no_subcommand_imports_numpy_random():
+    # every random draw is a mix64 word, so one process running every
+    # subcommand never loads numpy's generators
+    code = ("import json, sys\n"
+            "from cuckooprf import cli\n"
+            "rcs = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([rcs, 'numpy.random' in sys.modules]), file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(list(SMALL_ARGV.values()))],
+                          capture_output=True, text=True, env=env)
+    assert json.loads(proc.stderr) == [[0] * len(SMALL_ARGV), False], proc.stderr
+
+
 def test_every_subcommand_runs_small(capsys):
     for args in SMALL_ARGV.values():
         rc = cli.main(args)
@@ -202,8 +215,17 @@ def test_config_values_that_are_not_ints_exit_0_or_2(command, cfg):
             os.chdir(cwd)
     assert rc in (0, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    # a str value's control characters are printed escaped
+    assert not re.search(r"[\x00-\x09\x0b-\x1f\x7f]", err.getvalue()), err.getvalue()
     if rc == 2:
         _assert_configuration_error(rc, err.getvalue())
+
+
+def test_a_config_path_with_a_nul_cannot_be_read(capsys):
+    rc = cli.main(["ggm-kat", "--pairs", "2", "--config", "a\x00b"])
+    err = capsys.readouterr().err
+    _assert_configuration_error(rc, err)
+    assert "configuration error: cannot read config file" in err
 
 
 # CSV bytes of three small runs at the default seed, pinned before the
@@ -230,7 +252,7 @@ adw-compare-table,24,24,12,24,2,128,42,60,0.0,0.0,0.0,0.0,2024,0
     # and uint16 ones (birthday's 16-bit g)
     ("uniformity", "--d", "16", "--s", "8", "--r", "2", "--k", "5", "--queries", "2",
      "--samples", "16000"): """\
-uniformity,16,16,8,2,5,2,,16000,0.01618749999999999,0.0116875,0.00449999999999999,,2024,0
+uniformity,16,16,8,2,5,2,,16000,0.01618749999999999,0.016000000000000007,0.00018749999999998282,,2024,0
 """,
     ("birthday", "--d", "16", "--s", "8", "--r", "16", "--q", "4", "--k", "5",
      "--trials", "200"): """\

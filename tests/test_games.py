@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cuckooprf import batch
+from cuckooprf import batch, games
 from cuckooprf.bits import BitString, key_stream
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.games import (
@@ -292,6 +292,32 @@ def test_lazy_handles_sit_at_the_baseline_scale():
     res = tuple_uniformity_sd(lazy_handle, [BitString(i, 8) for i in range(2)], 4000, 619)
     assert res.support == 4
     assert res.sd_estimate <= res.baseline_sd + 0.02
+
+
+def _baseline_stream_codes(seed, bits, samples):
+    """The rule of the uniform codes: sample i's is the low `bits` bits of
+    word i of key_stream(seed, _BASELINE_TAG)."""
+    rng = key_stream(seed, games._BASELINE_TAG)
+    return [rng.getrandbits(bits) for _ in range(samples)]
+
+
+def test_baseline_codes_are_the_low_bits_of_the_baseline_stream(monkeypatch):
+    real, drawn = games._baseline_codes, []
+    monkeypatch.setattr(games, "_baseline_codes",
+                        lambda *args: drawn.append(real(*args)) or drawn[-1])
+    res = tuple_uniformity_sd(_lazy_sampler(8, 2), [BitString(i, 8) for i in range(2)], 16000, 620)
+    codes = np.concatenate(drawn)
+    assert codes.tolist() == _baseline_stream_codes(620, 4, 16000)
+    assert res.baseline_sd == games._sd_from_counts(np.bincount(codes, minlength=16), 16000)
+
+
+def test_baseline_sd_does_not_depend_on_the_block_size(monkeypatch):
+    sampler, queries = KeySampler(pp_layout(8, 8, 1, 8)), [BitString(i, 8) for i in range(2)]
+    whole = tuple_uniformity_sd(sampler, queries, 4000, 621)
+    monkeypatch.setattr(batch, "BLOCK_ELEMS", 512)  # 16 blocks of at most 256 samples
+    assert tuple_uniformity_sd(sampler, queries, 4000, 621) == whole
+    codes = np.bincount(_baseline_stream_codes(621, 2, 4000), minlength=4)
+    assert whole.baseline_sd == games._sd_from_counts(codes, 4000)
 
 
 def test_uniformity_guard_rails():
