@@ -94,10 +94,6 @@ class ADWKey:
                     raise ValueError(f"inner map range is not {bits} bits")
 
     @property
-    def z(self) -> int:
-        return len(self.gbar)
-
-    @property
     def domain_bits(self) -> int:
         return self.h1.domain_bits
 

@@ -20,6 +20,7 @@ as violations.
 from __future__ import annotations
 
 import json
+import sys
 from itertools import islice
 
 import numpy as np
@@ -48,6 +49,7 @@ from .transform import (
     adw_z,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
+    check_independence,
     check_widths,
     lazy_sampler,
     pp_layout,
@@ -135,8 +137,7 @@ def uniformity(d: int, s: int, r: int, k: int, queries: int, samples: int, seed:
         raise ConfigurationError("s must be positive")
     if d < s:
         raise ConfigurationError(f"extended domain d={d} below underlying s={s}")
-    if k < 2:
-        raise ConfigurationError(f"independence k must be at least 2, got {k}")
+    check_independence(k, d)
     sampler = KeySampler(pp_layout(d, s, r, k))
     qs = tuple(BitString(i, d) for i in range(queries))
     res = tuple_uniformity_sd(sampler, qs, samples, seed)
@@ -198,8 +199,10 @@ def ggm_kat(pairs: int, seed: int):
 
 def involution(n: int, trials: int, seed: int):
     """Adaptive vs nonadaptive distinguishers against a random involution."""
-    if n < 1:
-        raise ConfigurationError(f"involution needs n >= 1, got {n}")
+    # the distinguishers' queries are built before any InvolutionOracle
+    # checks its cap
+    if not 1 <= n <= 16:
+        raise ConfigurationError(f"involution needs 1 <= n <= 16, got {n}")
     real, ideal = involution_samplers(n)
     rows = []
     for name, dist in (("involution-adaptive", involution_distinguisher(n)),
@@ -276,8 +279,8 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
     per stream_words call, and advances both chains with it. Each target
     is folded (fold_adw) once, before the loop, and the loop asks the
     folds."""
-    if probes < 1:
-        raise ConfigurationError("probes must be positive")
+    if not 1 <= probes <= sys.maxsize:  # islice takes at most sys.maxsize
+        raise ConfigurationError(f"probes must be in 1..{sys.maxsize}, got {probes}")
     pp_tally, adw_tally = _CallTally(4 * q), _CallTally(4 * q)
     pp = fold_adw(build_adaptive_from_nonadaptive(n, q, k, key_stream(seed, _PROBE_TAG, 0),
                                                   f_sampler=pp_tally).key)

@@ -89,7 +89,9 @@ class FieldSpec:
     over the generator x+1 of the multiplicative group, built on first
     use and cached on the instance, so reuse one spec per field
     (default_spec does this) rather than constructing in a loop. For w
-    in {32, 64}, the schoolbook _mul_raw.
+    in {32, 64}, the schoolbook _mul_raw. Specs compare by identity,
+    so a cache keyed on a spec (batch._power_tables) is shared through
+    default_spec's one spec per width.
     """
 
     def __init__(self, width: int):
@@ -101,15 +103,6 @@ class FieldSpec:
             raise ValueError(f"reduction polynomial {self.poly:#x} is reducible")
         self._log: array | None = None
         self._exp: array | None = None
-
-    def __repr__(self):
-        return f"FieldSpec(width={self.width})"
-
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.width == other.width
-
-    def __hash__(self):
-        return hash(self.width)
 
     def _build_logexp(self) -> tuple[array, array]:
         if self._log is None:

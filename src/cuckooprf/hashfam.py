@@ -124,9 +124,6 @@ class RandomTable:
             if not 0 <= e < (1 << self.entry_bits):
                 raise ValueError(f"entry {e:#x} out of range for {self.entry_bits} bits")
 
-    def __len__(self):
-        return len(self.entries)
-
     @property
     def domain_bits(self) -> int:
         return len(self.entries).bit_length() - 1

@@ -8,19 +8,18 @@ which makes experiments exact: the combiner is then measured against
 a genuinely random backing function, so any distinguishing advantage
 is attributable to the combiner itself.
 
-The five builders, each one of the two slot layouts below, all
-return an ADWOracle: pp_layout is the adw key with z = 0, no inner
-maps, and adw_layout the one with z of them.
+The pp and adw domain extensions are their slot layouts run on
+KeyDraws(rng, f_sampler): pp_sampler(p)(rng), or
+adw_layout(p, variant)(KeyDraws(rng)). pp spends two underlying calls
+per query (q <= 2^(s-2)), the "prf" adw variant 3z+2 and the "table"
+variant two plus lookups. pp_layout is the adw key with z = 0, no
+inner maps, and adw_layout the one with z of them. The three builders,
+each one of the two layouts, all return an ADWOracle:
 
-  build_pp_domain_extension      s-bit-domain PRF -> d-bit-domain PRF,
-                                 two calls per query, q <= 2^(s-2)
   build_adaptive_from_nonadaptive
                                  nonadaptively-secure PRF -> adaptively
                                  secure PRF: pp_layout with h1 and h2
                                  restricted to the first 4q strings
-  build_adw_domain_extension     pp plus z inner maps; the "prf"
-                                 variant spends 3z+2 calls, the
-                                 "table" variant 2 calls plus lookups
   build_adw_adaptive_from_nonadaptive
                                  the table adw_layout with h1, h2 and
                                  the m-table entries inside the first
@@ -78,8 +77,7 @@ class ExtensionParams:
         check_widths(d=self.d, r=self.r)
         if self.d < self.s:
             raise ConfigurationError(f"extended domain d={self.d} below underlying s={self.s}")
-        if self.k < 2:
-            raise ConfigurationError(f"independence k must be at least 2, got {self.k}")
+        check_independence(self.k, self.d)
         if self.q < 1:
             raise ConfigurationError("query budget q must be positive")
         if self.c < 1:
@@ -91,6 +89,13 @@ def check_widths(**bits: int):
     for name, value in bits.items():
         if not 1 <= value <= MAX_WIDTH:
             raise ConfigurationError(f"{name}={value} is outside 1..{MAX_WIDTH} bits")
+
+
+def check_independence(k: int, d: int):
+    """Reject k outside 2..2^d: no family on 2^d inputs is more than
+    2^d-wise independent."""
+    if not 2 <= k <= 1 << d:
+        raise ConfigurationError(f"independence k={k} is outside 2..2^{d}")
 
 
 def lazy_random_sampler(rng, domain_bits: int, range_bits: int) -> LazyRandomOracle:
@@ -177,12 +182,6 @@ def pp_sampler(p: ExtensionParams) -> KeySampler:
     return KeySampler(pp_layout(p.d, p.s, p.r, p.k))
 
 
-def build_pp_domain_extension(p: ExtensionParams, rng, f_sampler=None) -> ADWOracle:
-    """pp combiner over two fresh underlying PRFs: d-bit domain from
-    s-bit domain at exactly two underlying calls per query."""
-    return pp_sampler(p).layout(KeyDraws(rng, f_sampler))
-
-
 def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None) -> ADWOracle:
     """pp combiner with both hash ranges restricted to the first 4q
     strings of {0,1}^n, so the underlying PRFs are only ever evaluated
@@ -190,8 +189,7 @@ def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None)
     the full query set is fixed in advance.
     """
     check_widths(n=n)
-    if k < 2:
-        raise ConfigurationError(f"independence k must be at least 2, got {k}")
+    check_independence(k, n)
     if q < 1 or q & (q - 1):
         raise ConfigurationError(f"query budget q={q} must be a power of two")
     if 4 * q > 1 << n:
@@ -277,11 +275,6 @@ def adw_layout(p: ExtensionParams, variant: str, window: int | None = None):
     return layout
 
 
-def build_adw_domain_extension(p: ExtensionParams, variant: str, rng, f_sampler=None) -> ADWOracle:
-    """adw combiner over fresh inner maps and underlying PRFs; see adw_layout."""
-    return adw_layout(p, variant)(KeyDraws(rng, f_sampler))
-
-
 def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=None) -> ADWOracle:
     """Table-backed adw analogue of build_adaptive_from_nonadaptive.
 
@@ -305,8 +298,7 @@ def build_prg_prf(prg: PrgSpec, m: int, n: int, k: int, q: int, rng) -> ADWOracl
     """
     if prg.seed_bits != n:
         raise ConfigurationError(f"prg seed of {prg.seed_bits} bits, output domain needs {n}")
-    if k < 2:
-        raise ConfigurationError(f"independence k must be at least 2, got {k}")
+    check_independence(k, n)
     if m < 2 or q > 1 << (m - 2):
         raise ConfigurationError(f"query budget q={q} exceeds 2^(m-2) for m={m}")
 

@@ -16,10 +16,11 @@ from cuckooprf.hashfam import exhaustive_independence_check, sample_kwise
 from cuckooprf.prfcore import GgmKey, LazyRandomOracle, PrgSpec, ggm_eval
 from cuckooprf.transform import (
     ExtensionParams,
+    KeyDraws,
+    adw_layout,
     build_adaptive_from_nonadaptive,
-    build_adw_domain_extension,
-    build_pp_domain_extension,
     build_prg_prf,
+    pp_sampler,
 )
 from closedforms import birthday_closed_form, pp_formula
 from spies import InstrumentedOracle, counting_sampler
@@ -149,11 +150,12 @@ def test_criterion_6_adaptive_builder_query_locality():
     )
 
 
-def _counted(build):
-    """The oracle build(f_sampler) returns for a counting_sampler, and a
-    function that queries it at x and returns the underlying calls made."""
+def _counted(layout, seed: int):
+    """The oracle layout draws from random.Random(seed) with a
+    counting_sampler, and a function that queries it at x and returns
+    the underlying calls made."""
     spies: list[InstrumentedOracle] = []
-    oracle = build(counting_sampler(spies))
+    oracle = layout(KeyDraws(random.Random(seed), counting_sampler(spies)))
 
     def calls(x: int) -> int:
         before = sum(f.calls for f in spies)
@@ -167,17 +169,14 @@ def test_criterion_7_call_count_accounting():
     runs = 1000
     rng = random.Random(SEED)
 
-    _, pp_calls = _counted(lambda fs: build_pp_domain_extension(
-        ExtensionParams(24, 12, 24, 16, 128), random.Random(1), fs))
+    _, pp_calls = _counted(pp_sampler(ExtensionParams(24, 12, 24, 16, 128)).layout, 1)
     pp_ok = all(pp_calls(rng.getrandbits(24)) == 2 for _ in range(runs))
 
-    prf, prf_calls = _counted(lambda fs: build_adw_domain_extension(
-        ExtensionParams(20, 10, 12, 2, 16, c=1), "prf", random.Random(2), fs))
-    z = prf.key.z
+    prf, prf_calls = _counted(adw_layout(ExtensionParams(20, 10, 12, 2, 16, c=1), "prf"), 2)
+    z = len(prf.key.gbar)
     prf_ok = all(prf_calls(rng.getrandbits(20)) == 3 * z + 2 for _ in range(runs))
 
-    _, table_calls = _counted(lambda fs: build_adw_domain_extension(
-        ExtensionParams(24, 12, 24, 2, 128, c=1), "table", random.Random(3), fs))
+    _, table_calls = _counted(adw_layout(ExtensionParams(24, 12, 24, 2, 128, c=1), "table"), 3)
     table_ok = all(table_calls(rng.getrandbits(24)) == 2 for _ in range(runs))
 
     m = 8

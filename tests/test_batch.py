@@ -46,8 +46,6 @@ from cuckooprf.transform import (
     adw_layout,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
-    build_adw_domain_extension,
-    build_pp_domain_extension,
     build_prg_prf,
     lazy_sampler,
     pp_layout,
@@ -245,7 +243,7 @@ def test_batch_answers_levin():
 def test_batch_answers_pp():
     p = ExtensionParams(24, 12, 24, 8, 128)
     qrng = random.Random(708)
-    _pointwise_check(pp_layout(24, 12, 24, 8), lambda rng: build_pp_domain_extension(p, rng),
+    _pointwise_check(pp_layout(24, 12, 24, 8), pp_sampler(p),
                      [BitString(qrng.getrandbits(24), 24) for _ in range(40)])
 
 
@@ -260,14 +258,14 @@ def test_batch_answers_adw_table():
     p = ExtensionParams(24, 12, 24, 2, 128, c=1)
     qrng = random.Random(712)
     _pointwise_check(adw_layout(p, "table"),
-                     lambda rng: build_adw_domain_extension(p, "table", rng),
+                     KeySampler(adw_layout(p, "table")),
                      [BitString(qrng.getrandbits(24), 24) for _ in range(25)])
 
 
 def test_batch_answers_adw_prf():
     p = ExtensionParams(20, 10, 12, 2, 16, c=1)
     qrng = random.Random(714)
-    _pointwise_check(adw_layout(p, "prf"), lambda rng: build_adw_domain_extension(p, "prf", rng),
+    _pointwise_check(adw_layout(p, "prf"), KeySampler(adw_layout(p, "prf")),
                      [BitString(qrng.getrandbits(20), 20) for _ in range(25)])
 
 
@@ -523,7 +521,7 @@ def test_birthday_adw_block_folds_from_8_points():
     with mock.patch.object(batch._ADW, "_inner", autospec=True,
                            side_effect=batch._ADW._inner) as inner:
         _pointwise_check(adw_layout(p, "table"),
-                         lambda rng: build_adw_domain_extension(p, "table", rng),
+                         KeySampler(adw_layout(p, "table")),
                          [BitString(i, 24) for i in range(128)])
     assert [call.args[1] for call in inner.call_args_list] == [(0, 1, 2, 4, 8, 16, 32, 64)]
 

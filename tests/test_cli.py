@@ -327,6 +327,23 @@ def test_out_of_range_parameters_exit_2(argv, capsys):
     _assert_configuration_error(rc, capsys.readouterr().err)
 
 
+# far past a cap, each refused before any work: islice's sys.maxsize,
+# the involution's n <= 16 (its queries are built before any oracle),
+# and k <= 2^d, past which no family on 2^d inputs is k-wise independent
+@pytest.mark.parametrize("argv", [
+    ["adaptive-transform", "--probes", str(10**20)],
+    ["involution", "--n", str(10**20)],
+    *([command, "--k", str(10**20)]
+      for command in ("birthday", "uniformity", "adaptive-transform", "adw-compare")),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_values_past_their_caps_exit_2(argv, capsys):
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    _assert_configuration_error(rc, err)
+    assert len([line for line in err.splitlines()
+                if line.startswith("configuration error:")]) == 1
+
+
 def _int_options():
     """(subcommand, flag, config key) for every int option of every
     subcommand but --seed, whose range has its own tests."""

@@ -132,11 +132,6 @@ def _small_adw_key(z, seed, table_maps=True):
     return ADWKey(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, f2)
 
 
-def test_adw_z_property():
-    assert _small_adw_key(0, 1).z == 0
-    assert _small_adw_key(3, 1).z == 3
-
-
 def test_adw_zero_z_degenerates_to_pp():
     key = _small_adw_key(0, 405)
     for v in range(64):

@@ -202,7 +202,7 @@ def test_adaptive_transform_folds_each_target_once_and_probes_the_folds(monkeypa
     monkeypatch.setattr(experiments, "fold_adw", spy)
     rows, problems = adaptive_transform(16, 64, 12, probes, 2024)
     assert problems == [] and [r["trials"] for r in rows] == [probes, probes]
-    assert [key.z for key, _, _ in folds] == [0, adw_table_z(experiments._ADAPTIVE_C, 64)]
+    assert [len(key.gbar) for key, _, _ in folds] == [0, adw_table_z(experiments._ADAPTIVE_C, 64)]
     assert [fold_kind(folded) for _, folded, _ in folds] == ["tables", "tables"]
     assert [len(asked) for _, _, asked in folds] == [probes, probes]
     _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)

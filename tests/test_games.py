@@ -87,6 +87,12 @@ def test_repeated_query_is_a_violation():
     assert res.p_real == 0.0 and res.p_ideal == 0.0
 
 
+def test_the_base_distinguisher_runs_nothing():
+    # run is abstract: a subclass that does not override it cannot play
+    with pytest.raises(NotImplementedError):
+        Distinguisher().run(None)
+
+
 def test_budget_overrun_is_a_violation():
     class Greedy(Distinguisher):
         budget = 2

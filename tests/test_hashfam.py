@@ -166,7 +166,7 @@ def test_constructing_keys_builds_no_field_tables():
 
 def test_sample_table_shape_and_determinism():
     t = sample_table(8, 5, random.Random(21))
-    assert len(t) == 8
+    assert len(t.entries) == 8
     assert all(0 <= e < 32 for e in t.entries)
     assert t == sample_table(8, 5, random.Random(21))
     assert t.domain_bits == 3 and t.range_bits == 5
@@ -178,7 +178,7 @@ def test_sample_table_shape_and_determinism():
 def test_sample_table_entries_look_uniform():
     # mean Hamming weight of 8-bit entries should sit near 4
     t = sample_table(10000, 8, random.Random(22))
-    mean = sum(bin(e).count("1") for e in t.entries) / len(t)
+    mean = sum(bin(e).count("1") for e in t.entries) / len(t.entries)
     assert abs(mean - 4.0) < 0.1
 
 

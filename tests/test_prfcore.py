@@ -17,6 +17,7 @@ from cuckooprf.prfcore import (
     GgmOracle,
     LazyRandomOracle,
     LevinOracle,
+    Oracle,
     PrgSpec,
     ggm_eval,
     lazy_answer,
@@ -196,6 +197,12 @@ def test_ggm_key_validation():
     for bad in (-1, 1 << 4):
         with pytest.raises(ValueError):
             ggm_eval(key, bad)
+
+
+def test_the_base_oracle_answers_nothing():
+    # eval_int is abstract: an oracle that does not override it cannot be queried
+    with pytest.raises(NotImplementedError):
+        Oracle(4, 4).query(BitString(0, 4))
 
 
 def test_levin_is_hash_then_query():

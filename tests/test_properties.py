@@ -37,8 +37,6 @@ from cuckooprf.transform import (
     adw_z,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
-    build_adw_domain_extension,
-    build_pp_domain_extension,
     lazy_sampler,
     pp_layout,
     pp_sampler,
@@ -103,13 +101,14 @@ def test_underlying_call_counts(shape, data):
     _, d, s, r, k = shape
     rng = _rng(data)
     xs = _inputs(data, d)
-    pp = build_pp_domain_extension(ExtensionParams(d, s, r, k, 1), rng).key
-    table = build_adw_domain_extension(ExtensionParams(d, s, r, 2, 2), "table", rng).key
-    prf = build_adw_domain_extension(_prf_adw_params(shape, data), "prf", rng).key
+    pp = pp_sampler(ExtensionParams(d, s, r, k, 1))(rng).key
+    table = adw_layout(ExtensionParams(d, s, r, 2, 2), "table")(KeyDraws(rng)).key
+    prf = adw_layout(_prf_adw_params(shape, data), "prf")(KeyDraws(rng)).key
+    z = len(prf.gbar)
     for x in xs:
         assert count_calls(adw_eval, pp, x.value) == (2, 3)
-        assert count_calls(adw_eval, table, x.value) == (2, 3 + table.z)
-        assert count_calls(adw_eval, prf, x.value) == (3 * prf.z + 2, 3 + prf.z)
+        assert count_calls(adw_eval, table, x.value) == (2, 3 + len(table.gbar))
+        assert count_calls(adw_eval, prf, x.value) == (3 * z + 2, 3 + z)
 
 
 def _assert_grid_equals_eval_kwise(w, k, points, rows, r, seed):
@@ -270,7 +269,8 @@ def _assert_twin_equals_scalar(shape, kind: str, data):
         # z padded prf views as inner maps: the twin's padded slot
         p = _prf_adw_params((w, d, max(s, 3), r, k), data)
         r = p.r
-        build, layout = partial(build_adw_domain_extension, p, "prf"), adw_layout(p, "prf")
+        build = KeySampler(adw_layout(p, "prf"))
+        layout = build.layout
     else:
         q = 1 << data.draw(st.integers(0, min(2, s - 2)), label="log2 q")
         build = {
@@ -408,7 +408,7 @@ def _table_adw(data, d: int, restricted: bool):
     if restricted:
         return lambda rng, f_sampler=None: build_adw_adaptive_from_nonadaptive(
             d, p.q, p.c, rng, f_sampler)
-    return lambda rng, f_sampler=None: build_adw_domain_extension(p, "table", rng, f_sampler)
+    return lambda rng, f_sampler=None: adw_layout(p, "table")(KeyDraws(rng, f_sampler))
 
 
 def _table_params(data, d: int) -> ExtensionParams:
@@ -536,7 +536,7 @@ def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     layout = pp_layout(d, s, data.draw(st.integers(1, 64), label="r"), k)
     seen: list[InstrumentedOracle] = []
     oracle = layout(KeyDraws(_rng(data), counting_sampler(seen)))
-    assert oracle.key.z == 0 and is_affine(oracle.key) == affine
+    assert oracle.key.gbar == () and is_affine(oracle.key) == affine
     xs = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=d + 3, max_size=d + 6),
                    label="xs")
     answers = [oracle.query(BitString(x, d)).value for x in xs]

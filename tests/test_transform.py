@@ -11,13 +11,15 @@ from cuckooprf.hashfam import RandomTable, sample_kwise
 from cuckooprf.prfcore import LazyRandomOracle, PrgSpec
 from cuckooprf.transform import (
     ExtensionParams,
+    KeyDraws,
+    KeySampler,
     PaddedPrfMap,
+    adw_layout,
     adw_z,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
-    build_adw_domain_extension,
-    build_pp_domain_extension,
     build_prg_prf,
+    pp_sampler,
 )
 from spies import InstrumentedOracle, counting_sampler
 
@@ -28,6 +30,10 @@ def test_params_validation():
         ExtensionParams(10, 12, 24, 8, 128)  # d < s
     with pytest.raises(ConfigurationError):
         ExtensionParams(24, 12, 24, 1, 128)
+    # no family on 2^d inputs is more than 2^d-wise independent
+    ExtensionParams(4, 4, 4, 16, 1)
+    with pytest.raises(ConfigurationError):
+        ExtensionParams(4, 4, 4, 17, 1)
     with pytest.raises(ConfigurationError):
         ExtensionParams(24, 12, 24, 8, 0)
     with pytest.raises(ConfigurationError):
@@ -37,17 +43,17 @@ def test_params_validation():
 def test_query_budget_boundary():
     # q up to 2^(s-2) builds, one past it does not
     p_ok = ExtensionParams(24, 12, 24, 4, 1 << 10)
-    build_pp_domain_extension(p_ok, random.Random(1))
+    pp_sampler(p_ok)(random.Random(1))
     p_bad = ExtensionParams(24, 12, 24, 4, (1 << 10) + 1)
     with pytest.raises(ConfigurationError):
-        build_pp_domain_extension(p_bad, random.Random(1))
+        pp_sampler(p_bad)
 
 
 def test_pp_builder_shapes_and_determinism():
     p = ExtensionParams(20, 10, 16, 6, 64)
-    a = build_pp_domain_extension(p, random.Random(42))
-    b = build_pp_domain_extension(p, random.Random(42))
-    c = build_pp_domain_extension(p, random.Random(43))
+    a = pp_sampler(p)(random.Random(42))
+    b = pp_sampler(p)(random.Random(42))
+    c = pp_sampler(p)(random.Random(43))
     assert a.domain_bits == 20 and a.range_bits == 16
     rng = random.Random(501)
     diffs = 0
@@ -61,7 +67,7 @@ def test_pp_builder_shapes_and_determinism():
 def test_pp_builder_uses_two_calls():
     p = ExtensionParams(20, 10, 16, 6, 64)
     spies: list[InstrumentedOracle] = []
-    o = build_pp_domain_extension(p, random.Random(44), counting_sampler(spies))
+    o = pp_sampler(p).layout(KeyDraws(random.Random(44), counting_sampler(spies)))
     o.eval_int(77)
     f_calls = sum(f.calls for f in spies)
     assert f_calls == 2
@@ -116,9 +122,9 @@ def test_adw_z_values():
 def test_adw_prf_variant_shape_and_cost():
     p = ExtensionParams(20, 10, 12, 2, 16, c=1)
     spies: list[InstrumentedOracle] = []
-    o = build_adw_domain_extension(p, "prf", random.Random(47), counting_sampler(spies))
+    o = adw_layout(p, "prf")(KeyDraws(random.Random(47), counting_sampler(spies)))
     assert o.domain_bits == 20 and o.range_bits == 12
-    z = o.key.z
+    z = len(o.key.gbar)
     assert z == 6
     u = math.ceil(math.log2(p.q))
     assert all(g.range_bits == u for g in o.key.gbar)
@@ -130,22 +136,22 @@ def test_adw_prf_variant_shape_and_cost():
 
 def test_adw_prf_variant_parameter_guards():
     with pytest.raises(ConfigurationError):
-        build_adw_domain_extension(ExtensionParams(20, 10, 12, 2, 1), "prf", random.Random(1))
+        adw_layout(ExtensionParams(20, 10, 12, 2, 1), "prf")
     # the prf variant pads s-bit inner outputs into the r-bit XOR, so s > r fails
     with pytest.raises(ConfigurationError):
-        build_adw_domain_extension(ExtensionParams(20, 10, 8, 2, 16), "prf", random.Random(1))
+        adw_layout(ExtensionParams(20, 10, 8, 2, 16), "prf")
 
 
 def test_adw_table_variant_shape_and_cost():
     p = ExtensionParams(20, 10, 12, 2, 16, c=1)
     spies: list[InstrumentedOracle] = []
-    o = build_adw_domain_extension(p, "table", random.Random(48), counting_sampler(spies))
-    z = o.key.z
+    o = adw_layout(p, "table")(KeyDraws(random.Random(48), counting_sampler(spies)))
+    z = len(o.key.gbar)
     assert z == 2 * 3 * 4
     assert all(g.range_bits == 1 for g in o.key.gbar)
     for m in o.key.m1bar + o.key.m2bar + o.key.ybar:
         assert isinstance(m, RandomTable)
-        assert len(m) == 2
+        assert len(m.entries) == 2
     o.eval_int(123)
     f_calls = sum(f.calls for f in spies)
     assert f_calls == 2
@@ -154,8 +160,8 @@ def test_adw_table_variant_shape_and_cost():
 def test_adw_builder_determinism():
     p = ExtensionParams(18, 9, 10, 2, 8, c=1)
     for variant in ("prf", "table"):
-        a = build_adw_domain_extension(p, variant, random.Random(49))
-        b = build_adw_domain_extension(p, variant, random.Random(49))
+        a = adw_layout(p, variant)(KeyDraws(random.Random(49)))
+        b = adw_layout(p, variant)(KeyDraws(random.Random(49)))
         for v in (0, 999, 2**18 - 1):
             x = BitString(v, 18)
             assert a.query(x) == b.query(x)
@@ -178,12 +184,12 @@ def test_adw_adaptive_builder_stays_in_prefix():
 
 
 @pytest.mark.parametrize("name, d, build", [
-    ("pp", 20, lambda rng: build_pp_domain_extension(ExtensionParams(20, 10, 16, 6, 64), rng)),
+    ("pp", 20, lambda rng: pp_sampler(ExtensionParams(20, 10, 16, 6, 64))(rng)),
     ("adaptive-pp", 10, lambda rng: build_adaptive_from_nonadaptive(10, 8, 4, rng)),
-    ("adw-prf", 20, lambda rng: build_adw_domain_extension(
-        ExtensionParams(20, 10, 12, 2, 16), "prf", rng)),
-    ("adw-table", 20, lambda rng: build_adw_domain_extension(
-        ExtensionParams(20, 10, 12, 2, 16), "table", rng)),
+    ("adw-prf", 20, lambda rng: adw_layout(ExtensionParams(20, 10, 12, 2, 16), "prf")(
+        KeyDraws(rng))),
+    ("adw-table", 20, lambda rng: adw_layout(ExtensionParams(20, 10, 12, 2, 16), "table")(
+        KeyDraws(rng))),
     ("adaptive-adw", 10, lambda rng: build_adw_adaptive_from_nonadaptive(10, 8, 1, rng)),
 ])
 def test_query_builds_one_bitstring_its_answer(name, d, build):
@@ -270,18 +276,17 @@ def test_prg_prf_minimal_budget_uses_two_bit_trees():
     assert o.key.f1.prg_calls + o.key.f2.prg_calls == 4
 
 
-# Every builder at two shapes (one for prg), each answering 40 fixed
-# inputs, the adw keys from their folds. The digest was taken from the builders as they were before
-# they became layout wrappers; a changed draw order changes it.
+# pp, both adw variants and the three builders, at two shapes each (one
+# for prg and for each adw variant), each answering 40 fixed inputs. The
+# digest was taken from the five builders of pp, adw and the wrappers as
+# they were before they became layouts; a changed draw order changes it.
 _GOLDEN_BUILDS = (
-    ("pp", 24, lambda rng: build_pp_domain_extension(ExtensionParams(24, 12, 24, 8, 128), rng)),
-    ("pp-small", 16, lambda rng: build_pp_domain_extension(ExtensionParams(16, 8, 12, 3, 16), rng)),
+    ("pp", 24, pp_sampler(ExtensionParams(24, 12, 24, 8, 128))),
+    ("pp-small", 16, pp_sampler(ExtensionParams(16, 8, 12, 3, 16))),
     ("adaptive-pp", 16, lambda rng: build_adaptive_from_nonadaptive(16, 64, 12, rng)),
     ("adaptive-pp-small", 10, lambda rng: build_adaptive_from_nonadaptive(10, 8, 3, rng)),
-    ("adw-table", 24, lambda rng: build_adw_domain_extension(
-        ExtensionParams(24, 12, 24, 2, 128), "table", rng)),
-    ("adw-prf", 20, lambda rng: build_adw_domain_extension(
-        ExtensionParams(20, 10, 12, 2, 16), "prf", rng)),
+    ("adw-table", 24, KeySampler(adw_layout(ExtensionParams(24, 12, 24, 2, 128), "table"))),
+    ("adw-prf", 20, KeySampler(adw_layout(ExtensionParams(20, 10, 12, 2, 16), "prf"))),
     ("adaptive-adw", 16, lambda rng: build_adw_adaptive_from_nonadaptive(16, 64, 1, rng)),
     ("adaptive-adw-small", 10, lambda rng: build_adw_adaptive_from_nonadaptive(10, 8, 2, rng)),
     ("prg-prf", 16, lambda rng: build_prg_prf(PrgSpec("mix64", 16), 8, 16, 4, 16, rng)),
