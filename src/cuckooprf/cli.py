@@ -11,6 +11,10 @@ among them) or the output (--out or stdout) cannot be written.
 
 A flat JSON config file (--config) mirrors the flag names (master_seed
 for --seed) and wins over flags on conflict, with a notice on stderr.
+
+Each subcommand is one driver of cuckooprf.experiments, named like it
+with underscores for dashes, and its options but --out, --format and
+--config are the driver's keyword parameters.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ import sys
 from . import experiments
 from .errors import ConfigurationError
 
+# options of the front end, not parameters of a driver
+_FRONT_END = ("help", "out", "format", "config")
+
 
 def _add_common(sp, trials_default=None):
     sp.add_argument("--seed", type=int, default=2024,
@@ -36,6 +43,16 @@ def _add_common(sp, trials_default=None):
                     help="output format (default csv)")
     sp.add_argument("--config", default=None,
                     help="flat JSON config file; overrides flags on conflict")
+
+
+def _add_shape(sp, k_help: str):
+    """The extension shape flags of birthday and adw-compare."""
+    sp.add_argument("--d", type=int, default=24, help="extended domain bits (default 24)")
+    sp.add_argument("--s", type=int, default=12, help="underlying PRF domain bits (default 12)")
+    sp.add_argument("--r", type=int, default=24, help="range bits (default 24)")
+    sp.add_argument("--q", type=int, default=128, help="queries per trial (default 128)")
+    sp.add_argument("--k", type=int, default=16, help=f"{k_help} (default 16)")
+    sp.add_argument("--c", type=int, default=1, help="adw hardness exponent (default 1)")
 
 
 @functools.cache
@@ -58,12 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("birthday",
                         help="collision attack against levin, pp, and adw extensions")
-    sp.add_argument("--d", type=int, default=24, help="extended domain bits (default 24)")
-    sp.add_argument("--s", type=int, default=12, help="underlying PRF domain bits (default 12)")
-    sp.add_argument("--r", type=int, default=24, help="range bits (default 24)")
-    sp.add_argument("--q", type=int, default=128, help="queries per trial (default 128)")
-    sp.add_argument("--k", type=int, default=16, help="hash independence (default 16)")
-    sp.add_argument("--c", type=int, default=1, help="adw hardness exponent (default 1)")
+    _add_shape(sp, "hash independence")
     _add_common(sp, trials_default=2000)
 
     sp = sub.add_parser("uniformity",
@@ -99,12 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("adw-compare",
                         help="pp next to both adw variants: advantage and call cost")
-    sp.add_argument("--d", type=int, default=24, help="extended domain bits (default 24)")
-    sp.add_argument("--s", type=int, default=12, help="underlying PRF domain bits (default 12)")
-    sp.add_argument("--r", type=int, default=24, help="range bits (default 24)")
-    sp.add_argument("--q", type=int, default=128, help="queries per trial (default 128)")
-    sp.add_argument("--k", type=int, default=16, help="pp hash independence (default 16)")
-    sp.add_argument("--c", type=int, default=1, help="adw hardness exponent (default 1)")
+    _add_shape(sp, "pp hash independence")
     _add_common(sp, trials_default=500)
 
     return parser
@@ -165,27 +172,10 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace):
         setattr(args, dest, val)
 
 
-def _dispatch(args: argparse.Namespace):
-    cmd = args.command
-    if cmd == "kwise-verify":
-        ks = (2, 3) if args.k is None else (args.k,)
-        return experiments.kwise_verify(args.width, ks, args.seed)
-    if cmd == "birthday":
-        return experiments.birthday(args.d, args.s, args.r, args.q, args.k, args.c,
-                                    args.trials, args.seed)
-    if cmd == "uniformity":
-        return experiments.uniformity(args.d, args.s, args.r, args.k, args.queries,
-                                      args.samples, args.seed)
-    if cmd == "ggm-kat":
-        return experiments.ggm_kat(args.pairs, args.seed)
-    if cmd == "involution":
-        return experiments.involution(args.n, args.trials, args.seed)
-    if cmd == "adaptive-transform":
-        return experiments.adaptive_transform(args.n, args.q, args.k, args.probes, args.seed)
-    if cmd == "adw-compare":
-        return experiments.adw_compare(args.d, args.s, args.r, args.q, args.k, args.c,
-                                       args.trials, args.seed)
-    raise ConfigurationError(f"unknown command {cmd!r}")
+def driver(command: str):
+    """The experiments function that runs a subcommand, looked up at
+    each call."""
+    return getattr(experiments, command.replace("-", "_"))
 
 
 def _write_out(path: str, text: str):
@@ -217,7 +207,9 @@ def main(argv=None) -> int:
         # derive_seed reads a seed mod 2^64, so a seed outside would alias one inside
         if not 0 <= args.seed < 1 << 64:
             raise ConfigurationError(f"seed must be in 0..2^64-1, got {args.seed}")
-        rows, problems = _dispatch(args)
+        params = {dest: getattr(args, dest) for dest in _options(parser, args.command)
+                  if dest not in _FRONT_END}
+        rows, problems = driver(args.command)(**params)
         text = (experiments.rows_to_csv(rows) if args.format == "csv"
                 else experiments.rows_to_json(rows))
         if args.out:

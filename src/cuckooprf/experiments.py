@@ -98,9 +98,11 @@ def levin_sampler(d: int, s: int, r: int, k: int) -> KeySampler:
     return KeySampler(sample)
 
 
-def kwise_verify(width: int, ks, seed: int):
+def kwise_verify(width: int, k: int | None, seed: int):
+    """Enumerate every key of the k-wise family over GF(2^width); k None
+    checks both k = 2 and k = 3."""
     rows, problems = [], []
-    for k in ks:
+    for k in (2, 3) if k is None else (k,):
         report = exhaustive_independence_check(k, width)
         if not report.ok:
             problems.append(f"k={k}: some output tuple count differs from {report.expected_count}")
@@ -112,21 +114,24 @@ def kwise_verify(width: int, ks, seed: int):
     return rows, problems
 
 
+def _birthday_rows(p: ExtensionParams, targets, trials: int, seed: int) -> list[dict]:
+    """One row per (name, sampler, k column, z column) target: its
+    birthday game at p's shape against a lazy-random ideal."""
+    dist = birthday_distinguisher(p.q, p.d)
+    ideal = lazy_sampler(p.d, p.r)
+    return [_game_row(name, run_game(sampler, ideal, dist, trials, seed),
+                      n=p.d, d=p.d, s=p.s, r=p.r, k=kcol, q=p.q, z=zcol)
+            for name, sampler, kcol, zcol in targets]
+
+
 def birthday(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, seed: int):
     """Collision attack against the three domain extensions, one row each."""
     params = ExtensionParams(d=d, s=s, r=r, k=k, q=q, c=c)
-    dist = birthday_distinguisher(q, d)
-    ideal = lazy_sampler(d, r)
-    targets = (
+    return _birthday_rows(params, (
         ("birthday-levin", levin_sampler(d, s, r, k), k, None),
         ("birthday-pp", pp_sampler(params), k, None),
         ("birthday-adw", KeySampler(adw_layout(params, "table")), 2, adw_z(params, "table")),
-    )
-    rows = []
-    for name, sampler, kcol, zcol in targets:
-        res = run_game(sampler, ideal, dist, trials, seed)
-        rows.append(_game_row(name, res, n=d, d=d, s=s, r=r, k=kcol, q=q, z=zcol))
-    return rows, []
+    ), trials, seed), []
 
 
 def uniformity(d: int, s: int, r: int, k: int, queries: int, samples: int, seed: int):
@@ -315,16 +320,15 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     The cost is read from a probe oracle drawn with a _CallTally, over
     d+2 of its queries (adw_eval); only adaptive-transform folds."""
     params = ExtensionParams(d=d, s=s, r=r, k=k, q=q, c=c)
-    dist = birthday_distinguisher(q, d)
-    ideal = lazy_sampler(d, r)
     z_prf, z_table = adw_z(params, "prf"), adw_z(params, "table")
     targets = (
-        ("adw-compare-pp", pp_sampler(params), k, 0, 2),
-        ("adw-compare-prf", KeySampler(adw_layout(params, "prf")), 2, z_prf, 3 * z_prf + 2),
-        ("adw-compare-table", KeySampler(adw_layout(params, "table")), 2, z_table, 2),
+        ("adw-compare-pp", pp_sampler(params), k, 0),
+        ("adw-compare-prf", KeySampler(adw_layout(params, "prf")), 2, z_prf),
+        ("adw-compare-table", KeySampler(adw_layout(params, "table")), 2, z_table),
     )
-    rows, problems = [], []
-    for idx, (name, sampler, kcol, zcol, expected_calls) in enumerate(targets):
+    problems = []
+    for idx, ((name, sampler, _, _), expected_calls) in enumerate(
+            zip(targets, (2, 3 * z_prf + 2, 2))):
         tally = _CallTally(1 << s)
         probe = sampler.layout(KeyDraws(key_stream(seed, _CALL_TAG, idx), tally)).eval_int
         for x in range(d + 2):
@@ -334,9 +338,7 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
                 problems.append(f"{name}: {tally.calls - before} underlying calls per query, "
                                 f"expected {expected_calls}")
                 break
-        res = run_game(sampler, ideal, dist, trials, seed)
-        rows.append(_game_row(name, res, n=d, d=d, s=s, r=r, k=kcol, q=q, z=zcol))
-    return rows, problems
+    return _birthday_rows(params, targets, trials, seed), problems
 
 
 def _fmt(v) -> str:

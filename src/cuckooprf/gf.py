@@ -150,26 +150,11 @@ class FieldSpec:
         return _mul_raw(a, b, self.width, self.poly)
 
     def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
-        """a0 + a1*x + ... + a_{k-1}*x^{k-1} by Horner's rule, on raw ints.
-
-        For w <= 16, log(x) is looked up once per evaluation rather than
-        once per product; wider fields multiply through mul_int.
-        """
+        """a0 + a1*x + ... + a_{k-1}*x^{k-1} by Horner's rule through
+        mul_int, on raw ints: the scalar reference of every hash."""
         acc = coeffs[-1]
-        rest = coeffs[-2::-1]
-        if self.width <= 16:
-            if x == 0:
-                return coeffs[0]
-            if self._log is None:
-                self._build_logexp()
-            log, exp = self._log, self._exp
-            lx = log[x]
-            for c in rest:
-                acc = (exp[log[acc] + lx] if acc else 0) ^ c
-        else:
-            mul = self.mul_int
-            for c in rest:
-                acc = mul(acc, x) ^ c
+        for c in coeffs[-2::-1]:
+            acc = self.mul_int(acc, x) ^ c
         return acc
 
 

@@ -17,17 +17,14 @@ function. Answers are derived per query as
     answer(seed, x) = truncate(mix64(seed ^ mix64(x ^ C1)), range_bits)
 
 so two oracles with equal seeds are pointwise equal and no table of
-size 2^domain ever materializes. The inner mix64(x ^ C1) depends on x
-alone, so every oracle reads it from one cache of the last 4096 points
-asked.
+size 2^domain ever materializes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .bits import C1, C2, MASK64, MIX1, MIX2, BitString, mix64, truncate
+from .bits import C1, C2, BitString, mix64, truncate
 from .errors import ConfigurationError
 
 
@@ -55,26 +52,9 @@ class Oracle:
         raise NotImplementedError
 
 
-@lru_cache(maxsize=4096)
-def _inner_mix(x_as_64: int) -> int:
-    """mix64(x ^ C1), the half of lazy_answer that does not depend on the
-    seed. Every oracle shares it, and a game played trial by trial asks
-    each trial's fresh lazy-random oracle the same few points, so a
-    bounded cache answers most of them; it is the scalar counterpart of
-    batch._inner_mixes."""
-    return mix64(x_as_64 ^ C1)
-
-
 def lazy_answer(seed: int, x_as_64: int, range_bits: int) -> int:
-    """The raw derivation rule, truncate(mix64(seed ^ mix64(x ^ C1)),
-    range_bits): the inner mix from its cache, the outer mix and the
-    mask in this one frame. batch.lazy_answers is its numpy twin."""
-    v = (seed ^ _inner_mix(x_as_64)) & MASK64
-    v ^= v >> 30
-    v = (v * MIX1) & MASK64
-    v ^= v >> 27
-    v = (v * MIX2) & MASK64
-    return (v ^ (v >> 31)) & ((1 << range_bits) - 1)
+    """The raw derivation rule; batch.lazy_answers is its numpy twin."""
+    return truncate(mix64(seed ^ mix64(x_as_64 ^ C1)), range_bits)
 
 
 class LazyRandomOracle(Oracle):

@@ -80,8 +80,10 @@ class ExtensionParams:
         check_independence(self.k, self.d)
         if self.q < 1:
             raise ConfigurationError("query budget q must be positive")
-        if self.c < 1:
-            raise ConfigurationError("hardness exponent c must be at least 1")
+        # z = 2(c+2) log2 q grows with c, and the failure term c buys,
+        # about q^-(c+1), is below 2^-64 at c = 64 for every q >= 2
+        if not 1 <= self.c <= 64:
+            raise ConfigurationError(f"hardness exponent c must be in 1..64, got {self.c}")
 
 
 def check_widths(**bits: int):

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -182,6 +183,19 @@ def test_every_subcommand_runs_small(capsys):
         assert out.split("\n")[0] == HEADER
 
 
+def test_subcommands_golden_rows_and_driver_parameters_agree():
+    # the parser, SMALL_ARGV and tests/golden name one set of subcommands,
+    # and each subcommand's driver takes exactly its options but those of
+    # the front end
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    goldens = {path.stem for path in (Path(__file__).parent / "golden").glob("*.csv")}
+    assert set(sub.choices) == set(SMALL_ARGV) == goldens
+    for command in sub.choices:
+        options = set(cli._options(parser, command)) - {"help", "out", "format", "config"}
+        assert set(inspect.signature(cli.driver(command)).parameters) == options, command
+
+
 # every config key of every subcommand, and keys that none of them has
 _CONFIG_KEYS = st.one_of(
     st.sampled_from(sorted({"experiment", "master_seed"}.union(
@@ -329,12 +343,15 @@ def test_out_of_range_parameters_exit_2(argv, capsys):
 
 # far past a cap, each refused before any work: islice's sys.maxsize,
 # the involution's n <= 16 (its queries are built before any oracle),
-# and k <= 2^d, past which no family on 2^d inputs is k-wise independent
+# k <= 2^d, past which no family on 2^d inputs is k-wise independent,
+# and the adw hardness exponent c <= 64, just past it and far past it
 @pytest.mark.parametrize("argv", [
     ["adaptive-transform", "--probes", str(10**20)],
     ["involution", "--n", str(10**20)],
     *([command, "--k", str(10**20)]
       for command in ("birthday", "uniformity", "adaptive-transform", "adw-compare")),
+    *(pytest.param([command, "--c", str(c)], id=f"{command} --c {c}")
+      for command in ("birthday", "adw-compare") for c in (65, 10**20)),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_values_past_their_caps_exit_2(argv, capsys):
     rc = cli.main(argv)

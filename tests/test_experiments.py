@@ -65,7 +65,7 @@ def test_rows_to_csv_uses_repr_for_floats():
 
 
 def test_rows_to_json_round_trips():
-    rows, _ = kwise_verify(4, (2,), 1)
+    rows, _ = kwise_verify(4, 2, 1)
     parsed = json.loads(rows_to_json(rows))
     assert isinstance(parsed, list)
     assert parsed[0]["experiment"] == "kwise-verify"
@@ -73,7 +73,7 @@ def test_rows_to_json_round_trips():
 
 
 def test_kwise_verify_enumerates_both_orders():
-    rows, problems = kwise_verify(4, (2, 3), 7)
+    rows, problems = kwise_verify(4, None, 7)
     assert problems == []
     assert [r["trials"] for r in rows] == [256, 4096]
     assert all(r["p_real"] == 1.0 and r["violations"] == 0 for r in rows)
@@ -83,7 +83,7 @@ def test_kwise_verify_enumerates_both_orders():
 
 def test_kwise_verify_propagates_policy_errors():
     with pytest.raises(ConfigurationError):
-        kwise_verify(8, (2,), 7)
+        kwise_verify(8, 2, 7)
 
 
 def test_levin_sampler_shape():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from cuckooprf import prfcore
 from cuckooprf.batch import lazy_answers
 from cuckooprf.bits import C1, C2, BitString, derive_seed, mix64, truncate
 from cuckooprf.errors import ConfigurationError
@@ -56,17 +55,6 @@ def test_lazy_answer_is_the_oracle_rule(seed, x, range_bits):
     assert LazyRandomOracle(seed, 64, range_bits).query(BitString(x, 64)).value == want
     grid = lazy_answers(np.array([seed], dtype=np.uint64), np.array([x], dtype=np.uint64), range_bits)
     assert int(grid[0, 0]) == want
-
-
-def test_lazy_answer_reads_the_inner_mix_from_a_bounded_cache():
-    # the inner half depends on x alone; its cache keeps at most 4096 points
-    assert prfcore._inner_mix.cache_info().maxsize == 4096
-    for x in (0, 1, 0xBEEF, 2**64 - 1):
-        assert prfcore._inner_mix(x) == mix64(x ^ C1)
-        hits = prfcore._inner_mix.cache_info().hits
-        # a cached point answers as the rule does, for any seed
-        assert lazy_answer(5, x, 64) == truncate(mix64(5 ^ mix64(x ^ C1)), 64)
-        assert prfcore._inner_mix.cache_info().hits == hits + 1
 
 
 def test_lazy_oracle_size_caps():
