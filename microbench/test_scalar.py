@@ -34,7 +34,12 @@ is one block, so each oracle of a unit pays it once.
 
 FieldSpec.mul_int is timed at every supported width on one fixed pair
 of nonzero elements, after a first product has built any tables; w <= 16
-multiplies through log/exp tables and w = 32 and 64 schoolbook. eval_kwise
+multiplies through log/exp tables and w = 32 and 64 schoolbook.
+test_logexp_build times those tables' cold build on a fresh FieldSpec
+per round at w in {4, 8, 16}: w vector doublings of exp and the log
+scatter with its read-back check, the cost a process pays on its first
+product at that width (the `adaptive` workload's first w = 16 product
+pays it in its warm-up). eval_kwise
 is timed on the pp key's 12-wise hash over GF(2^16), and on a 16-wise hash
 over GF(2^32), the shape of the `birthday` pp key's h1 played trial by
 trial.
@@ -48,7 +53,7 @@ import pytest
 from cuckooprf.bits import mix64
 from cuckooprf.combine import adw_eval, fold_adw
 from cuckooprf.experiments import _CallTally, _TalliedOracle
-from cuckooprf.gf import SUPPORTED_WIDTHS, default_spec
+from cuckooprf.gf import SUPPORTED_WIDTHS, FieldSpec, default_spec
 from cuckooprf.hashfam import eval_kwise, sample_kwise
 from cuckooprf.prfcore import lazy_answer
 from cuckooprf.transform import (
@@ -140,6 +145,13 @@ def test_mul_int(benchmark, width):
     a, b = (random.Random(width + i).randrange(1, 1 << width) for i in (0, 1))
     product = spec.mul_int(a, b)
     assert benchmark(spec.mul_int, a, b) == product < 1 << width
+
+
+@pytest.mark.parametrize("width", [w for w in SUPPORTED_WIDTHS if w <= 16])
+def test_logexp_build(benchmark, width):
+    log, exp = benchmark.pedantic(FieldSpec._build_logexp, setup=lambda: ((FieldSpec(width),), {}),
+                                  rounds=200)
+    assert log[exp[5]] == 5 and len(exp) == 2 * ((1 << width) - 1)
 
 
 # k, domain bits, range bits

@@ -19,11 +19,18 @@ Multiplication has one strategy per width band: log/exp tables for
 w <= 16, and the schoolbook shift-and-XOR _mul_raw for w in {32, 64}.
 The contract is bit-exact agreement with the schoolbook definition,
 which the test suite checks against an independent oracle. Tables are
-built on first use, never at import or construction, straight into
-typed arrays: array('B') for w <= 8 and array('H') for w = 16, the exp
-table doubled so a log sum needs no reduction. At w = 16 that is 128
-KiB of log and 256 KiB of exp; as lists of boxed ints they would take
-5.2 MiB and miss cache on every Horner step. FieldSpec.log_exp hands
+built on first use, never at import or construction, in typed arrays:
+array('B') for w <= 8 and array('H') for w = 16, the exp table doubled
+so a log sum needs no reduction. At w = 16 that is 128 KiB of log and
+256 KiB of exp; as lists of boxed ints they would take 5.2 MiB and miss
+cache on every Horner step. exp holds the powers of x+1 and is filled
+through a numpy view by doubling its filled prefix, exp[n:2n] =
+exp[:n] * (x+1)^n: a product by a constant is GF(2)-linear, so each
+round is two gathers from linear_tables' half-word tables of that
+constant's doublings, w rounds with no Python step per element. The
+build raises ValueError unless log[exp[i]] = i for every i < 2^w - 1,
+that is unless x+1 generates the multiplicative group, which it does
+under each shipped w <= 16 polynomial. FieldSpec.log_exp hands
 the tables to a caller that multiplies by log sums itself (the scalar
 fold, combine.fold_adw, which folds only keys over one field with
 w <= 16, takes each odd power x^o as exp[o log x] and builds its maps
@@ -87,7 +94,9 @@ class FieldSpec:
 
     Two width bands, one multiplier each. For w <= 16, log/exp tables
     over the generator x+1 of the multiplicative group, built on first
-    use and cached on the instance, so reuse one spec per field
+    use in w vector doublings of the filled powers, checked to be
+    inverse permutations (ValueError if x+1 does not generate the
+    group) and cached on the instance, so reuse one spec per field
     (default_spec does this) rather than constructing in a loop. For w
     in {32, 64}, the schoolbook _mul_raw. Specs compare by identity,
     so a cache keyed on a spec (batch._power_tables) is shared through
@@ -106,26 +115,41 @@ class FieldSpec:
 
     def _build_logexp(self) -> tuple[array, array]:
         if self._log is None:
-            order = (1 << self.width) - 1
-            top, poly = 1 << self.width, self.poly
-
-            def powers(v=1):
-                # powers of the generator x+1, which generates the
-                # multiplicative group under each shipped w <= 16
-                # polynomial: v * (x+1) = v ^ (v << 1), reduced when bit
-                # w is set
-                yield v
-                for _ in range(order - 1):
-                    v ^= v << 1
-                    if v & top:
-                        v ^= poly
-                    yield v
-
-            code = "B" if self.width <= 8 else "H"
-            exp = array(code, powers())
+            width, poly = self.width, self.poly
+            order, half = (1 << width) - 1, width // 2
+            low = (1 << half) - 1
+            code = "B" if width <= 8 else "H"
+            # doublings[k][j] = c * 2^j for c = g^(2^k), the generator
+            # g = x+1: a product by c is GF(2)-linear, and these are its
+            # values at the unit vectors. The next c is that map at c.
+            doublings, c = [], 3
+            for _ in range(width):
+                row, d, square = [], c, 0
+                for j in range(width):
+                    row.append(d)
+                    if c >> j & 1:
+                        square ^= d
+                    d <<= 1
+                    if d >> width:
+                        d ^= poly
+                doublings.append(row)
+                c = square
+            lo, hi = (t.astype(code) for t in linear_tables(doublings, half))
             log = array(code, [0]) * (order + 1)
-            # log[exp[i]] = i, written through a numpy view of the array
-            np.frombuffer(log, dtype=code)[np.frombuffer(exp, dtype=code)] = np.arange(order, dtype=code)
+            exp = array(code, [0]) * order
+            logs, powers = np.frombuffer(log, dtype=code), np.frombuffer(exp, dtype=code)
+            powers[0] = 1
+            for k in range(width):
+                # powers[n:2n] = powers[:n] * g^n for n = 2^k, in place
+                n = 1 << k
+                src = powers[:min(n, order - n)]
+                np.bitwise_xor(lo[k][src & low], hi[k][src >> half],
+                               out=powers[n:n + len(src)])
+            # log[exp[i]] = i reads back for every i only if the powers
+            # are distinct, that is if x+1 generates the group
+            logs[powers] = np.arange(order, dtype=code)
+            if not np.array_equal(logs[powers], np.arange(order, dtype=code)):
+                raise ValueError(f"x+1 does not generate the multiplicative group mod {poly:#x}")
             self._exp = exp * 2  # doubled to skip the mod in lookups
             self._log = log
         return self._log, self._exp

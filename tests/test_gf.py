@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -169,6 +170,46 @@ def test_logexp_tables_are_a_permutation_and_its_inverse(w):
     assert exp[order:] == exp[:order]
     for i, v in enumerate(exp[:order]):
         assert log[v] == i
+
+
+@pytest.mark.parametrize("w", [w for w in SUPPORTED_WIDTHS if w <= 16])
+def test_exp_steps_by_the_generator(w):
+    # exp[0] = 1 and exp[i + 1] = exp[i] * (x+1) pin every entry
+    _, exp = FieldSpec(w)._build_logexp()
+    red = DEFAULT_REDUCTION[w]
+    assert exp[0] == 1
+    for i in range((1 << w) - 1):
+        assert exp[i + 1] == _mul_schoolbook(exp[i], 3, w, red)
+
+
+@pytest.mark.parametrize("w, poly", [(4, 0x19), (8, 0x11D)])
+def test_logexp_build_rejects_a_polynomial_where_x_plus_1_is_not_primitive(w, poly):
+    # both irreducible, but x+1 has order 5 mod 0x19 and 51 mod 0x11D,
+    # so its powers would overwrite log entries
+    assert _is_irreducible(poly)
+    spec = FieldSpec(w)
+    spec.poly = poly
+    with pytest.raises(ValueError, match="does not generate"):
+        spec._build_logexp()
+    assert spec._log is None and spec._exp is None
+
+
+def test_w16_tables_build_without_a_python_call_per_element():
+    # the group has 65,535 elements; the build runs w vector rounds
+    spec = FieldSpec(16)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        spec._build_logexp()
+    finally:
+        sys.setprofile(previous)
+    assert calls < 1000
 
 
 def test_tables_are_built_on_first_use():
