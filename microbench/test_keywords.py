@@ -54,7 +54,7 @@ def test_pp_layout_draw_per_trial(benchmark, shape):
     args, _ = SHAPES[shape]
     streams, layout = KeyStreams(2024, 0), pp_layout(*args)
     key = benchmark(lambda: layout(KeyDraws(streams.stream(7))))
-    assert len(key.key.h1.coeffs) == args[3]
+    assert len(key.h1.coeffs) == args[3]
 
 
 @pytest.mark.parametrize("shape", GRIDS)

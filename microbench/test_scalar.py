@@ -11,8 +11,8 @@ build_adaptive_from_nonadaptive's pp key, an adw key with 12-wise hashes
 over GF(2^16) and no inner maps, and build_adw_adaptive_from_nonadaptive's
 table-backed adw key with c = 1, so z = 2(c+2) * log2 q = 36 inner maps
 of 2-entry tables under 2-wise hashes. test_adw_eval calls adw_eval on
-the key itself, the reference every fold answers as, and what an
-ADWOracle answers by. test_fold_build times fold_adw on each key,
+the key itself, the reference every fold answers as, and the key's
+own eval_int. test_fold_build times fold_adw on each key,
 which adaptive-transform runs once per target, before its probe loop:
 byte tables of the odd powers x^1, x^3, ..., x^11 for the pp key, and
 of x alone, the 36 affine bars folded in, for the table key.
@@ -63,8 +63,8 @@ from cuckooprf.transform import (
 
 N, Q = 16, 64
 KEYS = {
-    "pp": lambda rng: build_adaptive_from_nonadaptive(N, Q, 12, rng).key,
-    "adw-table": lambda rng: build_adw_adaptive_from_nonadaptive(N, Q, 1, rng).key,
+    "pp": lambda rng: build_adaptive_from_nonadaptive(N, Q, 12, rng),
+    "adw-table": lambda rng: build_adw_adaptive_from_nonadaptive(N, Q, 1, rng),
 }
 
 
@@ -93,9 +93,9 @@ def test_folded_query(benchmark, name):
 
 def test_probe_step(benchmark):
     rng, mask = random.Random(2024), (1 << N) - 1
-    pp = fold_adw(build_adaptive_from_nonadaptive(N, Q, 12, rng, f_sampler=_CallTally(4 * Q)).key)
+    pp = fold_adw(build_adaptive_from_nonadaptive(N, Q, 12, rng, f_sampler=_CallTally(4 * Q)))
     adw = fold_adw(build_adw_adaptive_from_nonadaptive(N, Q, 1, rng,
-                                                       f_sampler=_CallTally(4 * Q)).key)
+                                                       f_sampler=_CallTally(4 * Q)))
     points = [0, 0]
 
     def step(word):

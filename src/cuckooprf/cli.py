@@ -67,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("kwise-verify",
-                        help="prove exact k-wise independence by full enumeration")
-    sp.add_argument("--width", type=int, default=4, help="field width in bits (default 4)")
+                        help="prove exact k-wise independence over GF(2^4) by full enumeration")
     sp.add_argument("--k", type=int, default=None,
                     help="independence to check (default: both 2 and 3)")
     _add_common(sp)

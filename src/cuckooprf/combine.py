@@ -20,15 +20,16 @@ k-wise keys (with or without a window), tables and any Oracle.
 
 Values are plain ints inside the combiner: adw_inner_values and
 adw_eval take and return raw values, and every slot is called through
-eval_int. A BitString is built only where an ADWOracle is queried
-through Oracle.query, which checks the input length the combiner
-takes on trust.
+eval_int. An ADWKey is the oracle it keys: its eval_int is adw_eval,
+and a BitString is built only where it is queried through
+Oracle.query, which checks the input length the combiner takes on
+trust.
 
-ADWOracle is adw_eval. fold_adw folds a key into one plain function
-that answers as adw_eval does. At the benchmark's adaptive shape a fold
-costs about as much as 20 adw_eval queries of the pp key or 8 of the
-table key, so only a caller that asks one key many times folds it:
-adaptive-transform's probe loop. A per-trial oracle asked a few times,
+fold_adw folds a key into one plain function that answers as
+adw_eval does. At the benchmark's adaptive shape a fold costs about as
+much as 20 adw_eval queries of the pp key or 8 of the table key, so
+only a caller that asks one key many times folds it:
+adaptive-transform's probe loop. A per-trial key asked a few times,
 and adw-compare's call-count probe, pay no fold.
 
 A k-wise hash over GF(2^w) is a_0 ^ XOR over odd o < k of
@@ -56,8 +57,35 @@ from .hashfam import KWiseHashKey, RandomTable
 from .prfcore import Oracle
 
 
+def _bars(key: ADWKey):
+    """The key's bars, one (g_i, m1_i, m2_i, y_i) tuple per inner map."""
+    return zip(key.gbar, key.m1bar, key.m2bar, key.ybar)
+
+
+def adw_inner_values(key: ADWKey, x: int) -> tuple[int, int, int]:
+    """The three inner values at x: h1(x), h2(x) and ell(x), each XORed
+    with its bar's maps at every g_i(x), each g_i evaluated once."""
+    a, b, y = key.h1.eval_int(x), key.h2.eval_int(x), key.ell.eval_int(x)
+    for g, m1, m2, m in _bars(key):
+        gv = g.eval_int(x)
+        a ^= m1.eval_int(gv)
+        b ^= m2.eval_int(gv)
+        y ^= m.eval_int(gv)
+    return a, b, y
+
+
+def adw_eval(key: ADWKey, x: int) -> int:
+    """The combiner at a raw domain value. ADWKey uses it as its
+    eval_int."""
+    a, b, y = adw_inner_values(key, x)
+    return key.f1.eval_int(a) ^ key.f2.eval_int(b) ^ y
+
+
 @dataclass(frozen=True)
-class ADWKey:
+class ADWKey(Oracle):
+    """The slots of an adw key, and the oracle they key: eval_int is
+    adw_eval, and Oracle.query its face on bit strings."""
+
     h1: object
     h2: object
     ell: object
@@ -101,27 +129,7 @@ class ADWKey:
     def range_bits(self) -> int:
         return self.f1.range_bits
 
-
-def _bars(key: ADWKey):
-    """The key's bars, one (g_i, m1_i, m2_i, y_i) tuple per inner map."""
-    return zip(key.gbar, key.m1bar, key.m2bar, key.ybar)
-
-
-def adw_inner_values(key: ADWKey, x: int) -> tuple[int, int, int]:
-    """The three inner values at x: h1(x), h2(x) and ell(x), each XORed
-    with its bar's maps at every g_i(x), each g_i evaluated once."""
-    a, b, y = key.h1.eval_int(x), key.h2.eval_int(x), key.ell.eval_int(x)
-    for g, m1, m2, m in _bars(key):
-        gv = g.eval_int(x)
-        a ^= m1.eval_int(gv)
-        b ^= m2.eval_int(gv)
-        y ^= m.eval_int(gv)
-    return a, b, y
-
-
-def adw_eval(key: ADWKey, x: int) -> int:
-    a, b, y = adw_inner_values(key, x)
-    return key.f1.eval_int(a) ^ key.f2.eval_int(b) ^ y
+    eval_int = adw_eval
 
 
 def _affine_bar(g, m1, m2, y) -> bool:
@@ -247,14 +255,3 @@ def fold_adw(key: ADWKey):
 
     return folded
 
-
-class ADWOracle(Oracle):
-    """adw_eval as an oracle. A caller that asks one key many times folds
-    its key (fold_adw) instead."""
-
-    def __init__(self, key: ADWKey):
-        super().__init__(key.domain_bits, key.range_bits)
-        self.key = key
-
-    def eval_int(self, x: int) -> int:
-        return adw_eval(self.key, x)

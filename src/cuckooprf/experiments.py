@@ -98,15 +98,15 @@ def levin_sampler(d: int, s: int, r: int, k: int) -> KeySampler:
     return KeySampler(sample)
 
 
-def kwise_verify(width: int, k: int | None, seed: int):
-    """Enumerate every key of the k-wise family over GF(2^width); k None
+def kwise_verify(k: int | None, seed: int):
+    """Enumerate every key of the k-wise family over GF(2^4); k None
     checks both k = 2 and k = 3."""
     rows, problems = [], []
     for k in (2, 3) if k is None else (k,):
-        report = exhaustive_independence_check(k, width)
+        report = exhaustive_independence_check(k)
         if not report.ok:
             problems.append(f"k={k}: some output tuple count differs from {report.expected_count}")
-        rows.append(_row("kwise-verify", n=width, d=width, r=width, k=k,
+        rows.append(_row("kwise-verify", n=4, d=4, r=4, k=k,
                          trials=report.keys_enumerated,
                          p_real=1.0 if report.ok else 0.0, p_ideal=1.0,
                          advantage=0.0 if report.ok else 1.0, stderr=0.0,
@@ -288,9 +288,9 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
         raise ConfigurationError(f"probes must be in 1..{sys.maxsize}, got {probes}")
     pp_tally, adw_tally = _CallTally(4 * q), _CallTally(4 * q)
     pp = fold_adw(build_adaptive_from_nonadaptive(n, q, k, key_stream(seed, _PROBE_TAG, 0),
-                                                  f_sampler=pp_tally).key)
+                                                  f_sampler=pp_tally))
     adw = fold_adw(build_adw_adaptive_from_nonadaptive(
-        n, q, _ADAPTIVE_C, key_stream(seed, _PROBE_TAG, 1), f_sampler=adw_tally).key)
+        n, q, _ADAPTIVE_C, key_stream(seed, _PROBE_TAG, 1), f_sampler=adw_tally))
     head = KeyStreams(seed).heads(range(_PROBE_TAG, _PROBE_TAG + 1))  # derive_seed(seed, _PROBE_TAG)
     mask = (1 << n) - 1
     x_pp = x_adw = 0
@@ -317,8 +317,9 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     """Birthday advantage and per-query call cost of pp next to both adw
     variants at identical shape parameters.
 
-    The cost is read from a probe oracle drawn with a _CallTally, over
-    d+2 of its queries (adw_eval); only adaptive-transform folds."""
+    The cost is read from a probe key drawn with a _CallTally, over
+    d+2 of its queries, each answered by its eval_int, adw_eval; only
+    adaptive-transform folds."""
     params = ExtensionParams(d=d, s=s, r=r, k=k, q=q, c=c)
     z_prf, z_table = adw_z(params, "prf"), adw_z(params, "table")
     targets = (

@@ -152,19 +152,21 @@ class IndependenceReport:
     expected_count: int
 
 
-def exhaustive_independence_check(k: int, width: int = 4, range_bits: int | None = None) -> IndependenceReport:
-    """Verify exact k-wise independence by enumerating every key.
+def exhaustive_independence_check(k: int, range_bits: int | None = None) -> IndependenceReport:
+    """Verify exact k-wise independence over GF(2^4) by enumerating
+    every key.
 
     For every ordered k-tuple of distinct inputs, every output k-tuple
     must occur for exactly keys / 2^(range_bits*k) keys. Only w=4 with
     k <= 3 is within policy; larger fields make full enumeration
     pointless rather than merely slow.
     """
-    if width != 4 or not 1 <= k <= 3:
+    if not 1 <= k <= 3:
         raise ConfigurationError(
-            f"exhaustive check is limited to width 4 with k <= 3; got width {width}, k {k}. "
+            f"exhaustive check is limited to width 4 with k <= 3; got k {k}. "
             "Use the sampled experiments (uniformity, birthday) for larger parameters."
         )
+    width = 4
     r = width if range_bits is None else range_bits
     if not 1 <= r <= width:
         raise ConfigurationError(f"range_bits {r} must be in 1..{width}")

@@ -11,10 +11,12 @@ is attributable to the combiner itself.
 The pp and adw domain extensions are their slot layouts run on
 KeyDraws(rng, f_sampler): pp_sampler(p)(rng), or
 adw_layout(p, variant)(KeyDraws(rng)). pp spends two underlying calls
-per query (q <= 2^(s-2)), the "prf" adw variant 3z+2 and the "table"
-variant two plus lookups. pp_layout is the adw key with z = 0, no
-inner maps, and adw_layout the one with z of them. The three builders,
-each one of the two layouts, all return an ADWOracle:
+per query, the "prf" adw variant 3z+2 and the "table" variant two
+plus lookups. pp_layout is the adw key with z = 0, no inner maps, and
+adw_layout the one with z of them. Every shape is an ExtensionParams,
+which checks the query budget q <= 2^(s-2) once for all of them. The
+three builders, each one of the two layouts, all return the
+combine.ADWKey, which is its own oracle:
 
   build_adaptive_from_nonadaptive
                                  nonadaptively-secure PRF -> adaptively
@@ -49,7 +51,7 @@ import math
 from dataclasses import dataclass
 
 from .bits import truncate
-from .combine import ADWKey, ADWOracle
+from .combine import ADWKey
 from .errors import ConfigurationError
 from .gf import SUPPORTED_WIDTHS
 from .hashfam import RandomTable, sample_kwise, sample_table
@@ -61,8 +63,9 @@ MAX_WIDTH = max(SUPPORTED_WIDTHS)
 @dataclass(frozen=True)
 class ExtensionParams:
     """Shared shape of a domain extension: d-bit inputs, an underlying
-    PRF from s bits to r bits, independence k, query budget q, and the
-    polynomial hardness exponent c used by the adw variants."""
+    PRF from s bits to r bits, independence k, query budget
+    1 <= q <= 2^(s-2), and the polynomial hardness exponent c used by
+    the adw variants."""
 
     d: int
     s: int
@@ -78,8 +81,9 @@ class ExtensionParams:
         if self.d < self.s:
             raise ConfigurationError(f"extended domain d={self.d} below underlying s={self.s}")
         check_independence(self.k, self.d)
-        if self.q < 1:
-            raise ConfigurationError("query budget q must be positive")
+        budget = 1 << (self.s - 2)
+        if not 1 <= self.q <= budget:
+            raise ConfigurationError(f"query budget q={self.q} is outside 1..2^(s-2)={budget}")
         # z = 2(c+2) log2 q grows with c, and the failure term c buys,
         # about q^-(c+1), is below 2^-64 at c = 64 for every q >= 2
         if not 1 <= self.c <= 64:
@@ -102,11 +106,6 @@ def check_independence(k: int, d: int):
 
 def lazy_random_sampler(rng, domain_bits: int, range_bits: int) -> LazyRandomOracle:
     return LazyRandomOracle(rng.getrandbits(64), domain_bits, range_bits)
-
-
-def _check_query_budget(q: int, s: int):
-    if q > 1 << (s - 2):
-        raise ConfigurationError(f"query budget q={q} exceeds 2^(s-2)={1 << (s - 2)}")
 
 
 class KeyDraws:
@@ -139,8 +138,8 @@ class KeyDraws:
     def levin(self, h, f) -> LevinOracle:
         return LevinOracle(h, f)
 
-    def adw(self, *slots) -> ADWOracle:
-        return ADWOracle(ADWKey(*slots))
+    def adw(self, *slots) -> ADWKey:
+        return ADWKey(*slots)
 
 
 class KeySampler:
@@ -180,23 +179,26 @@ def pp_layout(d: int, s: int, r: int, k: int, window: int | None = None):
 
 
 def pp_sampler(p: ExtensionParams) -> KeySampler:
-    _check_query_budget(p.q, p.s)
     return KeySampler(pp_layout(p.d, p.s, p.r, p.k))
 
 
-def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None) -> ADWOracle:
+def _adaptive_params(n: int, q: int, k: int, c: int = 1) -> ExtensionParams:
+    """The shape of an adaptive builder: d = s = r = n and q a power of
+    two, so that the budget q <= 2^(n-2) is its window of 4q strings
+    inside {0,1}^n."""
+    if q < 1 or q & (q - 1):
+        raise ConfigurationError(f"query budget q={q} must be a power of two")
+    return ExtensionParams(d=n, s=n, r=n, k=k, q=q, c=c)
+
+
+def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None) -> ADWKey:
     """pp combiner with both hash ranges restricted to the first 4q
     strings of {0,1}^n, so the underlying PRFs are only ever evaluated
     inside that prefix; a nonadaptively secure f suffices there because
     the full query set is fixed in advance.
     """
-    check_widths(n=n)
-    check_independence(k, n)
-    if q < 1 or q & (q - 1):
-        raise ConfigurationError(f"query budget q={q} must be a power of two")
-    if 4 * q > 1 << n:
-        raise ConfigurationError(f"4q={4 * q} exceeds the domain of {n} bits")
-    return pp_layout(n, n, n, k, window=4 * q)(KeyDraws(rng, f_sampler))
+    p = _adaptive_params(n, q, k)
+    return pp_layout(p.d, p.s, p.r, p.k, window=4 * q)(KeyDraws(rng, f_sampler))
 
 
 def adw_table_z(c: int, q: int) -> int:
@@ -249,7 +251,6 @@ def adw_layout(p: ExtensionParams, variant: str, window: int | None = None):
     is a power of two. The prf variant's m maps are not confined.
     """
     z = adw_z(p, variant)
-    _check_query_budget(p.q, p.s)
     if variant == "prf":
         if p.q < 2:
             raise ConfigurationError("prf-backed adw needs q >= 2")
@@ -277,34 +278,31 @@ def adw_layout(p: ExtensionParams, variant: str, window: int | None = None):
     return layout
 
 
-def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=None) -> ADWOracle:
+def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=None) -> ADWKey:
     """Table-backed adw analogue of build_adaptive_from_nonadaptive.
 
     Hash ranges and m-table entries all live in the first 4q strings
     of {0,1}^n; XOR cannot leave that prefix (4q is a power of two),
-    so underlying queries stay inside it.
+    so underlying queries stay inside it. At q = 1 the table variant
+    would have no inner maps, so it needs q >= 2.
     """
-    check_widths(n=n)
-    if q < 2 or q & (q - 1):
-        raise ConfigurationError(f"query budget q={q} must be a power of two, at least 2")
-    if 4 * q > 1 << n:
-        raise ConfigurationError(f"4q={4 * q} exceeds the domain of {n} bits")
-    p = ExtensionParams(d=n, s=n, r=n, k=2, q=q, c=c)
+    if q < 2:
+        raise ConfigurationError(f"query budget q={q} must be at least 2")
+    p = _adaptive_params(n, q, 2, c)
     return adw_layout(p, "table", window=4 * q)(KeyDraws(rng, f_sampler))
 
 
-def build_prg_prf(prg: PrgSpec, m: int, n: int, k: int, q: int, rng) -> ADWOracle:
+def build_prg_prf(prg: PrgSpec, m: int, n: int, k: int, q: int, rng) -> ADWKey:
     """PRF from a length-doubling generator: pp over two tree PRFs with
     hashed m-bit inputs. One query costs two tree walks, hence exactly
-    2m generator calls. Requires q <= 2^(m-2).
+    2m generator calls. Its shape is ExtensionParams(d=n, s=m, r=n, k,
+    q), so it requires 2 <= m <= n and 1 <= q <= 2^(m-2).
     """
     if prg.seed_bits != n:
         raise ConfigurationError(f"prg seed of {prg.seed_bits} bits, output domain needs {n}")
-    check_independence(k, n)
-    if m < 2 or q > 1 << (m - 2):
-        raise ConfigurationError(f"query budget q={q} exceeds 2^(m-2) for m={m}")
+    p = ExtensionParams(d=n, s=m, r=n, k=k, q=q)
 
     def ggm_sampler(rng, domain_bits: int, range_bits: int) -> GgmOracle:
         return GgmOracle(GgmKey(rng.getrandbits(range_bits), domain_bits, prg))
 
-    return pp_layout(n, m, n, k)(KeyDraws(rng, ggm_sampler))
+    return pp_layout(p.d, p.s, p.r, p.k)(KeyDraws(rng, ggm_sampler))

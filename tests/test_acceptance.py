@@ -35,8 +35,8 @@ def _report(num: int, desc: str, ok: bool):
 
 def test_criterion_1_exact_kwise_independence():
     t0 = time.perf_counter()
-    pair = exhaustive_independence_check(2, width=4)
-    triple = exhaustive_independence_check(3, width=4)
+    pair = exhaustive_independence_check(2)
+    triple = exhaustive_independence_check(3)
     elapsed = time.perf_counter() - t0
     ok = (
         pair.ok and pair.keys_enumerated == 256 and pair.expected_count == 1
@@ -173,7 +173,7 @@ def test_criterion_7_call_count_accounting():
     pp_ok = all(pp_calls(rng.getrandbits(24)) == 2 for _ in range(runs))
 
     prf, prf_calls = _counted(adw_layout(ExtensionParams(20, 10, 12, 2, 16, c=1), "prf"), 2)
-    z = len(prf.key.gbar)
+    z = len(prf.gbar)
     prf_ok = all(prf_calls(rng.getrandbits(20)) == 3 * z + 2 for _ in range(runs))
 
     _, table_calls = _counted(adw_layout(ExtensionParams(24, 12, 24, 2, 128, c=1), "table"), 3)
@@ -185,7 +185,7 @@ def test_criterion_7_call_count_accounting():
     before = 0
     for _ in range(runs):
         pipeline.query(BitString(rng.getrandbits(16), 16))
-        now = pipeline.key.f1.prg_calls + pipeline.key.f2.prg_calls
+        now = pipeline.f1.prg_calls + pipeline.f2.prg_calls
         prg_ok = prg_ok and (now - before == 2 * m)
         before = now
 

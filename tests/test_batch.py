@@ -431,7 +431,7 @@ def test_tuple_sampler_draws_the_pp_slot_layout():
 
 def test_tuple_sampler_reads_slot_i_from_word_i():
     sampler = KeySampler(pp_layout(8, 8, 2, 3))
-    key = sampler(key_stream(99, 5)).key
+    key = sampler(key_stream(99, 5))
     words = [derive_seed(99, 5, j) for j in range(11)]
     assert key.h1.coeffs == tuple(truncate(w, 8) for w in words[0:3])
     assert key.h2.coeffs == tuple(truncate(w, 8) for w in words[3:6])
@@ -450,7 +450,7 @@ def test_adw_layout_reads_slot_i_from_word_i(variant, q):
     # bar is one slot of 6 * 3 rows, slot i in rows 3i to 3i + 3, and
     # stream 5's row of slot i, row 3i + 1, reads the scalar key's words.
     layout = adw_layout(ExtensionParams(8, 4, 8, 2, q, 1), variant)
-    key = layout(KeyDraws(key_stream(99, 5))).key
+    key = layout(KeyDraws(key_stream(99, 5)))
     twin = layout(ColumnDraws(KeyStreams(99).heads(range(4, 7))))
     words = (derive_seed(99, 5, j) for j in itertools.count())
 

@@ -41,11 +41,19 @@ def test_kwise_verify_json_format(capsys):
     assert rows[0]["trials"] == 256
 
 
-def test_infeasible_width_exits_2(capsys):
-    rc = cli.main(["kwise-verify", "--width", "8"])
-    err = capsys.readouterr().err
+def test_infeasible_width_exits_2(tmp_path, capsys):
+    # kwise-verify enumerates GF(2^4) only, and takes no width, not even 4
+    for width in ("4", "8"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kwise-verify", "--width", width])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --width {width}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"width": 4}))
+    rc = cli.main(["kwise-verify", "--config", str(cfg)])
+    assert capsys.readouterr().err == ("configuration error: "
+                                       "unknown config key 'width' for kwise-verify\n")
     assert rc == 2
-    assert err.startswith("configuration error:")
 
 
 def test_seed_default_and_override(capsys):
@@ -359,6 +367,46 @@ def test_values_past_their_caps_exit_2(argv, capsys):
     _assert_configuration_error(rc, err)
     assert len([line for line in err.splitlines()
                 if line.startswith("configuration error:")]) == 1
+
+
+# the shape flags that ExtensionParams and the adaptive builders' shape
+# check, and the values drawn for them: each side of every cap, and one
+# far past them all. --q stays small, so that an accepted run costs no
+# more than a small run.
+_SHAPE_FLAGS = {
+    "birthday": ("--d", "--s", "--r", "--q", "--k", "--c"),
+    "adw-compare": ("--d", "--s", "--r", "--q", "--k", "--c"),
+    "adaptive-transform": ("--n", "--q", "--k"),
+}
+_SHAPE_VALUES = (-1, 0, 1, 2, 3, 4, 8, 16, 24, 63, 64, 65, 10**20)
+_Q_VALUES = (-1, 0, 1, 2, 3, 4, 5, 16, 17, 64)
+
+
+@st.composite
+def _shape_argv(draw):
+    """A subcommand's SMALL_ARGV with one to three of its shape flags
+    set again, at drawn values."""
+    command = draw(st.sampled_from(sorted(_SHAPE_FLAGS)))
+    argv = list(SMALL_ARGV[command])
+    for flag in draw(st.lists(st.sampled_from(_SHAPE_FLAGS[command]),
+                              min_size=1, max_size=3, unique=True)):
+        argv += [flag, str(draw(st.sampled_from(_Q_VALUES if flag == "--q" else _SHAPE_VALUES)))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_shape_argv())
+def test_shape_flags_run_clean_or_exit_2_with_one_configuration_error(argv):
+    # a check that computed 1 << value before it refused a value far past
+    # its cap would end in an exception here, not in exit 2
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    if rc == 0:
+        assert err.getvalue() == "", argv
+    else:
+        _assert_configuration_error(rc, err.getvalue())
+        assert len(err.getvalue().splitlines()) == 1, argv
 
 
 def _int_options():

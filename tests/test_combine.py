@@ -8,13 +8,12 @@ from cuckooprf import combine
 from cuckooprf.bits import BitString
 from cuckooprf.combine import (
     ADWKey,
-    ADWOracle,
     adw_eval,
     adw_inner_values,
     fold_adw,
 )
 from cuckooprf.hashfam import KWiseHashKey, RandomTable, sample_kwise, sample_table
-from cuckooprf.prfcore import LazyRandomOracle
+from cuckooprf.prfcore import LazyRandomOracle, Oracle
 from closedforms import pp_formula
 from spies import FunctionOracle, count_calls, fold_kind
 
@@ -79,10 +78,10 @@ def test_pp_zero_oracles_leave_g():
 
 def test_pp_oracle_wraps_eval():
     key = _tiny_pp_key()
-    o = ADWOracle(key)
-    assert o.domain_bits == 2 and o.range_bits == 2
+    assert isinstance(key, Oracle)
+    assert key.domain_bits == 2 and key.range_bits == 2
     for v in range(4):
-        assert o.query(BitString(v, 2)).value == adw_eval(key, v)
+        assert key.query(BitString(v, 2)).value == adw_eval(key, v)
 
 
 def test_pp_key_shape_validation():
@@ -177,9 +176,8 @@ def test_adw_inner_values_equal_the_inline_loop():
 
 def test_adw_oracle_wraps_eval():
     key = _small_adw_key(2, 409)
-    o = ADWOracle(key)
     for v in (0, 11, 63):
-        assert o.query(BitString(v, 6)).value == adw_eval(key, v)
+        assert key.query(BitString(v, 6)).value == adw_eval(key, v)
 
 
 def test_adw_table_maps_cost_two_calls():
@@ -295,13 +293,14 @@ def test_fold_adw_picks_one_evaluator_per_kind_of_key(case):
 
 
 def test_an_adw_oracle_asked_100_queries_answers_by_adw_eval_and_never_folds(monkeypatch):
-    """An ADWOracle is adw_eval, whatever fold_adw would make of its key:
-    it never calls fold_adw, and no attribute shadows its eval_int."""
+    """An ADWKey is its own oracle, and its eval_int is adw_eval, whatever
+    fold_adw would make of it: it never calls fold_adw, and no attribute
+    shadows its eval_int."""
     key = _pp_key(*_summable(k=5, d=16), LazyRandomOracle(13, 16, 16), LazyRandomOracle(14, 16, 16))
     assert fold_kind(fold_adw(key)) == "tables"
     folds = []
     monkeypatch.setattr(combine, "fold_adw", lambda key: folds.append(key) or fold_adw(key))
-    oracle = ADWOracle(key)
+    assert ADWKey.eval_int is adw_eval
     xs = range(0, 100 * 601, 601)
-    assert [oracle.eval_int(x) for x in xs] == [adw_eval(key, x) for x in xs]
-    assert folds == [] and "eval_int" not in vars(oracle)
+    assert [key.eval_int(x) for x in xs] == [adw_eval(key, x) for x in xs]
+    assert folds == [] and "eval_int" not in vars(key)

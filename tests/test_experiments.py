@@ -65,7 +65,7 @@ def test_rows_to_csv_uses_repr_for_floats():
 
 
 def test_rows_to_json_round_trips():
-    rows, _ = kwise_verify(4, 2, 1)
+    rows, _ = kwise_verify(2, 1)
     parsed = json.loads(rows_to_json(rows))
     assert isinstance(parsed, list)
     assert parsed[0]["experiment"] == "kwise-verify"
@@ -73,7 +73,7 @@ def test_rows_to_json_round_trips():
 
 
 def test_kwise_verify_enumerates_both_orders():
-    rows, problems = kwise_verify(4, None, 7)
+    rows, problems = kwise_verify(None, 7)
     assert problems == []
     assert [r["trials"] for r in rows] == [256, 4096]
     assert all(r["p_real"] == 1.0 and r["violations"] == 0 for r in rows)
@@ -83,7 +83,7 @@ def test_kwise_verify_enumerates_both_orders():
 
 def test_kwise_verify_propagates_policy_errors():
     with pytest.raises(ConfigurationError):
-        kwise_verify(8, 2, 7)
+        kwise_verify(4, 7)
 
 
 def test_levin_sampler_shape():
@@ -360,7 +360,7 @@ def _assert_each_target_replays_its_chain(monkeypatch, probes: int):
         assert [o.calls for o in tally.oracles] == [probes, probes]
         assert tally.calls == 2 * probes
         seen = []
-        key = build(key_stream(seed, experiments._PROBE_TAG, idx), counting_sampler(seen)).key
+        key = build(key_stream(seed, experiments._PROBE_TAG, idx), counting_sampler(seen))
         words, x = key_stream(seed, experiments._PROBE_TAG), 0
         for _ in range(probes):
             x = truncate(mix64(adw_eval(key, x) ^ words.getrandbits(64)), n)
@@ -428,15 +428,15 @@ def test_adw_compare_rows_and_call_costs():
 
 
 def test_adw_compare_counts_calls_past_the_fold(monkeypatch):
-    # each probe oracle answers by adw_eval, so an extra underlying call
-    # made there must show as a problem for all three
-    evaluate = combine.adw_eval
+    # each probe key answers by its eval_int, adw_eval, so an extra
+    # underlying call made there must show as a problem for all three
+    evaluate = combine.ADWKey.eval_int
 
     def one_more_f1_call(key, x):
         key.f1.eval_int(0)
         return evaluate(key, x)
 
-    monkeypatch.setattr(combine, "adw_eval", one_more_f1_call)
+    monkeypatch.setattr(combine.ADWKey, "eval_int", one_more_f1_call)
     _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)
     assert problems == ["adw-compare-pp: 3 underlying calls per query, expected 2",
                         "adw-compare-prf: 21 underlying calls per query, expected 20",

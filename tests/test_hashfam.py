@@ -73,7 +73,7 @@ def test_eval_matches_direct_call_and_checks_length():
 def test_pairwise_counts_full_range():
     # degree-1 polynomials over GF(2^4): each pair of outputs at a pair of
     # distinct points is produced by exactly one key
-    rep = exhaustive_independence_check(2, width=4, range_bits=4)
+    rep = exhaustive_independence_check(2, range_bits=4)
     assert rep.ok
     assert rep.keys_enumerated == 256
     assert rep.expected_count == 1
@@ -81,30 +81,28 @@ def test_pairwise_counts_full_range():
 
 def test_pairwise_counts_truncated_range():
     # truncating 4-bit values to 2 bits leaves 16 keys per output pair
-    rep = exhaustive_independence_check(2, width=4, range_bits=2)
+    rep = exhaustive_independence_check(2, range_bits=2)
     assert rep.ok
     assert rep.keys_enumerated == 256
     assert rep.expected_count == 16
 
 
 def test_threewise_counts():
-    rep = exhaustive_independence_check(3, width=4, range_bits=4)
+    rep = exhaustive_independence_check(3, range_bits=4)
     assert rep.ok
     assert rep.keys_enumerated == 4096
     assert rep.expected_count == 1
-    rep2 = exhaustive_independence_check(3, width=4, range_bits=2)
+    rep2 = exhaustive_independence_check(3, range_bits=2)
     assert rep2.ok
     assert rep2.expected_count == 64
 
 
 def test_exhaustive_check_rejects_infeasible_sizes():
     with pytest.raises(ConfigurationError) as e:
-        exhaustive_independence_check(2, width=8)
+        exhaustive_independence_check(4)
     assert "uniformity" in str(e.value) or "sampled" in str(e.value)
     with pytest.raises(ConfigurationError):
-        exhaustive_independence_check(4, width=4)
-    with pytest.raises(ConfigurationError):
-        exhaustive_independence_check(2, width=4, range_bits=5)
+        exhaustive_independence_check(2, range_bits=5)
 
 
 def test_single_key_output_balance_over_keyspace():

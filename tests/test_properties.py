@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from cuckooprf import batch, experiments
 from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
-from cuckooprf.combine import ADWKey, ADWOracle, adw_eval, fold_adw, is_affine
+from cuckooprf.combine import ADWKey, adw_eval, fold_adw, is_affine
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import DEFAULT_REDUCTION, SUPPORTED_WIDTHS, _mul_raw
@@ -101,9 +101,9 @@ def test_underlying_call_counts(shape, data):
     _, d, s, r, k = shape
     rng = _rng(data)
     xs = _inputs(data, d)
-    pp = pp_sampler(ExtensionParams(d, s, r, k, 1))(rng).key
-    table = adw_layout(ExtensionParams(d, s, r, 2, 2), "table")(KeyDraws(rng)).key
-    prf = adw_layout(_prf_adw_params(shape, data), "prf")(KeyDraws(rng)).key
+    pp = pp_sampler(ExtensionParams(d, s, r, k, 1))(rng)
+    table = adw_layout(ExtensionParams(d, s, r, 2, 2), "table")(KeyDraws(rng))
+    prf = adw_layout(_prf_adw_params(shape, data), "prf")(KeyDraws(rng))
     z = len(prf.gbar)
     for x in xs:
         assert count_calls(adw_eval, pp, x.value) == (2, 3)
@@ -433,14 +433,14 @@ def _past_fold(data, d: int) -> list[BitString]:
 def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
     seen: list[InstrumentedOracle] = []
     oracle = _table_adw(data, d, restricted)(_rng(data), counting_sampler(seen))
-    assert is_affine(oracle.key)
+    assert is_affine(oracle)
     xs = _past_fold(data, d)
-    want = [adw_eval(oracle.key, x.value) for x in xs]
+    want = [adw_eval(oracle, x.value) for x in xs]
     assert [oracle.query(x).value for x in xs] == want
     # each query calls f1 and f2, the oracle's and adw_eval's
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
-    folded = fold_adw(oracle.key)
-    assert fold_kind(folded) == _evaluator(oracle.key)
+    folded = fold_adw(oracle)
+    assert fold_kind(folded) == _evaluator(oracle)
     # the fold itself calls no underlying oracle; each of its queries calls f1 and f2
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
     assert [folded(x.value) for x in xs] == want
@@ -484,7 +484,7 @@ def test_folded_adw_grid_equals_adw_eval(d, restricted, data):
     columns, oracles = _keyed_both_ways(data, adw_layout(p, "table", window))
     assert columns._affine()
     grid = columns.grid(tuple(x.value for x in xs))
-    assert grid.tolist() == [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
+    assert grid.tolist() == [[adw_eval(o, x.value) for x in xs] for o in oracles]
 
 
 def _block_below(data, d: int) -> tuple[int, tuple[int, ...]]:
@@ -519,7 +519,7 @@ def test_folded_twin_evaluates_the_inner_maps_at_the_bits_its_queries_use(d, res
     columns, oracles = _keyed_both_ways(data, adw_layout(p, "table", window))
     grid, points = _inner_points(columns, xs)
     assert points == [(0, *(1 << j for j in range(u)))]
-    assert grid.tolist() == [[adw_eval(o.key, x) for x in xs] for o in oracles]
+    assert grid.tolist() == [[adw_eval(o, x) for x in xs] for o in oracles]
 
 
 @pytest.mark.parametrize("d", FOLD_LENGTHS)
@@ -536,23 +536,23 @@ def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     layout = pp_layout(d, s, data.draw(st.integers(1, 64), label="r"), k)
     seen: list[InstrumentedOracle] = []
     oracle = layout(KeyDraws(_rng(data), counting_sampler(seen)))
-    assert oracle.key.gbar == () and is_affine(oracle.key) == affine
+    assert oracle.gbar == () and is_affine(oracle) == affine
     xs = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=d + 3, max_size=d + 6),
                    label="xs")
     answers = [oracle.query(BitString(x, d)).value for x in xs]
     assert sum(f.calls for f in seen) == 2 * len(xs)
-    folded = fold_adw(oracle.key)
-    assert fold_kind(folded) == _evaluator(oracle.key)
+    folded = fold_adw(oracle)
+    assert fold_kind(folded) == _evaluator(oracle)
     assert [folded(x) for x in xs] == answers
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
-    assert answers == [pp_formula(oracle.key, x) for x in xs]
+    assert answers == [pp_formula(oracle, x) for x in xs]
 
     u, block = _block_below(data, d)
     columns, oracles = _keyed_both_ways(data, layout)
     assert columns._affine() == affine
     grid, points = _inner_points(columns, block)
     assert points == [(0, *(1 << j for j in range(u))) if affine else block]
-    assert grid.tolist() == [[pp_formula(o.key, x) for x in block] for o in oracles]
+    assert grid.tolist() == [[pp_formula(o, x) for x in block] for o in oracles]
 
 
 def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int | None = None):
@@ -609,18 +609,18 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     oracles = [_not_affine_layout(p, window, slot, i)(KeyDraws(_rng(data)))
                for _ in range(TRIALS)]
     xs = _past_fold(data, d)
-    want = [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
-    assert not any(is_affine(o.key) for o in oracles)
+    want = [[adw_eval(o, x.value) for x in xs] for o in oracles]
+    assert not any(is_affine(o) for o in oracles)
     assert [[o.query(x).value for x in xs] for o in oracles] == want
-    folds = [fold_adw(o.key) for o in oracles]
-    assert all(fold_kind(f) == _evaluator(o.key) == partial for f, o in zip(folds, oracles))
+    folds = [fold_adw(o) for o in oracles]
+    assert all(fold_kind(f) == _evaluator(o) == partial for f, o in zip(folds, oracles))
     assert [[f(x.value) for x in xs] for f in folds] == want
 
     columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot))
-    assert not any(is_affine(o.key) for o in oracles)
+    assert not any(is_affine(o) for o in oracles)
     assert not columns._affine()
     assert columns.grid(tuple(x.value for x in xs)).tolist() == \
-        [[adw_eval(o.key, x.value) for x in xs] for o in oracles]
+        [[adw_eval(o, x.value) for x in xs] for o in oracles]
 
 
 def _summable_hash(data, w: int, k: int, d: int, bits: int, window: int | None) -> KWiseHashKey:
@@ -637,7 +637,7 @@ def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     """A key whose h1, h2 and ell are k-wise over one GF(2^w), w <= 16,
     with nonzero a_1..a_{k-1}, and whose up to 3 bars are affine (a
     2-wise g over that field into 2-entry tables), is folded into byte
-    tables; the fold and the key's oracle answer at x = 0, x = 1 and
+    tables; the fold and the key itself answer at x = 0, x = 1 and
     drawn points as adw_eval answers, at exactly 2 underlying calls per
     query."""
     d = data.draw(st.integers(w // 2 + 1, w), label="d")
@@ -653,11 +653,10 @@ def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     f1, f2 = (InstrumentedOracle(LazyRandomOracle(rng.getrandbits(64), s, r)) for _ in range(2))
     key = ADWKey(_summable_hash(data, w, k, d, s, window), _summable_hash(data, w, k, d, s, window),
                  _summable_hash(data, w, k, d, r, None), gbar, m1bar, m2bar, ybar, f1, f2)
-    oracle = ADWOracle(key)
-    folded = fold_adw(oracle.key)
+    folded = fold_adw(key)
     assert fold_kind(folded) == "tables"
     xs = [0, 1, *data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4), label="xs")]
-    for ask in (folded, oracle.eval_int):
+    for ask in (folded, key.eval_int):
         for x in xs:
             calls = f1.calls + f2.calls
             answer = ask(x)

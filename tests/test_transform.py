@@ -8,7 +8,8 @@ import pytest
 from cuckooprf.bits import BitString, key_stream, mix64, truncate
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.hashfam import RandomTable, sample_kwise
-from cuckooprf.prfcore import LazyRandomOracle, PrgSpec
+from cuckooprf.combine import ADWKey, adw_eval
+from cuckooprf.prfcore import LazyRandomOracle, Oracle, PrgSpec
 from cuckooprf.transform import (
     ExtensionParams,
     KeyDraws,
@@ -41,12 +42,31 @@ def test_params_validation():
 
 
 def test_query_budget_boundary():
-    # q up to 2^(s-2) builds, one past it does not
-    p_ok = ExtensionParams(24, 12, 24, 4, 1 << 10)
-    pp_sampler(p_ok)(random.Random(1))
-    p_bad = ExtensionParams(24, 12, 24, 4, (1 << 10) + 1)
-    with pytest.raises(ConfigurationError):
-        pp_sampler(p_bad)
+    # at README's example shape q up to 2^(s-2) builds, and the shape
+    # itself refuses one past it and 2^s
+    pp_sampler(ExtensionParams(d=24, s=12, r=24, k=16, q=1 << 10))(random.Random(1))
+    for q in ((1 << 10) + 1, 1 << 12):
+        with pytest.raises(ConfigurationError, match="outside 1..2"):
+            ExtensionParams(d=24, s=12, r=24, k=16, q=q)
+
+
+# KeyDraws.adw and each builder, at small shapes
+_ADW_KEYS = {
+    "KeyDraws.adw": lambda rng: adw_layout(ExtensionParams(12, 8, 12, 2, 8), "table")(KeyDraws(rng)),
+    "pp_sampler": lambda rng: pp_sampler(ExtensionParams(12, 8, 12, 3, 8))(rng),
+    "adaptive pp": lambda rng: build_adaptive_from_nonadaptive(10, 8, 3, rng),
+    "adaptive adw": lambda rng: build_adw_adaptive_from_nonadaptive(10, 8, 1, rng),
+    "prg": lambda rng: build_prg_prf(PrgSpec("mix64", 16), 6, 16, 3, 4, rng),
+}
+
+
+@pytest.mark.parametrize("name", _ADW_KEYS)
+def test_every_builder_returns_the_adw_key_as_its_own_oracle(name):
+    key = _ADW_KEYS[name](random.Random(7))
+    assert isinstance(key, ADWKey) and isinstance(key, Oracle)
+    d = key.domain_bits
+    for v in (0, 1, (1 << d) - 1, 0x2B5 % (1 << d)):
+        assert key.query(BitString(v, d)) == BitString(adw_eval(key, v), key.range_bits)
 
 
 def test_pp_builder_shapes_and_determinism():
@@ -124,11 +144,11 @@ def test_adw_prf_variant_shape_and_cost():
     spies: list[InstrumentedOracle] = []
     o = adw_layout(p, "prf")(KeyDraws(random.Random(47), counting_sampler(spies)))
     assert o.domain_bits == 20 and o.range_bits == 12
-    z = len(o.key.gbar)
+    z = len(o.gbar)
     assert z == 6
     u = math.ceil(math.log2(p.q))
-    assert all(g.range_bits == u for g in o.key.gbar)
-    assert all(isinstance(m, PaddedPrfMap) for m in o.key.m1bar + o.key.m2bar + o.key.ybar)
+    assert all(g.range_bits == u for g in o.gbar)
+    assert all(isinstance(m, PaddedPrfMap) for m in o.m1bar + o.m2bar + o.ybar)
     o.eval_int(123)
     f_calls = sum(f.calls for f in spies)
     assert f_calls == 3 * z + 2
@@ -146,10 +166,10 @@ def test_adw_table_variant_shape_and_cost():
     p = ExtensionParams(20, 10, 12, 2, 16, c=1)
     spies: list[InstrumentedOracle] = []
     o = adw_layout(p, "table")(KeyDraws(random.Random(48), counting_sampler(spies)))
-    z = len(o.key.gbar)
+    z = len(o.gbar)
     assert z == 2 * 3 * 4
-    assert all(g.range_bits == 1 for g in o.key.gbar)
-    for m in o.key.m1bar + o.key.m2bar + o.key.ybar:
+    assert all(g.range_bits == 1 for g in o.gbar)
+    for m in o.m1bar + o.m2bar + o.ybar:
         assert isinstance(m, RandomTable)
         assert len(m.entries) == 2
     o.eval_int(123)
@@ -178,7 +198,7 @@ def test_adw_adaptive_builder_stays_in_prefix():
     assert seen
     assert all(v < 4 * q for v in seen)
     # m-table entries are index offsets inside the prefix, padded to n bits
-    for m in o.key.m1bar + o.key.m2bar:
+    for m in o.m1bar + o.m2bar:
         assert m.entry_bits == n
         assert all(e < 4 * q for e in m.entries)
 
@@ -254,7 +274,7 @@ def test_prg_prf_costs_two_m_generator_calls():
     rng = random.Random(54)
     for i in range(1, 30):
         o.query(BitString(rng.getrandbits(16), 16))
-        assert o.key.f1.prg_calls + o.key.f2.prg_calls == 2 * m * i
+        assert o.f1.prg_calls + o.f2.prg_calls == 2 * m * i
 
 
 def test_prg_prf_budget_and_shape_guards():
@@ -266,6 +286,12 @@ def test_prg_prf_budget_and_shape_guards():
         build_prg_prf(prg, 4, 8, 2, 4, random.Random(1))  # seed width mismatch
     with pytest.raises(ConfigurationError):
         build_prg_prf(prg, 4, 16, 1, 4, random.Random(1))
+    # its shape is ExtensionParams(d=n, s=m, r=n): q >= 1, m <= n, and
+    # n <= 64, the widest field, whatever the generator's seed width
+    for prg, m, n, q in ((prg, 4, 16, 0), (prg, 20, 16, 4),
+                         (PrgSpec("stub-complement", 65), 4, 65, 4)):
+        with pytest.raises(ConfigurationError):
+            build_prg_prf(prg, m, n, 2, q, random.Random(1))
 
 
 def test_prg_prf_minimal_budget_uses_two_bit_trees():
@@ -273,7 +299,7 @@ def test_prg_prf_minimal_budget_uses_two_bit_trees():
     # m = 2 is the least input length whose budget 2^(m-2) admits a query
     o = build_prg_prf(prg, 2, 16, 2, 1, random.Random(55))
     o.query(BitString(0, 16))
-    assert o.key.f1.prg_calls + o.key.f2.prg_calls == 4
+    assert o.f1.prg_calls + o.f2.prg_calls == 4
 
 
 # pp, both adw variants and the three builders, at two shapes each (one
