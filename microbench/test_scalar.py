@@ -1,7 +1,7 @@
 """Microbenchmarks of the scalar path: the field product, one k-wise hash
-evaluation, the combiner adw_eval, building a fold, a folded query and
-one probe step, the lazy answer and a tallied call, on the
-keys of the benchmark's `adaptive` workload.
+evaluation, the combiner adw_eval, building a fold and one round of a
+fold, and the lazy answer, on the keys of the benchmark's `adaptive`
+workload.
 
     python -m pytest microbench --benchmark-only
 
@@ -13,24 +13,15 @@ table-backed adw key with c = 1, so z = 2(c+2) * log2 q = 36 inner maps
 of 2-entry tables under 2-wise hashes. test_adw_eval calls adw_eval on
 the key itself, the reference every fold answers as, and the key's
 own eval_int. test_fold_build times fold_adw on each key,
-which adaptive-transform runs once per target, before its probe loop:
+which adaptive-transform runs once per target, before its probe rounds:
 byte tables of the odd powers x^1, x^3, ..., x^11 for the pp key, and
 of x alone, the 36 affine bars folded in, for the table key.
-test_folded_query asks the fold of each key, which answers from those
-tables. Both make their two underlying calls through lazy_answer.
-test_probe_step times one step of adaptive-transform's probe loop on
-the two folds: each target's answer mixed with a word into its next
-point, the targets' f1 and f2 being tallied oracles.
+test_fold_round asks the fold of each key for the inner values of one
+round's experiments._CHAINS points, which it reads from those tables;
+a round then answers them in one batch.lazy_answers call.
 
-lazy_answer is timed on one point: it is the rule a tallied oracle
-answers by outside its window, and the `adaptive` workload's f1 and f2
-do not call it inside their 4q window.
-test_tallied_block_hit times the call those oracles nearly always
-answer: a tallied oracle's count and list index in a block of its window
-that an earlier query filled. test_tallied_first_touch times a fresh
-oracle's first in-window query, which derives its block's answers in one
-batch.lazy_answers call: the `adaptive` workload's window of 256 strings
-is one block, so each oracle of a unit pays it once.
+lazy_answer is timed on one point: it is the rule adw-compare's
+tallied oracles answer by.
 
 FieldSpec.mul_int is timed at every supported width on one fixed pair
 of nonzero elements, after a first product has built any tables; w <= 16
@@ -45,14 +36,13 @@ over GF(2^32), the shape of the `birthday` pp key's h1 played trial by
 trial.
 """
 
-import itertools
 import random
 
+import numpy as np
 import pytest
 
-from cuckooprf.bits import mix64
-from cuckooprf.combine import adw_eval, fold_adw
-from cuckooprf.experiments import _CallTally, _TalliedOracle
+from cuckooprf.combine import adw_eval, adw_inner_values, fold_adw
+from cuckooprf.experiments import _CHAINS
 from cuckooprf.gf import SUPPORTED_WIDTHS, FieldSpec, default_spec
 from cuckooprf.hashfam import eval_kwise, sample_kwise
 from cuckooprf.prfcore import lazy_answer
@@ -80,31 +70,18 @@ def test_adw_eval(benchmark, name):
 def test_fold_build(benchmark, name):
     key = KEYS[name](random.Random(2024))
     x = 0xBEEF
-    assert benchmark(fold_adw, key)(x) == adw_eval(key, x)
+    assert benchmark(fold_adw, key)(np.array([x], dtype=np.uint64)).T.tolist() == \
+        [list(adw_inner_values(key, x))]
 
 
 @pytest.mark.parametrize("name", KEYS)
-def test_folded_query(benchmark, name):
+def test_fold_round(benchmark, name):
     key = KEYS[name](random.Random(2024))
     folded = fold_adw(key)
-    x = 0xBEEF
-    assert benchmark(folded, x) == adw_eval(key, x) < 1 << N
-
-
-def test_probe_step(benchmark):
-    rng, mask = random.Random(2024), (1 << N) - 1
-    pp = fold_adw(build_adaptive_from_nonadaptive(N, Q, 12, rng, f_sampler=_CallTally(4 * Q)))
-    adw = fold_adw(build_adw_adaptive_from_nonadaptive(N, Q, 1, rng,
-                                                       f_sampler=_CallTally(4 * Q)))
-    points = [0, 0]
-
-    def step(word):
-        points[0] = mix64(pp(points[0]) ^ word) & mask
-        points[1] = mix64(adw(points[1]) ^ word) & mask
-
-    step(0x5EED)  # fills each tallied oracle's window block
-    benchmark(step, 0x5EED)
-    assert max(points) <= mask
+    rng = random.Random(5)
+    xs = np.array([0, *(rng.getrandbits(N) for _ in range(_CHAINS - 1))], dtype=np.uint64)
+    inner = benchmark(folded, xs)
+    assert inner.T.tolist() == [list(adw_inner_values(key, x)) for x in xs.tolist()]
 
 
 SEED = 0x5EED
@@ -114,29 +91,6 @@ def test_lazy_answer(benchmark):
     x = 0xBEEF
     answer = lazy_answer(SEED, x, N)
     assert benchmark(lazy_answer, SEED, x, N) == answer
-
-
-def test_tallied_block_hit(benchmark):
-    tally = _CallTally(4 * Q)
-    oracle = tally(random.Random(2024), N, N)
-    x = 0xBE
-    answer = oracle.eval_int(x)  # fills the window's one block
-    assert benchmark(oracle.eval_int, x) == answer == lazy_answer(oracle.seed, x, N)
-    assert tally.outside == 0
-
-
-def test_tallied_first_touch(benchmark):
-    tally = _CallTally(4 * Q)
-    seeds = itertools.count()
-    x = 0xBE
-
-    def fresh():
-        return (tally(random.Random(next(seeds)), N, N), x), {}
-
-    benchmark.pedantic(_TalliedOracle.eval_int, setup=fresh, rounds=2000)
-    oracle = tally(random.Random(2024), N, N)
-    assert oracle.eval_int(x) == lazy_answer(oracle.seed, x, N)
-    assert len(oracle.blocks[0]) == 4 * Q and tally.outside == 0
 
 
 @pytest.mark.parametrize("width", SUPPORTED_WIDTHS)

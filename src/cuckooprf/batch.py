@@ -67,7 +67,7 @@ key with no inner maps. A block of affine adw keys (combine.is_affine,
 which a pp key at k = 2 is) asked for more than u+1 points, u the
 number of low bits its queries use, is answered from per-row byte
 tables of its inner values over those u bits, built from the values at
-u+1 basis points; the scalar fold (combine.fold_adw) folds all d bits.
+u+1 basis points; the probe fold (combine.fold_adw) folds all d bits.
 """
 
 from __future__ import annotations

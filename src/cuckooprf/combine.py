@@ -25,12 +25,15 @@ and a BitString is built only where it is queried through
 Oracle.query, which checks the input length the combiner takes on
 trust.
 
-fold_adw folds a key into one plain function that answers as
-adw_eval does. At the benchmark's adaptive shape a fold costs about as
-much as 20 adw_eval queries of the pp key or 8 of the table key, so
-only a caller that asks one key many times folds it:
-adaptive-transform's probe loop. A per-trial key asked a few times,
-and adw-compare's call-count probe, pay no fold.
+fold_adw folds a key into one array function of its inner values:
+an array of points in, their inner1, inner2 and y part out, as
+adw_inner_values gives them one point at a time. The caller answers f1
+and f2 at the two inner rows itself: adaptive-transform, whose probe
+rounds ask each target's fold at 64 points at once and answer both
+targets' f1 and f2 in one batch.lazy_answers call. Building a fold
+costs some numpy passes over the key's coefficients and bars, so only
+a caller that asks one key many times folds it. A per-trial key asked
+a few times, and adw-compare's call-count probe, pay no fold.
 
 A k-wise hash over GF(2^w) is a_0 ^ XOR over odd o < k of
 L_o(x^o), where L_o(y) = sum_t a_(o 2^t) y^(2^t) is GF(2)-linear in y,
@@ -39,16 +42,16 @@ Finite Fields, ch. 3). So when h1, h2 and ell are k-wise keys over one
 GF(2^w) with w <= 16 and every bar is affine (a 2-wise g over that
 field into 2-entry tables), the three inner values are a constant
 XORed with one linear map of each odd power x^o, and the fold holds
-each map as byte tables of the three values packed into one int; x^o
-is one lookup exp[o log x mod 2^w - 1]. The fold still calls f1 and f2
-once each per query. Any other key keeps adw_eval: these are the keys
-adaptive-transform builds, and no other caller folds.
+each map as byte tables of the three values packed into one uint64
+word; x^o is one lookup exp[o log x mod 2^w - 1]. Any other key is
+folded pointwise, adw_inner_values at each point: adaptive-transform
+at n > 16, whose hashes live in GF(2^32) or GF(2^64).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -187,32 +190,38 @@ def _linear_maps(hashes, d: int, w: int) -> list[np.ndarray]:
 
 
 def fold_adw(key: ADWKey):
-    """x -> adw_eval(key, x) as one plain function. If h1, h2, ell and
-    every g_i are k-wise keys over one GF(2^w) with w <= 16, and every
-    bar is affine (_affine_bar), it answers from byte tables of the
-    three inner values, and its tables, masks, shifts and f1's and f2's
-    eval_int are closure cells, bound once; else it is
-    partial(adw_eval, key). Building the tables takes a few numpy passes
-    over the coefficients and the bars; the underlying f1 and f2 are
-    not called.
+    """The key's inner values as one array function: xs, a 1-D uint64
+    array of domain points, -> a C-ordered (3, len(xs)) uint64 array
+    whose rows are inner1, inner2 and the y part at each point, as
+    adw_inner_values gives them. It never calls f1 or f2: a caller
+    answers the two inner rows itself. If h1, h2, ell and every g_i are
+    k-wise keys over one GF(2^w) with w <= 16, and every bar is affine
+    (_affine_bar), it answers from byte tables of the three inner
+    values, which it builds in a few numpy passes over the coefficients
+    and the bars; else it applies adw_inner_values at each point.
 
     Each hash is a_0 ^ XOR over odd o < k of L_o(x^o), each L_o
     GF(2)-linear (_linear_maps), and a mask distributes over XOR. So
     the three inner values are a constant ^ XOR_o T_o(x^o), one linear
     map T_o per odd power, held as one table per input byte whose
-    entries pack the three values into one int below 2^48 (inner1 low,
+    entries pack the three values into one word below 2^48 (inner1 low,
     then inner2, then the y part). Each bar is folded into the constant
     and T_1: m(g(x)) is m(g(0)) ^ (g(x) ^ g(0)) (m(0) ^ m(1)), and
-    g(x) ^ g(0) is linear in x. x^o is exp[o log x mod 2^w - 1], so a
-    query costs ceil(d/8) lookups for T_1, two per odd o >= 3 (the low
-    and the high byte of x^o) and the two underlying calls.
+    g(x) ^ g(0) is linear in x. x^o is exp[o log x mod 2^w - 1], so
+    every point costs one log lookup and, per odd o >= 3, one exp
+    lookup; its table indices, ceil(d/8) for T_1 and one or two per
+    x^o (its low and its high byte), are gathered from all the tables
+    at once and XORed down.
     """
     hashes, bars = (key.h1, key.h2, key.ell), tuple(_bars(key))
     if not (all(isinstance(h, KWiseHashKey) for h in hashes) and all(_affine_bar(*b) for b in bars)
             and len({h.width for h in (*hashes, *key.gbar)}) == 1 and key.h1.width <= 16):
-        return partial(adw_eval, key)
+        def pointwise(xs: np.ndarray) -> np.ndarray:
+            values = [adw_inner_values(key, x) for x in xs.tolist()]
+            return np.ascontiguousarray(np.array(values, dtype=np.uint64).reshape(-1, 3).T)
+
+        return pointwise
     s1, s2, d, w = key.f1.domain_bits, key.f2.domain_bits, key.domain_bits, key.h1.width
-    s3, m1, m2 = s1 + s2, (1 << s1) - 1, (1 << s2) - 1
     maps = _linear_maps(hashes, d, w)
     const = np.array([h.eval_int(0) for h in hashes], dtype=np.uint64)
     if bars:
@@ -224,34 +233,40 @@ def fold_adw(key: ADWKey):
         bits = _linear_maps(key.gbar, d, w)[0] != 0
         maps[0] ^= np.bitwise_xor.reduce(np.where(bits, delta[..., None], 0), axis=1)
 
-    def pack(a, b, y):
-        return a | (b << s1) | (y << s3)
+    lanes = np.array([0, s1, s1 + s2], dtype=np.uint64)  # inner1, inner2, y in a packed word
 
-    start = pack(*const.tolist())
+    def pack(values):
+        return np.bitwise_or.reduce((values.T << lanes).T)
+
+    start = pack(const)
     columns = np.concatenate([m.reshape(3, -1, 8) for m in maps], axis=1)
-    # packed (tables, 8) columns -> (tables, 256) entries
-    tables = iter(next(linear_tables(pack(*columns))).tolist())
-    linear = tuple(next(tables) for _ in range(-(-d // 8)))
-    # each odd o >= 3 with the tables of the low and the high byte of
-    # x^o ([0] when w <= 8)
-    powers = tuple((2 * n + 1, next(tables), next(tables) if w > 8 else [0])
-                   for n in range(1, len(maps)))
-    log, exp = default_spec(w).log_exp()
+    # packed (tables, 8) columns -> (tables, 256) entries: first the
+    # bytes of x, then the low and the high byte of each x^o (the low
+    # one alone when w <= 8), o = 3, 5, ...
+    tables = next(linear_tables(pack(columns)))
+    flat, offsets = tables.reshape(-1), np.arange(0, tables.size, 256, dtype=np.uint64)[:, None]
+    linear, per = -(-d // 8), -(-w // 8)
+    shifts = np.arange(0, 8 * linear, 8, dtype=np.uint64)[:, None]
+    odds = np.arange(3, 2 * len(maps), 2)[:, None]
+    log, exp = (np.frombuffer(t, dtype=t.typecode) for t in default_spec(w).log_exp())
     group = (1 << w) - 1
-    f1, f2 = key.f1.eval_int, key.f2.eval_int
+    masks = np.array([(1 << s1) - 1, (1 << s2) - 1, (1 << key.range_bits) - 1],
+                     dtype=np.uint64)[:, None]
 
-    def folded(x: int) -> int:
-        packed = start
-        v = x
-        for table in linear:
-            packed ^= table[v & 255]
-            v >>= 8
-        if x:
-            lx = log[x]
-            for o, low, high in powers:
-                v = exp[o * lx % group]
-                packed ^= low[v & 255] ^ high[v >> 8]
-        return f1(packed & m1) ^ f2((packed >> s1) & m2) ^ packed >> s3
+    def folded(xs: np.ndarray) -> np.ndarray:
+        index = np.empty((len(tables), len(xs)), dtype=np.uint64)
+        np.bitwise_and(xs >> shifts, 255, out=index[:linear])
+        if len(odds):
+            powers = exp[odds * log[xs.view(np.intp)] % group]
+            powers *= xs != 0  # 0^o is 0, which has no log
+            np.bitwise_and(powers, 255, out=index[linear::per])
+            if per == 2:
+                np.right_shift(powers, 8, out=index[linear + 1::2])
+        index += offsets
+        packed = np.bitwise_xor.reduce(flat.take(index.view(np.intp)), axis=0)
+        packed ^= start
+        values = packed >> lanes[:, None]
+        values &= masks
+        return values
 
     return folded
-

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import islice
 
 import numpy as np
 
 from .batch import lazy_answers
-from .bits import BitString, KeyStreams, key_stream, mix64, stream_words
+from .bits import BitString, KeyStreams, key_stream, mix64_inplace, stream_words
 from .combine import fold_adw
 from .errors import ConfigurationError
 from .games import (
@@ -65,11 +64,11 @@ _CALL_TAG = 0x43414C4C
 # probe words per stream_words call: fixed, so memory does not grow with
 # --probes, and too long a range for bits._column_tags to cache
 _PROBE_CHUNK = 1024
+# answer-chained chains adaptive-transform runs side by side; a chunk of
+# probe words holds whole rounds of them
+_CHAINS = 64
 # hardness exponent of the adw adaptive-transform target
 _ADAPTIVE_C = 1
-# consecutive window strings whose answers a tallied oracle derives at
-# once, at the first query into them
-_TALLY_BLOCK = 256
 
 
 def _row(experiment: str, **cols) -> dict:
@@ -219,97 +218,94 @@ def involution(n: int, trials: int, seed: int):
 
 class _TalliedOracle(LazyRandomOracle):
     """A lazy-random oracle that counts each of its queries on a
-    _CallTally before it answers, in the one eval_int frame. Its answers
-    inside the tally's window are held in blocks of _TALLY_BLOCK
-    consecutive strings: the first query into a block derives the
-    block's answers, clipped at the window, in one batch.lazy_answers
-    call, and later queries into it are one list index. So it never
-    holds more than the window's answers, and none of a block it was
-    not asked in. A query outside the window is answered by lazy_answer,
-    the reference rule. Every query counts in calls, and every query
-    outside the window in outside, each time it is made."""
+    _CallTally, then answers by lazy_answer, in the one eval_int frame."""
 
     def __init__(self, tally: _CallTally, seed: int, domain_bits: int, range_bits: int):
         super().__init__(seed, domain_bits, range_bits)
         self.tally = tally
-        self.blocks: dict[int, list[int]] = {}
 
     def eval_int(self, x: int) -> int:
-        tally = self.tally
-        tally.calls += 1
-        if x >= tally.window:
-            tally.outside += 1
-            return lazy_answer(self.seed, x, self.range_bits)
-        block = self.blocks.get(x // _TALLY_BLOCK)
-        if block is None:
-            block = self._fill(x // _TALLY_BLOCK)
-        return block[x % _TALLY_BLOCK]
-
-    def _fill(self, index: int) -> list[int]:
-        start = index * _TALLY_BLOCK
-        xs = np.arange(start, min(start + _TALLY_BLOCK, self.tally.window), dtype=np.uint64)
-        seeds = np.array([self.seed], dtype=np.uint64)
-        block = self.blocks[index] = lazy_answers(seeds, xs, self.range_bits)[0].tolist()
-        return block
+        self.tally.calls += 1
+        return lazy_answer(self.seed, x, self.range_bits)
 
 
 class _CallTally:
-    """An f_sampler whose lazy-random oracles count, as they are queried,
-    every underlying query and those outside the first `window` strings.
-    It keeps the two counts, and each oracle the blocks of window answers
-    it was asked in, not the queries, so its memory does not grow with
-    the number of probes: at most the window's answers per oracle, and
-    one block's for a window of 4q <= _TALLY_BLOCK strings. It is the one
-    call counter of the experiments: a builder's underlying calls are
-    counted where it draws f. Each oracle is a _TalliedOracle keyed, as
-    lazy_random_sampler keys one, by one 64-bit word of rng, and answers
-    as that oracle would."""
+    """An f_sampler whose lazy-random oracles count every underlying
+    query as it is made: adw-compare's call counter, which counts a
+    builder's underlying calls where it draws f. Each oracle is a
+    _TalliedOracle keyed, as lazy_random_sampler keys one, by one
+    64-bit word of rng, and answers as that oracle would."""
 
-    def __init__(self, window: int):
-        self.window = window
+    def __init__(self):
         self.calls = 0
-        self.outside = 0
 
     def __call__(self, rng, domain_bits: int, range_bits: int) -> _TalliedOracle:
         return _TalliedOracle(self, rng.getrandbits(64), domain_bits, range_bits)
+
+
+def _outside(queries: np.ndarray, window: int) -> int:
+    """How many of queries are at or past window: the underlying queries
+    that left the first `window` strings, each counted every time it is
+    made."""
+    return int(np.count_nonzero(queries > window - 1))  # a uint64 holds 2^64 - 1, not 2^64
 
 
 def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
     """Drive the adaptive-security builders with answer-chained probers
     and verify that no underlying query ever leaves the first 4q strings.
 
-    Probe i of each target mixes that target's last answer with word i
-    of key_stream(seed, _PROBE_TAG), which is derive_seed(seed,
-    _PROBE_TAG, i); one loop reads each word once, _PROBE_CHUNK words
-    per stream_words call, and advances both chains with it. Each target
-    is folded (fold_adw) once, before the loop, and the loop asks the
-    folds."""
-    if not 1 <= probes <= sys.maxsize:  # islice takes at most sys.maxsize
+    The probes run as R = min(probes, _CHAINS) chains side by side, in
+    rounds: probe i is step i // R of chain i mod R, and chain r starts
+    at r mod 2^n. Probe i of each target mixes its chain's last answer
+    with word i of key_stream(seed, _PROBE_TAG), which is
+    derive_seed(seed, _PROBE_TAG, i); the words are read _PROBE_CHUNK
+    at a time into one reused buffer, and both targets take each word.
+    Each target's key is folded (fold_adw) once, before the rounds. A
+    round asks each fold for the inner values of its R points, answers
+    both targets' f1 and f2 at once (batch.lazy_answers, the keys being
+    drawn by the default lazy-random sampler), and counts every one of
+    those underlying queries, and those at or past 4q (_outside)."""
+    if not 1 <= probes <= sys.maxsize:  # a run past sys.maxsize probes would never end
         raise ConfigurationError(f"probes must be in 1..{sys.maxsize}, got {probes}")
-    pp_tally, adw_tally = _CallTally(4 * q), _CallTally(4 * q)
-    pp = fold_adw(build_adaptive_from_nonadaptive(n, q, k, key_stream(seed, _PROBE_TAG, 0),
-                                                  f_sampler=pp_tally))
-    adw = fold_adw(build_adw_adaptive_from_nonadaptive(
-        n, q, _ADAPTIVE_C, key_stream(seed, _PROBE_TAG, 1), f_sampler=adw_tally))
+    keys = (build_adaptive_from_nonadaptive(n, q, k, key_stream(seed, _PROBE_TAG, 0)),
+            build_adw_adaptive_from_nonadaptive(n, q, _ADAPTIVE_C,
+                                                key_stream(seed, _PROBE_TAG, 1)))
+    folds = [fold_adw(key) for key in keys]
+    seeds = np.array([f.seed for key in keys for f in (key.f1, key.f2)], dtype=np.uint64)
     head = KeyStreams(seed).heads(range(_PROBE_TAG, _PROBE_TAG + 1))  # derive_seed(seed, _PROBE_TAG)
-    mask = (1 << n) - 1
-    x_pp = x_adw = 0
+    words = np.empty((_PROBE_CHUNK, 1), dtype=np.uint64)
+    scratch = np.empty(_PROBE_CHUNK, dtype=np.uint64)
+    mask, chains = np.uint64((1 << n) - 1), min(probes, _CHAINS)
+    xs = np.tile(np.arange(chains, dtype=np.uint64) & mask, (2, 1))  # one row per target
+    calls, outside = 0, [0, 0]
     for start in range(0, probes, _PROBE_CHUNK):
-        words = stream_words(head, range(start, start + _PROBE_CHUNK))[0]
-        for word in islice(words.tolist(), probes - start):
-            x_pp = mix64(pp(x_pp) ^ word) & mask
-            x_adw = mix64(adw(x_adw) ^ word) & mask
+        chunk = stream_words(head, range(start, start + _PROBE_CHUNK), words, scratch)[0]
+        for i in range(0, min(_PROBE_CHUNK, probes - start), chains):
+            step = chunk[i:min(i + chains, probes - start)]
+            xs = xs[:, :len(step)]  # the last round may run fewer chains
+            inner = [fold(x) for fold, x in zip(folds, xs)]
+            calls += len(step)
+            for t, values in enumerate(inner):
+                outside[t] += _outside(values[:2], 4 * q)
+            queries = np.concatenate([values[:2] for values in inner])
+            answers = lazy_answers(seeds, queries, n, n, queries, scratch)
+            xs = answers[0::2] ^ answers[1::2]
+            for x, values in zip(xs, inner):
+                x ^= values[2]
+            xs ^= step
+            mix64_inplace(xs, scratch)
+            xs &= mask
     rows, problems = [], []
-    for name, tally, kcol, zcol in (
-            ("adaptive-transform-pp", pp_tally, k, None),
-            ("adaptive-transform-adw", adw_tally, 2, adw_table_z(_ADAPTIVE_C, q))):
-        total, outside = tally.calls, tally.outside
-        if outside:
-            problems.append(f"{name}: {outside} of {total} underlying queries left the 4q prefix")
+    for name, kcol, zcol, out in (
+            ("adaptive-transform-pp", k, None, outside[0]),
+            ("adaptive-transform-adw", 2, adw_table_z(_ADAPTIVE_C, q), outside[1])):
+        total = 2 * calls
+        if out:
+            problems.append(f"{name}: {out} of {total} underlying queries left the 4q prefix")
         rows.append(_row(name, n=n, d=n, s=n, r=n, k=kcol, q=q, z=zcol, trials=probes,
-                         p_real=(total - outside) / total, p_ideal=1.0,
-                         advantage=outside / total,
-                         seed=seed, violations=outside))
+                         p_real=(total - out) / total, p_ideal=1.0,
+                         advantage=out / total,
+                         seed=seed, violations=out))
     return rows, problems
 
 
@@ -330,7 +326,7 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     problems = []
     for idx, ((name, sampler, _, _), expected_calls) in enumerate(
             zip(targets, (2, 3 * z_prf + 2, 2))):
-        tally = _CallTally(1 << s)
+        tally = _CallTally()
         probe = sampler.layout(KeyDraws(key_stream(seed, _CALL_TAG, idx), tally)).eval_int
         for x in range(d + 2):
             before = tally.calls

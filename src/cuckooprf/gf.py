@@ -31,7 +31,7 @@ constant's doublings, w rounds with no Python step per element. The
 build raises ValueError unless log[exp[i]] = i for every i < 2^w - 1,
 that is unless x+1 generates the multiplicative group, which it does
 under each shipped w <= 16 polynomial. FieldSpec.log_exp hands
-the tables to a caller that multiplies by log sums itself (the scalar
+the tables to a caller that multiplies by log sums itself (the probe
 fold, combine.fold_adw, which folds only keys over one field with
 w <= 16, takes each odd power x^o as exp[o log x] and builds its maps
 from logs); no other module reads them. The numpy engine
@@ -40,7 +40,7 @@ points through nibble or byte tables of their doublings x^i * 2^b,
 built by linear_tables' row doubling but cut to the bits a hash keeps
 and held in the narrowest dtype of those bits, and makes no product
 here. linear_tables holds uint64 words only: the widest map it builds,
-the scalar fold's three packed inner values, is 48 bits.
+the probe fold's three packed inner values, is 48 bits.
 """
 
 from __future__ import annotations

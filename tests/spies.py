@@ -7,11 +7,15 @@ can count the calls a key makes and check where they land.
 counting_sampler is an f_sampler that hands each builder instrumented
 lazy-random oracles and keeps them; count_calls counts the calls of
 one evaluation of a key a test built by hand. fold_kind tells
-fold_adw's byte-table fold from partial(adw_eval, key).
+fold_adw's byte-table fold from its pointwise one, and fold_answers
+answers a key's queries through a fold.
 """
 
 import dataclasses
 
+import numpy as np
+
+from cuckooprf.combine import adw_inner_values
 from cuckooprf.hashfam import RandomTable
 from cuckooprf.prfcore import Oracle
 from cuckooprf.transform import lazy_random_sampler
@@ -57,10 +61,22 @@ def counting_sampler(seen: list):
 
 
 def fold_kind(fold):
-    """"tables" for fold_adw's byte-table fold, else the evaluator's type
-    (partial, for partial(adw_eval, key))."""
-    folded = getattr(fold, "__qualname__", None) == "fold_adw.<locals>.folded"
-    return "tables" if folded else type(fold)
+    """"tables" for fold_adw's byte-table fold, "pointwise" for the one
+    that applies adw_inner_values at each point."""
+    return {"fold_adw.<locals>.folded": "tables",
+            "fold_adw.<locals>.pointwise": "pointwise"}[fold.__qualname__]
+
+
+def fold_answers(fold, key, xs) -> list[int]:
+    """The answers at xs of key's fold (fold_adw(key)): f1 and f2 of key
+    asked once each at the fold's two inner rows, XORed with its y row.
+    The fold's rows must be C-ordered and equal adw_inner_values at each
+    point."""
+    rows = fold(np.array(xs, dtype=np.uint64))
+    assert rows.dtype == np.uint64 and rows.shape == (3, len(xs)) and rows.flags.c_contiguous
+    inner = list(zip(*rows.tolist()))
+    assert inner == [adw_inner_values(key, x) for x in xs]
+    return [key.f1.eval_int(a) ^ key.f2.eval_int(b) ^ y for a, b, y in inner]
 
 
 def count_calls(evaluate, key, x: int) -> tuple[int, int]:

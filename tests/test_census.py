@@ -90,13 +90,15 @@ print(json.dumps([rcs, [(c.co_filename, c.co_firstlineno, c.co_name) for c in en
 
 def _census_argv(tmp_path):
     """The SMALL_ARGV commands; adw-compare over GF(2^32), whose scalar
-    multiplier is gf._mul_raw; and ggm-kat through --config, --out and
-    --format json."""
+    multiplier is gf._mul_raw; adaptive-transform over GF(2^32), whose
+    keys fold_adw folds pointwise; and ggm-kat through --config, --out
+    and --format json."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"experiment": "ggm-kat", "pairs": 3}))
     return [*SMALL_ARGV.values(),
             ["adw-compare", "--d", "24", "--s", "12", "--r", "24", "--q", "16", "--k", "4",
              "--trials", "10"],
+            ["adaptive-transform", "--n", "32", "--q", "4", "--k", "3", "--probes", "2"],
             ["ggm-kat", "--pairs", "2", "--config", str(config)],
             ["ggm-kat", "--pairs", "2", "--out", str(tmp_path / "rows.csv")],
             ["ggm-kat", "--pairs", "2", "--format", "json"]]

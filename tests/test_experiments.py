@@ -5,16 +5,17 @@ from functools import partial
 
 from cuckooprf import bits, cli, combine, experiments
 from cuckooprf.bits import BitString, key_stream, mix64, truncate
-from cuckooprf.combine import adw_eval
+from cuckooprf.batch import lazy_answers
+from cuckooprf.combine import adw_eval, fold_adw
 from cuckooprf.errors import ConfigurationError
-from cuckooprf.prfcore import GgmKey, GgmOracle, LazyRandomOracle, LevinOracle, PrgSpec, lazy_answer
+from cuckooprf.prfcore import GgmKey, GgmOracle, LazyRandomOracle, LevinOracle, PrgSpec
 from cuckooprf.transform import (
     adw_table_z,
     build_adaptive_from_nonadaptive,
     build_adw_adaptive_from_nonadaptive,
     lazy_random_sampler,
 )
-from spies import InstrumentedOracle, counting_sampler, fold_kind
+from spies import counting_sampler, fold_kind
 from cuckooprf.experiments import (
     CSV_COLUMNS,
     adaptive_transform,
@@ -29,6 +30,7 @@ from cuckooprf.experiments import (
     uniformity,
 )
 
+import numpy as np
 import pytest
 
 import random
@@ -197,7 +199,7 @@ def test_adaptive_transform_folds_each_target_once_and_probes_the_folds(monkeypa
     def spy(key):
         folded, asked = fold(key), []
         folds.append((key, folded, asked))
-        return lambda x: asked.append(x) or folded(x)
+        return lambda xs: asked.extend(xs.tolist()) or folded(xs)
 
     monkeypatch.setattr(experiments, "fold_adw", spy)
     rows, problems = adaptive_transform(16, 64, 12, probes, 2024)
@@ -210,7 +212,7 @@ def test_adaptive_transform_folds_each_target_once_and_probes_the_folds(monkeypa
 
 
 def test_a_tallied_oracle_answers_as_a_lazy_random_oracle_of_one_word():
-    tally = experiments._CallTally(1 << 16)
+    tally = experiments._CallTally()
     rng, twin = key_stream(905, 1), key_stream(905, 1)
     oracle = tally(rng, 16, 12)
     reference = lazy_random_sampler(twin, 16, 12)
@@ -219,78 +221,28 @@ def test_a_tallied_oracle_answers_as_a_lazy_random_oracle_of_one_word():
     assert [oracle.eval_int(x) for x in xs] == [reference.eval_int(x) for x in xs]
     # each drew exactly one word: the streams are still in step
     assert rng.getrandbits(64) == twin.getrandbits(64)
-    assert (tally.calls, tally.outside) == (5, 0)
+    assert tally.calls == 5
 
 
 def test_a_tally_counts_queries_at_or_past_its_window_as_outside():
-    tally = experiments._CallTally(8)
-    first, second = tally(random.Random(1), 4, 4), tally(random.Random(2), 4, 4)
-    for oracle, x in ((first, 7), (second, 8), (first, 9), (second, 0), (first, 15)):
-        oracle.eval_int(x)
-    assert (tally.calls, tally.outside) == (5, 3)
-
-
-def _held(oracle) -> dict[int, int]:
-    """The answers a tallied oracle holds, by point."""
-    block = experiments._TALLY_BLOCK
-    return {index * block + i: answer
-            for index, answers in oracle.blocks.items() for i, answer in enumerate(answers)}
+    # the probe loop's count, on one target's f1 and f2 rows of a round
+    queries = np.array([[7, 9, 15], [8, 0, 3]], dtype=np.uint64)
+    assert experiments._outside(queries, 8) == 3
+    assert experiments._outside(queries[1], 8) == 1
+    # a window of all 2^64 strings leaves nothing outside
+    top = np.array([2**64 - 1, 2**63, 0], dtype=np.uint64)
+    assert (experiments._outside(top, 1 << 64), experiments._outside(top, 1 << 63)) == (0, 2)
 
 
 def test_a_repeated_outside_query_counts_as_outside_every_time():
-    tally = experiments._CallTally(8)
-    oracle = tally(random.Random(3), 4, 4)
-    answers = [oracle.eval_int(x) for x in (9, 9, 3, 9, 3)]
-    assert (tally.calls, tally.outside) == (5, 3)
-    assert answers[0] == answers[1] == answers[3] and answers[2] == answers[4]
-    # only the window's points are kept: its one block, clipped at 8
-    assert _held(oracle) == {x: lazy_answer(oracle.seed, x, 4) for x in range(8)}
-
-
-def test_a_tallied_oracle_memoizes_at_most_its_window_and_answers_as_lazy_random():
-    tally = experiments._CallTally(16)
-    rng, twin = key_stream(906, 1), key_stream(906, 1)
-    oracle, reference = tally(rng, 6, 6), lazy_random_sampler(twin, 6, 6)
-    xs = random.Random(4).choices(range(64), k=2000)
-    for x in xs:
-        assert oracle.eval_int(x) == reference.eval_int(x)
-        assert len(_held(oracle)) <= 16
-    assert _held(oracle) == {x: reference.eval_int(x) for x in range(16)}
-    assert (tally.calls, tally.outside) == (2000, sum(x >= 16 for x in xs))
-
-
-def test_a_tallied_oracle_fills_only_the_blocks_it_is_asked_in():
-    # a window of 3.5 blocks: the last block is clipped at the window,
-    # and a block no query falls in is never derived
-    block = experiments._TALLY_BLOCK
-    window = 3 * block + block // 2
-    tally = experiments._CallTally(window)
-    rng, twin = key_stream(907, 1), key_stream(907, 1)
-    oracle, reference = tally(rng, 16, 16), lazy_random_sampler(twin, 16, 16)
-    xs = [5, window - 1, 2 * block, window, 5, window + block]
-    assert [oracle.eval_int(x) for x in xs] == [reference.eval_int(x) for x in xs]
-    assert sorted(oracle.blocks) == [0, 2, 3]
-    assert len(oracle.blocks[3]) == block // 2
-    assert _held(oracle) == {x: reference.eval_int(x)
-                             for b in (0, 2, 3) for x in range(b * block, min((b + 1) * block, window))}
-    assert (tally.calls, tally.outside) == (6, 2)
-
-
-def test_a_tallied_oracle_fills_blocks_at_the_top_of_a_64_bit_window():
-    # adw-compare's window is 2^s strings; its blocks past 2^63 are still
-    # derived as uint64 points
-    tally = experiments._CallTally(1 << 64)
-    oracle = tally(random.Random(5), 64, 64)
-    xs = [2**64 - 1, 2**63, 2**63 - 1, 0]
-    assert [oracle.eval_int(x) for x in xs] == [lazy_answer(oracle.seed, x, 64) for x in xs]
-    assert (tally.calls, tally.outside) == (4, 0)
+    assert experiments._outside(np.array([9, 9, 3, 9, 3], dtype=np.uint64), 8) == 3
 
 
 # Measured peaks (tracemalloc, Python 3.11) of adaptive_transform at the
-# benchmark's shape: 274 KB at 500 probes and 274 KB at 4000, the fold
-# tables of the two keys, the four tallied oracles' one block each of
-# 4q = 256 answers and one chunk of _PROBE_CHUNK probe words, whatever
-# the probes. A warm-up run builds the caches both traced runs share.
+# benchmark's shape: 108 KB at 500 probes and 108 KB at 4000, the fold
+# tables of the two keys, the one reused buffer of _PROBE_CHUNK probe
+# words and one round's arrays of _CHAINS points, whatever the probes.
+# A warm-up run builds the caches both traced runs share.
 PROBE_MEMORY_SLACK = 1.05
 
 
@@ -324,58 +276,77 @@ def test_probe_chunks_keep_no_tags_in_the_column_cache(monkeypatch):
 
 
 def test_each_adaptive_target_replays_its_own_chain_through_adw_eval(monkeypatch):
-    """One loop advances both targets' chains with one word stream. Each
-    target's underlying oracles still see exactly 2 calls per probe, in
-    the order a sequential replay of that target's chain alone through
-    adw_eval asks them."""
-    _assert_each_target_replays_its_chain(monkeypatch, 300)
+    """With fewer probes than chains, and with a last round of fewer
+    chains than the others, each target's chains replay through adw_eval."""
+    for probes in (5, 3 * experiments._CHAINS + 17):
+        _assert_the_chains_replay(monkeypatch, probes)
 
 
 def test_the_probe_chains_replay_across_a_chunk_boundary(monkeypatch):
-    """Past the first chunk of probe words, each chain reads the next
-    words of the one stream: it replays as a sequential read does."""
-    _assert_each_target_replays_its_chain(monkeypatch, experiments._PROBE_CHUNK + 3)
+    """A chunk of probe words holds whole rounds; past the first, each
+    round reads the next words of the one stream, as a sequential read
+    does."""
+    assert experiments._PROBE_CHUNK % experiments._CHAINS == 0
+    _assert_the_chains_replay(monkeypatch, experiments._PROBE_CHUNK + 3)
 
 
-def _assert_each_target_replays_its_chain(monkeypatch, probes: int):
-    tallies = []
+def _assert_the_chains_replay(monkeypatch, probes: int):
+    """Each target's key is folded once, into byte tables, and its probes
+    are R = min(probes, _CHAINS) chains, probe i being step i // R of
+    chain i mod R, chain r starting at r. R sequential replays through
+    adw_eval, stepped round by round on keys drawn with counting_sampler,
+    ask each target's f1 and f2 what the one lazy_answers call of each
+    round asks them, in order, at exactly 2 calls per probe. adw-compare,
+    which asks its probe keys, never folds."""
+    asked, folds = [], []
 
-    class SpyTally(experiments._CallTally):
-        def __init__(self, window):
-            super().__init__(window)
-            self.oracles = []
-            tallies.append(self)
+    def spy(seeds, queries, *args):
+        asked.append((seeds.tolist(), queries.tolist()))  # before the answers overwrite them
+        return lazy_answers(seeds, queries, *args)
 
-        def __call__(self, rng, domain_bits, range_bits):
-            self.oracles.append(InstrumentedOracle(super().__call__(rng, domain_bits, range_bits)))
-            return self.oracles[-1]
+    def fold(key):
+        folds.append(fold_adw(key))
+        return folds[-1]
 
-    monkeypatch.setattr(experiments, "_CallTally", SpyTally)
+    monkeypatch.setattr(experiments, "lazy_answers", spy)
+    monkeypatch.setattr(experiments, "fold_adw", fold)
     n, q, k, seed = 12, 16, 4, 812
     rows, problems = adaptive_transform(n, q, k, probes, seed)
-    assert problems == [] and len(tallies) == 2
+    assert problems == [] and [r["trials"] for r in rows] == [probes, probes]
+    assert [fold_kind(f) for f in folds] == ["tables", "tables"]
     builders = (partial(build_adaptive_from_nonadaptive, n, q, k),
                 partial(build_adw_adaptive_from_nonadaptive, n, q, experiments._ADAPTIVE_C))
-    for idx, (tally, build) in enumerate(zip(tallies, builders)):
-        assert [o.calls for o in tally.oracles] == [probes, probes]
-        assert tally.calls == 2 * probes
-        seen = []
-        key = build(key_stream(seed, experiments._PROBE_TAG, idx), counting_sampler(seen))
-        words, x = key_stream(seed, experiments._PROBE_TAG), 0
-        for _ in range(probes):
-            x = truncate(mix64(adw_eval(key, x) ^ words.getrandbits(64)), n)
-        assert [o.queries for o in tally.oracles] == [o.queries for o in seen]
+    seen = [[] for _ in builders]
+    keys = [build(key_stream(seed, experiments._PROBE_TAG, idx), counting_sampler(fs))
+            for idx, (build, fs) in enumerate(zip(builders, seen))]
+    chains = min(probes, experiments._CHAINS)
+    words, xs = key_stream(seed, experiments._PROBE_TAG), [list(range(chains)) for _ in keys]
+    for start in range(0, probes, chains):
+        step = [words.getrandbits(64) for _ in range(min(chains, probes - start))]
+        for key, chain in zip(keys, xs):
+            for r, word in enumerate(step):
+                chain[r] = truncate(mix64(adw_eval(key, chain[r]) ^ word), n)
+    assert len(asked) == -(-probes // chains)
+    assert all(seeds == [f.inner.seed for fs in seen for f in fs] for seeds, _ in asked)
+    for idx, fs in enumerate(seen):
+        assert [f.calls for f in fs] == [probes, probes]
+        assert [[x for _, queries in asked for x in queries[2 * idx + j]] for j in (0, 1)] == \
+            [f.queries for f in fs]
+    _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)
+    assert problems == [] and len(folds) == 2
 
 
-def _narrow_tallies(monkeypatch):
-    """Every _CallTally the experiments make keeps half the window asked
-    for, so the adaptive builders' 4q window is wider than the tally's."""
-    tally = experiments._CallTally
-    monkeypatch.setattr(experiments, "_CallTally", lambda window: tally(window // 2))
+def _narrow_the_window(monkeypatch):
+    """The probe loop's count (_outside) takes half the window it is
+    given, so the adaptive builders' 4q window is wider than the one
+    counted."""
+    outside = experiments._outside
+    monkeypatch.setattr(experiments, "_outside",
+                        lambda queries, window: outside(queries, window // 2))
 
 
 def test_adaptive_transform_reports_queries_outside_the_window(monkeypatch):
-    _narrow_tallies(monkeypatch)
+    _narrow_the_window(monkeypatch)
     rows, problems = adaptive_transform(12, 16, 4, 300, 805)
     assert all(r["violations"] > 0 and r["p_real"] < 1.0 for r in rows)
     assert problems == [f"{r['experiment']}: {r['violations']} of {2 * 300} underlying "
@@ -383,7 +354,7 @@ def test_adaptive_transform_reports_queries_outside_the_window(monkeypatch):
 
 
 def test_cli_exits_1_when_queries_leave_the_window(monkeypatch, capsys):
-    _narrow_tallies(monkeypatch)
+    _narrow_the_window(monkeypatch)
     argv = ["adaptive-transform", "--n", "12", "--q", "16", "--k", "4", "--probes", "100"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.splitlines()

@@ -43,7 +43,7 @@ from cuckooprf.transform import (
 )
 from closedforms import pp_formula
 from gamepaths import assert_paths_agree
-from spies import InstrumentedOracle, count_calls, counting_sampler, fold_kind
+from spies import InstrumentedOracle, count_calls, counting_sampler, fold_answers, fold_kind
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 TRIALS = 3
@@ -365,24 +365,20 @@ def test_adaptive_builders_keep_underlying_queries_below_4q(adw, n, data):
 @given(st.integers(0, 12), st.integers(1, 64), st.data())
 def test_tallied_oracles_answer_as_lazy_answer_and_count_exactly(log_window, range_bits, data):
     """Two oracles of one tally, asked a mix of points inside and outside
-    a window of 2^0..2^12 strings, answer as lazy_answer; the tally counts
-    every query and every outside one exactly; each oracle holds only the
-    blocks its in-window queries fell in, each clipped at the window."""
+    a window of 2^0..2^12 strings, answer as lazy_answer, and the tally
+    counts every query exactly; the probe loop's count (_outside) counts
+    every one at or past the window, each time it is asked."""
     window, domain_bits = 1 << log_window, 14
-    tally = experiments._CallTally(window)
+    tally = experiments._CallTally()
     rng = _rng(data)
     oracles = [tally(rng, domain_bits, range_bits) for _ in range(2)]
     point = st.one_of(st.integers(0, window - 1), st.integers(window, (1 << domain_bits) - 1))
     asked = data.draw(st.lists(st.tuples(st.integers(0, 1), point), max_size=60), label="asked")
     for i, x in asked:
         assert oracles[i].eval_int(x) == lazy_answer(oracles[i].seed, x, range_bits)
-    assert (tally.calls, tally.outside) == (len(asked), sum(x >= window for _, x in asked))
-    block = experiments._TALLY_BLOCK
-    for i, oracle in enumerate(oracles):
-        assert sorted(oracle.blocks) == sorted({x // block for j, x in asked if j == i and x < window})
-        for index, answers in oracle.blocks.items():
-            held = range(index * block, min((index + 1) * block, window))
-            assert answers == [lazy_answer(oracle.seed, x, range_bits) for x in held]
+    assert tally.calls == len(asked)
+    points = np.array([x for _, x in asked], dtype=np.uint64)
+    assert experiments._outside(points, window) == sum(x >= window for _, x in asked)
 
 
 # Input lengths for the fold: byte multiples and not, up to the widest
@@ -441,9 +437,10 @@ def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
     folded = fold_adw(oracle)
     assert fold_kind(folded) == _evaluator(oracle)
-    # the fold itself calls no underlying oracle; each of its queries calls f1 and f2
+    # the fold itself calls no underlying oracle; each answer read from
+    # its inner values calls f1 and f2
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
-    assert [folded(x.value) for x in xs] == want
+    assert fold_answers(folded, oracle, [x.value for x in xs]) == want
     assert sum(f.calls for f in seen) == 3 * 2 * len(xs)
 
 
@@ -452,14 +449,14 @@ def _evaluator(key: ADWKey):
     of the odd powers if h1, h2, ell and every g_i are k-wise keys over
     one GF(2^w) with w <= 16, whatever their coefficients, and every g_i
     has k <= 2 and every inner map is a 2-entry table; else
-    partial(adw_eval, key)."""
+    adw_inner_values at each point."""
     hashes = (key.h1, key.h2, key.ell, *key.gbar)
     maps = (*key.m1bar, *key.m2bar, *key.ybar)
     if (all(isinstance(h, KWiseHashKey) for h in hashes) and len({h.width for h in hashes}) == 1
             and key.h1.width <= 16 and all(g.k <= 2 for g in key.gbar)
             and all(isinstance(m, RandomTable) and len(m.entries) == 2 for m in maps)):
         return "tables"
-    return partial
+    return "pointwise"
 
 
 def _keyed_both_ways(data, layout):
@@ -543,7 +540,7 @@ def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     assert sum(f.calls for f in seen) == 2 * len(xs)
     folded = fold_adw(oracle)
     assert fold_kind(folded) == _evaluator(oracle)
-    assert [folded(x) for x in xs] == answers
+    assert fold_answers(folded, oracle, xs) == answers
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
     assert answers == [pp_formula(oracle, x) for x in xs]
 
@@ -600,8 +597,8 @@ def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int
 def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     """One 3-wise g, one prf-backed inner map, or one column of 4-entry
     tables under a 2-bit g, and the scalar oracle answers the key past
-    d + 1 points exactly, as does fold_adw's evaluator, which is
-    adw_eval itself (_evaluator). The twin reads a bar only whole, so it
+    d + 1 points exactly, as does fold_adw's evaluator, which applies
+    adw_inner_values at each point (_evaluator). The twin reads a bar only whole, so it
     is checked on keys whose every inner map is made so, and does not
     fold them."""
     p, window = _table_shape(data, d, data.draw(st.booleans(), label="restricted"))
@@ -613,8 +610,8 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     assert not any(is_affine(o) for o in oracles)
     assert [[o.query(x).value for x in xs] for o in oracles] == want
     folds = [fold_adw(o) for o in oracles]
-    assert all(fold_kind(f) == _evaluator(o) == partial for f, o in zip(folds, oracles))
-    assert [[f(x.value) for x in xs] for f in folds] == want
+    assert all(fold_kind(f) == _evaluator(o) == "pointwise" for f, o in zip(folds, oracles))
+    assert [fold_answers(f, o, [x.value for x in xs]) for f, o in zip(folds, oracles)] == want
 
     columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot))
     assert not any(is_affine(o) for o in oracles)
@@ -637,9 +634,9 @@ def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     """A key whose h1, h2 and ell are k-wise over one GF(2^w), w <= 16,
     with nonzero a_1..a_{k-1}, and whose up to 3 bars are affine (a
     2-wise g over that field into 2-entry tables), is folded into byte
-    tables; the fold and the key itself answer at x = 0, x = 1 and
-    drawn points as adw_eval answers, at exactly 2 underlying calls per
-    query."""
+    tables; the fold's inner values and the key itself answer at x = 0,
+    x = 1 and drawn points as adw_eval answers, at exactly 2 underlying
+    calls per query."""
     d = data.draw(st.integers(w // 2 + 1, w), label="d")
     s = data.draw(st.integers(1, d), label="s")
     r = data.draw(st.integers(1, w), label="r")
@@ -656,7 +653,7 @@ def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     folded = fold_adw(key)
     assert fold_kind(folded) == "tables"
     xs = [0, 1, *data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4), label="xs")]
-    for ask in (folded, key.eval_int):
+    for ask in (lambda x: fold_answers(folded, key, [x])[0], key.eval_int):
         for x in xs:
             calls = f1.calls + f2.calls
             answer = ask(x)
@@ -697,10 +694,10 @@ def test_fold_answers_as_adw_eval_at_two_calls_per_query(w, windowed, data):
     over one GF(2^w), w <= 16, at any k, with every bar affine: zero
     coefficients anywhere, the three hashes of their own k, and h1 and h2
     with or without a window. Any other bar, or a g of another width,
-    leaves the key to adw_eval (_evaluator). Building the fold calls no
-    underlying oracle; it then answers as adw_eval at x = 0, x = 1,
-    x = 2^d - 1 and drawn points, with exactly 2 calls of f1 and f2 per
-    query."""
+    leaves the key to adw_inner_values at each point (_evaluator).
+    Neither fold calls f1 or f2; answered from its inner values, each
+    answers as adw_eval at x = 0, x = 1, x = 2^d - 1 and drawn points,
+    with exactly 2 calls of f1 and f2 per query."""
     d = data.draw(st.integers(1, w), label="d")
     s1, s2 = (data.draw(st.integers(1, d), label="s") for _ in range(2))
     r = data.draw(st.integers(1, w), label="r")
@@ -720,7 +717,7 @@ def test_fold_answers_as_adw_eval_at_two_calls_per_query(w, windowed, data):
                                          label="xs")]
     for x in xs:
         calls = f1.calls, f2.calls
-        answer = folded(x)
+        answer = fold_answers(folded, key, [x])[0]
         assert (f1.calls - calls[0], f2.calls - calls[1]) == (1, 1)
         assert answer == adw_eval(key, x)
 
