@@ -1,24 +1,26 @@
-"""Microbenchmarks of the scalar path: the field product, one k-wise hash
-evaluation, the combiner adw_eval, building a fold and one round of a
-fold, and the lazy answer, on the keys of the benchmark's `adaptive`
-workload.
+"""Microbenchmarks of the scalar path and of the twin's probe evaluators:
+the field product, one k-wise hash evaluation, the combiner adw_eval,
+the twin's per-call hash evaluator and its adw byte tables, and the
+lazy answer, on the keys of the benchmark's `adaptive` workload.
 
     python -m pytest microbench --benchmark-only
 
-adaptive-transform --n 16 --q 64 --k 12 builds two oracles over 16-bit
+adaptive-transform --n 16 --q 64 --k 12 draws two keys over 16-bit
 strings, both with h1 and h2 inside the first 4q = 256 strings:
-build_adaptive_from_nonadaptive's pp key, an adw key with 12-wise hashes
-over GF(2^16) and no inner maps, and build_adw_adaptive_from_nonadaptive's
-table-backed adw key with c = 1, so z = 2(c+2) * log2 q = 36 inner maps
-of 2-entry tables under 2-wise hashes. test_adw_eval calls adw_eval on
-the key itself, the reference every fold answers as, and the key's
-own eval_int. test_fold_build times fold_adw on each key,
-which adaptive-transform runs once per target, before its probe rounds:
-byte tables of the odd powers x^1, x^3, ..., x^11 for the pp key, and
-of x alone, the 36 affine bars folded in, for the table key.
-test_fold_round asks the fold of each key for the inner values of one
-round's experiments._CHAINS points, which it reads from those tables;
-a round then answers them in one batch.lazy_answers call.
+adaptive_layout's pp key, an adw key with 12-wise hashes over GF(2^16)
+and no inner maps, and adw_adaptive_layout's table-backed adw key with
+c = 1, so z = 2(c+2) * log2 q = 36 inner maps of 2-entry tables under
+2-wise hashes. test_adw_eval calls adw_eval on the builders' scalar
+keys, the reference the twin answers as. adaptive-transform draws the
+same keys on the numpy twin, one row each (batch.ColumnDraws), and
+asks each one's evaluator (batch._ADW.inner_at) for the inner values
+of one round's experiments._CHAINS points. test_hashes_at times
+_Hashes.at, which evaluates the pp key's hashes afresh at each round's
+points, on its h1 at 64 points. test_adw_tables_build times the table
+key's evaluator build, once per target before the probe rounds: its
+inner values at 0 and the 16 unit vectors, and the byte tables of
+their affine map; test_adw_tables_lookup looks one round's 64 points up
+in those tables.
 
 lazy_answer is timed on one point: it is the rule adw-compare's
 tallied oracles answer by.
@@ -41,47 +43,62 @@ import random
 import numpy as np
 import pytest
 
-from cuckooprf.combine import adw_eval, adw_inner_values, fold_adw
+from cuckooprf.batch import ColumnDraws
+from cuckooprf.bits import KeyStreams
+from cuckooprf.combine import adw_eval, adw_inner_values
 from cuckooprf.experiments import _CHAINS
 from cuckooprf.gf import SUPPORTED_WIDTHS, FieldSpec, default_spec
 from cuckooprf.hashfam import eval_kwise, sample_kwise
 from cuckooprf.prfcore import lazy_answer
 from cuckooprf.transform import (
-    build_adaptive_from_nonadaptive,
-    build_adw_adaptive_from_nonadaptive,
+    KeyDraws,
+    adaptive_layout,
+    adw_adaptive_layout,
 )
 
 N, Q = 16, 64
-KEYS = {
-    "pp": lambda rng: build_adaptive_from_nonadaptive(N, Q, 12, rng),
-    "adw-table": lambda rng: build_adw_adaptive_from_nonadaptive(N, Q, 1, rng),
-}
+LAYOUTS = {"pp": adaptive_layout(N, Q, 12), "adw-table": adw_adaptive_layout(N, Q, 1)}
+STREAMS = KeyStreams(2024, 0)
 
 
-@pytest.mark.parametrize("name", KEYS)
+def _keys(name):
+    """The scalar key and its one-row twin, drawn from one key stream."""
+    layout = LAYOUTS[name]
+    return layout(KeyDraws(STREAMS.stream(0))), layout(ColumnDraws(STREAMS.heads(range(1))))
+
+
+def _round_points() -> np.ndarray:
+    rng = random.Random(5)
+    return np.array([0, *(rng.getrandbits(N) for _ in range(_CHAINS - 1))], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
 def test_adw_eval(benchmark, name):
-    key = KEYS[name](random.Random(2024))
+    key, _ = _keys(name)
     x = 0xBEEF
     answer = benchmark(adw_eval, key, x)
     assert answer == adw_eval(key, x) < 1 << N
 
 
-@pytest.mark.parametrize("name", KEYS)
-def test_fold_build(benchmark, name):
-    key = KEYS[name](random.Random(2024))
-    x = 0xBEEF
-    assert benchmark(fold_adw, key)(np.array([x], dtype=np.uint64)).T.tolist() == \
-        [list(adw_inner_values(key, x))]
+def test_hashes_at(benchmark):
+    key, twin = _keys("pp")
+    xs = _round_points()
+    values = benchmark(twin.h1.at, xs)
+    assert values.tolist() == [[eval_kwise(key.h1, x) for x in xs.tolist()]]
 
 
-@pytest.mark.parametrize("name", KEYS)
-def test_fold_round(benchmark, name):
-    key = KEYS[name](random.Random(2024))
-    folded = fold_adw(key)
-    rng = random.Random(5)
-    xs = np.array([0, *(rng.getrandbits(N) for _ in range(_CHAINS - 1))], dtype=np.uint64)
-    inner = benchmark(folded, xs)
-    assert inner.T.tolist() == [list(adw_inner_values(key, x)) for x in xs.tolist()]
+def test_adw_tables_build(benchmark):
+    key, twin = _keys("adw-table")
+    evaluate = benchmark(twin.inner_at, N)
+    assert evaluate(np.array([0xBEEF], dtype=np.uint64))[:, 0].T.tolist() == \
+        [list(adw_inner_values(key, 0xBEEF))]
+
+
+def test_adw_tables_lookup(benchmark):
+    key, twin = _keys("adw-table")
+    evaluate, xs = twin.inner_at(N), _round_points()
+    inner = benchmark(evaluate, xs)
+    assert inner[:, 0].T.tolist() == [list(adw_inner_values(key, x)) for x in xs.tolist()]
 
 
 SEED = 0x5EED

@@ -67,7 +67,12 @@ key with no inner maps. A block of affine adw keys (combine.is_affine,
 which a pp key at k = 2 is) asked for more than u+1 points, u the
 number of low bits its queries use, is answered from per-row byte
 tables of its inner values over those u bits, built from the values at
-u+1 basis points; the probe fold (combine.fold_adw) folds all d bits.
+u+1 basis points (_ADW._tables) and looked up at the points
+(_ADW._lookup). adaptive-transform draws each of its keys as one row
+and calls _ADW.inner_at's array function at each probe round's points:
+an affine key's tables are built once, over all d bits, and any other
+key's hashes are evaluated afresh by _Hashes.at. So the twin holds the
+one array evaluator of adw keys, and combine.adw_eval is its reference.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -321,6 +326,83 @@ class _Hashes:
             np.copyto(out, acc)
         return out
 
+    def at(self, xs: np.ndarray) -> np.ndarray:
+        """h(x) at xs, a 1-D uint64 array of points that every row is
+        asked at, or a (rows, q) one of each row's own points: a fresh
+        (rows, q) uint64 array, cut to the kept bits. It builds no
+        tables of its points, so they may change from call to call, as
+        an adaptive prober's do."""
+        return self.evaluator()(xs)
+
+    def evaluator(self, kept=None):
+        """at as a function of the points, the work on the coefficients
+        done once, here; each value is cut to `kept`, one mask or a
+        column of one per row, the kept bits if None. FieldSpec.mul_int's
+        two width bands: for w <= 16, the sum of the terms a_i x^i =
+        exp[log a_i + i log x] over views of FieldSpec.log_exp's tables,
+        a term 0 where a_i is, and a_0 alone at x = 0; for w in {32, 64},
+        Horner's rule, each product by x the XOR of x's w doublings
+        x 2^b at the set bits b of the sum, as _power_tables makes x's
+        powers."""
+        spec, coeffs = self.spec, self.coeffs
+        kept = np.uint64(truncate(~0, self.out_bits)) if kept is None else kept
+        if spec.width <= 16:
+            log, exp = (np.frombuffer(t, dtype=t.typecode) for t in spec.log_exp())
+            # uint32 holds i log x, as i < k <= 2^d <= 2^w, and log a_i
+            # plus a log below 2^w - 1, which exp, doubled, takes unreduced
+            logs = log[coeffs][..., None].astype(np.uint32)
+            nonzero, a0 = (coeffs != 0)[..., None], coeffs[:, :1]
+            i, order = np.arange(coeffs.shape[1], dtype=np.uint32)[:, None], (1 << spec.width) - 1
+
+            def evaluate(xs):
+                points = xs.reshape(-1, xs.shape[-1])  # (1 or rows, q)
+                powers = log[points][:, None] * i
+                powers %= order
+                terms = exp.take(logs + powers)
+                terms *= nonzero
+                acc = np.bitwise_xor.reduce(terms, axis=1)
+                np.copyto(acc, a0, where=points == 0)
+                return np.bitwise_and(acc, kept, dtype=np.uint64)
+
+            return evaluate
+        w, top = spec.width, np.uint64(spec.width - 1)
+        mask, low = np.uint64(truncate(~0, w)), np.uint64(truncate(spec.poly, w))
+        bit = np.arange(w, dtype=np.uint64)[:, None, None]
+
+        def horner(xs):
+            points = xs.reshape(-1, xs.shape[-1])
+            doublings = np.empty((w, *points.shape), dtype=np.uint64)
+            doublings[0] = points
+            for b in range(1, w):
+                v = doublings[b - 1]
+                doublings[b] = ((v << np.uint64(1)) & mask) ^ (v >> top) * low
+            acc = np.zeros((len(coeffs), points.shape[1]), dtype=np.uint64)
+            acc |= coeffs[:, -1:]
+            for a in coeffs.T[-2::-1]:
+                acc = np.bitwise_xor.reduce(doublings * ((acc >> bit) & np.uint64(1)), axis=0)
+                acc ^= a[:, None]
+            acc &= kept
+            return acc
+
+        return horner
+
+    @staticmethod
+    def evaluator_of(hashes: tuple):
+        """An evaluator of each of hashes, of one row count: a 1-D xs ->
+        a (len(hashes), rows, q) array. Hashes of one field and k are
+        stacked into one block of rows, so the work on xs is done once
+        for all of them, and each row is cut to its own hash's kept bits;
+        others are evaluated one by one."""
+        first, rows = hashes[0], len(hashes[0].coeffs)
+        if len({(h.spec, h.coeffs.shape[1]) for h in hashes}) > 1:
+            each = [h.evaluator() for h in hashes]
+            return lambda xs: np.stack([evaluate(xs) for evaluate in each])
+        stacked = _Hashes(np.concatenate([h.coeffs for h in hashes]), first.spec,
+                          first.domain_bits, 64, first.ws)
+        kept = np.array([truncate(~0, h.out_bits) for h in hashes], dtype=np.uint64).repeat(rows)
+        evaluate = stacked.evaluator(kept[:, None])
+        return lambda xs: evaluate(xs).reshape(len(hashes), rows, -1)
+
 
 class _Lazy:
     """N lazy-random functions, or padded views of them, cut to range_bits."""
@@ -411,78 +493,113 @@ class _ADW:
 
     def grid(self, xs: tuple[int, ...]) -> np.ndarray:
         """f1(inner1) ^ f2(inner2) ^ yterm, each f answered in place of
-        its inner value, so the sum is kept where inner1 was taken."""
+        its inner value, so the sum is kept where inner1 was taken. An
+        affine block asked for more than u + 1 points, u the low bits
+        they use, is answered from byte tables over those u bits, built
+        from the values at 0 and at 1, 2, ..., 2^(u-1): the values at
+        the basis are taken first, so the grids of their chunks are
+        given back before the three (trials, q) values are taken, and
+        one value's tables are built at a time, so a block holds one
+        (trials, 2^min(8, u)) table."""
         used = max(xs, default=0).bit_length()
         if len(xs) > used + 1 and self._affine():
-            inner1, inner2, yterm = self._folded(xs, used)
+            points = np.array(xs, dtype=np.uint64)
+            inner = [self._lookup(self._tables([values]), points)[0]
+                     for values in self._inner(_basis(used))]
         else:
-            inner1, inner2, yterm = self._inner(xs)
+            inner = self._inner(xs)
+        inner1, inner2, yterm = inner
         answers = self.f1.at(inner1, inner1)
         answers ^= self.f2.at(inner2, inner2)
         answers ^= yterm
         return answers
 
-    def _inner(self, xs: tuple[int, ...]) -> list:
-        """The three inner values, (trials, q) each, in the block's
-        workspace.
+    def inner_at(self, bits: int):
+        """The three inner values as one array function, the adaptive
+        driver's: xs, a 1-D uint64 array of points below 2^bits, -> a
+        (3, rows, len(xs)) uint64 array of inner1, inner2 and the y part,
+        as combine.adw_inner_values gives them row by row. An affine key
+        is answered from byte tables over all `bits` bits, built here
+        once; any other by _inner through _Hashes' evaluators at every
+        call."""
+        hashes = _Hashes.evaluator_of((self.h1, self.h2, self.ell))
+        if self._affine():
+            basis = np.array(_basis(bits), dtype=np.uint64)
+            return partial(self._lookup, self._tables(self._inner(basis, hashes)))
+        return partial(self._inner, hashes=hashes) if self.bars else hashes
+
+    def _inner(self, xs, hashes=None):
+        """The three inner values, (trials, q) each: by _Hashes.grid at a
+        tuple of a block's points, a list of three arrays of the block's
+        workspace; or at a 1-D array of points, by `hashes`, an evaluator
+        of h1, h2 and ell (_Hashes.evaluator_of), and _Hashes.at for the
+        g's, one (3, trials, q) array.
 
         The z inner maps go in chunks of consecutive slots, one row slice
         of each bar (part), so a chunk takes one g grid and one lookup
-        per m or y bar, whose values are XORed in slot by slot. A chunk
+        per m or y bar, whose slots' values are XORed down in one
+        reduction into a buffer of the chunk. A chunk
         holds as many slots as keep chunk * trials * q within
         BLOCK_ELEMS, so its grids stay as small as a block's, and each
         chunk gives its workspace buffers back before the next.
         """
-        inner = [self.h1.grid(xs), self.h2.grid(xs), self.ell.grid(xs)]
+        inner = hashes(xs) if hashes else [h.grid(xs) for h in (self.h1, self.h2, self.ell)]
         rows, q = len(inner[0]), len(xs)
         step = max(1, rows * max(1, BLOCK_ELEMS // max(1, rows * q)))
         for start in range(0, len(self.gbar.coeffs) if self.bars else 0, step):
             with self.ws.frame():
                 g, *maps = (bar.part(slice(start, start + step)) for bar in self.bars)
-                gv = g.grid(xs)
+                gv = g.at(xs) if hashes else g.grid(xs)
+                total = self.ws.empty((rows, q), np.uint64)
                 for acc, m in zip(inner, maps):
                     with self.ws.frame():
-                        for values in m.at(gv).reshape(len(gv) // rows, rows, q):
-                            acc ^= values
+                        slots = m.at(gv).reshape(len(gv) // rows, rows, q)
+                        acc ^= np.bitwise_xor.reduce(slots, axis=0, out=total)
         return inner
 
     def _affine(self) -> bool:
-        """combine.is_affine for every row: hashes of degree <= 1, 2-entry tables."""
+        """Whether every row's inner values are GF(2)-affine in x, as
+        combine.is_affine asks of a key: hashes of degree <= 1 and
+        2-entry tables."""
         return (all(h.coeffs.shape[1] <= 2 for h in (self.h1, self.h2, self.ell, *self.bars[:1]))
                 and all(isinstance(m, _Tables) and m.entries.shape[1] == 2
                         for m in self.bars[1:]))
 
-    def _folded(self, xs: tuple[int, ...], used: int) -> list:
-        """The three inner values, (trials, q) each, placed as _inner
-        places them, from per-row byte tables of their affine map on the
-        low `used` bits, which hold every x in xs (combine.fold_adw in
-        columns): the values at x = 0 and at 1, 2, ..., 2^(used-1) give
-        the map. One value and one byte table at a time, so a block holds
-        one (trials, 2^min(8, used)) table. The values at the basis are
-        taken first, so the grids of their chunks are given back before
-        the three (trials, q) arrays are taken; the first byte's lookup
-        is written straight into its value, and only the lookups of
-        further bytes need a buffer of their own."""
-        ws = self.ws
-        at_basis = self._inner((0, *(1 << j for j in range(used))))
-        points = np.array(xs, dtype=np.uint64)
-        point_bytes = [(points >> np.uint64(pos)) & np.uint64(255) for pos in range(0, used, 8)]
-        shape = (len(at_basis[0]), len(xs))
-        folded = [ws.empty(shape, np.uint64) for _ in range(3)]
-        with ws.frame():
-            term = ws.empty(shape, np.uint64) if len(point_bytes) > 1 else None
-            for values, acc in zip(at_basis, folded):
-                const = values[:, :1]
-                if not point_bytes:  # no bit is used, so every point is 0
-                    acc[...] = 0
-                # every byte of a point is below the table's length
-                for pos, (table, idx) in enumerate(zip(linear_tables(values[:, 1:] ^ const),
-                                                       point_bytes)):
-                    table.take(idx, axis=1, out=term if pos else acc, mode="clip")
-                    if pos:
-                        acc ^= term
-                acc ^= const
-        return folded
+    @staticmethod
+    def _tables(at_basis) -> tuple:
+        """(const, tables): the affine maps over b bits of v inner values,
+        from their values at 0 and at 1, 2, ..., 2^(b-1), (trials, b + 1)
+        each. const (v, trials, 1) is the values at 0; the linear part
+        has one (v, trials, 2^min(8, b)) table per byte of a point
+        (gf.linear_tables)."""
+        values = np.stack(at_basis)
+        const = values[..., :1]
+        return const, list(linear_tables(values[..., 1:] ^ const))
+
+    def _lookup(self, tables: tuple, points: np.ndarray) -> np.ndarray:
+        """The inner values at points from _tables' maps: a (v, trials,
+        len(points)) array of the workspace. The first byte's
+        lookup is written straight into it, and that of each further
+        byte XORed in."""
+        const, tables = tables
+        out = self.ws.empty((*const.shape[:2], len(points)), np.uint64)
+        if not tables:  # no bit is used, so every point is 0
+            out[...] = 0
+        for pos, table in enumerate(tables):
+            # every byte of a point is below the table's length
+            index = (points >> 8 * pos) & 255
+            if pos:
+                out ^= table.take(index, axis=2, mode="clip")
+            else:
+                table.take(index, axis=2, out=out, mode="clip")
+        out ^= const
+        return out
+
+
+def _basis(bits: int) -> tuple[int, ...]:
+    """0 and the unit vectors 1, 2, ..., 2^(bits-1): the points whose
+    values give an affine map on `bits` bits."""
+    return (0, *(1 << j for j in range(bits)))
 
 
 class ColumnDraws:

@@ -14,7 +14,8 @@ flag as p_real against an expected 1.0; uniformity reports the
 estimated statistical distance as p_real and the same estimator's
 value on truly uniform samples as p_ideal; ggm-kat and the adaptive
 transform report the fraction of checks passed as p_real and failures
-as violations.
+as violations. adaptive-transform evaluates its keys on the numpy twin
+(batch._ADW.inner_at); adw-compare's probe keys answer by adw_eval.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import sys
 
 import numpy as np
 
-from .batch import lazy_answers
+from .batch import ColumnDraws, lazy_answers
 from .bits import BitString, KeyStreams, key_stream, mix64_inplace, stream_words
-from .combine import fold_adw
 from .errors import ConfigurationError
 from .games import (
     GameResult,
@@ -43,11 +43,11 @@ from .transform import (
     ExtensionParams,
     KeyDraws,
     KeySampler,
+    adaptive_layout,
+    adw_adaptive_layout,
     adw_layout,
     adw_table_z,
     adw_z,
-    build_adaptive_from_nonadaptive,
-    build_adw_adaptive_from_nonadaptive,
     check_independence,
     check_widths,
     lazy_sampler,
@@ -260,18 +260,21 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
     with word i of key_stream(seed, _PROBE_TAG), which is
     derive_seed(seed, _PROBE_TAG, i); the words are read _PROBE_CHUNK
     at a time into one reused buffer, and both targets take each word.
-    Each target's key is folded (fold_adw) once, before the rounds. A
-    round asks each fold for the inner values of its R points, answers
-    both targets' f1 and f2 at once (batch.lazy_answers, the keys being
-    drawn by the default lazy-random sampler), and counts every one of
-    those underlying queries, and those at or past 4q (_outside)."""
+    Target t's key is drawn by its layout on the numpy twin
+    (batch.ColumnDraws), one row from the stream head
+    derive_seed(seed, _PROBE_TAG, t), so it reads the words the builder
+    reads from key_stream(seed, _PROBE_TAG, t). A round asks each key's
+    evaluator (batch._ADW.inner_at) for the inner values of its R
+    points, answers both targets' f1 and f2 at once (batch.lazy_answers,
+    the keys' f being lazy-random), and counts every one of those
+    underlying queries, and those at or past 4q (_outside)."""
     if not 1 <= probes <= sys.maxsize:  # a run past sys.maxsize probes would never end
         raise ConfigurationError(f"probes must be in 1..{sys.maxsize}, got {probes}")
-    keys = (build_adaptive_from_nonadaptive(n, q, k, key_stream(seed, _PROBE_TAG, 0)),
-            build_adw_adaptive_from_nonadaptive(n, q, _ADAPTIVE_C,
-                                                key_stream(seed, _PROBE_TAG, 1)))
-    folds = [fold_adw(key) for key in keys]
-    seeds = np.array([f.seed for key in keys for f in (key.f1, key.f2)], dtype=np.uint64)
+    layouts = (adaptive_layout(n, q, k), adw_adaptive_layout(n, q, _ADAPTIVE_C))
+    streams = KeyStreams(seed, _PROBE_TAG)
+    keys = [layout(ColumnDraws(streams.heads(range(t, t + 1)))) for t, layout in enumerate(layouts)]
+    evaluators = [key.inner_at(n) for key in keys]
+    seeds = np.concatenate([f.seeds for key in keys for f in (key.f1, key.f2)])
     head = KeyStreams(seed).heads(range(_PROBE_TAG, _PROBE_TAG + 1))  # derive_seed(seed, _PROBE_TAG)
     words = np.empty((_PROBE_CHUNK, 1), dtype=np.uint64)
     scratch = np.empty(_PROBE_CHUNK, dtype=np.uint64)
@@ -283,7 +286,7 @@ def adaptive_transform(n: int, q: int, k: int, probes: int, seed: int):
         for i in range(0, min(_PROBE_CHUNK, probes - start), chains):
             step = chunk[i:min(i + chains, probes - start)]
             xs = xs[:, :len(step)]  # the last round may run fewer chains
-            inner = [fold(x) for fold, x in zip(folds, xs)]
+            inner = [evaluate(x)[:, 0] for evaluate, x in zip(evaluators, xs)]
             calls += len(step)
             for t, values in enumerate(inner):
                 outside[t] += _outside(values[:2], 4 * q)
@@ -314,8 +317,7 @@ def adw_compare(d: int, s: int, r: int, q: int, k: int, c: int, trials: int, see
     variants at identical shape parameters.
 
     The cost is read from a probe key drawn with a _CallTally, over
-    d+2 of its queries, each answered by its eval_int, adw_eval; only
-    adaptive-transform folds."""
+    d+2 of its queries, each answered by its eval_int, adw_eval."""
     params = ExtensionParams(d=d, s=s, r=r, k=k, q=q, c=c)
     z_prf, z_table = adw_z(params, "prf"), adw_z(params, "table")
     targets = (

@@ -31,16 +31,18 @@ constant's doublings, w rounds with no Python step per element. The
 build raises ValueError unless log[exp[i]] = i for every i < 2^w - 1,
 that is unless x+1 generates the multiplicative group, which it does
 under each shipped w <= 16 polynomial. FieldSpec.log_exp hands
-the tables to a caller that multiplies by log sums itself (the probe
-fold, combine.fold_adw, which folds only keys over one field with
-w <= 16, takes each odd power x^o as exp[o log x] and builds its maps
-from logs); no other module reads them. The numpy engine
-(batch._power_tables) multiplies by the fixed powers x^i of its query
+the tables to a caller that multiplies by log sums itself: the twin's
+per-call hash evaluator, batch._Hashes.at, which adaptive-transform's
+probe rounds ask, takes each term a_i x^i of a hash over GF(2^w),
+w <= 16, as exp[log a_i + i log x] through numpy views of them; no
+other module reads them. The numpy engine's grids
+(batch._power_tables) multiply by the fixed powers x^i of their query
 points through nibble or byte tables of their doublings x^i * 2^b,
 built by linear_tables' row doubling but cut to the bits a hash keeps
-and held in the narrowest dtype of those bits, and makes no product
-here. linear_tables holds uint64 words only: the widest map it builds,
-the probe fold's three packed inner values, is 48 bits.
+and held in the narrowest dtype of those bits, and make no product
+here. linear_tables holds uint64 words only: the widest maps it
+builds, the byte tables of an affine adw key's inner values
+(batch._ADW), are 64 bits.
 """
 
 from __future__ import annotations

@@ -90,10 +90,6 @@ class KWiseHashKey:
         object.__setattr__(self, "spec", default_spec(self.width))
         object.__setattr__(self, "mask", (1 << window_bits(self.window, self.range_bits)) - 1)
 
-    @property
-    def k(self) -> int:
-        return len(self.coeffs)
-
     eval_int = eval_kwise
 
 

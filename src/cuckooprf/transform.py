@@ -20,12 +20,13 @@ combine.ADWKey, which is its own oracle:
 
   build_adaptive_from_nonadaptive
                                  nonadaptively-secure PRF -> adaptively
-                                 secure PRF: pp_layout with h1 and h2
-                                 restricted to the first 4q strings
-  build_adw_adaptive_from_nonadaptive
-                                 the table adw_layout with h1, h2 and
-                                 the m-table entries inside the first
+                                 secure PRF: adaptive_layout, pp_layout
+                                 with h1 and h2 restricted to the first
                                  4q strings
+  build_adw_adaptive_from_nonadaptive
+                                 adw_adaptive_layout, the table
+                                 adw_layout with h1, h2 and the m-table
+                                 entries inside the first 4q strings
   build_prg_prf                  length-doubling generator -> PRF:
                                  pp_layout over two tree PRFs, 2m
                                  generator calls per query
@@ -42,7 +43,9 @@ times, and ColumnDraws calls it once, reading the same words for the
 whole bar in one call, and holds the bar as one slot of z stacked
 blocks of rows. A KeySampler wraps a layout, so games.run_game can
 sample a block of keys without building them; any other sampler is
-played trial by trial.
+played trial by trial. adaptive-transform runs the two adaptive layouts
+on ColumnDraws too, one row each, so the adaptive builders are the
+scalar references of its keys.
 """
 
 from __future__ import annotations
@@ -185,20 +188,28 @@ def pp_sampler(p: ExtensionParams) -> KeySampler:
 def _adaptive_params(n: int, q: int, k: int, c: int = 1) -> ExtensionParams:
     """The shape of an adaptive builder: d = s = r = n and q a power of
     two, so that the budget q <= 2^(n-2) is its window of 4q strings
-    inside {0,1}^n."""
+    inside {0,1}^n. n is checked first, so a refusal names n, not the
+    d, s or r it becomes."""
+    if not 2 <= n <= MAX_WIDTH:
+        raise ConfigurationError(f"n={n} is outside 2..{MAX_WIDTH} bits")
     if q < 1 or q & (q - 1):
         raise ConfigurationError(f"query budget q={q} must be a power of two")
     return ExtensionParams(d=n, s=n, r=n, k=k, q=q, c=c)
 
 
-def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None) -> ADWKey:
-    """pp combiner with both hash ranges restricted to the first 4q
+def adaptive_layout(n: int, q: int, k: int):
+    """pp_layout with both hash ranges restricted to the first 4q
     strings of {0,1}^n, so the underlying PRFs are only ever evaluated
     inside that prefix; a nonadaptively secure f suffices there because
     the full query set is fixed in advance.
     """
     p = _adaptive_params(n, q, k)
-    return pp_layout(p.d, p.s, p.r, p.k, window=4 * q)(KeyDraws(rng, f_sampler))
+    return pp_layout(p.d, p.s, p.r, p.k, window=4 * q)
+
+
+def build_adaptive_from_nonadaptive(n: int, q: int, k: int, rng, f_sampler=None) -> ADWKey:
+    """adaptive_layout's key, drawn from rng."""
+    return adaptive_layout(n, q, k)(KeyDraws(rng, f_sampler))
 
 
 def adw_table_z(c: int, q: int) -> int:
@@ -278,8 +289,8 @@ def adw_layout(p: ExtensionParams, variant: str, window: int | None = None):
     return layout
 
 
-def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=None) -> ADWKey:
-    """Table-backed adw analogue of build_adaptive_from_nonadaptive.
+def adw_adaptive_layout(n: int, q: int, c: int):
+    """Table-backed adw analogue of adaptive_layout.
 
     Hash ranges and m-table entries all live in the first 4q strings
     of {0,1}^n; XOR cannot leave that prefix (4q is a power of two),
@@ -288,8 +299,12 @@ def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=N
     """
     if q < 2:
         raise ConfigurationError(f"query budget q={q} must be at least 2")
-    p = _adaptive_params(n, q, 2, c)
-    return adw_layout(p, "table", window=4 * q)(KeyDraws(rng, f_sampler))
+    return adw_layout(_adaptive_params(n, q, 2, c), "table", window=4 * q)
+
+
+def build_adw_adaptive_from_nonadaptive(n: int, q: int, c: int, rng, f_sampler=None) -> ADWKey:
+    """adw_adaptive_layout's key, drawn from rng."""
+    return adw_adaptive_layout(n, q, c)(KeyDraws(rng, f_sampler))
 
 
 def build_prg_prf(prg: PrgSpec, m: int, n: int, k: int, q: int, rng) -> ADWKey:

@@ -6,15 +6,16 @@ hash key or any other slot) and records every query value, so a test
 can count the calls a key makes and check where they land.
 counting_sampler is an f_sampler that hands each builder instrumented
 lazy-random oracles and keeps them; count_calls counts the calls of
-one evaluation of a key a test built by hand. fold_kind tells
-fold_adw's byte-table fold from its pointwise one, and fold_answers
-answers a key's queries through a fold.
+one evaluation of a key a test built by hand. twin builds the one-row
+numpy twin of a scalar adw key, and twin_answers answers a key's queries
+from the inner values of the twin's evaluator.
 """
 
 import dataclasses
 
 import numpy as np
 
+from cuckooprf import batch
 from cuckooprf.combine import adw_inner_values
 from cuckooprf.hashfam import RandomTable
 from cuckooprf.prfcore import Oracle
@@ -60,21 +61,42 @@ def counting_sampler(seen: list):
     return f_sampler
 
 
-def fold_kind(fold):
-    """"tables" for fold_adw's byte-table fold, "pointwise" for the one
-    that applies adw_inner_values at each point."""
-    return {"fold_adw.<locals>.folded": "tables",
-            "fold_adw.<locals>.pointwise": "pointwise"}[fold.__qualname__]
+def twin(key) -> batch._ADW:
+    """The one-row numpy twin of an adw key whose hashes are k-wise keys,
+    whose f1 and f2 are lazy-random (or instrumented ones), and whose
+    bars each stack z like slots, as ColumnDraws.bar draws them: g's of
+    one field and k, and tables of one length or padded views of
+    lazy-random oracles of one shape."""
+    ws = batch.Workspace()
+
+    def hashes(*keys):
+        coeffs = np.array([h.coeffs for h in keys], dtype=batch._uint(keys[0].width))
+        return batch._Hashes(coeffs, keys[0].spec, keys[0].domain_bits,
+                             keys[0].mask.bit_length(), ws)
+
+    def lazy(oracles, view):
+        seeds = np.array([getattr(o, "inner", o).seed for o in oracles], dtype=np.uint64)
+        return batch._Lazy(seeds, view.domain_bits, view.range_bits, ws)
+
+    def maps(bar):
+        if isinstance(bar[0], RandomTable):
+            return batch._Tables(np.array([m.entries for m in bar], dtype=np.uint64), ws)
+        return lazy([m.f for m in bar], bar[0])
+
+    bars = ((hashes(*key.gbar), maps(key.m1bar), maps(key.m2bar), maps(key.ybar)) if key.gbar
+            else ((),) * 4)
+    return batch._ADW(hashes(key.h1), hashes(key.h2), hashes(key.ell), *bars,
+                      lazy([key.f1], key.f1), lazy([key.f2], key.f2))
 
 
-def fold_answers(fold, key, xs) -> list[int]:
-    """The answers at xs of key's fold (fold_adw(key)): f1 and f2 of key
-    asked once each at the fold's two inner rows, XORed with its y row.
-    The fold's rows must be C-ordered and equal adw_inner_values at each
-    point."""
-    rows = fold(np.array(xs, dtype=np.uint64))
-    assert rows.dtype == np.uint64 and rows.shape == (3, len(xs)) and rows.flags.c_contiguous
-    inner = list(zip(*rows.tolist()))
+def twin_answers(key, xs) -> list[int]:
+    """The answers at xs read from the inner values that the evaluator of
+    key's twin (batch._ADW.inner_at) gives: f1 and f2 of key asked once
+    each at the two inner rows, XORed with the y row. The rows must be
+    uint64 and equal adw_inner_values at each point."""
+    rows = twin(key).inner_at(key.domain_bits)(np.array(xs, dtype=np.uint64))
+    assert rows.dtype == np.uint64 and rows.shape == (3, 1, len(xs))
+    inner = list(zip(*rows[:, 0].tolist()))
     assert inner == [adw_inner_values(key, x) for x in xs]
     return [key.f1.eval_int(a) ^ key.f2.eval_int(b) ^ y for a, b, y in inner]
 

@@ -41,6 +41,9 @@ UNENTERED = {
     "bits.BitString.to01": (
         "builds QueryGuard's repeated-query message, which no CLI distinguisher triggers",
         "test_games.py::test_repeated_query_is_a_violation"),
+    "combine.ADWKey.domain_bits": (
+        "the Oracle face of an adw key, read by Oracle.query, which no subcommand asks of one",
+        "test_properties.py::test_pp_keys_fold_at_k_2_and_answer_as_pp"),
     "combine.is_affine": (
         "the scalar reference of the twin's batch._ADW._affine",
         "test_properties.py::test_pp_keys_fold_at_k_2_and_answer_as_pp"),
@@ -59,6 +62,12 @@ UNENTERED = {
     "transform.KeyDraws.levin": (
         "the scalar reference of the twin's batch._Levin",
         "test_properties.py::test_levin_scalar_equals_batched"),
+    "transform.build_adaptive_from_nonadaptive": (
+        "the scalar reference of adaptive-transform's pp key, which it draws on the twin",
+        "test_experiments.py::test_each_adaptive_target_replays_its_own_chain_through_adw_eval"),
+    "transform.build_adw_adaptive_from_nonadaptive": (
+        "the scalar reference of adaptive-transform's adw key, which it draws on the twin",
+        "test_experiments.py::test_each_adaptive_target_replays_its_own_chain_through_adw_eval"),
     "transform.build_prg_prf": (
         "the PRG-to-PRF pipeline, which no subcommand runs yet",
         "test_acceptance.py::test_criterion_7_call_count_accounting"),
@@ -91,8 +100,9 @@ print(json.dumps([rcs, [(c.co_filename, c.co_firstlineno, c.co_name) for c in en
 def _census_argv(tmp_path):
     """The SMALL_ARGV commands; adw-compare over GF(2^32), whose scalar
     multiplier is gf._mul_raw; adaptive-transform over GF(2^32), whose
-    keys fold_adw folds pointwise; and ggm-kat through --config, --out
-    and --format json."""
+    pp key at k = 3 the twin evaluates by the w = 32 product of
+    batch._Hashes.at; and ggm-kat through --config, --out and --format
+    json."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"experiment": "ggm-kat", "pairs": 3}))
     return [*SMALL_ARGV.values(),

@@ -251,9 +251,10 @@ def test_a_config_path_with_a_nul_cannot_be_read(capsys):
 
 
 # CSV bytes of three small runs at the default seed, pinned before the
-# affine fold of adw keys: both fold paths (scalar from the first probe,
-# numpy at q = 128 > u+1 = 8 basis points of the 7 bits its queries
-# use) must leave every row as it was.
+# affine fold of adw keys: both of the twin's fold sites (byte tables
+# over all 16 bits of adaptive-transform's adw key, and over the 7 bits
+# of birthday's and adw-compare's queries at q = 128 > u+1 = 8 basis
+# points) must leave every row as it was.
 GOLDEN_ROWS = {
     ("adaptive-transform", "--probes", "300"): """\
 adaptive-transform-pp,16,16,16,16,12,64,,300,1.0,1.0,0.0,,2024,0
@@ -347,6 +348,17 @@ def _assert_configuration_error(rc, err):
 def test_out_of_range_parameters_exit_2(argv, capsys):
     rc = cli.main(argv)
     _assert_configuration_error(rc, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("n", [65, 1, 0, -1])
+def test_adaptive_transform_refuses_n_outside_2_to_64_by_its_name(n, capsys):
+    # the builders' shape turns n into d = s = r, whose refusals would
+    # name d or s instead
+    rc = cli.main(["adaptive-transform", "--n", str(n), "--probes", "2"])
+    err = capsys.readouterr().err
+    _assert_configuration_error(rc, err)
+    assert [line for line in err.splitlines() if line.startswith("configuration error:")] == [
+        f"configuration error: n={n} is outside 2..64 bits"]
 
 
 # far past a cap, each refused before any work: islice's sys.maxsize,

@@ -3,18 +3,18 @@ from dataclasses import replace
 
 import pytest
 
-from cuckooprf import combine
+from cuckooprf import batch
 from cuckooprf.bits import BitString
 from cuckooprf.combine import (
     ADWKey,
     adw_eval,
     adw_inner_values,
-    fold_adw,
+    is_affine,
 )
 from cuckooprf.hashfam import KWiseHashKey, RandomTable, sample_kwise, sample_table
 from cuckooprf.prfcore import LazyRandomOracle, Oracle
 from closedforms import pp_formula
-from spies import FunctionOracle, count_calls, fold_answers, fold_kind
+from spies import FunctionOracle, count_calls, twin, twin_answers
 
 
 def _bit_low(x):
@@ -239,40 +239,45 @@ def _g(k, width, d=16):
 
 
 # name -> (the hashes, a change to one of them, the g of one bar or None,
-# the evaluator fold_adw picks)
+# the evaluator the twin picks: "tables" for an affine key, "pointwise"
+# for _Hashes.at through _inner at each call, None where a slot has no
+# column form)
 FOLD_CASES = {
     "affine": (_summable(k=2), None, None, "tables"),
-    "power sums": (_summable(), None, None, "tables"),
-    "a_0 = 0": (_summable(), (0, lambda h: replace(h, coeffs=(0, *h.coeffs[1:]))), None, "tables"),
-    "k = 3 at w = 4": (_summable(3, 4, 4, window=4), None, None, "tables"),
+    "power sums": (_summable(), None, None, "pointwise"),
+    "a_0 = 0": (_summable(), (0, lambda h: replace(h, coeffs=(0, *h.coeffs[1:]))), None,
+                "pointwise"),
+    "k = 3 at w = 4": (_summable(3, 4, 4, window=4), None, None, "pointwise"),
     "zero a_5": (_summable(), (1, lambda h: replace(h, coeffs=h.coeffs[:5] + (0,) + h.coeffs[6:])),
-                 None, "tables"),
+                 None, "pointwise"),
     "mixed widths": (_summable(), (2, lambda h: replace(h, width=32)), None, "pointwise"),
-    "unequal k": (_summable(), (2, lambda h: replace(h, coeffs=h.coeffs[:-1])), None, "tables"),
+    "unequal k": (_summable(), (2, lambda h: replace(h, coeffs=h.coeffs[:-1])), None, "pointwise"),
     "w = 32": (_summable(width=32, d=24), None, None, "pointwise"),
     "w = 8 and w = 16": (_summable(12, 8, 8, window=16), (2, lambda h: replace(h, width=16)),
                          None, "pointwise"),
     "w = 16 and w = 32 at k = 3": (_summable(3), (2, lambda h: replace(h, width=32)), None,
                                    "pointwise"),
     "w = 32 at k = 3": (_summable(3, 32, 24), None, None, "pointwise"),
-    "w = 64 at k = 2": (_summable(2, 64, 40), None, None, "pointwise"),
+    "w = 64 at k = 2": (_summable(2, 64, 40), None, None, "tables"),
     "w = 64 at k = 4": (_summable(4, 64, 40), None, None, "pointwise"),
     "not k-wise": (_summable(), (0, lambda h: FunctionOracle(h.eval_int, h.domain_bits,
-                                                             h.range_bits)), None, "pointwise"),
-    "2-wise g at w = 16": (_summable(), None, _g(2, 16), "tables"),
-    "3-wise g": (_summable(), None, _g(3, 16), "pointwise"),
-    "2-wise g over GF(2^32) beside w = 16": (_summable(), None, _g(2, 32), "pointwise"),
+                                                             h.range_bits)), None, None),
+    "2-wise g at w = 16": (_summable(k=2), None, _g(2, 16), "tables"),
+    "3-wise g": (_summable(k=2), None, _g(3, 16), "pointwise"),
+    "2-wise g over GF(2^32) beside w = 16": (_summable(k=2), None, _g(2, 32), "tables"),
 }
 
 
 @pytest.mark.parametrize("case", FOLD_CASES)
 def test_fold_adw_picks_one_evaluator_per_kind_of_key(case):
-    """Byte tables of the odd powers for a key whose h1, h2, ell and every
-    g are k-wise keys over one GF(2^w) with w <= 16 and whose every bar
-    is affine (any coefficient may be 0, and the hashes may differ in
-    k), and adw_inner_values at each point for any other; each gives
-    the inner values adw_inner_values gives, and so answers as adw_eval
-    does."""
+    """The evaluator of a key's one-row twin (batch._ADW.inner_at): byte
+    tables over all d bits for an affine key (is_affine: hashes of
+    degree <= 1 at any width, 2-entry tables), and _Hashes.at through
+    _inner at each call for any other (any coefficient may be 0, and the
+    hashes may differ in k and in width). Each gives the inner values
+    adw_inner_values gives, and so answers as adw_eval does. A key with
+    a slot that is not a k-wise key has no twin; adw_eval answers it
+    from adw_inner_values."""
     hashes, change, g, evaluator = FOLD_CASES[case]
     if change is not None:
         i, edit = change
@@ -284,21 +289,27 @@ def test_fold_adw_picks_one_evaluator_per_kind_of_key(case):
     if g is not None:
         bars = ((g,), *((sample_table(2, d, rng),) for _ in range(3)))
     key = ADWKey(h1, h2, ell, *bars, LazyRandomOracle(11, d, d), LazyRandomOracle(12, d, d))
-    folded = fold_adw(key)
-    assert fold_kind(folded) == evaluator
     points = [0, 1, 2, 0xBEEF % (1 << d), (1 << d) - 1]
-    assert fold_answers(folded, key, points) == [adw_eval(key, x) for x in points]
+    want = [adw_eval(key, x) for x in points]
+    if evaluator is None:
+        inner = [adw_inner_values(key, x) for x in points]
+        assert [key.f1.eval_int(a) ^ key.f2.eval_int(b) ^ y for a, b, y in inner] == want
+        return
+    assert ("tables" if twin(key)._affine() else "pointwise") == evaluator
+    assert is_affine(key) == (evaluator == "tables")
+    assert twin_answers(key, points) == want
 
 
 def test_an_adw_oracle_asked_100_queries_answers_by_adw_eval_and_never_folds(monkeypatch):
     """An ADWKey is its own oracle, and its eval_int is adw_eval, whatever
-    fold_adw would make of it: it never calls fold_adw, and no attribute
-    shadows its eval_int."""
+    its twin would make of it: it never calls the twin's evaluators, and
+    no attribute shadows its eval_int."""
     key = _pp_key(*_summable(k=5, d=16), LazyRandomOracle(13, 16, 16), LazyRandomOracle(14, 16, 16))
-    assert fold_kind(fold_adw(key)) == "tables"
-    folds = []
-    monkeypatch.setattr(combine, "fold_adw", lambda key: folds.append(key) or fold_adw(key))
-    assert ADWKey.eval_int is adw_eval
     xs = range(0, 100 * 601, 601)
+    assert twin_answers(key, xs[:3]) == [adw_eval(key, x) for x in xs[:3]]
+    asked = []
+    monkeypatch.setattr(batch._Hashes, "at", lambda *args: asked.append(args))
+    monkeypatch.setattr(batch._ADW, "inner_at", lambda *args: asked.append(args))
+    assert ADWKey.eval_int is adw_eval
     assert [key.eval_int(x) for x in xs] == [adw_eval(key, x) for x in xs]
-    assert folds == [] and "eval_int" not in vars(key)
+    assert asked == [] and "eval_int" not in vars(key)

@@ -3,10 +3,10 @@ import json
 import tracemalloc
 from functools import partial
 
-from cuckooprf import bits, cli, combine, experiments
+from cuckooprf import batch, bits, cli, combine, experiments
 from cuckooprf.bits import BitString, key_stream, mix64, truncate
 from cuckooprf.batch import lazy_answers
-from cuckooprf.combine import adw_eval, fold_adw
+from cuckooprf.combine import adw_eval
 from cuckooprf.errors import ConfigurationError
 from cuckooprf.prfcore import GgmKey, GgmOracle, LazyRandomOracle, LevinOracle, PrgSpec
 from cuckooprf.transform import (
@@ -15,7 +15,7 @@ from cuckooprf.transform import (
     build_adw_adaptive_from_nonadaptive,
     lazy_random_sampler,
 )
-from spies import counting_sampler, fold_kind
+from spies import counting_sampler
 from cuckooprf.experiments import (
     CSV_COLUMNS,
     adaptive_transform,
@@ -188,27 +188,42 @@ def test_adaptive_transform_locality():
     assert pp["trials"] == 300
 
 
+def _spy_evaluators(monkeypatch) -> list:
+    """Record, for each batch._ADW.inner_at call, the key, its evaluator
+    and every point the evaluator is then asked."""
+    inner_at, evaluators = batch._ADW.inner_at, []
+
+    def spy(key, bits):
+        evaluate, asked = inner_at(key, bits), []
+        evaluators.append((key, evaluate, asked))
+        return lambda xs: asked.extend(xs.tolist()) or evaluate(xs)
+
+    monkeypatch.setattr(batch._ADW, "inner_at", spy)
+    return evaluators
+
+
+def _kind(key) -> str:
+    """The evaluator inner_at gives a twin key: byte tables of an affine
+    key, _Hashes.at at each call for any other."""
+    return "tables" if key._affine() else "pointwise"
+
+
 @pytest.mark.parametrize("probes", [1, 300, 1025])
 def test_adaptive_transform_folds_each_target_once_and_probes_the_folds(monkeypatch, probes):
-    """The speed path: each target's key is folded (fold_adw) once, the
-    pp key and then the adw key, into byte tables, and every probe asks
-    the folds, not the targets' oracles. adw-compare, which asks its
-    probe oracles, never folds."""
-    fold, folds = experiments.fold_adw, []
-
-    def spy(key):
-        folded, asked = fold(key), []
-        folds.append((key, folded, asked))
-        return lambda xs: asked.extend(xs.tolist()) or folded(xs)
-
-    monkeypatch.setattr(experiments, "fold_adw", spy)
+    """The speed path: each target's key is drawn on the numpy twin and
+    its evaluator (batch._ADW.inner_at) made once, the pp key's and then
+    the adw key's, the affine adw key's folded into byte tables, and
+    every probe asks the evaluators, not the targets' oracles.
+    adw-compare, which asks its probe oracles, makes none."""
+    evaluators = _spy_evaluators(monkeypatch)
     rows, problems = adaptive_transform(16, 64, 12, probes, 2024)
     assert problems == [] and [r["trials"] for r in rows] == [probes, probes]
-    assert [len(key.gbar) for key, _, _ in folds] == [0, adw_table_z(experiments._ADAPTIVE_C, 64)]
-    assert [fold_kind(folded) for _, folded, _ in folds] == ["tables", "tables"]
-    assert [len(asked) for _, _, asked in folds] == [probes, probes]
+    assert [len(key.gbar.coeffs) if key.bars else 0 for key, _, _ in evaluators] == \
+        [0, adw_table_z(experiments._ADAPTIVE_C, 64)]
+    assert [_kind(key) for key, _, _ in evaluators] == ["pointwise", "tables"]
+    assert [len(asked) for _, _, asked in evaluators] == [probes, probes]
     _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)
-    assert problems == [] and len(folds) == 2
+    assert problems == [] and len(evaluators) == 2
 
 
 def test_a_tallied_oracle_answers_as_a_lazy_random_oracle_of_one_word():
@@ -239,9 +254,10 @@ def test_a_repeated_outside_query_counts_as_outside_every_time():
 
 
 # Measured peaks (tracemalloc, Python 3.11) of adaptive_transform at the
-# benchmark's shape: 108 KB at 500 probes and 108 KB at 4000, the fold
-# tables of the two keys, the one reused buffer of _PROBE_CHUNK probe
-# words and one round's arrays of _CHAINS points, whatever the probes.
+# benchmark's shape: 114 KB at 500 probes and 114 KB at 4000, the two
+# twin keys and the adw key's byte tables, the one reused buffer of
+# _PROBE_CHUNK probe words and one round's arrays of _CHAINS points,
+# whatever the probes.
 # A warm-up run builds the caches both traced runs share.
 PROBE_MEMORY_SLACK = 1.05
 
@@ -291,29 +307,28 @@ def test_the_probe_chains_replay_across_a_chunk_boundary(monkeypatch):
 
 
 def _assert_the_chains_replay(monkeypatch, probes: int):
-    """Each target's key is folded once, into byte tables, and its probes
-    are R = min(probes, _CHAINS) chains, probe i being step i // R of
-    chain i mod R, chain r starting at r. R sequential replays through
-    adw_eval, stepped round by round on keys drawn with counting_sampler,
-    ask each target's f1 and f2 what the one lazy_answers call of each
-    round asks them, in order, at exactly 2 calls per probe. adw-compare,
-    which asks its probe keys, never folds."""
-    asked, folds = [], []
+    """Each target's twin key gets its evaluator once (batch._ADW.inner_at:
+    _Hashes.at for the pp key at k = 4, byte tables for the affine adw
+    key), and its probes are R = min(probes, _CHAINS) chains, probe i
+    being step i // R of chain i mod R, chain r starting at r. R
+    sequential replays through adw_eval, stepped round by round on keys
+    that the builders draw with counting_sampler, ask each target's f1
+    and f2 what the one lazy_answers call of each round asks them, in
+    order, at exactly 2 calls per probe. adw-compare, which asks its
+    probe keys, makes no evaluator."""
+    asked = []
 
     def spy(seeds, queries, *args):
         asked.append((seeds.tolist(), queries.tolist()))  # before the answers overwrite them
         return lazy_answers(seeds, queries, *args)
 
-    def fold(key):
-        folds.append(fold_adw(key))
-        return folds[-1]
-
     monkeypatch.setattr(experiments, "lazy_answers", spy)
-    monkeypatch.setattr(experiments, "fold_adw", fold)
+    evaluators = _spy_evaluators(monkeypatch)
     n, q, k, seed = 12, 16, 4, 812
     rows, problems = adaptive_transform(n, q, k, probes, seed)
     assert problems == [] and [r["trials"] for r in rows] == [probes, probes]
-    assert [fold_kind(f) for f in folds] == ["tables", "tables"]
+    assert [_kind(key) for key, _, _ in evaluators] == ["pointwise", "tables"]
+    assert [len(asked_points) for _, _, asked_points in evaluators] == [probes, probes]
     builders = (partial(build_adaptive_from_nonadaptive, n, q, k),
                 partial(build_adw_adaptive_from_nonadaptive, n, q, experiments._ADAPTIVE_C))
     seen = [[] for _ in builders]
@@ -333,7 +348,7 @@ def _assert_the_chains_replay(monkeypatch, probes: int):
         assert [[x for _, queries in asked for x in queries[2 * idx + j]] for j in (0, 1)] == \
             [f.queries for f in fs]
     _, problems = adw_compare(16, 8, 16, 16, 4, 1, 10, 809)
-    assert problems == [] and len(folds) == 2
+    assert problems == [] and len(evaluators) == 2
 
 
 def _narrow_the_window(monkeypatch):

@@ -49,7 +49,7 @@ def test_sampling_consumes_exactly_k_times_w_bits():
     for k, d, r in [(2, 4, 4), (3, 8, 2), (8, 24, 12), (16, 24, 24), (1, 6, 3)]:
         rng = _CountingRng(5)
         key = sample_kwise(k, d, r, rng)
-        assert key.k == k
+        assert len(key.coeffs) == k
         assert rng.bits_drawn == k * key.width
 
 

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 from cuckooprf import batch, experiments
 from cuckooprf.bits import BitString, KeyStreams, mix64, truncate
-from cuckooprf.combine import ADWKey, adw_eval, fold_adw, is_affine
+from cuckooprf.combine import ADWKey, adw_eval, adw_inner_values, is_affine
 from cuckooprf.experiments import levin_sampler
 from cuckooprf.games import NonAdaptiveDistinguisher
 from cuckooprf.gf import DEFAULT_REDUCTION, SUPPORTED_WIDTHS, _mul_raw
-from cuckooprf.hashfam import KWiseHashKey, RandomTable, eval_kwise, sample_kwise, sample_table
+from cuckooprf.hashfam import KWiseHashKey, eval_kwise, sample_kwise, sample_table
 from cuckooprf.prfcore import LazyRandomOracle, lazy_answer
 from cuckooprf.transform import (
     ExtensionParams,
@@ -43,7 +43,7 @@ from cuckooprf.transform import (
 )
 from closedforms import pp_formula
 from gamepaths import assert_paths_agree
-from spies import InstrumentedOracle, count_calls, counting_sampler, fold_answers, fold_kind
+from spies import InstrumentedOracle, count_calls, counting_sampler, twin, twin_answers
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 TRIALS = 3
@@ -134,6 +134,30 @@ def test_grid_kernel_equals_eval_kwise(w, k, data):
     r = data.draw(st.integers(1, w), label="r")
     _assert_grid_equals_eval_kwise(w, k, points, rows, r,
                                    data.draw(st.integers(0, 2**64 - 1), label="seed"))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.sampled_from(SUPPORTED_WIDTHS), st.integers(1, 16), st.booleans(), st.booleans(),
+       st.data())
+def test_hashes_at_equal_eval_kwise(w, k, windowed, per_row, data):
+    """_Hashes.at, the per-row evaluator, answers as eval_kwise on the
+    k-wise keys that sample_kwise draws from the same streams, over
+    GF(2^w) with or without a window, at 0, 2^d - 1 and drawn points:
+    one row of points that every key is asked at, or each key its own."""
+    d = data.draw(st.integers(w // 2 + 1, w), label="d")  # so that the keys live in GF(2^w)
+    r = data.draw(st.integers(1, d), label="r")
+    window = 1 << data.draw(st.integers(0, r), label="log2 window") if windowed else None
+    rows = data.draw(st.integers(1, 4), label="rows")
+    streams = KeyStreams(data.draw(st.integers(0, 2**64 - 1), label="seed"), 9)
+    hashes = batch.ColumnDraws(streams.heads(range(rows))).kwise(k, d, r, window)
+    keys = [sample_kwise(k, d, r, streams.stream(t), window) for t in range(rows)]
+    drawn = st.lists(st.integers(0, (1 << d) - 1), min_size=3, max_size=3)
+    points = [[0, (1 << d) - 1, *data.draw(drawn, label="points")]
+              for _ in range(rows if per_row else 1)]
+    values = hashes.at(np.array(points if per_row else points[0], dtype=np.uint64))
+    assert values.dtype == np.uint64
+    assert values.tolist() == [[eval_kwise(key, x) for x in points[t if per_row else 0]]
+                               for t, key in enumerate(keys)]
 
 
 @pytest.mark.parametrize("w, r, q", (
@@ -435,28 +459,11 @@ def test_folded_adw_oracle_equals_adw_eval(d, restricted, data):
     assert [oracle.query(x).value for x in xs] == want
     # each query calls f1 and f2, the oracle's and adw_eval's
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
-    folded = fold_adw(oracle)
-    assert fold_kind(folded) == _evaluator(oracle)
-    # the fold itself calls no underlying oracle; each answer read from
-    # its inner values calls f1 and f2
-    assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
-    assert fold_answers(folded, oracle, [x.value for x in xs]) == want
+    assert twin(oracle)._affine()
+    # the twin's evaluator calls no underlying oracle; each answer read
+    # from its inner values, which equal adw_inner_values, calls f1 and f2
+    assert twin_answers(oracle, [x.value for x in xs]) == want
     assert sum(f.calls for f in seen) == 3 * 2 * len(xs)
-
-
-def _evaluator(key: ADWKey):
-    """The evaluator (fold_kind) fold_adw must fold key into: byte tables
-    of the odd powers if h1, h2, ell and every g_i are k-wise keys over
-    one GF(2^w) with w <= 16, whatever their coefficients, and every g_i
-    has k <= 2 and every inner map is a 2-entry table; else
-    adw_inner_values at each point."""
-    hashes = (key.h1, key.h2, key.ell, *key.gbar)
-    maps = (*key.m1bar, *key.m2bar, *key.ybar)
-    if (all(isinstance(h, KWiseHashKey) for h in hashes) and len({h.width for h in hashes}) == 1
-            and key.h1.width <= 16 and all(g.k <= 2 for g in key.gbar)
-            and all(isinstance(m, RandomTable) and len(m.entries) == 2 for m in maps)):
-        return "tables"
-    return "pointwise"
 
 
 def _keyed_both_ways(data, layout):
@@ -524,10 +531,11 @@ def test_folded_twin_evaluates_the_inner_maps_at_the_bits_its_queries_use(d, res
 @given(st.booleans(), st.data())
 def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
     """A pp key, an adw key with no inner maps, is affine at k = 2 and not
-    at k >= 3. Its oracle, and its fold (byte tables or adw_eval,
-    _evaluator), each answer d + 3 or more queries with the pp formula,
-    at exactly 2 underlying calls per query; its twin folds a block of
-    more than u + 1 points only at k = 2."""
+    at k >= 3. Its oracle, and the inner values of its one-row twin's
+    evaluator (byte tables at k = 2, _Hashes.at else), each answer d + 3
+    or more queries with the pp formula, at exactly 2 underlying calls
+    per query; its twin folds a block of more than u + 1 points only at
+    k = 2."""
     k = 2 if affine else data.draw(st.integers(3, 6), label="k")
     s = data.draw(st.integers(2, min(d, 20)), label="s")
     layout = pp_layout(d, s, data.draw(st.integers(1, 64), label="r"), k)
@@ -538,9 +546,8 @@ def test_pp_keys_fold_at_k_2_and_answer_as_pp(d, affine, data):
                    label="xs")
     answers = [oracle.query(BitString(x, d)).value for x in xs]
     assert sum(f.calls for f in seen) == 2 * len(xs)
-    folded = fold_adw(oracle)
-    assert fold_kind(folded) == _evaluator(oracle)
-    assert fold_answers(folded, oracle, xs) == answers
+    assert twin(oracle)._affine() == affine
+    assert twin_answers(oracle, xs) == answers
     assert sum(f.calls for f in seen) == 2 * 2 * len(xs)
     assert answers == [pp_formula(oracle, x) for x in xs]
 
@@ -597,10 +604,10 @@ def _not_affine_layout(p: ExtensionParams, window: int | None, slot: str, i: int
 def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     """One 3-wise g, one prf-backed inner map, or one column of 4-entry
     tables under a 2-bit g, and the scalar oracle answers the key past
-    d + 1 points exactly, as does fold_adw's evaluator, which applies
-    adw_inner_values at each point (_evaluator). The twin reads a bar only whole, so it
-    is checked on keys whose every inner map is made so, and does not
-    fold them."""
+    d + 1 points exactly. The twin reads a bar only whole, so it is
+    checked on keys whose every inner map is made so: it does not fold
+    them, its grid answers as adw_eval, and its evaluator (inner_at)
+    gives the inner values adw_inner_values gives."""
     p, window = _table_shape(data, d, data.draw(st.booleans(), label="restricted"))
     i = data.draw(st.integers(0, adw_z(p, "table") - 1), label="i")
     oracles = [_not_affine_layout(p, window, slot, i)(KeyDraws(_rng(data)))
@@ -609,15 +616,15 @@ def test_adw_key_that_is_not_affine_is_not_folded(d, slot, data):
     want = [[adw_eval(o, x.value) for x in xs] for o in oracles]
     assert not any(is_affine(o) for o in oracles)
     assert [[o.query(x).value for x in xs] for o in oracles] == want
-    folds = [fold_adw(o) for o in oracles]
-    assert all(fold_kind(f) == _evaluator(o) == "pointwise" for f, o in zip(folds, oracles))
-    assert [fold_answers(f, o, [x.value for x in xs]) for f, o in zip(folds, oracles)] == want
 
     columns, oracles = _keyed_both_ways(data, _not_affine_layout(p, window, slot))
     assert not any(is_affine(o) for o in oracles)
     assert not columns._affine()
     assert columns.grid(tuple(x.value for x in xs)).tolist() == \
         [[adw_eval(o, x.value) for x in xs] for o in oracles]
+    inner = columns.inner_at(d)(np.array([x.value for x in xs], dtype=np.uint64))
+    assert inner.transpose(1, 2, 0).tolist() == \
+        [[list(adw_inner_values(o, x.value)) for x in xs] for o in oracles]
 
 
 def _summable_hash(data, w: int, k: int, d: int, bits: int, window: int | None) -> KWiseHashKey:
@@ -633,10 +640,11 @@ def _summable_hash(data, w: int, k: int, d: int, bits: int, window: int | None) 
 def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     """A key whose h1, h2 and ell are k-wise over one GF(2^w), w <= 16,
     with nonzero a_1..a_{k-1}, and whose up to 3 bars are affine (a
-    2-wise g over that field into 2-entry tables), is folded into byte
-    tables; the fold's inner values and the key itself answer at x = 0,
-    x = 1 and drawn points as adw_eval answers, at exactly 2 underlying
-    calls per query."""
+    2-wise g over that field into 2-entry tables), is affine only at
+    k = 2; its one-row twin's evaluator (byte tables, or _Hashes.at at
+    k >= 3) gives its inner values, and those answers and the key itself
+    answer at x = 0, x = 1 and drawn points as adw_eval answers, at
+    exactly 2 underlying calls per query."""
     d = data.draw(st.integers(w // 2 + 1, w), label="d")
     s = data.draw(st.integers(1, d), label="s")
     r = data.draw(st.integers(1, w), label="r")
@@ -650,10 +658,9 @@ def test_power_sums_answer_as_adw_eval_past_the_fold(w, k, windowed, data):
     f1, f2 = (InstrumentedOracle(LazyRandomOracle(rng.getrandbits(64), s, r)) for _ in range(2))
     key = ADWKey(_summable_hash(data, w, k, d, s, window), _summable_hash(data, w, k, d, s, window),
                  _summable_hash(data, w, k, d, r, None), gbar, m1bar, m2bar, ybar, f1, f2)
-    folded = fold_adw(key)
-    assert fold_kind(folded) == "tables"
+    assert twin(key)._affine() == is_affine(key) == (k == 2)
     xs = [0, 1, *data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4), label="xs")]
-    for ask in (lambda x: fold_answers(folded, key, [x])[0], key.eval_int):
+    for ask in (lambda x: twin_answers(key, [x])[0], key.eval_int):
         for x in xs:
             calls = f1.calls + f2.calls
             answer = ask(x)
@@ -670,13 +677,11 @@ def _foldable_hash(data, w: int, d: int, bits: int, window: int | None) -> KWise
     return KWiseHashKey(tuple(coeffs), d, bits, w, window)
 
 
-def _bar(data, rng, w: int, d: int, s1: int, s2: int, r: int, window: int | None) -> tuple:
-    """One bar (g, m1, m2, y), g over GF(2^w) unless drawn wider:
-    affine (a 2-wise g to one bit, 2-entry tables), or not (a 3-wise g,
-    a 2-bit g over 4-entry tables, a prf-backed y map, or a 2-wise g
-    over GF(2^32))."""
-    kind = data.draw(st.sampled_from(("affine", "affine", "3-wise g", "2-bit g", "prf y",
-                                      "wide g")), label="bar")
+def _bar(rng, kind: str, w: int, d: int, s1: int, s2: int, r: int, window: int | None) -> tuple:
+    """One bar (g, m1, m2, y) of a kind, g over GF(2^w) unless the kind
+    is wider: affine (a 2-wise g to one bit, 2-entry tables), or not (a
+    3-wise g, a 2-bit g over 4-entry tables, a prf-backed y map, or a
+    2-wise g over GF(2^32), which is affine)."""
     u = 2 if kind == "2-bit g" else 1
     width = 32 if kind == "wide g" else w
     g = KWiseHashKey(tuple(rng.getrandbits(width) for _ in range(3 if kind == "3-wise g" else 2)),
@@ -690,14 +695,15 @@ def _bar(data, rng, w: int, d: int, s1: int, s2: int, r: int, window: int | None
 @settings(PROPERTY, max_examples=80)
 @given(st.sampled_from((4, 8, 16)), st.booleans(), st.data())
 def test_fold_answers_as_adw_eval_at_two_calls_per_query(w, windowed, data):
-    """fold_adw folds a key whose h1, h2, ell and every g are k-wise keys
-    over one GF(2^w), w <= 16, at any k, with every bar affine: zero
-    coefficients anywhere, the three hashes of their own k, and h1 and h2
-    with or without a window. Any other bar, or a g of another width,
-    leaves the key to adw_inner_values at each point (_evaluator).
-    Neither fold calls f1 or f2; answered from its inner values, each
-    answers as adw_eval at x = 0, x = 1, x = 2^d - 1 and drawn points,
-    with exactly 2 calls of f1 and f2 per query."""
+    """The one-row twin of a key whose h1, h2, ell and g's are k-wise
+    keys over GF(2^w), w <= 16, at any k, with zero coefficients
+    anywhere, the three hashes of their own k, h1 and h2 with or without
+    a window, and z bars of one kind (the twin stacks a bar's slots),
+    picks byte tables exactly when the key is affine (is_affine) and
+    _Hashes.at else. Its evaluator calls neither f1 nor f2; answered from
+    its inner values, which equal adw_inner_values, the key answers as
+    adw_eval at x = 0, x = 1, x = 2^d - 1 and drawn points, with exactly
+    2 calls of f1 and f2 per query."""
     d = data.draw(st.integers(1, w), label="d")
     s1, s2 = (data.draw(st.integers(1, d), label="s") for _ in range(2))
     r = data.draw(st.integers(1, w), label="r")
@@ -706,18 +712,20 @@ def test_fold_answers_as_adw_eval_at_two_calls_per_query(w, windowed, data):
     h1 = _foldable_hash(data, w, d, s1, window)
     h2 = _foldable_hash(data, w, d, s2, window)
     ell = _foldable_hash(data, w, d, r, None)
-    bars = [_bar(data, rng, w, d, s1, s2, r, window)
+    kind = data.draw(st.sampled_from(("affine", "affine", "3-wise g", "2-bit g", "prf y",
+                                      "wide g")), label="bar")
+    bars = [_bar(rng, kind, w, d, s1, s2, r, window)
             for _ in range(data.draw(st.integers(0, 3), label="z"))]
     f1, f2 = (InstrumentedOracle(LazyRandomOracle(rng.getrandbits(64), s, r)) for s in (s1, s2))
     gbar, m1bar, m2bar, ybar = tuple(zip(*bars)) if bars else ((),) * 4
     key = ADWKey(h1, h2, ell, gbar, m1bar, m2bar, ybar, f1, f2)
-    folded = fold_adw(key)
-    assert fold_kind(folded) == _evaluator(key) and f1.calls + f2.calls == 0
+    assert twin(key)._affine() == is_affine(key)
+    assert f1.calls + f2.calls == 0
     xs = [0, 1, (1 << d) - 1, *data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4),
                                          label="xs")]
     for x in xs:
         calls = f1.calls, f2.calls
-        answer = fold_answers(folded, key, [x])[0]
+        answer = twin_answers(key, [x])[0]
         assert (f1.calls - calls[0], f2.calls - calls[1]) == (1, 1)
         assert answer == adw_eval(key, x)
 
